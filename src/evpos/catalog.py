@@ -13,7 +13,6 @@ from .generators import cyclic_block, make_eventually_positive
 from .lattice import Ell1, GridSup, LpQuadrature, midpoint_rule
 from .operators import (
     Constant,
-    Dense,
     Diagonal,
     Monomial,
     OperatorModel,

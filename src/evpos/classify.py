@@ -8,7 +8,7 @@ rescaled powers approach the cone in the distance-to-cone sense.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -22,32 +22,25 @@ from .lattice import (
     LpQuadrature,
     NormKind,
     cone_distance,
-    is_positive,
     norm_value,
 )
 from .operators import (
-    Dense,
     Diagonal,
-    FunctionalRep,
     OperatorModel,
     OperatorError,
     RankK,
     WeightedIntegral,
-    WeightedShift,
     Constant,
-    SignedPower,
     Tabulated,
     apply,
     apply_functional,
+    entrywise_positive,
     power_apply,
     quadrature_row,
-    rank_k_coefficients,
-    sample_function,
     to_dense,
 )
 from .rng import rng_for
-from .spectral import eigenvalues
-from .witnesses import NegativityWitness, hat_family_witness, signed_power_witness
+from .witnesses import hat_family_witness, signed_power_witness
 
 DEFAULT_TOL = 1e-9
 HORIZON_EVENTUAL = 30
@@ -166,29 +159,18 @@ def default_test_set(T: OperatorModel, seed: int = 0) -> ConeTestSet:
 
 
 def is_positive_operator(T: OperatorModel, tol: float = DEFAULT_TOL) -> bool:
-    if isinstance(T, Dense):
-        m = T.matrix
-        return bool(np.all(m.real >= -tol) and np.all(np.abs(m.imag) <= tol))
-    if isinstance(T, Diagonal):
-        return bool(
-            np.all(T.symbol.real >= -tol) and np.all(np.abs(T.symbol.imag) <= tol)
-        )
-    if isinstance(T, WeightedShift):
-        return bool(
-            np.all(T.weights.real >= -tol) and np.all(np.abs(T.weights.imag) <= tol)
-        )
-    if isinstance(T, RankK):
-        tests = default_test_set(T)
-        for x in tests.vectors:
-            if cone_distance(apply(T, x)) > tol * max(norm_value(x), 1e-300):
-                return False
-        if hat_family_witness(T, 1) is not None:
+    if not isinstance(T, RankK):
+        return T.is_positive(tol)
+    tests = default_test_set(T)
+    for x in tests.vectors:
+        if cone_distance(apply(T, x)) > tol * max(norm_value(x), 1e-300):
             return False
-        for x in tests.vectors:
-            if signed_power_witness(T, x, 1) is not None:
-                return False
-        return True
-    raise OperatorError(f"unknown operator model {T!r}")
+    if hat_family_witness(T, 1) is not None:
+        return False
+    for x in tests.vectors:
+        if signed_power_witness(T, x, 1) is not None:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +203,7 @@ def uniform_eventual(
     for _ in range(horizon):
         power = power @ A
         scale = max(1.0, float(np.max(np.abs(power))))
-        ok = bool(
-            np.all(power.real >= -tol * scale)
-            and np.all(np.abs(power.imag) <= tol * scale)
-        )
-        flags.append(ok)
+        flags.append(entrywise_positive(power, tol * scale))
         neg = np.maximum(-power.real, 0.0)
         decay.append(float(np.max(np.hypot(neg, power.imag))))
     n0 = _n0_from_flags(flags, is_positive_operator(T, tol))
@@ -260,12 +238,7 @@ def _uniform_eventual_rank_k(T: RankK, horizon: int, tol: float) -> PositivityVe
     for n in range(1, horizon + 1):
         power = power @ A
         scale = max(1.0, float(np.max(np.abs(power))))
-        grid_ok.append(
-            bool(
-                np.all(power.real >= -tol * scale)
-                and np.all(np.abs(power.imag) <= tol * scale)
-            )
-        )
+        grid_ok.append(entrywise_positive(power, tol * scale))
         w = hat_family_witness(T, n)
         witnesses.append(w)
         decay.append(0.0 if w is None else -w.value)
@@ -344,35 +317,6 @@ def individual_eventual(
     )
 
 
-def _pairing_table(
-    T: OperatorModel, tests: ConeTestSet, horizon: int
-) -> np.ndarray:
-    """values[n-1, i, j] = <x'_j, T^n x_i> for n = 1..horizon."""
-    if isinstance(T, RankK):
-        C = np.stack([rank_k_coefficients(T, x) for x in tests.vectors])  # (X, k)
-        D = np.stack(
-            [
-                np.array([apply_functional(phi, f, T.space) for f in T.functions])
-                for phi in tests.functionals
-            ]
-        )  # (X', k)
-        lam = T.eigen_parameters
-        out = np.empty((horizon, len(tests.vectors), len(tests.functionals)), dtype=complex)
-        for n in range(1, horizon + 1):
-            scaled = C * lam[None, :] ** (n - 1)  # (X, k)
-            out[n - 1] = scaled @ D.T
-        return out
-    A = to_dense(T).matrix
-    X = np.stack([x.entries for x in tests.vectors], axis=1)  # (N, X)
-    Xp = np.stack([f.entries for f in tests.functionals], axis=1)  # (N, X')
-    out = np.empty((horizon, X.shape[1], Xp.shape[1]), dtype=complex)
-    Y = X
-    for n in range(1, horizon + 1):
-        Y = A @ Y
-        out[n - 1] = Y.T @ Xp
-    return out
-
-
 def _diagonal_weak_refutation(
     T: Diagonal, tests: ConeTestSet, tol: float
 ) -> Optional[tuple]:
@@ -419,7 +363,7 @@ def weak_eventual(
                 (),
                 tol,
             )
-    values = _pairing_table(T, tests, horizon)
+    values = _pairing_table(T, tests, horizon)[1:]
     worst_decay = []
     bad = (values.real < -tol) | (np.abs(values.imag) > tol)
     for n in range(horizon):
@@ -466,37 +410,11 @@ class StrategyUnavailableError(RuntimeError):
 
 
 def scale_model(T: OperatorModel, c: float) -> OperatorModel:
-    if isinstance(T, Dense):
-        return Dense(T.matrix * c, T.norm)
-    if isinstance(T, Diagonal):
-        return Diagonal(T.symbol * c, T.norm)
-    if isinstance(T, WeightedShift):
-        return WeightedShift(T.weights * c, T.norm)
-    if isinstance(T, RankK):
-        scaled = []
-        for phi in T.functionals:
-            if isinstance(phi, WeightedIntegral):
-                scaled.append(WeightedIntegral(phi.weight, phi.scale * c))
-            else:
-                from .operators import PointCombination
-
-                scaled.append(
-                    PointCombination(phi.points, tuple(np.asarray(phi.coefficients) * c))
-                )
-        return RankK(T.functions, tuple(scaled), T.space)
-    raise OperatorError(f"unknown operator model {T!r}")
+    return T.scaled(c)
 
 
 def spectral_radius_of(T: OperatorModel) -> float:
-    if isinstance(T, Diagonal):
-        return float(np.max(np.abs(T.symbol))) if len(T.symbol) else 0.0
-    if isinstance(T, WeightedShift):
-        return 0.0  # nilpotent truncation
-    if isinstance(T, RankK):
-        # with a diagonal duality matrix the nonzero eigenvalues are exactly
-        # the diagonal pairings <phi_i, f_i>
-        return float(np.max(np.abs(T.eigen_parameters)))
-    return eigenvalues(to_dense(T).matrix).spectral_radius
+    return T.spectral_radius()
 
 
 def _cone_distances_columns(M: np.ndarray, norm: NormKind) -> np.ndarray:
@@ -532,7 +450,7 @@ def delta_n(
     S = scale_model(T, 1.0 / spr)
     A = to_dense(S).matrix
     power = np.linalg.matrix_power(A, n)
-    norm = T.norm if not isinstance(T, RankK) else T.space
+    norm = T.norm
     if isinstance(strategy, ExtremePoints):
         if isinstance(norm, Ell1):
             dists = _cone_distances_columns(power, norm)
@@ -622,7 +540,7 @@ def classify_asymptotic(
         tests = default_test_set(T)
     S = scale_model(T, 1.0 / spr)
     A = to_dense(S).matrix
-    norm = T.norm if not isinstance(T, RankK) else T.space
+    norm = T.norm
     dim = A.shape[0]
 
     use_extreme = isinstance(norm, Ell1) or (
@@ -671,8 +589,7 @@ def classify_asymptotic(
     ind_decay = ind_decay / scales[None, :]
     ind_worst = int(np.argmax(ind_decay[-max(1, horizon // 4) :].max(axis=0)))
 
-    weak_tests = tests
-    weak_table = _pairing_table_scaled(S, weak_tests, horizon)
+    weak_table = _pairing_table(S, tests, horizon)
     neg = np.maximum(-weak_table.real, 0.0)
     weak_dist = np.hypot(neg, weak_table.imag)  # scalar cone distance per pairing
     weak_decay = weak_dist.reshape(weak_dist.shape[0], -1).max(axis=1)
@@ -699,10 +616,10 @@ def classify_asymptotic(
     return uniform, individual, weak
 
 
-def _pairing_table_scaled(S: OperatorModel, tests: ConeTestSet, horizon: int):
+def _pairing_table(S: OperatorModel, tests: ConeTestSet, horizon: int):
     """values[n, i, j] = <x'_j, S^n x_i> for n = 0..horizon."""
     if isinstance(S, RankK):
-        C = np.stack([rank_k_coefficients(S, x) for x in tests.vectors])
+        C = np.stack([S.coefficients(x.entries) for x in tests.vectors])
         D = np.stack(
             [
                 np.array([apply_functional(phi, f, S.space) for f in S.functions])

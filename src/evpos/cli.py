@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -19,8 +20,6 @@ from .catalog import build_catalog, get_example
 from .classify import (
     Confirmed,
     NotClassifiableError,
-    PositivityVerdict,
-    RefutedWithWitness,
     classify_asymptotic,
     individual_eventual,
     uniform_eventual,
@@ -34,8 +33,6 @@ from .generators import (
 )
 from .lattice import LatticeVector, cone_distance, norm_value
 from .operators import (
-    Dense,
-    Diagonal,
     OperatorError,
     OperatorModel,
     RankK,
@@ -44,7 +41,6 @@ from .operators import (
     power_apply,
     to_dense,
 )
-from .rates import DecaySequence, MajorantSequence, Power, alpha, governs, summability_report
 from .report import (
     AnalysisReport,
     check_record,
@@ -53,7 +49,7 @@ from .report import (
     verdict_record,
 )
 from .rng import rng_for
-from .spectral import DIM_CAP, SpectralError, Spectrum, eigenvalues
+from .spectral import DIM_CAP, SpectralError, eigenvalues
 from .verify import (
     CheckResult,
     VerificationError,
@@ -118,6 +114,22 @@ def _load_model(path: str) -> OperatorModel:
         return model_from_json(data)
     except (OperatorError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad model descriptor: {exc}") from exc
+
+
+def _load_vector(path: str) -> np.ndarray:
+    """Entries of a JSON list of [re, im] pairs of finite numbers."""
+    try:
+        with open(path) as fh:
+            entries = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read vector: {exc}") from exc
+    try:
+        vec = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: vector entries must be [re, im] number pairs") from exc
+    if not np.all(np.isfinite(vec)):
+        raise InputError(f"{path}: vector entries must be finite")
+    return vec
 
 
 def _classification(model: OperatorModel, horizon: Optional[int], tol: Optional[float]):
@@ -197,7 +209,7 @@ def run_classify(
             weak_ok = wasy is not None and isinstance(wasy.status, Confirmed)
             if spr_check is not None and spr_check.pass_ and weak_ok:
                 try:
-                    ev = positive_eigenvector(A, norm=getattr(model, "norm", None))
+                    ev = positive_eigenvector(A, norm=model.norm)
                     ok = (
                         ev.primal_cone_distance <= 1e-6
                         and ev.adjoint_cone_distance <= 1e-6
@@ -375,6 +387,10 @@ def _resolve_model(args) -> tuple:
 
 
 def _cmd_classify(args) -> int:
+    if args.horizon is not None and args.horizon < 1:
+        raise InputError(f"--horizon must be >= 1, got {args.horizon}")
+    if args.tol is not None and not (args.tol > 0 and math.isfinite(args.tol)):
+        raise InputError(f"--tol must be a finite number > 0, got {args.tol}")
     model, operator_id = _resolve_model(args)
     report, solver_failure = run_classify(
         model, operator_id, args.seed, args.horizon, args.tol
@@ -417,19 +433,13 @@ def _cmd_suite(args) -> int:
 
 def _cmd_orbit(args) -> int:
     model, _ = _resolve_model(args)
-    norm = model.norm if not isinstance(model, RankK) else model.space
     if args.vector:
-        try:
-            with open(args.vector) as fh:
-                entries = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read vector: {exc}") from exc
-        vec = np.array([complex(re, im) for re, im in entries])
+        vec = _load_vector(args.vector)
     else:
         vec = np.ones(model.dim, dtype=complex)
     if len(vec) != model.dim:
         raise InputError(f"vector length {len(vec)} does not match dim {model.dim}")
-    x = LatticeVector(vec, norm)
+    x = LatticeVector(vec, model.norm)
     sys.stdout.write("n,d_plus,norm\n")
     sys.stdout.write(f"0,{cone_distance(x):.17g},{norm_value(x):.17g}\n")
     for n in range(1, args.n + 1):

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import Ell1, Ell2, EllInf, NormKind
+from .lattice import Ell2, NormKind
 from .operators import Dense
 from .rng import rng_for
 

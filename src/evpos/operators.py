@@ -7,20 +7,20 @@ diagonal multiplication operators, and weighted shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 
 from .lattice import (
     GridSup,
-    LatticeError,
     LatticeVector,
     LpQuadrature,
     NormKind,
     node_count,
     trapezoid_weights,
 )
+from .spectral import eigenvalues
 
 
 class OperatorError(ValueError):
@@ -183,6 +183,16 @@ def apply_functional(
 
 # ---------------------------------------------------------------------------
 # operator models
+#
+# Each model supplies the same methods: power(n, entries) for T^n on an entry
+# array (n >= 1, unchecked), dense() for its matrix, scaled(c) for c*T,
+# spectral_radius() and to_json(). Dense, Diagonal and WeightedShift also
+# have the entrywise positivity test is_positive(tol).
+
+
+def entrywise_positive(a: np.ndarray, tol: float) -> bool:
+    """Every entry of a lies within tol of the nonnegative reals."""
+    return bool(np.all(a.real >= -tol) and np.all(np.abs(a.imag) <= tol))
 
 
 @dataclass(frozen=True)
@@ -200,6 +210,29 @@ class Dense:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    def power(self, n: int, entries: np.ndarray) -> np.ndarray:
+        return np.linalg.matrix_power(self.matrix, n) @ entries
+
+    def dense(self) -> Dense:
+        return self
+
+    def scaled(self, c: float) -> Dense:
+        return Dense(self.matrix * c, self.norm)
+
+    def spectral_radius(self) -> float:
+        return eigenvalues(self.matrix).spectral_radius
+
+    def is_positive(self, tol: float) -> bool:
+        return entrywise_positive(self.matrix, tol)
+
+    def to_json(self) -> dict:
+        return {
+            "variant": "dense",
+            "n": self.dim,
+            "entries": [_c2j(z) for z in self.matrix.ravel()],
+            "norm": norm_to_json(self.norm),
+        }
+
 
 @dataclass(frozen=True)
 class Diagonal:
@@ -213,6 +246,28 @@ class Diagonal:
     @property
     def dim(self) -> int:
         return len(self.symbol)
+
+    def power(self, n: int, entries: np.ndarray) -> np.ndarray:
+        return self.symbol**n * entries
+
+    def dense(self) -> Dense:
+        return Dense(np.diag(self.symbol), self.norm)
+
+    def scaled(self, c: float) -> Diagonal:
+        return Diagonal(self.symbol * c, self.norm)
+
+    def spectral_radius(self) -> float:
+        return float(np.max(np.abs(self.symbol))) if len(self.symbol) else 0.0
+
+    def is_positive(self, tol: float) -> bool:
+        return entrywise_positive(self.symbol, tol)
+
+    def to_json(self) -> dict:
+        return {
+            "variant": "diagonal",
+            "symbol": [_c2j(z) for z in self.symbol],
+            "norm": norm_to_json(self.norm),
+        }
 
 
 @dataclass(frozen=True)
@@ -230,25 +285,63 @@ class WeightedShift:
     def dim(self) -> int:
         return len(self.weights) + 1
 
+    def power(self, n: int, entries: np.ndarray) -> np.ndarray:
+        for _ in range(n):
+            out = np.zeros(self.dim, dtype=complex)
+            out[1:] = self.weights * entries[:-1]
+            entries = out
+        return entries
+
+    def dense(self) -> Dense:
+        return Dense(np.diag(self.weights, -1), self.norm)
+
+    def scaled(self, c: float) -> WeightedShift:
+        return WeightedShift(self.weights * c, self.norm)
+
+    def spectral_radius(self) -> float:
+        return 0.0  # nilpotent truncation
+
+    def is_positive(self, tol: float) -> bool:
+        return entrywise_positive(self.weights, tol)
+
+    def to_json(self) -> dict:
+        return {
+            "variant": "shift",
+            "weights": [_c2j(z) for z in self.weights],
+            "norm": norm_to_json(self.norm),
+        }
+
 
 @dataclass(frozen=True)
 class RankK:
     functions: tuple
     functionals: tuple
     space: NormKind
+    # D[i, j] = <phi_i, f_j>, computed once by __post_init__
+    duality: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.functions) != len(self.functionals):
             raise OperatorError("rank-k model needs matching function/functional lists")
         if node_count(self.space) is None:
             raise OperatorError("rank-k model requires a function-space norm")
-        D = duality_matrix(self)
+        k = len(self.functions)
+        D = np.zeros((k, k), dtype=complex)
+        for i, phi in enumerate(self.functionals):
+            for j, f in enumerate(self.functions):
+                D[i, j] = apply_functional(phi, f, self.space)
         off = D - np.diag(np.diag(D))
         if np.max(np.abs(off), initial=0.0) > DUALITY_TOL:
             raise OperatorError(
                 "duality matrix is not diagonal: "
                 f"max off-diagonal {np.max(np.abs(off)):.3e} > {DUALITY_TOL}"
             )
+        object.__setattr__(self, "duality", D)
+
+    @property
+    def norm(self) -> NormKind:
+        """The function space's norm; the JSON descriptor calls it "space"."""
+        return self.space
 
     @property
     def rank(self) -> int:
@@ -260,79 +353,80 @@ class RankK:
 
     @property
     def eigen_parameters(self) -> np.ndarray:
-        return np.diag(duality_matrix(self))
+        return np.diag(self.duality)
+
+    def coefficients(self, entries: np.ndarray) -> np.ndarray:
+        """The pairings <phi_i, x> for a grid vector with these entries."""
+        return np.array([quadrature_row(phi, self.space) @ entries for phi in self.functionals])
+
+    def combine(self, coeffs) -> np.ndarray:
+        """sum_i coeffs[i] * f_i sampled on the grid."""
+        nodes = np.asarray(self.space.nodes, dtype=float)
+        out = np.zeros(len(nodes), dtype=complex)
+        for c, f in zip(coeffs, self.functions):
+            out += c * sample_function(f, nodes)
+        return out
+
+    def power(self, n: int, entries: np.ndarray) -> np.ndarray:
+        return self.combine(self.coefficients(entries) * self.eigen_parameters ** (n - 1))
+
+    def dense(self) -> Dense:
+        nodes = np.asarray(self.space.nodes, dtype=float)
+        m = np.zeros((len(nodes), len(nodes)), dtype=complex)
+        for f, phi in zip(self.functions, self.functionals):
+            m += np.outer(sample_function(f, nodes), quadrature_row(phi, self.space))
+        return Dense(m, self.space)
+
+    def scaled(self, c: float) -> RankK:
+        scaled = []
+        for phi in self.functionals:
+            if isinstance(phi, WeightedIntegral):
+                scaled.append(WeightedIntegral(phi.weight, phi.scale * c))
+            else:
+                scaled.append(
+                    PointCombination(phi.points, tuple(np.asarray(phi.coefficients) * c))
+                )
+        return RankK(self.functions, tuple(scaled), self.space)
+
+    def spectral_radius(self) -> float:
+        # with a diagonal duality matrix the nonzero eigenvalues are exactly
+        # the diagonal pairings <phi_i, f_i>
+        return float(np.max(np.abs(self.eigen_parameters)))
+
+    def to_json(self) -> dict:
+        return {
+            "variant": "rank_k",
+            "functions": [_function_to_json(f) for f in self.functions],
+            "functionals": [_functional_to_json(phi) for phi in self.functionals],
+            "space": norm_to_json(self.space),
+        }
 
 
 OperatorModel = Union[Dense, Diagonal, WeightedShift, RankK]
 
 
 def duality_matrix(T: RankK) -> np.ndarray:
-    k = len(T.functions)
-    D = np.zeros((k, k), dtype=complex)
-    for i, phi in enumerate(T.functionals):
-        for j, f in enumerate(T.functions):
-            D[i, j] = apply_functional(phi, f, T.space)
-    return D
-
-
-def model_dim(T: OperatorModel) -> int:
-    return T.dim
+    """D[i, j] = <phi_i, f_j>."""
+    return T.duality.copy()
 
 
 def _check_vector(T: OperatorModel, x: LatticeVector):
-    if len(x) != model_dim(T):
+    if len(x) != T.dim:
         raise OperatorError(
-            f"vector length {len(x)} does not match operator dimension {model_dim(T)}"
+            f"vector length {len(x)} does not match operator dimension {T.dim}"
         )
 
 
 def apply(T: OperatorModel, x: LatticeVector) -> LatticeVector:
     _check_vector(T, x)
-    if isinstance(T, Dense):
-        return x.with_entries(T.matrix @ x.entries)
-    if isinstance(T, Diagonal):
-        return x.with_entries(T.symbol * x.entries)
-    if isinstance(T, WeightedShift):
-        out = np.zeros(T.dim, dtype=complex)
-        out[1:] = T.weights * x.entries[:-1]
-        return x.with_entries(out)
-    if isinstance(T, RankK):
-        nodes = np.asarray(T.space.nodes, dtype=float)
-        coeffs = [quadrature_row(phi, T.space) @ x.entries for phi in T.functionals]
-        out = np.zeros(len(nodes), dtype=complex)
-        for c, f in zip(coeffs, T.functions):
-            out += c * sample_function(f, nodes)
-        return x.with_entries(out)
-    raise OperatorError(f"unknown operator model {T!r}")
-
-
-def rank_k_coefficients(T: RankK, x: LatticeVector) -> np.ndarray:
-    """The pairings <phi_i, x> for a grid vector x."""
-    return np.array([quadrature_row(phi, T.space) @ x.entries for phi in T.functionals])
+    return x.with_entries(T.power(1, x.entries))
 
 
 def power_apply(T: OperatorModel, n: int, x: LatticeVector) -> LatticeVector:
     if n < 1:
         raise OperatorError("power_apply requires n >= 1")
     _check_vector(T, x)
-    if isinstance(T, Dense):
-        return x.with_entries(np.linalg.matrix_power(T.matrix, n) @ x.entries)
-    if isinstance(T, Diagonal):
-        return x.with_entries(T.symbol**n * x.entries)
-    if isinstance(T, WeightedShift):
-        y = x
-        for _ in range(n):
-            y = apply(T, y)
-        return y
-    if isinstance(T, RankK):
-        lam = T.eigen_parameters
-        coeffs = rank_k_coefficients(T, x) * lam ** (n - 1)
-        nodes = np.asarray(T.space.nodes, dtype=float)
-        out = np.zeros(len(nodes), dtype=complex)
-        for c, f in zip(coeffs, T.functions):
-            out += c * sample_function(f, nodes)
-        return x.with_entries(out)
-    raise OperatorError(f"unknown operator model {T!r}")
+    return x.with_entries(T.power(n, x.entries))
 
 
 def pairing(
@@ -354,8 +448,7 @@ def pairing(
     row = quadrature_row(xprime, T.space)
     if n == 0:
         return complex(row @ x.entries)
-    lam = T.eigen_parameters
-    coeffs = rank_k_coefficients(T, x) * lam ** (n - 1)
+    coeffs = T.coefficients(x.entries) * T.eigen_parameters ** (n - 1)
     dual = np.array(
         [apply_functional(xprime, f, T.space) for f in T.functions]
     )
@@ -368,27 +461,8 @@ def adjoint(T: OperatorModel) -> Dense:
     return Dense(T.matrix.conj().T, T.norm)
 
 
-def to_dense(T: OperatorModel, dimension: Optional[int] = None) -> Dense:
-    if isinstance(T, Dense):
-        if dimension is not None and dimension != T.dim:
-            raise OperatorError("dimension mismatch")
-        return T
-    if isinstance(T, Diagonal):
-        return Dense(np.diag(T.symbol), T.norm)
-    if isinstance(T, WeightedShift):
-        m = np.zeros((T.dim, T.dim), dtype=complex)
-        for k, w in enumerate(T.weights):
-            m[k + 1, k] = w
-        return Dense(m, T.norm)
-    if isinstance(T, RankK):
-        nodes = np.asarray(T.space.nodes, dtype=float)
-        if dimension is not None and dimension != len(nodes):
-            raise OperatorError("rank-k grid size is fixed by the space")
-        m = np.zeros((len(nodes), len(nodes)), dtype=complex)
-        for f, phi in zip(T.functions, T.functionals):
-            m += np.outer(sample_function(f, nodes), quadrature_row(phi, T.space))
-        return Dense(m, T.space)
-    raise OperatorError(f"unknown operator model {T!r}")
+def to_dense(T: OperatorModel) -> Dense:
+    return T.dense()
 
 
 # ---------------------------------------------------------------------------
@@ -497,33 +571,7 @@ def _functional_from_json(data: dict) -> FunctionalRep:
 
 
 def model_to_json(T: OperatorModel) -> dict:
-    if isinstance(T, Dense):
-        return {
-            "variant": "dense",
-            "n": T.dim,
-            "entries": [_c2j(z) for z in T.matrix.ravel()],
-            "norm": norm_to_json(T.norm),
-        }
-    if isinstance(T, Diagonal):
-        return {
-            "variant": "diagonal",
-            "symbol": [_c2j(z) for z in T.symbol],
-            "norm": norm_to_json(T.norm),
-        }
-    if isinstance(T, WeightedShift):
-        return {
-            "variant": "shift",
-            "weights": [_c2j(z) for z in T.weights],
-            "norm": norm_to_json(T.norm),
-        }
-    if isinstance(T, RankK):
-        return {
-            "variant": "rank_k",
-            "functions": [_function_to_json(f) for f in T.functions],
-            "functionals": [_functional_to_json(phi) for phi in T.functionals],
-            "space": norm_to_json(T.space),
-        }
-    raise OperatorError(f"unknown operator model {T!r}")
+    return T.to_json()
 
 
 def model_from_json(data: dict) -> OperatorModel:

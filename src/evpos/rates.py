@@ -9,7 +9,7 @@ infinite series converges, so trends and tail bounds are the honest surrogate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np

@@ -12,8 +12,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from . import __version__ as _tool_version
 from .classify import (
     Confirmed,

@@ -67,30 +67,29 @@ def eigenvalues(A, tol: float = DEFAULT_TOL) -> Spectrum:
     return Spectrum(vals, spr, tol)
 
 
-def resolvent_matrix(A, lam: complex) -> np.ndarray:
-    """(lam - A)^{-1} by partial-pivot elimination; raises on near-singularity."""
-    A = _as_matrix(A)
-    n = A.shape[0]
-    M = lam * np.eye(n) - A
-    lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    threshold = 1e-14 * max(np.max(np.abs(M)), 1e-300)
-    if np.min(pivots) < threshold:
-        raise SingularResolventError(lam)
-    return scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=complex), check_finite=False)
-
-
-def resolvent_apply(A, lam: complex, x: LatticeVector) -> LatticeVector:
-    A = _as_matrix(A)
-    if A.shape[0] != len(x):
-        raise SpectralError("dimension mismatch")
+def _resolvent_lu(A: np.ndarray, lam: complex):
+    """Partial-pivot LU factors of lam - A; raises on near-singularity."""
     M = lam * np.eye(A.shape[0]) - A
     lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
     pivots = np.abs(np.diag(lu))
     threshold = 1e-14 * max(np.max(np.abs(M)), 1e-300)
     if np.min(pivots) < threshold:
         raise SingularResolventError(lam)
-    y = scipy.linalg.lu_solve((lu, piv), x.entries, check_finite=False)
+    return lu, piv
+
+
+def resolvent_matrix(A, lam: complex) -> np.ndarray:
+    """(lam - A)^{-1} by partial-pivot elimination; raises on near-singularity."""
+    A = _as_matrix(A)
+    lu_piv = _resolvent_lu(A, lam)
+    return scipy.linalg.lu_solve(lu_piv, np.eye(A.shape[0], dtype=complex), check_finite=False)
+
+
+def resolvent_apply(A, lam: complex, x: LatticeVector) -> LatticeVector:
+    A = _as_matrix(A)
+    if A.shape[0] != len(x):
+        raise SpectralError("dimension mismatch")
+    y = scipy.linalg.lu_solve(_resolvent_lu(A, lam), x.entries, check_finite=False)
     return x.with_entries(y)
 
 

@@ -17,17 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classify import (
-    Confirmed,
-    ExtremePoints,
-    MonteCarlo,
-    Notion,
-    PositivityVerdict,
-    RefutedWithWitness,
-    classify_asymptotic,
-    delta_n,
-    StrategyUnavailableError,
-)
+from .classify import Confirmed, PositivityVerdict
 from .lattice import (
     Ell1,
     Ell2,
@@ -37,14 +27,9 @@ from .lattice import (
     complex_modulus,
     cone_distance,
     norm_value,
-    positive_part,
     real_part,
 )
-from .operators import Dense
 from .spectral import (
-    SingularResolventError,
-    SpectralError,
-    Spectrum,
     eigenvalues,
     geometric_multiplicity,
     laurent_leading_coefficient,

@@ -15,16 +15,11 @@ import numpy as np
 from .lattice import GridSup, LatticeVector
 from .operators import (
     Constant,
-    Monomial,
     OperatorError,
     PointCombination,
     RankK,
     SignedPower,
-    Tabulated,
     WeightedIntegral,
-    apply_functional,
-    rank_k_coefficients,
-    sample_function,
 )
 
 
@@ -101,10 +96,7 @@ def hat_family_witness(
                 b = _hat_pairings(T, float(peak), eps)
             except OperatorError:
                 continue
-            coeffs = b * lam ** (n - 1)
-            values = np.zeros(len(nodes), dtype=complex)
-            for c, f in zip(coeffs, T.functions):
-                values += c * sample_function(f, nodes)
+            values = T.combine(b * lam ** (n - 1))
             if np.max(np.abs(values.imag)) > 1e-12 * max(1.0, np.max(np.abs(values))):
                 continue
             idx = int(np.argmin(values.real))
@@ -131,7 +123,7 @@ def signed_power_witness(
     f2 = T.functions[1]
     if not isinstance(f2, SignedPower) or f2.exponent >= 0:
         return None
-    a_coef, b_coef = rank_k_coefficients(T, g)
+    a_coef, b_coef = T.coefficients(g.entries)
     lam2 = T.eigen_parameters[1]
     if abs(a_coef.imag) > 1e-12 or abs(b_coef.imag) > 1e-12:
         return None
@@ -155,10 +147,3 @@ def signed_power_witness(
         input_description="analytic singular point of the signed-power term",
         input_vector=g,
     )
-
-
-def power_min_on_grid(T: RankK, n: int, g: LatticeVector) -> float:
-    """min over grid nodes of Re (T^n g); convenience for tests."""
-    from .operators import power_apply
-
-    return float(np.min(power_apply(T, n, g).entries.real))

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import evpos.cli
 from evpos.cli import (
     EXIT_CONTRADICTION,
     EXIT_INPUT,
@@ -13,7 +15,7 @@ from evpos.cli import (
     run_classify,
     run_suite,
 )
-from evpos.catalog import get_example
+from evpos.catalog import averaging_plus_slope, get_example
 from evpos.operators import Dense, model_to_json
 from evpos.lattice import Ell1
 from evpos.report import report_from_json, report_to_json, ReportError
@@ -75,6 +77,22 @@ class TestRunClassify:
         back = report_from_json(t1)
         assert report_to_json(back) == t1
 
+    def test_rank_k_eigenvector_measured_in_space_norm(self, monkeypatch):
+        T = averaging_plus_slope(41)
+        norms = []
+        original = evpos.cli.positive_eigenvector
+
+        def recording(A, norm=None, **kwargs):
+            norms.append(norm)
+            return original(A, norm=norm, **kwargs)
+
+        monkeypatch.setattr(evpos.cli, "positive_eigenvector", recording)
+        report, failed = run_classify(T, "slope41", 0)
+        assert not failed
+        assert norms == [T.space]
+        check = [c for c in report.checks if c["name"] == "positive-eigenvector"][0]
+        assert check["pass"]
+
     def test_unknown_field_rejected(self):
         entry = get_example("rem3.2b")
         report, _ = run_classify(entry.model, entry.name, 0)
@@ -84,6 +102,19 @@ class TestRunClassify:
             report_from_json(json.dumps(data))
 
 
+# sha256 of report_to_json for each `run_suite("paper", 0)` report; any change
+# to the catalog report bytes must be deliberate and update these
+PAPER_REPORT_SHA256 = {
+    "ex2.2a": "c243e541e100e5d44ef9315b72fd46ea09cf4d10ff7a99f89911abb8b85e73d3",
+    "ex2.2b": "9902f6e72558dc8248d6f5be393c361938c29d873c9a25e2c28bcd4271958a0d",
+    "ex3.5a": "7b213fa72c17745a87d70c20986a89d873ee2b06b5d7b87983a0bb022560a1ff",
+    "ex3.5b": "b2be13ba50b60102f013df88f205342b2480e4375891228ef93fd5f7192a0a66",
+    "rem3.2b": "19eaf4fe951c33c8ba81340bb9bdd71168817d5bcd527c7311d47b17516e441e",
+    "cyclic-block": "004c0bd98c4b112c0f6619121d101328fe3da0072ec513cf475b961fc3274dc4",
+    "eventually-positive": "a64a12dc1c2b29160d39293a7bf505c217557642bb44db148205056b124e6f66",
+}
+
+
 class TestSuites:
     def test_paper_suite_clean(self):
         reports, summary = run_suite("paper", seed=0)
@@ -91,6 +122,11 @@ class TestSuites:
         assert summary["contradictions"] == 0
         assert summary["solver_failures"] == 0
         assert len(reports) == 7
+        digests = {
+            r.operator_id: hashlib.sha256(report_to_json(r).encode()).hexdigest()
+            for r in reports
+        }
+        assert digests == PAPER_REPORT_SHA256
 
     def test_random_suite_clean(self):
         _, summary = run_suite("random", seed=3, trials=10)
@@ -135,6 +171,40 @@ class TestMainEntry:
 
     def test_unknown_example_is_input_error(self, capsys):
         assert main(["classify", "--example", "nope"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--horizon", "0"],
+            ["--horizon", "-3"],
+            ["--tol", "-1"],
+            ["--tol", "0"],
+            ["--tol", "nan"],
+            ["--tol", "inf"],
+        ],
+    )
+    def test_bad_classify_argument_is_input_error(self, extra, capsys):
+        assert main(["classify", "--example", "rem3.2b", *extra]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and extra[0] in err
+
+    @pytest.mark.parametrize(
+        "content",
+        ["[1, 2]", "[[1, 2, 3], [0, 0]]", '[["1", "2"], [0, 0]]', "[[NaN, 0], [0, 0]]", "5"],
+    )
+    def test_bad_orbit_vector_is_input_error(self, content, tmp_path, capsys):
+        path = tmp_path / "v.json"
+        path.write_text(content)
+        code = main(["orbit", "--example", "rem3.2b", "--vector", str(path)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_orbit_vector_file(self, tmp_path, capsys):
+        path = tmp_path / "v.json"
+        path.write_text("[[1, 0], [0, -1]]")
+        assert main(["orbit", "--example", "rem3.2b", "--vector", str(path), "--n", "1"]) == EXIT_OK
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1] == "0,1,2"  # rem3.2b is on l1
 
     def test_orbit_csv(self, capsys):
         code = main(["orbit", "--example", "rem3.2b", "--n", "4"])

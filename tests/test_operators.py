@@ -33,6 +33,7 @@ from evpos.operators import (
     power_apply,
     to_dense,
 )
+from evpos.classify import scale_model, spectral_radius_of
 
 
 def grid(n=41):
@@ -191,3 +192,40 @@ class TestJsonRoundTrip:
     def test_unknown_variant_rejected(self):
         with pytest.raises(OperatorError):
             model_from_json({"variant": "mystery"})
+
+
+def _contract_model(kind, n):
+    """A model of the given kind on the n-node grid of the slope model. (The
+    singular model's powers use closed-form pairings, which its quadrature
+    matrix only approximates, so it cannot match the dense powers to 1e-10.)"""
+    T = averaging_plus_slope(n)
+    rng = np.random.default_rng(n)
+    if kind == "dense":
+        return Dense(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), T.space)
+    if kind == "diagonal":
+        return Diagonal(rng.uniform(-1.0, 1.0, size=n) + 1j * rng.uniform(-1.0, 1.0, size=n), T.space)
+    if kind == "shift":
+        return WeightedShift(rng.uniform(-2.0, 2.0, size=n - 1), T.space)
+    return T
+
+
+@pytest.mark.parametrize("n", [41, 60])
+@pytest.mark.parametrize("kind", ["dense", "diagonal", "shift", "rank_k"])
+def test_models_keep_one_contract(n, kind):
+    T = _contract_model(kind, n)
+    A = to_dense(T).matrix
+    rng = np.random.default_rng(7)
+    x = LatticeVector(rng.uniform(0.0, 1.0, size=n) + 1j * rng.uniform(-1.0, 1.0, size=n), T.norm)
+    for k in range(1, 6):
+        expected = np.linalg.matrix_power(A, k) @ x.entries
+        got = power_apply(T, k, x).entries
+        assert np.allclose(got, expected, rtol=1e-10, atol=1e-10 * np.max(np.abs(expected)))
+    assert np.array_equal(apply(T, x).entries, power_apply(T, 1, x).entries)
+    assert np.allclose(to_dense(scale_model(T, 0.37)).matrix, 0.37 * A, rtol=1e-12, atol=1e-14)
+    spr = float(np.max(np.abs(np.linalg.eigvals(A))))
+    assert spectral_radius_of(T) == pytest.approx(spr, rel=1e-8, abs=1e-10)
+    data = model_to_json(T)
+    back = model_from_json(data)
+    assert type(back) is type(T)
+    assert model_to_json(back) == data
+    assert np.array_equal(to_dense(back).matrix, A)
