@@ -13,6 +13,7 @@ from .classify import (
     RefutedWithWitness,
     UndeterminedUpToHorizon,
     classify_asymptotic,
+    classify_eventual,
     delta_n,
     hierarchy_violations,
     individual_eventual,
@@ -60,6 +61,7 @@ __all__ = [
     "UndeterminedUpToHorizon",
     "WeightedShift",
     "classify_asymptotic",
+    "classify_eventual",
     "cone_distance",
     "delta_n",
     "eigenvalues",

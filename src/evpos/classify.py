@@ -189,70 +189,50 @@ def _n0_from_flags(flags: Sequence[bool], base_positive: bool) -> Optional[int]:
     return n0
 
 
-def uniform_eventual(
-    T: OperatorModel, horizon: int = HORIZON_EVENTUAL, tol: float = DEFAULT_TOL
-) -> PositivityVerdict:
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+def _flag_verdict(notion, flags, base_positive, decay, horizon, tol) -> PositivityVerdict:
+    n0 = _n0_from_flags(flags, base_positive)
+    status = UndeterminedUpToHorizon(horizon) if n0 is None else Confirmed(n0)
+    return PositivityVerdict(notion, status, tuple(decay), tol)
+
+
+def _residual(M: np.ndarray) -> np.ndarray:
+    """Entrywise distance to the positive reals."""
+    return np.hypot(np.maximum(-M.real, 0.0), M.imag)
+
+
+def _columns(vectors) -> np.ndarray:
+    return np.stack([x.entries for x in vectors], axis=1)
+
+
+def _singular_refutation(T, vectors, notion, horizon, tol) -> Optional[PositivityVerdict]:
+    """Refuted when the singular-term witness of some vector persists at every
+    power: a fixed grid cannot see the shrinking region where it goes
+    negative, so this analytic refutation comes before any grid decay."""
+    if not isinstance(T, RankK):
+        return None
+    for x in vectors:
+        ws = [signed_power_witness(T, x, n) for n in range(1, horizon + 1)]
+        if all(w is not None for w in ws):
+            return PositivityVerdict(
+                notion,
+                RefutedWithWitness(
+                    tuple(ws), "singular-term negativity points persist at every power"
+                ),
+                tuple(-w.value for w in ws),
+                tol,
+            )
+    return None
+
+
+def _uniform_verdict(T, grid_ok, grid_decay, horizon, tol) -> PositivityVerdict:
+    """From the entrywise test of each power T^n, n = 1..horizon; a rank-k
+    model adds its shrinking-hat witnesses, which refute when they persist
+    and sharpen."""
+    flags, decay = grid_ok, grid_decay
     if isinstance(T, RankK):
-        return _uniform_eventual_rank_k(T, horizon, tol)
-    A = to_dense(T).matrix
-    flags = []
-    decay = []
-    power = np.eye(A.shape[0], dtype=complex)
-    for _ in range(horizon):
-        power = power @ A
-        scale = max(1.0, float(np.max(np.abs(power))))
-        flags.append(entrywise_positive(power, tol * scale))
-        neg = np.maximum(-power.real, 0.0)
-        decay.append(float(np.max(np.hypot(neg, power.imag))))
-    n0 = _n0_from_flags(flags, is_positive_operator(T, tol))
-    if n0 is None:
-        status: Status = UndeterminedUpToHorizon(horizon)
-    else:
-        status = Confirmed(n0)
-    return PositivityVerdict(Notion.UNIFORM_EVENTUAL, status, tuple(decay), tol)
-
-
-def _uniform_eventual_rank_k(T: RankK, horizon: int, tol: float) -> PositivityVerdict:
-    # an analytic refutation of the individual notion refutes the uniform one
-    # a fortiori; check it first, because the quadrature grid cannot see the
-    # shrinking region where the singular term goes negative
-    ones = LatticeVector(np.ones(T.dim, dtype=complex), T.space)
-    analytic = [signed_power_witness(T, ones, n) for n in range(1, horizon + 1)]
-    if all(w is not None for w in analytic):
-        return PositivityVerdict(
-            Notion.UNIFORM_EVENTUAL,
-            RefutedWithWitness(
-                tuple(analytic),
-                "singular-term negativity points persist at every power",
-            ),
-            tuple(-w.value for w in analytic),
-            tol,
-        )
-    witnesses = []
-    decay = []
-    grid_ok = []
-    A = to_dense(T).matrix
-    power = np.eye(A.shape[0], dtype=complex)
-    for n in range(1, horizon + 1):
-        power = power @ A
-        scale = max(1.0, float(np.max(np.abs(power))))
-        grid_ok.append(entrywise_positive(power, tol * scale))
-        w = hat_family_witness(T, n)
-        witnesses.append(w)
-        decay.append(0.0 if w is None else -w.value)
-    if all(w is not None for w in witnesses):
-        # the violation must sharpen as the family parameter shrinks
-        monotone = True
-        for n in (1, horizon // 2 + 1, horizon):
-            eps = 2.0 ** -(n + 1)
-            w_full = hat_family_witness(T, n, eps)
-            w_half = hat_family_witness(T, n, eps / 2)
-            if w_full is None or w_half is None or -w_half.value < -w_full.value:
-                monotone = False
-                break
-        if monotone:
+        witnesses = [hat_family_witness(T, n) for n in range(1, horizon + 1)]
+        decay = [0.0 if w is None else -w.value for w in witnesses]
+        if all(w is not None for w in witnesses) and _hat_family_sharpens(T, horizon):
             return PositivityVerdict(
                 Notion.UNIFORM_EVENTUAL,
                 RefutedWithWitness(
@@ -262,13 +242,86 @@ def _uniform_eventual_rank_k(T: RankK, horizon: int, tol: float) -> PositivityVe
                 tuple(decay),
                 tol,
             )
-    flags = [ok and w is None for ok, w in zip(grid_ok, witnesses)]
-    n0 = _n0_from_flags(flags, is_positive_operator(T, tol))
-    if n0 is None:
-        return PositivityVerdict(
-            Notion.UNIFORM_EVENTUAL, UndeterminedUpToHorizon(horizon), tuple(decay), tol
-        )
-    return PositivityVerdict(Notion.UNIFORM_EVENTUAL, Confirmed(n0), tuple(decay), tol)
+        flags = [ok and w is None for ok, w in zip(grid_ok, witnesses)]
+    return _flag_verdict(
+        Notion.UNIFORM_EVENTUAL, flags, is_positive_operator(T, tol), decay, horizon, tol
+    )
+
+
+def _hat_family_sharpens(T: RankK, horizon: int) -> bool:
+    """The violation must sharpen as the family parameter shrinks."""
+    for n in (1, horizon // 2 + 1, horizon):
+        eps = 2.0 ** -(n + 1)
+        w_full = hat_family_witness(T, n, eps)
+        w_half = hat_family_witness(T, n, eps / 2)
+        if w_full is None or w_half is None or -w_half.value < -w_full.value:
+            return False
+    return True
+
+
+def _individual_verdict(tests: ConeTestSet, dists: np.ndarray, horizon, tol):
+    """dists[n, i] = d+(T^n x_i) for n = 0..horizon. The vectors are taken in
+    order: the first one still off the cone at the horizon makes the verdict
+    undetermined, and the decay is then the worst up to that vector."""
+    scales = np.array([max(norm_value(x), 1e-300) for x in tests.vectors])
+    ok = dists <= tol * scales
+    worst = dists[1:] / scales
+    stuck = np.flatnonzero(~ok[-1])
+    if stuck.size:
+        status, worst = UndeterminedUpToHorizon(horizon), worst[:, : stuck[0] + 1]
+    else:
+        n0s = [_n0_from_flags(ok[1:, i], ok[0, i]) for i in range(len(scales))]
+        status = Confirmed(max(n0s, default=0))
+    decay = np.max(worst, axis=1, initial=0.0)
+    return PositivityVerdict(Notion.INDIVIDUAL_EVENTUAL, status, tuple(decay), tol)
+
+
+def classify_eventual(
+    T: OperatorModel,
+    horizon: int = HORIZON_EVENTUAL,
+    tol: float = DEFAULT_TOL,
+    tests: Optional[ConeTestSet] = None,
+) -> tuple:
+    """(uniform, individual, weak) eventual verdicts from one orbit of T,
+    started at the identity (its blocks then hold the powers T^n, for the
+    uniform notion) next to the test vectors (for the other two)."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if tests is None:
+        tests = default_test_set(T)
+    ones = LatticeVector(np.ones(T.dim, dtype=complex), T.norm)
+    uniform = _singular_refutation(T, (ones,), Notion.UNIFORM_EVENTUAL, horizon, tol)
+    individual = _singular_refutation(T, tests.vectors, Notion.INDIVIDUAL_EVENTUAL, horizon, tol)
+    weak = _diagonal_weak_refutation(T, tests, tol) if isinstance(T, Diagonal) else None
+    k = T.dim if uniform is None else 0
+    Y = np.concatenate([np.eye(T.dim, k), _columns(tests.vectors)], axis=1)
+    pair = _pairings(T, tests)
+    grid_ok, grid_decay, dists, weak_ok, weak_decay = [], [], [], [], []
+    for n, Z in enumerate(T.orbit(Y, horizon)):
+        dists.append(_cone_distances_columns(Z[:, k:], T.norm))
+        if n == 0:
+            continue
+        if uniform is None:
+            power = Z[:, :k]
+            scale = max(1.0, float(np.max(np.abs(power))))
+            grid_ok.append(entrywise_positive(power, tol * scale))
+            grid_decay.append(float(np.max(_residual(power))))
+        values = pair(n, Z[:, k:])
+        weak_ok.append(entrywise_positive(values, tol))
+        weak_decay.append(float(np.max(_residual(values), initial=0.0)))
+    if uniform is None:
+        uniform = _uniform_verdict(T, grid_ok, grid_decay, horizon, tol)
+    if individual is None:
+        individual = _individual_verdict(tests, np.array(dists), horizon, tol)
+    if weak is None:
+        weak = _flag_verdict(Notion.WEAK_EVENTUAL, weak_ok, True, weak_decay, horizon, tol)
+    return uniform, individual, weak
+
+
+def uniform_eventual(
+    T: OperatorModel, horizon: int = HORIZON_EVENTUAL, tol: float = DEFAULT_TOL
+) -> PositivityVerdict:
+    return classify_eventual(T, horizon, tol)[0]
 
 
 def individual_eventual(
@@ -277,53 +330,29 @@ def individual_eventual(
     horizon: int = HORIZON_EVENTUAL,
     tol: float = DEFAULT_TOL,
 ) -> PositivityVerdict:
+    """The individual notion alone, one vector at a time: each orbit is
+    stepped with power_apply. classify_eventual reads the same orbits from
+    one block product per step, so the two paths check each other."""
     if tests is None:
         tests = default_test_set(T)
-    # analytic refutation first: a persistent singular-term witness beats any
-    # grid-level decay (the grid cannot see the shrinking negativity region)
-    if isinstance(T, RankK):
-        for x in tests.vectors:
-            ws = [signed_power_witness(T, x, n) for n in range(1, horizon + 1)]
-            if all(w is not None for w in ws):
-                return PositivityVerdict(
-                    Notion.INDIVIDUAL_EVENTUAL,
-                    RefutedWithWitness(
-                        tuple(ws),
-                        "singular-term negativity points persist at every power",
-                    ),
-                    tuple(-w.value for w in ws),
-                    tol,
-                )
-    worst_decay = np.zeros(horizon)
-    n0s = []
-    for x in tests.vectors:
-        scale = max(norm_value(x), 1e-300)
-        flags = []
-        for n in range(1, horizon + 1):
-            d = cone_distance(power_apply(T, n, x))
-            worst_decay[n - 1] = max(worst_decay[n - 1], d / scale)
-            flags.append(d <= tol * scale)
-        n0 = _n0_from_flags(flags, cone_distance(x) <= tol * scale)
-        if n0 is None:
-            return PositivityVerdict(
-                Notion.INDIVIDUAL_EVENTUAL,
-                UndeterminedUpToHorizon(horizon),
-                tuple(worst_decay),
-                tol,
-            )
-        n0s.append(n0)
-    return PositivityVerdict(
-        Notion.INDIVIDUAL_EVENTUAL, Confirmed(max(n0s, default=0)), tuple(worst_decay), tol
-    )
+    refuted = _singular_refutation(T, tests.vectors, Notion.INDIVIDUAL_EVENTUAL, horizon, tol)
+    if refuted is not None:
+        return refuted
+    dists = np.empty((horizon + 1, len(tests.vectors)))
+    for i, x in enumerate(tests.vectors):
+        for n in range(horizon + 1):
+            x = power_apply(T, 1, x) if n else x
+            dists[n, i] = cone_distance(x)
+    return _individual_verdict(tests, dists, horizon, tol)
 
 
 def _diagonal_weak_refutation(
     T: Diagonal, tests: ConeTestSet, tol: float
-) -> Optional[tuple]:
-    """A pair whose pairing provably alternates in sign forever: the dominant
-    active symbol entry is strictly negative real."""
-    for i, x in enumerate(tests.vectors):
-        for j, xp in enumerate(tests.functionals):
+) -> Optional[PositivityVerdict]:
+    """Refuted by a pair whose pairing provably alternates in sign forever:
+    the dominant active symbol entry is strictly negative real."""
+    for x in tests.vectors:
+        for xp in tests.functionals:
             coeff = (x.entries * xp.entries).real
             active = np.abs(coeff) > tol
             if not np.any(active):
@@ -337,7 +366,15 @@ def _diagonal_weak_refutation(
             max_other = float(np.max(others))
             dominant = max_other < 0 or mods[k] > max_other * (1 + 1e-9)
             if s.real < -tol and abs(s.imag) <= tol and coeff[k] > 0 and dominant:
-                return (i, j, k)
+                return PositivityVerdict(
+                    Notion.WEAK_EVENTUAL,
+                    RefutedWithWitness(
+                        (x, xp),
+                        f"dominant symbol entry {s} keeps the pairing alternating in sign",
+                    ),
+                    (),
+                    tol,
+                )
     return None
 
 
@@ -347,44 +384,7 @@ def weak_eventual(
     horizon: int = HORIZON_EVENTUAL,
     tol: float = DEFAULT_TOL,
 ) -> PositivityVerdict:
-    if tests is None:
-        tests = default_test_set(T)
-    if isinstance(T, Diagonal):
-        hit = _diagonal_weak_refutation(T, tests, tol)
-        if hit is not None:
-            i, j, k = hit
-            return PositivityVerdict(
-                Notion.WEAK_EVENTUAL,
-                RefutedWithWitness(
-                    (tests.vectors[i], tests.functionals[j]),
-                    f"dominant symbol entry {T.symbol[k]} keeps the pairing "
-                    "alternating in sign",
-                ),
-                (),
-                tol,
-            )
-    values = _pairing_table(T, tests, horizon)[1:]
-    worst_decay = []
-    bad = (values.real < -tol) | (np.abs(values.imag) > tol)
-    for n in range(horizon):
-        neg = np.maximum(-values[n].real, 0.0)
-        worst_decay.append(float(np.max(np.hypot(neg, values[n].imag))))
-    n0s = []
-    for i in range(values.shape[1]):
-        for j in range(values.shape[2]):
-            flags = [not bad[n, i, j] for n in range(horizon)]
-            n0 = _n0_from_flags(flags, True)
-            if n0 is None:
-                return PositivityVerdict(
-                    Notion.WEAK_EVENTUAL,
-                    UndeterminedUpToHorizon(horizon),
-                    tuple(worst_decay),
-                    tol,
-                )
-            n0s.append(n0)
-    return PositivityVerdict(
-        Notion.WEAK_EVENTUAL, Confirmed(max(n0s, default=0)), tuple(worst_decay), tol
-    )
+    return classify_eventual(T, horizon, tol, tests)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +418,7 @@ def spectral_radius_of(T: OperatorModel) -> float:
 
 
 def _cone_distances_columns(M: np.ndarray, norm: NormKind) -> np.ndarray:
-    neg = np.maximum(-M.real, 0.0)
-    residual = np.hypot(neg, M.imag)
+    residual = _residual(M)
     if isinstance(norm, Ell1):
         return residual.sum(axis=0)
     if isinstance(norm, Ell2):
@@ -455,23 +454,14 @@ def delta_n(
         if isinstance(norm, Ell1):
             dists = _cone_distances_columns(power, norm)
             j = int(np.argmax(dists))
-            e = np.zeros(A.shape[0])
-            e[j] = 1.0
-            return float(dists[j]), LatticeVector(e, norm), True
+            return float(dists[j]), LatticeVector(np.eye(A.shape[0])[j], norm), True
         if isinstance(norm, (EllInf, GridSup)):
-            dim = A.shape[0]
-            if dim > EXTREME_POINT_SUP_CAP:
+            if A.shape[0] > EXTREME_POINT_SUP_CAP:
                 raise StrategyUnavailableError(
                     f"0/1-vector enumeration needs dim <= {EXTREME_POINT_SUP_CAP}"
                 )
-            best = (0.0, np.zeros(dim))
-            for mask in range(1, 2**dim):
-                bits = np.array([(mask >> k) & 1 for k in range(dim)], dtype=float)
-                y = power @ bits
-                d = float(_cone_distances_columns(y[:, None], norm)[0])
-                if d > best[0]:
-                    best = (d, bits)
-            return best[0], LatticeVector(best[1], norm), True
+            value, bits = _sup_over_vertices(power, norm)
+            return value, LatticeVector(bits, norm), True
         raise StrategyUnavailableError(
             f"no finite extreme-point set for norm {norm!r}; use MonteCarlo"
         )
@@ -502,6 +492,22 @@ def delta_n(
     return best_val, LatticeVector(best_vec, norm), False
 
 
+def _sup_over_vertices(power: np.ndarray, norm: NormKind) -> tuple:
+    """(max of d+(power @ v) over the 0/1 vectors v, the first maximiser): the
+    positive unit ball of a sup norm is the convex hull of those vectors. The
+    vectors go through in blocks of 4096 columns."""
+    dim = power.shape[1]
+    best = (0.0, np.zeros(dim))
+    for start in range(0, 2**dim, 4096):
+        masks = np.arange(start, min(start + 4096, 2**dim))
+        bits = ((masks >> np.arange(dim)[:, None]) & 1).astype(float)
+        dists = _cone_distances_columns(power @ bits, norm)
+        j = int(np.argmax(dists))
+        if dists[j] > best[0]:
+            best = (float(dists[j]), bits[:, j])
+    return best
+
+
 def _tail_verdict(
     notion: Notion,
     decay: np.ndarray,
@@ -530,7 +536,10 @@ def classify_asymptotic(
     tol: float = DEFAULT_TOL,
     tests: Optional[ConeTestSet] = None,
 ) -> tuple:
-    """(uniform, individual, weak) asymptotic verdicts with decay sequences."""
+    """(uniform, individual, weak) asymptotic verdicts with decay sequences,
+    from one orbit of T/spr started at the test vectors next to the identity
+    (l1, and sup norms of at most EXTREME_POINT_SUP_CAP nodes: its blocks
+    then hold the powers) or next to Monte Carlo samples."""
     spr = spectral_radius_of(T)
     if spr <= tol:
         raise NotClassifiableError(
@@ -539,62 +548,48 @@ def classify_asymptotic(
     if tests is None:
         tests = default_test_set(T)
     S = scale_model(T, 1.0 / spr)
-    A = to_dense(S).matrix
     norm = T.norm
-    dim = A.shape[0]
-
-    use_extreme = isinstance(norm, Ell1) or (
-        isinstance(norm, (EllInf, GridSup)) and dim <= EXTREME_POINT_SUP_CAP
-    )
+    dim = T.dim
+    ell1 = isinstance(norm, Ell1)
+    vertices = isinstance(norm, (EllInf, GridSup)) and dim <= EXTREME_POINT_SUP_CAP
+    if ell1 or vertices:
+        extra = np.eye(dim)
+    else:
+        mc_rng = rng_for(0, 99)
+        extra = _columns(
+            _normalized_positive(mc_rng.uniform(0.0, 1.0, size=dim), norm) for _ in range(32)
+        )
+        uniform_witness = "monte-carlo lower bound"
+    X = _columns(tests.vectors)
+    nx = X.shape[1]
+    q = max(1, horizon // 4)
+    pair = _pairings(S, tests)
     uniform_decay = np.zeros(horizon + 1)
-    uniform_witness = None
-    X = np.stack([x.entries for x in tests.vectors], axis=1)
-    ind_decay = np.zeros((horizon + 1, X.shape[1]))
-    power = np.eye(dim, dtype=complex)
-    mc_rng = rng_for(0, 99)
-    mc_samples = np.stack(
-        [
-            _normalized_positive(mc_rng.uniform(0.0, 1.0, size=dim), norm).entries
-            for _ in range(32)
-        ],
-        axis=1,
-    )
-    uniform_arg = np.zeros(horizon + 1, dtype=int)
-    for n in range(horizon + 1):
-        if n > 0:
-            power = power @ A
-        if use_extreme and isinstance(norm, Ell1):
-            dists = _cone_distances_columns(power, norm)
-            j = int(np.argmax(dists))
-            uniform_arg[n] = j
-            uniform_decay[n] = float(dists[j])
-        elif use_extreme:
-            val, wit, _ = delta_n(T, n, ExtremePoints(), spr=spr)
-            uniform_decay[n] = val
-            uniform_witness = wit
+    ind_decay = np.zeros((horizon + 1, nx))
+    weak_decay = np.zeros(horizon + 1)
+    weak_tail = 0.0  # per pairing, the largest scalar cone distance in the tail
+    for n, Z in enumerate(S.orbit(np.concatenate([X, extra], axis=1), horizon)):
+        dists = _cone_distances_columns(Z, norm)
+        ind_decay[n] = dists[:nx]
+        if vertices:
+            uniform_decay[n], bits = _sup_over_vertices(Z[:, nx:], norm)
+            uniform_witness = LatticeVector(bits, norm)
+        elif ell1:  # the witness is the worst basis vector at the worst power
+            j = int(np.argmax(dists[nx:]))
+            uniform_decay[n] = dists[nx + j]
+            if n == 0 or uniform_decay[n] > np.max(uniform_decay[:n]):
+                uniform_witness = LatticeVector(extra[:, j], norm)
         else:
-            cand = np.concatenate([power @ X, power @ mc_samples], axis=1)
-            dists = _cone_distances_columns(cand, norm)
             uniform_decay[n] = float(np.max(dists))
-            uniform_witness = "monte-carlo lower bound"
-        ind_decay[n] = _cone_distances_columns(power @ X, norm)
-
-    if use_extreme and isinstance(norm, Ell1):
-        j = int(uniform_arg[int(np.argmax(uniform_decay))])
-        e = np.zeros(dim)
-        e[j] = 1.0
-        uniform_witness = LatticeVector(e, norm)
+        weak = _residual(pair(n, Z[:, :nx]))
+        weak_decay[n] = np.max(weak)
+        if n > horizon - q:
+            weak_tail = np.maximum(weak_tail, weak)
 
     scales = np.array([max(norm_value(x), 1e-300) for x in tests.vectors])
     ind_decay = ind_decay / scales[None, :]
-    ind_worst = int(np.argmax(ind_decay[-max(1, horizon // 4) :].max(axis=0)))
-
-    weak_table = _pairing_table(S, tests, horizon)
-    neg = np.maximum(-weak_table.real, 0.0)
-    weak_dist = np.hypot(neg, weak_table.imag)  # scalar cone distance per pairing
-    weak_decay = weak_dist.reshape(weak_dist.shape[0], -1).max(axis=1)
-    flat_tail = weak_dist[-max(1, horizon // 4) :].max(axis=0)
-    wi, wj = np.unravel_index(int(np.argmax(flat_tail)), flat_tail.shape)
+    ind_worst = int(np.argmax(ind_decay[-q:].max(axis=0)))
+    wi, wj = np.unravel_index(int(np.argmax(weak_tail)), weak_tail.shape)
 
     uniform = _tail_verdict(
         Notion.UNIFORM_ASYMPTOTIC, uniform_decay, tol, horizon, uniform_witness
@@ -616,34 +611,20 @@ def classify_asymptotic(
     return uniform, individual, weak
 
 
-def _pairing_table(S: OperatorModel, tests: ConeTestSet, horizon: int):
-    """values[n, i, j] = <x'_j, S^n x_i> for n = 0..horizon."""
-    if isinstance(S, RankK):
-        C = np.stack([S.coefficients(x.entries) for x in tests.vectors])
-        D = np.stack(
-            [
-                np.array([apply_functional(phi, f, S.space) for f in S.functions])
-                for phi in tests.functionals
-            ]
-        )
-        R = np.stack([quadrature_row(phi, S.space) for phi in tests.functionals])
-        X = np.stack([x.entries for x in tests.vectors])
-        lam = S.eigen_parameters
-        out = np.empty((horizon + 1, len(tests.vectors), len(tests.functionals)), dtype=complex)
-        out[0] = X @ R.T
-        for n in range(1, horizon + 1):
-            out[n] = (C * lam[None, :] ** (n - 1)) @ D.T
-        return out
-    A = to_dense(S).matrix
-    X = np.stack([x.entries for x in tests.vectors], axis=1)
-    Xp = np.stack([f.entries for f in tests.functionals], axis=1)
-    out = np.empty((horizon + 1, X.shape[1], Xp.shape[1]), dtype=complex)
-    Y = X
-    out[0] = Y.T @ Xp
-    for n in range(1, horizon + 1):
-        Y = A @ Y
-        out[n] = Y.T @ Xp
-    return out
+def _pairings(S: OperatorModel, tests: ConeTestSet):
+    """pair(n, block) = values[i, j] = <x'_j, S^n x_i>, where the block holds
+    S^n x_i in its columns. A rank-k model pairs in closed form instead, with
+    the exact pairings <x'_j, f> of its functions."""
+    if not isinstance(S, RankK):
+        Xp = _columns(tests.functionals)
+        return lambda n, block: block.T @ Xp
+    C = np.stack([S.coefficients(x.entries) for x in tests.vectors])
+    D = np.array(
+        [[apply_functional(phi, f, S.space) for f in S.functions] for phi in tests.functionals]
+    )
+    R = np.stack([quadrature_row(phi, S.space) for phi in tests.functionals])
+    lam = S.eigen_parameters
+    return lambda n, block: block.T @ R.T if n == 0 else (C * lam ** (n - 1)) @ D.T
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,7 @@ from .classify import (
     Confirmed,
     NotClassifiableError,
     classify_asymptotic,
-    individual_eventual,
-    uniform_eventual,
-    weak_eventual,
+    classify_eventual,
 )
 from .generators import (
     GeneratorError,
@@ -38,7 +36,6 @@ from .operators import (
     RankK,
     model_from_json,
     model_to_json,
-    power_apply,
     to_dense,
 )
 from .report import (
@@ -140,11 +137,7 @@ def _classification(model: OperatorModel, horizon: Optional[int], tol: Optional[
     ev_kwargs = dict(kwargs)
     if horizon is not None:
         ev_kwargs["horizon"] = horizon
-    verdicts = [
-        uniform_eventual(model, **ev_kwargs),
-        individual_eventual(model, **ev_kwargs),
-        weak_eventual(model, **ev_kwargs),
-    ]
+    verdicts = list(classify_eventual(model, **ev_kwargs))
     try:
         verdicts.extend(classify_asymptotic(model, **kwargs))
     except NotClassifiableError:
@@ -409,6 +402,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    if args.trials < 0:
+        raise InputError(f"--trials must be >= 0, got {args.trials}")
     reports, summary = run_suite(args.name, args.seed, args.trials)
     out = {
         "suite": args.name,
@@ -432,6 +427,8 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    if args.n < 0:
+        raise InputError(f"--n must be >= 0, got {args.n}")
     model, _ = _resolve_model(args)
     if args.vector:
         vec = _load_vector(args.vector)
@@ -439,11 +436,9 @@ def _cmd_orbit(args) -> int:
         vec = np.ones(model.dim, dtype=complex)
     if len(vec) != model.dim:
         raise InputError(f"vector length {len(vec)} does not match dim {model.dim}")
-    x = LatticeVector(vec, model.norm)
     sys.stdout.write("n,d_plus,norm\n")
-    sys.stdout.write(f"0,{cone_distance(x):.17g},{norm_value(x):.17g}\n")
-    for n in range(1, args.n + 1):
-        y = power_apply(model, n, x)
+    for n, Z in enumerate(model.orbit(vec[:, None], args.n)):
+        y = LatticeVector(Z[:, 0], model.norm)
         sys.stdout.write(f"{n},{cone_distance(y):.17g},{norm_value(y):.17g}\n")
     return EXIT_OK
 

@@ -185,9 +185,17 @@ def apply_functional(
 # operator models
 #
 # Each model supplies the same methods: power(n, entries) for T^n on an entry
-# array (n >= 1, unchecked), dense() for its matrix, scaled(c) for c*T,
-# spectral_radius() and to_json(). Dense, Diagonal and WeightedShift also
-# have the entrywise positivity test is_positive(tol).
+# array (n >= 1, unchecked), orbit(Y, horizon) that streams Y, TY, ...,
+# T^horizon Y for a dim x m block Y, dense(), scaled(c) for c*T,
+# spectral_radius() and to_json(); all but RankK also is_positive(tol).
+
+
+def _iterate(step, Y: np.ndarray, horizon: int):
+    """Y, step(Y), step(step(Y)), ... up to `horizon` steps, one at a time."""
+    yield Y
+    for _ in range(horizon):
+        Y = step(Y)
+        yield Y
 
 
 def entrywise_positive(a: np.ndarray, tol: float) -> bool:
@@ -212,6 +220,9 @@ class Dense:
 
     def power(self, n: int, entries: np.ndarray) -> np.ndarray:
         return np.linalg.matrix_power(self.matrix, n) @ entries
+
+    def orbit(self, Y: np.ndarray, horizon: int):
+        return _iterate(self.matrix.__matmul__, Y, horizon)
 
     def dense(self) -> Dense:
         return self
@@ -250,6 +261,9 @@ class Diagonal:
     def power(self, n: int, entries: np.ndarray) -> np.ndarray:
         return self.symbol**n * entries
 
+    def orbit(self, Y: np.ndarray, horizon: int):
+        return _iterate(lambda Z: self.symbol[:, None] * Z, Y, horizon)
+
     def dense(self) -> Dense:
         return Dense(np.diag(self.symbol), self.norm)
 
@@ -285,12 +299,17 @@ class WeightedShift:
     def dim(self) -> int:
         return len(self.weights) + 1
 
+    def _step(self, Z: np.ndarray) -> np.ndarray:
+        """T applied to a vector, or to each column of a block."""
+        return np.concatenate([np.zeros_like(Z[:1]), (self.weights * Z[:-1].T).T])
+
     def power(self, n: int, entries: np.ndarray) -> np.ndarray:
         for _ in range(n):
-            out = np.zeros(self.dim, dtype=complex)
-            out[1:] = self.weights * entries[:-1]
-            entries = out
+            entries = self._step(entries)
         return entries
+
+    def orbit(self, Y: np.ndarray, horizon: int):
+        return _iterate(self._step, Y, horizon)
 
     def dense(self) -> Dense:
         return Dense(np.diag(self.weights, -1), self.norm)
@@ -317,8 +336,11 @@ class RankK:
     functions: tuple
     functionals: tuple
     space: NormKind
-    # D[i, j] = <phi_i, f_j>, computed once by __post_init__
+    # computed once by __post_init__: D[i, j] = <phi_i, f_j>, the quadrature
+    # rows of the phi_i (k x dim) and the f_j sampled on the grid (dim x k)
     duality: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    samples: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.functions) != len(self.functionals):
@@ -337,6 +359,11 @@ class RankK:
                 f"max off-diagonal {np.max(np.abs(off)):.3e} > {DUALITY_TOL}"
             )
         object.__setattr__(self, "duality", D)
+        nodes = np.asarray(self.space.nodes, dtype=float)
+        rows = [quadrature_row(phi, self.space) for phi in self.functionals]
+        samples = [sample_function(f, nodes) for f in self.functions]
+        object.__setattr__(self, "rows", np.array(rows))
+        object.__setattr__(self, "samples", np.array(samples).T)
 
     @property
     def norm(self) -> NormKind:
@@ -356,26 +383,24 @@ class RankK:
         return np.diag(self.duality)
 
     def coefficients(self, entries: np.ndarray) -> np.ndarray:
-        """The pairings <phi_i, x> for a grid vector with these entries."""
-        return np.array([quadrature_row(phi, self.space) @ entries for phi in self.functionals])
-
-    def combine(self, coeffs) -> np.ndarray:
-        """sum_i coeffs[i] * f_i sampled on the grid."""
-        nodes = np.asarray(self.space.nodes, dtype=float)
-        out = np.zeros(len(nodes), dtype=complex)
-        for c, f in zip(coeffs, self.functions):
-            out += c * sample_function(f, nodes)
-        return out
+        """The pairings <phi_i, x> for a grid vector with these entries, one dot
+        product per row: a matrix-vector product rounds differently, and the
+        singular-term witnesses built on these would move in the last bit."""
+        return np.array([row @ entries for row in self.rows])
 
     def power(self, n: int, entries: np.ndarray) -> np.ndarray:
-        return self.combine(self.coefficients(entries) * self.eigen_parameters ** (n - 1))
+        return self.samples @ (self.coefficients(entries) * self.eigen_parameters ** (n - 1))
+
+    def orbit(self, Y: np.ndarray, horizon: int):
+        # T^n = samples diag(lambda^(n-1)) rows for n >= 1
+        yield Y
+        C = self.rows @ Y
+        lam = self.eigen_parameters[:, None]
+        for n in range(1, horizon + 1):
+            yield self.samples @ (lam ** (n - 1) * C)
 
     def dense(self) -> Dense:
-        nodes = np.asarray(self.space.nodes, dtype=float)
-        m = np.zeros((len(nodes), len(nodes)), dtype=complex)
-        for f, phi in zip(self.functions, self.functionals):
-            m += np.outer(sample_function(f, nodes), quadrature_row(phi, self.space))
-        return Dense(m, self.space)
+        return Dense(self.samples @ self.rows, self.space)
 
     def scaled(self, c: float) -> RankK:
         scaled = []

@@ -102,12 +102,13 @@ def operator_norm(A, norm: NormKind) -> float:
     if isinstance(norm, EllInf):
         return float(np.max(np.sum(np.abs(A), axis=1)))
     if isinstance(norm, Ell2):
-        return _largest_singular_value(A)
+        return largest_singular_pair(A)[0]
     raise SpectralError(f"unsupported norm kind {norm!r} for operator norms")
 
 
-def _largest_singular_value(A: np.ndarray, rel_tol: float = 1e-10) -> float:
-    """Power iteration on A*A; deterministic start vector."""
+def largest_singular_pair(A: np.ndarray, rel_tol: float = 1e-10) -> tuple:
+    """(sigma_max, v) by power iteration on A*A from a fixed start; v is a unit
+    norming vector in l2."""
     n = A.shape[0]
     B = A.conj().T @ A
     v = np.ones(n) + np.linspace(0.0, 0.5, n)
@@ -117,12 +118,12 @@ def _largest_singular_value(A: np.ndarray, rel_tol: float = 1e-10) -> float:
         w = B @ v
         mu = float(np.linalg.norm(w))
         if mu == 0.0:
-            return 0.0
+            return 0.0, v
         v = w / mu
         if abs(mu - prev) <= rel_tol * mu:
-            return float(np.sqrt(mu))
+            return float(np.sqrt(mu)), v
         prev = mu
-    return float(np.sqrt(prev))
+    return float(np.sqrt(prev)), v
 
 
 def _numeric_rank(M: np.ndarray, tol: float) -> int:

@@ -32,6 +32,7 @@ from .lattice import (
 from .spectral import (
     eigenvalues,
     geometric_multiplicity,
+    largest_singular_pair,
     laurent_leading_coefficient,
     operator_norm,
     peripheral_spectrum,
@@ -248,16 +249,7 @@ def _norming_vector(A: np.ndarray, norm: NormKind) -> np.ndarray:
         z = np.where(np.abs(row) > 0, np.conj(row) / np.abs(row), 1.0)
         return z.astype(complex)
     if isinstance(norm, Ell2):
-        B = A.conj().T @ A
-        v = (np.ones(n) + np.linspace(0.0, 0.5, n)).astype(complex)
-        v /= np.linalg.norm(v)
-        for _ in range(500):
-            w = B @ v
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                break
-            v = w / nw
-        return v
+        return largest_singular_pair(A)[1]
     raise VerificationError(f"unsupported norm {norm!r}")
 
 

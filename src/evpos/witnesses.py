@@ -96,7 +96,7 @@ def hat_family_witness(
                 b = _hat_pairings(T, float(peak), eps)
             except OperatorError:
                 continue
-            values = T.combine(b * lam ** (n - 1))
+            values = T.samples @ (b * lam ** (n - 1))
             if np.max(np.abs(values.imag)) > 1e-12 * max(1.0, np.max(np.abs(values))):
                 continue
             idx = int(np.argmin(values.real))

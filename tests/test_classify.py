@@ -8,6 +8,7 @@ from evpos.catalog import (
     nonreal_diagonal,
 )
 from evpos.classify import (
+    ConeTestSet,
     Confirmed,
     ExtremePoints,
     MonteCarlo,
@@ -17,6 +18,7 @@ from evpos.classify import (
     StrategyUnavailableError,
     UndeterminedUpToHorizon,
     classify_asymptotic,
+    classify_eventual,
     delta_n,
     hierarchy_violations,
     individual_eventual,
@@ -24,6 +26,7 @@ from evpos.classify import (
     uniform_eventual,
     weak_eventual,
 )
+from evpos.generators import make_eventually_positive
 from evpos.lattice import Ell1, Ell2, EllInf, LatticeVector
 from evpos.operators import Dense, Diagonal, WeightedShift
 from evpos.rng import rng_for
@@ -56,6 +59,33 @@ class TestEventualClassification:
         v = uniform_eventual(Dense(A, Ell1()))
         assert isinstance(v.status, Confirmed)
         assert v.status.n0 >= 1
+
+    def test_undetermined_individual_decay_stops_at_first_stuck_vector(self):
+        # e_2 turns around the unit circle and is off the cone at n = 30, the
+        # horizon; e_3 grows like 2^n and comes later, so its decay is left out
+        T = Dense(np.diag([1.0, 1j, 2j]), Ell1())
+        basis = tuple(LatticeVector(e, Ell1()) for e in np.eye(3))
+        tests = ConeTestSet(basis, basis)
+        expected = [0.0 if n % 4 == 0 else 1.0 for n in range(1, 31)]
+        for v in (individual_eventual(T, tests), classify_eventual(T, tests=tests)[1]):
+            assert isinstance(v.status, UndeterminedUpToHorizon)
+            assert v.decay == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "T",
+        [
+            make_eventually_positive(6, 0.5, 4).model,
+            Dense(np.array([[0.0, 1.0], [1.0, 0.0]]), Ell1()),
+            diagonal_drift(12),
+            WeightedShift(np.array([-1.0, 2.0, 0.5]), Ell1()),
+            averaging_plus_slope(41),
+        ],
+    )
+    def test_shared_orbit_matches_the_vector_by_vector_path(self, T):
+        shared = classify_eventual(T)[1]
+        single = individual_eventual(T)
+        assert shared.status == single.status
+        assert shared.decay == pytest.approx(single.decay, rel=1e-10, abs=1e-12)
 
     def test_slope_model_uniform_refuted(self):
         v = uniform_eventual(averaging_plus_slope(201))

@@ -16,7 +16,7 @@ from evpos.cli import (
     run_suite,
 )
 from evpos.catalog import averaging_plus_slope, get_example
-from evpos.operators import Dense, model_to_json
+from evpos.operators import Dense, RankK, model_to_json
 from evpos.lattice import Ell1
 from evpos.report import report_from_json, report_to_json, ReportError
 
@@ -93,6 +93,18 @@ class TestRunClassify:
         check = [c for c in report.checks if c["name"] == "positive-eigenvector"][0]
         assert check["pass"]
 
+    @pytest.mark.parametrize("name", ["ex2.2a", "ex2.2b"])
+    def test_rank_k_classification_never_densifies(self, name, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a rank-k model was densified")
+
+        monkeypatch.setattr(RankK, "dense", refuse)
+        entry = get_example(name)
+        report, failed = run_classify(entry.model, entry.name, 0)
+        assert not failed
+        digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+        assert digest == PAPER_REPORT_SHA256[name]
+
     def test_unknown_field_rejected(self):
         entry = get_example("rem3.2b")
         report, _ = run_classify(entry.model, entry.name, 0)
@@ -107,7 +119,7 @@ class TestRunClassify:
 PAPER_REPORT_SHA256 = {
     "ex2.2a": "c243e541e100e5d44ef9315b72fd46ea09cf4d10ff7a99f89911abb8b85e73d3",
     "ex2.2b": "9902f6e72558dc8248d6f5be393c361938c29d873c9a25e2c28bcd4271958a0d",
-    "ex3.5a": "7b213fa72c17745a87d70c20986a89d873ee2b06b5d7b87983a0bb022560a1ff",
+    "ex3.5a": "1fd06e347afede7fa69a1110a5fd16ce56a8d118e04bb361f3fd15af89cf672e",
     "ex3.5b": "b2be13ba50b60102f013df88f205342b2480e4375891228ef93fd5f7192a0a66",
     "rem3.2b": "19eaf4fe951c33c8ba81340bb9bdd71168817d5bcd527c7311d47b17516e441e",
     "cyclic-block": "004c0bd98c4b112c0f6619121d101328fe3da0072ec513cf475b961fc3274dc4",
@@ -187,6 +199,19 @@ class TestMainEntry:
         assert main(["classify", "--example", "rem3.2b", *extra]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and extra[0] in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["orbit", "--example", "rem3.2b", "--n", "-2"],
+            ["suite", "random", "--trials", "-3"],
+        ],
+    )
+    def test_bad_count_argument_is_input_error(self, argv, capsys):
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and argv[-2] in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "content",

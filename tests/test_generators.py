@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from evpos.generators import (
     make_eventually_positive,
     positive_random,
 )
+from evpos.rng import rng_for
 from evpos.spectral import eigenvalues, peripheral_spectrum
 from evpos.verify import positive_eigenvector
 
@@ -77,3 +80,14 @@ class TestCyclicBlock:
     def test_dimension_cap(self):
         with pytest.raises(GeneratorError):
             cyclic_block(10, 10, seed=0)
+
+
+def test_rng_keys_are_exact():
+    # negative seeds used to collide after a lossy float64 key conversion
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = [rng_for(seed).random() for seed in (-1, -2, 2**63, 2**63 + 1)]
+    assert len(set(first)) == 4
+    # seeds in [0, 2**63) keep their streams
+    assert rng_for(5).random() == 0.7337459554446363
+    assert rng_for(5, 3).random() == 0.7515727286058772

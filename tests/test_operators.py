@@ -209,6 +209,27 @@ def _contract_model(kind, n):
     return T
 
 
+def _assert_orbit_matches_powers(T, Y, A=None, horizon=8):
+    """The orbit's n-th block is T.power(n, .) column by column, and
+    matrix_power(A, n) @ Y when a dense matrix A is given."""
+    blocks = 0
+    for k, Z in enumerate(T.orbit(Y, horizon)):
+        blocks += 1
+        for j in range(Y.shape[1]):
+            expected = Y[:, j] if k == 0 else T.power(k, Y[:, j])
+            assert np.allclose(Z[:, j], expected, rtol=1e-10, atol=1e-10 * np.max(np.abs(expected)))
+        if A is not None:
+            expected = np.linalg.matrix_power(A, k) @ Y
+            assert np.allclose(Z, expected, rtol=1e-10, atol=1e-10 * np.max(np.abs(expected)))
+    assert blocks == horizon + 1
+
+
+def test_singular_model_orbit_matches_its_powers():
+    T = averaging_plus_singular(60)
+    rng = np.random.default_rng(3)
+    _assert_orbit_matches_powers(T, rng.uniform(0.0, 1.0, size=(60, 3)) + 0j)
+
+
 @pytest.mark.parametrize("n", [41, 60])
 @pytest.mark.parametrize("kind", ["dense", "diagonal", "shift", "rank_k"])
 def test_models_keep_one_contract(n, kind):
@@ -221,6 +242,8 @@ def test_models_keep_one_contract(n, kind):
         got = power_apply(T, k, x).entries
         assert np.allclose(got, expected, rtol=1e-10, atol=1e-10 * np.max(np.abs(expected)))
     assert np.array_equal(apply(T, x).entries, power_apply(T, 1, x).entries)
+    Y = np.stack([x.entries, rng.uniform(0.0, 1.0, size=n) + 0j], axis=1)
+    _assert_orbit_matches_powers(T, Y, A)
     assert np.allclose(to_dense(scale_model(T, 0.37)).matrix, 0.37 * A, rtol=1e-12, atol=1e-14)
     spr = float(np.max(np.abs(np.linalg.eigvals(A))))
     assert spectral_radius_of(T) == pytest.approx(spr, rel=1e-8, abs=1e-10)

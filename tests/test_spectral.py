@@ -8,6 +8,7 @@ from evpos.spectral import (
     SpectralError,
     eigenvalues,
     geometric_multiplicity,
+    largest_singular_pair,
     laurent_leading_coefficient,
     operator_norm,
     peripheral_spectrum,
@@ -101,6 +102,14 @@ class TestOperatorNorms:
         assert operator_norm(A, Ell2()) == pytest.approx(
             np.linalg.svd(A, compute_uv=False)[0], rel=1e-8
         )
+
+    def test_singular_pair_norms_the_matrix(self):
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        sigma, v = largest_singular_pair(A)
+        assert np.linalg.norm(v) == pytest.approx(1.0)
+        assert np.linalg.norm(A @ v) == pytest.approx(sigma, rel=1e-8)
+        assert sigma == pytest.approx(np.linalg.svd(A, compute_uv=False)[0], rel=1e-8)
 
 
 class TestPoleOrder:
