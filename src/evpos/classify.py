@@ -15,19 +15,18 @@ import numpy as np
 
 from .lattice import (
     Ell1,
-    Ell2,
     EllInf,
     GridSup,
     LatticeVector,
-    LpQuadrature,
     NormKind,
     cone_distance,
+    cone_distances,
+    cone_residual,
     norm_value,
 )
 from .operators import (
     Diagonal,
     OperatorModel,
-    OperatorError,
     RankK,
     WeightedIntegral,
     Constant,
@@ -195,11 +194,6 @@ def _flag_verdict(notion, flags, base_positive, decay, horizon, tol) -> Positivi
     return PositivityVerdict(notion, status, tuple(decay), tol)
 
 
-def _residual(M: np.ndarray) -> np.ndarray:
-    """Entrywise distance to the positive reals."""
-    return np.hypot(np.maximum(-M.real, 0.0), M.imag)
-
-
 def _columns(vectors) -> np.ndarray:
     return np.stack([x.entries for x in vectors], axis=1)
 
@@ -284,7 +278,9 @@ def classify_eventual(
 ) -> tuple:
     """(uniform, individual, weak) eventual verdicts from one orbit of T,
     started at the identity (its blocks then hold the powers T^n, for the
-    uniform notion) next to the test vectors (for the other two)."""
+    uniform notion) next to the test vectors (for the other two). A test set
+    that starts with the basis vectors, as the canonical one does, is its own
+    identity block."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if tests is None:
@@ -293,22 +289,24 @@ def classify_eventual(
     uniform = _singular_refutation(T, (ones,), Notion.UNIFORM_EVENTUAL, horizon, tol)
     individual = _singular_refutation(T, tests.vectors, Notion.INDIVIDUAL_EVENTUAL, horizon, tol)
     weak = _diagonal_weak_refutation(T, tests, tol) if isinstance(T, Diagonal) else None
-    k = T.dim if uniform is None else 0
-    Y = np.concatenate([np.eye(T.dim, k), _columns(tests.vectors)], axis=1)
+    Y = _columns(tests.vectors)
+    eye = np.eye(T.dim)
+    k = 0 if uniform is not None or np.array_equal(Y[:, : T.dim], eye) else T.dim
+    Y = np.concatenate([eye[:, :k], Y], axis=1)
     pair = _pairings(T, tests)
     grid_ok, grid_decay, dists, weak_ok, weak_decay = [], [], [], [], []
     for n, Z in enumerate(T.orbit(Y, horizon)):
-        dists.append(_cone_distances_columns(Z[:, k:], T.norm))
+        dists.append(cone_distances(Z[:, k:], T.norm))
         if n == 0:
             continue
         if uniform is None:
-            power = Z[:, :k]
+            power = Z[:, : T.dim]
             scale = max(1.0, float(np.max(np.abs(power))))
             grid_ok.append(entrywise_positive(power, tol * scale))
-            grid_decay.append(float(np.max(_residual(power))))
+            grid_decay.append(float(np.max(cone_residual(power))))
         values = pair(n, Z[:, k:])
         weak_ok.append(entrywise_positive(values, tol))
-        weak_decay.append(float(np.max(_residual(values), initial=0.0)))
+        weak_decay.append(float(np.max(cone_residual(values), initial=0.0)))
     if uniform is None:
         uniform = _uniform_verdict(T, grid_ok, grid_decay, horizon, tol)
     if individual is None:
@@ -417,20 +415,6 @@ def spectral_radius_of(T: OperatorModel) -> float:
     return T.spectral_radius()
 
 
-def _cone_distances_columns(M: np.ndarray, norm: NormKind) -> np.ndarray:
-    residual = _residual(M)
-    if isinstance(norm, Ell1):
-        return residual.sum(axis=0)
-    if isinstance(norm, Ell2):
-        return np.sqrt((residual**2).sum(axis=0))
-    if isinstance(norm, (EllInf, GridSup)):
-        return residual.max(axis=0)
-    if isinstance(norm, LpQuadrature):
-        w = np.asarray(norm.weights, dtype=float)[:, None]
-        return (w * residual**norm.p).sum(axis=0) ** (1.0 / norm.p)
-    raise OperatorError(f"unknown norm kind {norm!r}")
-
-
 def delta_n(
     T: OperatorModel,
     n: int,
@@ -452,7 +436,7 @@ def delta_n(
     norm = T.norm
     if isinstance(strategy, ExtremePoints):
         if isinstance(norm, Ell1):
-            dists = _cone_distances_columns(power, norm)
+            dists = cone_distances(power, norm)
             j = int(np.argmax(dists))
             return float(dists[j]), LatticeVector(np.eye(A.shape[0])[j], norm), True
         if isinstance(norm, (EllInf, GridSup)):
@@ -474,7 +458,7 @@ def delta_n(
         nv = norm_value(LatticeVector(x, norm))
         if nv > 0:
             x = x / nv
-        d = float(_cone_distances_columns((power @ x)[:, None], norm)[0])
+        d = float(cone_distances(power @ x, norm))
         if d > best_val:
             best_val, best_vec = d, x
     # coordinate-ascent refinement around the best sample
@@ -486,7 +470,7 @@ def delta_n(
                 nv = norm_value(LatticeVector(trial, norm))
                 if nv > 1.0:
                     trial = trial / nv
-                d = float(_cone_distances_columns((power @ trial)[:, None], norm)[0])
+                d = float(cone_distances(power @ trial, norm))
                 if d > best_val:
                     best_val, best_vec = d, trial
     return best_val, LatticeVector(best_vec, norm), False
@@ -501,7 +485,7 @@ def _sup_over_vertices(power: np.ndarray, norm: NormKind) -> tuple:
     for start in range(0, 2**dim, 4096):
         masks = np.arange(start, min(start + 4096, 2**dim))
         bits = ((masks >> np.arange(dim)[:, None]) & 1).astype(float)
-        dists = _cone_distances_columns(power @ bits, norm)
+        dists = cone_distances(power @ bits, norm)
         j = int(np.argmax(dists))
         if dists[j] > best[0]:
             best = (float(dists[j]), bits[:, j])
@@ -569,7 +553,7 @@ def classify_asymptotic(
     weak_decay = np.zeros(horizon + 1)
     weak_tail = 0.0  # per pairing, the largest scalar cone distance in the tail
     for n, Z in enumerate(S.orbit(np.concatenate([X, extra], axis=1), horizon)):
-        dists = _cone_distances_columns(Z, norm)
+        dists = cone_distances(Z, norm)
         ind_decay[n] = dists[:nx]
         if vertices:
             uniform_decay[n], bits = _sup_over_vertices(Z[:, nx:], norm)
@@ -581,7 +565,7 @@ def classify_asymptotic(
                 uniform_witness = LatticeVector(extra[:, j], norm)
         else:
             uniform_decay[n] = float(np.max(dists))
-        weak = _residual(pair(n, Z[:, :nx]))
+        weak = cone_residual(pair(n, Z[:, :nx]))
         weak_decay[n] = np.max(weak)
         if n > horizon - q:
             weak_tail = np.maximum(weak_tail, weak)

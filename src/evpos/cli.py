@@ -33,7 +33,6 @@ from .lattice import LatticeVector, cone_distance, norm_value
 from .operators import (
     OperatorError,
     OperatorModel,
-    RankK,
     model_from_json,
     model_to_json,
     to_dense,
@@ -53,6 +52,7 @@ from .verify import (
     multiplicity_monotonicity_check,
     peripheral_cyclicity_check,
     positive_eigenvector,
+    power_bounded_estimate,
     real_modulus_bound_check,
     verify_spr_in_spectrum,
 )
@@ -161,48 +161,33 @@ def run_classify(
     }
 
     checks = []
-    spectrum = None
-    dense_ok = not isinstance(model, RankK) or model.dim <= DIM_CAP
-    if dense_ok:
+    spec = None
+    if model.dim <= DIM_CAP:
         A = to_dense(model).matrix
         try:
-            spectrum = spectrum_record(eigenvalues(A))
+            spec = eigenvalues(A)
         except SpectralError:
             solver_failure = True
+    if spec is not None:
         uasy = by_notion.get("uniform-asymptotic")
         wasy = by_notion.get("weak-asymptotic")
-        spr_check = None
-        try:
-            spr_check = verify_spr_in_spectrum(A)
-            if uasy is not None:
-                spr_check = CheckResult(
-                    spr_check.name,
-                    spr_check.pass_,
-                    spr_check.margin,
-                    spr_check.tolerance,
-                    spr_check.payload,
-                    {"uniform-asymptotic-positive": isinstance(uasy.status, Confirmed)},
-                )
-            checks.append(spr_check)
-        except (SpectralError, VerificationError):
-            solver_failure = True
-        if spectrum is not None and spectrum["spectral_radius"] > 0:
+        spr_check = verify_spr_in_spectrum(A, asymptotic_verdict=uasy, spectrum=spec)
+        checks.append(spr_check)
+        if spec.spectral_radius > 0:
             try:
-                checks.append(
-                    peripheral_cyclicity_check(A, asymptotic_verdict=uasy)
-                )
+                bounds = power_bounded_estimate(A, spectrum=spec)
             except (SpectralError, VerificationError):
                 solver_failure = True
-            try:
+            else:
+                shared = {"spectrum": spec, "power_bounds": bounds}
+                checks.append(peripheral_cyclicity_check(A, asymptotic_verdict=uasy, **shared))
                 checks.append(
-                    multiplicity_monotonicity_check(A, asymptotic_verdict=wasy)
+                    multiplicity_monotonicity_check(A, asymptotic_verdict=wasy, **shared)
                 )
-            except (SpectralError, VerificationError):
-                solver_failure = True
             weak_ok = wasy is not None and isinstance(wasy.status, Confirmed)
-            if spr_check is not None and spr_check.pass_ and weak_ok:
+            if spr_check.pass_ and weak_ok:
                 try:
-                    ev = positive_eigenvector(A, norm=model.norm)
+                    ev = positive_eigenvector(A, norm=model.norm, spectrum=spec)
                     ok = (
                         ev.primal_cone_distance <= 1e-6
                         and ev.adjoint_cone_distance <= 1e-6
@@ -228,7 +213,7 @@ def run_classify(
         operator_id=operator_id,
         model_descriptor=model_to_json(model),
         classification=tuple(verdict_record(v) for v in verdicts),
-        spectrum=spectrum,
+        spectrum=None if spec is None else spectrum_record(spec),
         checks=tuple(check_record(c) for c in checks),
         decay_sequences=decay,
         seed=seed,

@@ -121,20 +121,23 @@ def negative_part(x: LatticeVector) -> LatticeVector:
 
 
 def norm_value(x: LatticeVector) -> float:
-    return _norm_of(x.entries, x.norm)
+    return float(_norm_of(np.abs(x.entries), x.norm))
 
 
-def _norm_of(entries: np.ndarray, norm: NormKind) -> float:
-    a = np.abs(entries)
+def _norm_of(a: np.ndarray, norm: NormKind):
+    """The norm of a vector, or of each column of a matrix, from the moduli a
+    of its entries: the reduction runs along axis 0."""
     if isinstance(norm, Ell1):
-        return float(np.sum(a))
+        return np.sum(a, axis=0)
     if isinstance(norm, Ell2):
-        return float(np.sqrt(np.sum(a * a)))
-    if isinstance(norm, EllInf) or isinstance(norm, GridSup):
-        return float(np.max(a)) if len(a) else 0.0
+        return np.sqrt(np.sum(a * a, axis=0))
+    if isinstance(norm, (EllInf, GridSup)):
+        return np.max(a, axis=0, initial=0.0)
     if isinstance(norm, LpQuadrature):
-        w = np.asarray(norm.weights, dtype=float)
-        return float(np.sum(w * a**norm.p) ** (1.0 / norm.p))
+        # the root is an array power for a vector too: numpy's scalar power
+        # rounds differently
+        w = np.asarray(norm.weights, dtype=float).reshape((-1,) + (1,) * (a.ndim - 1))
+        return np.asarray(np.sum(w * a**norm.p, axis=0)) ** (1.0 / norm.p)
     raise LatticeError(f"unknown norm kind {norm!r}")
 
 
@@ -144,11 +147,20 @@ def is_positive(x: LatticeVector, tol: float = 0.0) -> bool:
     )
 
 
+def cone_residual(M: np.ndarray) -> np.ndarray:
+    """Entrywise distance to the positive reals: hypot((re M)^-, im M)."""
+    return np.hypot(np.maximum(-M.real, 0.0), M.imag)
+
+
+def cone_distances(M: np.ndarray, norm: NormKind) -> np.ndarray:
+    """Distance to the positive cone of each column of M (of M itself when it
+    is a vector): the norm of its entrywise cone residual."""
+    return _norm_of(cone_residual(M), norm)
+
+
 def cone_distance(x: LatticeVector) -> float:
     """Distance of x to the positive cone: the norm of -(re x)^- + i im x."""
-    re = x.entries.real
-    residual = -np.maximum(-re, 0.0) + 1j * x.entries.imag
-    return _norm_of(residual, x.norm)
+    return float(cone_distances(x.entries, x.norm))
 
 
 _ORACLE_DIM_CAP = 6
@@ -177,7 +189,7 @@ def cone_distance_oracle(x: LatticeVector, resolution: float) -> float:
     # deviation of entry k from every grid candidate; best candidate per entry
     dev = np.abs(entries[:, None] - grid[None, :])
     best = dev.min(axis=1)
-    return _norm_of(best, x.norm)
+    return float(_norm_of(best, x.norm))
 
 
 def midpoint_rule(lo: float, hi: float, n: int):

@@ -4,6 +4,7 @@ norms, Laurent coefficients at resolvent poles, multiplicities."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -135,18 +136,16 @@ def _numeric_rank(M: np.ndarray, tol: float) -> int:
     return int(np.sum(s > tol * s[0]))
 
 
-def _require_eigenvalue(A: np.ndarray, lam0: complex, tol: float) -> None:
-    spec = eigenvalues(A, tol)
-    scale = max(np.linalg.norm(A, 2), 1.0)
-    if np.min(np.abs(spec.eigenvalues - lam0)) > max(tol * scale, 1e-6 * scale):
-        raise NotAnEigenvalueError(f"{lam0} is not a spectral value")
-
-
-def pole_order(A, lam0: complex, tol: float = DEFAULT_TOL) -> int:
+def pole_order(
+    A, lam0: complex, tol: float = DEFAULT_TOL, spectrum: Optional[Spectrum] = None
+) -> int:
     """Largest Jordan block size at lam0: the first k at which the numeric rank
-    of (lam0 - A)^k stops decreasing."""
+    of (lam0 - A)^k stops decreasing. lam0 must lie in the spectrum of A, given
+    or solved for."""
     A = _as_matrix(A)
-    _require_eigenvalue(A, lam0, tol)
+    spec = eigenvalues(A, tol) if spectrum is None else spectrum
+    if np.min(np.abs(spec.eigenvalues - lam0)) > max(tol, 1e-6) * max(np.linalg.norm(A, 2), 1.0):
+        raise NotAnEigenvalueError(f"{lam0} is not a spectral value")
     n = A.shape[0]
     B = lam0 * np.eye(n) - A
     scale = np.linalg.norm(B, 2)

@@ -7,7 +7,8 @@ the proofs.
 Theorem checks never assume their own hypotheses. Hypotheses (power-bounded
 estimates, asymptotic-positivity verdicts) are measured and attached to the
 result, so a failed conclusion with failed hypotheses reads as "no
-contradiction" rather than as a bug.
+contradiction" rather than as a bug. A check solves for the spectrum and the
+power bounds of A unless the caller passes them (`spectrum=`, `power_bounds=`).
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ from .lattice import (
     NormKind,
     complex_modulus,
     cone_distance,
+    cone_distances,
     norm_value,
     real_part,
 )
 from .spectral import (
+    Spectrum,
     eigenvalues,
     geometric_multiplicity,
     largest_singular_pair,
@@ -81,16 +84,24 @@ def _as_matrix(A) -> np.ndarray:
     return A
 
 
-def _spr(A: np.ndarray) -> float:
-    return eigenvalues(A).spectral_radius
+def _verdict_hypothesis(name: str, verdict: Optional[PositivityVerdict]) -> dict:
+    if verdict is None:
+        return {}
+    return {name: isinstance(verdict.status, Confirmed)}
 
 
-def verify_spr_in_spectrum(A, tol: float = DEFAULT_TOL) -> CheckResult:
+def verify_spr_in_spectrum(
+    A,
+    tol: float = DEFAULT_TOL,
+    asymptotic_verdict: Optional[PositivityVerdict] = None,
+    spectrum: Optional[Spectrum] = None,
+) -> CheckResult:
     """Pass iff some eigenvalue lies within tol*spr of the positive real
     number spr(A)."""
     A = _as_matrix(A)
-    spec = eigenvalues(A)
+    spec = eigenvalues(A) if spectrum is None else spectrum
     spr = spec.spectral_radius
+    hyp = _verdict_hypothesis("uniform-asymptotic-positive", asymptotic_verdict)
     if spr == 0.0:
         return CheckResult(
             "spr-in-spectrum",
@@ -98,6 +109,7 @@ def verify_spr_in_spectrum(A, tol: float = DEFAULT_TOL) -> CheckResult:
             0.0,
             tol,
             payload={"note": "zero spectral radius; vacuous"},
+            hypotheses=hyp,
         )
     dists = np.abs(spec.eigenvalues - spr)
     k = int(np.argmin(dists))
@@ -112,6 +124,7 @@ def verify_spr_in_spectrum(A, tol: float = DEFAULT_TOL) -> CheckResult:
             "nearest_eigenvalue": complex(spec.eigenvalues[k]),
             "distance": float(dists[k]),
         },
+        hypotheses=hyp,
     )
 
 
@@ -174,21 +187,17 @@ def uniform_error_decay_check(
     along r = 1 + 2^{-j}."""
     A = _as_matrix(A)
     dim = A.shape[0]
-    hyp = {}
-    if asymptotic_verdict is not None:
-        hyp["uniform-asymptotic-positive"] = isinstance(
-            asymptotic_verdict.status, Confirmed
+    hyp = _verdict_hypothesis("uniform-asymptotic-positive", asymptotic_verdict)
+    if hyp and not hyp["uniform-asymptotic-positive"]:
+        return CheckResult(
+            "uniform-error-decay",
+            True,
+            0.0,
+            0.0,
+            payload={"note": "hypothesis unmet; not applicable"},
+            hypotheses=hyp,
+            applicable=False,
         )
-        if not hyp["uniform-asymptotic-positive"]:
-            return CheckResult(
-                "uniform-error-decay",
-                True,
-                0.0,
-                0.0,
-                payload={"note": "hypothesis unmet; not applicable"},
-                hypotheses=hyp,
-                applicable=False,
-            )
     norm = Ell1()
     basis = [LatticeVector(np.eye(dim)[:, j].astype(complex), norm) for j in range(dim)]
     ms = []
@@ -305,19 +314,19 @@ def phase_aligned_cone_distance(x: LatticeVector, grid: int = 256) -> float:
     scale = norm_value(x)
     if scale == 0.0:
         return 0.0
+
+    def rotated_distances(thetas: np.ndarray) -> np.ndarray:
+        return cone_distances(np.exp(1j * thetas) * x.entries[:, None], x.norm)
+
     thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    dists = np.array(
-        [cone_distance(x.with_entries(np.exp(1j * t) * x.entries)) for t in thetas]
-    )
+    dists = rotated_distances(thetas)
     k = int(np.argmin(dists))
     best = float(dists[k])
     center = float(thetas[k])
     half_width = 2.0 * np.pi / grid
     for _ in range(5):
         fine = np.linspace(center - half_width, center + half_width, 64)
-        fine_d = np.array(
-            [cone_distance(x.with_entries(np.exp(1j * t) * x.entries)) for t in fine]
-        )
+        fine_d = rotated_distances(fine)
         j = int(np.argmin(fine_d))
         best = min(best, float(fine_d[j]))
         center = float(fine[j])
@@ -334,7 +343,7 @@ def _positive_candidates(dim: int, norm: NormKind):
 
 
 def positive_eigenvector(
-    A, norm: Optional[NormKind] = None, tol: float = 1e-9
+    A, norm: Optional[NormKind] = None, tol: float = 1e-9, spectrum: Optional[Spectrum] = None
 ) -> EigenvectorResult:
     """Perron-type eigenvector pair at lam0 = spr(A), from the leading Laurent
     coefficient Q_{-m} of the resolvent: Q_{-m} x0 for a canonical positive
@@ -342,10 +351,11 @@ def positive_eigenvector(
     A = _as_matrix(A)
     if norm is None:
         norm = Ell2()
-    spr = _spr(A)
+    spec = eigenvalues(A) if spectrum is None else spectrum
+    spr = spec.spectral_radius
     if spr <= 0:
         raise VerificationError("positive eigenvector requires spr > 0")
-    m = pole_order(A, spr)
+    m = pole_order(A, spr, spectrum=spec)
     Q = laurent_leading_coefficient(A, spr, m)
     Qa = laurent_leading_coefficient(A.conj().T, spr, m)
 
@@ -383,12 +393,14 @@ def positive_eigenvector(
 # peripheral spectrum: cyclicity and multiplicity monotonicity
 
 
-def power_bounded_estimate(A, horizon: int = 64) -> dict:
+def power_bounded_estimate(
+    A, horizon: int = 64, spectrum: Optional[Spectrum] = None
+) -> dict:
     """sup_n ||(A/spr)^n|| over the horizon and the Abel sup
     max_j (lam-spr)||R(lam)|| along lam = spr(1 + 2^{-j}); both are
     horizon/grid estimates, never certificates."""
     A = _as_matrix(A)
-    spr = _spr(A)
+    spr = (eigenvalues(A) if spectrum is None else spectrum).spectral_radius
     if spr <= 0:
         raise VerificationError("power-bounded estimate requires spr > 0")
     S = A / spr
@@ -414,11 +426,13 @@ def peripheral_cyclicity_check(
     tol: float = DEFAULT_TOL,
     asymptotic_verdict: Optional[PositivityVerdict] = None,
     horizon: int = 64,
+    spectrum: Optional[Spectrum] = None,
+    power_bounds: Optional[dict] = None,
 ) -> CheckResult:
     """Every power spr*e^{ik theta} (|k| <= K) of a peripheral eigenvalue
     spr*e^{i theta} must land within tol*spr of an eigenvalue."""
     A = _as_matrix(A)
-    spec = eigenvalues(A)
+    spec = eigenvalues(A) if spectrum is None else spectrum
     spr = spec.spectral_radius
     if spr <= 0:
         return CheckResult(
@@ -428,12 +442,10 @@ def peripheral_cyclicity_check(
             tol,
             payload={"note": "zero spectral radius; vacuous"},
         )
-    pb = power_bounded_estimate(A, horizon)
-    hyp = {"power-bounded": pb["sup_norm"] <= _POWER_BOUNDED_CAP}
-    if asymptotic_verdict is not None:
-        hyp["uniform-asymptotic-positive"] = isinstance(
-            asymptotic_verdict.status, Confirmed
-        )
+    if power_bounds is None:
+        power_bounds = power_bounded_estimate(A, horizon, spectrum=spec)
+    hyp = {"power-bounded": power_bounds["sup_norm"] <= _POWER_BOUNDED_CAP}
+    hyp.update(_verdict_hypothesis("uniform-asymptotic-positive", asymptotic_verdict))
     periph = peripheral_spectrum(spec, tol)
     worst = 0.0
     rows = []
@@ -452,7 +464,7 @@ def peripheral_cyclicity_check(
         margin >= 0.0,
         float(margin),
         tol,
-        payload={"rows": rows, "power_bounds": pb},
+        payload={"rows": rows, "power_bounds": power_bounds},
         hypotheses=hyp,
     )
 
@@ -463,12 +475,14 @@ def multiplicity_monotonicity_check(
     tol: float = DEFAULT_TOL,
     asymptotic_verdict: Optional[PositivityVerdict] = None,
     horizon: int = 64,
+    spectrum: Optional[Spectrum] = None,
+    power_bounds: Optional[dict] = None,
 ) -> CheckResult:
     """dim ker(spr e^{i theta} - A) <= dim ker(spr e^{i n theta} - A) for
     each peripheral eigenvalue and each n; a power that misses the spectrum
     entirely is recorded as a cyclicity failure."""
     A = _as_matrix(A)
-    spec = eigenvalues(A)
+    spec = eigenvalues(A) if spectrum is None else spectrum
     spr = spec.spectral_radius
     if spr <= 0:
         return CheckResult(
@@ -478,12 +492,10 @@ def multiplicity_monotonicity_check(
             tol,
             payload={"note": "zero spectral radius; vacuous"},
         )
-    pb = power_bounded_estimate(A, horizon)
-    hyp = {"power-bounded": pb["sup_norm"] <= _POWER_BOUNDED_CAP}
-    if asymptotic_verdict is not None:
-        hyp["weak-asymptotic-positive"] = isinstance(
-            asymptotic_verdict.status, Confirmed
-        )
+    if power_bounds is None:
+        power_bounds = power_bounded_estimate(A, horizon, spectrum=spec)
+    hyp = {"power-bounded": power_bounds["sup_norm"] <= _POWER_BOUNDED_CAP}
+    hyp.update(_verdict_hypothesis("weak-asymptotic-positive", asymptotic_verdict))
     periph = peripheral_spectrum(spec, tol)
     rows = []
     ok = True
@@ -515,6 +527,6 @@ def multiplicity_monotonicity_check(
         ok,
         0.0 if ok else -1.0,
         tol,
-        payload={"rows": rows, "power_bounds": pb},
+        payload={"rows": rows, "power_bounds": power_bounds},
         hypotheses=hyp,
     )

@@ -19,6 +19,7 @@ from evpos.classify import (
     UndeterminedUpToHorizon,
     classify_asymptotic,
     classify_eventual,
+    default_test_set,
     delta_n,
     hierarchy_violations,
     individual_eventual,
@@ -86,6 +87,27 @@ class TestEventualClassification:
         single = individual_eventual(T)
         assert shared.status == single.status
         assert shared.decay == pytest.approx(single.decay, rel=1e-10, abs=1e-12)
+
+    def test_canonical_basis_vectors_give_the_powers(self, monkeypatch):
+        # the canonical test set starts with the basis vectors, so the orbit
+        # needs no identity block in front; a test set that does not start
+        # with them gets one
+        T = make_eventually_positive(5, 0.5, 2).model
+        widths = []
+        orbit = Dense.orbit
+
+        def recording(self, Y, horizon):
+            widths.append(Y.shape[1])
+            return orbit(self, Y, horizon)
+
+        monkeypatch.setattr(Dense, "orbit", recording)
+        canonical = default_test_set(T)
+        moved = ConeTestSet(canonical.vectors[5:] + canonical.vectors[:5], canonical.functionals)
+        shared, prepended = classify_eventual(T), classify_eventual(T, tests=moved)
+        assert widths == [22, 27]
+        for a, b in zip(shared, prepended):
+            assert a.status == b.status
+            assert a.decay == pytest.approx(b.decay, rel=1e-12, abs=1e-15)
 
     def test_slope_model_uniform_refuted(self):
         v = uniform_eventual(averaging_plus_slope(201))

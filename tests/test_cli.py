@@ -1,10 +1,13 @@
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import evpos.cli
+import evpos.spectral
+import evpos.verify
 from evpos.cli import (
     EXIT_CONTRADICTION,
     EXIT_INPUT,
@@ -16,7 +19,8 @@ from evpos.cli import (
     run_suite,
 )
 from evpos.catalog import averaging_plus_slope, get_example
-from evpos.operators import Dense, RankK, model_to_json
+from evpos.generators import make_eventually_positive
+from evpos.operators import Dense, Diagonal, RankK, model_to_json
 from evpos.lattice import Ell1
 from evpos.report import report_from_json, report_to_json, ReportError
 
@@ -105,6 +109,38 @@ class TestRunClassify:
         digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
         assert digest == PAPER_REPORT_SHA256[name]
 
+    @pytest.mark.parametrize(
+        "name, model, solves",
+        [
+            ("dense-dim7", make_eventually_positive(7, 0.5, 1003).model, 2),
+            ("ex3.5a", get_example("ex3.5a").model, 1),
+        ],
+    )
+    def test_one_spectrum_per_classification(self, name, model, solves, monkeypatch):
+        # every module binding of the two solvers is counted, so a check that
+        # solves again through any import shows here
+        calls = {"eigenvalues": 0, "power_bounded_estimate": 0}
+        originals = {
+            "eigenvalues": evpos.spectral.eigenvalues,
+            "power_bounded_estimate": evpos.verify.power_bounded_estimate,
+        }
+
+        def counting(fname):
+            def wrapper(*args, **kwargs):
+                calls[fname] += 1
+                return originals[fname](*args, **kwargs)
+
+            return wrapper
+
+        for module in [m for k, m in sys.modules.items() if k.startswith("evpos")]:
+            for fname, original in originals.items():
+                if getattr(module, fname, None) is original:
+                    monkeypatch.setattr(module, fname, counting(fname))
+        report, failed = run_classify(model, name, 0)
+        assert not failed
+        assert len(report.checks) >= 3
+        assert calls == {"eigenvalues": solves, "power_bounded_estimate": 1}
+
     def test_unknown_field_rejected(self):
         entry = get_example("rem3.2b")
         report, _ = run_classify(entry.model, entry.name, 0)
@@ -163,6 +199,16 @@ class TestMainEntry:
         out = capsys.readouterr().out
         data = json.loads(out)
         assert data["operator_id"] == str(path)
+
+    def test_model_above_dim_cap_skips_the_dense_checks(self, tmp_path, capsys):
+        model = Diagonal(np.linspace(0.5, 1.0, 200).astype(complex), Ell1())
+        path = tmp_path / "diag200.json"
+        path.write_text(json.dumps(model_to_json(model)))
+        assert main(["classify", str(path)]) == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert data["spectrum"] is None and data["checks"] == []
+        kinds = {r["notion"]: r["status"]["kind"] for r in data["classification"]}
+        assert kinds["uniform-eventual"] == "confirmed"
 
     def test_classify_writes_file(self, tmp_path):
         out = tmp_path / "report.json"

@@ -14,6 +14,7 @@ from evpos.lattice import (
     complex_modulus,
     cone_distance,
     cone_distance_oracle,
+    cone_distances,
     imag_part,
     is_positive,
     midpoint_rule,
@@ -157,6 +158,27 @@ class TestConeDistance:
         d_oracle = cone_distance_oracle(x, resolution)
         assert d <= d_oracle + 1e-12
         assert d_oracle - d <= len(z) * resolution
+
+    @pytest.mark.parametrize("dim", [1, 3, 7, 40])
+    def test_columns_kernel_matches_single_vectors(self, dim):
+        # one kernel for a vector and for the columns of a matrix, in every
+        # norm kind. numpy sums a lone vector pairwise from 8 entries on and a
+        # block of columns row by row, so the summing norms agree bitwise
+        # below 8 entries and to rounding above; maxima agree at any size
+        rng = np.random.default_rng(dim)
+        M = rng.normal(size=(dim, 9)) + 1j * rng.normal(size=(dim, 9))
+        M[:, 0] = np.abs(M[:, 0])  # a column on the cone
+        nodes, weights = midpoint_rule(0.0, 1.0, dim)
+        norms = [*NORMS, LpQuadrature(1.5, tuple(nodes), tuple(weights)), GridSup(tuple(nodes))]
+        for norm in norms:
+            columns = cone_distances(M, norm)
+            singles = np.array([cone_distance(LatticeVector(c, norm)) for c in M.T])
+            assert columns.shape == (9,) and columns[0] == 0.0
+            if dim < 8 or isinstance(norm, (EllInf, GridSup)):
+                assert np.array_equal(columns, singles), norm
+            else:
+                np.testing.assert_allclose(columns, singles, rtol=1e-13)
+            assert np.array_equal(cone_distances(M[:, 3], norm), singles[3])
 
     def test_scaling_homogeneity(self):
         x = vec([-1 + 2j, 3 - 1j], Ell2())

@@ -3,7 +3,9 @@ import pytest
 
 from evpos.classify import classify_asymptotic
 from evpos.lattice import Ell1, Ell2, EllInf, LatticeVector
+from evpos.operators import Diagonal
 from evpos.rng import rng_for
+from evpos.spectral import NotAnEigenvalueError, eigenvalues, pole_order
 from evpos.verify import (
     CheckResult,
     VerificationError,
@@ -278,3 +280,59 @@ class TestPowerBounds:
         A = rng.uniform(0.1, 1.0, size=(5, 5))
         est = power_bounded_estimate(A)
         assert est["abel_sup"] <= est["sup_norm"] * (1 + 1e-8) * 5
+
+
+class TestSharedSpectrum:
+    """A check given the spectrum and power bounds of A reads them instead of
+    solving again, with the same result."""
+
+    MATRICES = [
+        NONREAL,
+        np.kron(np.eye(2), np.roll(np.eye(3), 1, axis=0)),
+        rng_for(12, 0).uniform(0.1, 1.0, size=(6, 6)),
+        np.zeros((3, 3)),
+    ]
+
+    @pytest.mark.parametrize("A", MATRICES)
+    def test_checks_agree_with_their_own_solves(self, A):
+        spec = eigenvalues(A)
+        shared = {"spectrum": spec}
+        u, _, w = classify_asymptotic(Diagonal(np.array([1.0, 0.5j]), Ell1()), horizon=40)
+        assert verify_spr_in_spectrum(A, asymptotic_verdict=u) == verify_spr_in_spectrum(
+            A, asymptotic_verdict=u, **shared
+        )
+        if spec.spectral_radius > 0:
+            shared["power_bounds"] = power_bounded_estimate(A, spectrum=spec)
+            assert shared["power_bounds"] == power_bounded_estimate(A)
+        for check, verdict in (
+            (peripheral_cyclicity_check, u),
+            (multiplicity_monotonicity_check, w),
+        ):
+            assert check(A) == check(A, **shared)
+            assert check(A, asymptotic_verdict=verdict) == check(
+                A, asymptotic_verdict=verdict, **shared
+            )
+
+    def test_spr_check_records_its_hypothesis(self):
+        u, _, _ = classify_asymptotic(Diagonal(np.diag(DRIFT), Ell1()))
+        for A in (DRIFT, np.zeros((2, 2))):
+            result = verify_spr_in_spectrum(A, asymptotic_verdict=u)
+            assert result.hypotheses == {"uniform-asymptotic-positive": False}
+        assert verify_spr_in_spectrum(DRIFT).hypotheses == {}
+
+    @pytest.mark.parametrize("A", MATRICES[:3])
+    def test_eigenvector_agrees_with_its_own_solve(self, A):
+        spec = eigenvalues(A)
+        alone, shared = positive_eigenvector(A), positive_eigenvector(A, spectrum=spec)
+        assert pole_order(A, spec.spectral_radius) == pole_order(
+            A, spec.spectral_radius, spectrum=spec
+        ) == alone.pole_order
+        for field in ("value", "pole_order", "primal_cone_distance", "adjoint_cone_distance",
+                      "primal_residual", "adjoint_residual"):
+            assert getattr(alone, field) == getattr(shared, field)
+        assert np.array_equal(alone.primal.entries, shared.primal.entries)
+        assert np.array_equal(alone.adjoint.entries, shared.adjoint.entries)
+
+    def test_pole_order_guard_reads_the_given_spectrum(self):
+        with pytest.raises(NotAnEigenvalueError):
+            pole_order(NONREAL, 1.0, spectrum=eigenvalues(np.diag([2.0, 0.5j])))
