@@ -22,6 +22,7 @@ from .lattice import (
     cone_distance,
     cone_distances,
     cone_residual,
+    norm_of_moduli,
     norm_value,
 )
 from .operators import (
@@ -198,6 +199,15 @@ def _columns(vectors) -> np.ndarray:
     return np.stack([x.entries for x in vectors], axis=1)
 
 
+def _orbit_start(X: np.ndarray, powers: bool) -> tuple:
+    """(Y, k): an orbit's first block, with the test vectors X from column k.
+    With powers, its first dim columns are the identity: a test set that
+    starts with the basis vectors is its own identity block."""
+    dim = X.shape[0]
+    k = 0 if not powers or np.array_equal(X[:, :dim], np.eye(dim)) else dim
+    return np.concatenate([np.eye(dim)[:, :k], X], axis=1), k
+
+
 def _singular_refutation(T, vectors, notion, horizon, tol) -> Optional[PositivityVerdict]:
     """Refuted when the singular-term witness of some vector persists at every
     power: a fixed grid cannot see the shrinking region where it goes
@@ -276,11 +286,10 @@ def classify_eventual(
     tol: float = DEFAULT_TOL,
     tests: Optional[ConeTestSet] = None,
 ) -> tuple:
-    """(uniform, individual, weak) eventual verdicts from one orbit of T,
-    started at the identity (its blocks then hold the powers T^n, for the
-    uniform notion) next to the test vectors (for the other two). A test set
-    that starts with the basis vectors, as the canonical one does, is its own
-    identity block."""
+    """(uniform, individual, weak) eventual verdicts from one orbit of T whose
+    blocks hold the powers T^n (uniform notion) next to T^n of the test
+    vectors (the other two; see _orbit_start). Each block's cone residual is
+    taken once; distances, grid decay and coordinate pairings come from it."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if tests is None:
@@ -289,24 +298,24 @@ def classify_eventual(
     uniform = _singular_refutation(T, (ones,), Notion.UNIFORM_EVENTUAL, horizon, tol)
     individual = _singular_refutation(T, tests.vectors, Notion.INDIVIDUAL_EVENTUAL, horizon, tol)
     weak = _diagonal_weak_refutation(T, tests, tol) if isinstance(T, Diagonal) else None
-    Y = _columns(tests.vectors)
-    eye = np.eye(T.dim)
-    k = 0 if uniform is not None or np.array_equal(Y[:, : T.dim], eye) else T.dim
-    Y = np.concatenate([eye[:, :k], Y], axis=1)
-    pair = _pairings(T, tests)
+    Y, k = _orbit_start(_columns(tests.vectors), uniform is None)
+    c, pair = _pairings(T, tests)
     grid_ok, grid_decay, dists, weak_ok, weak_decay = [], [], [], [], []
     for n, Z in enumerate(T.orbit(Y, horizon)):
-        dists.append(cone_distances(Z[:, k:], T.norm))
+        R = cone_residual(Z)
+        dists.append(norm_of_moduli(R[:, k:], T.norm))
         if n == 0:
             continue
         if uniform is None:
             power = Z[:, : T.dim]
-            scale = max(1.0, float(np.max(np.abs(power))))
+            scale = max(1.0, float(np.abs(power).max()))
             grid_ok.append(entrywise_positive(power, tol * scale))
-            grid_decay.append(float(np.max(cone_residual(power))))
+            grid_decay.append(float(R[:, : T.dim].max()))
         values = pair(n, Z[:, k:])
-        weak_ok.append(entrywise_positive(values, tol))
-        weak_decay.append(float(np.max(cone_residual(values), initial=0.0)))
+        weak_ok.append(entrywise_positive(Z[:c, k:], tol) and entrywise_positive(values, tol))
+        coord_max = R[:c, k:].max(initial=0.0)
+        weak_decay.append(float(cone_residual(values).max(initial=coord_max)))
+        del R  # a power-sized block: free it before the orbit makes the next one
     if uniform is None:
         uniform = _uniform_verdict(T, grid_ok, grid_decay, horizon, tol)
     if individual is None:
@@ -521,9 +530,9 @@ def classify_asymptotic(
     tests: Optional[ConeTestSet] = None,
 ) -> tuple:
     """(uniform, individual, weak) asymptotic verdicts with decay sequences,
-    from one orbit of T/spr started at the test vectors next to the identity
-    (l1, and sup norms of at most EXTREME_POINT_SUP_CAP nodes: its blocks
-    then hold the powers) or next to Monte Carlo samples."""
+    from one orbit of T/spr whose blocks hold the powers too (l1, and sup
+    norms of at most EXTREME_POINT_SUP_CAP nodes; see _orbit_start), or Monte
+    Carlo samples after the test vectors. Each block's residual is taken once."""
     spr = spectral_radius_of(T)
     if spr <= tol:
         raise NotClassifiableError(
@@ -536,39 +545,42 @@ def classify_asymptotic(
     dim = T.dim
     ell1 = isinstance(norm, Ell1)
     vertices = isinstance(norm, (EllInf, GridSup)) and dim <= EXTREME_POINT_SUP_CAP
-    if ell1 or vertices:
-        extra = np.eye(dim)
-    else:
+    Y, k = _orbit_start(_columns(tests.vectors), ell1 or vertices)
+    if not (ell1 or vertices):
         mc_rng = rng_for(0, 99)
-        extra = _columns(
+        samples = _columns(
             _normalized_positive(mc_rng.uniform(0.0, 1.0, size=dim), norm) for _ in range(32)
         )
+        Y = np.concatenate([Y, samples], axis=1)
         uniform_witness = "monte-carlo lower bound"
-    X = _columns(tests.vectors)
-    nx = X.shape[1]
+    nx = len(tests.vectors)
+    cols = slice(k, k + nx)
     q = max(1, horizon // 4)
-    pair = _pairings(S, tests)
+    c, pair = _pairings(S, tests)
     uniform_decay = np.zeros(horizon + 1)
     ind_decay = np.zeros((horizon + 1, nx))
     weak_decay = np.zeros(horizon + 1)
-    weak_tail = 0.0  # per pairing, the largest scalar cone distance in the tail
-    for n, Z in enumerate(S.orbit(np.concatenate([X, extra], axis=1), horizon)):
-        dists = cone_distances(Z, norm)
-        ind_decay[n] = dists[:nx]
+    coord_tail = rest_tail = 0.0  # per pairing, the largest residual in the tail
+    for n, Z in enumerate(S.orbit(Y, horizon)):
+        R = cone_residual(Z)
+        dists = norm_of_moduli(R, norm)
+        ind_decay[n] = dists[cols]
         if vertices:
-            uniform_decay[n], bits = _sup_over_vertices(Z[:, nx:], norm)
+            uniform_decay[n], bits = _sup_over_vertices(Z[:, :dim], norm)
             uniform_witness = LatticeVector(bits, norm)
         elif ell1:  # the witness is the worst basis vector at the worst power
-            j = int(np.argmax(dists[nx:]))
-            uniform_decay[n] = dists[nx + j]
-            if n == 0 or uniform_decay[n] > np.max(uniform_decay[:n]):
-                uniform_witness = LatticeVector(extra[:, j], norm)
+            j = int(np.argmax(dists[:dim]))
+            uniform_decay[n] = dists[j]
+            if n == 0 or uniform_decay[n] > uniform_decay[:n].max():
+                uniform_witness = LatticeVector(Y[:, j], norm)
         else:
-            uniform_decay[n] = float(np.max(dists))
-        weak = cone_residual(pair(n, Z[:, :nx]))
-        weak_decay[n] = np.max(weak)
+            uniform_decay[n] = float(dists.max())
+        coord, rest = R[:c, cols].T, cone_residual(pair(n, Z[:, cols]))
+        weak_decay[n] = rest.max(initial=coord.max(initial=0.0))
         if n > horizon - q:
-            weak_tail = np.maximum(weak_tail, weak)
+            coord_tail = np.maximum(coord_tail, coord)
+            rest_tail = np.maximum(rest_tail, rest)
+    weak_tail = np.concatenate([coord_tail, rest_tail], axis=1)
 
     scales = np.array([max(norm_value(x), 1e-300) for x in tests.vectors])
     ind_decay = ind_decay / scales[None, :]
@@ -596,19 +608,21 @@ def classify_asymptotic(
 
 
 def _pairings(S: OperatorModel, tests: ConeTestSet):
-    """pair(n, block) = values[i, j] = <x'_j, S^n x_i>, where the block holds
-    S^n x_i in its columns. A rank-k model pairs in closed form instead, with
-    the exact pairings <x'_j, f> of its functions."""
+    """(c, pair): the first c test functionals are e_1..e_c, read from the
+    orbit block; pair(n, block)[i, j] = <x'_(c+j), S^n x_i> for the rest, with
+    S^n x_i in the block's columns. A rank-k model pairs in closed form
+    (c = 0), with the exact pairings <x'_j, f> of its functions."""
     if not isinstance(S, RankK):
         Xp = _columns(tests.functionals)
-        return lambda n, block: block.T @ Xp
+        c = S.dim if np.array_equal(Xp[:, : S.dim], np.eye(S.dim)) else 0
+        return c, lambda n, block: block.T @ Xp[:, c:]
     C = np.stack([S.coefficients(x.entries) for x in tests.vectors])
     D = np.array(
         [[apply_functional(phi, f, S.space) for f in S.functions] for phi in tests.functionals]
     )
     R = np.stack([quadrature_row(phi, S.space) for phi in tests.functionals])
     lam = S.eigen_parameters
-    return lambda n, block: block.T @ R.T if n == 0 else (C * lam ** (n - 1)) @ D.T
+    return 0, lambda n, block: block.T @ R.T if n == 0 else (C * lam ** (n - 1)) @ D.T
 
 
 # ---------------------------------------------------------------------------

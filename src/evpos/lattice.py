@@ -41,16 +41,18 @@ class LpQuadrature:
     weights: tuple
 
     def __post_init__(self):
-        if self.p < 1:
-            raise LatticeError(f"quadrature exponent p={self.p} must be >= 1")
+        if not (np.isfinite(self.p) and self.p >= 1):
+            raise LatticeError(f"quadrature exponent p={self.p} must be a finite number >= 1")
         nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        weights = np.array(self.weights, dtype=float)
         if nodes.shape != weights.shape:
             raise LatticeError("quadrature nodes and weights must have equal length")
-        if np.any(np.diff(nodes) <= 0):
-            raise LatticeError("quadrature nodes must be strictly increasing")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0)):
+            raise LatticeError("quadrature nodes must be finite and strictly increasing")
         if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
             raise LatticeError("quadrature weights must be strictly positive and finite")
+        weights.setflags(write=False)  # not a field: equality, hash, JSON see the tuple
+        object.__setattr__(self, "weight_array", weights)
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,8 @@ class GridSup:
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
-        if np.any(np.diff(nodes) <= 0):
-            raise LatticeError("grid nodes must be strictly increasing")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0)):
+            raise LatticeError("grid nodes must be finite and strictly increasing")
 
 
 NormKind = Union[Ell1, Ell2, EllInf, LpQuadrature, GridSup]
@@ -121,23 +123,23 @@ def negative_part(x: LatticeVector) -> LatticeVector:
 
 
 def norm_value(x: LatticeVector) -> float:
-    return float(_norm_of(np.abs(x.entries), x.norm))
+    return float(norm_of_moduli(np.abs(x.entries), x.norm))
 
 
-def _norm_of(a: np.ndarray, norm: NormKind):
+def norm_of_moduli(a: np.ndarray, norm: NormKind):
     """The norm of a vector, or of each column of a matrix, from the moduli a
     of its entries: the reduction runs along axis 0."""
     if isinstance(norm, Ell1):
-        return np.sum(a, axis=0)
+        return a.sum(axis=0)
     if isinstance(norm, Ell2):
-        return np.sqrt(np.sum(a * a, axis=0))
+        return np.sqrt((a * a).sum(axis=0))
     if isinstance(norm, (EllInf, GridSup)):
-        return np.max(a, axis=0, initial=0.0)
+        return a.max(axis=0, initial=0.0)
     if isinstance(norm, LpQuadrature):
         # the root is an array power for a vector too: numpy's scalar power
         # rounds differently
-        w = np.asarray(norm.weights, dtype=float).reshape((-1,) + (1,) * (a.ndim - 1))
-        return np.asarray(np.sum(w * a**norm.p, axis=0)) ** (1.0 / norm.p)
+        w = norm.weight_array.reshape((-1,) + (1,) * (a.ndim - 1))
+        return np.asarray((w * a**norm.p).sum(axis=0)) ** (1.0 / norm.p)
     raise LatticeError(f"unknown norm kind {norm!r}")
 
 
@@ -148,14 +150,16 @@ def is_positive(x: LatticeVector, tol: float = 0.0) -> bool:
 
 
 def cone_residual(M: np.ndarray) -> np.ndarray:
-    """Entrywise distance to the positive reals: hypot((re M)^-, im M)."""
-    return np.hypot(np.maximum(-M.real, 0.0), M.imag)
+    """Entrywise distance to the positive reals, hypot((re M)^-, im M), in one array."""
+    R = -M.real
+    np.maximum(R, 0.0, out=R)
+    return np.hypot(R, M.imag, out=R)
 
 
 def cone_distances(M: np.ndarray, norm: NormKind) -> np.ndarray:
     """Distance to the positive cone of each column of M (of M itself when it
     is a vector): the norm of its entrywise cone residual."""
-    return _norm_of(cone_residual(M), norm)
+    return norm_of_moduli(cone_residual(M), norm)
 
 
 def cone_distance(x: LatticeVector) -> float:
@@ -189,7 +193,7 @@ def cone_distance_oracle(x: LatticeVector, resolution: float) -> float:
     # deviation of entry k from every grid candidate; best candidate per entry
     dev = np.abs(entries[:, None] - grid[None, :])
     best = dev.min(axis=1)
-    return float(_norm_of(best, x.norm))
+    return float(norm_of_moduli(best, x.norm))
 
 
 def midpoint_rule(lo: float, hi: float, n: int):

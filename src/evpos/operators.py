@@ -200,7 +200,7 @@ def _iterate(step, Y: np.ndarray, horizon: int):
 
 def entrywise_positive(a: np.ndarray, tol: float) -> bool:
     """Every entry of a lies within tol of the nonnegative reals."""
-    return bool(np.all(a.real >= -tol) and np.all(np.abs(a.imag) <= tol))
+    return bool((a.real >= -tol).all() and (np.abs(a.imag) <= tol).all())
 
 
 @dataclass(frozen=True)

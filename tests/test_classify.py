@@ -17,6 +17,7 @@ from evpos.classify import (
     RefutedWithWitness,
     StrategyUnavailableError,
     UndeterminedUpToHorizon,
+    _pairings,
     classify_asymptotic,
     classify_eventual,
     default_test_set,
@@ -31,6 +32,23 @@ from evpos.generators import make_eventually_positive
 from evpos.lattice import Ell1, Ell2, EllInf, LatticeVector
 from evpos.operators import Dense, Diagonal, WeightedShift
 from evpos.rng import rng_for
+
+
+def _orbit_widths(monkeypatch, classify, T):
+    """(widths of the Dense orbits, trio with the canonical test set, trio
+    with its basis vectors moved to the end)."""
+    widths = []
+    orbit = Dense.orbit
+
+    def recording(self, Y, horizon):
+        widths.append(Y.shape[1])
+        return orbit(self, Y, horizon)
+
+    monkeypatch.setattr(Dense, "orbit", recording)
+    canonical = default_test_set(T)
+    k = T.dim
+    moved = ConeTestSet(canonical.vectors[k:] + canonical.vectors[:k], canonical.functionals)
+    return widths, classify(T), classify(T, tests=moved)
 
 
 class TestPositiveOperator:
@@ -93,17 +111,18 @@ class TestEventualClassification:
         # needs no identity block in front; a test set that does not start
         # with them gets one
         T = make_eventually_positive(5, 0.5, 2).model
-        widths = []
-        orbit = Dense.orbit
+        widths, shared, prepended = _orbit_widths(monkeypatch, classify_eventual, T)
+        assert widths == [22, 27]
+        for a, b in zip(shared, prepended):
+            assert a.status == b.status
+            assert a.decay == pytest.approx(b.decay, rel=1e-12, abs=1e-15)
 
-        def recording(self, Y, horizon):
-            widths.append(Y.shape[1])
-            return orbit(self, Y, horizon)
-
-        monkeypatch.setattr(Dense, "orbit", recording)
-        canonical = default_test_set(T)
-        moved = ConeTestSet(canonical.vectors[5:] + canonical.vectors[:5], canonical.functionals)
-        shared, prepended = classify_eventual(T), classify_eventual(T, tests=moved)
+    @pytest.mark.parametrize("norm", [Ell1(), EllInf()])
+    def test_asymptotic_orbit_carries_one_identity_block(self, norm, monkeypatch):
+        # l1 and a small sup norm read the powers from the orbit, under the
+        # same rule as the eventual trio
+        T = make_eventually_positive(5, 0.5, 2, norm=norm).model
+        widths, shared, prepended = _orbit_widths(monkeypatch, classify_asymptotic, T)
         assert widths == [22, 27]
         for a, b in zip(shared, prepended):
             assert a.status == b.status
@@ -200,6 +219,52 @@ class TestAsymptotic:
         )
         u, i, w = classify_asymptotic(Dense(R, Ell2()), horizon=120)
         assert isinstance(w.status, RefutedWithWitness)
+
+
+def _eventually_positive(dim, norm):
+    return make_eventually_positive(dim, 0.5, 5, norm=norm).model
+
+
+def _gaussian(dim, norm):
+    rng = rng_for(dim, 7)
+    return Dense(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)), norm)
+
+
+class TestCoordinatePairings:
+    """The pairings with the leading coordinate functionals are read from the
+    orbit's cone residual; rotating the functionals so that none of them
+    leads sends every pairing through a product instead."""
+
+    @pytest.mark.parametrize(
+        "T",
+        [
+            *(
+                make(dim, norm)
+                for make in (_eventually_positive, _gaussian)
+                for norm in (Ell1(), Ell2(), EllInf())
+                for dim in (5, 24)
+            ),
+            Diagonal(np.array([1.0, 0.5j, 0.7 * np.exp(2j), 0.3, 0.9 * np.exp(-1j)]), Ell1()),
+            WeightedShift(np.array([1.0, -2.0, 0.5j, 3.0]), Ell2()),
+        ],
+    )
+    def test_read_off_matches_the_product(self, T):
+        canonical = default_test_set(T)
+        fs = canonical.functionals
+        rotated = ConeTestSet(canonical.vectors, fs[T.dim :] + fs[: T.dim])
+        assert (_pairings(T, canonical)[0], _pairings(T, rotated)[0]) == (T.dim, 0)
+        trios = [classify_eventual]
+        if not isinstance(T, WeightedShift):  # nilpotent: no rescaling
+            trios.append(classify_asymptotic)
+        for classify in trios:
+            read_off = classify(T, tests=canonical)[2]
+            product = classify(T, tests=rotated)[2]
+            assert read_off.status == product.status
+            assert read_off.decay == pytest.approx(product.decay, rel=0, abs=1e-12)
+
+    def test_rank_k_pairs_in_closed_form(self):
+        T = averaging_plus_slope(41)
+        assert _pairings(T, default_test_set(T))[0] == 0
 
 
 class TestHierarchy:

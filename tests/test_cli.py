@@ -21,7 +21,7 @@ from evpos.cli import (
 from evpos.catalog import averaging_plus_slope, get_example
 from evpos.generators import make_eventually_positive
 from evpos.operators import Dense, Diagonal, RankK, model_to_json
-from evpos.lattice import Ell1
+from evpos.lattice import Ell1, Ell2, EllInf
 from evpos.report import report_from_json, report_to_json, ReportError
 
 
@@ -141,6 +141,17 @@ class TestRunClassify:
         assert len(report.checks) >= 3
         assert calls == {"eigenvalues": solves, "power_bounded_estimate": 1}
 
+    @pytest.mark.parametrize("norm", [Ell1, Ell2, EllInf])
+    @pytest.mark.parametrize("dim", [8, 24])
+    def test_dense_report_digest(self, norm, dim):
+        # the catalog holds only tiny dense models; these pin the dense path
+        name = f"ep-{norm.__name__}-{dim}"
+        model = make_eventually_positive(dim, 0.5, 3, norm=norm()).model
+        report, failed = run_classify(model, name, 0)
+        assert not failed
+        digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+        assert digest == DENSE_REPORT_SHA256[name]
+
     def test_unknown_field_rejected(self):
         entry = get_example("rem3.2b")
         report, _ = run_classify(entry.model, entry.name, 0)
@@ -160,6 +171,17 @@ PAPER_REPORT_SHA256 = {
     "rem3.2b": "19eaf4fe951c33c8ba81340bb9bdd71168817d5bcd527c7311d47b17516e441e",
     "cyclic-block": "004c0bd98c4b112c0f6619121d101328fe3da0072ec513cf475b961fc3274dc4",
     "eventually-positive": "a64a12dc1c2b29160d39293a7bf505c217557642bb44db148205056b124e6f66",
+}
+
+# sha256 of the run_classify report of make_eventually_positive(dim, 0.5, 3,
+# norm=N) under the id ep-N-dim, seed 0
+DENSE_REPORT_SHA256 = {
+    "ep-Ell1-8": "aa9297020b905c082177ca272b02387a5e2e5e3c0fea60d0f4027ce86871d48d",
+    "ep-Ell1-24": "41abab7e51c6e2e9f577542f0802ecbb5b637b48b596c047c0b6d7e32ecc6d11",
+    "ep-Ell2-8": "c654b6f40fa1098b245205f6f45700289dc8de60cc532112406d7158819573de",
+    "ep-Ell2-24": "2fd99ff37264c6c2eec585a6e0e9149e3b573d35088e2c01ab79f26b9bc7f18d",
+    "ep-EllInf-8": "a34405f1b711adccecc19d60c9f33d3a871771a6264006904622985bf695ad1e",
+    "ep-EllInf-24": "d7c50fce82304f9b0a9fb5c24ecc7f419e128d18144405690473b91f57ade252",
 }
 
 
@@ -226,6 +248,27 @@ class TestMainEntry:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["classify", str(path)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("ex2.2b", "p", float("nan")),
+            ("ex2.2b", "p", float("inf")),
+            ("ex2.2b", "nodes", float("nan")),
+            ("ex2.2a", "nodes", float("nan")),
+        ],
+    )
+    def test_non_finite_norm_is_input_error(self, name, key, value, tmp_path, capsys):
+        data = model_to_json(get_example(name).model)
+        if key == "nodes":
+            data["space"]["nodes"][3] = value
+        else:
+            data["space"][key] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))  # writes NaN / Infinity
+        assert main(["classify", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
 
     def test_unknown_example_is_input_error(self, capsys):
         assert main(["classify", "--example", "nope"]) == EXIT_INPUT

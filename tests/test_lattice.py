@@ -88,6 +88,30 @@ class TestNorms:
         with pytest.raises(LatticeError):
             LpQuadrature(2.0, (0.0, 1.0), (0.5, -0.5))
 
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), 0.5])
+    def test_bad_quadrature_exponent_rejected(self, p):
+        with pytest.raises(LatticeError, match="finite number >= 1"):
+            LpQuadrature(p, (0.0, 1.0), (0.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [(0.0, float("nan")), (float("nan"), 1.0), (0.0, float("inf")), (1.0, 0.0), (0.0, 0.0)],
+    )
+    def test_bad_nodes_rejected(self, nodes):
+        with pytest.raises(LatticeError, match="finite and strictly increasing"):
+            LpQuadrature(2.0, nodes, (0.5, 0.5))
+        with pytest.raises(LatticeError, match="finite and strictly increasing"):
+            GridSup(nodes)
+
+    def test_quadrature_weight_array_is_not_a_field(self):
+        nodes, weights = midpoint_rule(-1.0, 1.0, 4)
+        a = LpQuadrature(2.0, tuple(nodes), tuple(weights))
+        b = LpQuadrature(2.0, tuple(nodes), tuple(weights))
+        assert a == b and hash(a) == hash(b)
+        assert "weight_array" not in repr(a)
+        assert np.array_equal(a.weight_array, weights)
+        assert not a.weight_array.flags.writeable
+
 
 class TestConeDistance:
     def test_positive_vector_is_at_distance_zero(self):
