@@ -90,8 +90,8 @@ def negative_shift(n: int = SHIFT_TRUNCATION) -> WeightedShift:
 
 
 def nonreal_diagonal() -> Diagonal:
-    """diag(1, i/2): not similar to a real matrix, yet every asymptotic
-    positivity notion holds and spr = 1 is an eigenvalue."""
+    """diag(1, i/2): not similar to a real matrix and not eventually
+    positive, yet every asymptotic notion holds and spr = 1 is an eigenvalue."""
     return Diagonal(np.array([1.0, 0.5j]), Ell1())
 
 
@@ -121,6 +121,7 @@ def build_catalog(seed: int = 0) -> tuple:
             description="diagonal drift toward -1 (truncated)",
             model=diagonal_drift(),
             expected={
+                "weak-eventual": "refuted",
                 "uniform-asymptotic": "refuted",
                 "individual-asymptotic": "refuted",
                 "weak-asymptotic": "refuted",
@@ -136,6 +137,7 @@ def build_catalog(seed: int = 0) -> tuple:
             description="diagonal drift toward -1 (truncated); alias of ex3.5a",
             model=diagonal_drift(),
             expected={
+                "weak-eventual": "refuted",
                 "uniform-asymptotic": "refuted",
                 "individual-asymptotic": "refuted",
                 "weak-asymptotic": "refuted",
@@ -158,6 +160,7 @@ def build_catalog(seed: int = 0) -> tuple:
             description="diag(1, i/2): non-real but asymptotically positive",
             model=nonreal_diagonal(),
             expected={
+                "weak-eventual": "refuted",
                 "uniform-asymptotic": "confirmed",
                 "individual-asymptotic": "confirmed",
                 "weak-asymptotic": "confirmed",

@@ -32,6 +32,7 @@ from .operators import (
     WeightedIntegral,
     Constant,
     Tabulated,
+    WeightedShift,
     apply,
     apply_functional,
     entrywise_positive,
@@ -62,6 +63,10 @@ class Notion(enum.Enum):
     WEAK_ASYMPTOTIC = "weak-asymptotic"
 
 
+# each chain runs from the strongest notion to the weakest
+_EVENTUAL_CHAIN, _ASYMPTOTIC_CHAIN = tuple(Notion)[:3], tuple(Notion)[3:]
+
+
 @dataclass(frozen=True)
 class Confirmed:
     n0: int = 0
@@ -88,16 +93,11 @@ class PositivityVerdict:
     decay: tuple = ()
     tolerance: float = DEFAULT_TOL
 
-    @property
-    def kind(self) -> str:
-        return type(self.status).__name__
-
 
 @dataclass(frozen=True)
 class ConeTestSet:
     vectors: tuple
     functionals: tuple
-    provenance: str = "canonical"
 
 
 # ---------------------------------------------------------------------------
@@ -110,23 +110,6 @@ def _normalized_positive(entries: np.ndarray, norm: NormKind) -> LatticeVector:
     if nv > 1.0:
         v = v.with_entries(v.entries / nv)
     return v
-
-
-def canonical_cone_test_set(
-    norm: NormKind, dim: int, seed: int = 0, n_random: int = 16
-) -> ConeTestSet:
-    """Basis vectors, the all-ones vector, and seeded random positive vectors,
-    each normalized into the positive unit ball."""
-    vectors = []
-    eye = np.eye(dim)
-    for j in range(dim):
-        vectors.append(_normalized_positive(eye[j], norm))
-    vectors.append(_normalized_positive(np.ones(dim), norm))
-    rng = rng_for(seed, 1)
-    for _ in range(n_random):
-        vectors.append(_normalized_positive(rng.uniform(0.0, 1.0, size=dim), norm))
-    functionals = tuple(vectors)
-    return ConeTestSet(tuple(vectors), functionals, provenance="basis+ones+seeded-random")
 
 
 def function_space_test_set(
@@ -145,13 +128,16 @@ def function_space_test_set(
         functionals.append(
             WeightedIntegral(Tabulated(tuple(rng.uniform(0.0, 1.0, size=dim))), 1.0)
         )
-    return ConeTestSet(tuple(vectors), tuple(functionals), provenance="ones+seeded-random")
+    return ConeTestSet(tuple(vectors), tuple(functionals))
 
 
 def default_test_set(T: OperatorModel, seed: int = 0) -> ConeTestSet:
+    """The function-space test set of a rank-k model; for a finite model the
+    basis vectors, which generate its positive cone."""
     if isinstance(T, RankK):
         return function_space_test_set(T.space, seed)
-    return canonical_cone_test_set(T.norm, T.dim, seed)
+    basis = tuple(LatticeVector(e, T.norm) for e in np.eye(T.dim))
+    return ConeTestSet(basis, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -177,35 +163,32 @@ def is_positive_operator(T: OperatorModel, tol: float = DEFAULT_TOL) -> bool:
 # eventual notions
 
 
-def _n0_from_flags(flags: Sequence[bool], base_positive: bool) -> Optional[int]:
+def _window(horizon: int) -> int:
+    """The number of trailing powers a condition must hold over (or a decay
+    must stay small over) before it counts as settled."""
+    return max(1, horizon // 4)
+
+
+def _n0_from_flags(flags: Sequence[bool], base_positive: bool, window: int) -> Optional[int]:
     """flags[i] is the sign condition at n = i + 1; returns the least n0 such
-    that the condition holds from n0 to the horizon, or None."""
+    that the condition holds from n0 to the horizon, or None when it has not
+    held over the last `window` powers."""
     fails = [i + 1 for i, ok in enumerate(flags) if not ok]
     if not fails:
         return 0 if base_positive else 1
-    n0 = fails[-1] + 1
-    if n0 > len(flags):
+    if len(flags) - fails[-1] < window:
         return None
-    return n0
+    return fails[-1] + 1
 
 
 def _flag_verdict(notion, flags, base_positive, decay, horizon, tol) -> PositivityVerdict:
-    n0 = _n0_from_flags(flags, base_positive)
+    n0 = _n0_from_flags(flags, base_positive, _window(horizon))
     status = UndeterminedUpToHorizon(horizon) if n0 is None else Confirmed(n0)
     return PositivityVerdict(notion, status, tuple(decay), tol)
 
 
 def _columns(vectors) -> np.ndarray:
     return np.stack([x.entries for x in vectors], axis=1)
-
-
-def _orbit_start(X: np.ndarray, powers: bool) -> tuple:
-    """(Y, k): an orbit's first block, with the test vectors X from column k.
-    With powers, its first dim columns are the identity: a test set that
-    starts with the basis vectors is its own identity block."""
-    dim = X.shape[0]
-    k = 0 if not powers or np.array_equal(X[:, :dim], np.eye(dim)) else dim
-    return np.concatenate([np.eye(dim)[:, :k], X], axis=1), k
 
 
 def _singular_refutation(T, vectors, notion, horizon, tol) -> Optional[PositivityVerdict]:
@@ -228,25 +211,22 @@ def _singular_refutation(T, vectors, notion, horizon, tol) -> Optional[Positivit
     return None
 
 
-def _uniform_verdict(T, grid_ok, grid_decay, horizon, tol) -> PositivityVerdict:
-    """From the entrywise test of each power T^n, n = 1..horizon; a rank-k
-    model adds its shrinking-hat witnesses, which refute when they persist
-    and sharpen."""
-    flags, decay = grid_ok, grid_decay
-    if isinstance(T, RankK):
-        witnesses = [hat_family_witness(T, n) for n in range(1, horizon + 1)]
-        decay = [0.0 if w is None else -w.value for w in witnesses]
-        if all(w is not None for w in witnesses) and _hat_family_sharpens(T, horizon):
-            return PositivityVerdict(
-                Notion.UNIFORM_EVENTUAL,
-                RefutedWithWitness(
-                    tuple(witnesses),
-                    "shrinking-hat family keeps a negative value at every power",
-                ),
-                tuple(decay),
-                tol,
-            )
-        flags = [ok and w is None for ok, w in zip(grid_ok, witnesses)]
+def _uniform_verdict(T: RankK, grid_ok, horizon, tol) -> PositivityVerdict:
+    """From the entrywise test of each power T^n, n = 1..horizon, and the
+    shrinking-hat witnesses, which refute when they persist and sharpen."""
+    witnesses = [hat_family_witness(T, n) for n in range(1, horizon + 1)]
+    decay = [0.0 if w is None else -w.value for w in witnesses]
+    if all(w is not None for w in witnesses) and _hat_family_sharpens(T, horizon):
+        return PositivityVerdict(
+            Notion.UNIFORM_EVENTUAL,
+            RefutedWithWitness(
+                tuple(witnesses),
+                "shrinking-hat family keeps a negative value at every power",
+            ),
+            tuple(decay),
+            tol,
+        )
+    flags = [ok and w is None for ok, w in zip(grid_ok, witnesses)]
     return _flag_verdict(
         Notion.UNIFORM_EVENTUAL, flags, is_positive_operator(T, tol), decay, horizon, tol
     )
@@ -266,62 +246,102 @@ def _hat_family_sharpens(T: RankK, horizon: int) -> bool:
 def _individual_verdict(tests: ConeTestSet, dists: np.ndarray, horizon, tol):
     """dists[n, i] = d+(T^n x_i) for n = 0..horizon. The vectors are taken in
     order: the first one still off the cone at the horizon makes the verdict
-    undetermined, and the decay is then the worst up to that vector."""
+    undetermined, and the decay is then the worst up to that vector. A vector
+    on the cone at the horizon but not over the trailing window leaves the
+    verdict undetermined too."""
     scales = np.array([max(norm_value(x), 1e-300) for x in tests.vectors])
     ok = dists <= tol * scales
     worst = dists[1:] / scales
+    window = _window(horizon)
+    n0s = [_n0_from_flags(ok[1:, i], ok[0, i], window) for i in range(len(scales))]
     stuck = np.flatnonzero(~ok[-1])
     if stuck.size:
-        status, worst = UndeterminedUpToHorizon(horizon), worst[:, : stuck[0] + 1]
-    else:
-        n0s = [_n0_from_flags(ok[1:, i], ok[0, i]) for i in range(len(scales))]
-        status = Confirmed(max(n0s, default=0))
+        worst = worst[:, : stuck[0] + 1]
+    status = UndeterminedUpToHorizon(horizon) if None in n0s else Confirmed(max(n0s, default=0))
     decay = np.max(worst, axis=1, initial=0.0)
     return PositivityVerdict(Notion.INDIVIDUAL_EVENTUAL, status, tuple(decay), tol)
 
 
 def classify_eventual(
-    T: OperatorModel,
-    horizon: int = HORIZON_EVENTUAL,
-    tol: float = DEFAULT_TOL,
-    tests: Optional[ConeTestSet] = None,
+    T: OperatorModel, horizon: int = HORIZON_EVENTUAL, tol: float = DEFAULT_TOL
 ) -> tuple:
-    """(uniform, individual, weak) eventual verdicts from one orbit of T whose
-    blocks hold the powers T^n (uniform notion) next to T^n of the test
-    vectors (the other two; see _orbit_start). Each block's cone residual is
-    taken once; distances, grid decay and coordinate pairings come from it."""
+    """(uniform, individual, weak) eventual verdicts: a finite model's from
+    its powers, a rank-k model's from its function-space test set."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if tests is None:
-        tests = default_test_set(T)
+    if isinstance(T, RankK):
+        return _rank_k_eventual(T, horizon, tol)
+    return _finite_eventual(T, horizon, tol)
+
+
+def _finite_eventual(T: OperatorModel, horizon: int, tol: float) -> tuple:
+    """The basis vectors generate the positive cone, and <e_i, T^n e_j> is
+    the entry (T^n)_ij, so the three notions coincide: one status, from the
+    entrywise test of each power. The decays stay per notion: the largest
+    entry of the cone residual (uniform, weak), its largest column norm
+    (individual). A weighted shift truncation has T^dim = 0, so its orbit
+    runs at least that far; a zero power stays zero and needs no window."""
+    steps = max(horizon, T.dim) if isinstance(T, WeightedShift) else horizon
+    flags, grid_decay, column_decay = [], [], []
+    for n, P in enumerate(T.orbit(np.eye(T.dim), steps)):
+        if n == 0:
+            continue
+        R = cone_residual(P)
+        grid_decay.append(float(R.max()))
+        column_decay.append(float(norm_of_moduli(R, T.norm).max(initial=0.0)))
+        flags.append(entrywise_positive(P, tol * max(1.0, float(np.abs(P).max()))))
+    if isinstance(T, Diagonal):
+        status = _diagonal_status(T, tol)
+    else:
+        n0 = _n0_from_flags(flags, True, 1 if not P.any() else _window(horizon))
+        status = UndeterminedUpToHorizon(horizon) if n0 is None else Confirmed(n0)
+    return _one_status(_EVENTUAL_CHAIN, status, (grid_decay, column_decay, grid_decay), tol)
+
+
+def _one_status(chain, status, decays, tol) -> tuple:
+    """A trio whose notions coincide: one status, a decay per notion."""
+    return tuple(PositivityVerdict(n, status, tuple(d), tol) for n, d in zip(chain, decays))
+
+
+def _diagonal_status(T: Diagonal, tol: float) -> Status:
+    """Exact: T^n = diag(s^n) is positive for every n >= 1 when each symbol
+    entry s is a positive real or zero; any other s has s^n off the positive
+    reals for infinitely many n."""
+    for k, s in enumerate(T.symbol):
+        if not entrywise_positive(s, tol):
+            return RefutedWithWitness(
+                (k, s), f"symbol entry {s} at index {k} is not a positive real"
+            )
+    return Confirmed(0)
+
+
+def _rank_k_eventual(T: RankK, horizon: int, tol: float) -> tuple:
+    """From one orbit of T whose blocks hold the powers T^n (uniform notion,
+    unless refuted analytically) next to T^n of the test vectors (the other
+    two)."""
+    tests = default_test_set(T)
     ones = LatticeVector(np.ones(T.dim, dtype=complex), T.norm)
     uniform = _singular_refutation(T, (ones,), Notion.UNIFORM_EVENTUAL, horizon, tol)
     individual = _singular_refutation(T, tests.vectors, Notion.INDIVIDUAL_EVENTUAL, horizon, tol)
-    weak = _diagonal_weak_refutation(T, tests, tol) if isinstance(T, Diagonal) else None
-    Y, k = _orbit_start(_columns(tests.vectors), uniform is None)
-    c, pair = _pairings(T, tests)
-    grid_ok, grid_decay, dists, weak_ok, weak_decay = [], [], [], [], []
+    k = T.dim if uniform is None else 0
+    Y = np.concatenate([np.eye(T.dim)[:, :k], _columns(tests.vectors)], axis=1)
+    pair = _pairings(T, tests)
+    grid_ok, dists, weak_ok, weak_decay = [], [], [], []
     for n, Z in enumerate(T.orbit(Y, horizon)):
-        R = cone_residual(Z)
-        dists.append(norm_of_moduli(R[:, k:], T.norm))
+        dists.append(cone_distances(Z[:, k:], T.norm))
         if n == 0:
             continue
         if uniform is None:
-            power = Z[:, : T.dim]
-            scale = max(1.0, float(np.abs(power).max()))
-            grid_ok.append(entrywise_positive(power, tol * scale))
-            grid_decay.append(float(R[:, : T.dim].max()))
+            power = Z[:, :k]
+            grid_ok.append(entrywise_positive(power, tol * max(1.0, float(np.abs(power).max()))))
         values = pair(n, Z[:, k:])
-        weak_ok.append(entrywise_positive(Z[:c, k:], tol) and entrywise_positive(values, tol))
-        coord_max = R[:c, k:].max(initial=0.0)
-        weak_decay.append(float(cone_residual(values).max(initial=coord_max)))
-        del R  # a power-sized block: free it before the orbit makes the next one
+        weak_ok.append(entrywise_positive(values, tol))
+        weak_decay.append(float(cone_residual(values).max(initial=0.0)))
     if uniform is None:
-        uniform = _uniform_verdict(T, grid_ok, grid_decay, horizon, tol)
+        uniform = _uniform_verdict(T, grid_ok, horizon, tol)
     if individual is None:
         individual = _individual_verdict(tests, np.array(dists), horizon, tol)
-    if weak is None:
-        weak = _flag_verdict(Notion.WEAK_EVENTUAL, weak_ok, True, weak_decay, horizon, tol)
+    weak = _flag_verdict(Notion.WEAK_EVENTUAL, weak_ok, True, weak_decay, horizon, tol)
     return uniform, individual, weak
 
 
@@ -338,8 +358,8 @@ def individual_eventual(
     tol: float = DEFAULT_TOL,
 ) -> PositivityVerdict:
     """The individual notion alone, one vector at a time: each orbit is
-    stepped with power_apply. classify_eventual reads the same orbits from
-    one block product per step, so the two paths check each other."""
+    stepped with power_apply, independently of classify_eventual, so the two
+    paths check each other."""
     if tests is None:
         tests = default_test_set(T)
     refuted = _singular_refutation(T, tests.vectors, Notion.INDIVIDUAL_EVENTUAL, horizon, tol)
@@ -353,45 +373,10 @@ def individual_eventual(
     return _individual_verdict(tests, dists, horizon, tol)
 
 
-def _diagonal_weak_refutation(
-    T: Diagonal, tests: ConeTestSet, tol: float
-) -> Optional[PositivityVerdict]:
-    """Refuted by a pair whose pairing provably alternates in sign forever:
-    the dominant active symbol entry is strictly negative real."""
-    for x in tests.vectors:
-        for xp in tests.functionals:
-            coeff = (x.entries * xp.entries).real
-            active = np.abs(coeff) > tol
-            if not np.any(active):
-                continue
-            mods = np.abs(T.symbol)
-            mods_active = np.where(active, mods, -np.inf)
-            k = int(np.argmax(mods_active))
-            s = T.symbol[k]
-            others = mods_active.copy()
-            others[k] = -np.inf
-            max_other = float(np.max(others))
-            dominant = max_other < 0 or mods[k] > max_other * (1 + 1e-9)
-            if s.real < -tol and abs(s.imag) <= tol and coeff[k] > 0 and dominant:
-                return PositivityVerdict(
-                    Notion.WEAK_EVENTUAL,
-                    RefutedWithWitness(
-                        (x, xp),
-                        f"dominant symbol entry {s} keeps the pairing alternating in sign",
-                    ),
-                    (),
-                    tol,
-                )
-    return None
-
-
 def weak_eventual(
-    T: OperatorModel,
-    tests: Optional[ConeTestSet] = None,
-    horizon: int = HORIZON_EVENTUAL,
-    tol: float = DEFAULT_TOL,
+    T: OperatorModel, horizon: int = HORIZON_EVENTUAL, tol: float = DEFAULT_TOL
 ) -> PositivityVerdict:
-    return classify_eventual(T, horizon, tol, tests)[2]
+    return classify_eventual(T, horizon, tol)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +415,13 @@ def delta_n(
     strategy: Strategy = ExtremePoints(),
     spr: Optional[float] = None,
 ) -> tuple:
-    """sup over the positive unit ball of d+( (T/spr)^n x ).
+    """sup over the positive unit ball of d+( (T/spr)^n x ), for n >= 0.
 
     Returns (value, witness_vector, exact) where exact is True for the
     extreme-point enumeration and False for the Monte Carlo lower bound.
     """
+    if n < 0:
+        raise ValueError(f"delta_n needs n >= 0, got {n}")
     if spr is None:
         spr = spectral_radius_of(T)
     if spr <= 0:
@@ -501,156 +488,147 @@ def _sup_over_vertices(power: np.ndarray, norm: NormKind) -> tuple:
     return best
 
 
-def _tail_verdict(
-    notion: Notion,
-    decay: np.ndarray,
-    tol: float,
-    horizon: int,
-    witness,
-) -> PositivityVerdict:
-    q = max(1, horizon // 4)
+def _tail_status(decay: np.ndarray, tol: float, horizon: int, witness) -> Status:
+    q = _window(horizon)
     tail = decay[-q:]
     prev = decay[-2 * q : -q] if horizon >= 2 * q else decay[:q]
     if np.max(tail) <= tol:
-        return PositivityVerdict(notion, Confirmed(0), tuple(decay), tol)
+        return Confirmed(0)
     if np.max(tail) >= REFUTE_FACTOR * tol and np.max(tail) >= 0.9 * np.max(prev):
-        return PositivityVerdict(
-            notion,
-            RefutedWithWitness(witness, "tail of the decay sequence does not decay"),
-            tuple(decay),
-            tol,
-        )
-    return PositivityVerdict(notion, UndeterminedUpToHorizon(horizon), tuple(decay), tol)
+        return RefutedWithWitness(witness, "tail of the decay sequence does not decay")
+    return UndeterminedUpToHorizon(horizon)
 
 
 def classify_asymptotic(
-    T: OperatorModel,
-    horizon: int = HORIZON_ASYMPTOTIC,
-    tol: float = DEFAULT_TOL,
-    tests: Optional[ConeTestSet] = None,
+    T: OperatorModel, horizon: int = HORIZON_ASYMPTOTIC, tol: float = DEFAULT_TOL
 ) -> tuple:
     """(uniform, individual, weak) asymptotic verdicts with decay sequences,
-    from one orbit of T/spr whose blocks hold the powers too (l1, and sup
-    norms of at most EXTREME_POINT_SUP_CAP nodes; see _orbit_start), or Monte
-    Carlo samples after the test vectors. Each block's residual is taken once."""
+    from one orbit of T/spr: a finite model's powers, or a rank-k model's
+    function-space test set."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     spr = spectral_radius_of(T)
     if spr <= tol:
         raise NotClassifiableError(
             f"spectral radius {spr:.3e} is below tolerance; rescaling undefined"
         )
-    if tests is None:
-        tests = default_test_set(T)
     S = scale_model(T, 1.0 / spr)
-    norm = T.norm
-    dim = T.dim
-    ell1 = isinstance(norm, Ell1)
+    if isinstance(S, RankK):
+        return _rank_k_asymptotic(S, horizon, tol)
+    return _finite_asymptotic(S, horizon, tol)
+
+
+def _finite_asymptotic(S: OperatorModel, horizon: int, tol: float) -> tuple:
+    """d+(S^n x) <= ||x||_1 max_j d+(S^n e_j), and all norms are equivalent,
+    so the three notions coincide: one status, from the uniform decay (the
+    0/1-vertex sup for a sup norm of at most EXTREME_POINT_SUP_CAP nodes, the
+    worst basis column otherwise) with the worst vector at the worst power as
+    witness. The individual decay is the worst basis column's cone distance,
+    the weak one the largest entry of the cone residual."""
+    norm, dim = S.norm, S.dim
     vertices = isinstance(norm, (EllInf, GridSup)) and dim <= EXTREME_POINT_SUP_CAP
-    Y, k = _orbit_start(_columns(tests.vectors), ell1 or vertices)
-    if not (ell1 or vertices):
+    uniform_decay, column_decay, grid_decay = (np.zeros(horizon + 1) for _ in range(3))
+    for n, P in enumerate(S.orbit(np.eye(dim), horizon)):
+        R = cone_residual(P)
+        dists = norm_of_moduli(R, norm)
+        j = int(np.argmax(dists))
+        column_decay[n], grid_decay[n] = dists[j], R.max()
+        if vertices:
+            uniform_decay[n], x = _sup_over_vertices(P, norm)
+        else:
+            uniform_decay[n], x = dists[j], np.eye(dim)[j]
+        if n == 0 or uniform_decay[n] > uniform_decay[:n].max():
+            witness = LatticeVector(x, norm)
+    status = _tail_status(uniform_decay, tol, horizon, witness)
+    return _one_status(_ASYMPTOTIC_CHAIN, status, (uniform_decay, column_decay, grid_decay), tol)
+
+
+def _rank_k_asymptotic(S: RankK, horizon: int, tol: float) -> tuple:
+    """One orbit of S = T/spr whose blocks hold the test vectors after the
+    powers (a grid of at most EXTREME_POINT_SUP_CAP nodes, for the vertex
+    sup) or before Monte Carlo samples (a lower bound of the uniform decay).
+    Each block's residual is taken once."""
+    tests = default_test_set(S)
+    norm, dim = S.norm, S.dim
+    X = _columns(tests.vectors)
+    vertices = isinstance(norm, GridSup) and dim <= EXTREME_POINT_SUP_CAP
+    if vertices:
+        k, Y = dim, np.concatenate([np.eye(dim), X], axis=1)
+    else:
         mc_rng = rng_for(0, 99)
         samples = _columns(
             _normalized_positive(mc_rng.uniform(0.0, 1.0, size=dim), norm) for _ in range(32)
         )
-        Y = np.concatenate([Y, samples], axis=1)
+        k, Y = 0, np.concatenate([X, samples], axis=1)
         uniform_witness = "monte-carlo lower bound"
     nx = len(tests.vectors)
     cols = slice(k, k + nx)
-    q = max(1, horizon // 4)
-    c, pair = _pairings(S, tests)
+    q = _window(horizon)
+    pair = _pairings(S, tests)
     uniform_decay = np.zeros(horizon + 1)
     ind_decay = np.zeros((horizon + 1, nx))
     weak_decay = np.zeros(horizon + 1)
-    coord_tail = rest_tail = 0.0  # per pairing, the largest residual in the tail
+    weak_tail = 0.0  # per pairing, the largest residual in the tail
     for n, Z in enumerate(S.orbit(Y, horizon)):
-        R = cone_residual(Z)
-        dists = norm_of_moduli(R, norm)
+        dists = cone_distances(Z, norm)
         ind_decay[n] = dists[cols]
         if vertices:
             uniform_decay[n], bits = _sup_over_vertices(Z[:, :dim], norm)
             uniform_witness = LatticeVector(bits, norm)
-        elif ell1:  # the witness is the worst basis vector at the worst power
-            j = int(np.argmax(dists[:dim]))
-            uniform_decay[n] = dists[j]
-            if n == 0 or uniform_decay[n] > uniform_decay[:n].max():
-                uniform_witness = LatticeVector(Y[:, j], norm)
         else:
             uniform_decay[n] = float(dists.max())
-        coord, rest = R[:c, cols].T, cone_residual(pair(n, Z[:, cols]))
-        weak_decay[n] = rest.max(initial=coord.max(initial=0.0))
+        residual = cone_residual(pair(n, Z[:, cols]))
+        weak_decay[n] = residual.max(initial=0.0)
         if n > horizon - q:
-            coord_tail = np.maximum(coord_tail, coord)
-            rest_tail = np.maximum(rest_tail, rest)
-    weak_tail = np.concatenate([coord_tail, rest_tail], axis=1)
+            weak_tail = np.maximum(weak_tail, residual)
 
     scales = np.array([max(norm_value(x), 1e-300) for x in tests.vectors])
     ind_decay = ind_decay / scales[None, :]
     ind_worst = int(np.argmax(ind_decay[-q:].max(axis=0)))
     wi, wj = np.unravel_index(int(np.argmax(weak_tail)), weak_tail.shape)
-
-    uniform = _tail_verdict(
-        Notion.UNIFORM_ASYMPTOTIC, uniform_decay, tol, horizon, uniform_witness
+    weak_witness = (tests.vectors[wi], tests.functionals[wj])
+    witnesses = (uniform_witness, tests.vectors[ind_worst], weak_witness)
+    decays = (uniform_decay, ind_decay.max(axis=1), weak_decay)
+    return tuple(
+        PositivityVerdict(notion, _tail_status(decay, tol, horizon, witness), tuple(decay), tol)
+        for notion, decay, witness in zip(_ASYMPTOTIC_CHAIN, decays, witnesses)
     )
-    individual = _tail_verdict(
-        Notion.INDIVIDUAL_ASYMPTOTIC,
-        ind_decay.max(axis=1),
-        tol,
-        horizon,
-        tests.vectors[ind_worst],
-    )
-    weak = _tail_verdict(
-        Notion.WEAK_ASYMPTOTIC,
-        weak_decay,
-        tol,
-        horizon,
-        (tests.vectors[wi], tests.functionals[wj]),
-    )
-    return uniform, individual, weak
 
 
-def _pairings(S: OperatorModel, tests: ConeTestSet):
-    """(c, pair): the first c test functionals are e_1..e_c, read from the
-    orbit block; pair(n, block)[i, j] = <x'_(c+j), S^n x_i> for the rest, with
-    S^n x_i in the block's columns. A rank-k model pairs in closed form
-    (c = 0), with the exact pairings <x'_j, f> of its functions."""
-    if not isinstance(S, RankK):
-        Xp = _columns(tests.functionals)
-        c = S.dim if np.array_equal(Xp[:, : S.dim], np.eye(S.dim)) else 0
-        return c, lambda n, block: block.T @ Xp[:, c:]
+def _pairings(S: RankK, tests: ConeTestSet):
+    """pair(n, block)[i, j] = <x'_j, S^n x_i>, with S^n x_i in the block's
+    columns; for n >= 1 in closed form, with the exact pairings <x'_j, f> of
+    the model's functions."""
     C = np.stack([S.coefficients(x.entries) for x in tests.vectors])
     D = np.array(
         [[apply_functional(phi, f, S.space) for f in S.functions] for phi in tests.functionals]
     )
     R = np.stack([quadrature_row(phi, S.space) for phi in tests.functionals])
     lam = S.eigen_parameters
-    return 0, lambda n, block: block.T @ R.T if n == 0 else (C * lam ** (n - 1)) @ D.T
+    return lambda n, block: block.T @ R.T if n == 0 else (C * lam ** (n - 1)) @ D.T
 
 
 # ---------------------------------------------------------------------------
 # hierarchy consistency
 
 
-_EVENTUAL_CHAIN = (Notion.UNIFORM_EVENTUAL, Notion.INDIVIDUAL_EVENTUAL, Notion.WEAK_EVENTUAL)
-_ASYMPTOTIC_CHAIN = (
-    Notion.UNIFORM_ASYMPTOTIC,
-    Notion.INDIVIDUAL_ASYMPTOTIC,
-    Notion.WEAK_ASYMPTOTIC,
+# (upper, lower): the upper notion implies the lower one when it is neither
+# weaker in its chain nor asymptotic while the lower one is eventual
+_IMPLICATIONS = tuple(
+    (upper, lower)
+    for i, upper in enumerate(Notion)
+    for j, lower in enumerate(Notion)
+    if i != j and i % 3 <= j % 3 and i // 3 <= j // 3
 )
 
 
 def hierarchy_violations(verdicts: Sequence[PositivityVerdict]) -> list:
-    """A Confirmed verdict sitting above a Refuted one in either implication
-    chain is a hard failure; returns the offending (upper, lower) pairs."""
-    by_notion = {v.notion: v for v in verdicts}
-    bad = []
-    for chain in (_EVENTUAL_CHAIN, _ASYMPTOTIC_CHAIN):
-        for hi in range(len(chain)):
-            for lo in range(hi + 1, len(chain)):
-                upper = by_notion.get(chain[hi])
-                lower = by_notion.get(chain[lo])
-                if upper is None or lower is None:
-                    continue
-                if isinstance(upper.status, Confirmed) and isinstance(
-                    lower.status, RefutedWithWitness
-                ):
-                    bad.append((upper.notion.value, lower.notion.value))
-    return bad
+    """A Confirmed verdict sitting above a Refuted one, in either chain or
+    across the X-eventual => X-asymptotic edges, is a hard failure; returns
+    the offending (upper, lower) pairs."""
+    kinds = {v.notion: type(v.status) for v in verdicts}
+    return [
+        (upper.value, lower.value)
+        for upper, lower in _IMPLICATIONS
+        if kinds.get(upper) is Confirmed and kinds.get(lower) is RefutedWithWitness
+    ]

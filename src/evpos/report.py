@@ -15,9 +15,11 @@ from typing import Optional
 from . import __version__ as _tool_version
 from .classify import (
     Confirmed,
+    Notion,
     PositivityVerdict,
     RefutedWithWitness,
     UndeterminedUpToHorizon,
+    hierarchy_violations,
 )
 from .rng import GENERATOR_NAME
 from .spectral import Spectrum
@@ -45,6 +47,18 @@ def verdict_record(v: PositivityVerdict) -> dict:
         "status": st,
         "tolerance": float(v.tolerance),
     }
+
+
+def verdict_from_record(rec: dict) -> PositivityVerdict:
+    """The verdict of a classification record, without its decay; a
+    refutation keeps only its witness's description."""
+    st = rec["status"]
+    status = {
+        "confirmed": lambda: Confirmed(st["n0"]),
+        "refuted": lambda: RefutedWithWitness(None, st["witness"]),
+        "undetermined": lambda: UndeterminedUpToHorizon(st["horizon"]),
+    }[st["kind"]]()
+    return PositivityVerdict(Notion(rec["notion"]), status, (), rec["tolerance"])
 
 
 def check_record(c: CheckResult) -> dict:
@@ -85,7 +99,11 @@ class AnalysisReport:
 
     @property
     def contradiction_count(self) -> int:
-        return sum(1 for c in self.checks if c["contradiction"])
+        """Checks whose conclusion fails under hypotheses that hold, plus each
+        Confirmed verdict that sits above a Refuted one."""
+        verdicts = [verdict_from_record(r) for r in self.classification]
+        broken = hierarchy_violations(verdicts)
+        return len(broken) + sum(1 for c in self.checks if c["contradiction"])
 
 
 _REPORT_FIELDS = (

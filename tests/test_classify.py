@@ -18,6 +18,7 @@ from evpos.classify import (
     StrategyUnavailableError,
     UndeterminedUpToHorizon,
     _pairings,
+    function_space_test_set,
     classify_asymptotic,
     classify_eventual,
     default_test_set,
@@ -30,25 +31,8 @@ from evpos.classify import (
 )
 from evpos.generators import make_eventually_positive
 from evpos.lattice import Ell1, Ell2, EllInf, LatticeVector
-from evpos.operators import Dense, Diagonal, WeightedShift
+from evpos.operators import Dense, Diagonal, WeightedShift, pairing
 from evpos.rng import rng_for
-
-
-def _orbit_widths(monkeypatch, classify, T):
-    """(widths of the Dense orbits, trio with the canonical test set, trio
-    with its basis vectors moved to the end)."""
-    widths = []
-    orbit = Dense.orbit
-
-    def recording(self, Y, horizon):
-        widths.append(Y.shape[1])
-        return orbit(self, Y, horizon)
-
-    monkeypatch.setattr(Dense, "orbit", recording)
-    canonical = default_test_set(T)
-    k = T.dim
-    moved = ConeTestSet(canonical.vectors[k:] + canonical.vectors[:k], canonical.functionals)
-    return widths, classify(T), classify(T, tests=moved)
 
 
 class TestPositiveOperator:
@@ -84,11 +68,14 @@ class TestEventualClassification:
         # horizon; e_3 grows like 2^n and comes later, so its decay is left out
         T = Dense(np.diag([1.0, 1j, 2j]), Ell1())
         basis = tuple(LatticeVector(e, Ell1()) for e in np.eye(3))
-        tests = ConeTestSet(basis, basis)
-        expected = [0.0 if n % 4 == 0 else 1.0 for n in range(1, 31)]
-        for v in (individual_eventual(T, tests), classify_eventual(T, tests=tests)[1]):
-            assert isinstance(v.status, UndeterminedUpToHorizon)
-            assert v.decay == pytest.approx(expected, abs=1e-12)
+        v = individual_eventual(T, ConeTestSet(basis, basis))
+        assert isinstance(v.status, UndeterminedUpToHorizon)
+        assert v.decay == pytest.approx([0.0 if n % 4 == 0 else 1.0 for n in range(1, 31)])
+        # the finite trio reads the largest column of each power instead
+        for trio in classify_eventual(T)[1:]:
+            assert isinstance(trio.status, UndeterminedUpToHorizon)
+        expected = [0.0 if n % 4 == 0 else 2.0**n for n in range(1, 31)]
+        assert classify_eventual(T)[1].decay == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize(
         "T",
@@ -103,30 +90,49 @@ class TestEventualClassification:
     def test_shared_orbit_matches_the_vector_by_vector_path(self, T):
         shared = classify_eventual(T)[1]
         single = individual_eventual(T)
-        assert shared.status == single.status
+        if isinstance(T, Diagonal):  # the exact rule sees past the horizon
+            assert isinstance(shared.status, RefutedWithWitness)
+            assert isinstance(single.status, UndeterminedUpToHorizon)
+        else:
+            assert shared.status == single.status
         assert shared.decay == pytest.approx(single.decay, rel=1e-10, abs=1e-12)
 
     def test_canonical_basis_vectors_give_the_powers(self, monkeypatch):
-        # the canonical test set starts with the basis vectors, so the orbit
-        # needs no identity block in front; a test set that does not start
-        # with them gets one
-        T = make_eventually_positive(5, 0.5, 2).model
-        widths, shared, prepended = _orbit_widths(monkeypatch, classify_eventual, T)
-        assert widths == [22, 27]
-        for a, b in zip(shared, prepended):
-            assert a.status == b.status
-            assert a.decay == pytest.approx(b.decay, rel=1e-12, abs=1e-15)
+        # a finite model's trios each step one orbit started at the identity,
+        # dim columns wide, whatever the norm
+        starts = []
+        orbit = Dense.orbit
+
+        def recording(self, Y, horizon):
+            starts.append(Y)
+            return orbit(self, Y, horizon)
+
+        monkeypatch.setattr(Dense, "orbit", recording)
+        for norm in (Ell1(), Ell2(), EllInf()):
+            starts.clear()
+            T = make_eventually_positive(5, 0.5, 2, norm=norm).model
+            classify_eventual(T)
+            classify_asymptotic(T)
+            assert [Y.shape for Y in starts] == [(5, 5), (5, 5)]
+            assert all(np.array_equal(Y, np.eye(5)) for Y in starts)
 
     @pytest.mark.parametrize("norm", [Ell1(), EllInf()])
     def test_asymptotic_orbit_carries_one_identity_block(self, norm, monkeypatch):
-        # l1 and a small sup norm read the powers from the orbit, under the
-        # same rule as the eventual trio
+        # l1 and a small sup norm read the powers from one identity block,
+        # under the same rule as delta_n on explicit matrix powers
+        starts = []
+        orbit = Dense.orbit
+
+        def recording(self, Y, horizon):
+            starts.append(Y)
+            return orbit(self, Y, horizon)
+
+        monkeypatch.setattr(Dense, "orbit", recording)
         T = make_eventually_positive(5, 0.5, 2, norm=norm).model
-        widths, shared, prepended = _orbit_widths(monkeypatch, classify_asymptotic, T)
-        assert widths == [22, 27]
-        for a, b in zip(shared, prepended):
-            assert a.status == b.status
-            assert a.decay == pytest.approx(b.decay, rel=1e-12, abs=1e-15)
+        uniform = classify_asymptotic(T, horizon=12)[0]
+        assert len(starts) == 1 and np.array_equal(starts[0], np.eye(5))
+        expected = [delta_n(T, n)[0] for n in range(len(uniform.decay))]
+        assert uniform.decay == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_slope_model_uniform_refuted(self):
         v = uniform_eventual(averaging_plus_slope(201))
@@ -147,12 +153,50 @@ class TestEventualClassification:
     def test_drift_diagonal_weak_refuted(self):
         v = weak_eventual(diagonal_drift(50))
         assert isinstance(v.status, RefutedWithWitness)
+        assert v.status.witness == (1, -0.5)  # the first entry off the positive reals
 
     def test_nilpotent_shift_confirmed(self):
         T = WeightedShift(tuple(-1.0 for _ in range(9)), Ell1())
         v = uniform_eventual(T, horizon=15)
         assert isinstance(v.status, Confirmed)
         assert v.status.n0 == 10
+
+    def test_horizon_must_be_positive(self):
+        T = nonreal_diagonal()
+        for classify in (classify_eventual, classify_asymptotic):
+            for horizon in (0, -3):
+                with pytest.raises(ValueError, match="horizon"):
+                    classify(T, horizon=horizon)
+
+    @pytest.mark.parametrize(
+        "T",
+        [
+            diagonal_drift(50),
+            nonreal_diagonal(),
+            WeightedShift(tuple(-1.0 for _ in range(29)), Ell1()),
+            Dense(-np.eye(3), Ell1()),
+        ],
+        ids=["ex3.5a", "rem3.2b", "ex3.5b", "minus-identity"],
+    )
+    def test_verdicts_do_not_move_with_the_horizon(self, T):
+        # even powers of a negative diagonal are positive, and (1/2)^n falls
+        # below the tolerance: neither may confirm at one horizon only
+        trios = [classify_eventual(T, horizon=h) for h in range(29, 41)]
+        kinds = {tuple(type(v.status) for v in trio) for trio in trios}
+        n0s = {tuple(getattr(v.status, "n0", None) for v in trio) for trio in trios}
+        assert len(kinds) == 1 and len(n0s) == 1, kinds
+
+    def test_nilpotent_shift_confirmed_below_its_dimension(self):
+        T = WeightedShift(tuple(-1.0 for _ in range(29)), Ell1())
+        assert uniform_eventual(T, horizon=29).status == Confirmed(30)
+
+    def test_flag_verdict_needs_a_trailing_window(self):
+        # -I has positive even powers only; a single passing last step is no
+        # confirmation
+        T = Dense(-np.eye(2), Ell1())
+        for h in (30, 31):
+            for v in classify_eventual(T, horizon=h):
+                assert isinstance(v.status, UndeterminedUpToHorizon)
 
 
 class TestDeltaN:
@@ -179,6 +223,11 @@ class TestDeltaN:
         T = Dense(np.eye(25, dtype=complex), EllInf())
         with pytest.raises(StrategyUnavailableError):
             delta_n(T, 1, ExtremePoints())
+
+    def test_negative_power_rejected(self):
+        T = Diagonal(np.array([2.0, -1.0]), Ell1())
+        with pytest.raises(ValueError, match="n >= 0"):
+            delta_n(T, -1)
 
     def test_zero_spectral_radius_rejected(self):
         T = WeightedShift(np.array([-1.0]), Ell1())
@@ -230,10 +279,17 @@ def _gaussian(dim, norm):
     return Dense(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)), norm)
 
 
+def _contradicts(a, b) -> bool:
+    """One status confirms what the other refutes."""
+    kinds = {type(a), type(b)}
+    return kinds == {Confirmed, RefutedWithWitness}
+
+
 class TestCoordinatePairings:
-    """The pairings with the leading coordinate functionals are read from the
-    orbit's cone residual; rotating the functionals so that none of them
-    leads sends every pairing through a product instead."""
+    """A finite model's trio is read off its powers, where the pairings with
+    the coordinate functionals are the entries (T^n)_ij. The vector-by-vector
+    path steps each test vector with its own products, on the basis and on
+    seeded positive vectors, and may be less sure, but never contradict."""
 
     @pytest.mark.parametrize(
         "T",
@@ -249,22 +305,29 @@ class TestCoordinatePairings:
         ],
     )
     def test_read_off_matches_the_product(self, T):
-        canonical = default_test_set(T)
-        fs = canonical.functionals
-        rotated = ConeTestSet(canonical.vectors, fs[T.dim :] + fs[: T.dim])
-        assert (_pairings(T, canonical)[0], _pairings(T, rotated)[0]) == (T.dim, 0)
-        trios = [classify_eventual]
+        rng = rng_for(T.dim, 3)
+        seeded = tuple(
+            LatticeVector(rng.uniform(0.0, 1.0, size=T.dim), T.norm) for _ in range(8)
+        )
+        basis = default_test_set(T).vectors
+        assert np.array_equal(np.stack([x.entries for x in basis], axis=1), np.eye(T.dim))
+        single = individual_eventual(T, ConeTestSet(basis + seeded, ()))
+        trio = classify_eventual(T)
+        assert all(v.status is trio[0].status for v in trio)
+        assert not _contradicts(trio[0].status, single.status)
         if not isinstance(T, WeightedShift):  # nilpotent: no rescaling
-            trios.append(classify_asymptotic)
-        for classify in trios:
-            read_off = classify(T, tests=canonical)[2]
-            product = classify(T, tests=rotated)[2]
-            assert read_off.status == product.status
-            assert read_off.decay == pytest.approx(product.decay, rel=0, abs=1e-12)
+            asymptotic = classify_asymptotic(T)
+            assert all(v.status is asymptotic[0].status for v in asymptotic)
 
     def test_rank_k_pairs_in_closed_form(self):
         T = averaging_plus_slope(41)
-        assert _pairings(T, default_test_set(T))[0] == 0
+        tests = function_space_test_set(T.space)
+        pair = _pairings(T, tests)
+        X = np.stack([x.entries for x in tests.vectors], axis=1)
+        for n in (0, 1, 3):
+            block = X if n == 0 else np.stack([T.power(n, x) for x in X.T], axis=1)
+            expected = [[pairing(T, n, x, phi) for phi in tests.functionals] for x in tests.vectors]
+            assert pair(n, block) == pytest.approx(np.array(expected), rel=1e-12, abs=1e-14)
 
 
 class TestHierarchy:
@@ -289,6 +352,23 @@ class TestHierarchy:
         )
         bad = hierarchy_violations([upper, lower])
         assert len(bad) == 1
+
+    def test_detects_eventual_above_asymptotic(self):
+        from evpos.classify import PositivityVerdict
+
+        refuted = RefutedWithWitness(None, "synthetic")
+        verdicts = [
+            PositivityVerdict(Notion.INDIVIDUAL_EVENTUAL, Confirmed(0)),
+            PositivityVerdict(Notion.UNIFORM_ASYMPTOTIC, refuted),
+            PositivityVerdict(Notion.INDIVIDUAL_ASYMPTOTIC, refuted),
+            PositivityVerdict(Notion.WEAK_ASYMPTOTIC, refuted),
+        ]
+        # individual-eventual implies individual- and weak-asymptotic, not
+        # uniform-asymptotic
+        assert hierarchy_violations(verdicts) == [
+            ("individual-eventual", "individual-asymptotic"),
+            ("individual-eventual", "weak-asymptotic"),
+        ]
 
     def test_catalog_examples_respect_hierarchy(self):
         for T in (averaging_plus_slope(101), averaging_plus_singular(200)):

@@ -19,10 +19,17 @@ from evpos.cli import (
     run_suite,
 )
 from evpos.catalog import averaging_plus_slope, get_example
+from evpos.classify import Confirmed, Notion, PositivityVerdict
 from evpos.generators import make_eventually_positive
 from evpos.operators import Dense, Diagonal, RankK, model_to_json
 from evpos.lattice import Ell1, Ell2, EllInf
-from evpos.report import report_from_json, report_to_json, ReportError
+from evpos.report import (
+    ReportError,
+    report_from_json,
+    report_to_json,
+    verdict_from_record,
+    verdict_record,
+)
 
 
 class TestGeneratorSpecs:
@@ -80,6 +87,8 @@ class TestRunClassify:
         assert t1 == t2
         back = report_from_json(t1)
         assert report_to_json(back) == t1
+        records = [verdict_record(verdict_from_record(r)) for r in back.classification]
+        assert records == list(r1.classification)
 
     def test_rank_k_eigenvector_measured_in_space_norm(self, monkeypatch):
         T = averaging_plus_slope(41)
@@ -166,9 +175,9 @@ class TestRunClassify:
 PAPER_REPORT_SHA256 = {
     "ex2.2a": "c243e541e100e5d44ef9315b72fd46ea09cf4d10ff7a99f89911abb8b85e73d3",
     "ex2.2b": "9902f6e72558dc8248d6f5be393c361938c29d873c9a25e2c28bcd4271958a0d",
-    "ex3.5a": "1fd06e347afede7fa69a1110a5fd16ce56a8d118e04bb361f3fd15af89cf672e",
+    "ex3.5a": "a0532b5d5096ab51a8c1486d39ba11f359e2299e5000852cdcbcba8625fbd747",
     "ex3.5b": "b2be13ba50b60102f013df88f205342b2480e4375891228ef93fd5f7192a0a66",
-    "rem3.2b": "19eaf4fe951c33c8ba81340bb9bdd71168817d5bcd527c7311d47b17516e441e",
+    "rem3.2b": "76454217a89d6f4020e1ac11f62f891bde5b347102523e2c8a8ea71c5125d923",
     "cyclic-block": "004c0bd98c4b112c0f6619121d101328fe3da0072ec513cf475b961fc3274dc4",
     "eventually-positive": "a64a12dc1c2b29160d39293a7bf505c217557642bb44db148205056b124e6f66",
 }
@@ -197,6 +206,26 @@ class TestSuites:
             for r in reports
         }
         assert digests == PAPER_REPORT_SHA256
+
+    def test_hierarchy_violation_is_a_contradiction(self, monkeypatch, capsys):
+        # an eventual trio confirmed above ex3.5a's refuted asymptotic trio
+        # breaks the X-eventual => X-asymptotic edge; the report bytes do not
+        # carry the count, the exit code does
+        def confirming(model, **kwargs):
+            return tuple(
+                PositivityVerdict(notion, Confirmed(0)) for notion in list(Notion)[:3]
+            )
+
+        monkeypatch.setattr(evpos.cli, "classify_eventual", confirming)
+        entry = get_example("ex3.5a")
+        report, failed = run_classify(entry.model, entry.name, 0)
+        assert not failed
+        assert report.contradiction_count == 6  # 3 edges, 3 across the chains
+        assert main(["classify", "--example", "ex3.5a"]) == EXIT_CONTRADICTION
+        _, summary = run_suite("paper", seed=0)
+        assert summary["contradictions"] >= 6
+        capsys.readouterr()
+        assert main(["suite", "paper"]) == EXIT_CONTRADICTION
 
     def test_random_suite_clean(self):
         _, summary = run_suite("random", seed=3, trials=10)
