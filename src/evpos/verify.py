@@ -4,11 +4,12 @@ Laurent coefficients, peripheral-spectrum cyclicity, and multiplicity
 monotonicity, together with the auxiliary resolvent inequalities that drive
 the proofs.
 
-Theorem checks never assume their own hypotheses. Hypotheses (power-bounded
-estimates, asymptotic-positivity verdicts) are measured and attached to the
-result, so a failed conclusion with failed hypotheses reads as "no
-contradiction" rather than as a bug. A check solves for the spectrum and the
-power bounds of A unless the caller passes them (`spectrum=`, `power_bounds=`).
+Theorem checks never assume their own hypotheses. Hypotheses (power
+boundedness, decided by rule from the peripheral pole orders, and
+asymptotic-positivity verdicts) are evaluated and attached to the result, so
+a failed conclusion with failed hypotheses reads as "no contradiction" rather
+than as a bug. A check solves for the spectrum and the power-boundedness rule
+of A unless the caller passes them (`spectrum=`, `power_bounds=`).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .spectral import (
     peripheral_spectrum,
     pole_order,
     resolvent_apply,
-    resolvent_matrix,
 )
 
 DEFAULT_TOL = 1e-8
@@ -393,31 +393,17 @@ def positive_eigenvector(
 # peripheral spectrum: cyclicity and multiplicity monotonicity
 
 
-def power_bounded_estimate(
-    A, horizon: int = 64, spectrum: Optional[Spectrum] = None
-) -> dict:
-    """sup_n ||(A/spr)^n|| over the horizon and the Abel sup
-    max_j (lam-spr)||R(lam)|| along lam = spr(1 + 2^{-j}); both are
-    horizon/grid estimates, never certificates."""
+def power_bounded_estimate(A, spectrum: Optional[Spectrum] = None) -> dict:
+    """Whether A/spr is power bounded, by rule: in finite dimensions it is
+    exactly when every peripheral eigenvalue is a pole of the resolvent of
+    order 1 (semisimple). Returns the verdict and the pole orders, in the
+    order of `peripheral_spectrum`."""
     A = _as_matrix(A)
-    spr = (eigenvalues(A) if spectrum is None else spectrum).spectral_radius
-    if spr <= 0:
-        raise VerificationError("power-bounded estimate requires spr > 0")
-    S = A / spr
-    power = np.eye(A.shape[0], dtype=complex)
-    sup_norm = 1.0
-    for _ in range(horizon):
-        power = power @ S
-        sup_norm = max(sup_norm, float(np.linalg.norm(power, 2)))
-    abel = 0.0
-    for j in range(1, 15):
-        lam = spr * (1.0 + 2.0**-j)
-        R = resolvent_matrix(A, lam)
-        abel = max(abel, (lam - spr) * float(np.linalg.norm(R, 2)))
-    return {"sup_norm": sup_norm, "abel_sup": abel}
-
-
-_POWER_BOUNDED_CAP = 1e3
+    spec = eigenvalues(A) if spectrum is None else spectrum
+    if spec.spectral_radius <= 0:
+        raise VerificationError("power-boundedness requires spr > 0")
+    orders = [pole_order(A, lam, spectrum=spec) for lam in peripheral_spectrum(spec)]
+    return {"power_bounded": all(m == 1 for m in orders), "peripheral_pole_orders": orders}
 
 
 def peripheral_cyclicity_check(
@@ -425,7 +411,6 @@ def peripheral_cyclicity_check(
     K: int = 12,
     tol: float = DEFAULT_TOL,
     asymptotic_verdict: Optional[PositivityVerdict] = None,
-    horizon: int = 64,
     spectrum: Optional[Spectrum] = None,
     power_bounds: Optional[dict] = None,
 ) -> CheckResult:
@@ -443,8 +428,8 @@ def peripheral_cyclicity_check(
             payload={"note": "zero spectral radius; vacuous"},
         )
     if power_bounds is None:
-        power_bounds = power_bounded_estimate(A, horizon, spectrum=spec)
-    hyp = {"power-bounded": power_bounds["sup_norm"] <= _POWER_BOUNDED_CAP}
+        power_bounds = power_bounded_estimate(A, spectrum=spec)
+    hyp = {"power-bounded": power_bounds["power_bounded"]}
     hyp.update(_verdict_hypothesis("uniform-asymptotic-positive", asymptotic_verdict))
     periph = peripheral_spectrum(spec, tol)
     worst = 0.0
@@ -474,7 +459,6 @@ def multiplicity_monotonicity_check(
     n_list: Sequence[int] = (-3, -2, -1, 0, 1, 2, 3),
     tol: float = DEFAULT_TOL,
     asymptotic_verdict: Optional[PositivityVerdict] = None,
-    horizon: int = 64,
     spectrum: Optional[Spectrum] = None,
     power_bounds: Optional[dict] = None,
 ) -> CheckResult:
@@ -493,8 +477,8 @@ def multiplicity_monotonicity_check(
             payload={"note": "zero spectral radius; vacuous"},
         )
     if power_bounds is None:
-        power_bounds = power_bounded_estimate(A, horizon, spectrum=spec)
-    hyp = {"power-bounded": power_bounds["sup_norm"] <= _POWER_BOUNDED_CAP}
+        power_bounds = power_bounded_estimate(A, spectrum=spec)
+    hyp = {"power-bounded": power_bounds["power_bounded"]}
     hyp.update(_verdict_hypothesis("weak-asymptotic-positive", asymptotic_verdict))
     periph = peripheral_spectrum(spec, tol)
     rows = []

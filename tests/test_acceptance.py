@@ -254,7 +254,7 @@ def test_criterion_5_random_suite():
             assert ev.primal_cone_distance <= 1e-6
             assert ev.adjoint_cone_distance <= 1e-6
 
-            cyc = peripheral_cyclicity_check(A, horizon=32)
+            cyc = peripheral_cyclicity_check(A)
             assert cyc.pass_
             periph = peripheral_spectrum(eigenvalues(A))
             assert len(periph) == 1

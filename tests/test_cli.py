@@ -161,6 +161,19 @@ class TestRunClassify:
         digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
         assert digest == DENSE_REPORT_SHA256[name]
 
+    @pytest.mark.parametrize("norm", [Ell1, Ell2])
+    def test_gaussian_report_digest(self, norm):
+        # a not-positive complex Gaussian at dim 96, built as perfbench's
+        # dense-sweep builds it at seed 0: the dense checks at size
+        dim = 96
+        rng = np.random.default_rng([0, dim])
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        name = f"gauss-{norm.__name__}-{dim}"
+        report, failed = run_classify(Dense(z / np.sqrt(2 * dim), norm()), name, 0)
+        assert not failed
+        digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+        assert digest == DENSE_REPORT_SHA256[name]
+
     def test_unknown_field_rejected(self):
         entry = get_example("rem3.2b")
         report, _ = run_classify(entry.model, entry.name, 0)
@@ -183,7 +196,8 @@ PAPER_REPORT_SHA256 = {
 }
 
 # sha256 of the run_classify report of make_eventually_positive(dim, 0.5, 3,
-# norm=N) under the id ep-N-dim, seed 0
+# norm=N) under the id ep-N-dim, and of the dim-96 Gaussians under the id
+# gauss-N-96, seed 0
 DENSE_REPORT_SHA256 = {
     "ep-Ell1-8": "aa9297020b905c082177ca272b02387a5e2e5e3c0fea60d0f4027ce86871d48d",
     "ep-Ell1-24": "41abab7e51c6e2e9f577542f0802ecbb5b637b48b596c047c0b6d7e32ecc6d11",
@@ -191,6 +205,8 @@ DENSE_REPORT_SHA256 = {
     "ep-Ell2-24": "2fd99ff37264c6c2eec585a6e0e9149e3b573d35088e2c01ab79f26b9bc7f18d",
     "ep-EllInf-8": "a34405f1b711adccecc19d60c9f33d3a871771a6264006904622985bf695ad1e",
     "ep-EllInf-24": "d7c50fce82304f9b0a9fb5c24ecc7f419e128d18144405690473b91f57ade252",
+    "gauss-Ell1-96": "73b8e8070b509742edbd2a960d8fe3a78a2b6b68f1166fe1e24daee2f3ad9159",
+    "gauss-Ell2-96": "a5fe1eccdc5fc448c7a5b52b891f7bea260f3a74b520655580e8354b87b5f8db",
 }
 
 

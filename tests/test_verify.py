@@ -270,16 +270,27 @@ class TestPeripheralChecks:
 
 
 class TestPowerBounds:
-    def test_jordan_block_grows(self):
-        J = np.array([[1.0, 1.0], [0.0, 1.0]])
-        est = power_bounded_estimate(J, horizon=64)
-        assert est["sup_norm"] >= 64.0
+    """A/spr is power bounded exactly when every peripheral eigenvalue is a
+    pole of order 1; both peripheral checks record that rule."""
 
-    def test_positive_abel_dominated(self):
-        rng = rng_for(11, 0)
-        A = rng.uniform(0.1, 1.0, size=(5, 5))
+    JORDAN = np.array([[1.0, 1.0], [0.0, 1.0]])
+    INNER_JORDAN = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]])
+    THREE_CYCLE = np.roll(np.eye(3), 1, axis=0)
+
+    @pytest.mark.parametrize(
+        "A, bounded, orders",
+        [(JORDAN, False, [2]), (INNER_JORDAN, True, [1]), (THREE_CYCLE, True, [1, 1, 1])],
+        ids=["jordan", "inner-jordan", "three-cycle"],
+    )
+    def test_peripheral_pole_orders_decide(self, A, bounded, orders):
         est = power_bounded_estimate(A)
-        assert est["abel_sup"] <= est["sup_norm"] * (1 + 1e-8) * 5
+        assert est == {"power_bounded": bounded, "peripheral_pole_orders": orders}
+        for check in (peripheral_cyclicity_check, multiplicity_monotonicity_check):
+            assert check(A).hypotheses["power-bounded"] is bounded
+
+    def test_zero_spectral_radius_rejected(self):
+        with pytest.raises(VerificationError):
+            power_bounded_estimate(np.zeros((2, 2)))
 
 
 class TestSharedSpectrum:
