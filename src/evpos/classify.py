@@ -536,9 +536,10 @@ def _finite_asymptotic(S: OperatorModel, horizon: int, tol: float) -> tuple:
         if vertices:
             uniform_decay[n], x = _sup_over_vertices(P, norm)
         else:
-            uniform_decay[n], x = dists[j], np.eye(dim)[j]
+            uniform_decay[n], x = dists[j], j
         if n == 0 or uniform_decay[n] > uniform_decay[:n].max():
-            witness = LatticeVector(x, norm)
+            worst = x
+    witness = LatticeVector(worst if vertices else np.eye(dim)[worst], norm)
     status = _tail_status(uniform_decay, tol, horizon, witness)
     return _one_status(_ASYMPTOTIC_CHAIN, status, (uniform_decay, column_decay, grid_decay), tol)
 

@@ -45,7 +45,7 @@ from .report import (
     verdict_record,
 )
 from .rng import rng_for
-from .spectral import DIM_CAP, SpectralError, eigenvalues
+from .spectral import DIM_CAP, SpectralError
 from .verify import (
     CheckResult,
     VerificationError,
@@ -145,6 +145,24 @@ def _classification(model: OperatorModel, horizon: Optional[int], tol: Optional[
     return verdicts
 
 
+def _eigenvector_check(A: np.ndarray, norm, shared: dict) -> CheckResult:
+    """Positive eigenvectors of A and A^H at spr; the residual is relative."""
+    ev = positive_eigenvector(A, norm=norm, **shared)
+    ok = (
+        ev.primal_cone_distance <= 1e-6
+        and ev.adjoint_cone_distance <= 1e-6
+        and ev.primal_residual <= 1e-6 * ev.value
+    )
+    return CheckResult(
+        "positive-eigenvector",
+        ok,
+        1e-6 - max(ev.primal_cone_distance, ev.adjoint_cone_distance),
+        1e-6,
+        payload={"pole_order": ev.pole_order, "value": ev.value},
+        hypotheses={"weak-asymptotic-positive": True, "spr-in-spectrum": True},
+    )
+
+
 def run_classify(
     model: OperatorModel,
     operator_id: str,
@@ -163,9 +181,10 @@ def run_classify(
     checks = []
     spec = None
     if model.dim <= DIM_CAP:
-        A = to_dense(model).matrix
+        dense = to_dense(model)
+        A = dense.matrix
         try:
-            spec = eigenvalues(A)
+            spec = dense.spectrum
         except SpectralError:
             solver_failure = True
     if spec is not None:
@@ -184,30 +203,12 @@ def run_classify(
                 checks.append(
                     multiplicity_monotonicity_check(A, asymptotic_verdict=wasy, **shared)
                 )
-            weak_ok = wasy is not None and isinstance(wasy.status, Confirmed)
-            if spr_check.pass_ and weak_ok:
-                try:
-                    ev = positive_eigenvector(A, norm=model.norm, spectrum=spec)
-                    ok = (
-                        ev.primal_cone_distance <= 1e-6
-                        and ev.adjoint_cone_distance <= 1e-6
-                        and ev.primal_residual <= 1e-6
-                    )
-                    checks.append(
-                        CheckResult(
-                            "positive-eigenvector",
-                            ok,
-                            1e-6 - max(ev.primal_cone_distance, ev.adjoint_cone_distance),
-                            1e-6,
-                            payload={"pole_order": ev.pole_order, "value": ev.value},
-                            hypotheses={
-                                "weak-asymptotic-positive": True,
-                                "spr-in-spectrum": True,
-                            },
-                        )
-                    )
-                except (SpectralError, VerificationError):
-                    solver_failure = True
+                weak_ok = wasy is not None and isinstance(wasy.status, Confirmed)
+                if spr_check.pass_ and weak_ok:
+                    try:
+                        checks.append(_eigenvector_check(A, model.norm, shared))
+                    except (SpectralError, VerificationError):
+                        solver_failure = True
 
     report = AnalysisReport(
         operator_id=operator_id,

@@ -8,6 +8,7 @@ diagonal multiplication operators, and weighted shifts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -20,7 +21,7 @@ from .lattice import (
     node_count,
     trapezoid_weights,
 )
-from .spectral import eigenvalues
+from .spectral import Spectrum, eigenvalues
 
 
 class OperatorError(ValueError):
@@ -198,6 +199,14 @@ def _iterate(step, Y: np.ndarray, horizon: int):
         yield Y
 
 
+def _finite_data(data, what: str) -> np.ndarray:
+    """A complex copy of data, rejected when empty or not finite."""
+    a = np.array(data, dtype=complex)
+    if a.size == 0 or not np.isfinite(a).all():
+        raise OperatorError(f"{what} must be nonempty and finite")
+    return a
+
+
 def entrywise_positive(a: np.ndarray, tol: float) -> bool:
     """Every entry of a lies within tol of the nonnegative reals."""
     return bool((a.real >= -tol).all() and (np.abs(a.imag) <= tol).all())
@@ -209,9 +218,10 @@ class Dense:
     norm: NormKind
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _finite_data(self.matrix, "dense matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise OperatorError("dense operator requires a square matrix")
+        m.setflags(write=False)  # the kept spectrum stays the matrix's
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -230,8 +240,13 @@ class Dense:
     def scaled(self, c: float) -> Dense:
         return Dense(self.matrix * c, self.norm)
 
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """Solved on first use and kept, for the rescaling and the checks."""
+        return eigenvalues(self.matrix)
+
     def spectral_radius(self) -> float:
-        return eigenvalues(self.matrix).spectral_radius
+        return self.spectrum.spectral_radius
 
     def is_positive(self, tol: float) -> bool:
         return entrywise_positive(self.matrix, tol)
@@ -251,8 +266,7 @@ class Diagonal:
     norm: NormKind
 
     def __post_init__(self):
-        s = np.asarray(self.symbol, dtype=complex)
-        object.__setattr__(self, "symbol", s)
+        object.__setattr__(self, "symbol", _finite_data(self.symbol, "diagonal symbol"))
 
     @property
     def dim(self) -> int:
@@ -271,7 +285,7 @@ class Diagonal:
         return Diagonal(self.symbol * c, self.norm)
 
     def spectral_radius(self) -> float:
-        return float(np.max(np.abs(self.symbol))) if len(self.symbol) else 0.0
+        return float(np.max(np.abs(self.symbol)))
 
     def is_positive(self, tol: float) -> bool:
         return entrywise_positive(self.symbol, tol)
@@ -292,8 +306,7 @@ class WeightedShift:
     norm: NormKind
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=complex)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _finite_data(self.weights, "shift weights"))
 
     @property
     def dim(self) -> int:

@@ -21,7 +21,8 @@ from evpos.cli import (
 from evpos.catalog import averaging_plus_slope, get_example
 from evpos.classify import Confirmed, Notion, PositivityVerdict
 from evpos.generators import make_eventually_positive
-from evpos.operators import Dense, Diagonal, RankK, model_to_json
+from evpos.operators import Dense, Diagonal, RankK, model_to_json, to_dense
+from evpos.spectral import eigenvalues, peripheral_spectrum
 from evpos.lattice import Ell1, Ell2, EllInf
 from evpos.report import (
     ReportError,
@@ -118,21 +119,28 @@ class TestRunClassify:
         digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
         assert digest == PAPER_REPORT_SHA256[name]
 
-    @pytest.mark.parametrize(
-        "name, model, solves",
-        [
-            ("dense-dim7", make_eventually_positive(7, 0.5, 1003).model, 2),
-            ("ex3.5a", get_example("ex3.5a").model, 1),
-        ],
-    )
-    def test_one_spectrum_per_classification(self, name, model, solves, monkeypatch):
-        # every module binding of the two solvers is counted, so a check that
+    @pytest.mark.parametrize("name", ["dense-dim7", "ex3.5a", "cyclic-block"])
+    def test_one_spectrum_per_classification(self, name, monkeypatch):
+        # the model is built here because a Dense keeps its eigen-solve; every
+        # module binding of the counted functions is counted, so a check that
         # solves again through any import shows here
-        calls = {"eigenvalues": 0, "power_bounded_estimate": 0}
+        if name == "dense-dim7":
+            model = make_eventually_positive(7, 0.5, 1003).model
+        else:
+            model = get_example(name).model
+        periph = len(peripheral_spectrum(eigenvalues(to_dense(model).matrix)))
         originals = {
-            "eigenvalues": evpos.spectral.eigenvalues,
-            "power_bounded_estimate": evpos.verify.power_bounded_estimate,
+            fname: getattr(evpos.spectral, fname)
+            for fname in (
+                "eigenvalues",
+                "pole_order",
+                "geometric_multiplicity",
+                "resolvent_matrix",
+                "laurent_leading_coefficient",
+            )
         }
+        originals["power_bounded_estimate"] = evpos.verify.power_bounded_estimate
+        calls = dict.fromkeys(originals, 0)
 
         def counting(fname):
             def wrapper(*args, **kwargs):
@@ -148,7 +156,36 @@ class TestRunClassify:
         report, failed = run_classify(model, name, 0)
         assert not failed
         assert len(report.checks) >= 3
-        assert calls == {"eigenvalues": solves, "power_bounded_estimate": 1}
+        eigenvector = any(c["name"] == "positive-eigenvector" for c in report.checks)
+        assert eigenvector == (name != "ex3.5a")
+        assert calls == {
+            "eigenvalues": 1,
+            "power_bounded_estimate": 1,
+            "pole_order": periph,
+            "geometric_multiplicity": periph,
+            "resolvent_matrix": 0,
+            "laurent_leading_coefficient": int(eigenvector),
+        }
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.eye(3) + 1e-4 * np.ones((3, 3)),
+            [[1.0, 1e-5], [1e-5, 1.0]],
+            [[2e5, 1.0], [1.0, 2e5]],
+            1e10 * np.array([[2.0, 1.0], [1.0, 2.0]]),
+            np.diag([1e200, 1.0]),
+        ],
+        ids=["small-gap-dim3", "small-gap-dim2", "small-gap-2e5", "scale-1e10", "diag-1e200"],
+    )
+    def test_positive_eigenvector_of_positive_matrices(self, matrix):
+        # a relative spectral gap far below 2^-16, and an eigen-equation
+        # residual that only a test relative to spr accepts
+        report, failed = run_classify(Dense(matrix, Ell1()), "positive", 0)
+        assert not failed
+        assert report.contradiction_count == 0
+        check = [c for c in report.checks if c["name"] == "positive-eigenvector"][0]
+        assert check["pass"]
 
     @pytest.mark.parametrize("norm", [Ell1, Ell2, EllInf])
     @pytest.mark.parametrize("dim", [8, 24])
@@ -190,7 +227,7 @@ PAPER_REPORT_SHA256 = {
     "ex2.2b": "9902f6e72558dc8248d6f5be393c361938c29d873c9a25e2c28bcd4271958a0d",
     "ex3.5a": "a0532b5d5096ab51a8c1486d39ba11f359e2299e5000852cdcbcba8625fbd747",
     "ex3.5b": "b2be13ba50b60102f013df88f205342b2480e4375891228ef93fd5f7192a0a66",
-    "rem3.2b": "76454217a89d6f4020e1ac11f62f891bde5b347102523e2c8a8ea71c5125d923",
+    "rem3.2b": "c348e77675ce8d48becbcf0dc99e774d89d73b001b9d8416a4b70425608c099d",
     "cyclic-block": "004c0bd98c4b112c0f6619121d101328fe3da0072ec513cf475b961fc3274dc4",
     "eventually-positive": "a64a12dc1c2b29160d39293a7bf505c217557642bb44db148205056b124e6f66",
 }
@@ -311,6 +348,27 @@ class TestMainEntry:
             data["space"][key] = value
         path = tmp_path / "model.json"
         path.write_text(json.dumps(data))  # writes NaN / Infinity
+        assert main(["classify", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"variant": "dense", "n": 0, "entries": []},
+            {"variant": "dense", "n": 1, "entries": [[float("nan"), 0.0]]},
+            {"variant": "dense", "n": 1, "entries": [[1.0, float("inf")]]},
+            {"variant": "diagonal", "symbol": []},
+            {"variant": "diagonal", "symbol": [[1.0, 0.0], [float("nan"), 0.0]]},
+            {"variant": "shift", "weights": []},
+            {"variant": "shift", "weights": [[float("-inf"), 0.0]]},
+        ],
+        ids=["dense-n0", "dense-nan", "dense-inf", "diagonal-empty", "diagonal-nan",
+             "shift-empty", "shift-inf"],
+    )
+    def test_empty_or_non_finite_model_is_input_error(self, data, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**data, "norm": {"kind": "ell1"}}))
         assert main(["classify", str(path)]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""

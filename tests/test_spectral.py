@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from evpos.lattice import Ell1, Ell2, EllInf
+from evpos.rng import rng_for
 from evpos.spectral import (
     NotAnEigenvalueError,
     SingularResolventError,
@@ -149,9 +150,32 @@ class TestLaurent:
         assert np.min(Q.real) > -1e-10
         assert np.max(np.abs(Q.imag)) < 1e-10
 
-    def test_requires_positive_pole(self):
+    def test_rejects_non_poles(self):
+        # 2 is no eigenvalue, and a Jordan block has no projection at order 1
         with pytest.raises(SpectralError):
-            laurent_leading_coefficient(np.diag([-1.0]), -1.0, 1)
+            laurent_leading_coefficient(np.diag([-1.0]), 2.0, 1)
+        with pytest.raises(SpectralError):
+            laurent_leading_coefficient(np.array([[1.0, 1.0], [0.0, 1.0]]), 1.0, 1)
+
+    def test_is_the_spectral_projection(self):
+        # at a simple pole Q_{-1} = v w^H / (w^H v); exact up to rounding, so
+        # far inside the 1e-10 that an extrapolation of resolvents reaches
+        A = rng_for(4, 0).uniform(0.0, 1.0, size=(6, 6))
+        vals, vecs = np.linalg.eig(A)
+        k = int(np.argmax(np.abs(vals)))
+        lam0, v = float(vals[k].real), vecs[:, k]
+        adj_vals, adj_vecs = np.linalg.eig(A.T)
+        w = adj_vecs[:, int(np.argmin(np.abs(adj_vals - lam0)))]
+        Q = laurent_leading_coefficient(A, lam0, 1)
+        assert np.max(np.abs(Q - np.outer(v, w.conj()) / (w.conj() @ v))) < 1e-12
+        assert np.max(np.abs(laurent_leading_coefficient(A.T, lam0, 1) - Q.conj().T)) < 1e-12
+        # (r - lam0) R(r) -> Q_{-1} at the rate r - lam0
+        errors = [
+            np.max(np.abs(2.0**-j * lam0 * resolvent_matrix(A, lam0 * (1 + 2.0**-j)) - Q))
+            for j in (6, 10, 14)
+        ]
+        assert errors[2] < errors[1] / 10 < errors[0] / 100
+        assert errors[2] < 1e-3
 
 
 class TestMultiplicityAndPeriphery:
