@@ -6,8 +6,6 @@ __version__ = "0.1.0"
 
 from .classify import (
     Confirmed,
-    ExtremePoints,
-    MonteCarlo,
     Notion,
     PositivityVerdict,
     RefutedWithWitness,
@@ -48,11 +46,9 @@ __all__ = [
     "Ell1",
     "Ell2",
     "EllInf",
-    "ExtremePoints",
     "GridSup",
     "LatticeVector",
     "LpQuadrature",
-    "MonteCarlo",
     "Notion",
     "PositivityVerdict",
     "RankK",

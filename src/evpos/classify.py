@@ -146,7 +146,7 @@ def default_test_set(T: OperatorModel, seed: int = 0) -> ConeTestSet:
 
 def is_positive_operator(T: OperatorModel, tol: float = DEFAULT_TOL) -> bool:
     if not isinstance(T, RankK):
-        return T.is_positive(tol)
+        return entrywise_positive(to_dense(T).matrix, tol)
     tests = default_test_set(T)
     for x in tests.vectors:
         if cone_distance(apply(T, x)) > tol * max(norm_value(x), 1e-300):
@@ -280,16 +280,22 @@ def _finite_eventual(T: OperatorModel, horizon: int, tol: float) -> tuple:
     entrywise test of each power. The decays stay per notion: the largest
     entry of the cone residual (uniform, weak), its largest column norm
     (individual). A weighted shift truncation has T^dim = 0, so its orbit
-    runs at least that far; a zero power stays zero and needs no window."""
+    runs at least that far; a zero power stays zero and needs no window.
+
+    The orbit is that of P = T 2^-e, e the binary exponent of spr (0 when
+    spr = 0), so its powers neither overflow nor underflow. Scaling by a power
+    of two is exact: each sign test is relative to the largest entry of P^n,
+    and the decays are restored to T^n by the factor 2^(e n)."""
+    e = int(np.frexp(T.spectral_radius())[1])
     steps = max(horizon, T.dim) if isinstance(T, WeightedShift) else horizon
     flags, grid_decay, column_decay = [], [], []
-    for n, P in enumerate(T.orbit(np.eye(T.dim), steps)):
+    for n, P in enumerate(T.scaled(np.ldexp(1.0, -e)).orbit(np.eye(T.dim), steps)):
         if n == 0:
             continue
         R = cone_residual(P)
-        grid_decay.append(float(R.max()))
-        column_decay.append(float(norm_of_moduli(R, T.norm).max(initial=0.0)))
-        flags.append(entrywise_positive(P, tol * max(1.0, float(np.abs(P).max()))))
+        grid_decay.append(float(np.ldexp(R.max(), e * n)))
+        column_decay.append(float(np.ldexp(norm_of_moduli(R, T.norm).max(initial=0.0), e * n)))
+        flags.append(entrywise_positive(P, tol * float(np.abs(P).max())))
     if isinstance(T, Diagonal):
         status = _diagonal_status(T, tol)
     else:
@@ -306,9 +312,10 @@ def _one_status(chain, status, decays, tol) -> tuple:
 def _diagonal_status(T: Diagonal, tol: float) -> Status:
     """Exact: T^n = diag(s^n) is positive for every n >= 1 when each symbol
     entry s is a positive real or zero; any other s has s^n off the positive
-    reals for infinitely many n."""
+    reals for infinitely many n. The test is relative to spr = max |s|."""
+    scale = tol * T.spectral_radius()
     for k, s in enumerate(T.symbol):
-        if not entrywise_positive(s, tol):
+        if not entrywise_positive(s, scale):
             return RefutedWithWitness(
                 (k, s), f"symbol entry {s} at index {k} is not a positive real"
             )
@@ -333,7 +340,7 @@ def _rank_k_eventual(T: RankK, horizon: int, tol: float) -> tuple:
             continue
         if uniform is None:
             power = Z[:, :k]
-            grid_ok.append(entrywise_positive(power, tol * max(1.0, float(np.abs(power).max()))))
+            grid_ok.append(entrywise_positive(power, tol * float(np.abs(power).max())))
         values = pair(n, Z[:, k:])
         weak_ok.append(entrywise_positive(values, tol))
         weak_decay.append(float(cone_residual(values).max(initial=0.0)))
@@ -383,24 +390,6 @@ def weak_eventual(
 # asymptotic notions
 
 
-@dataclass(frozen=True)
-class ExtremePoints:
-    pass
-
-
-@dataclass(frozen=True)
-class MonteCarlo:
-    samples: int = 64
-    seed: int = 0
-
-
-Strategy = Union[ExtremePoints, MonteCarlo]
-
-
-class StrategyUnavailableError(RuntimeError):
-    pass
-
-
 def scale_model(T: OperatorModel, c: float) -> OperatorModel:
     return T.scaled(c)
 
@@ -409,67 +398,31 @@ def spectral_radius_of(T: OperatorModel) -> float:
     return T.spectral_radius()
 
 
-def delta_n(
-    T: OperatorModel,
-    n: int,
-    strategy: Strategy = ExtremePoints(),
-    spr: Optional[float] = None,
-) -> tuple:
-    """sup over the positive unit ball of d+( (T/spr)^n x ), for n >= 0.
-
-    Returns (value, witness_vector, exact) where exact is True for the
-    extreme-point enumeration and False for the Monte Carlo lower bound.
-    """
+def delta_n(T: OperatorModel, n: int, spr: Optional[float] = None) -> tuple:
+    """(sup over the positive unit ball of d+((T/spr)^n x), a maximiser) for
+    n >= 0, by exact rule: the worst basis column for l1, the 0/1-vertex sup
+    for a sup norm of at most EXTREME_POINT_SUP_CAP nodes. Any other norm
+    raises ValueError."""
     if n < 0:
         raise ValueError(f"delta_n needs n >= 0, got {n}")
+    norm = T.norm
+    vertices = isinstance(norm, (EllInf, GridSup)) and T.dim <= EXTREME_POINT_SUP_CAP
+    if not (isinstance(norm, Ell1) or vertices):
+        raise ValueError(
+            f"no exact delta_n for norm {norm!r} at dim {T.dim}: it needs l1, or a "
+            f"sup norm of at most {EXTREME_POINT_SUP_CAP} nodes"
+        )
     if spr is None:
         spr = spectral_radius_of(T)
     if spr <= 0:
         raise NotClassifiableError("spectral radius is zero; rescaling undefined")
-    S = scale_model(T, 1.0 / spr)
-    A = to_dense(S).matrix
-    power = np.linalg.matrix_power(A, n)
-    norm = T.norm
-    if isinstance(strategy, ExtremePoints):
-        if isinstance(norm, Ell1):
-            dists = cone_distances(power, norm)
-            j = int(np.argmax(dists))
-            return float(dists[j]), LatticeVector(np.eye(A.shape[0])[j], norm), True
-        if isinstance(norm, (EllInf, GridSup)):
-            if A.shape[0] > EXTREME_POINT_SUP_CAP:
-                raise StrategyUnavailableError(
-                    f"0/1-vector enumeration needs dim <= {EXTREME_POINT_SUP_CAP}"
-                )
-            value, bits = _sup_over_vertices(power, norm)
-            return value, LatticeVector(bits, norm), True
-        raise StrategyUnavailableError(
-            f"no finite extreme-point set for norm {norm!r}; use MonteCarlo"
-        )
-    rng = rng_for(strategy.seed, n)
-    dim = A.shape[0]
-    best_val = 0.0
-    best_vec = np.zeros(dim)
-    for _ in range(strategy.samples):
-        x = rng.uniform(0.0, 1.0, size=dim)
-        nv = norm_value(LatticeVector(x, norm))
-        if nv > 0:
-            x = x / nv
-        d = float(cone_distances(power @ x, norm))
-        if d > best_val:
-            best_val, best_vec = d, x
-    # coordinate-ascent refinement around the best sample
-    for _ in range(2):
-        for k in range(dim):
-            for factor in (0.0, 0.5, 2.0):
-                trial = best_vec.copy()
-                trial[k] *= factor
-                nv = norm_value(LatticeVector(trial, norm))
-                if nv > 1.0:
-                    trial = trial / nv
-                d = float(cone_distances(power @ trial, norm))
-                if d > best_val:
-                    best_val, best_vec = d, trial
-    return best_val, LatticeVector(best_vec, norm), False
+    power = np.linalg.matrix_power(to_dense(scale_model(T, 1.0 / spr)).matrix, n)
+    if vertices:
+        value, bits = _sup_over_vertices(power, norm)
+        return value, LatticeVector(bits, norm)
+    dists = cone_distances(power, norm)
+    j = int(np.argmax(dists))
+    return float(dists[j]), LatticeVector(np.eye(T.dim)[j], norm)
 
 
 def _sup_over_vertices(power: np.ndarray, norm: NormKind) -> tuple:

@@ -1,8 +1,8 @@
 """Finite-dimensional complex Banach-lattice arithmetic.
 
 Vectors carry a norm context (little-ell-p, quadrature L^p, or grid sup) and
-support the order operations (real/imaginary part, modulus, positive part)
-plus the distance-to-cone functional used throughout the positivity analysis.
+support the order operations (real part, modulus) plus the distance-to-cone
+functional used throughout the positivity analysis.
 """
 
 from __future__ import annotations
@@ -106,20 +106,8 @@ def real_part(x: LatticeVector) -> LatticeVector:
     return x.with_entries(x.entries.real)
 
 
-def imag_part(x: LatticeVector) -> LatticeVector:
-    return x.with_entries(x.entries.imag)
-
-
 def complex_modulus(x: LatticeVector) -> LatticeVector:
     return x.with_entries(np.abs(x.entries))
-
-
-def positive_part(x: LatticeVector) -> LatticeVector:
-    return x.with_entries(np.maximum(x.entries.real, 0.0))
-
-
-def negative_part(x: LatticeVector) -> LatticeVector:
-    return x.with_entries(np.maximum(-x.entries.real, 0.0))
 
 
 def norm_value(x: LatticeVector) -> float:
@@ -141,12 +129,6 @@ def norm_of_moduli(a: np.ndarray, norm: NormKind):
         w = norm.weight_array.reshape((-1,) + (1,) * (a.ndim - 1))
         return np.asarray((w * a**norm.p).sum(axis=0)) ** (1.0 / norm.p)
     raise LatticeError(f"unknown norm kind {norm!r}")
-
-
-def is_positive(x: LatticeVector, tol: float = 0.0) -> bool:
-    return bool(
-        np.all(x.entries.real >= -tol) and np.all(np.abs(x.entries.imag) <= tol)
-    )
 
 
 def cone_residual(M: np.ndarray) -> np.ndarray:

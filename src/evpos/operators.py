@@ -188,7 +188,7 @@ def apply_functional(
 # Each model supplies the same methods: power(n, entries) for T^n on an entry
 # array (n >= 1, unchecked), orbit(Y, horizon) that streams Y, TY, ...,
 # T^horizon Y for a dim x m block Y, dense(), scaled(c) for c*T,
-# spectral_radius() and to_json(); all but RankK also is_positive(tol).
+# spectral_radius() and to_json().
 
 
 def _iterate(step, Y: np.ndarray, horizon: int):
@@ -248,9 +248,6 @@ class Dense:
     def spectral_radius(self) -> float:
         return self.spectrum.spectral_radius
 
-    def is_positive(self, tol: float) -> bool:
-        return entrywise_positive(self.matrix, tol)
-
     def to_json(self) -> dict:
         return {
             "variant": "dense",
@@ -286,9 +283,6 @@ class Diagonal:
 
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(self.symbol)))
-
-    def is_positive(self, tol: float) -> bool:
-        return entrywise_positive(self.symbol, tol)
 
     def to_json(self) -> dict:
         return {
@@ -332,9 +326,6 @@ class WeightedShift:
 
     def spectral_radius(self) -> float:
         return 0.0  # nilpotent truncation
-
-    def is_positive(self, tol: float) -> bool:
-        return entrywise_positive(self.weights, tol)
 
     def to_json(self) -> dict:
         return {
@@ -443,11 +434,6 @@ class RankK:
 OperatorModel = Union[Dense, Diagonal, WeightedShift, RankK]
 
 
-def duality_matrix(T: RankK) -> np.ndarray:
-    """D[i, j] = <phi_i, f_j>."""
-    return T.duality.copy()
-
-
 def _check_vector(T: OperatorModel, x: LatticeVector):
     if len(x) != T.dim:
         raise OperatorError(
@@ -491,12 +477,6 @@ def pairing(
         [apply_functional(xprime, f, T.space) for f in T.functions]
     )
     return complex(np.sum(coeffs * dual))
-
-
-def adjoint(T: OperatorModel) -> Dense:
-    if not isinstance(T, Dense):
-        raise OperatorError("adjoint is only available for dense operators")
-    return Dense(T.matrix.conj().T, T.norm)
 
 
 def to_dense(T: OperatorModel) -> Dense:

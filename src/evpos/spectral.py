@@ -1,6 +1,6 @@
-"""Complex-matrix spectral computations: eigenvalues, resolvents, operator
-norms, Laurent coefficients at resolvent poles (exact, from the spectral
-projection), multiplicities."""
+"""Complex-matrix spectral computations: eigenvalues, resolvents, Laurent
+coefficients at resolvent poles (exact, from the spectral projection),
+multiplicities."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-
-from .lattice import Ell1, Ell2, EllInf, LatticeVector, NormKind
 
 DIM_CAP = 128
 DEFAULT_TOL = 1e-8
@@ -66,61 +64,14 @@ def eigenvalues(A, tol: float = DEFAULT_TOL) -> Spectrum:
     return Spectrum(vals, spr, float(scale), tol)
 
 
-def _resolvent_lu(A: np.ndarray, lam: complex):
-    """Partial-pivot LU factors of lam - A; raises on near-singularity."""
-    M = lam * np.eye(A.shape[0]) - A
-    lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    threshold = 1e-14 * max(np.max(np.abs(M)), 1e-300)
-    if np.min(pivots) < threshold:
-        raise SingularResolventError(lam)
-    return lu, piv
-
-
 def resolvent_matrix(A, lam: complex) -> np.ndarray:
     """(lam - A)^{-1} by partial-pivot elimination; raises on near-singularity."""
     A = _as_matrix(A)
-    lu_piv = _resolvent_lu(A, lam)
-    return scipy.linalg.lu_solve(lu_piv, np.eye(A.shape[0], dtype=complex), check_finite=False)
-
-
-def resolvent_apply(A, lam: complex, x: LatticeVector) -> LatticeVector:
-    A = _as_matrix(A)
-    if A.shape[0] != len(x):
-        raise SpectralError("dimension mismatch")
-    y = scipy.linalg.lu_solve(_resolvent_lu(A, lam), x.entries, check_finite=False)
-    return x.with_entries(y)
-
-
-def operator_norm(A, norm: NormKind) -> float:
-    A = _as_matrix(A)
-    if isinstance(norm, Ell1):
-        return float(np.max(np.sum(np.abs(A), axis=0)))
-    if isinstance(norm, EllInf):
-        return float(np.max(np.sum(np.abs(A), axis=1)))
-    if isinstance(norm, Ell2):
-        return largest_singular_pair(A)[0]
-    raise SpectralError(f"unsupported norm kind {norm!r} for operator norms")
-
-
-def largest_singular_pair(A: np.ndarray, rel_tol: float = 1e-10) -> tuple:
-    """(sigma_max, v) by power iteration on A*A from a fixed start; v is a unit
-    norming vector in l2."""
-    n = A.shape[0]
-    B = A.conj().T @ A
-    v = np.ones(n) + np.linspace(0.0, 0.5, n)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(10_000):
-        w = B @ v
-        mu = float(np.linalg.norm(w))
-        if mu == 0.0:
-            return 0.0, v
-        v = w / mu
-        if abs(mu - prev) <= rel_tol * mu:
-            return float(np.sqrt(mu)), v
-        prev = mu
-    return float(np.sqrt(prev)), v
+    M = lam * np.eye(A.shape[0]) - A
+    lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
+    if np.min(np.abs(np.diag(lu))) < 1e-14 * max(np.max(np.abs(M)), 1e-300):
+        raise SingularResolventError(lam)
+    return scipy.linalg.lu_solve((lu, piv), np.eye(A.shape[0], dtype=complex), check_finite=False)
 
 
 def _numeric_rank(s: np.ndarray, tol: float) -> int:

@@ -1,8 +1,7 @@
 """Numerical verification of Perron-Frobenius-type conclusions on dense
 complex matrices: spectral radius in the spectrum, positive eigenvectors via
 the exact Laurent coefficient (A - spr)^{m-1} P, P the spectral projection,
-peripheral-spectrum cyclicity, and multiplicity monotonicity, together with
-the auxiliary resolvent inequalities that drive the proofs.
+peripheral-spectrum cyclicity, and multiplicity monotonicity.
 
 Theorem checks never assume their own hypotheses. Hypotheses (power
 boundedness, decided by rule from the peripheral pole orders, and
@@ -21,9 +20,7 @@ import numpy as np
 
 from .classify import Confirmed, PositivityVerdict
 from .lattice import (
-    Ell1,
     Ell2,
-    EllInf,
     LatticeVector,
     NormKind,
     complex_modulus,
@@ -36,12 +33,9 @@ from .spectral import (
     Spectrum,
     eigenvalues,
     geometric_multiplicity,
-    largest_singular_pair,
     laurent_leading_coefficient,
-    operator_norm,
     peripheral_spectrum,
     pole_order,
-    resolvent_apply,
 )
 
 DEFAULT_TOL = 1e-8
@@ -128,105 +122,6 @@ def verify_spr_in_spectrum(
     )
 
 
-def omega(
-    A, r: float, x: LatticeVector, n_trunc: int = 200
-) -> tuple:
-    """Truncated series sum_{n<=N} r^{-(n+1)} (|A^n x| - Re(A^n x)) together
-    with a geometric tail bound on its norm; caller rescales A to spr = 1."""
-    A = _as_matrix(A)
-    if r <= 1.0:
-        raise VerificationError("omega requires r > 1")
-    acc = np.zeros(A.shape[0])
-    y = x.entries.astype(complex)
-    sup_norm = 0.0
-    for n in range(n_trunc + 1):
-        if n > 0:
-            y = A @ y
-        sup_norm = max(sup_norm, norm_value(x.with_entries(y)))
-        acc = acc + (np.abs(y) - y.real) / r ** (n + 1)
-    tail_bound = 2.0 * sup_norm * r ** -(n_trunc + 1) / (r - 1.0)
-    return x.with_entries(acc.astype(complex)), float(tail_bound)
-
-
-def resolvent_estimate_check(
-    A,
-    lam: complex,
-    x: LatticeVector,
-    n_trunc: int = 200,
-    tol: float = 1e-10,
-) -> CheckResult:
-    """Entrywise |R(lam)x| <= Re(R(|lam|)x) + omega(|lam|, x), up to the
-    omega truncation tail; requires spr(A) = 1 and |lam| > 1."""
-    A = _as_matrix(A)
-    r = abs(lam)
-    if r <= 1.0 + 1e-6:
-        raise VerificationError("resolvent estimate requires |lambda| > 1")
-    lhs = np.abs(resolvent_apply(A, lam, x).entries)
-    rhs_main = resolvent_apply(A, r, x).entries.real
-    w, tail = omega(A, r, x, n_trunc)
-    slack = rhs_main + w.entries.real - lhs
-    margin = float(np.min(slack))
-    allowed = tol + tail
-    return CheckResult(
-        "resolvent-estimate",
-        margin >= -allowed,
-        margin,
-        allowed,
-        payload={"lambda": complex(lam), "tail_bound": tail},
-    )
-
-
-def uniform_error_decay_check(
-    A,
-    js: Sequence[int] = tuple(range(1, 11)),
-    n_trunc: int = 400,
-    asymptotic_verdict: Optional[PositivityVerdict] = None,
-) -> CheckResult:
-    """m(r) = max over unit cone extreme points of (r-1)*||omega(r, x)||
-    must be non-increasing (10% slack) and end below 1e-2 of its start,
-    along r = 1 + 2^{-j}."""
-    A = _as_matrix(A)
-    dim = A.shape[0]
-    hyp = _verdict_hypothesis("uniform-asymptotic-positive", asymptotic_verdict)
-    if hyp and not hyp["uniform-asymptotic-positive"]:
-        return CheckResult(
-            "uniform-error-decay",
-            True,
-            0.0,
-            0.0,
-            payload={"note": "hypothesis unmet; not applicable"},
-            hypotheses=hyp,
-            applicable=False,
-        )
-    norm = Ell1()
-    basis = [LatticeVector(np.eye(dim)[:, j].astype(complex), norm) for j in range(dim)]
-    ms = []
-    for j in js:
-        r = 1.0 + 2.0**-j
-        worst = 0.0
-        for e in basis:
-            w, _ = omega(A, r, e, n_trunc)
-            worst = max(worst, (r - 1.0) * norm_value(w))
-        ms.append(worst)
-    ms_arr = np.array(ms)
-    head = ms_arr[0]
-    if head == 0.0:
-        return CheckResult(
-            "uniform-error-decay", True, 0.0, 0.0, payload={"m": ms}, hypotheses=hyp
-        )
-    monotone_ok = bool(np.all(ms_arr[1:] <= ms_arr[:-1] * 1.10 + 1e-15))
-    final_ok = ms_arr[-1] <= 1e-2 * head
-    margin = float(1e-2 * head - ms_arr[-1])
-    return CheckResult(
-        "uniform-error-decay",
-        monotone_ok and final_ok,
-        margin,
-        0.0,
-        payload={"m": ms, "monotone": monotone_ok},
-        hypotheses=hyp,
-    )
-
-
 def real_modulus_bound_check(x: LatticeVector) -> CheckResult:
     """|| |x| - Re x || <= 2 d_+(x), tight for real negative vectors."""
     lhs_vec = x.with_entries(complex_modulus(x).entries - real_part(x).entries)
@@ -241,54 +136,6 @@ def real_modulus_bound_check(x: LatticeVector) -> CheckResult:
         tol,
         payload={"lhs": float(lhs), "rhs": float(rhs)},
     )
-
-
-def _norming_vector(A: np.ndarray, norm: NormKind) -> np.ndarray:
-    """z with ||z|| <= 1 and ||A z|| >= 1/2 ||A|| (exact attainment for
-    l1/l-infinity, power iteration for l2)."""
-    n = A.shape[0]
-    if isinstance(norm, Ell1):
-        j = int(np.argmax(np.sum(np.abs(A), axis=0)))
-        z = np.zeros(n, dtype=complex)
-        z[j] = 1.0
-        return z
-    if isinstance(norm, EllInf):
-        i = int(np.argmax(np.sum(np.abs(A), axis=1)))
-        row = A[i]
-        z = np.where(np.abs(row) > 0, np.conj(row) / np.abs(row), 1.0)
-        return z.astype(complex)
-    if isinstance(norm, Ell2):
-        return largest_singular_pair(A)[1]
-    raise VerificationError(f"unsupported norm {norm!r}")
-
-
-def cone_norm_attainment(A, norm: NormKind) -> tuple:
-    """A positive x with ||x|| <= 1 and ||A x|| >= 1/8 ||A||, obtained by
-    splitting a norming vector into its four real/imaginary sign parts and
-    keeping the best piece."""
-    A = _as_matrix(A)
-    op = operator_norm(A, norm)
-    if op == 0.0:
-        zero = LatticeVector(np.zeros(A.shape[0], dtype=complex), norm)
-        return zero, 1.0
-    z = _norming_vector(A, norm)
-    zr = z.real
-    zi = z.imag
-    pieces = [
-        np.maximum(zr, 0.0),
-        np.maximum(-zr, 0.0),
-        np.maximum(zi, 0.0),
-        np.maximum(-zi, 0.0),
-    ]
-    best = None
-    best_val = -1.0
-    for p in pieces:
-        val = norm_value(LatticeVector((A @ p).astype(complex), norm))
-        if val > best_val:
-            best_val = val
-            best = p
-    x = LatticeVector(best.astype(complex), norm)
-    return x, float(best_val / op)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,9 @@ from evpos.catalog import (
 from evpos.classify import (
     ConeTestSet,
     Confirmed,
-    ExtremePoints,
-    MonteCarlo,
     NotClassifiableError,
     Notion,
     RefutedWithWitness,
-    StrategyUnavailableError,
     UndeterminedUpToHorizon,
     _pairings,
     function_space_test_set,
@@ -199,30 +198,71 @@ class TestEventualClassification:
                 assert isinstance(v.status, UndeterminedUpToHorizon)
 
 
+ROTATION = np.array([[1.0, -1.0], [1.0, 1.0]])  # sqrt(2) times the 45-degree rotation
+
+
+class TestScaleFreeEventualTest:
+    """The finite sign test is relative to each power's largest entry and the
+    orbit is rescaled by a power of two, so no scale of T moves a verdict."""
+
+    def _eventual(self, T):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return classify_eventual(T)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-12])
+    def test_small_rotation_is_undetermined(self, scale):
+        # R^n is positive only when 8 | n, so no trailing window holds
+        for v in self._eventual(Dense(scale * ROTATION, Ell1())):
+            assert isinstance(v.status, UndeterminedUpToHorizon), v
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [1e10 * np.array([[2.0, 1.0], [1.0, 2.0]]), np.diag([1e200, 1.0])],
+        ids=["1e10-positive", "diag-1e200"],
+    )
+    def test_large_positive_matrix_confirmed_at_zero(self, matrix):
+        for v in self._eventual(Dense(matrix, Ell1())):
+            assert v.status == Confirmed(0)
+            assert not any(v.decay)
+
+    def test_power_of_two_scaling_keeps_statuses_and_scales_decays(self):
+        T = make_eventually_positive(6, 0.5, seed=3, norm=Ell1()).model
+        base = self._eventual(T)
+        for k in (-30, -3, 3, 30):
+            scaled = self._eventual(Dense(T.matrix * 2.0**k, Ell1()))
+            assert [v.status for v in scaled] == [v.status for v in base]
+            for v, w in zip(scaled, base):
+                expected = [np.ldexp(d, k * (n + 1)) for n, d in enumerate(w.decay)]
+                assert list(v.decay) == expected
+
+    def test_small_diagonal_symbol_off_the_reals_refuted(self):
+        for v in self._eventual(Diagonal(np.array([1e-12, 1e-12j]), Ell1())):
+            assert isinstance(v.status, RefutedWithWitness)
+            assert v.status.witness == (1, 1e-12j)
+
+
 class TestDeltaN:
     def test_ell1_extreme_points_exact(self):
         T = nonreal_diagonal()
         for n in range(1, 12):
-            val, witness, exact = delta_n(T, n, ExtremePoints())
-            assert exact
-            expected = abs((0.5j) ** n - np.real((0.5j) ** n) * 0) if n % 4 else 0.0
+            val, witness = delta_n(T, n)
             # d_+((i/2)^n e_2): 0 when (i/2)^n is positive real, else the
             # distance of the single complex entry to the half-line
             z = (0.5j) ** n
             expected = np.hypot(max(-z.real, 0.0), z.imag)
             assert val == pytest.approx(expected, abs=1e-12)
-
-    def test_monte_carlo_is_lower_bound(self):
-        T = nonreal_diagonal()
-        exact, _, _ = delta_n(T, 3, ExtremePoints())
-        mc, _, flag = delta_n(T, 3, MonteCarlo(samples=200, seed=1))
-        assert not flag
-        assert mc <= exact + 1e-12
+            if n % 4:
+                assert np.array_equal(witness.entries, [0, 1])
 
     def test_sup_norm_enumeration_cap(self):
         T = Dense(np.eye(25, dtype=complex), EllInf())
-        with pytest.raises(StrategyUnavailableError):
-            delta_n(T, 1, ExtremePoints())
+        with pytest.raises(ValueError, match="sup norm"):
+            delta_n(T, 1)
+
+    def test_norm_without_exact_rule_rejected(self):
+        with pytest.raises(ValueError, match="no exact delta_n"):
+            delta_n(Dense(np.eye(2, dtype=complex), Ell2()), 1)
 
     def test_negative_power_rejected(self):
         T = Diagonal(np.array([2.0, -1.0]), Ell1())
@@ -232,7 +272,7 @@ class TestDeltaN:
     def test_zero_spectral_radius_rejected(self):
         T = WeightedShift(np.array([-1.0]), Ell1())
         with pytest.raises(NotClassifiableError):
-            delta_n(T, 1, ExtremePoints())
+            delta_n(T, 1)
 
 
 class TestAsymptotic:

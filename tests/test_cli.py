@@ -12,6 +12,7 @@ from evpos.cli import (
     EXIT_CONTRADICTION,
     EXIT_INPUT,
     EXIT_OK,
+    EXIT_SOLVER,
     InputError,
     _parse_generator_spec,
     main,
@@ -313,6 +314,31 @@ class TestMainEntry:
         assert data["spectrum"] is None and data["checks"] == []
         kinds = {r["notion"]: r["status"]["kind"] for r in data["classification"]}
         assert kinds["uniform-eventual"] == "confirmed"
+
+    @pytest.mark.parametrize(
+        "matrix, kind, n0",
+        [
+            (1e-6 * np.array([[1.0, -1.0], [1.0, 1.0]]), "undetermined", None),
+            (1e10 * np.array([[2.0, 1.0], [1.0, 2.0]]), "confirmed", 0),
+        ],
+        ids=["rotation-1e-6", "positive-1e10"],
+    )
+    def test_eventual_verdict_does_not_depend_on_scale(
+        self, matrix, kind, n0, tmp_path, capsys
+    ):
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(model_to_json(Dense(matrix, Ell1()))))
+        assert main(["classify", str(path)]) == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        status = {r["notion"]: r["status"] for r in data["classification"]}
+        assert status["uniform-eventual"]["kind"] == kind
+        assert status["uniform-eventual"].get("n0") == n0
+
+    def test_dense_model_above_dim_cap_is_a_solver_failure(self, tmp_path, capsys):
+        path = tmp_path / "dense129.json"
+        path.write_text(json.dumps(model_to_json(Dense(np.eye(129), Ell1()))))
+        assert main(["classify", str(path)]) == EXIT_SOLVER
+        assert "exceeds the cap" in capsys.readouterr().err
 
     def test_classify_writes_file(self, tmp_path):
         out = tmp_path / "report.json"

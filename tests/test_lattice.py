@@ -15,15 +15,12 @@ from evpos.lattice import (
     cone_distance,
     cone_distance_oracle,
     cone_distances,
-    imag_part,
-    is_positive,
     midpoint_rule,
-    negative_part,
     norm_value,
-    positive_part,
     real_part,
     trapezoid_weights,
 )
+from evpos.operators import entrywise_positive
 
 NORMS = [Ell1(), Ell2(), EllInf()]
 
@@ -36,27 +33,11 @@ class TestParts:
     def test_real_imag_split(self):
         x = vec([1 + 2j, -3 - 4j])
         assert np.allclose(real_part(x).entries, [1, -3])
-        assert np.allclose(imag_part(x).entries, [2, -4])
-
-    def test_positive_negative_parts(self):
-        x = vec([2, -3, 0])
-        assert np.allclose(positive_part(x).entries, [2, 0, 0])
-        assert np.allclose(negative_part(x).entries, [0, 3, 0])
+        assert np.allclose(x.entries - real_part(x).entries, [2j, -4j])
 
     def test_modulus(self):
         x = vec([3 + 4j])
         assert np.allclose(complex_modulus(x).entries, [5])
-
-    def test_decomposition_identity(self):
-        rng = np.random.default_rng(3)
-        z = rng.normal(size=8) + 1j * rng.normal(size=8)
-        x = vec(z)
-        rebuilt = (
-            positive_part(real_part(x)).entries
-            - negative_part(real_part(x)).entries
-            + 1j * imag_part(x).entries
-        )
-        assert np.allclose(rebuilt, z)
 
 
 class TestNorms:
@@ -117,7 +98,7 @@ class TestConeDistance:
     def test_positive_vector_is_at_distance_zero(self):
         for norm in NORMS:
             assert cone_distance(vec([1, 2, 0], norm)) == 0.0
-            assert is_positive(vec([1, 2, 0], norm))
+            assert entrywise_positive(vec([1, 2, 0], norm).entries, 0.0)
 
     def test_negative_real_scalar(self):
         # d_+((-1)) = ||-(-1)^- || = 1 in every norm

@@ -22,10 +22,8 @@ from evpos.operators import (
     Tabulated,
     WeightedIntegral,
     WeightedShift,
-    adjoint,
     apply,
     apply_functional,
-    duality_matrix,
     integrate_product,
     model_from_json,
     model_to_json,
@@ -71,13 +69,13 @@ class TestFunctionals:
 class TestDualityMatrices:
     def test_slope_model_duality(self):
         T = averaging_plus_slope(201)
-        D = duality_matrix(T)
+        D = T.duality
         assert np.allclose(D, np.diag([1.0, 0.5]), atol=1e-12)
 
     def test_singular_model_duality_validates_c(self):
         # c = 3/16 is exactly the constant making <phi_2, f_2> = 1/2
         T = averaging_plus_singular(400)
-        D = duality_matrix(T)
+        D = T.duality
         assert abs(D[0, 0] - 1.0) < 1e-10
         assert abs(D[1, 1] - 0.5) < 1e-10
         assert abs(D[0, 1]) < 1e-10 and abs(D[1, 0]) < 1e-10
@@ -158,10 +156,6 @@ class TestPairings:
 
 
 class TestAdjointAndDense:
-    def test_adjoint_is_conjugate_transpose(self):
-        A = np.array([[1 + 1j, 2], [3, 4 - 2j]])
-        assert np.allclose(adjoint(Dense(A, Ell2())).matrix, A.conj().T)
-
     def test_to_dense_diagonal(self):
         D = Diagonal(np.array([1.0, 0.5j]), Ell1())
         assert np.allclose(to_dense(D).matrix, np.diag([1.0, 0.5j]))

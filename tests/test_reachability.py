@@ -1,0 +1,175 @@
+"""Reachability guard: every function defined in `src/evpos` must be reached
+by `evpos.cli.main` over the command lines below, or stand on ALLOWLIST (or
+in a module on LIBRARY_MODULES) with the reason it stays, so code that no
+report or exit reaches does not accumulate."""
+
+import contextlib
+import importlib
+import inspect
+import io
+import json
+import os
+import pkgutil
+import sys
+import types
+
+import numpy as np
+import pytest
+
+import evpos
+from evpos.catalog import build_catalog
+from evpos.cli import main
+from evpos.generators import make_eventually_positive
+from evpos.lattice import EllInf, GridSup
+from evpos.operators import Constant, Dense, RankK, WeightedIntegral, model_to_json
+
+# "module.qualname": why the function stays although no command line reaches it
+ALLOWLIST = {
+    "classify.uniform_eventual": "benchmark span (perfbench/spans.py)",
+    "classify.weak_eventual": "benchmark span (perfbench/spans.py)",
+    "classify.individual_eventual": (
+        "benchmark span, and the vector-by-vector reference that tests "
+        "compare classify_eventual with"
+    ),
+    "classify.delta_n": "benchmark span, and the exact reference for the asymptotic decays",
+    "spectral.resolvent_matrix": "benchmark span (perfbench/spans.py)",
+    "spectral.SingularResolventError.__init__": "raised by resolvent_matrix",
+    "operators.power_apply": "reference power for individual_eventual and pairing",
+    "operators.Dense.power": "closed-form power that power_apply dispatches to",
+    "operators.Diagonal.power": "closed-form power that power_apply dispatches to",
+    "operators.WeightedShift.power": "closed-form power that power_apply dispatches to",
+    "operators.pairing": "reference for the closed-form pairings of the rank-k trios",
+    "lattice.cone_distance_oracle": "brute-force reference for the cone-distance formula",
+    "report.report_from_json": "reads reports back; the round-trip tests use it",
+}
+
+# "module": why a whole module stays although no command line reaches it
+LIBRARY_MODULES = {
+    "rates": (
+        "decay-rate analysis of cone-distance sequences (majorants, summability "
+        "trends, alpha(r)); library API that no report field carries yet"
+    ),
+}
+
+
+def _command_lines(tmp):
+    """Each catalog example and its model file, an l-inf dense file, a rank-k
+    file, a dense file above the spectral cap, the generators, the suites,
+    orbits and the bad-input exits."""
+
+    def write(name, content):
+        path = os.path.join(tmp, name)
+        with open(path, "w") as fh:
+            fh.write(content if isinstance(content, str) else json.dumps(content))
+        return path
+
+    lines = []
+    for entry in build_catalog(0):
+        lines.append(["classify", "--example", entry.name])
+        lines.append(["classify", write(f"{entry.name}.json", model_to_json(entry.model))])
+    inf = make_eventually_positive(5, 0.5, 1, norm=EllInf()).model
+    lines.append(["classify", write("ellinf.json", model_to_json(inf))])
+    # the averaging operator g -> (1/2) int g is positive, so its rank-k uniform
+    # trio gets past the refuting witnesses; 41 nodes keep the dense checks
+    averaging = RankK(
+        (Constant(1.0),),
+        (WeightedIntegral(Constant(1.0), 0.5),),
+        GridSup(tuple(np.linspace(-1.0, 1.0, 41))),
+    )
+    lines.append(["classify", write("rank-k.json", model_to_json(averaging))])
+    lines.append(["classify", write("dense129.json", model_to_json(Dense(np.eye(129), EllInf())))])
+    for spec in ("eventually_positive:dim=4", "positive_random:dim=3", "cyclic_block:k=3"):
+        lines.append(["classify", "--generate", spec, "--horizon", "20", "--tol", "1e-8"])
+    lines.append(["classify", "--example", "rem3.2b", "--out", os.path.join(tmp, "out.json")])
+    lines.append(["suite", "properties", "--trials", "20"])
+    lines.append(["suite", "paper"])
+    lines.append(["suite", "random", "--trials", "2"])
+    vector = write("vector.json", [[1, 0], [0.5, 0]])
+    lines.append(["orbit", "--example", "rem3.2b", "--vector", vector, "--n", "5"])
+    lines.append(["orbit", write("orbit-model.json", model_to_json(inf)), "--n", "3"])
+    bad = [
+        ["classify", write("not-json.json", "{")],
+        ["classify", write("bad-model.json", {"variant": "dense", "n": 2})],
+        ["classify", os.path.join(tmp, "missing.json")],
+        ["classify", "--example", "no-such-example"],
+        ["classify", "--generate", "no_such_kind"],
+        ["classify", "--generate", "eventually_positive:dim"],
+        ["classify", "--generate", "eventually_positive:dim=0"],
+        ["classify", "--example", "rem3.2b", "--horizon", "0"],
+        ["classify", "--example", "rem3.2b", "--tol", "nan"],
+        ["suite", "random", "--trials", "-1"],
+        ["orbit", "--example", "rem3.2b", "--n", "-1"],
+        ["orbit", "--example", "rem3.2b", "--vector", write("short.json", [[1, 0]])],
+        ["orbit", "--example", "rem3.2b", "--vector", write("bad-vector.json", [["a"]])],
+        ["orbit", "--example", "rem3.2b", "--vector", write("nan-vector.json", [[1e999, 0]])],
+        ["orbit", "--example", "rem3.2b", "--vector", write("vector-not-json.json", "[")],
+    ]
+    return lines, bad
+
+
+def _defined_functions():
+    """{(file, first line, name): "module.qualname"} for every function and
+    method whose source is in the evpos package; lambdas, comprehensions and
+    class bodies are left out."""
+    found = {}
+    for info in pkgutil.iter_modules(evpos.__path__):
+        module = importlib.import_module(f"evpos.{info.name}")
+        path = os.path.realpath(module.__file__)
+        with open(path) as fh:
+            stack = [(compile(fh.read(), path, "exec"), info.name)]
+        while stack:
+            code, prefix = stack.pop()
+            for const in code.co_consts:
+                if not isinstance(const, types.CodeType) or const.co_name.startswith("<"):
+                    continue
+                name = f"{prefix}.{const.co_name}"
+                if const.co_flags & inspect.CO_NEWLOCALS:
+                    found[(path, const.co_firstlineno, const.co_name)] = name
+                stack.append((const, name))
+    return found
+
+
+@pytest.fixture(scope="module")
+def reached(tmp_path_factory):
+    lines, bad = _command_lines(str(tmp_path_factory.mktemp("reach")))
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    codes = []
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            for argv in lines + bad:
+                codes.append((argv, main(argv)))
+        finally:
+            sys.setprofile(None)
+    keys = {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in seen}
+    return codes, keys, len(lines)
+
+
+def test_command_lines_exit_as_expected(reached):
+    codes, _, n_good = reached
+    # the dense model above the spectral cap is a solver failure
+    assert [argv for argv, code in codes[:n_good] if code != 0] == [
+        argv for argv, _ in codes[:n_good] if argv[-1].endswith("dense129.json")
+    ]
+    assert [argv for argv, code in codes[n_good:] if code != 2] == []
+
+
+def test_every_function_is_reached_or_allowlisted(reached):
+    _, keys, _ = reached
+    defined = _defined_functions()
+    unreached = sorted(name for key, name in defined.items() if key not in keys)
+    missing = [
+        name
+        for name in unreached
+        if name not in ALLOWLIST and name.split(".")[0] not in LIBRARY_MODULES
+    ]
+    assert not missing, f"no command line reaches {missing}"
+    # an allowlist entry must name a function that exists and is unreached
+    stale = sorted(set(ALLOWLIST) - set(unreached))
+    stale += [m for m in LIBRARY_MODULES if not any(n.startswith(m + ".") for n in unreached)]
+    assert not stale, f"allowlisted but reached or gone: {stale}"

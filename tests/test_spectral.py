@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from evpos.lattice import Ell1, Ell2, EllInf
 from evpos.rng import rng_for
 from evpos.spectral import (
     NotAnEigenvalueError,
@@ -9,9 +8,7 @@ from evpos.spectral import (
     SpectralError,
     eigenvalues,
     geometric_multiplicity,
-    largest_singular_pair,
     laurent_leading_coefficient,
-    operator_norm,
     peripheral_spectrum,
     pole_order,
     resolvent_matrix,
@@ -86,31 +83,6 @@ class TestResolvent:
     def test_singular_point_raises(self):
         with pytest.raises(SingularResolventError):
             resolvent_matrix(np.diag([1.0, 2.0]), 2.0)
-
-
-class TestOperatorNorms:
-    def test_ell1_is_max_column_sum(self):
-        A = np.array([[1, -2], [3, 1j]])
-        assert operator_norm(A, Ell1()) == pytest.approx(4.0)
-
-    def test_ellinf_is_max_row_sum(self):
-        A = np.array([[1, -2], [3, 1j]])
-        assert operator_norm(A, EllInf()) == pytest.approx(4.0)
-
-    def test_ell2_matches_svd(self):
-        rng = np.random.default_rng(2)
-        A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        assert operator_norm(A, Ell2()) == pytest.approx(
-            np.linalg.svd(A, compute_uv=False)[0], rel=1e-8
-        )
-
-    def test_singular_pair_norms_the_matrix(self):
-        rng = np.random.default_rng(3)
-        A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        sigma, v = largest_singular_pair(A)
-        assert np.linalg.norm(v) == pytest.approx(1.0)
-        assert np.linalg.norm(A @ v) == pytest.approx(sigma, rel=1e-8)
-        assert sigma == pytest.approx(np.linalg.svd(A, compute_uv=False)[0], rel=1e-8)
 
 
 class TestPoleOrder:

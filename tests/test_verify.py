@@ -9,16 +9,12 @@ from evpos.spectral import NotAnEigenvalueError, eigenvalues, pole_order
 from evpos.verify import (
     CheckResult,
     VerificationError,
-    cone_norm_attainment,
     multiplicity_monotonicity_check,
-    omega,
     peripheral_cyclicity_check,
     phase_aligned_cone_distance,
     positive_eigenvector,
     power_bounded_estimate,
     real_modulus_bound_check,
-    resolvent_estimate_check,
-    uniform_error_decay_check,
     verify_spr_in_spectrum,
 )
 
@@ -67,90 +63,6 @@ class TestSprInSpectrum:
         assert "vacuous" in result.payload["note"]
 
 
-class TestOmega:
-    def test_positive_matrix_gives_zero(self):
-        rng = rng_for(2, 0)
-        A = rng.uniform(0.0, 1.0, size=(4, 4))
-        A /= np.max(np.abs(np.linalg.eigvals(A)))
-        w, _ = omega(A, 1.5, ones(4))
-        assert np.max(np.abs(w.entries)) < 1e-12
-
-    def test_nonreal_diagonal_closed_form(self):
-        e2 = LatticeVector(np.array([0.0, 1.0], dtype=complex), Ell1())
-        w, tail = omega(NONREAL, 2.0, e2, 200)
-        expected = sum(
-            2.0 ** -(n + 1) * (0.5**n - ((0.5j) ** n).real) for n in range(201)
-        )
-        assert w.entries[1].real == pytest.approx(expected, abs=1e-14)
-        assert tail < 1e-50
-
-    def test_homogeneity(self):
-        x = LatticeVector(np.array([1.0, 2.0], dtype=complex), Ell1())
-        x2 = LatticeVector(2.0 * x.entries, Ell1())
-        w1, _ = omega(NONREAL, 1.5, x, 100)
-        w2, _ = omega(NONREAL, 1.5, x2, 100)
-        assert np.allclose(w2.entries, 2.0 * w1.entries)
-
-    def test_entries_nonnegative(self):
-        rng = rng_for(3, 0)
-        A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        A /= np.max(np.abs(np.linalg.eigvals(A)))
-        x = LatticeVector(rng.uniform(0, 1, size=5).astype(complex), Ell1())
-        w, _ = omega(A, 1.3, x, 100)
-        assert np.min(w.entries.real) >= -1e-12
-
-    def test_requires_r_above_one(self):
-        with pytest.raises(VerificationError):
-            omega(NONREAL, 1.0, ones(2))
-
-
-class TestResolventEstimate:
-    def test_positive_matrix(self):
-        rng = rng_for(4, 0)
-        A = rng.uniform(0.0, 1.0, size=(4, 4))
-        A /= np.max(np.abs(np.linalg.eigvals(A)))
-        lam = 2.0 * np.exp(1j * np.pi / 3)
-        assert resolvent_estimate_check(A, lam, ones(4)).pass_
-
-    def test_nonreal_diagonal(self):
-        result = resolvent_estimate_check(NONREAL, 2j, ones(2))
-        assert result.pass_
-
-    def test_real_lambda_reduces_to_equality(self):
-        rng = rng_for(5, 0)
-        A = rng.normal(size=(4, 4))
-        A /= np.max(np.abs(np.linalg.eigvals(A)))
-        result = resolvent_estimate_check(A, 3.0, ones(4))
-        assert result.pass_
-
-    def test_lambda_inside_disc_rejected(self):
-        with pytest.raises(VerificationError):
-            resolvent_estimate_check(NONREAL, 0.5, ones(2))
-
-
-class TestUniformErrorDecay:
-    def test_positive_matrix_zero(self):
-        rng = rng_for(6, 0)
-        A = rng.uniform(0.0, 1.0, size=(3, 3))
-        A /= np.max(np.abs(np.linalg.eigvals(A)))
-        assert uniform_error_decay_check(A).pass_
-
-    def test_nonreal_diagonal_decays(self):
-        result = uniform_error_decay_check(NONREAL)
-        assert result.pass_
-        m = result.payload["m"]
-        assert m[-1] < 1e-2 * m[0]
-
-    def test_not_applicable_when_hypothesis_fails(self):
-        from evpos.operators import Diagonal
-
-        _, _, w = classify_asymptotic(Diagonal(np.diag(DRIFT), Ell1()), horizon=120)
-        u, _, _ = classify_asymptotic(Diagonal(np.diag(DRIFT), Ell1()), horizon=120)
-        result = uniform_error_decay_check(DRIFT / (49 / 50), asymptotic_verdict=u)
-        assert not result.applicable
-        assert not result.contradiction
-
-
 class TestRealModulusBound:
     def test_positive_vector_tight_zero(self):
         result = real_modulus_bound_check(ones(3))
@@ -170,34 +82,6 @@ class TestRealModulusBound:
             z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             norm = (Ell1(), Ell2(), EllInf())[int(rng.integers(0, 3))]
             assert real_modulus_bound_check(LatticeVector(z, norm)).pass_
-
-
-class TestConeNormAttainment:
-    def test_positive_matrix_ell1_ratio_one(self):
-        rng = rng_for(8, 0)
-        A = rng.uniform(0.1, 1.0, size=(5, 5))
-        _, ratio = cone_norm_attainment(A, Ell1())
-        assert ratio == pytest.approx(1.0)
-
-    def test_scalar_negative(self):
-        x, ratio = cone_norm_attainment(np.array([[-1.0]]), Ell1())
-        assert ratio == pytest.approx(1.0)
-        assert x.entries[0] == pytest.approx(1.0)
-
-    def test_zero_operator(self):
-        _, ratio = cone_norm_attainment(np.zeros((3, 3)), Ell2())
-        assert ratio == 1.0
-
-    @pytest.mark.parametrize("norm", [Ell1(), Ell2(), EllInf()])
-    def test_ratio_at_least_one_eighth(self, norm):
-        rng = rng_for(9, 0)
-        for _ in range(200):
-            dim = int(rng.integers(2, 8))
-            A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            x, ratio = cone_norm_attainment(A, norm)
-            assert ratio >= 1.0 / 8.0 - 1e-12
-            assert np.min(x.entries.real) >= 0.0
-            assert np.max(np.abs(x.entries.imag)) == 0.0
 
 
 class TestPositiveEigenvector:
