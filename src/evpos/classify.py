@@ -51,7 +51,7 @@ REFUTE_FACTOR = 100.0
 
 
 class NotClassifiableError(RuntimeError):
-    """Raised when spr(T) is numerically zero so the rescaling is undefined."""
+    """Raised when spr(T) is zero, so the rescaling by 1/spr is undefined."""
 
 
 class Notion(enum.Enum):
@@ -276,20 +276,22 @@ def classify_eventual(
 
 def _finite_eventual(T: OperatorModel, horizon: int, tol: float) -> tuple:
     """The basis vectors generate the positive cone, and <e_i, T^n e_j> is
-    the entry (T^n)_ij, so the three notions coincide: one status, from the
-    entrywise test of each power. The decays stay per notion: the largest
-    entry of the cone residual (uniform, weak), its largest column norm
-    (individual). A weighted shift truncation has T^dim = 0, so its orbit
-    runs at least that far; a zero power stays zero and needs no window.
+    the entry (T^n)_ij, so the three notions coincide: one status. A diagonal
+    and a weighted shift are decided exactly from their entries; a dense
+    matrix from the entrywise test of each power, where a zero power stays
+    zero and needs no window. The decays stay per notion: the largest entry
+    of the cone residual (uniform, weak), its largest column norm
+    (individual).
 
-    The orbit is that of P = T 2^-e, e the binary exponent of spr (0 when
-    spr = 0), so its powers neither overflow nor underflow. Scaling by a power
-    of two is exact: each sign test is relative to the largest entry of P^n,
-    and the decays are restored to T^n by the factor 2^(e n)."""
-    e = int(np.frexp(T.spectral_radius())[1])
-    steps = max(horizon, T.dim) if isinstance(T, WeightedShift) else horizon
+    The orbit is that of P = T 2^-e, e the binary exponent of spr (of the
+    largest weight of a shift, whose spr is 0), so its powers neither
+    overflow nor underflow. Scaling by a power of two is exact: each sign
+    test is relative to the largest entry of P^n, and the decays are
+    restored to T^n by the factor 2^(e n)."""
+    top = np.abs(T.weights).max() if isinstance(T, WeightedShift) else T.spectral_radius()
+    e = int(np.frexp(top)[1])
     flags, grid_decay, column_decay = [], [], []
-    for n, P in enumerate(T.scaled(np.ldexp(1.0, -e)).orbit(np.eye(T.dim), steps)):
+    for n, P in enumerate(T.scaled(np.ldexp(1.0, -e)).orbit(np.eye(T.dim), horizon)):
         if n == 0:
             continue
         R = cone_residual(P)
@@ -298,6 +300,8 @@ def _finite_eventual(T: OperatorModel, horizon: int, tol: float) -> tuple:
         flags.append(entrywise_positive(P, tol * float(np.abs(P).max())))
     if isinstance(T, Diagonal):
         status = _diagonal_status(T, tol)
+    elif isinstance(T, WeightedShift):
+        status = _shift_status(T, tol)
     else:
         n0 = _n0_from_flags(flags, True, 1 if not P.any() else _window(horizon))
         status = UndeterminedUpToHorizon(horizon) if n0 is None else Confirmed(n0)
@@ -320,6 +324,26 @@ def _diagonal_status(T: Diagonal, tol: float) -> Status:
                 (k, s), f"symbol entry {s} at index {k} is not a positive real"
             )
     return Confirmed(0)
+
+
+def _shift_status(T: WeightedShift, tol: float) -> Status:
+    """Exact: (T^k)_{j+k,j} = w_j ... w_{j+k-1} and T^dim = 0, so T^k is
+    positive iff each product of k consecutive weights is a positive real,
+    and n0 is one past the last k < dim where one is not. Each product is
+    tested relative to the largest of its length, from unit phases and
+    log-magnitudes, so no product is formed in floating point."""
+    mag = np.abs(T.weights)
+    phase = np.divide(T.weights, mag, out=np.zeros_like(T.weights), where=mag > 0)
+    logmag = np.log(np.where(mag > 0, mag, 1.0))  # a zero weight has phase 0
+    n0 = 0
+    ph, lg = phase, logmag
+    for k in range(1, T.dim):
+        # ph[j], lg[j]: the phase and log-magnitude of w_j ... w_{j+k-1}
+        live = ph != 0
+        if live.any() and not entrywise_positive(ph * np.exp(lg - lg[live].max()), tol):
+            n0 = k + 1
+        ph, lg = ph[:-1] * phase[k:], lg[:-1] + logmag[k:]
+    return Confirmed(n0)
 
 
 def _rank_k_eventual(T: RankK, horizon: int, tol: float) -> tuple:
@@ -390,14 +414,6 @@ def weak_eventual(
 # asymptotic notions
 
 
-def scale_model(T: OperatorModel, c: float) -> OperatorModel:
-    return T.scaled(c)
-
-
-def spectral_radius_of(T: OperatorModel) -> float:
-    return T.spectral_radius()
-
-
 def delta_n(T: OperatorModel, n: int, spr: Optional[float] = None) -> tuple:
     """(sup over the positive unit ball of d+((T/spr)^n x), a maximiser) for
     n >= 0, by exact rule: the worst basis column for l1, the 0/1-vertex sup
@@ -413,10 +429,10 @@ def delta_n(T: OperatorModel, n: int, spr: Optional[float] = None) -> tuple:
             f"sup norm of at most {EXTREME_POINT_SUP_CAP} nodes"
         )
     if spr is None:
-        spr = spectral_radius_of(T)
+        spr = T.spectral_radius()
     if spr <= 0:
         raise NotClassifiableError("spectral radius is zero; rescaling undefined")
-    power = np.linalg.matrix_power(to_dense(scale_model(T, 1.0 / spr)).matrix, n)
+    power = np.linalg.matrix_power(to_dense(T.scaled(1.0 / spr)).matrix, n)
     if vertices:
         value, bits = _sup_over_vertices(power, norm)
         return value, LatticeVector(bits, norm)
@@ -460,12 +476,10 @@ def classify_asymptotic(
     function-space test set."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    spr = spectral_radius_of(T)
-    if spr <= tol:
-        raise NotClassifiableError(
-            f"spectral radius {spr:.3e} is below tolerance; rescaling undefined"
-        )
-    S = scale_model(T, 1.0 / spr)
+    spr = T.spectral_radius()
+    if spr == 0:
+        raise NotClassifiableError("spectral radius is zero; rescaling undefined")
+    S = T.scaled(1.0 / spr)
     if isinstance(S, RankK):
         return _rank_k_asymptotic(S, horizon, tol)
     return _finite_asymptotic(S, horizon, tol)

@@ -45,7 +45,7 @@ from .report import (
     verdict_record,
 )
 from .rng import rng_for
-from .spectral import DIM_CAP, SpectralError
+from .spectral import DIM_CAP, SpectralError, Spectrum
 from .verify import (
     CheckResult,
     VerificationError,
@@ -145,9 +145,9 @@ def _classification(model: OperatorModel, horizon: Optional[int], tol: Optional[
     return verdicts
 
 
-def _eigenvector_check(A: np.ndarray, norm, shared: dict) -> CheckResult:
+def _eigenvector_check(spec: Spectrum, bounds: dict, norm) -> CheckResult:
     """Positive eigenvectors of A and A^H at spr; the residual is relative."""
-    ev = positive_eigenvector(A, norm=norm, **shared)
+    ev = positive_eigenvector(spec, power_bounds=bounds, norm=norm)
     ok = (
         ev.primal_cone_distance <= 1e-6
         and ev.adjoint_cone_distance <= 1e-6
@@ -170,7 +170,8 @@ def run_classify(
     horizon: Optional[int] = None,
     tol: Optional[float] = None,
 ) -> tuple:
-    """(AnalysisReport, solver_failure_flag)."""
+    """(AnalysisReport, solver_failure_flag). A solver failure anywhere in the
+    checks ends them; the checks made before it stay in the report."""
     solver_failure = False
     verdicts = _classification(model, horizon, tol)
     by_notion = {v.notion.value: v for v in verdicts}
@@ -180,35 +181,22 @@ def run_classify(
 
     checks = []
     spec = None
+    uasy = by_notion.get("uniform-asymptotic")
+    wasy = by_notion.get("weak-asymptotic")
     if model.dim <= DIM_CAP:
-        dense = to_dense(model)
-        A = dense.matrix
         try:
-            spec = dense.spectrum
-        except SpectralError:
-            solver_failure = True
-    if spec is not None:
-        uasy = by_notion.get("uniform-asymptotic")
-        wasy = by_notion.get("weak-asymptotic")
-        spr_check = verify_spr_in_spectrum(A, asymptotic_verdict=uasy, spectrum=spec)
-        checks.append(spr_check)
-        if spec.spectral_radius > 0:
-            try:
-                bounds = power_bounded_estimate(A, spectrum=spec)
-            except (SpectralError, VerificationError):
-                solver_failure = True
-            else:
-                shared = {"spectrum": spec, "power_bounds": bounds}
-                checks.append(peripheral_cyclicity_check(A, asymptotic_verdict=uasy, **shared))
-                checks.append(
-                    multiplicity_monotonicity_check(A, asymptotic_verdict=wasy, **shared)
-                )
+            spec = to_dense(model).spectrum
+            spr_check = verify_spr_in_spectrum(spec, uasy)
+            checks.append(spr_check)
+            if spec.spectral_radius > 0:
+                bounds = power_bounded_estimate(spec)
+                checks.append(peripheral_cyclicity_check(spec, bounds, uasy))
+                checks.append(multiplicity_monotonicity_check(spec, bounds, wasy))
                 weak_ok = wasy is not None and isinstance(wasy.status, Confirmed)
                 if spr_check.pass_ and weak_ok:
-                    try:
-                        checks.append(_eigenvector_check(A, model.norm, shared))
-                    except (SpectralError, VerificationError):
-                        solver_failure = True
+                    checks.append(_eigenvector_check(spec, bounds, model.norm))
+        except (SpectralError, VerificationError):
+            solver_failure = True
 
     report = AnalysisReport(
         operator_id=operator_id,

@@ -5,7 +5,6 @@ multiplicities."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -30,9 +29,11 @@ class NotAnEigenvalueError(SpectralError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """The eigenvalues of a matrix A, its spectral radius and ||A||_2, which
-    the solver's trace check takes and the rank thresholds reuse."""
+    """A matrix A (read-only) with its eigenvalues, its spectral radius and
+    ||A||_2, which the solver's trace check takes and the rank thresholds
+    reuse: everything a Perron-Frobenius check reads."""
 
+    matrix: np.ndarray
     eigenvalues: np.ndarray
     spectral_radius: float
     matrix_norm: float
@@ -50,8 +51,12 @@ def _as_matrix(A) -> np.ndarray:
 
 def eigenvalues(A, tol: float = DEFAULT_TOL) -> Spectrum:
     """Full spectrum via LAPACK's Hessenberg-reduction + shifted-QR solver,
-    cross-checked against the trace."""
+    cross-checked against the trace. The spectrum keeps A, copied first
+    when it is writable, so it stays the matrix that was solved."""
     A = _as_matrix(A)
+    if A.flags.writeable:
+        A = A.copy()
+        A.setflags(write=False)
     n = A.shape[0]
     try:
         vals = np.linalg.eigvals(A)
@@ -61,7 +66,7 @@ def eigenvalues(A, tol: float = DEFAULT_TOL) -> Spectrum:
     if abs(np.sum(vals) - np.trace(A)) > max(n * tol * scale, n * 1e-12):
         raise SpectralError("eigenvalue sum does not match the trace")
     spr = float(np.max(np.abs(vals)))
-    return Spectrum(vals, spr, float(scale), tol)
+    return Spectrum(A, vals, spr, float(scale), tol)
 
 
 def resolvent_matrix(A, lam: complex) -> np.ndarray:
@@ -79,18 +84,14 @@ def _numeric_rank(s: np.ndarray, tol: float) -> int:
     return int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
 
 
-def pole_order(
-    A, lam0: complex, tol: float = DEFAULT_TOL, spectrum: Optional[Spectrum] = None
-) -> int:
+def pole_order(spec: Spectrum, lam0: complex, tol: float = DEFAULT_TOL) -> int:
     """Largest Jordan block size at lam0: the first k at which the numeric rank
-    of (lam0 - A)^k stops decreasing. lam0 must lie in the spectrum of A, given
-    or solved for."""
-    A = _as_matrix(A)
-    spec = eigenvalues(A, tol) if spectrum is None else spectrum
+    of (lam0 - A)^k stops decreasing, A the spectrum's matrix. lam0 must lie
+    in the spectrum."""
     if np.min(np.abs(spec.eigenvalues - lam0)) > max(tol, 1e-6) * max(spec.matrix_norm, 1.0):
         raise NotAnEigenvalueError(f"{lam0} is not a spectral value")
-    n = A.shape[0]
-    B = lam0 * np.eye(n) - A
+    n = spec.matrix.shape[0]
+    B = lam0 * np.eye(n) - spec.matrix
     # ||B||_2 <= |lam0| + ||A||_2; the rank test is relative, so any bound
     # that keeps the powers in range will do
     scale = abs(lam0) + spec.matrix_norm
@@ -128,17 +129,12 @@ def laurent_leading_coefficient(A, lam0: complex, m: int) -> np.ndarray:
     return np.linalg.matrix_power(-B, m - 1) @ P
 
 
-def geometric_multiplicity(
-    A, lam: complex, tol: float = DEFAULT_TOL, spectrum: Optional[Spectrum] = None
-) -> int:
-    """dim ker(lam - A): the singular values of lam - A below
-    tol * max(||A||_2, 1); ||A||_2 is read from the spectrum when given."""
-    A = _as_matrix(A)
-    n = A.shape[0]
-    M = lam * np.eye(n) - A
+def geometric_multiplicity(spec: Spectrum, lam: complex, tol: float = DEFAULT_TOL) -> int:
+    """dim ker(lam - A), A the spectrum's matrix: the singular values of
+    lam - A below tol * max(||A||_2, 1)."""
+    M = lam * np.eye(spec.matrix.shape[0]) - spec.matrix
     s = np.linalg.svd(M, compute_uv=False)
-    norm = np.linalg.norm(A, 2) if spectrum is None else spectrum.matrix_norm
-    return int(np.sum(s < tol * max(norm, 1.0)))
+    return int(np.sum(s < tol * max(spec.matrix_norm, 1.0)))
 
 
 def peripheral_spectrum(spec: Spectrum, tol: float = DEFAULT_TOL) -> np.ndarray:

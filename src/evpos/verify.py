@@ -7,8 +7,9 @@ Theorem checks never assume their own hypotheses. Hypotheses (power
 boundedness, decided by rule from the peripheral pole orders, and
 asymptotic-positivity verdicts) are evaluated and attached to the result, so
 a failed conclusion with failed hypotheses reads as "no contradiction" rather
-than as a bug. A check solves for the spectrum and the peripheral pole
-orders of A (spr's among them) unless given (`spectrum=`, `power_bounds=`).
+than as a bug. Every check reads one `Spectrum` of A, and all but the
+spr check read the peripheral pole orders that `power_bounded_estimate`
+decides from it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .lattice import (
 )
 from .spectral import (
     Spectrum,
-    eigenvalues,
     geometric_multiplicity,
     laurent_leading_coefficient,
     peripheral_spectrum,
@@ -71,13 +71,6 @@ class CheckResult:
         return bool(hyps) and all(hyps)
 
 
-def _as_matrix(A) -> np.ndarray:
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise VerificationError("expected a square matrix")
-    return A
-
-
 def _verdict_hypothesis(name: str, verdict: Optional[PositivityVerdict]) -> dict:
     if verdict is None:
         return {}
@@ -85,15 +78,12 @@ def _verdict_hypothesis(name: str, verdict: Optional[PositivityVerdict]) -> dict
 
 
 def verify_spr_in_spectrum(
-    A,
-    tol: float = DEFAULT_TOL,
+    spec: Spectrum,
     asymptotic_verdict: Optional[PositivityVerdict] = None,
-    spectrum: Optional[Spectrum] = None,
+    tol: float = DEFAULT_TOL,
 ) -> CheckResult:
     """Pass iff some eigenvalue lies within tol*spr of the positive real
     number spr(A)."""
-    A = _as_matrix(A)
-    spec = eigenvalues(A) if spectrum is None else spectrum
     spr = spec.spectral_radius
     hyp = _verdict_hypothesis("uniform-asymptotic-positive", asymptotic_verdict)
     if spr == 0.0:
@@ -181,26 +171,19 @@ def phase_aligned_cone_distance(x: LatticeVector, grid: int = 256) -> float:
 
 
 def positive_eigenvector(
-    A,
+    spec: Spectrum,
+    power_bounds: dict,
     norm: Optional[NormKind] = None,
     tol: float = 1e-9,
-    spectrum: Optional[Spectrum] = None,
-    power_bounds: Optional[dict] = None,
 ) -> EigenvectorResult:
     """Perron-type eigenvector pair at lam0 = spr(A), from the leading Laurent
     coefficient Q_{-m} = (A - lam0)^{m-1} P of the resolvent, P the spectral
     projection and m the pole order in `power_bounds`: Q_{-m} x0 for a
     canonical positive x0 lies in ker(lam0 - A) and, up to phase, in the
     positive cone. As lam0 is real, A^H has the coefficient Q_{-m}^H."""
-    A = _as_matrix(A)
     if norm is None:
         norm = Ell2()
-    spec = eigenvalues(A) if spectrum is None else spectrum
-    spr = spec.spectral_radius
-    if spr <= 0:
-        raise VerificationError("positive eigenvector requires spr > 0")
-    if power_bounds is None:
-        power_bounds = power_bounded_estimate(A, spectrum=spec)
+    A, spr = spec.matrix, spec.spectral_radius
     k = int(np.argmin(np.abs(peripheral_spectrum(spec) - spr)))
     m = power_bounds["peripheral_pole_orders"][k]
     Q = laurent_leading_coefficient(A, spr, m)
@@ -239,42 +222,28 @@ def positive_eigenvector(
 # peripheral spectrum: cyclicity and multiplicity monotonicity
 
 
-def power_bounded_estimate(A, spectrum: Optional[Spectrum] = None) -> dict:
+def power_bounded_estimate(spec: Spectrum) -> dict:
     """Whether A/spr is power bounded, by rule: in finite dimensions it is
     exactly when every peripheral eigenvalue is a pole of the resolvent of
     order 1 (semisimple). Returns the verdict and the pole orders, in the
-    order of `peripheral_spectrum`."""
-    A = _as_matrix(A)
-    spec = eigenvalues(A) if spectrum is None else spectrum
+    order of `peripheral_spectrum`. Raises when spr = 0, so no check that
+    reads the result meets a zero spectral radius."""
     if spec.spectral_radius <= 0:
         raise VerificationError("power-boundedness requires spr > 0")
-    orders = [pole_order(A, lam, spectrum=spec) for lam in peripheral_spectrum(spec)]
+    orders = [pole_order(spec, lam) for lam in peripheral_spectrum(spec)]
     return {"power_bounded": all(m == 1 for m in orders), "peripheral_pole_orders": orders}
 
 
 def peripheral_cyclicity_check(
-    A,
+    spec: Spectrum,
+    power_bounds: dict,
+    asymptotic_verdict: Optional[PositivityVerdict] = None,
     K: int = 12,
     tol: float = DEFAULT_TOL,
-    asymptotic_verdict: Optional[PositivityVerdict] = None,
-    spectrum: Optional[Spectrum] = None,
-    power_bounds: Optional[dict] = None,
 ) -> CheckResult:
     """Every power spr*e^{ik theta} (|k| <= K) of a peripheral eigenvalue
     spr*e^{i theta} must land within tol*spr of an eigenvalue."""
-    A = _as_matrix(A)
-    spec = eigenvalues(A) if spectrum is None else spectrum
     spr = spec.spectral_radius
-    if spr <= 0:
-        return CheckResult(
-            "peripheral-cyclicity",
-            True,
-            0.0,
-            tol,
-            payload={"note": "zero spectral radius; vacuous"},
-        )
-    if power_bounds is None:
-        power_bounds = power_bounded_estimate(A, spectrum=spec)
     hyp = {"power-bounded": power_bounds["power_bounded"]}
     hyp.update(_verdict_hypothesis("uniform-asymptotic-positive", asymptotic_verdict))
     periph = peripheral_spectrum(spec, tol)
@@ -301,35 +270,22 @@ def peripheral_cyclicity_check(
 
 
 def multiplicity_monotonicity_check(
-    A,
+    spec: Spectrum,
+    power_bounds: dict,
+    asymptotic_verdict: Optional[PositivityVerdict] = None,
     n_list: Sequence[int] = (-3, -2, -1, 0, 1, 2, 3),
     tol: float = DEFAULT_TOL,
-    asymptotic_verdict: Optional[PositivityVerdict] = None,
-    spectrum: Optional[Spectrum] = None,
-    power_bounds: Optional[dict] = None,
 ) -> CheckResult:
     """dim ker(spr e^{i theta} - A) <= dim ker(spr e^{i n theta} - A) for
     each peripheral eigenvalue and each n; a power that misses the spectrum
     entirely is recorded as a cyclicity failure."""
-    A = _as_matrix(A)
-    spec = eigenvalues(A) if spectrum is None else spectrum
     spr = spec.spectral_radius
-    if spr <= 0:
-        return CheckResult(
-            "multiplicity-monotonicity",
-            True,
-            0.0,
-            tol,
-            payload={"note": "zero spectral radius; vacuous"},
-        )
-    if power_bounds is None:
-        power_bounds = power_bounded_estimate(A, spectrum=spec)
     hyp = {"power-bounded": power_bounds["power_bounded"]}
     hyp.update(_verdict_hypothesis("weak-asymptotic-positive", asymptotic_verdict))
     periph = peripheral_spectrum(spec, tol)
     # a target within tol * spr of an eigenvalue lands on the peripheral one
     # nearest to it, so each multiplicity is computed once
-    mults = [geometric_multiplicity(A, lam, spectrum=spec) for lam in periph]
+    mults = [geometric_multiplicity(spec, lam) for lam in periph]
     rows = []
     ok = True
     for lam, base_mult in zip(periph, mults):

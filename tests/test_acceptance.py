@@ -51,6 +51,7 @@ from evpos.verify import (
     multiplicity_monotonicity_check,
     peripheral_cyclicity_check,
     positive_eigenvector,
+    power_bounded_estimate,
     real_modulus_bound_check,
     verify_spr_in_spectrum,
     CheckResult,
@@ -174,7 +175,7 @@ def test_criterion_3_drift_truncation():
 
         from evpos.verify import verify_spr_in_spectrum as direct
 
-        assert direct(np.diag(T.symbol)).payload["distance"] == pytest.approx(
+        assert direct(eigenvalues(np.diag(T.symbol))).payload["distance"] == pytest.approx(
             49.0 / 50.0, abs=1e-8
         )
 
@@ -211,10 +212,10 @@ def test_criterion_4_nonreal_diagonal():
         assert isinstance(i.status, Confirmed)
         assert isinstance(w.status, Confirmed)
 
-        A = np.diag(T.symbol)
-        assert verify_spr_in_spectrum(A).pass_
+        spec = eigenvalues(np.diag(T.symbol))
+        assert verify_spr_in_spectrum(spec).pass_
 
-        result = positive_eigenvector(A, norm=Ell1())
+        result = positive_eigenvector(spec, power_bounded_estimate(spec), norm=Ell1())
         assert result.pole_order == 1
         assert result.value == pytest.approx(1.0)
         for vec in (result.primal, result.adjoint):
@@ -233,22 +234,23 @@ def test_criterion_5_random_suite():
             rng = rng_for(5, t)
             dim = int(rng.integers(2, 13))
             inst = make_eventually_positive(dim, 0.5, seed=900 + t, norm=Ell1())
-            A = inst.model.matrix
+            spec = eigenvalues(inst.model.matrix)
+            bounds = power_bounded_estimate(spec)
 
             uni = uniform_eventual(inst.model, horizon=max(40, inst.n0_bound + 5))
             assert isinstance(uni.status, Confirmed)
             assert uni.status.n0 <= inst.n0_bound
 
-            spr_check = verify_spr_in_spectrum(A)
+            spr_check = verify_spr_in_spectrum(spec)
             assert spr_check.pass_
 
-            ev = positive_eigenvector(A, norm=Ell1())
+            ev = positive_eigenvector(spec, bounds, norm=Ell1())
             assert ev.primal_cone_distance <= 1e-6
             assert ev.adjoint_cone_distance <= 1e-6
 
-            cyc = peripheral_cyclicity_check(A)
+            cyc = peripheral_cyclicity_check(spec, bounds)
             assert cyc.pass_
-            periph = peripheral_spectrum(eigenvalues(A))
+            periph = peripheral_spectrum(spec)
             assert len(periph) == 1
 
             gated = CheckResult(
@@ -283,8 +285,9 @@ def test_criterion_6_cyclicity_suite():
             assert len(periph) == k
             for r in roots:
                 assert np.min(np.abs(periph - r)) < 1e-8
-            assert peripheral_cyclicity_check(A, K=12).pass_
-            assert multiplicity_monotonicity_check(A, n_list=range(-3, 4)).pass_
+            bounds = power_bounded_estimate(spec)
+            assert peripheral_cyclicity_check(spec, bounds, K=12).pass_
+            assert multiplicity_monotonicity_check(spec, bounds, n_list=range(-3, 4)).pass_
 
 
 def test_criterion_7_property_sweeps():

@@ -28,6 +28,7 @@ from evpos.classify import (
     uniform_eventual,
     weak_eventual,
 )
+from evpos.cli import run_classify
 from evpos.generators import make_eventually_positive
 from evpos.lattice import Ell1, Ell2, EllInf, LatticeVector
 from evpos.operators import Dense, Diagonal, WeightedShift, pairing
@@ -236,6 +237,17 @@ class TestScaleFreeEventualTest:
                 expected = [np.ldexp(d, k * (n + 1)) for n, d in enumerate(w.decay)]
                 assert list(v.decay) == expected
 
+    @pytest.mark.parametrize(
+        "weights, n0",
+        [(np.full(4, 1e200), 0), (np.full(3, -1e-200), 4)],
+        ids=["1e200", "minus-1e-200"],
+    )
+    def test_extreme_shift_weights_decided_exactly(self, weights, n0):
+        # the products of consecutive weights overflow (positive) or
+        # underflow (T and T^3 negative) in floating point
+        for v in self._eventual(WeightedShift(weights, Ell1())):
+            assert v.status == Confirmed(n0)
+
     def test_small_diagonal_symbol_off_the_reals_refuted(self):
         for v in self._eventual(Diagonal(np.array([1e-12, 1e-12j]), Ell1())):
             assert isinstance(v.status, RefutedWithWitness)
@@ -302,12 +314,18 @@ class TestAsymptotic:
         assert isinstance(u.status, Confirmed)
 
     def test_rotation_refuted(self):
+        # the rescaling by 1/spr is defined at every spr > 0, however small
         theta = 2 * np.pi / 5
         R = np.array(
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         )
-        u, i, w = classify_asymptotic(Dense(R, Ell2()), horizon=120)
-        assert isinstance(w.status, RefutedWithWitness)
+        for scale in (1.0, 1e-12):
+            u, i, w = classify_asymptotic(Dense(scale * R, Ell2()), horizon=120)
+            assert isinstance(w.status, RefutedWithWitness)
+        # so the peripheral checks keep their refuted hypotheses
+        report, failed = run_classify(Dense(1e-12 * ROTATION, Ell1()), "rotation", 0)
+        assert not failed
+        assert report.contradiction_count == 0
 
 
 def _eventually_positive(dim, norm):

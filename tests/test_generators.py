@@ -12,7 +12,7 @@ from evpos.generators import (
 )
 from evpos.rng import rng_for
 from evpos.spectral import eigenvalues, peripheral_spectrum
-from evpos.verify import positive_eigenvector
+from evpos.verify import positive_eigenvector, power_bounded_estimate
 
 
 class TestMakeEventuallyPositive:
@@ -41,7 +41,8 @@ class TestMakeEventuallyPositive:
 
     def test_perron_vector_matches_projection_range(self):
         inst = make_eventually_positive(5, 0.5, 2)
-        result = positive_eigenvector(inst.model.matrix)
+        spec = eigenvalues(inst.model.matrix)
+        result = positive_eigenvector(spec, power_bounded_estimate(spec))
         v = result.primal.entries.real
         ref = inst.perron_vector
         cos = abs(v @ ref) / (np.linalg.norm(v) * np.linalg.norm(ref))

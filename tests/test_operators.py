@@ -31,7 +31,6 @@ from evpos.operators import (
     power_apply,
     to_dense,
 )
-from evpos.classify import scale_model, spectral_radius_of
 
 
 def grid(n=41):
@@ -238,9 +237,9 @@ def test_models_keep_one_contract(n, kind):
     assert np.array_equal(apply(T, x).entries, power_apply(T, 1, x).entries)
     Y = np.stack([x.entries, rng.uniform(0.0, 1.0, size=n) + 0j], axis=1)
     _assert_orbit_matches_powers(T, Y, A)
-    assert np.allclose(to_dense(scale_model(T, 0.37)).matrix, 0.37 * A, rtol=1e-12, atol=1e-14)
+    assert np.allclose(to_dense(T.scaled(0.37)).matrix, 0.37 * A, rtol=1e-12, atol=1e-14)
     spr = float(np.max(np.abs(np.linalg.eigvals(A))))
-    assert spectral_radius_of(T) == pytest.approx(spr, rel=1e-8, abs=1e-10)
+    assert T.spectral_radius() == pytest.approx(spr, rel=1e-8, abs=1e-10)
     data = model_to_json(T)
     back = model_from_json(data)
     assert type(back) is type(T)

@@ -87,22 +87,22 @@ class TestResolvent:
 
 class TestPoleOrder:
     def test_simple_pole(self):
-        assert pole_order(np.diag([1.0, 0.5]), 1.0) == 1
+        assert pole_order(eigenvalues(np.diag([1.0, 0.5])), 1.0) == 1
 
     def test_jordan_block_order_two(self):
         J = np.array([[1.0, 1.0], [0.0, 1.0]])
-        assert pole_order(J, 1.0) == 2
+        assert pole_order(eigenvalues(J), 1.0) == 2
 
     def test_jordan_block_plus_simple(self):
         # J_2(1) + separate eigenvalue 1: largest block still 2
         A = np.zeros((3, 3))
         A[:2, :2] = [[1, 1], [0, 1]]
         A[2, 2] = 1.0
-        assert pole_order(A, 1.0) == 2
+        assert pole_order(eigenvalues(A), 1.0) == 2
 
     def test_not_an_eigenvalue(self):
         with pytest.raises(NotAnEigenvalueError):
-            pole_order(np.diag([1.0, 2.0]), 5.0)
+            pole_order(eigenvalues(np.diag([1.0, 2.0])), 5.0)
 
 
 class TestLaurent:
@@ -152,9 +152,9 @@ class TestLaurent:
 
 class TestMultiplicityAndPeriphery:
     def test_geometric_multiplicity(self):
-        assert geometric_multiplicity(np.eye(3), 1.0) == 3
+        assert geometric_multiplicity(eigenvalues(np.eye(3)), 1.0) == 3
         J = np.array([[1.0, 1.0], [0.0, 1.0]])
-        assert geometric_multiplicity(J, 1.0) == 1
+        assert geometric_multiplicity(eigenvalues(J), 1.0) == 1
 
     def test_peripheral_spectrum_deduplicates(self):
         spec = eigenvalues(np.diag([1.0, 1.0, -1.0, 0.5]))

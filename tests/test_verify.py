@@ -5,7 +5,7 @@ from evpos.classify import classify_asymptotic
 from evpos.lattice import Ell1, Ell2, EllInf, LatticeVector
 from evpos.operators import Diagonal
 from evpos.rng import rng_for
-from evpos.spectral import NotAnEigenvalueError, eigenvalues, pole_order
+from evpos.spectral import eigenvalues
 from evpos.verify import (
     CheckResult,
     VerificationError,
@@ -26,17 +26,23 @@ def ones(n, norm=None):
     return LatticeVector(np.ones(n, dtype=complex), norm or Ell1())
 
 
+def solved(A):
+    """The spectrum of A and the power bounds that the checks read with it."""
+    spec = eigenvalues(A)
+    return spec, power_bounded_estimate(spec)
+
+
 class TestSprInSpectrum:
     def test_nonreal_diagonal_passes(self):
-        assert verify_spr_in_spectrum(NONREAL).pass_
+        assert verify_spr_in_spectrum(eigenvalues(NONREAL)).pass_
 
     def test_positive_matrix_passes(self):
         rng = rng_for(1, 0)
         A = rng.uniform(0.1, 1.0, size=(6, 6))
-        assert verify_spr_in_spectrum(A).pass_
+        assert verify_spr_in_spectrum(eigenvalues(A)).pass_
 
     def test_drift_truncation_fails_without_contradiction(self):
-        result = verify_spr_in_spectrum(DRIFT)
+        result = verify_spr_in_spectrum(eigenvalues(DRIFT))
         assert not result.pass_
         assert result.payload["distance"] == pytest.approx(49.0 / 50.0, abs=1e-8)
         # the hypothesis of the spectral-radius theorem fails too, so this is
@@ -58,7 +64,7 @@ class TestSprInSpectrum:
         assert not gated.contradiction
 
     def test_zero_matrix_vacuous(self):
-        result = verify_spr_in_spectrum(np.zeros((2, 2)))
+        result = verify_spr_in_spectrum(eigenvalues(np.zeros((2, 2))))
         assert result.pass_
         assert "vacuous" in result.payload["note"]
 
@@ -86,14 +92,14 @@ class TestRealModulusBound:
 
 class TestPositiveEigenvector:
     def test_symmetric_positive(self):
-        result = positive_eigenvector(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        result = positive_eigenvector(*solved(np.array([[2.0, 1.0], [1.0, 2.0]])))
         assert result.value == pytest.approx(3.0, abs=1e-9)
         v = result.primal.entries
         assert abs(v[0]) == pytest.approx(abs(v[1]), abs=1e-8)
         assert result.primal_cone_distance <= 1e-6
 
     def test_nonreal_diagonal(self):
-        result = positive_eigenvector(NONREAL)
+        result = positive_eigenvector(*solved(NONREAL))
         assert result.pole_order == 1
         assert result.value == pytest.approx(1.0)
         assert abs(result.primal.entries[0]) == pytest.approx(1.0)
@@ -103,7 +109,7 @@ class TestPositiveEigenvector:
     def test_residuals_small(self):
         rng = rng_for(10, 0)
         A = rng.uniform(0.1, 1.0, size=(6, 6))
-        result = positive_eigenvector(A)
+        result = positive_eigenvector(*solved(A))
         assert result.primal_residual <= 1e-6
         assert result.adjoint_residual <= 1e-6
 
@@ -115,10 +121,10 @@ class TestPositiveEigenvector:
 class TestPeripheralChecks:
     def test_three_cycle_cyclic(self):
         C = np.roll(np.eye(3), 1, axis=0)
-        assert peripheral_cyclicity_check(C, K=6).pass_
+        assert peripheral_cyclicity_check(*solved(C), K=6).pass_
 
     def test_nonreal_diagonal_cyclic(self):
-        assert peripheral_cyclicity_check(NONREAL).pass_
+        assert peripheral_cyclicity_check(*solved(NONREAL)).pass_
 
     def test_non_cyclic_spectrum_fails_with_hypothesis_note(self):
         A = np.diag([1.0, -1.0, 1j])
@@ -126,7 +132,7 @@ class TestPeripheralChecks:
         from evpos.operators import Diagonal
 
         u, _, w = classify_asymptotic(Diagonal(np.diag(A), Ell1()), horizon=120)
-        result = peripheral_cyclicity_check(A, asymptotic_verdict=u)
+        result = peripheral_cyclicity_check(*solved(A), asymptotic_verdict=u)
         assert not result.pass_
         assert result.hypotheses["uniform-asymptotic-positive"] is False
         assert not result.contradiction
@@ -134,7 +140,7 @@ class TestPeripheralChecks:
     def test_double_cycle_multiplicities(self):
         C = np.roll(np.eye(3), 1, axis=0)
         A = np.kron(np.eye(2), C)
-        result = multiplicity_monotonicity_check(A)
+        result = multiplicity_monotonicity_check(*solved(A))
         assert result.pass_
         mults = [
             r["base_multiplicity"]
@@ -144,11 +150,11 @@ class TestPeripheralChecks:
         assert set(mults) == {2}
 
     def test_nonreal_diagonal_multiplicities(self):
-        assert multiplicity_monotonicity_check(NONREAL).pass_
+        assert multiplicity_monotonicity_check(*solved(NONREAL)).pass_
 
     def test_missing_power_recorded(self):
         A = np.diag([1.0, -1.0, 1j])
-        result = multiplicity_monotonicity_check(A, n_list=[3])
+        result = multiplicity_monotonicity_check(*solved(A), n_list=[3])
         assert not result.pass_
         assert any("missing_power" in r for r in result.payload["rows"])
 
@@ -167,69 +173,23 @@ class TestPowerBounds:
         ids=["jordan", "inner-jordan", "three-cycle"],
     )
     def test_peripheral_pole_orders_decide(self, A, bounded, orders):
-        est = power_bounded_estimate(A)
+        spec, est = solved(A)
         assert est == {"power_bounded": bounded, "peripheral_pole_orders": orders}
         for check in (peripheral_cyclicity_check, multiplicity_monotonicity_check):
-            assert check(A).hypotheses["power-bounded"] is bounded
+            assert check(spec, est).hypotheses["power-bounded"] is bounded
 
     def test_zero_spectral_radius_rejected(self):
         with pytest.raises(VerificationError):
-            power_bounded_estimate(np.zeros((2, 2)))
+            power_bounded_estimate(eigenvalues(np.zeros((2, 2))))
 
 
 class TestSharedSpectrum:
-    """A check given the spectrum and power bounds of A reads them instead of
-    solving again, with the same result."""
-
-    MATRICES = [
-        NONREAL,
-        np.kron(np.eye(2), np.roll(np.eye(3), 1, axis=0)),
-        rng_for(12, 0).uniform(0.1, 1.0, size=(6, 6)),
-        np.zeros((3, 3)),
-    ]
-
-    @pytest.mark.parametrize("A", MATRICES)
-    def test_checks_agree_with_their_own_solves(self, A):
-        spec = eigenvalues(A)
-        shared = {"spectrum": spec}
-        u, _, w = classify_asymptotic(Diagonal(np.array([1.0, 0.5j]), Ell1()), horizon=40)
-        assert verify_spr_in_spectrum(A, asymptotic_verdict=u) == verify_spr_in_spectrum(
-            A, asymptotic_verdict=u, **shared
-        )
-        if spec.spectral_radius > 0:
-            shared["power_bounds"] = power_bounded_estimate(A, spectrum=spec)
-            assert shared["power_bounds"] == power_bounded_estimate(A)
-        for check, verdict in (
-            (peripheral_cyclicity_check, u),
-            (multiplicity_monotonicity_check, w),
-        ):
-            assert check(A) == check(A, **shared)
-            assert check(A, asymptotic_verdict=verdict) == check(
-                A, asymptotic_verdict=verdict, **shared
-            )
+    """The spr check reads the spectrum alone and records the verdict it is
+    given as its hypothesis, also at spr = 0."""
 
     def test_spr_check_records_its_hypothesis(self):
         u, _, _ = classify_asymptotic(Diagonal(np.diag(DRIFT), Ell1()))
         for A in (DRIFT, np.zeros((2, 2))):
-            result = verify_spr_in_spectrum(A, asymptotic_verdict=u)
+            result = verify_spr_in_spectrum(eigenvalues(A), asymptotic_verdict=u)
             assert result.hypotheses == {"uniform-asymptotic-positive": False}
-        assert verify_spr_in_spectrum(DRIFT).hypotheses == {}
-
-    @pytest.mark.parametrize("A", MATRICES[:3])
-    def test_eigenvector_agrees_with_its_own_solve(self, A):
-        spec = eigenvalues(A)
-        bounds = power_bounded_estimate(A, spectrum=spec)
-        alone = positive_eigenvector(A)
-        shared = positive_eigenvector(A, spectrum=spec, power_bounds=bounds)
-        assert pole_order(A, spec.spectral_radius) == pole_order(
-            A, spec.spectral_radius, spectrum=spec
-        ) == alone.pole_order
-        for field in ("value", "pole_order", "primal_cone_distance", "adjoint_cone_distance",
-                      "primal_residual", "adjoint_residual"):
-            assert getattr(alone, field) == getattr(shared, field)
-        assert np.array_equal(alone.primal.entries, shared.primal.entries)
-        assert np.array_equal(alone.adjoint.entries, shared.adjoint.entries)
-
-    def test_pole_order_guard_reads_the_given_spectrum(self):
-        with pytest.raises(NotAnEigenvalueError):
-            pole_order(NONREAL, 1.0, spectrum=eigenvalues(np.diag([2.0, 0.5j])))
+        assert verify_spr_in_spectrum(eigenvalues(DRIFT)).hypotheses == {}
