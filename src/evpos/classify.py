@@ -8,6 +8,7 @@ rescaled powers approach the cone in the distance-to-cone sense.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -26,6 +27,7 @@ from .lattice import (
     norm_value,
 )
 from .operators import (
+    Dense,
     Diagonal,
     OperatorModel,
     RankK,
@@ -297,7 +299,8 @@ def _finite_eventual(T: OperatorModel, horizon: int, tol: float) -> tuple:
         R = cone_residual(P)
         grid_decay.append(float(np.ldexp(R.max(), e * n)))
         column_decay.append(float(np.ldexp(norm_of_moduli(R, T.norm).max(initial=0.0), e * n)))
-        flags.append(entrywise_positive(P, tol * float(np.abs(P).max())))
+        if isinstance(T, Dense):
+            flags.append(entrywise_positive(P, tol * float(np.abs(P).max())))
     if isinstance(T, Diagonal):
         status = _diagonal_status(T, tol)
     elif isinstance(T, WeightedShift):
@@ -471,44 +474,96 @@ def _tail_status(decay: np.ndarray, tol: float, horizon: int, witness) -> Status
 def classify_asymptotic(
     T: OperatorModel, horizon: int = HORIZON_ASYMPTOTIC, tol: float = DEFAULT_TOL
 ) -> tuple:
-    """(uniform, individual, weak) asymptotic verdicts with decay sequences,
-    from one orbit of T/spr: a finite model's powers, or a rank-k model's
-    function-space test set."""
+    """(uniform, individual, weak) asymptotic verdicts. A finite model's three
+    notions coincide (d+(S^n x) <= ||x||_1 max_j d+(S^n e_j), and all norms
+    are equivalent), so they get one status, by exact rule and with no
+    decay: a `Diagonal`'s from its symbol, a `Dense`'s from its peripheral
+    spectral decomposition. A rank-k model's come with decay sequences, from
+    one orbit of T/spr over its function-space test set, `horizon` powers
+    long; only that orbit reads the horizon."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     spr = T.spectral_radius()
     if spr == 0:
         raise NotClassifiableError("spectral radius is zero; rescaling undefined")
-    S = T.scaled(1.0 / spr)
-    if isinstance(S, RankK):
-        return _rank_k_asymptotic(S, horizon, tol)
-    return _finite_asymptotic(S, horizon, tol)
+    if isinstance(T, RankK):
+        return _rank_k_asymptotic(T.scaled(1.0 / spr), horizon, tol)
+    if isinstance(T, Diagonal):
+        status = _diagonal_limit_status(T, tol)
+    else:
+        status = _peripheral_status(T, tol)
+    return _one_status(_ASYMPTOTIC_CHAIN, status, ((), (), ()), tol)
 
 
-def _finite_asymptotic(S: OperatorModel, horizon: int, tol: float) -> tuple:
-    """d+(S^n x) <= ||x||_1 max_j d+(S^n e_j), and all norms are equivalent,
-    so the three notions coincide: one status, from the uniform decay (the
-    0/1-vertex sup for a sup norm of at most EXTREME_POINT_SUP_CAP nodes, the
-    worst basis column otherwise) with the worst vector at the worst power as
-    witness. The individual decay is the worst basis column's cone distance,
-    the weak one the largest entry of the cone residual."""
-    norm, dim = S.norm, S.dim
-    vertices = isinstance(norm, (EllInf, GridSup)) and dim <= EXTREME_POINT_SUP_CAP
-    uniform_decay, column_decay, grid_decay = (np.zeros(horizon + 1) for _ in range(3))
-    for n, P in enumerate(S.orbit(np.eye(dim), horizon)):
-        R = cone_residual(P)
-        dists = norm_of_moduli(R, norm)
-        j = int(np.argmax(dists))
-        column_decay[n], grid_decay[n] = dists[j], R.max()
-        if vertices:
-            uniform_decay[n], x = _sup_over_vertices(P, norm)
-        else:
-            uniform_decay[n], x = dists[j], j
-        if n == 0 or uniform_decay[n] > uniform_decay[:n].max():
-            worst = x
-    witness = LatticeVector(worst if vertices else np.eye(dim)[worst], norm)
-    status = _tail_status(uniform_decay, tol, horizon, witness)
-    return _one_status(_ASYMPTOTIC_CHAIN, status, (uniform_decay, column_decay, grid_decay), tol)
+def _basis_vector(T: OperatorModel, j: int) -> LatticeVector:
+    e = np.zeros(T.dim)
+    e[j] = 1.0
+    return LatticeVector(e, T.norm)
+
+
+def _diagonal_limit_status(T: Diagonal, tol: float) -> Status:
+    """Exact: S^n = diag(mu^n), mu = s/spr. An entry with |mu| < 1 dies out;
+    one with |mu| = 1 and mu != 1 stays at a fixed distance from the
+    positive reals for infinitely many n. Both tests are within tol."""
+    mu = T.symbol / T.spectral_radius()
+    off = np.flatnonzero((np.abs(mu) >= 1.0 - tol) & (np.abs(mu - 1.0) > tol))
+    if off.size:
+        k = int(off[0])
+        return RefutedWithWitness(
+            _basis_vector(T, k),
+            f"symbol entry {T.symbol[k]} at index {k} has modulus spr but is not spr",
+        )
+    return Confirmed(0)
+
+
+def _root_of_unity_order(mu: complex, most: int, tol: float) -> Optional[int]:
+    """The least q <= most with |mu^q - 1| <= q tol, or None."""
+    return next((q for q in range(1, most + 1) if abs(mu**q - 1.0) <= q * tol), None)
+
+
+def _peripheral_status(T: Dense, tol: float) -> Status:
+    """Exact, from the peripheral decomposition of T: m the top pole order,
+    mu_k = lam_k/spr and C_k = (T - lam_k)^(m-1) P_k for each lam_k of
+    order m. Asymptotic positivity with m = 1 makes the peripheral spectrum
+    cyclic, so a mu_k that is no root of unity of order at most the number
+    of peripheral eigenvalues refutes; the test is within the solver's
+    tolerance, as the eigenvalues are. Otherwise, with p the lcm of the
+    orders, S^n / binom(n, m-1) approaches L_((n - m + 1) mod p), where
+    L_r = sum_k mu_k^r C_k / spr^(m-1). With m = 1 the trio holds iff every
+    L_r is positive within tol, and so iff L_1 is: the P_k are disjoint
+    projections, so L_r = L_1^r, and L_0 = L_1^p. With m > 1 an L_r off the
+    cone refutes, as that part of S^n grows, and positive ones leave the
+    lower-order terms undecided. The rule steps no power, so an
+    undetermined status has horizon 0."""
+    spec = T.spectrum
+    periph, spr = spec.peripheral, spec.spectral_radius
+    m = periph.order
+    top = [k for k, mk in enumerate(periph.pole_orders) if mk == m]
+    mu = periph.eigenvalues[top] / spr
+    q = [_root_of_unity_order(z, len(periph.eigenvalues), spec.solver_tolerance) for z in mu]
+    if None in q:
+        if m > 1:
+            return UndeterminedUpToHorizon(0)
+        z = complex(mu[q.index(None)])
+        return RefutedWithWitness(
+            z,
+            f"peripheral eigenvalue / spr = {z} is no root of unity of order <= "
+            f"{len(periph.eigenvalues)}: the peripheral spectrum is not cyclic",
+        )
+    C = np.stack([periph.coefficients[k] for k in top]) / (periph.scale * spr) ** (m - 1)
+    worst = (0.0, 0, 0, 0)
+    for r in (1,) if m == 1 else range(math.lcm(*q)):
+        R = cone_residual(np.tensordot(mu**r, C, axes=1))
+        i, j = np.unravel_index(int(np.argmax(R)), R.shape)
+        if R[i, j] > worst[0]:
+            worst = (float(R[i, j]), r, int(i), int(j))
+    residual, r, i, j = worst
+    if residual > tol:
+        return RefutedWithWitness(
+            _basis_vector(T, j),
+            f"limit point L_{r} has entry ({i}, {j}) at {residual:.6g} from the positive reals",
+        )
+    return Confirmed(0) if m == 1 else UndeterminedUpToHorizon(0)
 
 
 def _rank_k_asymptotic(S: RankK, horizon: int, tol: float) -> tuple:

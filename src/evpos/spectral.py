@@ -1,10 +1,12 @@
 """Complex-matrix spectral computations: eigenvalues, resolvents, Laurent
 coefficients at resolvent poles (exact, from the spectral projection),
-multiplicities."""
+multiplicities, and the peripheral decomposition that the asymptotic rule and
+the Perron-Frobenius checks share."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -38,6 +40,50 @@ class Spectrum:
     spectral_radius: float
     matrix_norm: float
     solver_tolerance: float = DEFAULT_TOL
+
+    @cached_property
+    def peripheral(self) -> PeripheralDecomposition:
+        """Solved on first use and kept, for the asymptotic rule and the
+        checks."""
+        lams = peripheral_spectrum(self)
+        return PeripheralDecomposition(
+            self.matrix,
+            float(np.ldexp(1.0, -int(np.frexp(self.spectral_radius)[1]))),
+            lams,
+            tuple(pole_order(self, lam) for lam in lams),
+        )
+
+
+@dataclass(frozen=True)
+class PeripheralDecomposition:
+    """The peripheral eigenvalues lam_k of A, in the order of
+    `peripheral_spectrum`, with their resolvent pole orders m_k and, on first
+    use, the leading Laurent coefficient C_k = (B - c lam_k)^(m-1) P_k of
+    B = c A at c lam_k for each lam_k of the top order m = max m_k, P_k the
+    spectral projection (C_k = P_k when every m_k is 1). c = 2^-e, e the
+    binary exponent of spr, so B is exact and in range at any scale of A,
+    and C_k is (A - lam_k)^(m-1) P_k times c^(m-1). Lower orders add no
+    n^(m-1) term to the powers of A and get no coefficient."""
+
+    matrix: np.ndarray
+    scale: float
+    eigenvalues: np.ndarray
+    pole_orders: tuple
+
+    @property
+    def order(self) -> int:
+        return max(self.pole_orders)
+
+    @cached_property
+    def coefficients(self) -> dict:
+        """k -> C_k for each lam_k of the top order."""
+        m, c = self.order, self.scale
+        B = c * self.matrix
+        return {
+            k: laurent_leading_coefficient(B, c * lam, m)
+            for k, (lam, mk) in enumerate(zip(self.eigenvalues, self.pole_orders))
+            if mk == m
+        }
 
 
 def _as_matrix(A) -> np.ndarray:

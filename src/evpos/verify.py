@@ -35,7 +35,6 @@ from .spectral import (
     geometric_multiplicity,
     laurent_leading_coefficient,
     peripheral_spectrum,
-    pole_order,
 )
 
 DEFAULT_TOL = 1e-8
@@ -180,13 +179,21 @@ def positive_eigenvector(
     coefficient Q_{-m} = (A - lam0)^{m-1} P of the resolvent, P the spectral
     projection and m the pole order in `power_bounds`: Q_{-m} x0 for a
     canonical positive x0 lies in ker(lam0 - A) and, up to phase, in the
-    positive cone. As lam0 is real, A^H has the coefficient Q_{-m}^H."""
+    positive cone. As lam0 is real, A^H has the coefficient Q_{-m}^H. When
+    m is the top peripheral pole order, a power-of-two multiple of Q_{-m} is
+    the spectrum's peripheral coefficient at lam0, which the asymptotic rule
+    computed already; the positive factor leaves the normalized vectors
+    alone."""
     if norm is None:
         norm = Ell2()
     A, spr = spec.matrix, spec.spectral_radius
-    k = int(np.argmin(np.abs(peripheral_spectrum(spec) - spr)))
+    periph = spec.peripheral
+    k = int(np.argmin(np.abs(periph.eigenvalues - spr)))
     m = power_bounds["peripheral_pole_orders"][k]
-    Q = laurent_leading_coefficient(A, spr, m)
+    if m == periph.order:
+        Q = periph.coefficients[k]
+    else:
+        Q = laurent_leading_coefficient(A, spr, m)
 
     def pick(Qm: np.ndarray) -> LatticeVector:
         # Qm x0 for the first canonical positive x0 that Qm does not
@@ -225,12 +232,13 @@ def positive_eigenvector(
 def power_bounded_estimate(spec: Spectrum) -> dict:
     """Whether A/spr is power bounded, by rule: in finite dimensions it is
     exactly when every peripheral eigenvalue is a pole of the resolvent of
-    order 1 (semisimple). Returns the verdict and the pole orders, in the
-    order of `peripheral_spectrum`. Raises when spr = 0, so no check that
+    order 1 (semisimple). Returns the verdict and the pole orders of the
+    spectrum's peripheral decomposition, in the order of
+    `peripheral_spectrum`. Raises when spr = 0, so no check that
     reads the result meets a zero spectral radius."""
     if spec.spectral_radius <= 0:
         raise VerificationError("power-boundedness requires spr > 0")
-    orders = [pole_order(spec, lam) for lam in peripheral_spectrum(spec)]
+    orders = list(spec.peripheral.pole_orders)
     return {"power_bounded": all(m == 1 for m in orders), "peripheral_pole_orders": orders}
 
 

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from evpos.catalog import (
     averaging_plus_singular,
@@ -11,6 +12,7 @@ from evpos.catalog import (
 )
 from evpos.classify import (
     ConeTestSet,
+    HORIZON_EVENTUAL,
     Confirmed,
     NotClassifiableError,
     Notion,
@@ -29,9 +31,10 @@ from evpos.classify import (
     weak_eventual,
 )
 from evpos.cli import run_classify
-from evpos.generators import make_eventually_positive
+from evpos.generators import cyclic_block, make_eventually_positive
 from evpos.lattice import Ell1, Ell2, EllInf, LatticeVector
 from evpos.operators import Dense, Diagonal, WeightedShift, pairing
+from evpos.report import verdict_record
 from evpos.rng import rng_for
 
 
@@ -97,42 +100,34 @@ class TestEventualClassification:
             assert shared.status == single.status
         assert shared.decay == pytest.approx(single.decay, rel=1e-10, abs=1e-12)
 
-    def test_canonical_basis_vectors_give_the_powers(self, monkeypatch):
-        # a finite model's trios each step one orbit started at the identity,
-        # dim columns wide, whatever the norm
-        starts = []
-        orbit = Dense.orbit
+    @pytest.mark.parametrize(
+        "T",
+        [
+            *(
+                make_eventually_positive(5, 0.5, 2, norm=norm).model
+                for norm in (Ell1(), Ell2(), EllInf())
+            ),
+            Diagonal(np.array([1.0, -0.5, 0.5j]), EllInf()),
+        ],
+        ids=["dense-l1", "dense-l2", "dense-linf", "diagonal-linf"],
+    )
+    def test_finite_classification_steps_only_the_eventual_orbit(self, T, monkeypatch):
+        # both trios of a finite model come from one orbit started at the
+        # identity, that of the eventual horizon: the asymptotic trio steps
+        # no power
+        calls = []
+        orbit = type(T).orbit
 
         def recording(self, Y, horizon):
-            starts.append(Y)
+            calls.append((Y, horizon))
             return orbit(self, Y, horizon)
 
-        monkeypatch.setattr(Dense, "orbit", recording)
-        for norm in (Ell1(), Ell2(), EllInf()):
-            starts.clear()
-            T = make_eventually_positive(5, 0.5, 2, norm=norm).model
-            classify_eventual(T)
-            classify_asymptotic(T)
-            assert [Y.shape for Y in starts] == [(5, 5), (5, 5)]
-            assert all(np.array_equal(Y, np.eye(5)) for Y in starts)
-
-    @pytest.mark.parametrize("norm", [Ell1(), EllInf()])
-    def test_asymptotic_orbit_carries_one_identity_block(self, norm, monkeypatch):
-        # l1 and a small sup norm read the powers from one identity block,
-        # under the same rule as delta_n on explicit matrix powers
-        starts = []
-        orbit = Dense.orbit
-
-        def recording(self, Y, horizon):
-            starts.append(Y)
-            return orbit(self, Y, horizon)
-
-        monkeypatch.setattr(Dense, "orbit", recording)
-        T = make_eventually_positive(5, 0.5, 2, norm=norm).model
-        uniform = classify_asymptotic(T, horizon=12)[0]
-        assert len(starts) == 1 and np.array_equal(starts[0], np.eye(5))
-        expected = [delta_n(T, n)[0] for n in range(len(uniform.decay))]
-        assert uniform.decay == pytest.approx(expected, rel=1e-10, abs=1e-12)
+        monkeypatch.setattr(type(T), "orbit", recording)
+        report, failed = run_classify(T, "finite", 0)
+        assert not failed
+        assert len(report.classification) == 6
+        assert [horizon for _, horizon in calls] == [HORIZON_EVENTUAL]
+        assert np.array_equal(calls[0][0], np.eye(T.dim))
 
     def test_slope_model_uniform_refuted(self):
         v = uniform_eventual(averaging_plus_slope(201))
@@ -326,6 +321,86 @@ class TestAsymptotic:
         report, failed = run_classify(Dense(1e-12 * ROTATION, Ell1()), "rotation", 0)
         assert not failed
         assert report.contradiction_count == 0
+
+
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+THREE_CYCLE = np.roll(np.eye(3), 1, axis=0)
+JORDAN = np.array([[1.0, 1.0], [0.0, 1.0]])
+JORDAN_MINUS = np.array([[1.0, -1.0], [0.0, 1.0]])
+ROTATION_BY_ONE_RADIAN = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
+
+
+class TestPeripheralRule:
+    """A finite model's asymptotic trio is decided from its peripheral
+    spectral decomposition, with no horizon, and agrees with the exact
+    delta_n over p consecutive powers, p the lcm of the peripheral root
+    orders (any p for the irrational rotation).
+    The powers are taken near 30,000: (-0.999)^n needs n >= 20,713 to fall
+    below the tolerance."""
+
+    @pytest.mark.parametrize(
+        "matrix, kind, p",
+        [
+            *((cyclic_block(k, 2, norm=Ell1()).matrix, Confirmed, k) for k in (2, 3, 6)),
+            (SWAP, Confirmed, 2),
+            (-SWAP, RefutedWithWitness, 2),
+            (THREE_CYCLE, Confirmed, 3),
+            (-THREE_CYCLE, RefutedWithWitness, 6),
+            (ROTATION_BY_ONE_RADIAN, RefutedWithWitness, 2),
+            (np.diag([1.0, -0.999]), Confirmed, 1),
+            # a peripheral Jordan block: S^n = I + n (S - I), whose leading
+            # part is positive for J (as is every power) and negative for
+            # J with -1, which refutes
+            (JORDAN, UndeterminedUpToHorizon, 1),
+            (JORDAN_MINUS, RefutedWithWitness, 1),
+        ],
+        ids=[
+            "cyclic-2", "cyclic-3", "cyclic-6", "swap", "minus-swap", "3-cycle",
+            "minus-3-cycle", "irrational-rotation", "diag-1-minus-0.999", "jordan",
+            "jordan-minus-1",
+        ],
+    )
+    def test_rule_agrees_with_delta_n(self, matrix, kind, p):
+        T = Dense(matrix, Ell1())
+        trios = [classify_asymptotic(T, horizon=h) for h in (1, 7, HORIZON_EVENTUAL, 200)]
+        # the same verdict at every horizon, as its report record shows it
+        records = {str(verdict_record(v)["status"]) for trio in trios for v in trio}
+        assert len(records) == 1 and all(v.decay == () for trio in trios for v in trio)
+        status = trios[0][0].status
+        assert type(status) is kind, status
+        # refuted exactly when some power in the window stays off the cone:
+        # a Jordan block whose powers are all positive stays undetermined,
+        # which is sound but not sharp
+        tol = trios[0][0].tolerance
+        deltas = [delta_n(T, n)[0] for n in range(30_000, 30_000 + p)]
+        assert (max(deltas) > tol) == (kind is RefutedWithWitness), deltas
+
+    def test_limit_point_witness_is_a_basis_vector(self):
+        # the powers of -S alternate between I and -S, which has -1 at (0, 1)
+        # and at (1, 0): L_1 refutes, with either column as witness
+        status = classify_asymptotic(Dense(-SWAP, Ell1()))[0].status
+        j = int(np.flatnonzero(status.witness.entries)[0])
+        assert np.array_equal(status.witness.entries, np.eye(2)[j])
+        assert status.description == (
+            f"limit point L_1 has entry ({1 - j}, {j}) at 1 from the positive reals"
+        )
+
+    def test_power_bounded_rule_reads_one_limit_point(self):
+        # cycles of lengths 5, 7, 8, 9, 11 and 13 give p = 360,360 limit points;
+        # as L_r = L_1^r, L_1 alone decides
+        cycles = (np.roll(np.eye(n), 1, axis=0) for n in (5, 7, 8, 9, 11, 13))
+        P = scipy.linalg.block_diag(*cycles)
+        assert classify_asymptotic(Dense(P, Ell1()))[0].status == Confirmed(0)
+        refuted = classify_asymptotic(Dense(-P, Ell1()))[0].status
+        assert refuted.description.startswith("limit point L_1 has entry")
+
+    def test_diagonal_decided_from_its_symbol_at_any_size(self):
+        symbol = np.concatenate([np.linspace(0.0, 0.5, 998), [-1.0, 1.0]])
+        u, i, w = classify_asymptotic(Diagonal(symbol, Ell1()))
+        assert u.status is i.status is w.status
+        assert np.flatnonzero(u.status.witness.entries).tolist() == [998]
+        squared = classify_asymptotic(Diagonal(symbol[1:] ** 2, Ell1()))[0]
+        assert squared.status == Confirmed(0)
 
 
 def _eventually_positive(dim, norm):

@@ -31,7 +31,10 @@ ALLOWLIST = {
         "benchmark span, and the vector-by-vector reference that tests "
         "compare classify_eventual with"
     ),
-    "classify.delta_n": "benchmark span, and the exact reference for the asymptotic decays",
+    "classify.delta_n": (
+        "benchmark span, and the brute-force reference that the peripheral "
+        "rule for finite models is tested against"
+    ),
     "spectral.resolvent_matrix": "benchmark span (perfbench/spans.py)",
     "spectral.SingularResolventError.__init__": "raised by resolvent_matrix",
     "operators.power_apply": "reference power for individual_eventual and pairing",
@@ -53,9 +56,9 @@ LIBRARY_MODULES = {
 
 
 def _command_lines(tmp):
-    """Each catalog example and its model file, an l-inf dense file, a rank-k
-    file, a dense file above the spectral cap, the generators, the suites,
-    orbits and the bad-input exits."""
+    """Each catalog example and its model file, an l-inf dense file, rank-k
+    files on a 41-node and a 5-node grid, a dense file above the spectral
+    cap, the generators, the suites, orbits and the bad-input exits."""
 
     def write(name, content):
         path = os.path.join(tmp, name)
@@ -70,13 +73,15 @@ def _command_lines(tmp):
     inf = make_eventually_positive(5, 0.5, 1, norm=EllInf()).model
     lines.append(["classify", write("ellinf.json", model_to_json(inf))])
     # the averaging operator g -> (1/2) int g is positive, so its rank-k uniform
-    # trio gets past the refuting witnesses; 41 nodes keep the dense checks
-    averaging = RankK(
-        (Constant(1.0),),
-        (WeightedIntegral(Constant(1.0), 0.5),),
-        GridSup(tuple(np.linspace(-1.0, 1.0, 41))),
-    )
-    lines.append(["classify", write("rank-k.json", model_to_json(averaging))])
+    # trio gets past the refuting witnesses; 41 nodes keep the dense checks,
+    # and 5 nodes take the asymptotic vertex sup of a small grid
+    for nodes in (41, 5):
+        averaging = RankK(
+            (Constant(1.0),),
+            (WeightedIntegral(Constant(1.0), 0.5),),
+            GridSup(tuple(np.linspace(-1.0, 1.0, nodes))),
+        )
+        lines.append(["classify", write(f"rank-k-{nodes}.json", model_to_json(averaging))])
     lines.append(["classify", write("dense129.json", model_to_json(Dense(np.eye(129), EllInf())))])
     for spec in ("eventually_positive:dim=4", "positive_random:dim=3", "cyclic_block:k=3"):
         lines.append(["classify", "--generate", spec, "--horizon", "20", "--tol", "1e-8"])
