@@ -532,9 +532,11 @@ def _peripheral_status(T: Dense, tol: float) -> Status:
     L_r = sum_k mu_k^r C_k / spr^(m-1). With m = 1 the trio holds iff every
     L_r is positive within tol, and so iff L_1 is: the P_k are disjoint
     projections, so L_r = L_1^r, and L_0 = L_1^p. With m > 1 an L_r off the
-    cone refutes, as that part of S^n grows, and positive ones leave the
-    lower-order terms undecided. The rule steps no power, so an
-    undetermined status has horizon 0."""
+    cone by more than tol plus the error that merging a split eigenvalue
+    puts into it (`PeripheralDecomposition.coefficient_error`) refutes, as
+    that part of S^n grows, and other ones leave the lower-order terms
+    undecided. The rule steps no power, so an undetermined status has
+    horizon 0."""
     spec = T.spectrum
     periph, spr = spec.peripheral, spec.spectral_radius
     m = periph.order
@@ -558,7 +560,7 @@ def _peripheral_status(T: Dense, tol: float) -> Status:
         if R[i, j] > worst[0]:
             worst = (float(R[i, j]), r, int(i), int(j))
     residual, r, i, j = worst
-    if residual > tol:
+    if residual > tol + periph.coefficient_error / (periph.scale * spr) ** (m - 1):
         return RefutedWithWitness(
             _basis_vector(T, j),
             f"limit point L_{r} has entry ({i}, {j}) at {residual:.6g} from the positive reals",

@@ -33,8 +33,9 @@ from .lattice import Ell1, Ell2, EllInf, LatticeVector, cone_distance, norm_valu
 from .operators import (
     OperatorError,
     OperatorModel,
+    model_digest,
     model_from_json,
-    model_to_json,
+    norm_to_json,
     to_dense,
 )
 from .report import (
@@ -200,7 +201,12 @@ def run_classify(
 
     report = AnalysisReport(
         operator_id=operator_id,
-        model_descriptor=model_to_json(model),
+        model_descriptor={
+            "variant": model.variant,
+            "dim": model.dim,
+            "norm": {"kind": norm_to_json(model.norm)["kind"]},
+            "sha256": model_digest(model),
+        },
         classification=tuple(verdict_record(v) for v in verdicts),
         spectrum=None if spec is None else spectrum_record(spec),
         checks=tuple(check_record(c) for c in checks),

@@ -7,9 +7,11 @@ diagonal multiplication operators, and weighted shifts.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -216,6 +218,7 @@ def entrywise_positive(a: np.ndarray, tol: float) -> bool:
 class Dense:
     matrix: np.ndarray
     norm: NormKind
+    variant: ClassVar[str] = "dense"
 
     def __post_init__(self):
         m = _finite_data(self.matrix, "dense matrix")
@@ -250,7 +253,7 @@ class Dense:
 
     def to_json(self) -> dict:
         return {
-            "variant": "dense",
+            "variant": self.variant,
             "n": self.dim,
             "entries": [_c2j(z) for z in self.matrix.ravel()],
             "norm": norm_to_json(self.norm),
@@ -261,6 +264,7 @@ class Dense:
 class Diagonal:
     symbol: np.ndarray
     norm: NormKind
+    variant: ClassVar[str] = "diagonal"
 
     def __post_init__(self):
         object.__setattr__(self, "symbol", _finite_data(self.symbol, "diagonal symbol"))
@@ -286,7 +290,7 @@ class Diagonal:
 
     def to_json(self) -> dict:
         return {
-            "variant": "diagonal",
+            "variant": self.variant,
             "symbol": [_c2j(z) for z in self.symbol],
             "norm": norm_to_json(self.norm),
         }
@@ -298,6 +302,7 @@ class WeightedShift:
 
     weights: np.ndarray
     norm: NormKind
+    variant: ClassVar[str] = "shift"
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _finite_data(self.weights, "shift weights"))
@@ -329,7 +334,7 @@ class WeightedShift:
 
     def to_json(self) -> dict:
         return {
-            "variant": "shift",
+            "variant": self.variant,
             "weights": [_c2j(z) for z in self.weights],
             "norm": norm_to_json(self.norm),
         }
@@ -345,6 +350,7 @@ class RankK:
     duality: np.ndarray = field(init=False, repr=False, compare=False)
     rows: np.ndarray = field(init=False, repr=False, compare=False)
     samples: np.ndarray = field(init=False, repr=False, compare=False)
+    variant: ClassVar[str] = "rank_k"
 
     def __post_init__(self):
         if len(self.functions) != len(self.functionals):
@@ -424,7 +430,7 @@ class RankK:
 
     def to_json(self) -> dict:
         return {
-            "variant": "rank_k",
+            "variant": self.variant,
             "functions": [_function_to_json(f) for f in self.functions],
             "functionals": [_functional_to_json(phi) for phi in self.functionals],
             "space": norm_to_json(self.space),
@@ -590,6 +596,24 @@ def _functional_from_json(data: dict) -> FunctionalRep:
 
 def model_to_json(T: OperatorModel) -> dict:
     return T.to_json()
+
+
+def _canonical_json(data: dict) -> bytes:
+    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+
+
+def model_digest(T: OperatorModel) -> str:
+    """sha256 hex digest that names a model in a report. A `Dense` hashes a
+    canonical compact-JSON header (variant, n, norm) followed by its matrix
+    as little-endian complex128 bytes in C order, so no entry is formatted;
+    any other model hashes the canonical compact JSON of its (small)
+    descriptor. A model read back from its model file has the same digest."""
+    if isinstance(T, Dense):
+        header = {"variant": T.variant, "n": T.dim, "norm": norm_to_json(T.norm)}
+        h = hashlib.sha256(_canonical_json(header))
+        h.update(np.ascontiguousarray(T.matrix, dtype="<c16"))
+        return h.hexdigest()
+    return hashlib.sha256(_canonical_json(model_to_json(T))).hexdigest()
 
 
 def model_from_json(data: dict) -> OperatorModel:

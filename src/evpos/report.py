@@ -25,7 +25,7 @@ from .rng import GENERATOR_NAME
 from .spectral import Spectrum
 from .verify import CheckResult
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 class ReportError(ValueError):
@@ -67,7 +67,6 @@ def check_record(c: CheckResult) -> dict:
         "pass": bool(c.pass_),
         "margin": float(c.margin),
         "tolerance": float(c.tolerance),
-        "applicable": bool(c.applicable),
         "contradiction": bool(c.contradiction),
         "hypotheses": {k: v for k, v in sorted(c.hypotheses.items())},
     }
@@ -152,6 +151,8 @@ def report_from_json(text: str) -> AnalysisReport:
             f"schema version {versions.get('schema')!r} is not supported "
             f"(expected {SCHEMA_VERSION!r})"
         )
+    if set(data["model_descriptor"]) != {"variant", "dim", "norm", "sha256"}:
+        raise ReportError("the model block must hold variant, dim, norm and sha256")
     for rec in data["classification"]:
         if set(rec) - {"notion", "status", "tolerance"}:
             raise ReportError("unknown fields in a classification record")
@@ -161,7 +162,6 @@ def report_from_json(text: str) -> AnalysisReport:
             "pass",
             "margin",
             "tolerance",
-            "applicable",
             "contradiction",
             "hypotheses",
         }

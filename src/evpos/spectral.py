@@ -13,6 +13,9 @@ import scipy.linalg
 
 DIM_CAP = 128
 DEFAULT_TOL = 1e-8
+# eigenvalues near the spectral circle and within this multiple of spr of
+# each other are tested as one multiple eigenvalue; see `_clusters`
+CLUSTER_RADIUS = 2.0**-13
 
 
 class SpectralError(RuntimeError):
@@ -33,13 +36,18 @@ class NotAnEigenvalueError(SpectralError):
 class Spectrum:
     """A matrix A (read-only) with its eigenvalues, its spectral radius and
     ||A||_2, which the solver's trace check takes and the rank thresholds
-    reuse: everything a Perron-Frobenius check reads."""
+    reuse: everything a Perron-Frobenius check reads. `clusters` holds, for
+    each multiple eigenvalue near the spectral circle, the indices of its
+    eigenvalues, its pole order and its spread, the distance of the
+    farthest eigenvalue merged into it (`_clusters`); every other eigenvalue
+    counts as simple."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     spectral_radius: float
     matrix_norm: float
     solver_tolerance: float = DEFAULT_TOL
+    clusters: tuple = ()
 
     @cached_property
     def peripheral(self) -> PeripheralDecomposition:
@@ -51,16 +59,30 @@ class Spectrum:
             float(np.ldexp(1.0, -int(np.frexp(self.spectral_radius)[1]))),
             lams,
             tuple(pole_order(self, lam) for lam in lams),
+            tuple(self.multiplicity(lam) for lam in lams),
+            tuple(self.cluster(lam)[2] for lam in lams),
         )
+
+    def cluster(self, lam: complex) -> tuple:
+        """(indices, pole order, spread) of the eigenvalue nearest lam: its
+        cluster, or ((i,), 1, 0.0) for a simple eigenvalue i."""
+        i = int(np.argmin(np.abs(self.eigenvalues - lam)))
+        return next((c for c in self.clusters if i in c[0]), ((i,), 1, 0.0))
+
+    def multiplicity(self, lam: complex) -> int:
+        """Algebraic multiplicity of the eigenvalue nearest lam."""
+        return len(self.cluster(lam)[0])
 
 
 @dataclass(frozen=True)
 class PeripheralDecomposition:
     """The peripheral eigenvalues lam_k of A, in the order of
-    `peripheral_spectrum`, with their resolvent pole orders m_k and, on first
-    use, the leading Laurent coefficient C_k = (B - c lam_k)^(m-1) P_k of
-    B = c A at c lam_k for each lam_k of the top order m = max m_k, P_k the
-    spectral projection (C_k = P_k when every m_k is 1). c = 2^-e, e the
+    `peripheral_spectrum`, with their resolvent pole orders m_k, their
+    algebraic multiplicities (the rank of each P_k below), their spreads d_k
+    (`Spectrum.clusters`; 0 unless lam_k is a merged cluster's mean) and, on
+    first use, the leading Laurent coefficient C_k = (B - c lam_k)^(m-1) P_k
+    of B = c A at c lam_k for each lam_k of the top order m = max m_k, P_k
+    the spectral projection (C_k = P_k when every m_k is 1). c = 2^-e, e the
     binary exponent of spr, so B is exact and in range at any scale of A,
     and C_k is (A - lam_k)^(m-1) P_k times c^(m-1). Lower orders add no
     n^(m-1) term to the powers of A and get no coefficient."""
@@ -69,6 +91,8 @@ class PeripheralDecomposition:
     scale: float
     eigenvalues: np.ndarray
     pole_orders: tuple
+    multiplicities: tuple
+    spreads: tuple
 
     @property
     def order(self) -> int:
@@ -80,10 +104,30 @@ class PeripheralDecomposition:
         m, c = self.order, self.scale
         B = c * self.matrix
         return {
-            k: laurent_leading_coefficient(B, c * lam, m)
+            k: laurent_leading_coefficient(B, c * lam, m, self.multiplicities[k])
             for k, (lam, mk) in enumerate(zip(self.eigenvalues, self.pole_orders))
             if mk == m
         }
+
+    @cached_property
+    def coefficient_error(self) -> float:
+        """How far the entries of sum_k C_k can move as each lam_k of the
+        top order m moves by up to d_k: by the binomial expansion of
+        (B - c lam)^(m-1) P_k, at most ((a + c d_k)^(m-1) - a^(m-1))
+        ||P_k||_F, a = ||B - c lam_k||_F, summed over k. It is 0 when m = 1
+        or no such lam_k was merged, and otherwise costs one projection per
+        merged lam_k."""
+        m, c = self.order, self.scale
+        B = c * self.matrix
+        eye = np.eye(B.shape[0])
+        err = 0.0
+        for k in self.coefficients if m > 1 else ():
+            lam, d = c * self.eigenvalues[k], c * self.spreads[k]
+            if d > 0:
+                a = np.linalg.norm(B - lam * eye)
+                P = spectral_projection(B, lam, m, self.multiplicities[k])
+                err += ((a + d) ** (m - 1) - a ** (m - 1)) * np.linalg.norm(P)
+        return float(err)
 
 
 def _as_matrix(A) -> np.ndarray:
@@ -97,8 +141,10 @@ def _as_matrix(A) -> np.ndarray:
 
 def eigenvalues(A, tol: float = DEFAULT_TOL) -> Spectrum:
     """Full spectrum via LAPACK's Hessenberg-reduction + shifted-QR solver,
-    cross-checked against the trace. The spectrum keeps A, copied first
-    when it is writable, so it stays the matrix that was solved."""
+    cross-checked against the trace, with the multiple eigenvalues near the
+    spectral circle found and each defective one merged (`_clusters`). The
+    spectrum keeps A, copied first when it is writable, so it stays the
+    matrix that was solved."""
     A = _as_matrix(A)
     if A.flags.writeable:
         A = A.copy()
@@ -111,8 +157,69 @@ def eigenvalues(A, tol: float = DEFAULT_TOL) -> Spectrum:
     scale = np.linalg.norm(A, 2)
     if abs(np.sum(vals) - np.trace(A)) > max(n * tol * scale, n * 1e-12):
         raise SpectralError("eigenvalue sum does not match the trace")
+    vals, clusters = _clusters(A, vals, float(scale))
     spr = float(np.max(np.abs(vals)))
-    return Spectrum(A, vals, spr, float(scale), tol)
+    return Spectrum(A, vals, spr, float(scale), tol, clusters)
+
+
+def _clusters(A: np.ndarray, vals: np.ndarray, norm: float) -> tuple:
+    """(eigenvalues, clusters): the multiple eigenvalues near the spectral
+    circle, as (indices, pole order, spread) triples, with the eigenvalues
+    of each defective one replaced by their mean lam and its spread the
+    largest distance of one of them from lam (0 for a semisimple one, whose
+    eigenvalues are kept). A solver returns an eigenvalue of index m as m
+    eigenvalues about (eps kappa)^(1/m) ||A||_2 apart, kappa the condition
+    of its Jordan basis, and their mean is accurate to about eps ||A||_2.
+    Taking the eigenvalues of modulus >= spr - r, r = CLUSTER_RADIUS * spr,
+    largest first, each joins the first group whose leading eigenvalue lies
+    within r of it, or starts one. With lam the mean of a group of s,
+    B = (lam - A) / (|lam| + ||A||_2) and tau = n eps, the group is one
+    eigenvalue of pole order k when the number of rounding-level (<= tau)
+    values among the s smallest singular values of B^j grows with each
+    j <= k and is s at k, as the kernels of (lam - A)^j grow along Jordan
+    chains. A split that rounding cannot explain fails. The mean of two
+    distinct eigenvalues d apart with coupling c (the off-diagonal entry of
+    their triangular form) gives B a smallest singular value of about
+    (d/2)^2 / c, at rounding level only when a perturbation of about
+    tau ||A||_2 joins them; a semisimple pair gives two of about d/2, and
+    equally spaced semisimple triples one at every power, which does not
+    grow. Such a group stays as simple eigenvalues; so does a Jordan block
+    whose basis is so ill-conditioned that its split exceeds r or its
+    powers miss tau."""
+    spr = float(np.max(np.abs(vals)))
+    if spr == 0.0:
+        return vals, ()
+    mod = np.abs(vals)
+    radius = CLUSTER_RADIUS * spr
+    near = np.flatnonzero(mod >= spr - radius)
+    groups: list = []
+    for i in near[np.argsort(-mod[near], kind="stable")]:
+        home = next((g for g in groups if abs(vals[i] - vals[g[0]]) <= radius), None)
+        if home is None:
+            groups.append([i])
+        else:
+            home.append(i)
+    n = A.shape[0]
+    tau = n * np.finfo(float).eps
+    clusters = []
+    for g in (sorted(g) for g in groups if len(g) > 1):
+        lam = np.mean(vals[g])
+        B = (lam * np.eye(n) - A) / (abs(lam) + norm)
+        power, null = B, 0
+        for k in range(1, len(g) + 1):
+            low = np.linalg.svd(power, compute_uv=False)[n - len(g) :]
+            if np.sum(low <= tau) <= null:
+                break
+            null = int(np.sum(low <= tau))
+            if null == len(g):
+                spread = float(np.max(np.abs(vals[g] - lam))) if k > 1 else 0.0
+                clusters.append((tuple(int(i) for i in g), k, spread))
+                if k > 1:
+                    vals = vals.copy()
+                    vals[g] = lam
+                break
+            power = power @ B
+    return vals, tuple(clusters)
 
 
 def resolvent_matrix(A, lam: complex) -> np.ndarray:
@@ -125,54 +232,48 @@ def resolvent_matrix(A, lam: complex) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), np.eye(A.shape[0], dtype=complex), check_finite=False)
 
 
-def _numeric_rank(s: np.ndarray, tol: float) -> int:
-    """How many of the singular values s, largest first, exceed tol * s[0]."""
-    return int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
-
-
 def pole_order(spec: Spectrum, lam0: complex, tol: float = DEFAULT_TOL) -> int:
-    """Largest Jordan block size at lam0: the first k at which the numeric rank
-    of (lam0 - A)^k stops decreasing, A the spectrum's matrix. lam0 must lie
+    """Largest Jordan block size at lam0, as `eigenvalues` found it: the
+    pole order of lam0's cluster, 1 for a simple eigenvalue. lam0 must lie
     in the spectrum."""
     if np.min(np.abs(spec.eigenvalues - lam0)) > max(tol, 1e-6) * max(spec.matrix_norm, 1.0):
         raise NotAnEigenvalueError(f"{lam0} is not a spectral value")
-    n = spec.matrix.shape[0]
-    B = lam0 * np.eye(n) - spec.matrix
-    # ||B||_2 <= |lam0| + ||A||_2; the rank test is relative, so any bound
-    # that keeps the powers in range will do
-    scale = abs(lam0) + spec.matrix_norm
-    if scale > 0:
-        B = B / scale
-    prev_rank = _numeric_rank(np.linalg.svd(B, compute_uv=False), tol)
-    power = B
-    for k in range(1, n + 1):
-        power = power @ B
-        rank = _numeric_rank(np.linalg.svd(power, compute_uv=False), tol)
-        if rank == prev_rank:
-            return k
-        prev_rank = rank
-    return n
+    return spec.cluster(lam0)[1]
 
 
-def laurent_leading_coefficient(A, lam0: complex, m: int) -> np.ndarray:
-    """Leading Laurent coefficient Q_{-m} = (A - lam0)^{m-1} P of the
-    resolvent at a pole lam0 of order m, where P = V (W^H V)^{-1} W^H is the
-    spectral projection: V and W span the right and left null spaces of
-    (lam0 - A)^m, read from one SVD. Raises when W^H V is ill-conditioned,
-    which happens when lam0 is no eigenvalue or m is below its pole order."""
+def spectral_projection(A, lam0: complex, m: int, multiplicity: int) -> np.ndarray:
+    """Spectral projection P = V (W^H V)^{-1} W^H at an eigenvalue lam0 of
+    index m and algebraic multiplicity s: V and W span the right and left
+    null spaces of (lam0 - A)^m, its s smallest singular vectors from one
+    SVD. Raises when one of those s singular values is above
+    DEFAULT_TOL (|lam0| + ||A||_F)^m or W^H V is ill-conditioned, which
+    happens when lam0 is no eigenvalue, m is below its index or s is
+    wrong."""
     A = _as_matrix(A)
     n = A.shape[0]
     B = lam0 * np.eye(n) - A
     U, s, Vh = np.linalg.svd(np.linalg.matrix_power(B, m))
-    rank = _numeric_rank(s, DEFAULT_TOL)
+    rank = n - multiplicity
     V, W = Vh[rank:].conj().T, U[:, rank:]
     G = W.conj().T @ V
-    if rank == n or np.linalg.svd(G, compute_uv=False)[-1] < DEFAULT_TOL:
+    if (
+        rank == n
+        or s[rank] > DEFAULT_TOL * (abs(lam0) + np.linalg.norm(A)) ** m
+        or np.linalg.svd(G, compute_uv=False)[-1] < DEFAULT_TOL
+    ):
         raise SpectralError(
             f"no well-conditioned spectral projection at {lam0} for pole order {m}"
         )
-    P = V @ np.linalg.solve(G, W.conj().T)
-    return np.linalg.matrix_power(-B, m - 1) @ P
+    return V @ np.linalg.solve(G, W.conj().T)
+
+
+def laurent_leading_coefficient(A, lam0: complex, m: int, multiplicity: int) -> np.ndarray:
+    """Leading Laurent coefficient Q_{-m} = (A - lam0)^{m-1} P of the
+    resolvent at a pole lam0 of order m and algebraic multiplicity s, P the
+    `spectral_projection`; raises where that does."""
+    A = _as_matrix(A)
+    P = spectral_projection(A, lam0, m, multiplicity)
+    return np.linalg.matrix_power(A - lam0 * np.eye(A.shape[0]), m - 1) @ P
 
 
 def geometric_multiplicity(spec: Spectrum, lam: complex, tol: float = DEFAULT_TOL) -> int:
@@ -184,14 +285,22 @@ def geometric_multiplicity(spec: Spectrum, lam: complex, tol: float = DEFAULT_TO
 
 
 def peripheral_spectrum(spec: Spectrum, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of maximal modulus, deduplicated within tol * spr."""
+    """Eigenvalues of modulus >= spr (1 - tol), one for each cluster (its
+    first), in order, less each that lies within tol * spr of one of larger
+    modulus: of two distinct eigenvalues that close only the larger is
+    peripheral."""
     vals = spec.eigenvalues
     spr = spec.spectral_radius
     if spr == 0.0:
         return np.array([0.0 + 0j])
-    selected = vals[np.abs(vals) >= spr * (1.0 - tol)]
-    out: list = []
-    for v in selected:
-        if all(abs(v - u) > tol * spr for u in out):
-            out.append(v)
-    return np.array(out, dtype=complex)
+    later = {i for c in spec.clusters for i in c[0][1:]}
+    sel = np.array(
+        [i for i in np.flatnonzero(np.abs(vals) >= spr * (1.0 - tol)) if i not in later]
+    )
+    v, mod = vals[sel], np.abs(vals[sel])
+    close = np.abs(v[:, None] - v[None, :]) <= tol * spr
+    # row i is beaten by column j of larger modulus, or of equal modulus and first
+    beaten = (mod[None, :] > mod[:, None]) | (
+        (mod[None, :] == mod[:, None]) & (sel[None, :] < sel[:, None])
+    )
+    return v[~np.any(close & beaten, axis=1)]

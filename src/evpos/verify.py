@@ -60,11 +60,10 @@ class CheckResult:
     tolerance: float
     payload: dict = field(default_factory=dict)
     hypotheses: dict = field(default_factory=dict)
-    applicable: bool = True
 
     @property
     def contradiction(self) -> bool:
-        if self.pass_ or not self.applicable:
+        if self.pass_:
             return False
         hyps = [v for v in self.hypotheses.values() if v is not None]
         return bool(hyps) and all(hyps)
@@ -193,7 +192,7 @@ def positive_eigenvector(
     if m == periph.order:
         Q = periph.coefficients[k]
     else:
-        Q = laurent_leading_coefficient(A, spr, m)
+        Q = laurent_leading_coefficient(A, spr, m, periph.multiplicities[k])
 
     def pick(Qm: np.ndarray) -> LatticeVector:
         # Qm x0 for the first canonical positive x0 that Qm does not

@@ -394,6 +394,108 @@ class TestPeripheralRule:
         refuted = classify_asymptotic(Dense(-P, Ell1()))[0].status
         assert refuted.description.startswith("limit point L_1 has entry")
 
+    def test_split_jordan_block_is_one_eigenvalue_of_order_two(self):
+        # similar to J; the solver splits its eigenvalue into 1 +- 3e-8, and
+        # the merged pair has pole order 2. The powers are I + n (A - I), so
+        # the limit point L_0 is the nilpotent part A - I, with -1 at (0, 0)
+        A = np.array([[0.0, 2.0], [-0.5, 2.0]])
+        T = Dense(A, Ell1())
+        periph = T.spectrum.peripheral
+        assert len(periph.eigenvalues) == 1
+        assert abs(periph.eigenvalues[0] - 1.0) < 1e-12
+        assert periph.pole_orders == (2,)
+        report, failed = run_classify(T, "split-jordan", 0)
+        assert not failed
+        cyclicity = next(c for c in report.checks if c["name"] == "peripheral-cyclicity")
+        assert cyclicity["hypotheses"]["power-bounded"] is False
+        status = classify_asymptotic(T)[0].status
+        assert isinstance(status, RefutedWithWitness)
+        assert np.array_equal(status.witness.entries, [1.0, 0.0])
+        assert status.description == (
+            "limit point L_0 has entry (0, 0) at 1 from the positive reals"
+        )
+
+    @pytest.mark.parametrize(
+        "matrix, kind",
+        [
+            (np.diag([1.0, 1.0 - 5e-6, 0.3]), Confirmed),
+            # S^-1 diag(1, 1 - d) S: the projection at 1 has a negative
+            # entry, which the projection of the merged pair (I) would hide;
+            # at d = 5e-9 both eigenvalues lie within tol * spr of spr, and
+            # only the larger is peripheral
+            *(
+                (
+                    np.linalg.solve([[2.0, 1.0], [1.0, 3.0]], np.diag([1.0, 1.0 - d]))
+                    @ np.array([[2.0, 1.0], [1.0, 3.0]]),
+                    RefutedWithWitness,
+                )
+                for d in (5e-8, 5e-9)
+            ),
+        ],
+        ids=["diag-near-spr", "similar-diag-near-spr", "similar-diag-within-tol"],
+    )
+    def test_semisimple_eigenvalues_near_spr_stay_apart(self, matrix, kind):
+        T = Dense(matrix, Ell1())
+        assert T.spectrum.peripheral.pole_orders == (1,)
+        assert T.spectrum.peripheral.multiplicities == (1,)
+        assert len(set(T.spectrum.eigenvalues)) == len(matrix)
+        status = classify_asymptotic(T)[0].status
+        assert type(status) is kind
+        if kind is RefutedWithWitness:
+            assert status.description == (
+                "limit point L_1 has entry (1, 0) at 0.4 from the positive reals"
+            )
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[1.0, 100.0], [0.0, 0.99]], [[1.0, 1e4], [0.0, 0.0]]],
+        ids=["gap-0.01", "idempotent"],
+    )
+    def test_distinct_eigenvalues_of_a_non_normal_matrix_stay_apart(self, matrix):
+        # lam - A at the mean of the pair has one tiny singular value, but
+        # (lam - A)^2 is (gap/2)^2 I, far above rounding, so no merge: A^n
+        # tends to the nonnegative projection [[1, 1e4], [0, 0]] at spr 1
+        T = Dense(np.array(matrix), Ell1())
+        assert T.spectrum.clusters == ()
+        assert T.spectral_radius() == 1.0
+        assert T.spectrum.peripheral.pole_orders == (1,)
+        assert all(isinstance(v.status, Confirmed) for v in classify_asymptotic(T))
+        report, failed = run_classify(T, "non-normal", 0)
+        assert not failed and report.contradiction_count == 0
+
+    @pytest.mark.parametrize("seed", [3, 5, 28])
+    def test_nonnegative_jordan_block_is_merged_without_contradiction(self, seed):
+        # a permuted M (x) J_2(1), M positive with spr 1: the powers are
+        # nonnegative and grow like n, the solver splits the double
+        # eigenvalue 1, and before merging the split read pole order 1 or
+        # refuted from an L_0 entry of the size of the split
+        rng = rng_for(seed, 0)
+        M = rng.uniform(0.1, 1.0, (3, 3))
+        M /= np.max(np.abs(np.linalg.eigvals(M)))
+        p = rng.permutation(6)
+        T = Dense(np.kron(M, [[1.0, 1.0], [0.0, 1.0]])[p][:, p], Ell1())
+        assert T.spectrum.peripheral.pole_orders == (2,)
+        assert T.spectrum.peripheral.multiplicities == (2,)
+        report, failed = run_classify(T, "jordan", 0)
+        assert not failed and report.contradiction_count == 0
+        assert all(
+            isinstance(v.status, UndeterminedUpToHorizon) for v in classify_asymptotic(T)
+        )
+
+    def test_merge_error_keeps_a_refutation_off(self):
+        # 1 and 1 - 1e-6 with coupling 100 lie within rounding of a double
+        # eigenvalue and merge at their mean; L_0 = (A - lam) P then has
+        # -5e-7 at (1, 1), no more than the merge's own error, so the trio is
+        # undetermined rather than refuted against the confirmed eventual one
+        T = Dense(np.array([[1.0, 100.0], [0.0, 1.0 - 1e-6]]), Ell1())
+        periph = T.spectrum.peripheral
+        assert periph.pole_orders == (2,)
+        assert periph.spreads[0] == pytest.approx(5e-7)
+        assert periph.coefficient_error >= 5e-7 * periph.scale
+        report, failed = run_classify(T, "near-double", 0)
+        assert not failed and report.contradiction_count == 0
+        assert isinstance(classify_asymptotic(T)[0].status, UndeterminedUpToHorizon)
+
     def test_diagonal_decided_from_its_symbol_at_any_size(self):
         symbol = np.concatenate([np.linspace(0.0, 0.5, 998), [-1.0, 1.0]])
         u, i, w = classify_asymptotic(Diagonal(symbol, Ell1()))

@@ -22,7 +22,7 @@ from evpos.cli import (
 from evpos.catalog import averaging_plus_slope, get_example
 from evpos.classify import Confirmed, Notion, PositivityVerdict
 from evpos.generators import make_eventually_positive
-from evpos.operators import Dense, Diagonal, RankK, model_to_json, to_dense
+from evpos.operators import Dense, Diagonal, RankK, model_digest, model_to_json, to_dense
 from evpos.spectral import eigenvalues, peripheral_spectrum
 from evpos.lattice import Ell1, Ell2, EllInf
 from evpos.report import (
@@ -215,6 +215,30 @@ class TestRunClassify:
         digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
         assert digest == DENSE_REPORT_SHA256[name]
 
+    def test_report_names_the_model_by_digest(self):
+        # the dim-96 Gaussian's report carries no matrix entries
+        rng = np.random.default_rng([0, 96])
+        z = rng.normal(size=(96, 96)) + 1j * rng.normal(size=(96, 96))
+        model = Dense(z / np.sqrt(2 * 96), Ell1())
+        report, failed = run_classify(model, "gauss-Ell1-96", 0)
+        assert not failed
+        text = report_to_json(report)
+        assert len(text.encode()) < 32_000
+        assert json.loads(text)["model_descriptor"] == {
+            "variant": "dense",
+            "dim": 96,
+            "norm": {"kind": "ell1"},
+            "sha256": model_digest(model),
+        }
+
+    def test_schema_one_report_rejected(self):
+        entry = get_example("rem3.2b")
+        report, _ = run_classify(entry.model, entry.name, 0)
+        data = json.loads(report_to_json(report))
+        data["versions"]["schema"] = "1"
+        with pytest.raises(ReportError):
+            report_from_json(json.dumps(data))
+
     def test_unknown_field_rejected(self):
         entry = get_example("rem3.2b")
         report, _ = run_classify(entry.model, entry.name, 0)
@@ -227,27 +251,27 @@ class TestRunClassify:
 # sha256 of report_to_json for each `run_suite("paper", 0)` report; any change
 # to the catalog report bytes must be deliberate and update these
 PAPER_REPORT_SHA256 = {
-    "ex2.2a": "c243e541e100e5d44ef9315b72fd46ea09cf4d10ff7a99f89911abb8b85e73d3",
-    "ex2.2b": "9902f6e72558dc8248d6f5be393c361938c29d873c9a25e2c28bcd4271958a0d",
-    "ex3.5a": "50f3412e0a9946b1a833e590bdc5d9cf7542858ac763073b5677e19cacf2a87d",
-    "ex3.5b": "b2be13ba50b60102f013df88f205342b2480e4375891228ef93fd5f7192a0a66",
-    "rem3.2b": "347c1e6cb55029356f7613b4d9df81e7429be39128058008729e3dabf6d6a125",
-    "cyclic-block": "38451dd2153c338ee523adf0aea6a29a2a6042f023f285ec28863f22d311dab7",
-    "eventually-positive": "04a0d4f2fdc2a7b097d7d03bfd6fb255266a4bc3715f3c40e85bc1a5dd9ba141",
+    "ex2.2a": "32c7177c7c4dce518da65c9b0fdda34f3498ad9e6bc686855eaaec0d0ba6f5ef",
+    "ex2.2b": "79f57e6e5fe80ffdd65d9c6d917e5662c0200d58ea6a65685198b03cd1965437",
+    "ex3.5a": "3e173f00321a376993ae3416af92e526be4ea5458e4ebc89ad0d2a3143f24d54",
+    "ex3.5b": "c402a8dc4cbe61eaef700ac19451304b77b59e3631c67d49becbc7a5d44b282a",
+    "rem3.2b": "d54928d1ad1eee0a47f3acf78a7d782fa970f2c3829f1a8635292d6e932e244f",
+    "cyclic-block": "ba9f7ecafb1dd8aae7c3da961ddf991f669fcc0edfd8a950d35d4f98f32cc183",
+    "eventually-positive": "7f89ccc1b41ca6b5b3c91fb6ac67eb5d7ef107c809b0367496aac3b39a30f3a2",
 }
 
 # sha256 of the run_classify report of make_eventually_positive(dim, 0.5, 3,
 # norm=N) under the id ep-N-dim, and of the dim-96 Gaussians under the id
 # gauss-N-96, seed 0
 DENSE_REPORT_SHA256 = {
-    "ep-Ell1-8": "1850552fe7d59077070e0d89b76dbd9fc1d10b9f26ca2f7c249402afcc91716f",
-    "ep-Ell1-24": "579a048d41794d5d7e6eeb370459a718217ace52435094986c2075a6eadcad47",
-    "ep-Ell2-8": "9a7c0c6d986f93c97211d0733ac7ff460c6dce06497619d044a0a3b201a09a1a",
-    "ep-Ell2-24": "e07b7f857b60bc8814658d6bc05fc037e21cfbebb9526a4355932ebcfc6dd2a8",
-    "ep-EllInf-8": "625c85f3820a28233d083c216ddec8fa043e91a3407c3fd30df92f34fd9c0c30",
-    "ep-EllInf-24": "92d20fb71c45d8f4085516ee525c1969699b7ec7e7c2d99037394d9273e2db73",
-    "gauss-Ell1-96": "831852d076d05865d0395a04b7704ab5f6930c8bfaf95235369a3e0b73eb1eb2",
-    "gauss-Ell2-96": "f4b22080c94473a696f8dac61681063ebf82fd3e6579775b47198c6b169edaac",
+    "ep-Ell1-8": "cae1885b830c041e6219067ba050eea3d4bb1723d10187b8e926f429b1536027",
+    "ep-Ell1-24": "c1d4e3ce885a0cff2dccf018796caa99cfbd3692df5900dfd030659f909b77bf",
+    "ep-Ell2-8": "b8f50d379f8a397e6f18dbf8d372844a2e1352e5481015e8c034b0b34d5c4590",
+    "ep-Ell2-24": "7c9e5969d3dd2ededda861cc826409f5f0b351971bde8b763ad0c75afbd44faf",
+    "ep-EllInf-8": "410a04175e7db029759ba1d0a7be67b9f1e16f216cace9cbde7fe4f025476494",
+    "ep-EllInf-24": "050bf5d7b6fd95917c35a8054b2795350686451206c376a9f4b6ea281fe04d08",
+    "gauss-Ell1-96": "d6875f2cac8581a23e772c87da266ab73b45296dce10d40fd91acd0db924fa5c",
+    "gauss-Ell2-96": "50274630b40daac016f4fd9a1dff0026cb558ca845a3418e789ddd95eaf7c0e5",
 }
 
 

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from evpos.catalog import averaging_plus_singular, averaging_plus_slope
+from evpos.catalog import averaging_plus_singular, averaging_plus_slope, build_catalog
 from evpos.lattice import (
     Ell1,
     Ell2,
@@ -25,6 +27,7 @@ from evpos.operators import (
     apply,
     apply_functional,
     integrate_product,
+    model_digest,
     model_from_json,
     model_to_json,
     pairing,
@@ -185,6 +188,34 @@ class TestJsonRoundTrip:
     def test_unknown_variant_rejected(self):
         with pytest.raises(OperatorError):
             model_from_json({"variant": "mystery"})
+
+
+class TestModelDigest:
+    def test_dense_digest_is_pinned(self):
+        # the documented recipe: sha256 of the compact sorted-key JSON header,
+        # then the matrix as little-endian complex128 bytes in C order
+        A = np.array([[1 + 2j, -0.5], [0.25j, 3.0]])
+        recipe = hashlib.sha256(b'{"n":2,"norm":{"kind":"ell2"},"variant":"dense"}')
+        recipe.update(A.astype("<c16").tobytes())
+        digest = model_digest(Dense(A, Ell2()))
+        assert digest == recipe.hexdigest()
+        assert digest == "964a54bcd205e2ee3c0e59ca46ddbb8563b6d5a4d8a843639d0c61b309fb1be8"
+
+    def test_one_ulp_or_the_norm_changes_the_digest(self):
+        A = np.array([[1 + 2j, -0.5], [0.25j, 3.0]])
+        B = A.copy()
+        B[1, 0] = complex(B[1, 0].real, np.nextafter(B[1, 0].imag, 1.0))
+        digests = {
+            model_digest(Dense(A, Ell2())),
+            model_digest(Dense(B, Ell2())),
+            model_digest(Dense(A, Ell1())),
+        }
+        assert len(digests) == 3
+
+    @pytest.mark.parametrize("entry", build_catalog(0), ids=lambda e: e.name)
+    def test_model_file_round_trip_keeps_the_digest(self, entry):
+        T = entry.model
+        assert model_digest(model_from_json(model_to_json(T))) == model_digest(T)
 
 
 def _contract_model(kind, n):

@@ -41,6 +41,10 @@ ALLOWLIST = {
     "operators.Dense.power": "closed-form power that power_apply dispatches to",
     "operators.Diagonal.power": "closed-form power that power_apply dispatches to",
     "operators.WeightedShift.power": "closed-form power that power_apply dispatches to",
+    "operators.Dense.to_json": (
+        "writes the dense model-file format that classify reads; the tests "
+        "write their inputs with it"
+    ),
     "operators.pairing": "reference for the closed-form pairings of the rank-k trios",
     "lattice.cone_distance_oracle": "brute-force reference for the cone-distance formula",
     "report.report_from_json": "reads reports back; the round-trip tests use it",

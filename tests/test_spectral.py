@@ -100,6 +100,22 @@ class TestPoleOrder:
         A[2, 2] = 1.0
         assert pole_order(eigenvalues(A), 1.0) == 2
 
+    def test_split_jordan_chain_is_one_cluster(self):
+        # the solver splits the triple eigenvalue of S^-1 J_3(1) S; the
+        # rounding-level null count of (lam - A)^k grows 1, 2, 3
+        S = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+        J = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        spec = eigenvalues(np.linalg.solve(S, J @ S))
+        assert [c[:2] for c in spec.clusters] == [((0, 1, 2), 3)]
+        assert len(set(spec.eigenvalues)) == 1
+        assert pole_order(spec, 1.0) == 3
+        assert spec.multiplicity(1.0) == 3
+
+    def test_semisimple_cluster_keeps_its_eigenvalues(self):
+        spec = eigenvalues(np.diag([1.0, 1.0, -1.0, 0.5]))
+        assert spec.clusters == (((0, 1), 1, 0.0),)
+        assert spec.multiplicity(1.0) == 2 and spec.multiplicity(-1.0) == 1
+
     def test_not_an_eigenvalue(self):
         with pytest.raises(NotAnEigenvalueError):
             pole_order(eigenvalues(np.diag([1.0, 2.0])), 5.0)
@@ -107,27 +123,27 @@ class TestPoleOrder:
 
 class TestLaurent:
     def test_diagonal_projection(self):
-        Q = laurent_leading_coefficient(np.diag([1.0, 0.0]), 1.0, 1)
+        Q = laurent_leading_coefficient(np.diag([1.0, 0.0]), 1.0, 1, 1)
         assert np.allclose(Q, np.diag([1.0, 0.0]), atol=1e-9)
 
     def test_jordan_nilpotent_part(self):
         # R(r, J_2(1)) = [[1/(r-1), 1/(r-1)^2],[0, 1/(r-1)]] so Q_{-2} = N
         J = np.array([[1.0, 1.0], [0.0, 1.0]])
-        Q = laurent_leading_coefficient(J, 1.0, 2)
+        Q = laurent_leading_coefficient(J, 1.0, 2, 2)
         assert np.allclose(Q, [[0.0, 1.0], [0.0, 0.0]], atol=1e-8)
 
     def test_positive_matrix_leading_coefficient_is_positive(self):
         A = np.array([[2.0, 1.0], [1.0, 2.0]])
-        Q = laurent_leading_coefficient(A, 3.0, 1)
+        Q = laurent_leading_coefficient(A, 3.0, 1, 1)
         assert np.min(Q.real) > -1e-10
         assert np.max(np.abs(Q.imag)) < 1e-10
 
     def test_rejects_non_poles(self):
         # 2 is no eigenvalue, and a Jordan block has no projection at order 1
         with pytest.raises(SpectralError):
-            laurent_leading_coefficient(np.diag([-1.0]), 2.0, 1)
+            laurent_leading_coefficient(np.diag([-1.0]), 2.0, 1, 1)
         with pytest.raises(SpectralError):
-            laurent_leading_coefficient(np.array([[1.0, 1.0], [0.0, 1.0]]), 1.0, 1)
+            laurent_leading_coefficient(np.array([[1.0, 1.0], [0.0, 1.0]]), 1.0, 1, 2)
 
     def test_is_the_spectral_projection(self):
         # at a simple pole Q_{-1} = v w^H / (w^H v); exact up to rounding, so
@@ -138,9 +154,9 @@ class TestLaurent:
         lam0, v = float(vals[k].real), vecs[:, k]
         adj_vals, adj_vecs = np.linalg.eig(A.T)
         w = adj_vecs[:, int(np.argmin(np.abs(adj_vals - lam0)))]
-        Q = laurent_leading_coefficient(A, lam0, 1)
+        Q = laurent_leading_coefficient(A, lam0, 1, 1)
         assert np.max(np.abs(Q - np.outer(v, w.conj()) / (w.conj() @ v))) < 1e-12
-        assert np.max(np.abs(laurent_leading_coefficient(A.T, lam0, 1) - Q.conj().T)) < 1e-12
+        assert np.max(np.abs(laurent_leading_coefficient(A.T, lam0, 1, 1) - Q.conj().T)) < 1e-12
         # (r - lam0) R(r) -> Q_{-1} at the rate r - lam0
         errors = [
             np.max(np.abs(2.0**-j * lam0 * resolvent_matrix(A, lam0 * (1 + 2.0**-j)) - Q))
