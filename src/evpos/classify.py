@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .lattice import (
     Ell1,
-    EllInf,
-    GridSup,
     LatticeVector,
     NormKind,
     cone_distance,
@@ -47,9 +45,9 @@ from .witnesses import hat_family_witness, signed_power_witness
 
 DEFAULT_TOL = 1e-9
 HORIZON_EVENTUAL = 30
-HORIZON_ASYMPTOTIC = 200
-EXTREME_POINT_SUP_CAP = 20
-REFUTE_FACTOR = 100.0
+# rows of a rank-k limit point formed at a time, so none is dim x dim
+LIMIT_POINT_ROWS = 64
+EPS = float(np.finfo(float).eps)
 
 
 class NotClassifiableError(RuntimeError):
@@ -213,11 +211,9 @@ def _singular_refutation(T, vectors, notion, horizon, tol) -> Optional[Positivit
     return None
 
 
-def _uniform_verdict(T: RankK, grid_ok, horizon, tol) -> PositivityVerdict:
-    """From the entrywise test of each power T^n, n = 1..horizon, and the
-    shrinking-hat witnesses, which refute when they persist and sharpen."""
-    witnesses = [hat_family_witness(T, n) for n in range(1, horizon + 1)]
-    decay = [0.0 if w is None else -w.value for w in witnesses]
+def _hat_refutation(T: RankK, witnesses, horizon, tol) -> Optional[PositivityVerdict]:
+    """Refuted when the shrinking-hat witness of T^n, n = 1..horizon, persists
+    at every power and sharpens as the family parameter shrinks."""
     if all(w is not None for w in witnesses) and _hat_family_sharpens(T, horizon):
         return PositivityVerdict(
             Notion.UNIFORM_EVENTUAL,
@@ -225,12 +221,27 @@ def _uniform_verdict(T: RankK, grid_ok, horizon, tol) -> PositivityVerdict:
                 tuple(witnesses),
                 "shrinking-hat family keeps a negative value at every power",
             ),
-            tuple(decay),
+            _hat_decay(witnesses),
             tol,
         )
+    return None
+
+
+def _hat_decay(witnesses) -> tuple:
+    return tuple(0.0 if w is None else -w.value for w in witnesses)
+
+
+def _uniform_verdict(T: RankK, grid_ok, witnesses, horizon, tol) -> PositivityVerdict:
+    """From the entrywise test of each power T^n, n = 1..horizon, and the
+    shrinking-hat witnesses that did not refute."""
     flags = [ok and w is None for ok, w in zip(grid_ok, witnesses)]
     return _flag_verdict(
-        Notion.UNIFORM_EVENTUAL, flags, is_positive_operator(T, tol), decay, horizon, tol
+        Notion.UNIFORM_EVENTUAL,
+        flags,
+        is_positive_operator(T, tol),
+        _hat_decay(witnesses),
+        horizon,
+        tol,
     )
 
 
@@ -351,11 +362,21 @@ def _shift_status(T: WeightedShift, tol: float) -> Status:
 
 def _rank_k_eventual(T: RankK, horizon: int, tol: float) -> tuple:
     """From one orbit of T whose blocks hold the powers T^n (uniform notion,
-    unless refuted analytically) next to T^n of the test vectors (the other
-    two)."""
+    while the analytic witnesses and the limit-point rule leave it open) next
+    to T^n of the test vectors (the other two). Each eventual notion implies
+    its asymptotic one, so a refutation by `_rank_k_limit_status` refutes
+    every notion that no analytic witness refuted first; the decays stay
+    those of the orbit and the witnesses."""
     tests = default_test_set(T)
+    limit = _rank_k_limit_status(T, tol) if T.spectral_radius() > 0 else None
+    refuted = limit if isinstance(limit, RefutedWithWitness) else None
     ones = LatticeVector(np.ones(T.dim, dtype=complex), T.norm)
     uniform = _singular_refutation(T, (ones,), Notion.UNIFORM_EVENTUAL, horizon, tol)
+    if uniform is None:
+        hats = [hat_family_witness(T, n) for n in range(1, horizon + 1)]
+        uniform = _hat_refutation(T, hats, horizon, tol)
+    if uniform is None and refuted is not None:
+        uniform = PositivityVerdict(Notion.UNIFORM_EVENTUAL, refuted, _hat_decay(hats), tol)
     individual = _singular_refutation(T, tests.vectors, Notion.INDIVIDUAL_EVENTUAL, horizon, tol)
     k = T.dim if uniform is None else 0
     Y = np.concatenate([np.eye(T.dim)[:, :k], _columns(tests.vectors)], axis=1)
@@ -372,10 +393,15 @@ def _rank_k_eventual(T: RankK, horizon: int, tol: float) -> tuple:
         weak_ok.append(entrywise_positive(values, tol))
         weak_decay.append(float(cone_residual(values).max(initial=0.0)))
     if uniform is None:
-        uniform = _uniform_verdict(T, grid_ok, horizon, tol)
+        uniform = _uniform_verdict(T, grid_ok, hats, horizon, tol)
     if individual is None:
         individual = _individual_verdict(tests, np.array(dists), horizon, tol)
     weak = _flag_verdict(Notion.WEAK_EVENTUAL, weak_ok, True, weak_decay, horizon, tol)
+    if refuted is not None:
+        individual, weak = (
+            v if isinstance(v.status, RefutedWithWitness) else replace(v, status=refuted)
+            for v in (individual, weak)
+        )
     return uniform, individual, weak
 
 
@@ -419,76 +445,36 @@ def weak_eventual(
 
 def delta_n(T: OperatorModel, n: int, spr: Optional[float] = None) -> tuple:
     """(sup over the positive unit ball of d+((T/spr)^n x), a maximiser) for
-    n >= 0, by exact rule: the worst basis column for l1, the 0/1-vertex sup
-    for a sup norm of at most EXTREME_POINT_SUP_CAP nodes. Any other norm
-    raises ValueError."""
+    n >= 0 and an l1 norm, whose ball's extreme points are the basis vectors:
+    the worst basis column. Any other norm raises ValueError."""
     if n < 0:
         raise ValueError(f"delta_n needs n >= 0, got {n}")
-    norm = T.norm
-    vertices = isinstance(norm, (EllInf, GridSup)) and T.dim <= EXTREME_POINT_SUP_CAP
-    if not (isinstance(norm, Ell1) or vertices):
-        raise ValueError(
-            f"no exact delta_n for norm {norm!r} at dim {T.dim}: it needs l1, or a "
-            f"sup norm of at most {EXTREME_POINT_SUP_CAP} nodes"
-        )
+    if not isinstance(T.norm, Ell1):
+        raise ValueError(f"no exact delta_n for norm {T.norm!r}: it needs l1")
     if spr is None:
         spr = T.spectral_radius()
     if spr <= 0:
         raise NotClassifiableError("spectral radius is zero; rescaling undefined")
     power = np.linalg.matrix_power(to_dense(T.scaled(1.0 / spr)).matrix, n)
-    if vertices:
-        value, bits = _sup_over_vertices(power, norm)
-        return value, LatticeVector(bits, norm)
-    dists = cone_distances(power, norm)
+    dists = cone_distances(power, T.norm)
     j = int(np.argmax(dists))
-    return float(dists[j]), LatticeVector(np.eye(T.dim)[j], norm)
+    return float(dists[j]), _basis_vector(T, j)
 
 
-def _sup_over_vertices(power: np.ndarray, norm: NormKind) -> tuple:
-    """(max of d+(power @ v) over the 0/1 vectors v, the first maximiser): the
-    positive unit ball of a sup norm is the convex hull of those vectors. The
-    vectors go through in blocks of 4096 columns."""
-    dim = power.shape[1]
-    best = (0.0, np.zeros(dim))
-    for start in range(0, 2**dim, 4096):
-        masks = np.arange(start, min(start + 4096, 2**dim))
-        bits = ((masks >> np.arange(dim)[:, None]) & 1).astype(float)
-        dists = cone_distances(power @ bits, norm)
-        j = int(np.argmax(dists))
-        if dists[j] > best[0]:
-            best = (float(dists[j]), bits[:, j])
-    return best
-
-
-def _tail_status(decay: np.ndarray, tol: float, horizon: int, witness) -> Status:
-    q = _window(horizon)
-    tail = decay[-q:]
-    prev = decay[-2 * q : -q] if horizon >= 2 * q else decay[:q]
-    if np.max(tail) <= tol:
-        return Confirmed(0)
-    if np.max(tail) >= REFUTE_FACTOR * tol and np.max(tail) >= 0.9 * np.max(prev):
-        return RefutedWithWitness(witness, "tail of the decay sequence does not decay")
-    return UndeterminedUpToHorizon(horizon)
-
-
-def classify_asymptotic(
-    T: OperatorModel, horizon: int = HORIZON_ASYMPTOTIC, tol: float = DEFAULT_TOL
-) -> tuple:
-    """(uniform, individual, weak) asymptotic verdicts. A finite model's three
-    notions coincide (d+(S^n x) <= ||x||_1 max_j d+(S^n e_j), and all norms
-    are equivalent), so they get one status, by exact rule and with no
-    decay: a `Diagonal`'s from its symbol, a `Dense`'s from its peripheral
-    spectral decomposition. A rank-k model's come with decay sequences, from
-    one orbit of T/spr over its function-space test set, `horizon` powers
-    long; only that orbit reads the horizon."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+def classify_asymptotic(T: OperatorModel, tol: float = DEFAULT_TOL) -> tuple:
+    """(uniform, individual, weak) asymptotic verdicts, by exact rule and with
+    no decay. The three notions coincide: S = T/spr is the sum of its
+    peripheral part, whose powers cycle through the limit points, and a part
+    whose powers tend to 0 in operator norm. So each notion holds exactly
+    when every limit point is positive, and the trio gets one status: a
+    `Diagonal`'s from its symbol, a `Dense`'s from its peripheral spectral
+    decomposition, a rank-k model's from its eigen-parameters."""
     spr = T.spectral_radius()
     if spr == 0:
         raise NotClassifiableError("spectral radius is zero; rescaling undefined")
     if isinstance(T, RankK):
-        return _rank_k_asymptotic(T.scaled(1.0 / spr), horizon, tol)
-    if isinstance(T, Diagonal):
+        status = _rank_k_limit_status(T, tol)
+    elif isinstance(T, Diagonal):
         status = _diagonal_limit_status(T, tol)
     else:
         status = _peripheral_status(T, tol)
@@ -521,6 +507,46 @@ def _root_of_unity_order(mu: complex, most: int, tol: float) -> Optional[int]:
     return next((q for q in range(1, most + 1) if abs(mu**q - 1.0) <= q * tol), None)
 
 
+def _not_cyclic(mu: np.ndarray, orders: list, count: int) -> RefutedWithWitness:
+    """The refutation by the paper's cyclicity theorem: an asymptotically
+    positive operator has a cyclic peripheral spectrum, so with `count`
+    peripheral eigenvalues each mu = lam/spr is a root of unity of order at
+    most `count`; orders[k] is None where mu[k] is not."""
+    z = complex(mu[orders.index(None)])
+    return RefutedWithWitness(
+        z,
+        f"peripheral eigenvalue / spr = {z} is no root of unity of order <= "
+        f"{count}: the peripheral spectrum is not cyclic",
+    )
+
+
+def _worst_entry(blocks) -> tuple:
+    """(residual, i, j): the entry of a matrix, given as (first row, row
+    block) pairs, farthest from the positive reals, the first one of a tie;
+    residual 0 when every entry is on them."""
+    worst = (0.0, 0, 0)
+    for start, L in blocks:
+        R = cone_residual(L)
+        i, j = np.unravel_index(int(np.argmax(R)), R.shape)
+        if R[i, j] > worst[0]:
+            worst = (float(R[i, j]), start + int(i), int(j))
+    return worst
+
+
+def _limit_point_refutation(T, worst, r: int, threshold: float) -> Optional[RefutedWithWitness]:
+    """Refuted with witness e_j when the worst entry (i, j) of the limit
+    point L_r lies farther than threshold from the positive reals: the
+    powers S^n with n = r mod p approach L_r, so S^n e_j stays off the cone
+    for infinitely many n."""
+    residual, i, j = worst
+    if residual <= threshold:
+        return None
+    return RefutedWithWitness(
+        _basis_vector(T, j),
+        f"limit point L_{r} has entry ({i}, {j}) at {residual:.6g} from the positive reals",
+    )
+
+
 def _peripheral_status(T: Dense, tol: float) -> Status:
     """Exact, from the peripheral decomposition of T: m the top pole order,
     mu_k = lam_k/spr and C_k = (T - lam_k)^(m-1) P_k for each lam_k of
@@ -530,106 +556,77 @@ def _peripheral_status(T: Dense, tol: float) -> Status:
     tolerance, as the eigenvalues are. Otherwise, with p the lcm of the
     orders, S^n / binom(n, m-1) approaches L_((n - m + 1) mod p), where
     L_r = sum_k mu_k^r C_k / spr^(m-1). With m = 1 the trio holds iff every
-    L_r is positive within tol, and so iff L_1 is: the P_k are disjoint
-    projections, so L_r = L_1^r, and L_0 = L_1^p. With m > 1 an L_r off the
-    cone by more than tol plus the error that merging a split eigenvalue
-    puts into it (`PeripheralDecomposition.coefficient_error`) refutes, as
-    that part of S^n grows, and other ones leave the lower-order terms
-    undecided. The rule steps no power, so an undetermined status has
-    horizon 0."""
+    L_r is positive, and so iff L_1 is: the P_k are disjoint projections,
+    so L_r = L_1^r, and L_0 = L_1^p. With m > 1 an L_r off the cone
+    refutes, as that part of S^n grows, and other ones leave the lower-order
+    terms undecided. Off the cone means beyond tol plus, at m = 1, the
+    rounding of the computed projections, n eps sum_k ||P_k||_F^2 to first
+    order, and at m > 1 the error that merging a split eigenvalue puts into
+    L_r (`PeripheralDecomposition.coefficient_error`). The rule steps no
+    power, so an undetermined status has horizon 0."""
     spec = T.spectrum
     periph, spr = spec.peripheral, spec.spectral_radius
     m = periph.order
     top = [k for k, mk in enumerate(periph.pole_orders) if mk == m]
     mu = periph.eigenvalues[top] / spr
-    q = [_root_of_unity_order(z, len(periph.eigenvalues), spec.solver_tolerance) for z in mu]
+    count = len(periph.eigenvalues)
+    q = [_root_of_unity_order(z, count, spec.solver_tolerance) for z in mu]
     if None in q:
-        if m > 1:
-            return UndeterminedUpToHorizon(0)
-        z = complex(mu[q.index(None)])
-        return RefutedWithWitness(
-            z,
-            f"peripheral eigenvalue / spr = {z} is no root of unity of order <= "
-            f"{len(periph.eigenvalues)}: the peripheral spectrum is not cyclic",
-        )
+        return UndeterminedUpToHorizon(0) if m > 1 else _not_cyclic(mu, q, count)
     C = np.stack([periph.coefficients[k] for k in top]) / (periph.scale * spr) ** (m - 1)
-    worst = (0.0, 0, 0, 0)
-    for r in (1,) if m == 1 else range(math.lcm(*q)):
-        R = cone_residual(np.tensordot(mu**r, C, axes=1))
-        i, j = np.unravel_index(int(np.argmax(R)), R.shape)
-        if R[i, j] > worst[0]:
-            worst = (float(R[i, j]), r, int(i), int(j))
-    residual, r, i, j = worst
-    if residual > tol + periph.coefficient_error / (periph.scale * spr) ** (m - 1):
-        return RefutedWithWitness(
-            _basis_vector(T, j),
-            f"limit point L_{r} has entry ({i}, {j}) at {residual:.6g} from the positive reals",
-        )
-    return Confirmed(0) if m == 1 else UndeterminedUpToHorizon(0)
+
+    def worst(r):
+        return _worst_entry([(0, np.tensordot(mu**r, C, axes=1))]), r
+
+    if m == 1:
+        # to first order, rounding moves a computed projection P by its
+        # condition number ||P|| times a backward error of n eps ||P||
+        slack = T.dim * EPS * float(np.sum(np.linalg.norm(C, axis=(1, 2)) ** 2))
+        return _limit_point_refutation(T, *worst(1), tol + slack) or Confirmed(0)
+    threshold = tol + periph.coefficient_error / (periph.scale * spr) ** (m - 1)
+    # the first r of the worst entry over every r < p
+    entry, r = max(map(worst, range(math.lcm(*q))), key=lambda w: w[0][0])
+    return _limit_point_refutation(T, entry, r, threshold) or UndeterminedUpToHorizon(0)
 
 
-def _rank_k_asymptotic(S: RankK, horizon: int, tol: float) -> tuple:
-    """One orbit of S = T/spr whose blocks hold the test vectors after the
-    powers (a grid of at most EXTREME_POINT_SUP_CAP nodes, for the vertex
-    sup) or before Monte Carlo samples (a lower bound of the uniform decay).
-    Each block's residual is taken once."""
-    tests = default_test_set(S)
-    norm, dim = S.norm, S.dim
-    X = _columns(tests.vectors)
-    vertices = isinstance(norm, GridSup) and dim <= EXTREME_POINT_SUP_CAP
-    if vertices:
-        k, Y = dim, np.concatenate([np.eye(dim), X], axis=1)
-    else:
-        mc_rng = rng_for(0, 99)
-        samples = _columns(
-            _normalized_positive(mc_rng.uniform(0.0, 1.0, size=dim), norm) for _ in range(32)
-        )
-        k, Y = 0, np.concatenate([X, samples], axis=1)
-        uniform_witness = "monte-carlo lower bound"
-    nx = len(tests.vectors)
-    cols = slice(k, k + nx)
-    q = _window(horizon)
-    pair = _pairings(S, tests)
-    uniform_decay = np.zeros(horizon + 1)
-    ind_decay = np.zeros((horizon + 1, nx))
-    weak_decay = np.zeros(horizon + 1)
-    weak_tail = 0.0  # per pairing, the largest residual in the tail
-    for n, Z in enumerate(S.orbit(Y, horizon)):
-        dists = cone_distances(Z, norm)
-        ind_decay[n] = dists[cols]
-        if vertices:
-            uniform_decay[n], bits = _sup_over_vertices(Z[:, :dim], norm)
-            uniform_witness = LatticeVector(bits, norm)
-        else:
-            uniform_decay[n] = float(dists.max())
-        residual = cone_residual(pair(n, Z[:, cols]))
-        weak_decay[n] = residual.max(initial=0.0)
-        if n > horizon - q:
-            weak_tail = np.maximum(weak_tail, residual)
-
-    scales = np.array([max(norm_value(x), 1e-300) for x in tests.vectors])
-    ind_decay = ind_decay / scales[None, :]
-    ind_worst = int(np.argmax(ind_decay[-q:].max(axis=0)))
-    wi, wj = np.unravel_index(int(np.argmax(weak_tail)), weak_tail.shape)
-    weak_witness = (tests.vectors[wi], tests.functionals[wj])
-    witnesses = (uniform_witness, tests.vectors[ind_worst], weak_witness)
-    decays = (uniform_decay, ind_decay.max(axis=1), weak_decay)
-    return tuple(
-        PositivityVerdict(notion, _tail_status(decay, tol, horizon, witness), tuple(decay), tol)
-        for notion, decay, witness in zip(_ASYMPTOTIC_CHAIN, decays, witnesses)
+def _rank_k_limit_status(T: RankK, tol: float) -> Status:
+    """Exact, from the eigen-parameters: T^n = sum_i lam_i^(n-1) f_i (x) phi_i
+    with phi_i(f_j) = lam_i delta_ij, so each lam_i != 0 is semisimple with
+    spectral projection P_i = f_i (x) phi_i / lam_i, the P_i are disjoint,
+    and with mu = lam/spr, S^n = sum_i mu_i^n P_i. The peripheral indices
+    are those with |mu_i| >= 1 - tol; the other terms tend to 0 in operator
+    norm. As for a `Dense` with m = 1, a peripheral mu_i that is no root of
+    unity of order at most their number refutes, and otherwise the limit
+    point L_1 = sum_i mu_i P_i over the peripheral i, the operator
+    samples[:, I] rows[I] / spr that the orbit steps (I those indices),
+    decides, beyond tol plus the rounding of its entries. L_1 is read
+    LIMIT_POINT_ROWS rows at a time, so no dim x dim matrix is formed."""
+    spr = T.spectral_radius()
+    mu = T.eigen_parameters / spr
+    periph = np.flatnonzero(np.abs(mu) >= 1.0 - tol)
+    q = [_root_of_unity_order(z, len(periph), tol) for z in mu[periph]]
+    if None in q:
+        return _not_cyclic(mu[periph], q, len(periph))
+    F, Phi = T.samples[:, periph], T.rows[periph] / spr
+    blocks = (
+        (start, F[start : start + LIMIT_POINT_ROWS] @ Phi)
+        for start in range(0, T.dim, LIMIT_POINT_ROWS)
     )
+    # each entry is a sum of len(periph) products f_i(a) phi_i(b) / spr
+    slack = len(periph) * EPS * float(np.abs(F).max(axis=0) @ np.abs(Phi).max(axis=1))
+    return _limit_point_refutation(T, _worst_entry(blocks), 1, tol + slack) or Confirmed(0)
 
 
-def _pairings(S: RankK, tests: ConeTestSet):
-    """pair(n, block)[i, j] = <x'_j, S^n x_i>, with S^n x_i in the block's
+def _pairings(T: RankK, tests: ConeTestSet):
+    """pair(n, block)[i, j] = <x'_j, T^n x_i>, with T^n x_i in the block's
     columns; for n >= 1 in closed form, with the exact pairings <x'_j, f> of
     the model's functions."""
-    C = np.stack([S.coefficients(x.entries) for x in tests.vectors])
+    C = np.stack([T.coefficients(x.entries) for x in tests.vectors])
     D = np.array(
-        [[apply_functional(phi, f, S.space) for f in S.functions] for phi in tests.functionals]
+        [[apply_functional(phi, f, T.space) for f in T.functions] for phi in tests.functionals]
     )
-    R = np.stack([quadrature_row(phi, S.space) for phi in tests.functionals])
-    lam = S.eigen_parameters
+    R = np.stack([quadrature_row(phi, T.space) for phi in tests.functionals])
+    lam = T.eigen_parameters
     return lambda n, block: block.T @ R.T if n == 0 else (C * lam ** (n - 1)) @ D.T
 
 

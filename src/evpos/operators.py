@@ -189,8 +189,8 @@ def apply_functional(
 #
 # Each model supplies the same methods: power(n, entries) for T^n on an entry
 # array (n >= 1, unchecked), orbit(Y, horizon) that streams Y, TY, ...,
-# T^horizon Y for a dim x m block Y, dense(), scaled(c) for c*T,
-# spectral_radius() and to_json().
+# T^horizon Y for a dim x m block Y, dense(), spectral_radius() and
+# to_json(); the finite models also scaled(c) for c*T.
 
 
 def _iterate(step, Y: np.ndarray, horizon: int):
@@ -411,17 +411,6 @@ class RankK:
 
     def dense(self) -> Dense:
         return Dense(self.samples @ self.rows, self.space)
-
-    def scaled(self, c: float) -> RankK:
-        scaled = []
-        for phi in self.functionals:
-            if isinstance(phi, WeightedIntegral):
-                scaled.append(WeightedIntegral(phi.weight, phi.scale * c))
-            else:
-                scaled.append(
-                    PointCombination(phi.points, tuple(np.asarray(phi.coefficients) * c))
-                )
-        return RankK(self.functions, tuple(scaled), self.space)
 
     def spectral_radius(self) -> float:
         # with a diagonal duality matrix the nonzero eigenvalues are exactly

@@ -34,7 +34,6 @@ from .spectral import (
     Spectrum,
     geometric_multiplicity,
     laurent_leading_coefficient,
-    peripheral_spectrum,
 )
 
 DEFAULT_TOL = 1e-8
@@ -249,11 +248,12 @@ def peripheral_cyclicity_check(
     tol: float = DEFAULT_TOL,
 ) -> CheckResult:
     """Every power spr*e^{ik theta} (|k| <= K) of a peripheral eigenvalue
-    spr*e^{i theta} must land within tol*spr of an eigenvalue."""
+    spr*e^{i theta} (of `Spectrum.peripheral`) must land within tol*spr of an
+    eigenvalue."""
     spr = spec.spectral_radius
     hyp = {"power-bounded": power_bounds["power_bounded"]}
     hyp.update(_verdict_hypothesis("uniform-asymptotic-positive", asymptotic_verdict))
-    periph = peripheral_spectrum(spec, tol)
+    periph = spec.peripheral.eigenvalues
     worst = 0.0
     rows = []
     for lam in periph:
@@ -284,12 +284,13 @@ def multiplicity_monotonicity_check(
     tol: float = DEFAULT_TOL,
 ) -> CheckResult:
     """dim ker(spr e^{i theta} - A) <= dim ker(spr e^{i n theta} - A) for
-    each peripheral eigenvalue and each n; a power that misses the spectrum
-    entirely is recorded as a cyclicity failure."""
+    each peripheral eigenvalue (of `Spectrum.peripheral`) and each n; a
+    power that misses the spectrum entirely is recorded as a cyclicity
+    failure."""
     spr = spec.spectral_radius
     hyp = {"power-bounded": power_bounds["power_bounded"]}
     hyp.update(_verdict_hypothesis("weak-asymptotic-positive", asymptotic_verdict))
-    periph = peripheral_spectrum(spec, tol)
+    periph = spec.peripheral.eigenvalues
     # a target within tol * spr of an eigenvalue lands on the peripheral one
     # nearest to it, so each multiplicity is computed once
     mults = [geometric_multiplicity(spec, lam) for lam in periph]

@@ -179,7 +179,7 @@ def test_criterion_3_drift_truncation():
             49.0 / 50.0, abs=1e-8
         )
 
-        u, i, w = classify_asymptotic(T, horizon=120)
+        u, i, w = classify_asymptotic(T)
         assert isinstance(u.status, RefutedWithWitness)
         assert isinstance(i.status, RefutedWithWitness)
         assert isinstance(w.status, RefutedWithWitness)
@@ -207,7 +207,7 @@ def test_criterion_4_nonreal_diagonal():
             expected = 0.0 if n % 4 == 0 else 2.0**-n
             assert val == pytest.approx(expected, abs=1e-12)
 
-        u, i, w = classify_asymptotic(T, horizon=80)
+        u, i, w = classify_asymptotic(T)
         assert isinstance(u.status, Confirmed)
         assert isinstance(i.status, Confirmed)
         assert isinstance(w.status, Confirmed)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,8 +33,19 @@ from evpos.classify import (
 )
 from evpos.cli import run_classify
 from evpos.generators import cyclic_block, make_eventually_positive
-from evpos.lattice import Ell1, Ell2, EllInf, LatticeVector
-from evpos.operators import Dense, Diagonal, WeightedShift, pairing
+from evpos.lattice import Ell1, Ell2, EllInf, GridSup, LatticeVector, cone_residual
+from evpos.operators import (
+    Constant,
+    Dense,
+    Diagonal,
+    Monomial,
+    PointCombination,
+    RankK,
+    WeightedIntegral,
+    WeightedShift,
+    pairing,
+    to_dense,
+)
 from evpos.report import verdict_record
 from evpos.rng import rng_for
 
@@ -158,10 +170,9 @@ class TestEventualClassification:
 
     def test_horizon_must_be_positive(self):
         T = nonreal_diagonal()
-        for classify in (classify_eventual, classify_asymptotic):
-            for horizon in (0, -3):
-                with pytest.raises(ValueError, match="horizon"):
-                    classify(T, horizon=horizon)
+        for horizon in (0, -3):
+            with pytest.raises(ValueError, match="horizon"):
+                classify_eventual(T, horizon=horizon)
 
     @pytest.mark.parametrize(
         "T",
@@ -262,9 +273,10 @@ class TestDeltaN:
             if n % 4:
                 assert np.array_equal(witness.entries, [0, 1])
 
-    def test_sup_norm_enumeration_cap(self):
-        T = Dense(np.eye(25, dtype=complex), EllInf())
-        with pytest.raises(ValueError, match="sup norm"):
+    @pytest.mark.parametrize("dim", [2, 25])
+    def test_sup_norm_rejected_at_any_size(self, dim):
+        T = Dense(np.eye(dim, dtype=complex), EllInf())
+        with pytest.raises(ValueError, match="no exact delta_n"):
             delta_n(T, 1)
 
     def test_norm_without_exact_rule_rejected(self):
@@ -284,19 +296,19 @@ class TestDeltaN:
 
 class TestAsymptotic:
     def test_nonreal_diagonal_all_confirmed(self):
-        u, i, w = classify_asymptotic(nonreal_diagonal(), horizon=80)
+        u, i, w = classify_asymptotic(nonreal_diagonal())
         assert isinstance(u.status, Confirmed)
         assert isinstance(i.status, Confirmed)
         assert isinstance(w.status, Confirmed)
 
     def test_drift_diagonal_all_refuted(self):
-        u, i, w = classify_asymptotic(diagonal_drift(50), horizon=120)
+        u, i, w = classify_asymptotic(diagonal_drift(50))
         assert isinstance(u.status, RefutedWithWitness)
         assert isinstance(i.status, RefutedWithWitness)
         assert isinstance(w.status, RefutedWithWitness)
 
     def test_drift_uniform_witness_is_last_basis_vector(self):
-        u, _, _ = classify_asymptotic(diagonal_drift(50), horizon=120)
+        u, _, _ = classify_asymptotic(diagonal_drift(50))
         witness = u.status.witness
         assert isinstance(witness, LatticeVector)
         # the worst direction is the symbol entry closest to -1
@@ -305,7 +317,7 @@ class TestAsymptotic:
 
     def test_positive_matrix_confirmed(self):
         A = Dense(np.array([[0.6, 0.4], [0.3, 0.7]]), Ell1())
-        u, i, w = classify_asymptotic(A, horizon=60)
+        u, i, w = classify_asymptotic(A)
         assert isinstance(u.status, Confirmed)
 
     def test_rotation_refuted(self):
@@ -315,7 +327,7 @@ class TestAsymptotic:
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         )
         for scale in (1.0, 1e-12):
-            u, i, w = classify_asymptotic(Dense(scale * R, Ell2()), horizon=120)
+            u, i, w = classify_asymptotic(Dense(scale * R, Ell2()))
             assert isinstance(w.status, RefutedWithWitness)
         # so the peripheral checks keep their refuted hypotheses
         report, failed = run_classify(Dense(1e-12 * ROTATION, Ell1()), "rotation", 0)
@@ -362,16 +374,16 @@ class TestPeripheralRule:
     )
     def test_rule_agrees_with_delta_n(self, matrix, kind, p):
         T = Dense(matrix, Ell1())
-        trios = [classify_asymptotic(T, horizon=h) for h in (1, 7, HORIZON_EVENTUAL, 200)]
-        # the same verdict at every horizon, as its report record shows it
-        records = {str(verdict_record(v)["status"]) for trio in trios for v in trio}
-        assert len(records) == 1 and all(v.decay == () for trio in trios for v in trio)
-        status = trios[0][0].status
+        trio = classify_asymptotic(T)
+        # one verdict for the three notions, as its report record shows it
+        records = {str(verdict_record(v)["status"]) for v in trio}
+        assert len(records) == 1 and all(v.decay == () for v in trio)
+        status = trio[0].status
         assert type(status) is kind, status
         # refuted exactly when some power in the window stays off the cone:
         # a Jordan block whose powers are all positive stays undetermined,
         # which is sound but not sharp
-        tol = trios[0][0].tolerance
+        tol = trio[0].tolerance
         deltas = [delta_n(T, n)[0] for n in range(30_000, 30_000 + p)]
         assert (max(deltas) > tol) == (kind is RefutedWithWitness), deltas
 
@@ -496,6 +508,26 @@ class TestPeripheralRule:
         assert not failed and report.contradiction_count == 0
         assert isinstance(classify_asymptotic(T)[0].status, UndeterminedUpToHorizon)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rounding_of_a_large_projection_does_not_refute(self, seed):
+        # a permuted D B D^-1, B block diagonal with two or three positive
+        # blocks of spectral radius 1 and D = diag(10^u), u uniform in
+        # (-3, 3): nonnegative, with a semisimple multiple eigenvalue 1 whose
+        # projection has entries up to about 1e5, and whose computed L_1 has
+        # entries down to about -3e-9 by rounding alone (seed 0)
+        rng = rng_for(seed, 36)
+        blocks = []
+        for _ in range(int(rng.integers(2, 4))):
+            M = rng.uniform(0.1, 1.0, size=(int(rng.integers(2, 4)),) * 2)
+            blocks.append(M / np.max(np.abs(np.linalg.eigvals(M))))
+        B = scipy.linalg.block_diag(*blocks)
+        d = 10.0 ** rng.uniform(-3.0, 3.0, size=len(B))
+        p = rng.permutation(len(B))
+        T = Dense((d[:, None] * B / d[None, :])[p][:, p], Ell1())
+        report, failed = run_classify(T, "scaled-blocks", 0)
+        assert not failed and report.contradiction_count == 0
+        assert all(isinstance(v.status, Confirmed) for v in classify_asymptotic(T))
+
     def test_diagonal_decided_from_its_symbol_at_any_size(self):
         symbol = np.concatenate([np.linspace(0.0, 0.5, 998), [-1.0, 1.0]])
         u, i, w = classify_asymptotic(Diagonal(symbol, Ell1()))
@@ -503,6 +535,117 @@ class TestPeripheralRule:
         assert np.flatnonzero(u.status.witness.entries).tolist() == [998]
         squared = classify_asymptotic(Diagonal(symbol[1:] ** 2, Ell1()))[0]
         assert squared.status == Confirmed(0)
+
+
+def _slope_model(c, nodes=41) -> RankK:
+    """g -> (1/2) int g + c (g(1) - g(-1)) x on a sup-norm grid over [-1, 1],
+    with eigen-parameters 1 and 2c. The trapezoid rows integrate 1 and x
+    exactly, so the dense view has the same powers as the model's orbit."""
+    return RankK(
+        (Constant(1.0), Monomial(1)),
+        (WeightedIntegral(Constant(1.0), 0.5), PointCombination((1.0, -1.0), (c, -c))),
+        GridSup(tuple(np.linspace(-1.0, 1.0, nodes))),
+    )
+
+
+SLOPES = [0.25, 0.75, 0.5, -0.5, 0.5j]
+SLOPE_IDS = ["c=0.25", "c=0.75", "c=0.5", "c=-0.5", "c=0.5j"]
+
+
+class TestRankKLimitRule:
+    """A rank-k model's asymptotic trio is decided from its eigen-parameters,
+    with one status and no decay, and agrees with brute-force powers of its
+    dense view over p consecutive powers near n = 1,000, p the lcm of the
+    peripheral root orders."""
+
+    @pytest.mark.parametrize(
+        "c, kind, p",
+        [
+            # lam = (1, 0.5): S^n tends to the averaging projection
+            (0.25, Confirmed, 1),
+            # lam = (1, 1.5): S^n tends to the slope projection
+            (0.75, RefutedWithWitness, 1),
+            # lam = (1, 1): S^n = T, which maps a hat at 1 negative
+            (0.5, RefutedWithWitness, 1),
+            # lam = (1, -1): the odd powers are P_1 - P_2
+            (-0.5, RefutedWithWitness, 2),
+            # lam = (1, i): i^2 = -1 is no eigenvalue, so not cyclic
+            (0.5j, RefutedWithWitness, 4),
+        ],
+        ids=SLOPE_IDS,
+    )
+    def test_rule_agrees_with_brute_force_powers(self, c, kind, p):
+        T = _slope_model(c)
+        trio = classify_asymptotic(T)
+        assert all(v.status is trio[0].status and v.decay == () for v in trio)
+        assert type(trio[0].status) is kind, trio[0].status
+        A = to_dense(T).matrix / T.spectral_radius()
+        S = np.linalg.matrix_power(A, 1_000)
+        residuals = []
+        for _ in range(p):
+            residuals.append(float(cone_residual(S).max()))
+            S = S @ A
+        assert (max(residuals) > trio[0].tolerance) == (kind is RefutedWithWitness), residuals
+
+    @pytest.mark.parametrize("c", [0.75, 0.5, -0.5])
+    def test_limit_point_witness_is_a_basis_vector(self, c):
+        T = _slope_model(c)
+        status = classify_asymptotic(T)[0].status
+        j = int(np.flatnonzero(status.witness.entries)[0])
+        e = np.eye(T.dim)[j]
+        assert np.array_equal(status.witness.entries, e)
+        assert status.description.startswith("limit point L_1 has entry")
+        # S^n e_j stays off the cone along n = 1 mod 2
+        A = to_dense(T).matrix / T.spectral_radius()
+        assert cone_residual(np.linalg.matrix_power(A, 1_001) @ e).max() > 0.4
+
+    @pytest.mark.parametrize("c", SLOPES, ids=SLOPE_IDS)
+    def test_refuted_limit_refutes_the_eventual_trio(self, c):
+        # each eventual notion implies its asymptotic one, so no eventual
+        # verdict may be confirmed above the refuted trio
+        report, failed = run_classify(_slope_model(c), "slope", 0)
+        assert not failed and report.contradiction_count == 0
+        kinds = {r["notion"]: r["status"]["kind"] for r in report.classification}
+        refuted = {notion for notion, kind in kinds.items() if kind == "refuted"}
+        if c == 0.25:
+            assert refuted == {"uniform-eventual"}
+        else:
+            assert refuted == set(kinds)
+
+    @pytest.mark.parametrize("c, kind", [(0.25, Confirmed), (0.5, RefutedWithWitness)])
+    def test_large_grid_never_densifies(self, c, kind, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a rank-k model was densified")
+
+        monkeypatch.setattr(RankK, "dense", refuse)
+        T = _slope_model(c, nodes=1_001)
+        tracemalloc.start()
+        try:
+            trio = classify_asymptotic(T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(trio[0].status) is kind
+        # one dim x dim array of floats alone would take dim^2 * 8 bytes
+        assert peak < T.dim**2 * 8
+
+    def test_eventual_orbit_carries_the_identity_only_while_uniform_is_open(self, monkeypatch):
+        widths = []
+        orbit = RankK.orbit
+
+        def recording(self, Y, horizon):
+            widths.append(Y.shape[1])
+            return orbit(self, Y, horizon)
+
+        monkeypatch.setattr(RankK, "orbit", recording)
+        slope = averaging_plus_slope()
+        tests = len(default_test_set(slope).vectors)
+        averaging = RankK((Constant(1.0),), (WeightedIntegral(Constant(1.0), 0.5),), slope.space)
+        # refuted by the shrinking hats (ex2.2a), open (a positive operator),
+        # refuted by the limit-point rule
+        for T in (slope, averaging, _slope_model(0.5j, slope.dim)):
+            classify_eventual(T)
+        assert widths == [tests, slope.dim + tests, tests]
 
 
 def _eventually_positive(dim, norm):

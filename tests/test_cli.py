@@ -138,6 +138,7 @@ class TestRunClassify:
                 "geometric_multiplicity",
                 "resolvent_matrix",
                 "laurent_leading_coefficient",
+                "peripheral_spectrum",
             )
         }
         originals["power_bounded_estimate"] = evpos.verify.power_bounded_estimate
@@ -161,8 +162,10 @@ class TestRunClassify:
         assert eigenvector == (name != "ex3.5a")
         # a Dense's asymptotic rule computes each peripheral coefficient once,
         # and the eigenvector check reuses the one at spr; ex3.5a's rule reads
-        # its symbol, and no eigenvector check runs
+        # its symbol, and no eigenvector check runs. The peripheral spectrum
+        # is found once, and every check reads it from the Spectrum
         assert calls == {
+            "peripheral_spectrum": 1,
             "eigenvalues": 1,
             "power_bounded_estimate": 1,
             "pole_order": periph,
@@ -249,10 +252,12 @@ class TestRunClassify:
 
 
 # sha256 of report_to_json for each `run_suite("paper", 0)` report; any change
-# to the catalog report bytes must be deliberate and update these
+# to the catalog report bytes must be deliberate and update these. The rank-k
+# entries ex2.2a and ex2.2b carry no asymptotic decay: their asymptotic trio
+# is decided by the limit-point rule.
 PAPER_REPORT_SHA256 = {
-    "ex2.2a": "32c7177c7c4dce518da65c9b0fdda34f3498ad9e6bc686855eaaec0d0ba6f5ef",
-    "ex2.2b": "79f57e6e5fe80ffdd65d9c6d917e5662c0200d58ea6a65685198b03cd1965437",
+    "ex2.2a": "3c35ee7feae0dcce7b9236c8dc6a29fa6323c3f10ee4071bdce3278006100b31",
+    "ex2.2b": "269f288ed7ac079dec18bd275ae30cb2c8491475e5739ac941b630ea9c3e4418",
     "ex3.5a": "3e173f00321a376993ae3416af92e526be4ea5458e4ebc89ad0d2a3143f24d54",
     "ex3.5b": "c402a8dc4cbe61eaef700ac19451304b77b59e3631c67d49becbc7a5d44b282a",
     "rem3.2b": "d54928d1ad1eee0a47f3acf78a7d782fa970f2c3829f1a8635292d6e932e244f",

@@ -21,7 +21,15 @@ from evpos.catalog import build_catalog
 from evpos.cli import main
 from evpos.generators import make_eventually_positive
 from evpos.lattice import EllInf, GridSup
-from evpos.operators import Constant, Dense, RankK, WeightedIntegral, model_to_json
+from evpos.operators import (
+    Constant,
+    Dense,
+    Monomial,
+    PointCombination,
+    RankK,
+    WeightedIntegral,
+    model_to_json,
+)
 
 # "module.qualname": why the function stays although no command line reaches it
 ALLOWLIST = {
@@ -32,7 +40,7 @@ ALLOWLIST = {
         "compare classify_eventual with"
     ),
     "classify.delta_n": (
-        "benchmark span, and the brute-force reference that the peripheral "
+        "benchmark span, and the brute-force l1 reference that the peripheral "
         "rule for finite models is tested against"
     ),
     "spectral.resolvent_matrix": "benchmark span (perfbench/spans.py)",
@@ -45,7 +53,9 @@ ALLOWLIST = {
         "writes the dense model-file format that classify reads; the tests "
         "write their inputs with it"
     ),
-    "operators.pairing": "reference for the closed-form pairings of the rank-k trios",
+    "operators.pairing": (
+        "reference for the closed-form pairings of the rank-k weak eventual notion"
+    ),
     "lattice.cone_distance_oracle": "brute-force reference for the cone-distance formula",
     "report.report_from_json": "reads reports back; the round-trip tests use it",
 }
@@ -60,9 +70,10 @@ LIBRARY_MODULES = {
 
 
 def _command_lines(tmp):
-    """Each catalog example and its model file, an l-inf dense file, rank-k
-    files on a 41-node and a 5-node grid, a dense file above the spectral
-    cap, the generators, the suites, orbits and the bad-input exits."""
+    """Each catalog example and its model file, an l-inf dense file, two
+    rank-k files on a 41-node grid, a dense file above the spectral cap and
+    one with a peripheral Jordan block, the generators, the suites, orbits
+    and the bad-input exits."""
 
     def write(name, content):
         path = os.path.join(tmp, name)
@@ -76,17 +87,23 @@ def _command_lines(tmp):
         lines.append(["classify", write(f"{entry.name}.json", model_to_json(entry.model))])
     inf = make_eventually_positive(5, 0.5, 1, norm=EllInf()).model
     lines.append(["classify", write("ellinf.json", model_to_json(inf))])
-    # the averaging operator g -> (1/2) int g is positive, so its rank-k uniform
-    # trio gets past the refuting witnesses; 41 nodes keep the dense checks,
-    # and 5 nodes take the asymptotic vertex sup of a small grid
-    for nodes in (41, 5):
-        averaging = RankK(
-            (Constant(1.0),),
-            (WeightedIntegral(Constant(1.0), 0.5),),
-            GridSup(tuple(np.linspace(-1.0, 1.0, nodes))),
-        )
-        lines.append(["classify", write(f"rank-k-{nodes}.json", model_to_json(averaging))])
+    # on a 41-node grid, which keeps the dense checks: the averaging operator
+    # g -> (1/2) int g is positive, so its rank-k uniform trio gets past the
+    # refuting witnesses; adding i x (g(1) - g(-1)) / 2 puts i, but not -1,
+    # in the peripheral spectrum, which the cyclicity rule refutes
+    grid = GridSup(tuple(np.linspace(-1.0, 1.0, 41)))
+    averaging = RankK((Constant(1.0),), (WeightedIntegral(Constant(1.0), 0.5),), grid)
+    rotating = RankK(
+        (Constant(1.0), Monomial(1)),
+        (WeightedIntegral(Constant(1.0), 0.5), PointCombination((1.0, -1.0), (0.5j, -0.5j))),
+        grid,
+    )
+    lines.append(["classify", write("rank-k-averaging.json", model_to_json(averaging))])
+    lines.append(["classify", write("rank-k-rotating.json", model_to_json(rotating))])
     lines.append(["classify", write("dense129.json", model_to_json(Dense(np.eye(129), EllInf())))])
+    # a peripheral Jordan block, whose limit points allow for the merge error
+    jordan = Dense(np.array([[1.0, 1.0], [0.0, 1.0]]), EllInf())
+    lines.append(["classify", write("jordan.json", model_to_json(jordan))])
     for spec in ("eventually_positive:dim=4", "positive_random:dim=3", "cyclic_block:k=3"):
         lines.append(["classify", "--generate", spec, "--horizon", "20", "--tol", "1e-8"])
     lines.append(["classify", "--example", "rem3.2b", "--out", os.path.join(tmp, "out.json")])

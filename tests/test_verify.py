@@ -50,9 +50,7 @@ class TestSprInSpectrum:
         from evpos.operators import Diagonal
         from evpos.classify import Confirmed
 
-        u, _, _ = classify_asymptotic(
-            Diagonal(np.diag(DRIFT), Ell1()), horizon=120
-        )
+        u, _, _ = classify_asymptotic(Diagonal(np.diag(DRIFT), Ell1()))
         gated = CheckResult(
             result.name,
             result.pass_,
@@ -131,7 +129,7 @@ class TestPeripheralChecks:
         from evpos.classify import Confirmed
         from evpos.operators import Diagonal
 
-        u, _, w = classify_asymptotic(Diagonal(np.diag(A), Ell1()), horizon=120)
+        u, _, w = classify_asymptotic(Diagonal(np.diag(A), Ell1()))
         result = peripheral_cyclicity_check(*solved(A), asymptotic_verdict=u)
         assert not result.pass_
         assert result.hypotheses["uniform-asymptotic-positive"] is False
