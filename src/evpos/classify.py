@@ -40,6 +40,7 @@ from .operators import (
     quadrature_row,
     to_dense,
 )
+from . import spectral
 from .rng import rng_for
 from .witnesses import hat_family_witness, signed_power_witness
 
@@ -47,6 +48,9 @@ DEFAULT_TOL = 1e-9
 HORIZON_EVENTUAL = 30
 # rows of a rank-k limit point formed at a time, so none is dim x dim
 LIMIT_POINT_ROWS = 64
+# seeded random positive functions (and as many functionals) in the test set
+# of a function space, after the constant ones
+FUNCTION_SPACE_RANDOM = 16
 EPS = float(np.finfo(float).eps)
 
 
@@ -112,30 +116,28 @@ def _normalized_positive(entries: np.ndarray, norm: NormKind) -> LatticeVector:
     return v
 
 
-def function_space_test_set(
-    space: NormKind, seed: int = 0, n_random: int = 16
-) -> ConeTestSet:
+def function_space_test_set(space: NormKind) -> ConeTestSet:
     """Positive grid functions and positive integral functionals for rank-k
-    models on function spaces."""
+    models on function spaces, the same for every model on the space."""
     nodes = np.asarray(space.nodes, dtype=float)
     dim = len(nodes)
     vectors = [_normalized_positive(np.ones(dim), space)]
-    rng = rng_for(seed, 2)
-    for _ in range(n_random):
+    rng = rng_for(0, 2)
+    for _ in range(FUNCTION_SPACE_RANDOM):
         vectors.append(_normalized_positive(rng.uniform(0.0, 1.0, size=dim), space))
     functionals = [WeightedIntegral(Constant(1.0), 0.5)]
-    for _ in range(n_random):
+    for _ in range(FUNCTION_SPACE_RANDOM):
         functionals.append(
             WeightedIntegral(Tabulated(tuple(rng.uniform(0.0, 1.0, size=dim))), 1.0)
         )
     return ConeTestSet(tuple(vectors), tuple(functionals))
 
 
-def default_test_set(T: OperatorModel, seed: int = 0) -> ConeTestSet:
+def default_test_set(T: OperatorModel) -> ConeTestSet:
     """The function-space test set of a rank-k model; for a finite model the
     basis vectors, which generate its positive cone."""
     if isinstance(T, RankK):
-        return function_space_test_set(T.space, seed)
+        return function_space_test_set(T.space)
     basis = tuple(LatticeVector(e, T.norm) for e in np.eye(T.dim))
     return ConeTestSet(basis, basis)
 
@@ -443,7 +445,7 @@ def weak_eventual(
 # asymptotic notions
 
 
-def delta_n(T: OperatorModel, n: int, spr: Optional[float] = None) -> tuple:
+def delta_n(T: OperatorModel, n: int) -> tuple:
     """(sup over the positive unit ball of d+((T/spr)^n x), a maximiser) for
     n >= 0 and an l1 norm, whose ball's extreme points are the basis vectors:
     the worst basis column. Any other norm raises ValueError."""
@@ -451,8 +453,7 @@ def delta_n(T: OperatorModel, n: int, spr: Optional[float] = None) -> tuple:
         raise ValueError(f"delta_n needs n >= 0, got {n}")
     if not isinstance(T.norm, Ell1):
         raise ValueError(f"no exact delta_n for norm {T.norm!r}: it needs l1")
-    if spr is None:
-        spr = T.spectral_radius()
+    spr = T.spectral_radius()
     if spr <= 0:
         raise NotClassifiableError("spectral radius is zero; rescaling undefined")
     power = np.linalg.matrix_power(to_dense(T.scaled(1.0 / spr)).matrix, n)
@@ -570,7 +571,7 @@ def _peripheral_status(T: Dense, tol: float) -> Status:
     top = [k for k, mk in enumerate(periph.pole_orders) if mk == m]
     mu = periph.eigenvalues[top] / spr
     count = len(periph.eigenvalues)
-    q = [_root_of_unity_order(z, count, spec.solver_tolerance) for z in mu]
+    q = [_root_of_unity_order(z, count, spectral.DEFAULT_TOL) for z in mu]
     if None in q:
         return UndeterminedUpToHorizon(0) if m > 1 else _not_cyclic(mu, q, count)
     C = np.stack([periph.coefficients[k] for k in top]) / (periph.scale * spr) ** (m - 1)

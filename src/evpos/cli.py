@@ -11,13 +11,14 @@ import argparse
 import json
 import math
 import sys
-from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .catalog import build_catalog, get_example
 from .classify import (
+    DEFAULT_TOL,
+    HORIZON_EVENTUAL,
     Confirmed,
     NotClassifiableError,
     classify_asymptotic,
@@ -29,7 +30,7 @@ from .generators import (
     make_eventually_positive,
     positive_random,
 )
-from .lattice import Ell1, Ell2, EllInf, LatticeVector, cone_distance, norm_value
+from .lattice import LatticeVector, cone_distance, norm_value
 from .operators import (
     OperatorError,
     OperatorModel,
@@ -54,7 +55,6 @@ from .verify import (
     peripheral_cyclicity_check,
     positive_eigenvector,
     power_bounded_estimate,
-    real_modulus_bound_check,
     verify_spr_in_spectrum,
 )
 
@@ -130,22 +130,6 @@ def _load_vector(path: str) -> np.ndarray:
     return vec
 
 
-def _classification(model: OperatorModel, horizon: Optional[int], tol: Optional[float]):
-    """Eventual trio always; asymptotic trio when the rescaling is defined."""
-    kwargs = {}
-    if tol is not None:
-        kwargs["tol"] = tol
-    ev_kwargs = dict(kwargs)
-    if horizon is not None:
-        ev_kwargs["horizon"] = horizon
-    verdicts = list(classify_eventual(model, **ev_kwargs))
-    try:
-        verdicts.extend(classify_asymptotic(model, **kwargs))
-    except NotClassifiableError:
-        pass
-    return verdicts
-
-
 def _eigenvector_check(spec: Spectrum, bounds: dict, norm) -> CheckResult:
     """Positive eigenvectors of A and A^H at spr; the residual is relative."""
     ev = positive_eigenvector(spec, power_bounds=bounds, norm=norm)
@@ -168,13 +152,21 @@ def run_classify(
     model: OperatorModel,
     operator_id: str,
     seed: int = 0,
-    horizon: Optional[int] = None,
-    tol: Optional[float] = None,
+    horizon: int = HORIZON_EVENTUAL,
+    tol: float = DEFAULT_TOL,
 ) -> tuple:
-    """(AnalysisReport, solver_failure_flag). A solver failure anywhere in the
-    checks ends them; the checks made before it stay in the report."""
+    """(AnalysisReport, solver_failure_flag): the eventual trio always, the
+    asymptotic trio when the rescaling is defined, then the checks. A solver
+    failure in the asymptotic trio drops that trio, and one anywhere in the
+    checks ends them; what was made before it stays in the report."""
     solver_failure = False
-    verdicts = _classification(model, horizon, tol)
+    verdicts = list(classify_eventual(model, horizon=horizon, tol=tol))
+    try:
+        verdicts.extend(classify_asymptotic(model, tol=tol))
+    except NotClassifiableError:
+        pass
+    except SpectralError:
+        solver_failure = True
     by_notion = {v.notion.value: v for v in verdicts}
     decay = {
         v.notion.value: [float(d) for d in v.decay] for v in verdicts if v.decay
@@ -272,30 +264,11 @@ def _suite_random(seed: int, trials: int):
     }
 
 
-def _suite_properties(seed: int, trials: int):
-    """Cross-module invariant sweeps at CLI scale (the exhaustive versions
-    live in the test suite)."""
-    bad = 0
-    rng = rng_for(seed, 1)
-    norms = (Ell1(), Ell2(), EllInf())
-    for _ in range(trials):
-        dim = int(rng.integers(1, 9))
-        z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        x = LatticeVector(z, norms[int(rng.integers(0, 3))])
-        if not real_modulus_bound_check(x).pass_:
-            bad += 1
-        if cone_distance(x) < -1e-15:
-            bad += 1
-    return [], {"mismatches": [], "contradictions": 0, "solver_failures": 0, "property_failures": bad}
-
-
 def run_suite(suite_name: str, seed: int = 0, trials: int = 100):
     if suite_name == "paper":
         return _suite_paper(seed)
     if suite_name == "random":
         return _suite_random(seed, trials)
-    if suite_name == "properties":
-        return _suite_properties(seed, trials)
     raise InputError(f"unknown suite {suite_name!r}")
 
 
@@ -317,13 +290,13 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("model", nargs="?", help="path to a model JSON file")
     src.add_argument("--example", help="built-in example name")
     src.add_argument("--generate", help="generator spec kind:key=value,...")
-    p_classify.add_argument("--horizon", type=int, default=None)
-    p_classify.add_argument("--tol", type=float, default=None)
+    p_classify.add_argument("--horizon", type=int, default=HORIZON_EVENTUAL)
+    p_classify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_classify.add_argument("--seed", type=int, default=0)
     p_classify.add_argument("--out", default=None, help="write the report JSON here")
 
     p_suite = sub.add_parser("suite", help="run a verification suite")
-    p_suite.add_argument("name", choices=["properties", "paper", "random"])
+    p_suite.add_argument("name", choices=["paper", "random"])
     p_suite.add_argument("--trials", type=int, default=100)
     p_suite.add_argument("--seed", type=int, default=0)
 
@@ -349,9 +322,9 @@ def _resolve_model(args) -> tuple:
 
 
 def _cmd_classify(args) -> int:
-    if args.horizon is not None and args.horizon < 1:
+    if args.horizon < 1:
         raise InputError(f"--horizon must be >= 1, got {args.horizon}")
-    if args.tol is not None and not (args.tol > 0 and math.isfinite(args.tol)):
+    if not (args.tol > 0 and math.isfinite(args.tol)):
         raise InputError(f"--tol must be a finite number > 0, got {args.tol}")
     model, operator_id = _resolve_model(args)
     report, solver_failure = run_classify(
@@ -381,16 +354,10 @@ def _cmd_suite(args) -> int:
         "solver_failures": summary["solver_failures"],
         "mismatches": [list(m) for m in summary["mismatches"]],
     }
-    if "property_failures" in summary:
-        out["property_failures"] = summary["property_failures"]
     sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
     if summary["solver_failures"]:
         return EXIT_SOLVER
-    if (
-        summary["contradictions"]
-        or summary["mismatches"]
-        or summary.get("property_failures", 0)
-    ):
+    if summary["contradictions"] or summary["mismatches"]:
         return EXIT_CONTRADICTION
     return EXIT_OK
 

@@ -102,14 +102,6 @@ class LatticeVector:
         return LatticeVector(np.asarray(entries, dtype=complex), self.norm)
 
 
-def real_part(x: LatticeVector) -> LatticeVector:
-    return x.with_entries(x.entries.real)
-
-
-def complex_modulus(x: LatticeVector) -> LatticeVector:
-    return x.with_entries(np.abs(x.entries))
-
-
 def norm_value(x: LatticeVector) -> float:
     return float(norm_of_moduli(np.abs(x.entries), x.norm))
 

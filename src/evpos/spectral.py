@@ -46,7 +46,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     spectral_radius: float
     matrix_norm: float
-    solver_tolerance: float = DEFAULT_TOL
     clusters: tuple = ()
 
     @cached_property
@@ -139,7 +138,7 @@ def _as_matrix(A) -> np.ndarray:
     return A
 
 
-def eigenvalues(A, tol: float = DEFAULT_TOL) -> Spectrum:
+def eigenvalues(A) -> Spectrum:
     """Full spectrum via LAPACK's Hessenberg-reduction + shifted-QR solver,
     cross-checked against the trace, with the multiple eigenvalues near the
     spectral circle found and each defective one merged (`_clusters`). The
@@ -155,11 +154,11 @@ def eigenvalues(A, tol: float = DEFAULT_TOL) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigenvalue iteration did not converge: {exc}") from exc
     scale = np.linalg.norm(A, 2)
-    if abs(np.sum(vals) - np.trace(A)) > max(n * tol * scale, n * 1e-12):
+    if abs(np.sum(vals) - np.trace(A)) > max(n * DEFAULT_TOL * scale, n * 1e-12):
         raise SpectralError("eigenvalue sum does not match the trace")
     vals, clusters = _clusters(A, vals, float(scale))
     spr = float(np.max(np.abs(vals)))
-    return Spectrum(A, vals, spr, float(scale), tol, clusters)
+    return Spectrum(A, vals, spr, float(scale), clusters)
 
 
 def _clusters(A: np.ndarray, vals: np.ndarray, norm: float) -> tuple:
@@ -232,11 +231,11 @@ def resolvent_matrix(A, lam: complex) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), np.eye(A.shape[0], dtype=complex), check_finite=False)
 
 
-def pole_order(spec: Spectrum, lam0: complex, tol: float = DEFAULT_TOL) -> int:
+def pole_order(spec: Spectrum, lam0: complex) -> int:
     """Largest Jordan block size at lam0, as `eigenvalues` found it: the
     pole order of lam0's cluster, 1 for a simple eigenvalue. lam0 must lie
     in the spectrum."""
-    if np.min(np.abs(spec.eigenvalues - lam0)) > max(tol, 1e-6) * max(spec.matrix_norm, 1.0):
+    if np.min(np.abs(spec.eigenvalues - lam0)) > 1e-6 * max(spec.matrix_norm, 1.0):
         raise NotAnEigenvalueError(f"{lam0} is not a spectral value")
     return spec.cluster(lam0)[1]
 
@@ -276,29 +275,29 @@ def laurent_leading_coefficient(A, lam0: complex, m: int, multiplicity: int) -> 
     return np.linalg.matrix_power(A - lam0 * np.eye(A.shape[0]), m - 1) @ P
 
 
-def geometric_multiplicity(spec: Spectrum, lam: complex, tol: float = DEFAULT_TOL) -> int:
+def geometric_multiplicity(spec: Spectrum, lam: complex) -> int:
     """dim ker(lam - A), A the spectrum's matrix: the singular values of
-    lam - A below tol * max(||A||_2, 1)."""
+    lam - A below DEFAULT_TOL * max(||A||_2, 1)."""
     M = lam * np.eye(spec.matrix.shape[0]) - spec.matrix
     s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s < tol * max(spec.matrix_norm, 1.0)))
+    return int(np.sum(s < DEFAULT_TOL * max(spec.matrix_norm, 1.0)))
 
 
-def peripheral_spectrum(spec: Spectrum, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of modulus >= spr (1 - tol), one for each cluster (its
-    first), in order, less each that lies within tol * spr of one of larger
-    modulus: of two distinct eigenvalues that close only the larger is
-    peripheral."""
+def peripheral_spectrum(spec: Spectrum) -> np.ndarray:
+    """Eigenvalues of modulus >= spr (1 - DEFAULT_TOL), one for each cluster
+    (its first), in order, less each that lies within DEFAULT_TOL * spr of
+    one of larger modulus: of two distinct eigenvalues that close only the
+    larger is peripheral."""
     vals = spec.eigenvalues
     spr = spec.spectral_radius
     if spr == 0.0:
         return np.array([0.0 + 0j])
     later = {i for c in spec.clusters for i in c[0][1:]}
     sel = np.array(
-        [i for i in np.flatnonzero(np.abs(vals) >= spr * (1.0 - tol)) if i not in later]
+        [i for i in np.flatnonzero(np.abs(vals) >= spr * (1.0 - DEFAULT_TOL)) if i not in later]
     )
     v, mod = vals[sel], np.abs(vals[sel])
-    close = np.abs(v[:, None] - v[None, :]) <= tol * spr
+    close = np.abs(v[:, None] - v[None, :]) <= DEFAULT_TOL * spr
     # row i is beaten by column j of larger modulus, or of equal modulus and first
     beaten = (mod[None, :] > mod[:, None]) | (
         (mod[None, :] == mod[:, None]) & (sel[None, :] < sel[:, None])

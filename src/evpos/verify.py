@@ -24,11 +24,8 @@ from .lattice import (
     Ell2,
     LatticeVector,
     NormKind,
-    complex_modulus,
-    cone_distance,
     cone_distances,
     norm_value,
-    real_part,
 )
 from .spectral import (
     Spectrum,
@@ -37,6 +34,11 @@ from .spectral import (
 )
 
 DEFAULT_TOL = 1e-8
+# the phase grid of `phase_aligned_cone_distance`, before its refinements
+PHASE_GRID = 256
+# a Laurent coefficient annihilates a canonical positive vector whose image
+# has norm at most this
+ANNIHILATED = 1e-9
 
 
 class VerificationError(RuntimeError):
@@ -77,10 +79,9 @@ def _verdict_hypothesis(name: str, verdict: Optional[PositivityVerdict]) -> dict
 def verify_spr_in_spectrum(
     spec: Spectrum,
     asymptotic_verdict: Optional[PositivityVerdict] = None,
-    tol: float = DEFAULT_TOL,
 ) -> CheckResult:
-    """Pass iff some eigenvalue lies within tol*spr of the positive real
-    number spr(A)."""
+    """Pass iff some eigenvalue lies within DEFAULT_TOL*spr of the positive
+    real number spr(A)."""
     spr = spec.spectral_radius
     hyp = _verdict_hypothesis("uniform-asymptotic-positive", asymptotic_verdict)
     if spr == 0.0:
@@ -88,40 +89,24 @@ def verify_spr_in_spectrum(
             "spr-in-spectrum",
             True,
             0.0,
-            tol,
+            DEFAULT_TOL,
             payload={"note": "zero spectral radius; vacuous"},
             hypotheses=hyp,
         )
     dists = np.abs(spec.eigenvalues - spr)
     k = int(np.argmin(dists))
-    margin = tol * spr - float(dists[k])
+    margin = DEFAULT_TOL * spr - float(dists[k])
     return CheckResult(
         "spr-in-spectrum",
         margin >= 0.0,
         margin,
-        tol,
+        DEFAULT_TOL,
         payload={
             "spectral_radius": spr,
             "nearest_eigenvalue": complex(spec.eigenvalues[k]),
             "distance": float(dists[k]),
         },
         hypotheses=hyp,
-    )
-
-
-def real_modulus_bound_check(x: LatticeVector) -> CheckResult:
-    """|| |x| - Re x || <= 2 d_+(x), tight for real negative vectors."""
-    lhs_vec = x.with_entries(complex_modulus(x).entries - real_part(x).entries)
-    lhs = norm_value(lhs_vec)
-    rhs = 2.0 * cone_distance(x)
-    tol = 1e-12 * max(norm_value(x), 1.0)
-    margin = rhs - lhs
-    return CheckResult(
-        "real-modulus-bound",
-        margin >= -tol,
-        float(margin),
-        tol,
-        payload={"lhs": float(lhs), "rhs": float(rhs)},
     )
 
 
@@ -141,9 +126,10 @@ class EigenvectorResult:
     adjoint_residual: float
 
 
-def phase_aligned_cone_distance(x: LatticeVector, grid: int = 256) -> float:
-    """min over theta of d_+(e^{i theta} x) / ||x||, with one local
-    refinement pass; eigenvectors are only defined up to a scalar."""
+def phase_aligned_cone_distance(x: LatticeVector) -> float:
+    """min over theta of d_+(e^{i theta} x) / ||x||, on PHASE_GRID angles
+    with one local refinement pass; eigenvectors are only defined up to a
+    scalar."""
     scale = norm_value(x)
     if scale == 0.0:
         return 0.0
@@ -151,12 +137,12 @@ def phase_aligned_cone_distance(x: LatticeVector, grid: int = 256) -> float:
     def rotated_distances(thetas: np.ndarray) -> np.ndarray:
         return cone_distances(np.exp(1j * thetas) * x.entries[:, None], x.norm)
 
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * np.pi, PHASE_GRID, endpoint=False)
     dists = rotated_distances(thetas)
     k = int(np.argmin(dists))
     best = float(dists[k])
     center = float(thetas[k])
-    half_width = 2.0 * np.pi / grid
+    half_width = 2.0 * np.pi / PHASE_GRID
     for _ in range(5):
         fine = np.linspace(center - half_width, center + half_width, 64)
         fine_d = rotated_distances(fine)
@@ -171,7 +157,6 @@ def positive_eigenvector(
     spec: Spectrum,
     power_bounds: dict,
     norm: Optional[NormKind] = None,
-    tol: float = 1e-9,
 ) -> EigenvectorResult:
     """Perron-type eigenvector pair at lam0 = spr(A), from the leading Laurent
     coefficient Q_{-m} = (A - lam0)^{m-1} P of the resolvent, P the spectral
@@ -198,7 +183,7 @@ def positive_eigenvector(
         # annihilate: the all-ones vector, then each basis vector
         for y in (Qm @ np.ones(len(Qm)), *Qm.T):
             nv = norm_value(LatticeVector(y, norm))
-            if nv > tol:
+            if nv > ANNIHILATED:
                 return LatticeVector(y / nv, norm)
         raise VerificationError(
             "every canonical positive vector is annihilated by the Laurent "
@@ -245,11 +230,10 @@ def peripheral_cyclicity_check(
     power_bounds: dict,
     asymptotic_verdict: Optional[PositivityVerdict] = None,
     K: int = 12,
-    tol: float = DEFAULT_TOL,
 ) -> CheckResult:
     """Every power spr*e^{ik theta} (|k| <= K) of a peripheral eigenvalue
-    spr*e^{i theta} (of `Spectrum.peripheral`) must land within tol*spr of an
-    eigenvalue."""
+    spr*e^{i theta} (of `Spectrum.peripheral`) must land within
+    DEFAULT_TOL*spr of an eigenvalue."""
     spr = spec.spectral_radius
     hyp = {"power-bounded": power_bounds["power_bounded"]}
     hyp.update(_verdict_hypothesis("uniform-asymptotic-positive", asymptotic_verdict))
@@ -265,12 +249,12 @@ def peripheral_cyclicity_check(
                 {"lambda": complex(lam), "k": k, "distance": d}
             )
             worst = max(worst, d)
-    margin = tol * spr - worst
+    margin = DEFAULT_TOL * spr - worst
     return CheckResult(
         "peripheral-cyclicity",
         margin >= 0.0,
         float(margin),
-        tol,
+        DEFAULT_TOL,
         payload={"rows": rows, "power_bounds": power_bounds},
         hypotheses=hyp,
     )
@@ -281,7 +265,6 @@ def multiplicity_monotonicity_check(
     power_bounds: dict,
     asymptotic_verdict: Optional[PositivityVerdict] = None,
     n_list: Sequence[int] = (-3, -2, -1, 0, 1, 2, 3),
-    tol: float = DEFAULT_TOL,
 ) -> CheckResult:
     """dim ker(spr e^{i theta} - A) <= dim ker(spr e^{i n theta} - A) for
     each peripheral eigenvalue (of `Spectrum.peripheral`) and each n; a
@@ -291,7 +274,7 @@ def multiplicity_monotonicity_check(
     hyp = {"power-bounded": power_bounds["power_bounded"]}
     hyp.update(_verdict_hypothesis("weak-asymptotic-positive", asymptotic_verdict))
     periph = spec.peripheral.eigenvalues
-    # a target within tol * spr of an eigenvalue lands on the peripheral one
+    # a target within DEFAULT_TOL * spr of an eigenvalue lands on the peripheral one
     # nearest to it, so each multiplicity is computed once
     mults = [geometric_multiplicity(spec, lam) for lam in periph]
     rows = []
@@ -301,7 +284,7 @@ def multiplicity_monotonicity_check(
         for n in n_list:
             target = spr * np.exp(1j * n * theta)
             d = float(np.min(np.abs(spec.eigenvalues - target)))
-            if d > tol * spr:
+            if d > DEFAULT_TOL * spr:
                 rows.append(
                     {"lambda": complex(lam), "n": n, "missing_power": complex(target)}
                 )
@@ -322,7 +305,7 @@ def multiplicity_monotonicity_check(
         "multiplicity-monotonicity",
         ok,
         0.0 if ok else -1.0,
-        tol,
+        DEFAULT_TOL,
         payload={"rows": rows, "power_bounds": power_bounds},
         hypotheses=hyp,
     )

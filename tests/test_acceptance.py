@@ -34,16 +34,6 @@ from evpos.lattice import (
     cone_distance_oracle,
 )
 from evpos.operators import power_apply
-from evpos.rates import (
-    DecaySequence,
-    Governed,
-    MajorantSequence,
-    Power,
-    alpha,
-    decreasing_rearrangement,
-    governs,
-    summability_report,
-)
 from evpos.report import verdict_from_record
 from evpos.rng import rng_for
 from evpos.spectral import eigenvalues, peripheral_spectrum
@@ -52,7 +42,6 @@ from evpos.verify import (
     peripheral_cyclicity_check,
     positive_eigenvector,
     power_bounded_estimate,
-    real_modulus_bound_check,
     verify_spr_in_spectrum,
     CheckResult,
 )
@@ -291,11 +280,11 @@ def test_criterion_6_cyclicity_suite():
 
 
 def test_criterion_7_property_sweeps():
-    with _criterion(7, "property sweeps across modules", 60.0):
+    with _criterion(7, "cone-distance formula vs brute-force oracle", 60.0):
         rng = rng_for(7, 0)
 
-        # cone-distance formula vs brute-force oracle (small dims) and the
-        # real-modulus bound, over 10^4 random complex vectors
+        # cone-distance formula vs brute-force oracle on the small dims of
+        # 10^4 random complex vectors
         norms = (Ell1(), Ell2(), EllInf())
         resolution = 1e-3
         for _ in range(10_000):
@@ -303,19 +292,11 @@ def test_criterion_7_property_sweeps():
             z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             norm = norms[int(rng.integers(0, 3))]
             x = LatticeVector(z, norm)
-            assert real_modulus_bound_check(x).pass_
             if dim <= 4:
                 d = cone_distance(x)
                 d_oracle = cone_distance_oracle(x, resolution)
                 assert d <= d_oracle + 1e-12
                 assert d_oracle - d <= dim * resolution
-
-        # rearrangement domination on 10^3 random sequences
-        for _ in range(1_000):
-            a = rng.uniform(0.0, 1.0, size=20)
-            r = 1.0 + float(rng.uniform(0.05, 3.0))
-            w = r ** -(np.arange(20) + 1.0)
-            assert np.sum(a * w) <= np.sum(decreasing_rearrangement(a) * w) + 1e-12
 
 
 def test_criterion_8_hierarchy_invariant():
@@ -330,30 +311,3 @@ def test_criterion_8_hierarchy_invariant():
         for label, verdicts in _REGISTERED:
             assert hierarchy_violations(verdicts) == [], label
 
-
-def test_criterion_9_rate_analysis():
-    with _criterion(9, "rate analysis: trends, governs, alpha limit", 1.0):
-        geometric = DecaySequence(tuple(2.0**-n for n in range(200)))
-        entry = summability_report(geometric, [Power(1.0)]).entries[0]
-        assert entry.flag == "summable-trend"
-        assert entry.partial_sums[-1] == pytest.approx(2.0, abs=1e-6)
-
-        harmonic = DecaySequence(tuple(1.0 / (n + 1) for n in range(200)))
-        assert (
-            summability_report(harmonic, [Power(1.0)]).entries[0].flag
-            == "divergent-trend"
-        )
-
-        f = MajorantSequence(tuple(1.0 / (n + 1) for n in range(32)), require_decay=False)
-        a = DecaySequence(tuple(2.0**-n for n in range(32)))
-        result = governs(f, a)
-        assert isinstance(result, Governed)
-        assert result.c == pytest.approx(1.0, abs=1e-12)
-
-        geo_major = MajorantSequence(tuple(2.0**-n for n in range(200)))
-        values = []
-        for j in range(1, 13):
-            r = 1.0 + 2.0**-j
-            values.append((r - 1.0) * alpha(geo_major, r)[0])
-        assert all(b <= a_ + 1e-15 for a_, b in zip(values, values[1:]))
-        assert values[-1] < 1e-3

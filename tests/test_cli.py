@@ -218,6 +218,21 @@ class TestRunClassify:
         digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
         assert digest == DENSE_REPORT_SHA256[name]
 
+    @pytest.mark.parametrize("norm", [Ell1, Ell2, EllInf])
+    def test_asymptotic_solver_failure_keeps_the_eventual_trio(self, norm):
+        # every power of this matrix is nonnegative, but its double eigenvalue
+        # 0.5 has no well-conditioned spectral projection: on every norm the
+        # asymptotic rule fails and the eventual trio stays confirmed
+        matrix = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 5e8], [0.0, 5e-10, 0.5]])
+        report, failed = run_classify(Dense(matrix, norm()), "ill-conditioned", 0)
+        assert failed
+        assert report.contradiction_count == 0
+        assert {r["notion"]: r["status"] for r in report.classification} == dict.fromkeys(
+            ("uniform-eventual", "individual-eventual", "weak-eventual"),
+            {"kind": "confirmed", "n0": 0},
+        )
+        assert all(c["pass"] for c in report.checks)
+
     def test_report_names_the_model_by_digest(self):
         # the dim-96 Gaussian's report carries no matrix entries
         rng = np.random.default_rng([0, 96])
@@ -280,6 +295,10 @@ DENSE_REPORT_SHA256 = {
 }
 
 
+# sha256 of the concatenated report_to_json of `run_suite("random", 3, 100)`
+RANDOM_SUITE_SHA256 = "d843f67edcefb73762842264b4930b1f20df0e72b366ee3a39872a89178d06d6"
+
+
 class TestSuites:
     def test_paper_suite_clean(self):
         reports, summary = run_suite("paper", seed=0)
@@ -317,9 +336,14 @@ class TestSuites:
         _, summary = run_suite("random", seed=3, trials=10)
         assert summary["contradictions"] == 0
 
-    def test_properties_suite_clean(self):
-        _, summary = run_suite("properties", seed=42, trials=200)
-        assert summary["property_failures"] == 0
+    def test_random_suite_report_digest(self):
+        # the 100 reports of `evpos suite random --trials 100 --seed 3`
+        reports, summary = run_suite("random", seed=3, trials=100)
+        assert (summary["contradictions"], summary["solver_failures"]) == (0, 0)
+        digest = hashlib.sha256()
+        for r in reports:
+            digest.update(report_to_json(r).encode())
+        assert digest.hexdigest() == RANDOM_SUITE_SHA256
 
     def test_unknown_suite(self):
         with pytest.raises(InputError):
@@ -371,6 +395,34 @@ class TestMainEntry:
         path.write_text(json.dumps(model_to_json(Dense(np.eye(129), Ell1()))))
         assert main(["classify", str(path)]) == EXIT_SOLVER
         assert "exceeds the cap" in capsys.readouterr().err
+
+    def test_asymptotic_solver_failure_keeps_the_report(self, tmp_path, capsys):
+        # a double eigenvalue 1 whose eigenbasis is so ill-conditioned that
+        # no spectral projection is accepted: the asymptotic trio fails, and
+        # the report keeps the eventual trio, the spectrum and the checks
+        matrix = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 5e8], [0.0, 5e-10, 0.5]])
+        path, out = tmp_path / "ill-conditioned.json", tmp_path / "report.json"
+        path.write_text(json.dumps(model_to_json(Dense(matrix, Ell1()))))
+        assert main(["classify", str(path), "--out", str(out)]) == EXIT_SOLVER
+        report = report_from_json(out.read_text())
+        kinds = {r["notion"]: r["status"]["kind"] for r in report.classification}
+        assert kinds == dict.fromkeys(
+            ("uniform-eventual", "individual-eventual", "weak-eventual"), "confirmed"
+        )
+        assert report.spectrum["spectral_radius"] == pytest.approx(1.0)
+        assert [c["name"] for c in report.checks] == [
+            "spr-in-spectrum",
+            "peripheral-cyclicity",
+            "multiplicity-monotonicity",
+        ]
+
+    @pytest.mark.parametrize("name", sorted(PAPER_REPORT_SHA256))
+    def test_classify_example_writes_the_suite_report(self, name, tmp_path):
+        # `evpos classify --example` writes the bytes `evpos suite paper` pins
+        out = tmp_path / "report.json"
+        assert main(["classify", "--example", name, "--out", str(out)]) == EXIT_OK
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == PAPER_REPORT_SHA256[name]
 
     def test_classify_writes_file(self, tmp_path):
         out = tmp_path / "report.json"
@@ -492,4 +544,7 @@ class TestMainEntry:
         assert float(d) == pytest.approx(0.5)
 
     def test_suite_exit_code(self, capsys):
-        assert main(["suite", "properties", "--trials", "50"]) == EXIT_OK
+        assert main(["suite", "random", "--trials", "2"]) == EXIT_OK
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "properties"])
+        assert exc.value.code == EXIT_INPUT

@@ -11,13 +11,11 @@ from evpos.lattice import (
     LatticeError,
     LatticeVector,
     LpQuadrature,
-    complex_modulus,
     cone_distance,
     cone_distance_oracle,
     cone_distances,
     midpoint_rule,
     norm_value,
-    real_part,
     trapezoid_weights,
 )
 from evpos.operators import entrywise_positive
@@ -27,17 +25,6 @@ NORMS = [Ell1(), Ell2(), EllInf()]
 
 def vec(entries, norm=None):
     return LatticeVector(np.asarray(entries, dtype=complex), norm or Ell2())
-
-
-class TestParts:
-    def test_real_imag_split(self):
-        x = vec([1 + 2j, -3 - 4j])
-        assert np.allclose(real_part(x).entries, [1, -3])
-        assert np.allclose(x.entries - real_part(x).entries, [2j, -4j])
-
-    def test_modulus(self):
-        x = vec([3 + 4j])
-        assert np.allclose(complex_modulus(x).entries, [5])
 
 
 class TestNorms:

@@ -1,7 +1,7 @@
 """Reachability guard: every function defined in `src/evpos` must be reached
-by `evpos.cli.main` over the command lines below, or stand on ALLOWLIST (or
-in a module on LIBRARY_MODULES) with the reason it stays, so code that no
-report or exit reaches does not accumulate."""
+by `evpos.cli.main` over the command lines below, or stand on ALLOWLIST with
+the reason it stays, so code that no report or exit reaches does not
+accumulate."""
 
 import contextlib
 import importlib
@@ -20,7 +20,7 @@ import evpos
 from evpos.catalog import build_catalog
 from evpos.cli import main
 from evpos.generators import make_eventually_positive
-from evpos.lattice import EllInf, GridSup
+from evpos.lattice import Ell1, EllInf, GridSup
 from evpos.operators import (
     Constant,
     Dense,
@@ -60,20 +60,13 @@ ALLOWLIST = {
     "report.report_from_json": "reads reports back; the round-trip tests use it",
 }
 
-# "module": why a whole module stays although no command line reaches it
-LIBRARY_MODULES = {
-    "rates": (
-        "decay-rate analysis of cone-distance sequences (majorants, summability "
-        "trends, alpha(r)); library API that no report field carries yet"
-    ),
-}
-
 
 def _command_lines(tmp):
     """Each catalog example and its model file, an l-inf dense file, two
-    rank-k files on a 41-node grid, a dense file above the spectral cap and
-    one with a peripheral Jordan block, the generators, the suites, orbits
-    and the bad-input exits."""
+    rank-k files on a 41-node grid, a dense file above the spectral cap, one
+    with a peripheral Jordan block and one whose spectral projection is
+    ill-conditioned, the generators, the suites, orbits and the bad-input
+    exits."""
 
     def write(name, content):
         path = os.path.join(tmp, name)
@@ -104,10 +97,12 @@ def _command_lines(tmp):
     # a peripheral Jordan block, whose limit points allow for the merge error
     jordan = Dense(np.array([[1.0, 1.0], [0.0, 1.0]]), EllInf())
     lines.append(["classify", write("jordan.json", model_to_json(jordan))])
+    # a double eigenvalue 1 with no well-conditioned spectral projection
+    ill = Dense(np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 5e8], [0.0, 5e-10, 0.5]]), Ell1())
+    lines.append(["classify", write("ill-conditioned.json", model_to_json(ill))])
     for spec in ("eventually_positive:dim=4", "positive_random:dim=3", "cyclic_block:k=3"):
         lines.append(["classify", "--generate", spec, "--horizon", "20", "--tol", "1e-8"])
     lines.append(["classify", "--example", "rem3.2b", "--out", os.path.join(tmp, "out.json")])
-    lines.append(["suite", "properties", "--trials", "20"])
     lines.append(["suite", "paper"])
     lines.append(["suite", "random", "--trials", "2"])
     vector = write("vector.json", [[1, 0], [0.5, 0]])
@@ -124,6 +119,7 @@ def _command_lines(tmp):
         ["classify", "--example", "rem3.2b", "--horizon", "0"],
         ["classify", "--example", "rem3.2b", "--tol", "nan"],
         ["suite", "random", "--trials", "-1"],
+        ["suite", "properties", "--trials", "20"],
         ["orbit", "--example", "rem3.2b", "--n", "-1"],
         ["orbit", "--example", "rem3.2b", "--vector", write("short.json", [[1, 0]])],
         ["orbit", "--example", "rem3.2b", "--vector", write("bad-vector.json", [["a"]])],
@@ -155,6 +151,15 @@ def _defined_functions():
     return found
 
 
+def _exit_code(argv) -> int:
+    """What `evpos` exits with: main's return value, or the code of the
+    SystemExit that argparse raises on a bad argument."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.fixture(scope="module")
 def reached(tmp_path_factory):
     lines, bad = _command_lines(str(tmp_path_factory.mktemp("reach")))
@@ -169,7 +174,7 @@ def reached(tmp_path_factory):
         sys.setprofile(profile)
         try:
             for argv in lines + bad:
-                codes.append((argv, main(argv)))
+                codes.append((argv, _exit_code(argv)))
         finally:
             sys.setprofile(None)
     keys = {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in seen}
@@ -178,9 +183,11 @@ def reached(tmp_path_factory):
 
 def test_command_lines_exit_as_expected(reached):
     codes, _, n_good = reached
-    # the dense model above the spectral cap is a solver failure
-    assert [argv for argv, code in codes[:n_good] if code != 0] == [
-        argv for argv, _ in codes[:n_good] if argv[-1].endswith("dense129.json")
+    # the dense model above the spectral cap and the ill-conditioned
+    # projection are solver failures
+    solver = ("dense129.json", "ill-conditioned.json")
+    assert [(argv, code) for argv, code in codes[:n_good] if code != 0] == [
+        (argv, 3) for argv, _ in codes[:n_good] if argv[-1].endswith(solver)
     ]
     assert [argv for argv, code in codes[n_good:] if code != 2] == []
 
@@ -189,13 +196,53 @@ def test_every_function_is_reached_or_allowlisted(reached):
     _, keys, _ = reached
     defined = _defined_functions()
     unreached = sorted(name for key, name in defined.items() if key not in keys)
-    missing = [
-        name
-        for name in unreached
-        if name not in ALLOWLIST and name.split(".")[0] not in LIBRARY_MODULES
-    ]
+    missing = [name for name in unreached if name not in ALLOWLIST]
     assert not missing, f"no command line reaches {missing}"
     # an allowlist entry must name a function that exists and is unreached
     stale = sorted(set(ALLOWLIST) - set(unreached))
-    stale += [m for m in LIBRARY_MODULES if not any(n.startswith(m + ".") for n in unreached)]
     assert not stale, f"allowlisted but reached or gone: {stale}"
+
+
+# (module, callable, parameter): each parameter had one value at every call
+# site and is now a module constant, so a caller can no longer pass a value
+# that moves a verdict away from what the reports pin
+REMOVED_PARAMETERS = [
+    ("spectral", "eigenvalues", "tol"),
+    ("spectral", "pole_order", "tol"),
+    ("spectral", "geometric_multiplicity", "tol"),
+    ("spectral", "peripheral_spectrum", "tol"),
+    ("spectral", "Spectrum", "solver_tolerance"),
+    ("verify", "verify_spr_in_spectrum", "tol"),
+    ("verify", "peripheral_cyclicity_check", "tol"),
+    ("verify", "multiplicity_monotonicity_check", "tol"),
+    ("verify", "positive_eigenvector", "tol"),
+    ("verify", "phase_aligned_cone_distance", "grid"),
+    ("classify", "default_test_set", "seed"),
+    ("classify", "function_space_test_set", "seed"),
+    ("classify", "function_space_test_set", "n_random"),
+    ("classify", "delta_n", "spr"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, parameter",
+    REMOVED_PARAMETERS,
+    ids=[f"{m}.{n}.{p}" for m, n, p in REMOVED_PARAMETERS],
+)
+def test_constant_parameter_is_not_in_the_signature(module, name, parameter):
+    obj = getattr(importlib.import_module(f"evpos.{module}"), name)
+    assert parameter not in inspect.signature(obj).parameters
+
+
+def test_constants_keep_the_removed_defaults():
+    # the values the removed parameters defaulted to; the pinned report
+    # digests depend on them
+    import evpos.classify
+    import evpos.spectral
+    import evpos.verify
+
+    assert evpos.spectral.DEFAULT_TOL == 1e-8
+    assert evpos.verify.DEFAULT_TOL == 1e-8
+    assert evpos.verify.ANNIHILATED == 1e-9
+    assert evpos.verify.PHASE_GRID == 256
+    assert evpos.classify.FUNCTION_SPACE_RANDOM == 16

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evpos.classify import classify_asymptotic
-from evpos.lattice import Ell1, Ell2, EllInf, LatticeVector
+from evpos.lattice import Ell1, Ell2, LatticeVector
 from evpos.operators import Diagonal
 from evpos.rng import rng_for
 from evpos.spectral import eigenvalues
@@ -14,16 +14,11 @@ from evpos.verify import (
     phase_aligned_cone_distance,
     positive_eigenvector,
     power_bounded_estimate,
-    real_modulus_bound_check,
     verify_spr_in_spectrum,
 )
 
 NONREAL = np.diag([1.0, 0.5j])
 DRIFT = np.diag([-1.0 + 1.0 / j for j in range(1, 51)])
-
-
-def ones(n, norm=None):
-    return LatticeVector(np.ones(n, dtype=complex), norm or Ell1())
 
 
 def solved(A):
@@ -65,27 +60,6 @@ class TestSprInSpectrum:
         result = verify_spr_in_spectrum(eigenvalues(np.zeros((2, 2))))
         assert result.pass_
         assert "vacuous" in result.payload["note"]
-
-
-class TestRealModulusBound:
-    def test_positive_vector_tight_zero(self):
-        result = real_modulus_bound_check(ones(3))
-        assert result.pass_
-        assert result.payload["lhs"] == 0.0
-
-    def test_negative_scalar_is_tight(self):
-        x = LatticeVector(np.array([-1.0 + 0j]), Ell1())
-        result = real_modulus_bound_check(x)
-        assert result.pass_
-        assert result.margin == pytest.approx(0.0, abs=1e-14)
-
-    def test_random_sweep(self):
-        rng = rng_for(7, 0)
-        for _ in range(2000):
-            dim = int(rng.integers(1, 9))
-            z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            norm = (Ell1(), Ell2(), EllInf())[int(rng.integers(0, 3))]
-            assert real_modulus_bound_check(LatticeVector(z, norm)).pass_
 
 
 class TestPositiveEigenvector:
