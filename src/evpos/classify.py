@@ -216,7 +216,7 @@ def _singular_refutation(T, vectors, notion, horizon, tol) -> Optional[Positivit
 def _hat_refutation(T: RankK, witnesses, horizon, tol) -> Optional[PositivityVerdict]:
     """Refuted when the shrinking-hat witness of T^n, n = 1..horizon, persists
     at every power and sharpens as the family parameter shrinks."""
-    if all(w is not None for w in witnesses) and _hat_family_sharpens(T, horizon):
+    if all(w is not None for w in witnesses) and _hat_family_sharpens(T, witnesses, horizon):
         return PositivityVerdict(
             Notion.UNIFORM_EVENTUAL,
             RefutedWithWitness(
@@ -247,12 +247,13 @@ def _uniform_verdict(T: RankK, grid_ok, witnesses, horizon, tol) -> PositivityVe
     )
 
 
-def _hat_family_sharpens(T: RankK, horizon: int) -> bool:
-    """The violation must sharpen as the family parameter shrinks."""
+def _hat_family_sharpens(T: RankK, witnesses, horizon: int) -> bool:
+    """The violation must sharpen as the family parameter shrinks: at three
+    powers n, the witness of T^n (`witnesses[n - 1]`, of width 2^-(n+1))
+    against the one of half that width."""
     for n in (1, horizon // 2 + 1, horizon):
-        eps = 2.0 ** -(n + 1)
-        w_full = hat_family_witness(T, n, eps)
-        w_half = hat_family_witness(T, n, eps / 2)
+        w_full = witnesses[n - 1]
+        w_half = hat_family_witness(T, n, 2.0 ** -(n + 2))
         if w_full is None or w_half is None or -w_half.value < -w_full.value:
             return False
     return True

@@ -19,7 +19,6 @@ from .catalog import build_catalog, get_example
 from .classify import (
     DEFAULT_TOL,
     HORIZON_EVENTUAL,
-    Confirmed,
     NotClassifiableError,
     classify_asymptotic,
     classify_eventual,
@@ -32,6 +31,7 @@ from .generators import (
 )
 from .lattice import LatticeVector, cone_distance, norm_value
 from .operators import (
+    Dense,
     OperatorError,
     OperatorModel,
     model_digest,
@@ -47,21 +47,17 @@ from .report import (
     verdict_record,
 )
 from .rng import rng_for
-from .spectral import DIM_CAP, SpectralError, Spectrum
-from .verify import (
-    CheckResult,
-    VerificationError,
-    multiplicity_monotonicity_check,
-    peripheral_cyclicity_check,
-    positive_eigenvector,
-    power_bounded_estimate,
-    verify_spr_in_spectrum,
-)
+from .spectral import SpectralError
+from .verify import VerificationError, perron_frobenius_checks
 
 EXIT_OK = 0
 EXIT_CONTRADICTION = 1
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
+
+# the largest model that is not a `Dense` whose dense view the checks form;
+# a `Dense` is its own dense view, solved at any size
+DIM_CAP = 128
 
 
 class InputError(ValueError):
@@ -130,24 +126,6 @@ def _load_vector(path: str) -> np.ndarray:
     return vec
 
 
-def _eigenvector_check(spec: Spectrum, bounds: dict, norm) -> CheckResult:
-    """Positive eigenvectors of A and A^H at spr; the residual is relative."""
-    ev = positive_eigenvector(spec, power_bounds=bounds, norm=norm)
-    ok = (
-        ev.primal_cone_distance <= 1e-6
-        and ev.adjoint_cone_distance <= 1e-6
-        and ev.primal_residual <= 1e-6 * ev.value
-    )
-    return CheckResult(
-        "positive-eigenvector",
-        ok,
-        1e-6 - max(ev.primal_cone_distance, ev.adjoint_cone_distance),
-        1e-6,
-        payload={"pole_order": ev.pole_order, "value": ev.value},
-        hypotheses={"weak-asymptotic-positive": True, "spr-in-spectrum": True},
-    )
-
-
 def run_classify(
     model: OperatorModel,
     operator_id: str,
@@ -174,20 +152,16 @@ def run_classify(
 
     checks = []
     spec = None
-    uasy = by_notion.get("uniform-asymptotic")
-    wasy = by_notion.get("weak-asymptotic")
-    if model.dim <= DIM_CAP:
+    if isinstance(model, Dense) or model.dim <= DIM_CAP:
         try:
             spec = to_dense(model).spectrum
-            spr_check = verify_spr_in_spectrum(spec, uasy)
-            checks.append(spr_check)
-            if spec.spectral_radius > 0:
-                bounds = power_bounded_estimate(spec)
-                checks.append(peripheral_cyclicity_check(spec, bounds, uasy))
-                checks.append(multiplicity_monotonicity_check(spec, bounds, wasy))
-                weak_ok = wasy is not None and isinstance(wasy.status, Confirmed)
-                if spr_check.pass_ and weak_ok:
-                    checks.append(_eigenvector_check(spec, bounds, model.norm))
+            for check in perron_frobenius_checks(
+                spec,
+                by_notion.get("uniform-asymptotic"),
+                by_notion.get("weak-asymptotic"),
+                model.norm,
+            ):
+                checks.append(check)
         except (SpectralError, VerificationError):
             solver_failure = True
 

@@ -141,22 +141,16 @@ def cone_distance(x: LatticeVector) -> float:
     return float(cone_distances(x.entries, x.norm))
 
 
-_ORACLE_DIM_CAP = 6
-
-
 def cone_distance_oracle(x: LatticeVector, resolution: float) -> float:
     """Brute-force cone distance: minimize ||x - y|| over a nonnegative grid.
 
     All supported norms are monotone in the per-coordinate deviations
     |x_k - y_k|, so the joint grid minimum is attained by minimizing each
-    coordinate's deviation independently over the same grid.
+    coordinate's deviation independently over the same grid, at a cost
+    linear in the dimension.
     """
     if resolution <= 0:
         raise LatticeError("resolution must be positive")
-    if len(x) > _ORACLE_DIM_CAP:
-        raise LatticeError(
-            f"oracle dimension {len(x)} exceeds the cap {_ORACLE_DIM_CAP}"
-        )
     entries = x.entries
     if len(entries) == 0:
         return 0.0

@@ -11,7 +11,6 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-DIM_CAP = 128
 DEFAULT_TOL = 1e-8
 # eigenvalues near the spectral circle and within this multiple of spr of
 # each other are tested as one multiple eigenvalue; see `_clusters`
@@ -133,8 +132,6 @@ def _as_matrix(A) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise SpectralError("expected a nonempty square matrix")
-    if A.shape[0] > DIM_CAP:
-        raise SpectralError(f"dimension {A.shape[0]} exceeds the cap {DIM_CAP}")
     return A
 
 

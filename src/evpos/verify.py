@@ -7,21 +7,20 @@ Theorem checks never assume their own hypotheses. Hypotheses (power
 boundedness, decided by rule from the peripheral pole orders, and
 asymptotic-positivity verdicts) are evaluated and attached to the result, so
 a failed conclusion with failed hypotheses reads as "no contradiction" rather
-than as a bug. Every check reads one `Spectrum` of A, and all but the
-spr check read the peripheral pole orders that `power_bounded_estimate`
-decides from it.
+than as a bug. Every check is a rule on one `Spectrum` of A: all but the
+spr check read its peripheral decomposition, and `perron_frobenius_checks`
+decides which of them run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .classify import Confirmed, PositivityVerdict
 from .lattice import (
-    Ell2,
     LatticeVector,
     NormKind,
     cone_distances,
@@ -34,8 +33,9 @@ from .spectral import (
 )
 
 DEFAULT_TOL = 1e-8
-# the phase grid of `phase_aligned_cone_distance`, before its refinements
-PHASE_GRID = 256
+# the positive-eigenvector check's bound on each cone distance, and on the
+# primal residual relative to spr
+EIGENVECTOR_TOL = 1e-6
 # a Laurent coefficient annihilates a canonical positive vector whose image
 # has norm at most this
 ANNIHILATED = 1e-9
@@ -127,52 +127,31 @@ class EigenvectorResult:
 
 
 def phase_aligned_cone_distance(x: LatticeVector) -> float:
-    """min over theta of d_+(e^{i theta} x) / ||x||, on PHASE_GRID angles
-    with one local refinement pass; eigenvectors are only defined up to a
-    scalar."""
+    """d_+(e^{i theta} x) / ||x||, with theta the phase that makes the
+    largest-modulus entry of x (the first, on a tie) real and positive; an
+    eigenvector is only defined up to a scalar, and the entry that dominates
+    the norm fixes that scalar's phase."""
     scale = norm_value(x)
     if scale == 0.0:
         return 0.0
-
-    def rotated_distances(thetas: np.ndarray) -> np.ndarray:
-        return cone_distances(np.exp(1j * thetas) * x.entries[:, None], x.norm)
-
-    thetas = np.linspace(0.0, 2.0 * np.pi, PHASE_GRID, endpoint=False)
-    dists = rotated_distances(thetas)
-    k = int(np.argmin(dists))
-    best = float(dists[k])
-    center = float(thetas[k])
-    half_width = 2.0 * np.pi / PHASE_GRID
-    for _ in range(5):
-        fine = np.linspace(center - half_width, center + half_width, 64)
-        fine_d = rotated_distances(fine)
-        j = int(np.argmin(fine_d))
-        best = min(best, float(fine_d[j]))
-        center = float(fine[j])
-        half_width /= 31.0
-    return float(best / scale)
+    top = x.entries[int(np.argmax(np.abs(x.entries)))]
+    return float(cone_distances(x.entries * (abs(top) / top), x.norm) / scale)
 
 
-def positive_eigenvector(
-    spec: Spectrum,
-    power_bounds: dict,
-    norm: Optional[NormKind] = None,
-) -> EigenvectorResult:
+def positive_eigenvector(spec: Spectrum, norm: NormKind) -> EigenvectorResult:
     """Perron-type eigenvector pair at lam0 = spr(A), from the leading Laurent
     coefficient Q_{-m} = (A - lam0)^{m-1} P of the resolvent, P the spectral
-    projection and m the pole order in `power_bounds`: Q_{-m} x0 for a
+    projection and m the peripheral pole order of lam0: Q_{-m} x0 for a
     canonical positive x0 lies in ker(lam0 - A) and, up to phase, in the
     positive cone. As lam0 is real, A^H has the coefficient Q_{-m}^H. When
     m is the top peripheral pole order, a power-of-two multiple of Q_{-m} is
     the spectrum's peripheral coefficient at lam0, which the asymptotic rule
     computed already; the positive factor leaves the normalized vectors
     alone."""
-    if norm is None:
-        norm = Ell2()
     A, spr = spec.matrix, spec.spectral_radius
     periph = spec.peripheral
     k = int(np.argmin(np.abs(periph.eigenvalues - spr)))
-    m = power_bounds["peripheral_pole_orders"][k]
+    m = periph.pole_orders[k]
     if m == periph.order:
         Q = periph.coefficients[k]
     else:
@@ -227,7 +206,6 @@ def power_bounded_estimate(spec: Spectrum) -> dict:
 
 def peripheral_cyclicity_check(
     spec: Spectrum,
-    power_bounds: dict,
     asymptotic_verdict: Optional[PositivityVerdict] = None,
     K: int = 12,
 ) -> CheckResult:
@@ -235,6 +213,7 @@ def peripheral_cyclicity_check(
     spr*e^{i theta} (of `Spectrum.peripheral`) must land within
     DEFAULT_TOL*spr of an eigenvalue."""
     spr = spec.spectral_radius
+    power_bounds = power_bounded_estimate(spec)
     hyp = {"power-bounded": power_bounds["power_bounded"]}
     hyp.update(_verdict_hypothesis("uniform-asymptotic-positive", asymptotic_verdict))
     periph = spec.peripheral.eigenvalues
@@ -262,7 +241,6 @@ def peripheral_cyclicity_check(
 
 def multiplicity_monotonicity_check(
     spec: Spectrum,
-    power_bounds: dict,
     asymptotic_verdict: Optional[PositivityVerdict] = None,
     n_list: Sequence[int] = (-3, -2, -1, 0, 1, 2, 3),
 ) -> CheckResult:
@@ -271,6 +249,7 @@ def multiplicity_monotonicity_check(
     power that misses the spectrum entirely is recorded as a cyclicity
     failure."""
     spr = spec.spectral_radius
+    power_bounds = power_bounded_estimate(spec)
     hyp = {"power-bounded": power_bounds["power_bounded"]}
     hyp.update(_verdict_hypothesis("weak-asymptotic-positive", asymptotic_verdict))
     periph = spec.peripheral.eigenvalues
@@ -308,4 +287,43 @@ def multiplicity_monotonicity_check(
         DEFAULT_TOL,
         payload={"rows": rows, "power_bounds": power_bounds},
         hypotheses=hyp,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the checks of one classification
+
+
+def perron_frobenius_checks(
+    spec: Spectrum,
+    uniform_asymptotic: Optional[PositivityVerdict],
+    weak_asymptotic: Optional[PositivityVerdict],
+    norm: NormKind,
+) -> Iterator[CheckResult]:
+    """The Perron-Frobenius checks of one spectrum, in report order, each
+    made when the one before it has been taken: the spr check alone at
+    spr = 0, where no peripheral decomposition exists; then cyclicity and
+    multiplicity monotonicity; then the positive eigenvector at spr, which
+    is sought only once spr lies in the spectrum and weak asymptotic
+    positivity is confirmed, the hypotheses it records. Eigenvectors are
+    positive up to phase within EIGENVECTOR_TOL, and the primal residual is
+    relative to spr."""
+    spr_check = verify_spr_in_spectrum(spec, uniform_asymptotic)
+    yield spr_check
+    if spec.spectral_radius == 0.0:
+        return
+    yield peripheral_cyclicity_check(spec, uniform_asymptotic)
+    yield multiplicity_monotonicity_check(spec, weak_asymptotic)
+    weak_ok = weak_asymptotic is not None and isinstance(weak_asymptotic.status, Confirmed)
+    if not (spr_check.pass_ and weak_ok):
+        return
+    ev = positive_eigenvector(spec, norm)
+    worst = max(ev.primal_cone_distance, ev.adjoint_cone_distance)
+    yield CheckResult(
+        "positive-eigenvector",
+        worst <= EIGENVECTOR_TOL and ev.primal_residual <= EIGENVECTOR_TOL * ev.value,
+        EIGENVECTOR_TOL - worst,
+        EIGENVECTOR_TOL,
+        payload={"pole_order": ev.pole_order, "value": ev.value},
+        hypotheses={"weak-asymptotic-positive": weak_ok, "spr-in-spectrum": spr_check.pass_},
     )

@@ -31,23 +31,6 @@ class NegativityWitness:
     point: float
     value: float
     input_description: str
-    input_vector: Optional[LatticeVector] = None
-
-
-def hat_vector(space: GridSup, peak: float, width: float) -> LatticeVector:
-    """Piecewise-linear hat with value 1 at `peak`, supported on the width
-    interval toward the grid interior; exact integral width/2."""
-    nodes = np.asarray(space.nodes, dtype=float)
-    lo, hi = nodes[0], nodes[-1]
-    if peak - lo < 1e-12:
-        values = np.clip(1.0 - (nodes - peak) / width, 0.0, 1.0)
-        values[nodes < peak] = 0.0
-    elif hi - peak < 1e-12:
-        values = np.clip(1.0 - (peak - nodes) / width, 0.0, 1.0)
-        values[nodes > peak] = 0.0
-    else:
-        values = np.clip(1.0 - np.abs(nodes - peak) / (width / 2), 0.0, 1.0)
-    return LatticeVector(values.astype(complex), space)
 
 
 def _hat_pairings(T: RankK, peak: float, width: float):
@@ -107,7 +90,6 @@ def hat_family_witness(
                     point=float(nodes[idx]),
                     value=value,
                     input_description=f"hat(peak={float(peak)}, width={eps})",
-                    input_vector=hat_vector(T.space, float(peak), eps),
                 )
     return best
 
@@ -145,5 +127,4 @@ def signed_power_witness(
         point=float(point),
         value=float(value),
         input_description="analytic singular point of the signed-power term",
-        input_vector=g,
     )

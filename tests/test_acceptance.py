@@ -41,7 +41,6 @@ from evpos.verify import (
     multiplicity_monotonicity_check,
     peripheral_cyclicity_check,
     positive_eigenvector,
-    power_bounded_estimate,
     verify_spr_in_spectrum,
     CheckResult,
 )
@@ -204,7 +203,7 @@ def test_criterion_4_nonreal_diagonal():
         spec = eigenvalues(np.diag(T.symbol))
         assert verify_spr_in_spectrum(spec).pass_
 
-        result = positive_eigenvector(spec, power_bounded_estimate(spec), norm=Ell1())
+        result = positive_eigenvector(spec, Ell1())
         assert result.pole_order == 1
         assert result.value == pytest.approx(1.0)
         for vec in (result.primal, result.adjoint):
@@ -224,7 +223,6 @@ def test_criterion_5_random_suite():
             dim = int(rng.integers(2, 13))
             inst = make_eventually_positive(dim, 0.5, seed=900 + t, norm=Ell1())
             spec = eigenvalues(inst.model.matrix)
-            bounds = power_bounded_estimate(spec)
 
             uni = uniform_eventual(inst.model, horizon=max(40, inst.n0_bound + 5))
             assert isinstance(uni.status, Confirmed)
@@ -233,11 +231,11 @@ def test_criterion_5_random_suite():
             spr_check = verify_spr_in_spectrum(spec)
             assert spr_check.pass_
 
-            ev = positive_eigenvector(spec, bounds, norm=Ell1())
+            ev = positive_eigenvector(spec, Ell1())
             assert ev.primal_cone_distance <= 1e-6
             assert ev.adjoint_cone_distance <= 1e-6
 
-            cyc = peripheral_cyclicity_check(spec, bounds)
+            cyc = peripheral_cyclicity_check(spec)
             assert cyc.pass_
             periph = peripheral_spectrum(spec)
             assert len(periph) == 1
@@ -274,9 +272,8 @@ def test_criterion_6_cyclicity_suite():
             assert len(periph) == k
             for r in roots:
                 assert np.min(np.abs(periph - r)) < 1e-8
-            bounds = power_bounded_estimate(spec)
-            assert peripheral_cyclicity_check(spec, bounds, K=12).pass_
-            assert multiplicity_monotonicity_check(spec, bounds, n_list=range(-3, 4)).pass_
+            assert peripheral_cyclicity_check(spec, K=12).pass_
+            assert multiplicity_monotonicity_check(spec, n_list=range(-3, 4)).pass_
 
 
 def test_criterion_7_property_sweeps():

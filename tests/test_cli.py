@@ -23,7 +23,7 @@ from evpos.catalog import averaging_plus_slope, get_example
 from evpos.classify import Confirmed, Notion, PositivityVerdict
 from evpos.generators import make_eventually_positive
 from evpos.operators import Dense, Diagonal, RankK, model_digest, model_to_json, to_dense
-from evpos.spectral import eigenvalues, peripheral_spectrum
+from evpos.spectral import SpectralError, eigenvalues, peripheral_spectrum
 from evpos.lattice import Ell1, Ell2, EllInf
 from evpos.report import (
     ReportError,
@@ -95,13 +95,13 @@ class TestRunClassify:
     def test_rank_k_eigenvector_measured_in_space_norm(self, monkeypatch):
         T = averaging_plus_slope(41)
         norms = []
-        original = evpos.cli.positive_eigenvector
+        original = evpos.verify.positive_eigenvector
 
-        def recording(A, norm=None, **kwargs):
+        def recording(spec, norm):
             norms.append(norm)
-            return original(A, norm=norm, **kwargs)
+            return original(spec, norm)
 
-        monkeypatch.setattr(evpos.cli, "positive_eigenvector", recording)
+        monkeypatch.setattr(evpos.verify, "positive_eigenvector", recording)
         report, failed = run_classify(T, "slope41", 0)
         assert not failed
         assert norms == [T.space]
@@ -163,11 +163,12 @@ class TestRunClassify:
         # a Dense's asymptotic rule computes each peripheral coefficient once,
         # and the eigenvector check reuses the one at spr; ex3.5a's rule reads
         # its symbol, and no eigenvector check runs. The peripheral spectrum
-        # is found once, and every check reads it from the Spectrum
+        # is found once, and every check reads it from the Spectrum; each
+        # peripheral check decides power boundedness from its pole orders
         assert calls == {
             "peripheral_spectrum": 1,
             "eigenvalues": 1,
-            "power_bounded_estimate": 1,
+            "power_bounded_estimate": 2,
             "pole_order": periph,
             "geometric_multiplicity": periph,
             "resolvent_matrix": 0,
@@ -276,27 +277,27 @@ PAPER_REPORT_SHA256 = {
     "ex3.5a": "3e173f00321a376993ae3416af92e526be4ea5458e4ebc89ad0d2a3143f24d54",
     "ex3.5b": "c402a8dc4cbe61eaef700ac19451304b77b59e3631c67d49becbc7a5d44b282a",
     "rem3.2b": "d54928d1ad1eee0a47f3acf78a7d782fa970f2c3829f1a8635292d6e932e244f",
-    "cyclic-block": "ba9f7ecafb1dd8aae7c3da961ddf991f669fcc0edfd8a950d35d4f98f32cc183",
-    "eventually-positive": "7f89ccc1b41ca6b5b3c91fb6ac67eb5d7ef107c809b0367496aac3b39a30f3a2",
+    "cyclic-block": "102f3f4d648d27dd4114fc42ad7afe18cb19db3359a73ccad0054e66652845c7",
+    "eventually-positive": "40982732eba48cb74baf74b76afb682b9815d655be1a6cb2068bd2ccb3978a4e",
 }
 
 # sha256 of the run_classify report of make_eventually_positive(dim, 0.5, 3,
 # norm=N) under the id ep-N-dim, and of the dim-96 Gaussians under the id
 # gauss-N-96, seed 0
 DENSE_REPORT_SHA256 = {
-    "ep-Ell1-8": "cae1885b830c041e6219067ba050eea3d4bb1723d10187b8e926f429b1536027",
-    "ep-Ell1-24": "c1d4e3ce885a0cff2dccf018796caa99cfbd3692df5900dfd030659f909b77bf",
-    "ep-Ell2-8": "b8f50d379f8a397e6f18dbf8d372844a2e1352e5481015e8c034b0b34d5c4590",
-    "ep-Ell2-24": "7c9e5969d3dd2ededda861cc826409f5f0b351971bde8b763ad0c75afbd44faf",
-    "ep-EllInf-8": "410a04175e7db029759ba1d0a7be67b9f1e16f216cace9cbde7fe4f025476494",
-    "ep-EllInf-24": "050bf5d7b6fd95917c35a8054b2795350686451206c376a9f4b6ea281fe04d08",
+    "ep-Ell1-8": "8e736dc61c78f95999b7f08887d8dfc9f095bd611cc3371a74fa4b3229c8321d",
+    "ep-Ell1-24": "a2431322bd8af8be3184c5e75dfd5e21ed86d28e3ac726d73d6633c46e208850",
+    "ep-Ell2-8": "33d74788a1462861df2e065dc2eee7d4f1c88492c01e252dd6cb418f48bd802c",
+    "ep-Ell2-24": "8725621a58bbbe910f64eedc1eb01ab274057c27058f6ca9b5b6b942b6545344",
+    "ep-EllInf-8": "623376c582a48c14326796e5f94f59045d13b8d8cd285c216fbff9182586129d",
+    "ep-EllInf-24": "5167197770698cb3e3eeaf3259cc13114cec90f33ec395fd34428246b838e0e4",
     "gauss-Ell1-96": "d6875f2cac8581a23e772c87da266ab73b45296dce10d40fd91acd0db924fa5c",
     "gauss-Ell2-96": "50274630b40daac016f4fd9a1dff0026cb558ca845a3418e789ddd95eaf7c0e5",
 }
 
 
 # sha256 of the concatenated report_to_json of `run_suite("random", 3, 100)`
-RANDOM_SUITE_SHA256 = "d843f67edcefb73762842264b4930b1f20df0e72b366ee3a39872a89178d06d6"
+RANDOM_SUITE_SHA256 = "b03ae9441cb021cc0008d9fc8ce2695c5605f6839e80b6341ed36f0a9a053d60"
 
 
 class TestSuites:
@@ -390,11 +391,30 @@ class TestMainEntry:
         assert status["uniform-eventual"]["kind"] == kind
         assert status["uniform-eventual"].get("n0") == n0
 
-    def test_dense_model_above_dim_cap_is_a_solver_failure(self, tmp_path, capsys):
+    def test_dense_model_above_dim_cap_gets_the_checks(self, tmp_path, capsys):
+        # the cap on dense views leaves a Dense alone: it is solved at any size
         path = tmp_path / "dense129.json"
         path.write_text(json.dumps(model_to_json(Dense(np.eye(129), Ell1()))))
-        assert main(["classify", str(path)]) == EXIT_SOLVER
-        assert "exceeds the cap" in capsys.readouterr().err
+        assert main(["classify", str(path)]) == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert data["spectrum"]["spectral_radius"] == 1.0
+        assert [(c["name"], c["pass"]) for c in data["checks"]] == [
+            ("spr-in-spectrum", True),
+            ("peripheral-cyclicity", True),
+            ("multiplicity-monotonicity", True),
+            ("positive-eigenvector", True),
+        ]
+
+    def test_solver_failure_in_the_checks_keeps_the_checks_before_it(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise SpectralError("no multiplicity")
+
+        monkeypatch.setattr(evpos.verify, "multiplicity_monotonicity_check", failing)
+        entry = get_example("eventually-positive")
+        report, failed = run_classify(entry.model, entry.name, 0)
+        assert failed
+        assert report.spectrum is not None
+        assert [c["name"] for c in report.checks] == ["spr-in-spectrum", "peripheral-cyclicity"]
 
     def test_asymptotic_solver_failure_keeps_the_report(self, tmp_path, capsys):
         # a double eigenvalue 1 whose eigenbasis is so ill-conditioned that

@@ -10,9 +10,10 @@ from evpos.generators import (
     make_eventually_positive,
     positive_random,
 )
+from evpos.lattice import Ell2
 from evpos.rng import rng_for
 from evpos.spectral import eigenvalues, peripheral_spectrum
-from evpos.verify import positive_eigenvector, power_bounded_estimate
+from evpos.verify import positive_eigenvector
 
 
 class TestMakeEventuallyPositive:
@@ -42,7 +43,7 @@ class TestMakeEventuallyPositive:
     def test_perron_vector_matches_projection_range(self):
         inst = make_eventually_positive(5, 0.5, 2)
         spec = eigenvalues(inst.model.matrix)
-        result = positive_eigenvector(spec, power_bounded_estimate(spec))
+        result = positive_eigenvector(spec, Ell2())
         v = result.primal.entries.real
         ref = inst.perron_vector
         cos = abs(v @ ref) / (np.linalg.norm(v) * np.linalg.norm(ref))

@@ -63,8 +63,8 @@ ALLOWLIST = {
 
 def _command_lines(tmp):
     """Each catalog example and its model file, an l-inf dense file, two
-    rank-k files on a 41-node grid, a dense file above the spectral cap, one
-    with a peripheral Jordan block and one whose spectral projection is
+    rank-k files on a 41-node grid, a dense file above the cap on dense
+    views, one with a peripheral Jordan block and one whose spectral projection is
     ill-conditioned, the generators, the suites, orbits and the bad-input
     exits."""
 
@@ -183,9 +183,8 @@ def reached(tmp_path_factory):
 
 def test_command_lines_exit_as_expected(reached):
     codes, _, n_good = reached
-    # the dense model above the spectral cap and the ill-conditioned
-    # projection are solver failures
-    solver = ("dense129.json", "ill-conditioned.json")
+    # the ill-conditioned projection is a solver failure
+    solver = ("ill-conditioned.json",)
     assert [(argv, code) for argv, code in codes[:n_good] if code != 0] == [
         (argv, 3) for argv, _ in codes[:n_good] if argv[-1].endswith(solver)
     ]
@@ -204,8 +203,9 @@ def test_every_function_is_reached_or_allowlisted(reached):
 
 
 # (module, callable, parameter): each parameter had one value at every call
-# site and is now a module constant, so a caller can no longer pass a value
-# that moves a verdict away from what the reports pin
+# site and is now a module constant, or, for `power_bounds`, is read from the
+# spectrum the check is given, so a caller can no longer pass a value that
+# moves a verdict away from what the reports pin
 REMOVED_PARAMETERS = [
     ("spectral", "eigenvalues", "tol"),
     ("spectral", "pole_order", "tol"),
@@ -217,6 +217,9 @@ REMOVED_PARAMETERS = [
     ("verify", "multiplicity_monotonicity_check", "tol"),
     ("verify", "positive_eigenvector", "tol"),
     ("verify", "phase_aligned_cone_distance", "grid"),
+    ("verify", "peripheral_cyclicity_check", "power_bounds"),
+    ("verify", "multiplicity_monotonicity_check", "power_bounds"),
+    ("verify", "positive_eigenvector", "power_bounds"),
     ("classify", "default_test_set", "seed"),
     ("classify", "function_space_test_set", "seed"),
     ("classify", "function_space_test_set", "n_random"),
@@ -244,5 +247,4 @@ def test_constants_keep_the_removed_defaults():
     assert evpos.spectral.DEFAULT_TOL == 1e-8
     assert evpos.verify.DEFAULT_TOL == 1e-8
     assert evpos.verify.ANNIHILATED == 1e-9
-    assert evpos.verify.PHASE_GRID == 256
     assert evpos.classify.FUNCTION_SPACE_RANDOM == 16

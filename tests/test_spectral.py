@@ -47,9 +47,12 @@ class TestEigenvalues:
         for lam in ea:
             assert np.min(np.abs(eb - lam)) < 1e-7
 
-    def test_dimension_cap(self):
-        with pytest.raises(SpectralError):
-            eigenvalues(np.eye(129))
+    def test_no_dimension_cap(self):
+        # the cap of 128 is gone: the identity of 129 is one semisimple
+        # eigenvalue 1 of multiplicity 129
+        spec = eigenvalues(np.eye(129))
+        assert spec.spectral_radius == 1.0
+        assert spec.cluster(1.0) == (tuple(range(129)), 1, 0.0)
 
 
 class TestResolvent:

@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
 
-from evpos.classify import classify_asymptotic
-from evpos.lattice import Ell1, Ell2, LatticeVector
+from evpos.classify import (
+    Confirmed,
+    Notion,
+    PositivityVerdict,
+    UndeterminedUpToHorizon,
+    classify_asymptotic,
+)
+from evpos.lattice import Ell1, Ell2, EllInf, LatticeVector
 from evpos.operators import Diagonal
 from evpos.rng import rng_for
 from evpos.spectral import eigenvalues
 from evpos.verify import (
     CheckResult,
     VerificationError,
+    EIGENVECTOR_TOL,
     multiplicity_monotonicity_check,
+    perron_frobenius_checks,
     peripheral_cyclicity_check,
     phase_aligned_cone_distance,
     positive_eigenvector,
@@ -19,12 +27,6 @@ from evpos.verify import (
 
 NONREAL = np.diag([1.0, 0.5j])
 DRIFT = np.diag([-1.0 + 1.0 / j for j in range(1, 51)])
-
-
-def solved(A):
-    """The spectrum of A and the power bounds that the checks read with it."""
-    spec = eigenvalues(A)
-    return spec, power_bounded_estimate(spec)
 
 
 class TestSprInSpectrum:
@@ -64,14 +66,14 @@ class TestSprInSpectrum:
 
 class TestPositiveEigenvector:
     def test_symmetric_positive(self):
-        result = positive_eigenvector(*solved(np.array([[2.0, 1.0], [1.0, 2.0]])))
+        result = positive_eigenvector(eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]])), Ell2())
         assert result.value == pytest.approx(3.0, abs=1e-9)
         v = result.primal.entries
         assert abs(v[0]) == pytest.approx(abs(v[1]), abs=1e-8)
         assert result.primal_cone_distance <= 1e-6
 
     def test_nonreal_diagonal(self):
-        result = positive_eigenvector(*solved(NONREAL))
+        result = positive_eigenvector(eigenvalues(NONREAL), Ell2())
         assert result.pole_order == 1
         assert result.value == pytest.approx(1.0)
         assert abs(result.primal.entries[0]) == pytest.approx(1.0)
@@ -81,7 +83,7 @@ class TestPositiveEigenvector:
     def test_residuals_small(self):
         rng = rng_for(10, 0)
         A = rng.uniform(0.1, 1.0, size=(6, 6))
-        result = positive_eigenvector(*solved(A))
+        result = positive_eigenvector(eigenvalues(A), Ell2())
         assert result.primal_residual <= 1e-6
         assert result.adjoint_residual <= 1e-6
 
@@ -89,14 +91,32 @@ class TestPositiveEigenvector:
         x = LatticeVector(np.exp(0.7j) * np.array([1.0, 2.0], dtype=complex), Ell2())
         assert phase_aligned_cone_distance(x) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "phi", [-np.pi, -2.5, -np.pi / 2, 0.0, 0.7, np.pi / 2, 3.0, np.pi]
+    )
+    @pytest.mark.parametrize("norm", [Ell1(), Ell2(), EllInf()], ids=["l1", "l2", "linf"])
+    def test_phase_of_the_largest_entry_aligns_a_rotated_positive_vector(self, phi, norm):
+        # the rotation that makes the largest entry positive undoes e^{i phi}
+        # up to rounding, also when the largest modulus is attained twice
+        p = rng_for(15, 0).uniform(0.1, 1.0, size=7)
+        for q in (p, np.append(p, p.max())):
+            x = LatticeVector(np.exp(1j * phi) * q, norm)
+            assert phase_aligned_cone_distance(x) <= len(q) * np.finfo(float).eps
+
+    def test_phase_is_fixed_by_the_first_largest_entry(self):
+        # -1 comes first among the entries of modulus 1, so the vector is
+        # turned by pi: 0.5 and 1 land at -0.5 and -1, and d_+ is 1.5 / ||x||_1
+        x = LatticeVector(np.array([0.5, -1.0, 1.0], dtype=complex), Ell1())
+        assert phase_aligned_cone_distance(x) == pytest.approx(1.5 / 2.5)
+
 
 class TestPeripheralChecks:
     def test_three_cycle_cyclic(self):
         C = np.roll(np.eye(3), 1, axis=0)
-        assert peripheral_cyclicity_check(*solved(C), K=6).pass_
+        assert peripheral_cyclicity_check(eigenvalues(C), K=6).pass_
 
     def test_nonreal_diagonal_cyclic(self):
-        assert peripheral_cyclicity_check(*solved(NONREAL)).pass_
+        assert peripheral_cyclicity_check(eigenvalues(NONREAL)).pass_
 
     def test_non_cyclic_spectrum_fails_with_hypothesis_note(self):
         A = np.diag([1.0, -1.0, 1j])
@@ -104,7 +124,7 @@ class TestPeripheralChecks:
         from evpos.operators import Diagonal
 
         u, _, w = classify_asymptotic(Diagonal(np.diag(A), Ell1()))
-        result = peripheral_cyclicity_check(*solved(A), asymptotic_verdict=u)
+        result = peripheral_cyclicity_check(eigenvalues(A), asymptotic_verdict=u)
         assert not result.pass_
         assert result.hypotheses["uniform-asymptotic-positive"] is False
         assert not result.contradiction
@@ -112,7 +132,7 @@ class TestPeripheralChecks:
     def test_double_cycle_multiplicities(self):
         C = np.roll(np.eye(3), 1, axis=0)
         A = np.kron(np.eye(2), C)
-        result = multiplicity_monotonicity_check(*solved(A))
+        result = multiplicity_monotonicity_check(eigenvalues(A))
         assert result.pass_
         mults = [
             r["base_multiplicity"]
@@ -122,11 +142,11 @@ class TestPeripheralChecks:
         assert set(mults) == {2}
 
     def test_nonreal_diagonal_multiplicities(self):
-        assert multiplicity_monotonicity_check(*solved(NONREAL)).pass_
+        assert multiplicity_monotonicity_check(eigenvalues(NONREAL)).pass_
 
     def test_missing_power_recorded(self):
         A = np.diag([1.0, -1.0, 1j])
-        result = multiplicity_monotonicity_check(*solved(A), n_list=[3])
+        result = multiplicity_monotonicity_check(eigenvalues(A), n_list=[3])
         assert not result.pass_
         assert any("missing_power" in r for r in result.payload["rows"])
 
@@ -145,10 +165,11 @@ class TestPowerBounds:
         ids=["jordan", "inner-jordan", "three-cycle"],
     )
     def test_peripheral_pole_orders_decide(self, A, bounded, orders):
-        spec, est = solved(A)
+        spec = eigenvalues(A)
+        est = power_bounded_estimate(spec)
         assert est == {"power_bounded": bounded, "peripheral_pole_orders": orders}
         for check in (peripheral_cyclicity_check, multiplicity_monotonicity_check):
-            assert check(spec, est).hypotheses["power-bounded"] is bounded
+            assert check(spec).hypotheses["power-bounded"] is bounded
 
     def test_zero_spectral_radius_rejected(self):
         with pytest.raises(VerificationError):
@@ -165,3 +186,45 @@ class TestSharedSpectrum:
             result = verify_spr_in_spectrum(eigenvalues(A), asymptotic_verdict=u)
             assert result.hypotheses == {"uniform-asymptotic-positive": False}
         assert verify_spr_in_spectrum(eigenvalues(DRIFT)).hypotheses == {}
+
+
+class TestCheckSequence:
+    """`perron_frobenius_checks` yields the checks in report order and
+    gates the ones whose inputs or hypotheses are missing."""
+
+    PERRON = np.array([[2.0, 1.0], [1.0, 2.0]])
+    WEAK = PositivityVerdict(Notion.WEAK_ASYMPTOTIC, Confirmed(0))
+
+    @staticmethod
+    def names(A, weak):
+        return [c.name for c in perron_frobenius_checks(eigenvalues(A), None, weak, Ell1())]
+
+    def test_confirmed_weak_asymptotic_adds_the_eigenvector(self):
+        checks = list(perron_frobenius_checks(eigenvalues(self.PERRON), None, self.WEAK, Ell1()))
+        assert [c.name for c in checks] == [
+            "spr-in-spectrum",
+            "peripheral-cyclicity",
+            "multiplicity-monotonicity",
+            "positive-eigenvector",
+        ]
+        eigen = checks[-1]
+        assert eigen.pass_ and eigen.tolerance == EIGENVECTOR_TOL
+        assert eigen.hypotheses == {"weak-asymptotic-positive": True, "spr-in-spectrum": True}
+
+    def test_zero_spectral_radius_yields_the_spr_check_only(self):
+        assert self.names(np.zeros((3, 3)), self.WEAK) == ["spr-in-spectrum"]
+
+    @pytest.mark.parametrize(
+        "weak",
+        [None, PositivityVerdict(Notion.WEAK_ASYMPTOTIC, UndeterminedUpToHorizon(40))],
+        ids=["none", "undetermined"],
+    )
+    def test_unconfirmed_weak_asymptotic_skips_the_eigenvector(self, weak):
+        assert self.names(self.PERRON, weak) == [
+            "spr-in-spectrum",
+            "peripheral-cyclicity",
+            "multiplicity-monotonicity",
+        ]
+
+    def test_failed_spr_check_skips_the_eigenvector(self):
+        assert self.names(DRIFT, self.WEAK)[-1] == "multiplicity-monotonicity"

@@ -14,15 +14,15 @@ import workloads  # noqa: E402
 
 # sha256 of the concatenated report_to_json of every case of the workload
 WORKLOAD_REPORT_SHA256 = {
-    ("catalog", 0): "657bfbb0729a37f3d6b9e912c3e4ee95fe9146510abdfb57da74277c28c45ae0",
-    ("catalog", 7): "23daa6acd675aad0c9eca7364a2c7aae19c733fe1d637194d0bed3e7afe2a4c6",
-    ("catalog", 111): "112396797a3d5b1dc81b678f1fe135a0ad03b5e1477c0bf79d9ac1e9eb31ecf2",
-    ("dense-sweep", 0): "9d57aa425d78371d9a0f25cb10132be99cb4dcd8e01f5e579a1ed1afe2bdef38",
-    ("dense-sweep", 7): "6193a4b9604155dd769fbf237829eb66b8ea59f63a02c0a71162e7f536f2462f",
-    ("dense-sweep", 111): "c080931e8c490ae6411dfe4d8605f97f2fa4fb5f3271089b03c591475ebd7d11",
-    ("random-small", 0): "1ccf2a5e6fa6dc82ed7a28da2f4f9d5c2266869efabd126d100b7ad82aaa05f5",
-    ("random-small", 7): "1eb131e179bf820a1e7138803e9eb996a701c314fa06da0d8300e4a53c4bdc4e",
-    ("random-small", 111): "441273eb61e60637eae7a85e9be7bfbe869fde9968877ea5833576ec7369d4b2",
+    ("catalog", 0): "b138a4e5c669d6937cae043897f2d940af8e19bd14f6fba4c442228febcbe23a",
+    ("catalog", 7): "bbfbf611f098ea5988f4e16b9edb2fd0cec3a023ba0eaf221e778b26ec42b33f",
+    ("catalog", 111): "90ab1ab6053f4467fbbb75ae7d25205e53fbd334e728a0242adaf187ef20e240",
+    ("dense-sweep", 0): "dc98d8e1087cd961fe02eb910ad4c43991e260ccac0dbcb31f53fd98d04526e5",
+    ("dense-sweep", 7): "6ec49568b4b340eb592531d5268a511d9a7c337aa4c0f0d5a5d675a3d813f313",
+    ("dense-sweep", 111): "1265dbc4b994b24f344ef1aebddb48ae89d55b7ce4319a108058762441f5dd65",
+    ("random-small", 0): "d3feffd6372d8aa3e291d22f4a246e375cbefd2dae9329bf3fd8839b7c8bae39",
+    ("random-small", 7): "9b2f2c5fc84a7380367d0d6011faf6ff6cd4bb03a9e0c9e94524fe2883d72330",
+    ("random-small", 111): "e9b13a4030fb704bf500ca1ace16bb3f798e6fd14e643e078d0aed5b0c9c757a",
 }
 
 
