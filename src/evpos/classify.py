@@ -21,7 +21,6 @@ from .lattice import (
     cone_distance,
     cone_distances,
     cone_residual,
-    norm_of_moduli,
     norm_value,
 )
 from .operators import (
@@ -48,6 +47,9 @@ DEFAULT_TOL = 1e-9
 HORIZON_EVENTUAL = 30
 # rows of a rank-k limit point formed at a time, so none is dim x dim
 LIMIT_POINT_ROWS = 64
+# the most limit points L_r that the rule for a peripheral pole of order
+# m > 1 forms: every period p = lcm(q) of root orders q <= 8 is read in full
+MAX_PERIOD = 840
 # seeded random positive functions (and as many functionals) in the test set
 # of a function space, after the constant ones
 FUNCTION_SPACE_RANDOM = 16
@@ -94,7 +96,6 @@ Status = Union[Confirmed, RefutedWithWitness, UndeterminedUpToHorizon]
 class PositivityVerdict:
     notion: Notion
     status: Status
-    decay: tuple = ()
     tolerance: float = DEFAULT_TOL
 
 
@@ -166,8 +167,8 @@ def is_positive_operator(T: OperatorModel, tol: float = DEFAULT_TOL) -> bool:
 
 
 def _window(horizon: int) -> int:
-    """The number of trailing powers a condition must hold over (or a decay
-    must stay small over) before it counts as settled."""
+    """The number of trailing powers a condition must hold over before it
+    counts as settled."""
     return max(1, horizon // 4)
 
 
@@ -183,10 +184,10 @@ def _n0_from_flags(flags: Sequence[bool], base_positive: bool, window: int) -> O
     return fails[-1] + 1
 
 
-def _flag_verdict(notion, flags, base_positive, decay, horizon, tol) -> PositivityVerdict:
+def _flag_verdict(notion, flags, base_positive, horizon, tol) -> PositivityVerdict:
     n0 = _n0_from_flags(flags, base_positive, _window(horizon))
     status = UndeterminedUpToHorizon(horizon) if n0 is None else Confirmed(n0)
-    return PositivityVerdict(notion, status, tuple(decay), tol)
+    return PositivityVerdict(notion, status, tol)
 
 
 def _columns(vectors) -> np.ndarray:
@@ -196,7 +197,7 @@ def _columns(vectors) -> np.ndarray:
 def _singular_refutation(T, vectors, notion, horizon, tol) -> Optional[PositivityVerdict]:
     """Refuted when the singular-term witness of some vector persists at every
     power: a fixed grid cannot see the shrinking region where it goes
-    negative, so this analytic refutation comes before any grid decay."""
+    negative, so this analytic refutation comes before any grid test."""
     if not isinstance(T, RankK):
         return None
     for x in vectors:
@@ -207,7 +208,6 @@ def _singular_refutation(T, vectors, notion, horizon, tol) -> Optional[Positivit
                 RefutedWithWitness(
                     tuple(ws), "singular-term negativity points persist at every power"
                 ),
-                tuple(-w.value for w in ws),
                 tol,
             )
     return None
@@ -223,28 +223,17 @@ def _hat_refutation(T: RankK, witnesses, horizon, tol) -> Optional[PositivityVer
                 tuple(witnesses),
                 "shrinking-hat family keeps a negative value at every power",
             ),
-            _hat_decay(witnesses),
             tol,
         )
     return None
-
-
-def _hat_decay(witnesses) -> tuple:
-    return tuple(0.0 if w is None else -w.value for w in witnesses)
 
 
 def _uniform_verdict(T: RankK, grid_ok, witnesses, horizon, tol) -> PositivityVerdict:
     """From the entrywise test of each power T^n, n = 1..horizon, and the
     shrinking-hat witnesses that did not refute."""
     flags = [ok and w is None for ok, w in zip(grid_ok, witnesses)]
-    return _flag_verdict(
-        Notion.UNIFORM_EVENTUAL,
-        flags,
-        is_positive_operator(T, tol),
-        _hat_decay(witnesses),
-        horizon,
-        tol,
-    )
+    base_positive = is_positive_operator(T, tol)
+    return _flag_verdict(Notion.UNIFORM_EVENTUAL, flags, base_positive, horizon, tol)
 
 
 def _hat_family_sharpens(T: RankK, witnesses, horizon: int) -> bool:
@@ -260,22 +249,15 @@ def _hat_family_sharpens(T: RankK, witnesses, horizon: int) -> bool:
 
 
 def _individual_verdict(tests: ConeTestSet, dists: np.ndarray, horizon, tol):
-    """dists[n, i] = d+(T^n x_i) for n = 0..horizon. The vectors are taken in
-    order: the first one still off the cone at the horizon makes the verdict
-    undetermined, and the decay is then the worst up to that vector. A vector
-    on the cone at the horizon but not over the trailing window leaves the
-    verdict undetermined too."""
+    """dists[n, i] = d+(T^n x_i) for n = 0..horizon. Confirmed from the
+    largest n0 of the vectors; undetermined when some vector is not on the
+    cone over the trailing window."""
     scales = np.array([max(norm_value(x), 1e-300) for x in tests.vectors])
     ok = dists <= tol * scales
-    worst = dists[1:] / scales
     window = _window(horizon)
     n0s = [_n0_from_flags(ok[1:, i], ok[0, i], window) for i in range(len(scales))]
-    stuck = np.flatnonzero(~ok[-1])
-    if stuck.size:
-        worst = worst[:, : stuck[0] + 1]
     status = UndeterminedUpToHorizon(horizon) if None in n0s else Confirmed(max(n0s, default=0))
-    decay = np.max(worst, axis=1, initial=0.0)
-    return PositivityVerdict(Notion.INDIVIDUAL_EVENTUAL, status, tuple(decay), tol)
+    return PositivityVerdict(Notion.INDIVIDUAL_EVENTUAL, status, tol)
 
 
 def classify_eventual(
@@ -293,41 +275,35 @@ def classify_eventual(
 def _finite_eventual(T: OperatorModel, horizon: int, tol: float) -> tuple:
     """The basis vectors generate the positive cone, and <e_i, T^n e_j> is
     the entry (T^n)_ij, so the three notions coincide: one status. A diagonal
-    and a weighted shift are decided exactly from their entries; a dense
-    matrix from the entrywise test of each power, where a zero power stays
-    zero and needs no window. The decays stay per notion: the largest entry
-    of the cone residual (uniform, weak), its largest column norm
-    (individual).
-
-    The orbit is that of P = T 2^-e, e the binary exponent of spr (of the
-    largest weight of a shift, whose spr is 0), so its powers neither
-    overflow nor underflow. Scaling by a power of two is exact: each sign
-    test is relative to the largest entry of P^n, and the decays are
-    restored to T^n by the factor 2^(e n)."""
-    top = np.abs(T.weights).max() if isinstance(T, WeightedShift) else T.spectral_radius()
-    e = int(np.frexp(top)[1])
-    flags, grid_decay, column_decay = [], [], []
-    for n, P in enumerate(T.scaled(np.ldexp(1.0, -e)).orbit(np.eye(T.dim), horizon)):
-        if n == 0:
-            continue
-        R = cone_residual(P)
-        grid_decay.append(float(np.ldexp(R.max(), e * n)))
-        column_decay.append(float(np.ldexp(norm_of_moduli(R, T.norm).max(initial=0.0), e * n)))
-        if isinstance(T, Dense):
-            flags.append(entrywise_positive(P, tol * float(np.abs(P).max())))
+    and a weighted shift are decided exactly from their entries, with no
+    power formed; a dense matrix from the sign test of each power."""
     if isinstance(T, Diagonal):
         status = _diagonal_status(T, tol)
     elif isinstance(T, WeightedShift):
         status = _shift_status(T, tol)
     else:
-        n0 = _n0_from_flags(flags, True, 1 if not P.any() else _window(horizon))
-        status = UndeterminedUpToHorizon(horizon) if n0 is None else Confirmed(n0)
-    return _one_status(_EVENTUAL_CHAIN, status, (grid_decay, column_decay, grid_decay), tol)
+        status = _dense_status(T, horizon, tol)
+    return _one_status(_EVENTUAL_CHAIN, status, tol)
 
 
-def _one_status(chain, status, decays, tol) -> tuple:
-    """A trio whose notions coincide: one status, a decay per notion."""
-    return tuple(PositivityVerdict(n, status, tuple(d), tol) for n, d in zip(chain, decays))
+def _one_status(chain, status, tol) -> tuple:
+    """A trio whose notions coincide: one status."""
+    return tuple(PositivityVerdict(n, status, tol) for n in chain)
+
+
+def _dense_status(T: Dense, horizon: int, tol: float) -> Status:
+    """From the entrywise test of each power up to the horizon, where a zero
+    power stays zero and needs no window. The orbit is that of P = T 2^-e,
+    e the binary exponent of spr, so its powers neither overflow nor
+    underflow; each test is relative to the largest entry of P^n, so the
+    scaling by a power of two moves none."""
+    e = int(np.frexp(T.spectral_radius())[1])
+    flags = []
+    for n, P in enumerate(T.scaled(np.ldexp(1.0, -e)).orbit(np.eye(T.dim), horizon)):
+        if n:
+            flags.append(entrywise_positive(P, tol * float(np.abs(P).max())))
+    n0 = _n0_from_flags(flags, True, 1 if not P.any() else _window(horizon))
+    return UndeterminedUpToHorizon(horizon) if n0 is None else Confirmed(n0)
 
 
 def _diagonal_status(T: Diagonal, tol: float) -> Status:
@@ -368,8 +344,7 @@ def _rank_k_eventual(T: RankK, horizon: int, tol: float) -> tuple:
     while the analytic witnesses and the limit-point rule leave it open) next
     to T^n of the test vectors (the other two). Each eventual notion implies
     its asymptotic one, so a refutation by `_rank_k_limit_status` refutes
-    every notion that no analytic witness refuted first; the decays stay
-    those of the orbit and the witnesses."""
+    every notion that no analytic witness refuted first."""
     tests = default_test_set(T)
     limit = _rank_k_limit_status(T, tol) if T.spectral_radius() > 0 else None
     refuted = limit if isinstance(limit, RefutedWithWitness) else None
@@ -379,12 +354,12 @@ def _rank_k_eventual(T: RankK, horizon: int, tol: float) -> tuple:
         hats = [hat_family_witness(T, n) for n in range(1, horizon + 1)]
         uniform = _hat_refutation(T, hats, horizon, tol)
     if uniform is None and refuted is not None:
-        uniform = PositivityVerdict(Notion.UNIFORM_EVENTUAL, refuted, _hat_decay(hats), tol)
+        uniform = PositivityVerdict(Notion.UNIFORM_EVENTUAL, refuted, tol)
     individual = _singular_refutation(T, tests.vectors, Notion.INDIVIDUAL_EVENTUAL, horizon, tol)
     k = T.dim if uniform is None else 0
     Y = np.concatenate([np.eye(T.dim)[:, :k], _columns(tests.vectors)], axis=1)
     pair = _pairings(T, tests)
-    grid_ok, dists, weak_ok, weak_decay = [], [], [], []
+    grid_ok, dists, weak_ok = [], [], []
     for n, Z in enumerate(T.orbit(Y, horizon)):
         dists.append(cone_distances(Z[:, k:], T.norm))
         if n == 0:
@@ -392,14 +367,12 @@ def _rank_k_eventual(T: RankK, horizon: int, tol: float) -> tuple:
         if uniform is None:
             power = Z[:, :k]
             grid_ok.append(entrywise_positive(power, tol * float(np.abs(power).max())))
-        values = pair(n, Z[:, k:])
-        weak_ok.append(entrywise_positive(values, tol))
-        weak_decay.append(float(cone_residual(values).max(initial=0.0)))
+        weak_ok.append(entrywise_positive(pair(n, Z[:, k:]), tol))
     if uniform is None:
         uniform = _uniform_verdict(T, grid_ok, hats, horizon, tol)
     if individual is None:
         individual = _individual_verdict(tests, np.array(dists), horizon, tol)
-    weak = _flag_verdict(Notion.WEAK_EVENTUAL, weak_ok, True, weak_decay, horizon, tol)
+    weak = _flag_verdict(Notion.WEAK_EVENTUAL, weak_ok, True, horizon, tol)
     if refuted is not None:
         individual, weak = (
             v if isinstance(v.status, RefutedWithWitness) else replace(v, status=refuted)
@@ -457,7 +430,7 @@ def delta_n(T: OperatorModel, n: int) -> tuple:
     spr = T.spectral_radius()
     if spr <= 0:
         raise NotClassifiableError("spectral radius is zero; rescaling undefined")
-    power = np.linalg.matrix_power(to_dense(T.scaled(1.0 / spr)).matrix, n)
+    power = np.linalg.matrix_power(to_dense(T).scaled(1.0 / spr).matrix, n)
     dists = cone_distances(power, T.norm)
     j = int(np.argmax(dists))
     return float(dists[j]), _basis_vector(T, j)
@@ -465,7 +438,7 @@ def delta_n(T: OperatorModel, n: int) -> tuple:
 
 def classify_asymptotic(T: OperatorModel, tol: float = DEFAULT_TOL) -> tuple:
     """(uniform, individual, weak) asymptotic verdicts, by exact rule and with
-    no decay. The three notions coincide: S = T/spr is the sum of its
+    no orbit. The three notions coincide: S = T/spr is the sum of its
     peripheral part, whose powers cycle through the limit points, and a part
     whose powers tend to 0 in operator norm. So each notion holds exactly
     when every limit point is positive, and the trio gets one status: a
@@ -480,7 +453,7 @@ def classify_asymptotic(T: OperatorModel, tol: float = DEFAULT_TOL) -> tuple:
         status = _diagonal_limit_status(T, tol)
     else:
         status = _peripheral_status(T, tol)
-    return _one_status(_ASYMPTOTIC_CHAIN, status, ((), (), ()), tol)
+    return _one_status(_ASYMPTOTIC_CHAIN, status, tol)
 
 
 def _basis_vector(T: OperatorModel, j: int) -> LatticeVector:
@@ -561,11 +534,12 @@ def _peripheral_status(T: Dense, tol: float) -> Status:
     L_r is positive, and so iff L_1 is: the P_k are disjoint projections,
     so L_r = L_1^r, and L_0 = L_1^p. With m > 1 an L_r off the cone
     refutes, as that part of S^n grows, and other ones leave the lower-order
-    terms undecided. Off the cone means beyond tol plus, at m = 1, the
-    rounding of the computed projections, n eps sum_k ||P_k||_F^2 to first
-    order, and at m > 1 the error that merging a split eigenvalue puts into
-    L_r (`PeripheralDecomposition.coefficient_error`). The rule steps no
-    power, so an undetermined status has horizon 0."""
+    terms undecided; only r < min(p, MAX_PERIOD) is read, since a
+    refutation at any r is sound. Off the cone means beyond tol plus, at
+    m = 1, the rounding of the computed projections, n eps sum_k ||P_k||_F^2
+    to first order, and at m > 1 the error that merging a split eigenvalue
+    puts into L_r (`PeripheralDecomposition.coefficient_error`). The rule
+    steps no power, so an undetermined status has horizon 0."""
     spec = T.spectrum
     periph, spr = spec.peripheral, spec.spectral_radius
     m = periph.order
@@ -586,8 +560,8 @@ def _peripheral_status(T: Dense, tol: float) -> Status:
         slack = T.dim * EPS * float(np.sum(np.linalg.norm(C, axis=(1, 2)) ** 2))
         return _limit_point_refutation(T, *worst(1), tol + slack) or Confirmed(0)
     threshold = tol + periph.coefficient_error / (periph.scale * spr) ** (m - 1)
-    # the first r of the worst entry over every r < p
-    entry, r = max(map(worst, range(math.lcm(*q))), key=lambda w: w[0][0])
+    # the first r of the worst entry over the r read
+    entry, r = max(map(worst, range(min(math.lcm(*q), MAX_PERIOD))), key=lambda w: w[0][0])
     return _limit_point_refutation(T, entry, r, threshold) or UndeterminedUpToHorizon(0)
 
 

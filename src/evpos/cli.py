@@ -146,9 +146,6 @@ def run_classify(
     except SpectralError:
         solver_failure = True
     by_notion = {v.notion.value: v for v in verdicts}
-    decay = {
-        v.notion.value: [float(d) for d in v.decay] for v in verdicts if v.decay
-    }
 
     checks = []
     spec = None
@@ -176,7 +173,6 @@ def run_classify(
         classification=tuple(verdict_record(v) for v in verdicts),
         spectrum=None if spec is None else spectrum_record(spec),
         checks=tuple(check_record(c) for c in checks),
-        decay_sequences=decay,
         seed=seed,
     )
     return report, solver_failure

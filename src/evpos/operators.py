@@ -190,7 +190,7 @@ def apply_functional(
 # Each model supplies the same methods: power(n, entries) for T^n on an entry
 # array (n >= 1, unchecked), orbit(Y, horizon) that streams Y, TY, ...,
 # T^horizon Y for a dim x m block Y, dense(), spectral_radius() and
-# to_json(); the finite models also scaled(c) for c*T.
+# to_json(); a `Dense` also scaled(c) for c*T.
 
 
 def _iterate(step, Y: np.ndarray, horizon: int):
@@ -282,9 +282,6 @@ class Diagonal:
     def dense(self) -> Dense:
         return Dense(np.diag(self.symbol), self.norm)
 
-    def scaled(self, c: float) -> Diagonal:
-        return Diagonal(self.symbol * c, self.norm)
-
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(self.symbol)))
 
@@ -325,9 +322,6 @@ class WeightedShift:
 
     def dense(self) -> Dense:
         return Dense(np.diag(self.weights, -1), self.norm)
-
-    def scaled(self, c: float) -> WeightedShift:
-        return WeightedShift(self.weights * c, self.norm)
 
     def spectral_radius(self) -> float:
         return 0.0  # nilpotent truncation

@@ -25,7 +25,7 @@ from .rng import GENERATOR_NAME
 from .spectral import Spectrum
 from .verify import CheckResult
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 class ReportError(ValueError):
@@ -50,15 +50,15 @@ def verdict_record(v: PositivityVerdict) -> dict:
 
 
 def verdict_from_record(rec: dict) -> PositivityVerdict:
-    """The verdict of a classification record, without its decay; a
-    refutation keeps only its witness's description."""
+    """The verdict of a classification record; a refutation keeps only its
+    witness's description."""
     st = rec["status"]
     status = {
         "confirmed": lambda: Confirmed(st["n0"]),
         "refuted": lambda: RefutedWithWitness(None, st["witness"]),
         "undetermined": lambda: UndeterminedUpToHorizon(st["horizon"]),
     }[st["kind"]]()
-    return PositivityVerdict(Notion(rec["notion"]), status, (), rec["tolerance"])
+    return PositivityVerdict(Notion(rec["notion"]), status, rec["tolerance"])
 
 
 def check_record(c: CheckResult) -> dict:
@@ -86,7 +86,6 @@ class AnalysisReport:
     classification: tuple  # of verdict records
     spectrum: Optional[dict]
     checks: tuple  # of check records
-    decay_sequences: dict  # label -> list of floats
     seed: int
     versions: dict = field(
         default_factory=lambda: {
@@ -111,7 +110,6 @@ _REPORT_FIELDS = (
     "classification",
     "spectrum",
     "checks",
-    "decay_sequences",
     "seed",
     "versions",
 )
@@ -124,9 +122,6 @@ def report_to_json(report: AnalysisReport) -> str:
         "classification": list(report.classification),
         "spectrum": report.spectrum,
         "checks": list(report.checks),
-        "decay_sequences": {
-            k: [float(v) for v in vs] for k, vs in sorted(report.decay_sequences.items())
-        },
         "seed": int(report.seed),
         "versions": report.versions,
     }
@@ -173,7 +168,6 @@ def report_from_json(text: str) -> AnalysisReport:
         classification=tuple(data["classification"]),
         spectrum=data["spectrum"],
         checks=tuple(data["checks"]),
-        decay_sequences=dict(data["decay_sequences"]),
         seed=int(data["seed"]),
         versions=versions,
     )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import evpos.classify
 from evpos.catalog import (
     averaging_plus_singular,
     averaging_plus_slope,
@@ -14,6 +15,7 @@ from evpos.catalog import (
 from evpos.classify import (
     ConeTestSet,
     HORIZON_EVENTUAL,
+    MAX_PERIOD,
     Confirmed,
     NotClassifiableError,
     Notion,
@@ -78,19 +80,15 @@ class TestEventualClassification:
         assert isinstance(v.status, Confirmed)
         assert v.status.n0 >= 1
 
-    def test_undetermined_individual_decay_stops_at_first_stuck_vector(self):
+    def test_vectors_turning_on_circles_are_undetermined(self):
         # e_2 turns around the unit circle and is off the cone at n = 30, the
-        # horizon; e_3 grows like 2^n and comes later, so its decay is left out
+        # horizon; e_3 turns around a circle of radius 2^n
         T = Dense(np.diag([1.0, 1j, 2j]), Ell1())
         basis = tuple(LatticeVector(e, Ell1()) for e in np.eye(3))
         v = individual_eventual(T, ConeTestSet(basis, basis))
         assert isinstance(v.status, UndeterminedUpToHorizon)
-        assert v.decay == pytest.approx([0.0 if n % 4 == 0 else 1.0 for n in range(1, 31)])
-        # the finite trio reads the largest column of each power instead
         for trio in classify_eventual(T)[1:]:
             assert isinstance(trio.status, UndeterminedUpToHorizon)
-        expected = [0.0 if n % 4 == 0 else 2.0**n for n in range(1, 31)]
-        assert classify_eventual(T)[1].decay == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize(
         "T",
@@ -110,7 +108,6 @@ class TestEventualClassification:
             assert isinstance(single.status, UndeterminedUpToHorizon)
         else:
             assert shared.status == single.status
-        assert shared.decay == pytest.approx(single.decay, rel=1e-10, abs=1e-12)
 
     @pytest.mark.parametrize(
         "T",
@@ -124,9 +121,10 @@ class TestEventualClassification:
         ids=["dense-l1", "dense-l2", "dense-linf", "diagonal-linf"],
     )
     def test_finite_classification_steps_only_the_eventual_orbit(self, T, monkeypatch):
-        # both trios of a finite model come from one orbit started at the
+        # both trios of a dense model come from one orbit started at the
         # identity, that of the eventual horizon: the asymptotic trio steps
-        # no power
+        # no power; a diagonal's trios are decided from its symbol, with no
+        # orbit at all
         calls = []
         orbit = type(T).orbit
 
@@ -138,6 +136,9 @@ class TestEventualClassification:
         report, failed = run_classify(T, "finite", 0)
         assert not failed
         assert len(report.classification) == 6
+        if isinstance(T, Diagonal):
+            assert calls == []
+            return
         assert [horizon for _, horizon in calls] == [HORIZON_EVENTUAL]
         assert np.array_equal(calls[0][0], np.eye(T.dim))
 
@@ -231,17 +232,13 @@ class TestScaleFreeEventualTest:
     def test_large_positive_matrix_confirmed_at_zero(self, matrix):
         for v in self._eventual(Dense(matrix, Ell1())):
             assert v.status == Confirmed(0)
-            assert not any(v.decay)
 
-    def test_power_of_two_scaling_keeps_statuses_and_scales_decays(self):
+    def test_power_of_two_scaling_keeps_statuses(self):
         T = make_eventually_positive(6, 0.5, seed=3, norm=Ell1()).model
         base = self._eventual(T)
         for k in (-30, -3, 3, 30):
             scaled = self._eventual(Dense(T.matrix * 2.0**k, Ell1()))
             assert [v.status for v in scaled] == [v.status for v in base]
-            for v, w in zip(scaled, base):
-                expected = [np.ldexp(d, k * (n + 1)) for n, d in enumerate(w.decay)]
-                assert list(v.decay) == expected
 
     @pytest.mark.parametrize(
         "weights, n0",
@@ -377,7 +374,7 @@ class TestPeripheralRule:
         trio = classify_asymptotic(T)
         # one verdict for the three notions, as its report record shows it
         records = {str(verdict_record(v)["status"]) for v in trio}
-        assert len(records) == 1 and all(v.decay == () for v in trio)
+        assert len(records) == 1
         status = trio[0].status
         assert type(status) is kind, status
         # refuted exactly when some power in the window stays off the cone:
@@ -386,6 +383,31 @@ class TestPeripheralRule:
         tol = trio[0].tolerance
         deltas = [delta_n(T, n)[0] for n in range(30_000, 30_000 + p)]
         assert (max(deltas) > tol) == (kind is RefutedWithWitness), deltas
+
+    @pytest.mark.parametrize(
+        "sign, kind", [(1.0, UndeterminedUpToHorizon), (-1.0, RefutedWithWitness)]
+    )
+    def test_limit_point_scan_is_bounded(self, sign, kind, monkeypatch):
+        # a peripheral Jordan block on each point of a permutation with
+        # cycles 5, 7, 8, 9 and 11: m = 2 and p = 27,720 limit points, of
+        # which at most MAX_PERIOD are formed. With J, every L_r is positive,
+        # so the status stays undetermined; with -J, L_0 is negative
+        P = scipy.linalg.block_diag(*(np.roll(np.eye(k), 1, axis=0) for k in (5, 7, 8, 9, 11)))
+        T = Dense(np.kron(P, sign * np.array([[1.0, 1.0], [0.0, 1.0]])), Ell1())
+        assert T.spectrum.peripheral.order == 2
+        formed = []
+        tensordot = np.tensordot
+
+        def counting(*args, **kwargs):
+            formed.append(1)
+            return tensordot(*args, **kwargs)
+
+        monkeypatch.setattr(evpos.classify.np, "tensordot", counting)
+        status = classify_asymptotic(T)[0].status
+        assert type(status) is kind, status
+        if kind is UndeterminedUpToHorizon:
+            assert status == UndeterminedUpToHorizon(0)
+        assert 0 < len(formed) <= MAX_PERIOD
 
     def test_limit_point_witness_is_a_basis_vector(self):
         # the powers of -S alternate between I and -S, which has -1 at (0, 1)
@@ -554,7 +576,7 @@ SLOPE_IDS = ["c=0.25", "c=0.75", "c=0.5", "c=-0.5", "c=0.5j"]
 
 class TestRankKLimitRule:
     """A rank-k model's asymptotic trio is decided from its eigen-parameters,
-    with one status and no decay, and agrees with brute-force powers of its
+    with one status and no orbit, and agrees with brute-force powers of its
     dense view over p consecutive powers near n = 1,000, p the lcm of the
     peripheral root orders."""
 
@@ -577,7 +599,7 @@ class TestRankKLimitRule:
     def test_rule_agrees_with_brute_force_powers(self, c, kind, p):
         T = _slope_model(c)
         trio = classify_asymptotic(T)
-        assert all(v.status is trio[0].status and v.decay == () for v in trio)
+        assert all(v.status is trio[0].status for v in trio)
         assert type(trio[0].status) is kind, trio[0].status
         A = to_dense(T).matrix / T.spectral_radius()
         S = np.linalg.matrix_power(A, 1_000)
@@ -721,13 +743,9 @@ class TestHierarchy:
     def test_detects_inverted_pair(self):
         from evpos.classify import PositivityVerdict
 
-        upper = PositivityVerdict(Notion.UNIFORM_EVENTUAL, Confirmed(0), (), 1e-9)
-        lower = PositivityVerdict(
-            Notion.WEAK_EVENTUAL,
-            RefutedWithWitness(None, "synthetic"),
-            (),
-            1e-9,
-        )
+        upper = PositivityVerdict(Notion.UNIFORM_EVENTUAL, Confirmed(0), 1e-9)
+        refuted = RefutedWithWitness(None, "synthetic")
+        lower = PositivityVerdict(Notion.WEAK_EVENTUAL, refuted, 1e-9)
         bad = hierarchy_violations([upper, lower])
         assert len(bad) == 1
 

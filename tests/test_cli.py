@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,15 @@ from evpos.cli import (
 from evpos.catalog import averaging_plus_slope, get_example
 from evpos.classify import Confirmed, Notion, PositivityVerdict
 from evpos.generators import make_eventually_positive
-from evpos.operators import Dense, Diagonal, RankK, model_digest, model_to_json, to_dense
+from evpos.operators import (
+    Dense,
+    Diagonal,
+    RankK,
+    WeightedShift,
+    model_digest,
+    model_to_json,
+    to_dense,
+)
 from evpos.spectral import SpectralError, eigenvalues, peripheral_spectrum
 from evpos.lattice import Ell1, Ell2, EllInf
 from evpos.report import (
@@ -250,54 +259,73 @@ class TestRunClassify:
             "sha256": model_digest(model),
         }
 
-    def test_schema_one_report_rejected(self):
+    @pytest.mark.parametrize("schema", ["1", "2"])
+    def test_schema_one_report_rejected(self, schema):
         entry = get_example("rem3.2b")
         report, _ = run_classify(entry.model, entry.name, 0)
         data = json.loads(report_to_json(report))
-        data["versions"]["schema"] = "1"
+        data["versions"]["schema"] = schema
         with pytest.raises(ReportError):
             report_from_json(json.dumps(data))
 
-    def test_unknown_field_rejected(self):
+    # a schema-2 body carries decay_sequences, which schema 3 dropped
+    @pytest.mark.parametrize("field", ["surprise", "decay_sequences"])
+    def test_unknown_field_rejected(self, field):
         entry = get_example("rem3.2b")
         report, _ = run_classify(entry.model, entry.name, 0)
         data = json.loads(report_to_json(report))
-        data["surprise"] = 1
+        data[field] = 1
         with pytest.raises(ReportError):
             report_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "model",
+        [Dense(np.diag([-1e200, 1.0]), Ell1()), WeightedShift(np.full(4, -1e200), Ell1())],
+        ids=["dense-diag-minus-1e200", "shift-minus-1e200"],
+    )
+    def test_huge_entries_give_a_strict_json_report(self, model):
+        # powers far beyond the float range: no warning, and no Infinity or
+        # NaN in the report
+        def refuse(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, failed = run_classify(model, "huge", 0)
+            text = report_to_json(report)
+        assert not failed
+        assert json.loads(text, parse_constant=refuse)["versions"]["schema"] == "3"
 
 
 # sha256 of report_to_json for each `run_suite("paper", 0)` report; any change
-# to the catalog report bytes must be deliberate and update these. The rank-k
-# entries ex2.2a and ex2.2b carry no asymptotic decay: their asymptotic trio
-# is decided by the limit-point rule.
+# to the catalog report bytes must be deliberate and update these.
 PAPER_REPORT_SHA256 = {
-    "ex2.2a": "3c35ee7feae0dcce7b9236c8dc6a29fa6323c3f10ee4071bdce3278006100b31",
-    "ex2.2b": "269f288ed7ac079dec18bd275ae30cb2c8491475e5739ac941b630ea9c3e4418",
-    "ex3.5a": "3e173f00321a376993ae3416af92e526be4ea5458e4ebc89ad0d2a3143f24d54",
-    "ex3.5b": "c402a8dc4cbe61eaef700ac19451304b77b59e3631c67d49becbc7a5d44b282a",
-    "rem3.2b": "d54928d1ad1eee0a47f3acf78a7d782fa970f2c3829f1a8635292d6e932e244f",
-    "cyclic-block": "102f3f4d648d27dd4114fc42ad7afe18cb19db3359a73ccad0054e66652845c7",
-    "eventually-positive": "40982732eba48cb74baf74b76afb682b9815d655be1a6cb2068bd2ccb3978a4e",
+    "ex2.2a": "21de557ee3298fed3f39093cbf9cb90b715eebbb2f189c20e20b51480c5a0047",
+    "ex2.2b": "a8c4c491f616742c8cc6a4873a451bb0505d814d0a15e80147701f0984a12504",
+    "ex3.5a": "20fa4d2ca64fbf0e4df99ec1eff043ef409d2b974a14469eb6f2a6cb5cbd945e",
+    "ex3.5b": "017443757021737400ae949d9e9f520fb4902372dda29e094ab5eebd58ee3ed5",
+    "rem3.2b": "b0431b909b1f207a48c866feea528a1819e4a9b73b88ba15c9843f9c45f31d8e",
+    "cyclic-block": "9dc23256ae60699b749303857c2dd83e459f50431fcb1fedd3c2f509eae34267",
+    "eventually-positive": "3a7882200192e91dc8f5cb5b934acff388cfc4b9b4ec4abac0911cf4738e96d9",
 }
 
 # sha256 of the run_classify report of make_eventually_positive(dim, 0.5, 3,
 # norm=N) under the id ep-N-dim, and of the dim-96 Gaussians under the id
 # gauss-N-96, seed 0
 DENSE_REPORT_SHA256 = {
-    "ep-Ell1-8": "8e736dc61c78f95999b7f08887d8dfc9f095bd611cc3371a74fa4b3229c8321d",
-    "ep-Ell1-24": "a2431322bd8af8be3184c5e75dfd5e21ed86d28e3ac726d73d6633c46e208850",
-    "ep-Ell2-8": "33d74788a1462861df2e065dc2eee7d4f1c88492c01e252dd6cb418f48bd802c",
-    "ep-Ell2-24": "8725621a58bbbe910f64eedc1eb01ab274057c27058f6ca9b5b6b942b6545344",
-    "ep-EllInf-8": "623376c582a48c14326796e5f94f59045d13b8d8cd285c216fbff9182586129d",
-    "ep-EllInf-24": "5167197770698cb3e3eeaf3259cc13114cec90f33ec395fd34428246b838e0e4",
-    "gauss-Ell1-96": "d6875f2cac8581a23e772c87da266ab73b45296dce10d40fd91acd0db924fa5c",
-    "gauss-Ell2-96": "50274630b40daac016f4fd9a1dff0026cb558ca845a3418e789ddd95eaf7c0e5",
+    "ep-Ell1-8": "423dd233cf9190559f645c76c2ddd5b4ef0d9d637e9dfe37f505c8061f10a370",
+    "ep-Ell1-24": "24d84f6711b31c7ea60c99e37f856cdbbef9654de85510ee4e78e1ba3e590a04",
+    "ep-Ell2-8": "578dc6d8ed93773464385be24f7733e673098c62729de6ccf7cfb1d575378f83",
+    "ep-Ell2-24": "e27d13427206b7f228a24eae71cf57ee56c3521891c30625cb55b7004329b9f5",
+    "ep-EllInf-8": "ffd035be7ebf3d3872d21e913166e041a564f540636c5c1e572f98e9c77dc3e9",
+    "ep-EllInf-24": "cfdee67a5ea9c58375782b6ebf090a31d0828802c9491b3b92586ee7bf4ef1dd",
+    "gauss-Ell1-96": "49c7aa6233d065ac1512876e73daae9d353942932c3460fee2562727451db5d4",
+    "gauss-Ell2-96": "94f19bfb7bbf632138569f2a7338b5cb7816d6ac5e62b0af0d6b9c6b36361714",
 }
 
 
 # sha256 of the concatenated report_to_json of `run_suite("random", 3, 100)`
-RANDOM_SUITE_SHA256 = "b03ae9441cb021cc0008d9fc8ce2695c5605f6839e80b6341ed36f0a9a053d60"
+RANDOM_SUITE_SHA256 = "4096d33363f8bd3bc3224e7e10302b6fc19a8a0f9224a3153240813bc7644b7d"
 
 
 class TestSuites:

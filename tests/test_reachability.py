@@ -108,6 +108,8 @@ def _command_lines(tmp):
     vector = write("vector.json", [[1, 0], [0.5, 0]])
     lines.append(["orbit", "--example", "rem3.2b", "--vector", vector, "--n", "5"])
     lines.append(["orbit", write("orbit-model.json", model_to_json(inf)), "--n", "3"])
+    # the negative shift: classification decides a shift with no orbit
+    lines.append(["orbit", "--example", "ex3.5b"])
     bad = [
         ["classify", write("not-json.json", "{")],
         ["classify", write("bad-model.json", {"variant": "dense", "n": 2})],

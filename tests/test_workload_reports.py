@@ -14,15 +14,15 @@ import workloads  # noqa: E402
 
 # sha256 of the concatenated report_to_json of every case of the workload
 WORKLOAD_REPORT_SHA256 = {
-    ("catalog", 0): "b138a4e5c669d6937cae043897f2d940af8e19bd14f6fba4c442228febcbe23a",
-    ("catalog", 7): "bbfbf611f098ea5988f4e16b9edb2fd0cec3a023ba0eaf221e778b26ec42b33f",
-    ("catalog", 111): "90ab1ab6053f4467fbbb75ae7d25205e53fbd334e728a0242adaf187ef20e240",
-    ("dense-sweep", 0): "dc98d8e1087cd961fe02eb910ad4c43991e260ccac0dbcb31f53fd98d04526e5",
-    ("dense-sweep", 7): "6ec49568b4b340eb592531d5268a511d9a7c337aa4c0f0d5a5d675a3d813f313",
-    ("dense-sweep", 111): "1265dbc4b994b24f344ef1aebddb48ae89d55b7ce4319a108058762441f5dd65",
-    ("random-small", 0): "d3feffd6372d8aa3e291d22f4a246e375cbefd2dae9329bf3fd8839b7c8bae39",
-    ("random-small", 7): "9b2f2c5fc84a7380367d0d6011faf6ff6cd4bb03a9e0c9e94524fe2883d72330",
-    ("random-small", 111): "e9b13a4030fb704bf500ca1ace16bb3f798e6fd14e643e078d0aed5b0c9c757a",
+    ("catalog", 0): "5cf723c971fed1cb1df2f74d291d4f173a161acf43fc34d1af93522a8f9aca3d",
+    ("catalog", 7): "3669c461c9a81c688812122dff34f446e519d7e8e702af589c345f1f2509f51e",
+    ("catalog", 111): "44699e6f2ebf1f6da0c3d22f082797cccfeab5ba6101a19f425242ad4a2288a0",
+    ("dense-sweep", 0): "0dfa04af824a97e50be37eee30545a3baa2d02027725965fdcfe7ac7f85f2a12",
+    ("dense-sweep", 7): "27b21875a5e0edc271577a99eee5c9b6e2fc47d6e901dad1991a7873affe3e37",
+    ("dense-sweep", 111): "aeba64b3e65b7da943cfdff8d2dd805e7bbb6b3101cd0bdb4cfa8e573c291cec",
+    ("random-small", 0): "b0e4b39965c09485bbb16d6484681fcba554485936b8b8230211b20b5698d314",
+    ("random-small", 7): "a146cc5831c4dafe24424847f7c54f4f02a78e4e1ea932bfd85deba0b57b5acc",
+    ("random-small", 111): "5e1cce0478edc9cb0b8ff16ccae1f4a56560a00c1a5d2caf2588602d6e2791a3",
 }
 
 
