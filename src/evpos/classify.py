@@ -50,6 +50,15 @@ LIMIT_POINT_ROWS = 64
 # the most limit points L_r that the rule for a peripheral pole of order
 # m > 1 forms: every period p = lcm(q) of root orders q <= 8 is read in full
 MAX_PERIOD = 840
+# the most powers that the tail certificate of a `Dense` eventual trio tests
+# directly, and the largest power m of N = S - L_1 it forms
+MAX_TAIL = 512
+# the certificate confirms only limit-point entries above this multiple of
+# their rounding, n eps sum_k ||P_k||_F^2 (see `_peripheral_status`)
+MARGIN_ROUNDINGS = 100
+# a norm of a power of N past which the certificate stops squaring: far
+# inside the float range, so the next square cannot overflow
+NORM_CEILING = 1e100
 # seeded random positive functions (and as many functionals) in the test set
 # of a function space, after the constant ones
 FUNCTION_SPACE_RANDOM = 16
@@ -261,28 +270,36 @@ def _individual_verdict(tests: ConeTestSet, dists: np.ndarray, horizon, tol):
 
 
 def classify_eventual(
-    T: OperatorModel, horizon: int = HORIZON_EVENTUAL, tol: float = DEFAULT_TOL
+    T: OperatorModel,
+    horizon: int = HORIZON_EVENTUAL,
+    tol: float = DEFAULT_TOL,
+    limit: Optional[LimitStatus] = None,
 ) -> tuple:
-    """(uniform, individual, weak) eventual verdicts: a finite model's from
-    its powers, a rank-k model's from its function-space test set."""
+    """(uniform, individual, weak) eventual verdicts: a finite model's by
+    exact rule, a rank-k model's from its function-space test set, whose
+    orbit alone the horizon bounds. `limit` is the limit status that the
+    asymptotic trio of the same classification reads; one is made when it
+    is not given."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if limit is None:
+        limit = LimitStatus(T, tol)
     if isinstance(T, RankK):
-        return _rank_k_eventual(T, horizon, tol)
-    return _finite_eventual(T, horizon, tol)
+        return _rank_k_eventual(T, horizon, tol, limit)
+    return _finite_eventual(T, tol, limit)
 
 
-def _finite_eventual(T: OperatorModel, horizon: int, tol: float) -> tuple:
+def _finite_eventual(T: OperatorModel, tol: float, limit: LimitStatus) -> tuple:
     """The basis vectors generate the positive cone, and <e_i, T^n e_j> is
-    the entry (T^n)_ij, so the three notions coincide: one status. A diagonal
-    and a weighted shift are decided exactly from their entries, with no
-    power formed; a dense matrix from the sign test of each power."""
+    the entry (T^n)_ij, so the three notions coincide: one status, decided
+    with no horizon. A diagonal and a weighted shift are decided exactly
+    from their entries; a dense matrix by `_dense_status`."""
     if isinstance(T, Diagonal):
         status = _diagonal_status(T, tol)
     elif isinstance(T, WeightedShift):
         status = _shift_status(T, tol)
     else:
-        status = _dense_status(T, horizon, tol)
+        status = _dense_status(T, tol, limit)
     return _one_status(_EVENTUAL_CHAIN, status, tol)
 
 
@@ -291,19 +308,94 @@ def _one_status(chain, status, tol) -> tuple:
     return tuple(PositivityVerdict(n, status, tol) for n in chain)
 
 
-def _dense_status(T: Dense, horizon: int, tol: float) -> Status:
-    """From the entrywise test of each power up to the horizon, where a zero
-    power stays zero and needs no window. The orbit is that of P = T 2^-e,
-    e the binary exponent of spr, so its powers neither overflow nor
-    underflow; each test is relative to the largest entry of P^n, so the
-    scaling by a power of two moves none."""
-    e = int(np.frexp(T.spectral_radius())[1])
-    flags = []
-    for n, P in enumerate(T.scaled(np.ldexp(1.0, -e)).orbit(np.eye(T.dim), horizon)):
-        if n:
-            flags.append(entrywise_positive(P, tol * float(np.abs(P).max())))
-    n0 = _n0_from_flags(flags, True, 1 if not P.any() else _window(horizon))
-    return UndeterminedUpToHorizon(horizon) if n0 is None else Confirmed(n0)
+def _dense_status(T: Dense, tol: float, limit: LimitStatus) -> Status:
+    """In this order, and with no horizon:
+    1. An exactly nonnegative real matrix is confirmed at n0 = 0 with no
+       spectrum, as products and sums of nonnegative floats stay
+       nonnegative. (A test within tol is not enough: [[1, -1e-10], [0, 1]]
+       and its first ten powers pass it, the 11th power does not.)
+    2. At spr = 0, T is nilpotent, so T^dim = 0 and only the powers below
+       it are tested (`_last_failure`).
+    3. A refuted limit status refutes the trio with the same witness, as
+       each eventual notion implies its asymptotic one.
+    4. A confirmed one decides by `_tail_certificate`, when that applies.
+    5. Anything else, a solver failure included, is undetermined, with
+       horizon 0 as no power beyond the certificate's is read."""
+    if _exactly_nonnegative(T.matrix):
+        return Confirmed(0)
+    try:
+        status = limit.read()
+    except NotClassifiableError:
+        return Confirmed(_last_failure(T.matrix, T.dim, tol))
+    except spectral.SpectralError:
+        return UndeterminedUpToHorizon(0)
+    if isinstance(status, RefutedWithWitness):
+        return status
+    if isinstance(status, Confirmed):
+        return _tail_certificate(T, tol) or UndeterminedUpToHorizon(0)
+    return UndeterminedUpToHorizon(0)
+
+
+def _exactly_nonnegative(A: np.ndarray) -> bool:
+    return bool((A.real >= 0).all()) and not A.imag.any()
+
+
+def _last_failure(B: np.ndarray, n_t: int, tol: float) -> int:
+    """One past the last n < n_t whose power B^n fails the sign test,
+    relative to its largest entry, or 0 when none does."""
+    power, last = B, 0
+    for n in range(1, n_t):
+        if n > 1:
+            power = power @ B
+        if not entrywise_positive(power, tol * float(np.abs(power).max())):
+            last = n
+    return last + 1 if last else 0
+
+
+def _tail_certificate(T: Dense, tol: float) -> Optional[Confirmed]:
+    """Confirmed(n0) from a bound on the decay of S^n = T^n/spr^n towards
+    its limit, or None where the bound does not apply.
+
+    Only a real matrix is certified: its one peripheral eigenvalue is real,
+    so with the limit status confirmed it is spr itself, whereas a complex
+    matrix's may be spr e^(i phi) with phi below the solver's tolerance, and
+    its powers turn through n phi. With spr a simple pole and the only
+    peripheral eigenvalue (Perron's theorem makes it the only one whenever
+    the limit point L_1 = P, the spectral projection at spr, is positive
+    beyond a margin, as then a power of T is), S = L_1 + N with
+    L_1 N = N L_1 = 0, so S^n = L_1 + N^n for n >= 1. Squaring N until
+    theta = ||N^m||_inf <= 1/2 gives m = 2^i and
+    C = prod over j < i of max(1, ||N^(2^j)||_inf), which bounds ||N^r||_inf
+    for every r < m, so every entry of N^n is at most C theta^(n // m).
+    Past n_t, the first n where that is below min L_1 - margin (the margin
+    MARGIN_ROUNDINGS times the rounding of P), each S^n is positive. The
+    powers below n_t are tested directly, as powers of T 2^-e (e the binary
+    exponent of spr, so none overflows) by `_last_failure`. m and n_t are
+    capped at MAX_TAIL."""
+    if T.matrix.imag.any():
+        return None
+    spec = T.spectrum
+    periph, spr = spec.peripheral, spec.spectral_radius
+    if len(periph.eigenvalues) != 1 or periph.order != 1:
+        return None
+    L = periph.coefficients[0].real
+    A = T.matrix.real
+    gap = float(L.min()) - MARGIN_ROUNDINGS * T.dim * EPS * float(np.linalg.norm(L)) ** 2
+    if not gap > 0:
+        return None
+    N = A / spr - L
+    C, m, theta = 1.0, 1, float(np.linalg.norm(N, np.inf))
+    while theta > 0.5:
+        if 2 * m > MAX_TAIL or theta > NORM_CEILING:
+            return None
+        C, m, N = C * max(1.0, theta), 2 * m, N @ N
+        theta = float(np.linalg.norm(N, np.inf))
+    n_t, bound = 0, C
+    while bound >= gap:
+        n_t, bound = n_t + m, bound * theta
+        if n_t > MAX_TAIL:
+            return None
+    return Confirmed(_last_failure(A * np.ldexp(1.0, -int(np.frexp(spr)[1])), n_t, tol))
 
 
 def _diagonal_status(T: Diagonal, tol: float) -> Status:
@@ -339,15 +431,18 @@ def _shift_status(T: WeightedShift, tol: float) -> Status:
     return Confirmed(n0)
 
 
-def _rank_k_eventual(T: RankK, horizon: int, tol: float) -> tuple:
+def _rank_k_eventual(T: RankK, horizon: int, tol: float, limit: LimitStatus) -> tuple:
     """From one orbit of T whose blocks hold the powers T^n (uniform notion,
     while the analytic witnesses and the limit-point rule leave it open) next
     to T^n of the test vectors (the other two). Each eventual notion implies
-    its asymptotic one, so a refutation by `_rank_k_limit_status` refutes
-    every notion that no analytic witness refuted first."""
+    its asymptotic one, so a refuted limit status (`_rank_k_limit_status`)
+    refutes every notion that no analytic witness refuted first."""
     tests = default_test_set(T)
-    limit = _rank_k_limit_status(T, tol) if T.spectral_radius() > 0 else None
-    refuted = limit if isinstance(limit, RefutedWithWitness) else None
+    try:
+        status = limit.read()
+    except NotClassifiableError:
+        status = None
+    refuted = status if isinstance(status, RefutedWithWitness) else None
     ones = LatticeVector(np.ones(T.dim, dtype=complex), T.norm)
     uniform = _singular_refutation(T, (ones,), Notion.UNIFORM_EVENTUAL, horizon, tol)
     if uniform is None:
@@ -430,30 +525,61 @@ def delta_n(T: OperatorModel, n: int) -> tuple:
     spr = T.spectral_radius()
     if spr <= 0:
         raise NotClassifiableError("spectral radius is zero; rescaling undefined")
-    power = np.linalg.matrix_power(to_dense(T).scaled(1.0 / spr).matrix, n)
+    power = np.linalg.matrix_power(to_dense(T).matrix * (1.0 / spr), n)
     dists = cone_distances(power, T.norm)
     j = int(np.argmax(dists))
     return float(dists[j]), _basis_vector(T, j)
 
 
-def classify_asymptotic(T: OperatorModel, tol: float = DEFAULT_TOL) -> tuple:
+def classify_asymptotic(
+    T: OperatorModel, tol: float = DEFAULT_TOL, limit: Optional[LimitStatus] = None
+) -> tuple:
     """(uniform, individual, weak) asymptotic verdicts, by exact rule and with
     no orbit. The three notions coincide: S = T/spr is the sum of its
     peripheral part, whose powers cycle through the limit points, and a part
     whose powers tend to 0 in operator norm. So each notion holds exactly
-    when every limit point is positive, and the trio gets one status: a
-    `Diagonal`'s from its symbol, a `Dense`'s from its peripheral spectral
-    decomposition, a rank-k model's from its eigen-parameters."""
-    spr = T.spectral_radius()
-    if spr == 0:
-        raise NotClassifiableError("spectral radius is zero; rescaling undefined")
-    if isinstance(T, RankK):
-        status = _rank_k_limit_status(T, tol)
-    elif isinstance(T, Diagonal):
-        status = _diagonal_limit_status(T, tol)
-    else:
-        status = _peripheral_status(T, tol)
-    return _one_status(_ASYMPTOTIC_CHAIN, status, tol)
+    when every limit point is positive, and the trio gets one status, the
+    limit status (`LimitStatus`), which the eventual trio of the same
+    classification may have read already."""
+    if limit is None:
+        limit = LimitStatus(T, tol)
+    return _one_status(_ASYMPTOTIC_CHAIN, limit.read(), tol)
+
+
+class LimitStatus:
+    """The limit status of T, decided on first read and kept, a failure
+    too: NotClassifiableError at spr = 0, where the rescaling is undefined;
+    Confirmed(0) for an exactly nonnegative `Dense`, as each eventual notion
+    implies its asymptotic one; otherwise `_diagonal_limit_status` for a
+    `Diagonal`, `_peripheral_status` for a `Dense`, `_rank_k_limit_status`
+    for a rank-k model. One is shared by the two trios of a classification,
+    so it is decided once."""
+
+    def __init__(self, T: OperatorModel, tol: float):
+        self.T, self.tol = T, tol
+        self._outcome: Union[Status, Exception, None] = None
+
+    def read(self) -> Status:
+        if self._outcome is None:
+            try:
+                self._outcome = self._decide()
+            except (NotClassifiableError, spectral.SpectralError) as exc:
+                self._outcome = exc
+        if isinstance(self._outcome, Exception):
+            raise self._outcome
+        return self._outcome
+
+    def _decide(self) -> Status:
+        T, tol = self.T, self.tol
+        if T.spectral_radius() == 0:
+            raise NotClassifiableError("spectral radius is zero; rescaling undefined")
+        if isinstance(T, RankK):
+            return _rank_k_limit_status(T, tol)
+        if isinstance(T, Diagonal):
+            return _diagonal_limit_status(T, tol)
+        if isinstance(T, Dense) and _exactly_nonnegative(T.matrix):
+            return Confirmed(0)
+        return _peripheral_status(T, tol)
 
 
 def _basis_vector(T: OperatorModel, j: int) -> LatticeVector:
@@ -534,8 +660,9 @@ def _peripheral_status(T: Dense, tol: float) -> Status:
     L_r is positive, and so iff L_1 is: the P_k are disjoint projections,
     so L_r = L_1^r, and L_0 = L_1^p. With m > 1 an L_r off the cone
     refutes, as that part of S^n grows, and other ones leave the lower-order
-    terms undecided; only r < min(p, MAX_PERIOD) is read, since a
-    refutation at any r is sound. Off the cone means beyond tol plus, at
+    terms undecided; r is read upwards from 0, up to the first L_r that
+    refutes and below min(p, MAX_PERIOD), since a refutation at any r is
+    sound. Off the cone means beyond tol plus, at
     m = 1, the rounding of the computed projections, n eps sum_k ||P_k||_F^2
     to first order, and at m > 1 the error that merging a split eigenvalue
     puts into L_r (`PeripheralDecomposition.coefficient_error`). The rule
@@ -560,9 +687,11 @@ def _peripheral_status(T: Dense, tol: float) -> Status:
         slack = T.dim * EPS * float(np.sum(np.linalg.norm(C, axis=(1, 2)) ** 2))
         return _limit_point_refutation(T, *worst(1), tol + slack) or Confirmed(0)
     threshold = tol + periph.coefficient_error / (periph.scale * spr) ** (m - 1)
-    # the first r of the worst entry over the r read
-    entry, r = max(map(worst, range(min(math.lcm(*q), MAX_PERIOD))), key=lambda w: w[0][0])
-    return _limit_point_refutation(T, entry, r, threshold) or UndeterminedUpToHorizon(0)
+    for r in range(min(math.lcm(*q), MAX_PERIOD)):
+        refuted = _limit_point_refutation(T, *worst(r), threshold)
+        if refuted is not None:
+            return refuted
+    return UndeterminedUpToHorizon(0)
 
 
 def _rank_k_limit_status(T: RankK, tol: float) -> Status:

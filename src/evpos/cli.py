@@ -19,6 +19,7 @@ from .catalog import build_catalog, get_example
 from .classify import (
     DEFAULT_TOL,
     HORIZON_EVENTUAL,
+    LimitStatus,
     NotClassifiableError,
     classify_asymptotic,
     classify_eventual,
@@ -134,13 +135,15 @@ def run_classify(
     tol: float = DEFAULT_TOL,
 ) -> tuple:
     """(AnalysisReport, solver_failure_flag): the eventual trio always, the
-    asymptotic trio when the rescaling is defined, then the checks. A solver
+    asymptotic trio when the rescaling is defined, then the checks. Both
+    trios read one limit status (`classify.LimitStatus`). A solver
     failure in the asymptotic trio drops that trio, and one anywhere in the
     checks ends them; what was made before it stays in the report."""
     solver_failure = False
-    verdicts = list(classify_eventual(model, horizon=horizon, tol=tol))
+    limit = LimitStatus(model, tol)
+    verdicts = list(classify_eventual(model, horizon=horizon, tol=tol, limit=limit))
     try:
-        verdicts.extend(classify_asymptotic(model, tol=tol))
+        verdicts.extend(classify_asymptotic(model, tol=tol, limit=limit))
     except NotClassifiableError:
         pass
     except SpectralError:
@@ -260,7 +263,13 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("model", nargs="?", help="path to a model JSON file")
     src.add_argument("--example", help="built-in example name")
     src.add_argument("--generate", help="generator spec kind:key=value,...")
-    p_classify.add_argument("--horizon", type=int, default=HORIZON_EVENTUAL)
+    p_classify.add_argument(
+        "--horizon",
+        type=int,
+        default=HORIZON_EVENTUAL,
+        help="powers stepped by the eventual orbit of a rank-k model; every "
+        "other model is decided with no horizon (default %(default)s)",
+    )
     p_classify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_classify.add_argument("--seed", type=int, default=0)
     p_classify.add_argument("--out", default=None, help="write the report JSON here")

@@ -190,7 +190,7 @@ def apply_functional(
 # Each model supplies the same methods: power(n, entries) for T^n on an entry
 # array (n >= 1, unchecked), orbit(Y, horizon) that streams Y, TY, ...,
 # T^horizon Y for a dim x m block Y, dense(), spectral_radius() and
-# to_json(); a `Dense` also scaled(c) for c*T.
+# to_json().
 
 
 def _iterate(step, Y: np.ndarray, horizon: int):
@@ -239,9 +239,6 @@ class Dense:
 
     def dense(self) -> Dense:
         return self
-
-    def scaled(self, c: float) -> Dense:
-        return Dense(self.matrix * c, self.norm)
 
     @cached_property
     def spectrum(self) -> Spectrum:

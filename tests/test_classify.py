@@ -6,16 +6,20 @@ import pytest
 import scipy.linalg
 
 import evpos.classify
+import evpos.operators
+import evpos.spectral
 from evpos.catalog import (
     averaging_plus_singular,
     averaging_plus_slope,
     diagonal_drift,
+    get_example,
     nonreal_diagonal,
 )
 from evpos.classify import (
     ConeTestSet,
-    HORIZON_EVENTUAL,
+    DEFAULT_TOL,
     MAX_PERIOD,
+    MAX_TAIL,
     Confirmed,
     NotClassifiableError,
     Notion,
@@ -45,6 +49,7 @@ from evpos.operators import (
     RankK,
     WeightedIntegral,
     WeightedShift,
+    entrywise_positive,
     pairing,
     to_dense,
 )
@@ -80,15 +85,19 @@ class TestEventualClassification:
         assert isinstance(v.status, Confirmed)
         assert v.status.n0 >= 1
 
-    def test_vectors_turning_on_circles_are_undetermined(self):
+    def test_vectors_turning_on_circles_refute_the_trio(self):
         # e_2 turns around the unit circle and is off the cone at n = 30, the
-        # horizon; e_3 turns around a circle of radius 2^n
+        # horizon of the vector-by-vector path; e_3 turns around a circle of
+        # radius 2^n, so the peripheral eigenvalue / spr is i, which is not
+        # cyclic: the trio inherits the asymptotic refutation
         T = Dense(np.diag([1.0, 1j, 2j]), Ell1())
         basis = tuple(LatticeVector(e, Ell1()) for e in np.eye(3))
         v = individual_eventual(T, ConeTestSet(basis, basis))
         assert isinstance(v.status, UndeterminedUpToHorizon)
-        for trio in classify_eventual(T)[1:]:
-            assert isinstance(trio.status, UndeterminedUpToHorizon)
+        refuted = classify_asymptotic(T)[0].status
+        assert isinstance(refuted, RefutedWithWitness)
+        for trio in classify_eventual(T):
+            assert trio.status == refuted
 
     @pytest.mark.parametrize(
         "T",
@@ -120,11 +129,10 @@ class TestEventualClassification:
         ],
         ids=["dense-l1", "dense-l2", "dense-linf", "diagonal-linf"],
     )
-    def test_finite_classification_steps_only_the_eventual_orbit(self, T, monkeypatch):
-        # both trios of a dense model come from one orbit started at the
-        # identity, that of the eventual horizon: the asymptotic trio steps
-        # no power; a diagonal's trios are decided from its symbol, with no
-        # orbit at all
+    def test_finite_classification_steps_no_orbit(self, T, monkeypatch):
+        # a dense model's eventual trio tests the powers below its tail
+        # certificate with its own products, and its asymptotic trio steps no
+        # power; a diagonal's trios are decided from its symbol
         calls = []
         orbit = type(T).orbit
 
@@ -136,11 +144,7 @@ class TestEventualClassification:
         report, failed = run_classify(T, "finite", 0)
         assert not failed
         assert len(report.classification) == 6
-        if isinstance(T, Diagonal):
-            assert calls == []
-            return
-        assert [horizon for _, horizon in calls] == [HORIZON_EVENTUAL]
-        assert np.array_equal(calls[0][0], np.eye(T.dim))
+        assert calls == []
 
     def test_slope_model_uniform_refuted(self):
         v = uniform_eventual(averaging_plus_slope(201))
@@ -197,13 +201,13 @@ class TestEventualClassification:
         T = WeightedShift(tuple(-1.0 for _ in range(29)), Ell1())
         assert uniform_eventual(T, horizon=29).status == Confirmed(30)
 
-    def test_flag_verdict_needs_a_trailing_window(self):
-        # -I has positive even powers only; a single passing last step is no
-        # confirmation
+    def test_minus_identity_is_refuted_at_every_horizon(self):
+        # -I has positive even powers only: its limit point L_1 = -I refutes
+        # the asymptotic trio, and so the eventual one, at any horizon
         T = Dense(-np.eye(2), Ell1())
         for h in (30, 31):
             for v in classify_eventual(T, horizon=h):
-                assert isinstance(v.status, UndeterminedUpToHorizon)
+                assert isinstance(v.status, RefutedWithWitness)
 
 
 ROTATION = np.array([[1.0, -1.0], [1.0, 1.0]])  # sqrt(2) times the 45-degree rotation
@@ -211,7 +215,7 @@ ROTATION = np.array([[1.0, -1.0], [1.0, 1.0]])  # sqrt(2) times the 45-degree ro
 
 class TestScaleFreeEventualTest:
     """The finite sign test is relative to each power's largest entry and the
-    orbit is rescaled by a power of two, so no scale of T moves a verdict."""
+    powers are rescaled by a power of two, so no scale of T moves a verdict."""
 
     def _eventual(self, T):
         with warnings.catch_warnings():
@@ -219,10 +223,11 @@ class TestScaleFreeEventualTest:
             return classify_eventual(T)
 
     @pytest.mark.parametrize("scale", [1e-6, 1e-12])
-    def test_small_rotation_is_undetermined(self, scale):
-        # R^n is positive only when 8 | n, so no trailing window holds
+    def test_small_rotation_is_refuted(self, scale):
+        # R^n is positive only when 8 | n: its eigenvalues / spr are
+        # e^(+-i pi/4), no roots of unity of order <= 2, at any scale
         for v in self._eventual(Dense(scale * ROTATION, Ell1())):
-            assert isinstance(v.status, UndeterminedUpToHorizon), v
+            assert isinstance(v.status, RefutedWithWitness), v
 
     @pytest.mark.parametrize(
         "matrix",
@@ -255,6 +260,135 @@ class TestScaleFreeEventualTest:
         for v in self._eventual(Diagonal(np.array([1e-12, 1e-12j]), Ell1())):
             assert isinstance(v.status, RefutedWithWitness)
             assert v.status.witness == (1, 1e-12j)
+
+
+# a positive rank-1 projection plus a rotation of modulus 0.876 by 0.259 rad,
+# spr about 1.000006: its powers are negative for n = 34 ... 38 only
+STRADDLING = np.array(
+    [[0.8596, 0.2173, 0.0274], [-0.2111, 0.8471, 0.0759], [0.0584, -0.0557, 0.9861]]
+)
+
+
+def _passes(P, tol) -> bool:
+    """The sign test of the dense eventual trio on one power."""
+    return entrywise_positive(P, tol * float(np.abs(P).max()))
+
+
+class TestTailCertificate:
+    """A dense eventual trio is decided with no horizon: exact nonnegativity,
+    then the limit status, then a bound on the decay of S^n - L_1 that
+    fixes how many powers are tested directly."""
+
+    def test_straddling_matrix_does_not_move_with_the_horizon(self):
+        T = Dense(STRADDLING, Ell1())
+        for h in (30, 31, 32, 60):
+            for v in classify_eventual(T, horizon=h):
+                assert v.status == Confirmed(39)
+
+    @pytest.mark.parametrize("norm", [Ell1, Ell2])
+    def test_gaussian_inherits_the_asymptotic_refutation(self, norm):
+        # dense-sweep's not-positive Gaussian at dim 96, seed 0
+        rng = np.random.default_rng([0, 96])
+        z = rng.normal(size=(96, 96)) + 1j * rng.normal(size=(96, 96))
+        T = Dense(z / np.sqrt(2 * 96), norm())
+        refuted = classify_asymptotic(T)[0].status
+        assert isinstance(refuted, RefutedWithWitness)
+        for v in classify_eventual(T):
+            assert v.status == refuted
+
+    def test_random_small_thresholds_agree_with_brute_force_powers(self):
+        # the models of perfbench's random-small workload at seed 0: with S =
+        # T/spr, S^(n0 - 1) fails the sign test, and S^n passes it for every
+        # n from n0 to n0 + 200 and at n = 10^4
+        dims = np.random.default_rng(0).permutation(np.repeat(np.arange(2, 13), 3))
+        for t, dim in enumerate(dims):
+            T = make_eventually_positive(int(dim), 0.5, seed=1000 + t).model
+            status = uniform_eventual(T).status
+            assert isinstance(status, Confirmed), (t, status)
+            n0, tol = status.n0, DEFAULT_TOL
+            S = T.matrix / T.spectral_radius()
+            if n0 > 0:
+                assert not _passes(np.linalg.matrix_power(S, n0 - 1), tol), t
+            power = np.linalg.matrix_power(S, n0)
+            for n in range(n0, n0 + 201):
+                assert _passes(power, tol), (t, n)
+                power = power @ S
+            assert _passes(np.linalg.matrix_power(S, 10_000), tol), t
+
+    def test_tolerance_is_no_proof_of_nonnegativity(self):
+        # within tol of the cone up to the 10th power, not at the 11th
+        T = Dense(np.array([[1.0, -1e-10], [0.0, 1.0]]), Ell1())
+        assert not _passes(np.linalg.matrix_power(T.matrix, 11), DEFAULT_TOL)
+        for v in classify_eventual(T):
+            assert not isinstance(v.status, Confirmed), v
+
+    @pytest.mark.parametrize(
+        "T",
+        [cyclic_block(3, 2), Dense(np.array([[1.0, 0.3], [0.0, 0.5]]), Ell1())],
+        ids=["cyclic-block", "upper-triangular"],
+    )
+    def test_nonnegative_matrix_confirmed_with_no_eigen_solve(self, T, monkeypatch):
+        def refuse(A):
+            raise AssertionError("the spectrum was solved")
+
+        monkeypatch.setattr(evpos.spectral, "eigenvalues", refuse)
+        monkeypatch.setattr(evpos.operators, "eigenvalues", refuse)
+        fresh = Dense(T.matrix, T.norm)
+        for v in classify_eventual(fresh):
+            assert v.status == Confirmed(0)
+
+    def test_complex_phase_below_the_solver_tolerance_is_not_confirmed(self):
+        # the peripheral eigenvalue / spr is e^(5e-10 i), within the solver's
+        # tolerance of 1, so the limit status is confirmed; yet S^n turns
+        # through 5e-10 n, and every power from n = 3 on fails the sign test
+        T = Dense(np.exp(5e-10j) * np.array([[2.0, 1.0], [1.0, 2.0]]), Ell1())
+        S = T.matrix / T.spectral_radius()
+        assert not _passes(np.linalg.matrix_power(S, 21), DEFAULT_TOL)
+        for v in classify_eventual(T):
+            assert v.status == UndeterminedUpToHorizon(0), v
+
+    def test_nilpotent_matrix_tests_the_powers_below_its_dimension(self):
+        # spr = 0 leaves no limit status; T^2 = 0, and T fails the sign test
+        T = Dense(np.array([[0.0, -1.0], [0.0, 0.0]]), Ell1())
+        with pytest.raises(NotClassifiableError):
+            classify_asymptotic(T)
+        for v in classify_eventual(T):
+            assert v.status == Confirmed(2)
+        report, failed = run_classify(T, "nilpotent", 0)
+        assert not failed
+        assert [r["notion"] for r in report.classification] == [
+            n.value for n in Notion if "eventual" in n.value
+        ]
+
+    def test_zero_matrix_gets_no_asymptotic_trio(self):
+        # exactly nonnegative, so every power is; the rescaling is undefined
+        report, failed = run_classify(Dense(np.zeros((3, 3)), Ell1()), "zero", 0)
+        assert not failed
+        assert {r["notion"]: r["status"] for r in report.classification} == dict.fromkeys(
+            ("uniform-eventual", "individual-eventual", "weak-eventual"),
+            {"kind": "confirmed", "n0": 0},
+        )
+
+    def test_nonnegative_confirmation_does_not_depend_on_call_order(self):
+        # J's powers are nonnegative: both trios are confirmed, alone or in
+        # one classification
+        T = Dense(JORDAN, Ell1())
+        assert all(v.status == Confirmed(0) for v in classify_asymptotic(T))
+        report, failed = run_classify(Dense(JORDAN, Ell1()), "jordan", 0)
+        assert not failed and len(report.classification) == 6
+        assert all(r["status"] == {"kind": "confirmed", "n0": 0} for r in report.classification)
+
+    def test_tail_beyond_the_cap_is_undetermined(self):
+        # P + Q as above with Q of eigenvalue -0.999: the odd powers have
+        # 0.04 + (-0.999)^n < 0 at (1, 1) up to n of about 3,200, beyond
+        # MAX_TAIL, so the certificate does not apply
+        u = np.array([1.0, 0.2]), np.array([0.2, -1.0])
+        P = np.outer(u[0], u[0]) / (u[0] @ u[0])
+        Q = -0.999 * np.outer(u[1], u[1]) / (u[1] @ u[1])
+        T = Dense(P + Q, Ell1())
+        assert not _passes(np.linalg.matrix_power(T.matrix, 2 * MAX_TAIL + 1), DEFAULT_TOL)
+        for v in classify_eventual(T):
+            assert v.status == UndeterminedUpToHorizon(0)
 
 
 class TestDeltaN:
@@ -358,9 +492,11 @@ class TestPeripheralRule:
             (ROTATION_BY_ONE_RADIAN, RefutedWithWitness, 2),
             (np.diag([1.0, -0.999]), Confirmed, 1),
             # a peripheral Jordan block: S^n = I + n (S - I), whose leading
-            # part is positive for J (as is every power) and negative for
-            # J with -1, which refutes
-            (JORDAN, UndeterminedUpToHorizon, 1),
+            # part is negative for J with -1, which refutes; J is exactly
+            # nonnegative, as is every power, so it is confirmed before the
+            # rule is read (the rule alone leaves it undetermined, see
+            # test_limit_point_scan_is_bounded)
+            (JORDAN, Confirmed, 1),
             (JORDAN_MINUS, RefutedWithWitness, 1),
         ],
         ids=[
@@ -377,9 +513,7 @@ class TestPeripheralRule:
         assert len(records) == 1
         status = trio[0].status
         assert type(status) is kind, status
-        # refuted exactly when some power in the window stays off the cone:
-        # a Jordan block whose powers are all positive stays undetermined,
-        # which is sound but not sharp
+        # refuted exactly when some power in the window stays off the cone
         tol = trio[0].tolerance
         deltas = [delta_n(T, n)[0] for n in range(30_000, 30_000 + p)]
         assert (max(deltas) > tol) == (kind is RefutedWithWitness), deltas
@@ -391,7 +525,8 @@ class TestPeripheralRule:
         # a peripheral Jordan block on each point of a permutation with
         # cycles 5, 7, 8, 9 and 11: m = 2 and p = 27,720 limit points, of
         # which at most MAX_PERIOD are formed. With J, every L_r is positive,
-        # so the status stays undetermined; with -J, L_0 is negative
+        # so the rule leaves the status undetermined (the trio is confirmed,
+        # as the matrix is nonnegative); with -J, L_0 is negative
         P = scipy.linalg.block_diag(*(np.roll(np.eye(k), 1, axis=0) for k in (5, 7, 8, 9, 11)))
         T = Dense(np.kron(P, sign * np.array([[1.0, 1.0], [0.0, 1.0]])), Ell1())
         assert T.spectrum.peripheral.order == 2
@@ -403,11 +538,15 @@ class TestPeripheralRule:
             return tensordot(*args, **kwargs)
 
         monkeypatch.setattr(evpos.classify.np, "tensordot", counting)
-        status = classify_asymptotic(T)[0].status
+        status = evpos.classify._peripheral_status(T, DEFAULT_TOL)
         assert type(status) is kind, status
         if kind is UndeterminedUpToHorizon:
             assert status == UndeterminedUpToHorizon(0)
-        assert 0 < len(formed) <= MAX_PERIOD
+            assert 0 < len(formed) <= MAX_PERIOD
+        else:
+            # the scan stops at the first limit point that refutes, and names it
+            assert len(formed) == 1
+            assert status.description.startswith("limit point L_0 has entry")
 
     def test_limit_point_witness_is_a_basis_vector(self):
         # the powers of -S alternate between I and -S, which has -1 at (0, 1)
@@ -502,7 +641,8 @@ class TestPeripheralRule:
         # a permuted M (x) J_2(1), M positive with spr 1: the powers are
         # nonnegative and grow like n, the solver splits the double
         # eigenvalue 1, and before merging the split read pole order 1 or
-        # refuted from an L_0 entry of the size of the split
+        # refuted from an L_0 entry of the size of the split. The trio is
+        # confirmed from the nonnegative entries; the rule alone is undecided
         rng = rng_for(seed, 0)
         M = rng.uniform(0.1, 1.0, (3, 3))
         M /= np.max(np.abs(np.linalg.eigvals(M)))
@@ -512,15 +652,16 @@ class TestPeripheralRule:
         assert T.spectrum.peripheral.multiplicities == (2,)
         report, failed = run_classify(T, "jordan", 0)
         assert not failed and report.contradiction_count == 0
-        assert all(
-            isinstance(v.status, UndeterminedUpToHorizon) for v in classify_asymptotic(T)
-        )
+        assert all(v.status == Confirmed(0) for v in classify_asymptotic(T))
+        status = evpos.classify._peripheral_status(T, DEFAULT_TOL)
+        assert isinstance(status, UndeterminedUpToHorizon)
 
     def test_merge_error_keeps_a_refutation_off(self):
         # 1 and 1 - 1e-6 with coupling 100 lie within rounding of a double
         # eigenvalue and merge at their mean; L_0 = (A - lam) P then has
-        # -5e-7 at (1, 1), no more than the merge's own error, so the trio is
-        # undetermined rather than refuted against the confirmed eventual one
+        # -5e-7 at (1, 1), no more than the merge's own error, so the rule
+        # leaves it undetermined rather than refuted (the trio is confirmed,
+        # as the matrix is nonnegative)
         T = Dense(np.array([[1.0, 100.0], [0.0, 1.0 - 1e-6]]), Ell1())
         periph = T.spectrum.peripheral
         assert periph.pole_orders == (2,)
@@ -528,7 +669,8 @@ class TestPeripheralRule:
         assert periph.coefficient_error >= 5e-7 * periph.scale
         report, failed = run_classify(T, "near-double", 0)
         assert not failed and report.contradiction_count == 0
-        assert isinstance(classify_asymptotic(T)[0].status, UndeterminedUpToHorizon)
+        status = evpos.classify._peripheral_status(T, DEFAULT_TOL)
+        assert isinstance(status, UndeterminedUpToHorizon)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_rounding_of_a_large_projection_does_not_refute(self, seed):
@@ -650,6 +792,21 @@ class TestRankKLimitRule:
         assert type(trio[0].status) is kind
         # one dim x dim array of floats alone would take dim^2 * 8 bytes
         assert peak < T.dim**2 * 8
+
+    def test_one_limit_status_per_classification(self, monkeypatch):
+        # both trios of ex2.2b read one decision of the limit-point rule
+        calls = []
+        rule = evpos.classify._rank_k_limit_status
+
+        def counting(T, tol):
+            calls.append(T)
+            return rule(T, tol)
+
+        monkeypatch.setattr(evpos.classify, "_rank_k_limit_status", counting)
+        entry = get_example("ex2.2b")
+        report, failed = run_classify(entry.model, entry.name, 0)
+        assert not failed and len(report.classification) == 6
+        assert len(calls) == 1
 
     def test_eventual_orbit_carries_the_identity_only_while_uniform_is_open(self, monkeypatch):
         widths = []

@@ -230,18 +230,37 @@ class TestRunClassify:
 
     @pytest.mark.parametrize("norm", [Ell1, Ell2, EllInf])
     def test_asymptotic_solver_failure_keeps_the_eventual_trio(self, norm):
-        # every power of this matrix is nonnegative, but its double eigenvalue
-        # 0.5 has no well-conditioned spectral projection: on every norm the
-        # asymptotic rule fails and the eventual trio stays confirmed
-        matrix = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 5e8], [0.0, 5e-10, 0.5]])
+        # the eigenvalue 1 of the block [[0.5, 5e8], [5e-10, 0.5]] has no
+        # well-conditioned spectral projection, and the -1 beside it makes
+        # the matrix not nonnegative: on every norm the asymptotic rule fails,
+        # and the eventual trio, which needs it, stays undetermined
+        matrix = np.array([[-1.0, 0.0, 0.0], [0.0, 0.5, 5e8], [0.0, 5e-10, 0.5]])
         report, failed = run_classify(Dense(matrix, norm()), "ill-conditioned", 0)
         assert failed
         assert report.contradiction_count == 0
         assert {r["notion"]: r["status"] for r in report.classification} == dict.fromkeys(
             ("uniform-eventual", "individual-eventual", "weak-eventual"),
-            {"kind": "confirmed", "n0": 0},
+            {"kind": "undetermined", "horizon": 0},
         )
         assert all(c["pass"] for c in report.checks)
+
+    @pytest.mark.parametrize("norm", [Ell1, Ell2, EllInf])
+    def test_nonnegative_matrix_passes_its_confirmation_to_the_asymptotic_trio(self, norm):
+        # every power of this matrix is nonnegative, so each eventual notion
+        # is confirmed, and so each asymptotic one, with no spectral
+        # projection; the positive-eigenvector check, whose hypothesis now
+        # holds, needs the ill-conditioned projection and fails as a solver
+        matrix = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 5e8], [0.0, 5e-10, 0.5]])
+        report, failed = run_classify(Dense(matrix, norm()), "ill-conditioned", 0)
+        assert failed
+        assert report.contradiction_count == 0
+        assert [r["notion"] for r in report.classification] == [n.value for n in Notion]
+        assert all(r["status"] == {"kind": "confirmed", "n0": 0} for r in report.classification)
+        assert [(c["name"], c["pass"]) for c in report.checks] == [
+            ("spr-in-spectrum", True),
+            ("peripheral-cyclicity", True),
+            ("multiplicity-monotonicity", True),
+        ]
 
     def test_report_names_the_model_by_digest(self):
         # the dim-96 Gaussian's report carries no matrix entries
@@ -319,8 +338,8 @@ DENSE_REPORT_SHA256 = {
     "ep-Ell2-24": "e27d13427206b7f228a24eae71cf57ee56c3521891c30625cb55b7004329b9f5",
     "ep-EllInf-8": "ffd035be7ebf3d3872d21e913166e041a564f540636c5c1e572f98e9c77dc3e9",
     "ep-EllInf-24": "cfdee67a5ea9c58375782b6ebf090a31d0828802c9491b3b92586ee7bf4ef1dd",
-    "gauss-Ell1-96": "49c7aa6233d065ac1512876e73daae9d353942932c3460fee2562727451db5d4",
-    "gauss-Ell2-96": "94f19bfb7bbf632138569f2a7338b5cb7816d6ac5e62b0af0d6b9c6b36361714",
+    "gauss-Ell1-96": "1268107f98ade9e2ff7fdcb84fcd72ba5bbcecf9816e5b5fea4cf67c8e06af82",
+    "gauss-Ell2-96": "5ff238ab12192a9826b5c56069f84ce2846004deb41e716e5db48b8d92714db3",
 }
 
 
@@ -403,7 +422,7 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "matrix, kind, n0",
         [
-            (1e-6 * np.array([[1.0, -1.0], [1.0, 1.0]]), "undetermined", None),
+            (1e-6 * np.array([[1.0, -1.0], [1.0, 1.0]]), "refuted", None),
             (1e10 * np.array([[2.0, 1.0], [1.0, 2.0]]), "confirmed", 0),
         ],
         ids=["rotation-1e-6", "positive-1e10"],
@@ -445,17 +464,18 @@ class TestMainEntry:
         assert [c["name"] for c in report.checks] == ["spr-in-spectrum", "peripheral-cyclicity"]
 
     def test_asymptotic_solver_failure_keeps_the_report(self, tmp_path, capsys):
-        # a double eigenvalue 1 whose eigenbasis is so ill-conditioned that
-        # no spectral projection is accepted: the asymptotic trio fails, and
-        # the report keeps the eventual trio, the spectrum and the checks
-        matrix = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 5e8], [0.0, 5e-10, 0.5]])
+        # an eigenvalue 1 whose eigenvectors are so ill-conditioned that no
+        # spectral projection is accepted, in a matrix that is not
+        # nonnegative: the asymptotic trio fails, and the report keeps the
+        # eventual trio, the spectrum and the checks
+        matrix = np.array([[-1.0, 0.0, 0.0], [0.0, 0.5, 5e8], [0.0, 5e-10, 0.5]])
         path, out = tmp_path / "ill-conditioned.json", tmp_path / "report.json"
         path.write_text(json.dumps(model_to_json(Dense(matrix, Ell1()))))
         assert main(["classify", str(path), "--out", str(out)]) == EXIT_SOLVER
         report = report_from_json(out.read_text())
         kinds = {r["notion"]: r["status"]["kind"] for r in report.classification}
         assert kinds == dict.fromkeys(
-            ("uniform-eventual", "individual-eventual", "weak-eventual"), "confirmed"
+            ("uniform-eventual", "individual-eventual", "weak-eventual"), "undetermined"
         )
         assert report.spectrum["spectral_radius"] == pytest.approx(1.0)
         assert [c["name"] for c in report.checks] == [
