@@ -32,16 +32,14 @@ from .operators import (
     Constant,
     Tabulated,
     WeightedShift,
-    apply,
     apply_functional,
     entrywise_positive,
     power_apply,
-    quadrature_row,
     to_dense,
 )
 from . import spectral
 from .rng import rng_for
-from .witnesses import hat_family_witness, signed_power_witness
+from .witnesses import hat_limit_witnesses, signed_power_witness
 
 DEFAULT_TOL = 1e-9
 HORIZON_EVENTUAL = 30
@@ -153,25 +151,6 @@ def default_test_set(T: OperatorModel) -> ConeTestSet:
 
 
 # ---------------------------------------------------------------------------
-# positivity of a single operator
-
-
-def is_positive_operator(T: OperatorModel, tol: float = DEFAULT_TOL) -> bool:
-    if not isinstance(T, RankK):
-        return entrywise_positive(to_dense(T).matrix, tol)
-    tests = default_test_set(T)
-    for x in tests.vectors:
-        if cone_distance(apply(T, x)) > tol * max(norm_value(x), 1e-300):
-            return False
-    if hat_family_witness(T, 1) is not None:
-        return False
-    for x in tests.vectors:
-        if signed_power_witness(T, x, 1) is not None:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # eventual notions
 
 
@@ -181,20 +160,21 @@ def _window(horizon: int) -> int:
     return max(1, horizon // 4)
 
 
-def _n0_from_flags(flags: Sequence[bool], base_positive: bool, window: int) -> Optional[int]:
+def _n0_from_flags(flags: Sequence[bool], window: int) -> Optional[int]:
     """flags[i] is the sign condition at n = i + 1; returns the least n0 such
     that the condition holds from n0 to the horizon, or None when it has not
-    held over the last `window` powers."""
+    held over the last `window` powers. With no failing power n0 is 0: T^0 = I
+    keeps a positive vector positive, so n0 = 0 and n0 = 1 say the same."""
     fails = [i + 1 for i, ok in enumerate(flags) if not ok]
     if not fails:
-        return 0 if base_positive else 1
+        return 0
     if len(flags) - fails[-1] < window:
         return None
     return fails[-1] + 1
 
 
-def _flag_verdict(notion, flags, base_positive, horizon, tol) -> PositivityVerdict:
-    n0 = _n0_from_flags(flags, base_positive, _window(horizon))
+def _flag_verdict(notion, flags, horizon, tol) -> PositivityVerdict:
+    n0 = _n0_from_flags(flags, _window(horizon))
     status = UndeterminedUpToHorizon(horizon) if n0 is None else Confirmed(n0)
     return PositivityVerdict(notion, status, tol)
 
@@ -203,68 +183,59 @@ def _columns(vectors) -> np.ndarray:
     return np.stack([x.entries for x in vectors], axis=1)
 
 
-def _singular_refutation(T, vectors, notion, horizon, tol) -> Optional[PositivityVerdict]:
-    """Refuted when the singular-term witness of some vector persists at every
-    power: a fixed grid cannot see the shrinking region where it goes
-    negative, so this analytic refutation comes before any grid test."""
-    if not isinstance(T, RankK):
+def _singular_refutation(T, vectors, notion, tol) -> Optional[PositivityVerdict]:
+    """Refuted by the first vector x whose singular term persists, with no
+    horizon: for a rank-2 model T^n x = a + lam_2^(n-1) b f_2, with
+    b = <phi_2, x> and f_2 = sgn(t)|t|^alpha, alpha < 0 (`signed_power_witness`
+    checks that form, with a and b real). With lam_2 != 0 and b != 0 the
+    singular term near 0 is, at every power, non-real or arbitrarily large
+    of both signs, which a fixed grid cannot see, so this comes before any
+    grid test. b counts only beyond its rounding, dim eps sum_j |row_j| |x_j|:
+    the constant-one vector of `ex2.2b` pairs to 0 with phi_2 by symmetry,
+    and to -6.9e-18 in floating point. The witness is the negativity point
+    of T x."""
+    if not isinstance(T, RankK) or T.rank != 2 or T.eigen_parameters[1] == 0:
         return None
+    row = T.rows[1]
     for x in vectors:
-        ws = [signed_power_witness(T, x, n) for n in range(1, horizon + 1)]
-        if all(w is not None for w in ws):
+        rounding = T.dim * EPS * float(np.abs(row) @ np.abs(x.entries))
+        if abs(row @ x.entries) <= rounding:
+            continue
+        witness = signed_power_witness(T, x, 1)
+        if witness is not None:
             return PositivityVerdict(
                 notion,
                 RefutedWithWitness(
-                    tuple(ws), "singular-term negativity points persist at every power"
+                    witness, "singular-term negativity points persist at every power"
                 ),
                 tol,
             )
     return None
 
 
-def _hat_refutation(T: RankK, witnesses, horizon, tol) -> Optional[PositivityVerdict]:
-    """Refuted when the shrinking-hat witness of T^n, n = 1..horizon, persists
-    at every power and sharpens as the family parameter shrinks."""
-    if all(w is not None for w in witnesses) and _hat_family_sharpens(T, witnesses, horizon):
-        return PositivityVerdict(
-            Notion.UNIFORM_EVENTUAL,
-            RefutedWithWitness(
-                tuple(witnesses),
-                "shrinking-hat family keeps a negative value at every power",
-            ),
-            tol,
-        )
-    return None
-
-
-def _uniform_verdict(T: RankK, grid_ok, witnesses, horizon, tol) -> PositivityVerdict:
-    """From the entrywise test of each power T^n, n = 1..horizon, and the
-    shrinking-hat witnesses that did not refute."""
-    flags = [ok and w is None for ok, w in zip(grid_ok, witnesses)]
-    base_positive = is_positive_operator(T, tol)
-    return _flag_verdict(Notion.UNIFORM_EVENTUAL, flags, base_positive, horizon, tol)
-
-
-def _hat_family_sharpens(T: RankK, witnesses, horizon: int) -> bool:
-    """The violation must sharpen as the family parameter shrinks: at three
-    powers n, the witness of T^n (`witnesses[n - 1]`, of width 2^-(n+1))
-    against the one of half that width."""
-    for n in (1, horizon // 2 + 1, horizon):
-        w_full = witnesses[n - 1]
-        w_half = hat_family_witness(T, n, 2.0 ** -(n + 2))
-        if w_full is None or w_half is None or -w_half.value < -w_full.value:
-            return False
-    return True
+def _hat_refutation(T: RankK, tol) -> Optional[PositivityVerdict]:
+    """Refuted from the limit of the shrinking-hat family as its width goes
+    to 0 (`hat_limit_witnesses`), with no horizon."""
+    witnesses = hat_limit_witnesses(T)
+    if witnesses is None:
+        return None
+    return PositivityVerdict(
+        Notion.UNIFORM_EVENTUAL,
+        RefutedWithWitness(
+            witnesses, "shrinking-hat family keeps a negative value at every power"
+        ),
+        tol,
+    )
 
 
 def _individual_verdict(tests: ConeTestSet, dists: np.ndarray, horizon, tol):
-    """dists[n, i] = d+(T^n x_i) for n = 0..horizon. Confirmed from the
+    """dists[n - 1, i] = d+(T^n x_i) for n = 1..horizon. Confirmed from the
     largest n0 of the vectors; undetermined when some vector is not on the
     cone over the trailing window."""
     scales = np.array([max(norm_value(x), 1e-300) for x in tests.vectors])
     ok = dists <= tol * scales
     window = _window(horizon)
-    n0s = [_n0_from_flags(ok[1:, i], ok[0, i], window) for i in range(len(scales))]
+    n0s = [_n0_from_flags(ok[:, i], window) for i in range(len(scales))]
     status = UndeterminedUpToHorizon(horizon) if None in n0s else Confirmed(max(n0s, default=0))
     return PositivityVerdict(Notion.INDIVIDUAL_EVENTUAL, status, tol)
 
@@ -356,10 +327,9 @@ def _tail_certificate(T: Dense, tol: float) -> Optional[Confirmed]:
     """Confirmed(n0) from a bound on the decay of S^n = T^n/spr^n towards
     its limit, or None where the bound does not apply.
 
-    Only a real matrix is certified: its one peripheral eigenvalue is real,
-    so with the limit status confirmed it is spr itself, whereas a complex
-    matrix's may be spr e^(i phi) with phi below the solver's tolerance, and
-    its powers turn through n phi. With spr a simple pole and the only
+    The limit status is confirmed only for a real matrix
+    (`_peripheral_status`), whose one peripheral eigenvalue is real, so it
+    is spr itself. With spr a simple pole and the only
     peripheral eigenvalue (Perron's theorem makes it the only one whenever
     the limit point L_1 = P, the spectral projection at spr, is positive
     beyond a margin, as then a power of T is), S = L_1 + N with
@@ -372,8 +342,6 @@ def _tail_certificate(T: Dense, tol: float) -> Optional[Confirmed]:
     powers below n_t are tested directly, as powers of T 2^-e (e the binary
     exponent of spr, so none overflows) by `_last_failure`. m and n_t are
     capped at MAX_TAIL."""
-    if T.matrix.imag.any():
-        return None
     spec = T.spectrum
     periph, spr = spec.peripheral, spec.spectral_radius
     if len(periph.eigenvalues) != 1 or periph.order != 1:
@@ -432,42 +400,44 @@ def _shift_status(T: WeightedShift, tol: float) -> Status:
 
 
 def _rank_k_eventual(T: RankK, horizon: int, tol: float, limit: LimitStatus) -> tuple:
-    """From one orbit of T whose blocks hold the powers T^n (uniform notion,
-    while the analytic witnesses and the limit-point rule leave it open) next
-    to T^n of the test vectors (the other two). Each eventual notion implies
-    its asymptotic one, so a refuted limit status (`_rank_k_limit_status`)
-    refutes every notion that no analytic witness refuted first."""
+    """The analytic refutations first, each decided once: the singular term
+    (individual notion, and so the uniform one, which implies it), then the
+    shrinking hat (uniform). Each eventual notion implies its asymptotic one,
+    so a refuted limit status (`_rank_k_limit_status`) refutes every notion
+    that they leave open. The rest is read from one orbit of T, whose blocks
+    hold the powers T^n while the uniform notion is open (the grid test)
+    next to T^n of the test vectors (the individual one), and from the
+    closed-form pairings (the weak one)."""
     tests = default_test_set(T)
     try:
         status = limit.read()
     except NotClassifiableError:
         status = None
     refuted = status if isinstance(status, RefutedWithWitness) else None
-    ones = LatticeVector(np.ones(T.dim, dtype=complex), T.norm)
-    uniform = _singular_refutation(T, (ones,), Notion.UNIFORM_EVENTUAL, horizon, tol)
-    if uniform is None:
-        hats = [hat_family_witness(T, n) for n in range(1, horizon + 1)]
-        uniform = _hat_refutation(T, hats, horizon, tol)
+    individual = _singular_refutation(T, tests.vectors, Notion.INDIVIDUAL_EVENTUAL, tol)
+    if individual is not None:
+        uniform = replace(individual, notion=Notion.UNIFORM_EVENTUAL)
+    else:
+        uniform = _hat_refutation(T, tol)
     if uniform is None and refuted is not None:
         uniform = PositivityVerdict(Notion.UNIFORM_EVENTUAL, refuted, tol)
-    individual = _singular_refutation(T, tests.vectors, Notion.INDIVIDUAL_EVENTUAL, horizon, tol)
     k = T.dim if uniform is None else 0
     Y = np.concatenate([np.eye(T.dim)[:, :k], _columns(tests.vectors)], axis=1)
     pair = _pairings(T, tests)
     grid_ok, dists, weak_ok = [], [], []
     for n, Z in enumerate(T.orbit(Y, horizon)):
-        dists.append(cone_distances(Z[:, k:], T.norm))
         if n == 0:
             continue
+        dists.append(cone_distances(Z[:, k:], T.norm))
         if uniform is None:
             power = Z[:, :k]
             grid_ok.append(entrywise_positive(power, tol * float(np.abs(power).max())))
-        weak_ok.append(entrywise_positive(pair(n, Z[:, k:]), tol))
+        weak_ok.append(entrywise_positive(pair(n), tol))
     if uniform is None:
-        uniform = _uniform_verdict(T, grid_ok, hats, horizon, tol)
+        uniform = _flag_verdict(Notion.UNIFORM_EVENTUAL, grid_ok, horizon, tol)
     if individual is None:
         individual = _individual_verdict(tests, np.array(dists), horizon, tol)
-    weak = _flag_verdict(Notion.WEAK_EVENTUAL, weak_ok, True, horizon, tol)
+    weak = _flag_verdict(Notion.WEAK_EVENTUAL, weak_ok, horizon, tol)
     if refuted is not None:
         individual, weak = (
             v if isinstance(v.status, RefutedWithWitness) else replace(v, status=refuted)
@@ -493,13 +463,13 @@ def individual_eventual(
     paths check each other."""
     if tests is None:
         tests = default_test_set(T)
-    refuted = _singular_refutation(T, tests.vectors, Notion.INDIVIDUAL_EVENTUAL, horizon, tol)
+    refuted = _singular_refutation(T, tests.vectors, Notion.INDIVIDUAL_EVENTUAL, tol)
     if refuted is not None:
         return refuted
-    dists = np.empty((horizon + 1, len(tests.vectors)))
+    dists = np.empty((horizon, len(tests.vectors)))
     for i, x in enumerate(tests.vectors):
-        for n in range(horizon + 1):
-            x = power_apply(T, 1, x) if n else x
+        for n in range(horizon):
+            x = power_apply(T, 1, x)
             dists[n, i] = cone_distance(x)
     return _individual_verdict(tests, dists, horizon, tol)
 
@@ -658,7 +628,10 @@ def _peripheral_status(T: Dense, tol: float) -> Status:
     orders, S^n / binom(n, m-1) approaches L_((n - m + 1) mod p), where
     L_r = sum_k mu_k^r C_k / spr^(m-1). With m = 1 the trio holds iff every
     L_r is positive, and so iff L_1 is: the P_k are disjoint projections,
-    so L_r = L_1^r, and L_0 = L_1^p. With m > 1 an L_r off the cone
+    so L_r = L_1^r, and L_0 = L_1^p. Only a real matrix is confirmed so: a
+    complex one's mu_k may be e^(i phi) with phi below the solver's
+    tolerance, whose powers turn through n phi away from L_1, so with L_1
+    positive it is undetermined. With m > 1 an L_r off the cone
     refutes, as that part of S^n grows, and other ones leave the lower-order
     terms undecided; r is read upwards from 0, up to the first L_r that
     refutes and below min(p, MAX_PERIOD), since a refutation at any r is
@@ -685,7 +658,8 @@ def _peripheral_status(T: Dense, tol: float) -> Status:
         # to first order, rounding moves a computed projection P by its
         # condition number ||P|| times a backward error of n eps ||P||
         slack = T.dim * EPS * float(np.sum(np.linalg.norm(C, axis=(1, 2)) ** 2))
-        return _limit_point_refutation(T, *worst(1), tol + slack) or Confirmed(0)
+        refuted = _limit_point_refutation(T, *worst(1), tol + slack)
+        return refuted or (UndeterminedUpToHorizon(0) if T.matrix.imag.any() else Confirmed(0))
     threshold = tol + periph.coefficient_error / (periph.scale * spr) ** (m - 1)
     for r in range(min(math.lcm(*q), MAX_PERIOD)):
         refuted = _limit_point_refutation(T, *worst(r), threshold)
@@ -723,16 +697,14 @@ def _rank_k_limit_status(T: RankK, tol: float) -> Status:
 
 
 def _pairings(T: RankK, tests: ConeTestSet):
-    """pair(n, block)[i, j] = <x'_j, T^n x_i>, with T^n x_i in the block's
-    columns; for n >= 1 in closed form, with the exact pairings <x'_j, f> of
-    the model's functions."""
+    """pair(n)[i, j] = <x'_j, T^n x_i> for n >= 1, in closed form with the
+    exact pairings <x'_j, f> of the model's functions."""
     C = np.stack([T.coefficients(x.entries) for x in tests.vectors])
     D = np.array(
         [[apply_functional(phi, f, T.space) for f in T.functions] for phi in tests.functionals]
     )
-    R = np.stack([quadrature_row(phi, T.space) for phi in tests.functionals])
     lam = T.eigen_parameters
-    return lambda n, block: block.T @ R.T if n == 0 else (C * lam ** (n - 1)) @ D.T
+    return lambda n: (C * lam ** (n - 1)) @ D.T
 
 
 # ---------------------------------------------------------------------------

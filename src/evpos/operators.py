@@ -427,11 +427,6 @@ def _check_vector(T: OperatorModel, x: LatticeVector):
         )
 
 
-def apply(T: OperatorModel, x: LatticeVector) -> LatticeVector:
-    _check_vector(T, x)
-    return x.with_entries(T.power(1, x.entries))
-
-
 def power_apply(T: OperatorModel, n: int, x: LatticeVector) -> LatticeVector:
     if n < 1:
         raise OperatorError("power_apply requires n >= 1")

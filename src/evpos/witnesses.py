@@ -55,43 +55,72 @@ def _hat_pairings(T: RankK, peak: float, width: float):
     return np.asarray(coeffs, dtype=complex)
 
 
-def hat_family_witness(
-    T: RankK, n: int, eps: Optional[float] = None
-) -> Optional[NegativityWitness]:
-    """Uniform-positivity violation of T^n on a sup-norm space via a shrinking
-    hat concentrated at a point-functional node; None if the model does not
-    have the required structure or no violation is found."""
+def hat_witness(T: RankK, peak: float, n: int, eps: float) -> Optional[NegativityWitness]:
+    """Uniform-positivity violation of T^n on a sup-norm space via a hat of
+    width eps concentrated at the point-functional node `peak`, eps = 0
+    giving the limit as the width shrinks: the node where the real part of
+    T^n of the hat is least, and that real part; None if the hat touches
+    another functional point or no real part is negative."""
+    try:
+        b = _hat_pairings(T, peak, eps)
+    except OperatorError:
+        return None
+    values = T.samples @ (b * T.eigen_parameters ** (n - 1))
+    idx = int(np.argmin(values.real))
+    value = float(values.real[idx])
+    if value >= 0:
+        return None
+    return NegativityWitness(
+        n=n,
+        point=float(T.space.nodes[idx]),
+        value=value,
+        input_description=f"hat(peak={peak}, width={eps})",
+    )
+
+
+def _hat_peaks(T: RankK):
+    """The point-functional nodes of a rank-2 model on a sup-norm grid."""
     if not isinstance(T.space, GridSup) or T.rank != 2:
-        return None
-    if eps is None:
-        eps = 2.0 ** -(n + 1)
-    nodes = np.asarray(T.space.nodes, dtype=float)
+        return []
+    return [float(p) for phi in T.functionals if isinstance(phi, PointCombination) for p in phi.points]
+
+
+def hat_family_witness(T: RankK, n: int, eps: float) -> Optional[NegativityWitness]:
+    """The most negative `hat_witness` of T^n over the peaks, or None."""
+    witnesses = [w for peak in _hat_peaks(T) if (w := hat_witness(T, peak, n, eps)) is not None]
+    return min(witnesses, key=lambda w: w.value, default=None)
+
+
+def hat_limit_witnesses(T: RankK) -> Optional[tuple]:
+    """A witness that T^n of a narrow enough hat is off the positive cone at
+    every power n, read from the limit as the width goes to 0; None when
+    that limit does not decide. Decided per peak: the integral pairings of
+    a hat vanish in the limit, so where the peak meets one functional phi_i
+    alone, T^n of the hat tends to c_n f_i with c_n = lam_i^(n-1) b_i != 0.
+    When the samples of f_i are real and take both signs, no nonzero
+    multiple of them is on the cone; when lam_i > 0, c_n keeps the phase of
+    b_i, so a negative real part at n = 1 stays at every power. Either way
+    the width-0 witness at n = 1, or at n = 2 where c_1 f_i has no negative
+    real part, refutes. A peak that meets several functionals is skipped,
+    as the signs of a sum of powers at the first powers do not settle the
+    rest."""
     lam = T.eigen_parameters
-    point_functionals = [
-        phi for phi in T.functionals if isinstance(phi, PointCombination)
-    ]
-    if not point_functionals:
-        return None
-    best = None
-    for phi in point_functionals:
-        for peak in phi.points:
-            try:
-                b = _hat_pairings(T, float(peak), eps)
-            except OperatorError:
-                continue
-            values = T.samples @ (b * lam ** (n - 1))
-            if np.max(np.abs(values.imag)) > 1e-12 * max(1.0, np.max(np.abs(values))):
-                continue
-            idx = int(np.argmin(values.real))
-            value = float(values.real[idx])
-            if value < 0 and (best is None or value < best.value):
-                best = NegativityWitness(
-                    n=n,
-                    point=float(nodes[idx]),
-                    value=value,
-                    input_description=f"hat(peak={float(peak)}, width={eps})",
-                )
-    return best
+    for peak in _hat_peaks(T):
+        try:
+            live = np.flatnonzero(_hat_pairings(T, peak, 0.0))
+        except OperatorError:
+            continue
+        if len(live) != 1 or lam[live[0]] == 0:
+            continue
+        f = T.samples[:, live[0]]
+        both_signs = not f.imag.any() and f.real.min() < 0 < f.real.max()
+        if not (both_signs or (lam[live[0]].imag == 0 and lam[live[0]].real > 0)):
+            continue
+        for n in (1, 2):
+            witness = hat_witness(T, peak, n, 0.0)
+            if witness is not None:
+                return (witness,)
+    return None
 
 
 def signed_power_witness(

@@ -8,6 +8,7 @@ import scipy.linalg
 import evpos.classify
 import evpos.operators
 import evpos.spectral
+import evpos.witnesses
 from evpos.catalog import (
     averaging_plus_singular,
     averaging_plus_slope,
@@ -26,6 +27,7 @@ from evpos.classify import (
     RefutedWithWitness,
     UndeterminedUpToHorizon,
     _pairings,
+    _singular_refutation,
     function_space_test_set,
     classify_asymptotic,
     classify_eventual,
@@ -33,13 +35,21 @@ from evpos.classify import (
     delta_n,
     hierarchy_violations,
     individual_eventual,
-    is_positive_operator,
     uniform_eventual,
     weak_eventual,
 )
 from evpos.cli import run_classify
 from evpos.generators import cyclic_block, make_eventually_positive
-from evpos.lattice import Ell1, Ell2, EllInf, GridSup, LatticeVector, cone_residual
+from evpos.lattice import (
+    Ell1,
+    Ell2,
+    EllInf,
+    GridSup,
+    LatticeVector,
+    LpQuadrature,
+    cone_residual,
+    midpoint_rule,
+)
 from evpos.operators import (
     Constant,
     Dense,
@@ -47,6 +57,7 @@ from evpos.operators import (
     Monomial,
     PointCombination,
     RankK,
+    SignedPower,
     WeightedIntegral,
     WeightedShift,
     entrywise_positive,
@@ -55,17 +66,7 @@ from evpos.operators import (
 )
 from evpos.report import verdict_record
 from evpos.rng import rng_for
-
-
-class TestPositiveOperator:
-    def test_positive_matrix(self):
-        assert is_positive_operator(Dense(np.array([[1.0, 2.0], [0.0, 1.0]]), Ell1()))
-
-    def test_negative_entry(self):
-        assert not is_positive_operator(Dense(np.array([[1.0, -0.1], [0.0, 1.0]]), Ell1()))
-
-    def test_complex_entry(self):
-        assert not is_positive_operator(Diagonal(np.array([1.0, 0.5j]), Ell1()))
+from evpos.witnesses import hat_family_witness, hat_limit_witnesses
 
 
 class TestEventualClassification:
@@ -567,6 +568,27 @@ class TestPeripheralRule:
         refuted = classify_asymptotic(Dense(-P, Ell1()))[0].status
         assert refuted.description.startswith("limit point L_1 has entry")
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.exp(5e-10j) * np.array([[2.0, 1.0], [1.0, 2.0]]),
+            np.array([[2.0, 1.0 + 1e-12j], [1.0, 2.0]]),
+            np.diag([1.0, 0.5j]),
+        ],
+        ids=["phase-5e-10", "entry-1e-12i", "diag(1, 0.5i)"],
+    )
+    def test_complex_matrix_is_not_confirmed_by_its_limit_point(self, matrix):
+        # each L_1 is positive, but a complex matrix's mu may be e^(i phi)
+        # with phi below the solver's tolerance: S^n of the first one turns
+        # through 5e-10 n, and every power from the 3rd on fails the sign test
+        T = Dense(matrix, Ell1())
+        for v in classify_asymptotic(T):
+            assert v.status == UndeterminedUpToHorizon(0), v
+        # so the check that a confirmed uniform trio gates does not run
+        report, failed = run_classify(T, "complex", 0)
+        assert not failed
+        assert "positive-eigenvector" not in {c["name"] for c in report.checks}
+
     def test_split_jordan_block_is_one_eigenvalue_of_order_two(self):
         # similar to J; the solver splits its eigenvalue into 1 +- 3e-8, and
         # the merged pair has pole order 2. The powers are I + n (A - I), so
@@ -827,6 +849,116 @@ class TestRankKLimitRule:
         assert widths == [tests, slope.dim + tests, tests]
 
 
+class TestAnalyticRefutations:
+    """The singular-term and shrinking-hat refutations of a rank-k model are
+    decided once each, from the limit that the witness family tends to, and
+    read no horizon."""
+
+    @pytest.mark.parametrize("c", [0.1, -0.1, 0.2])
+    def test_slope_below_a_quarter_is_not_uniformly_eventually_positive(self, c):
+        # lam_2 = 2c decays faster than 2^-(n+1), so hats of that width show
+        # no violation past a few powers; as the width goes to 0, T^n of a
+        # hat at 1 tends to c lam_2^(n-1) x, which is negative at an end of
+        # [-1, 1] at every power
+        T = _slope_model(c)
+        report, failed = run_classify(T, "slope", 0)
+        assert not failed and report.contradiction_count == 0
+        kinds = {r["notion"]: r["status"]["kind"] for r in report.classification}
+        assert kinds.pop("uniform-eventual") == "refuted"
+        assert set(kinds.values()) == {"confirmed"}, kinds
+        # a finite width that shrinks with the power agrees with the limit
+        for n in (3, 10, 30):
+            w = hat_family_witness(T, n, 1e-3 * abs(2 * c) ** n)
+            assert w is not None and w.value < 0, n
+
+    def test_rounding_residue_is_no_singular_term(self):
+        # <phi_2, 1> of ex2.2b is 0 by symmetry and -6.9e-18 in floating
+        # point, within its rounding; a random positive test vector refutes
+        entry = get_example("ex2.2b")
+        T = entry.model
+        ones = LatticeVector(np.ones(T.dim, dtype=complex), T.norm)
+        assert _singular_refutation(T, (ones,), Notion.INDIVIDUAL_EVENTUAL, DEFAULT_TOL) is None
+        report, failed = run_classify(T, entry.name, 0)
+        assert not failed
+        kinds = {r["notion"]: r["status"]["kind"] for r in report.classification}
+        assert kinds["uniform-eventual"] == kinds["individual-eventual"] == "refuted"
+        for v in classify_eventual(T)[:2]:
+            assert abs(v.status.witness.point) > 1e-30, v.status.witness
+
+    @pytest.mark.parametrize("c, witness", [(0.1, (1, -1.0)), (0.1j, (2, 1.0))])
+    def test_hat_limit_is_decided_per_peak(self, c, witness):
+        # g -> g(0) 1 + c (g(1) - g(-1)) x has two point functionals, but a
+        # hat at 1 meets only the second: T^n of it tends to c (2c)^(n-1) x,
+        # negative at -1 at every power for c = 0.1; for c = 0.1i it is
+        # non-real at odd n and negative at 1 at even n
+        T = RankK(
+            (Constant(1.0), Monomial(1)),
+            (PointCombination((0.0,), (1.0,)), PointCombination((1.0, -1.0), (c, -c))),
+            GridSup(tuple(np.linspace(-1.0, 1.0, 41))),
+        )
+        assert [(w.n, w.point) for w in hat_limit_witnesses(T)] == [witness]
+        assert isinstance(uniform_eventual(T).status, RefutedWithWitness)
+
+    def test_hat_limit_skips_a_peak_that_meets_two_functionals(self):
+        # a hat at 1 meets the functional with eigenvalue 1.2 and the one with
+        # 1: T^n of it tends to 0.1 1.2^(n-1) + 0.5 x, negative at -1 only up
+        # to n = 9
+        T = RankK(
+            (Constant(1.0), Monomial(1)),
+            (
+                PointCombination((1.0, -1.0, 0.0), (0.1, 0.1, 1.0)),
+                PointCombination((1.0, -1.0), (0.5, -0.5)),
+            ),
+            GridSup(tuple(np.linspace(-1.0, 1.0, 41))),
+        )
+        assert hat_family_witness(T, 9, 0.0) is not None
+        assert hat_family_witness(T, 10, 0.0) is None
+        assert hat_limit_witnesses(T) is None
+
+    def test_complex_singular_eigenvalue_refutes_from_one_power(self):
+        # phi_2 = (1 + si) d_t + (1 - si) d_-t - d_u - d_-u pairs to 0.5i with
+        # f_2 = sgn|x|^(-1/4), and to a real b with a test vector even about
+        # 0: T^n x = a + (0.5i)^(n-1) b f_2 is non-real near 0 at even n and
+        # negative on one side at odd n
+        nodes, weights = midpoint_rule(-1.0, 1.0, 8)
+        t, u = 0.125, 0.875
+        s = 0.25 * t**0.25
+        T = RankK(
+            (Constant(1.0), SignedPower(-0.25)),
+            (
+                WeightedIntegral(Constant(1.0), 0.5),
+                PointCombination((t, -t, u, -u), (1 + s * 1j, 1 - s * 1j, -1.0, -1.0)),
+            ),
+            LpQuadrature(2.0, tuple(nodes), tuple(weights)),
+        )
+        lam2 = T.eigen_parameters[1]
+        assert lam2.real == 0 and np.isclose(lam2, 0.5j)
+        x = np.ones(8, dtype=complex)
+        x[np.isin(nodes, (t, -t))] = 2.0
+        tests = ConeTestSet((LatticeVector(x, T.norm),), (WeightedIntegral(Constant(1.0), 0.5),))
+        v = individual_eventual(T, tests)
+        assert isinstance(v.status, RefutedWithWitness) and v.status.witness.n == 1
+
+    @pytest.mark.parametrize("name", ["ex2.2a", "ex2.2b"])
+    def test_each_refutation_calls_its_witness_once_per_vector(self, name, monkeypatch):
+        calls = {"hat_witness": 0, "signed_power_witness": 0}
+        for module, witness in ((evpos.witnesses, "hat_witness"), (evpos.classify, "signed_power_witness")):
+            original = getattr(module, witness)
+
+            def counting(*args, _name=witness, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, witness, counting)
+        entry = get_example(name)
+        report, failed = run_classify(entry.model, entry.name, 0)
+        assert not failed
+        # at most two powers of the hat limit, one singular witness per
+        # test vector
+        assert calls["hat_witness"] <= 2, calls
+        assert calls["signed_power_witness"] <= 17, calls
+
+
 def _eventually_positive(dim, norm):
     return make_eventually_positive(dim, 0.5, 5, norm=norm).model
 
@@ -880,11 +1012,9 @@ class TestCoordinatePairings:
         T = averaging_plus_slope(41)
         tests = function_space_test_set(T.space)
         pair = _pairings(T, tests)
-        X = np.stack([x.entries for x in tests.vectors], axis=1)
-        for n in (0, 1, 3):
-            block = X if n == 0 else np.stack([T.power(n, x) for x in X.T], axis=1)
+        for n in (1, 3):
             expected = [[pairing(T, n, x, phi) for phi in tests.functionals] for x in tests.vectors]
-            assert pair(n, block) == pytest.approx(np.array(expected), rel=1e-12, abs=1e-14)
+            assert pair(n) == pytest.approx(np.array(expected), rel=1e-12, abs=1e-14)
 
 
 class TestHierarchy:

@@ -49,6 +49,8 @@ ALLOWLIST = {
     "operators.Dense.power": "closed-form power that power_apply dispatches to",
     "operators.Diagonal.power": "closed-form power that power_apply dispatches to",
     "operators.WeightedShift.power": "closed-form power that power_apply dispatches to",
+    "operators.RankK.power": "closed-form power that power_apply dispatches to",
+    "operators._check_vector": "the length check of power_apply",
     "operators.Dense.to_json": (
         "writes the dense model-file format that classify reads; the tests "
         "write their inputs with it"
@@ -57,6 +59,11 @@ ALLOWLIST = {
         "reference for the closed-form pairings of the rank-k weak eventual notion"
     ),
     "lattice.cone_distance_oracle": "brute-force reference for the cone-distance formula",
+    "witnesses.hat_family_witness": (
+        "benchmark span, and the finite-width reference that the shrinking-hat "
+        "limit is tested against"
+    ),
+    "lattice.LatticeVector.__len__": "the lengths that power_apply and pairing check",
     "report.report_from_json": "reads reports back; the round-trip tests use it",
 }
 
