@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate, repeat
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -42,17 +43,20 @@ from .rng import rng_for
 from .witnesses import hat_limit_witnesses, signed_power_witness
 
 DEFAULT_TOL = 1e-9
+# the powers that the brute-force reference `individual_eventual` steps
 HORIZON_EVENTUAL = 30
 # rows of a rank-k limit point formed at a time, so none is dim x dim
 LIMIT_POINT_ROWS = 64
 # the most limit points L_r that the rule for a peripheral pole of order
 # m > 1 forms: every period p = lcm(q) of root orders q <= 8 is read in full
 MAX_PERIOD = 840
-# the most powers that the tail certificate of a `Dense` eventual trio tests
-# directly, and the largest power m of N = S - L_1 it forms
+# the most powers that the tail certificate of a `Dense` or rank-k eventual
+# trio tests directly, and the largest power m of N = S - L_1 that the
+# `Dense` one forms
 MAX_TAIL = 512
-# the certificate confirms only limit-point entries above this multiple of
-# their rounding, n eps sum_k ||P_k||_F^2 (see `_peripheral_status`)
+# a certificate confirms only limit-point entries above this multiple of
+# their rounding: n eps sum_k ||P_k||_F^2 (see `_peripheral_status`) for a
+# `Dense`, `_term_rounding` for a rank-k model
 MARGIN_ROUNDINGS = 100
 # a norm of a power of N past which the certificate stops squaring: far
 # inside the float range, so the next square cannot overflow
@@ -154,33 +158,24 @@ def default_test_set(T: OperatorModel) -> ConeTestSet:
 # eventual notions
 
 
-def _window(horizon: int) -> int:
-    """The number of trailing powers a condition must hold over before it
-    counts as settled."""
-    return max(1, horizon // 4)
+def _last_failure(flags) -> int:
+    """flags yields a notion's test at n = 1, 2, ...: one past the last n at
+    which it fails, or 0 when none does. T^0 = I keeps a positive vector
+    positive, so n0 = 0 and n0 = 1 say the same."""
+    last = max((n for n, ok in enumerate(flags, 1) if not ok), default=0)
+    return last + 1 if last else 0
 
 
-def _n0_from_flags(flags: Sequence[bool], window: int) -> Optional[int]:
-    """flags[i] is the sign condition at n = i + 1; returns the least n0 such
-    that the condition holds from n0 to the horizon, or None when it has not
-    held over the last `window` powers. With no failing power n0 is 0: T^0 = I
-    keeps a positive vector positive, so n0 = 0 and n0 = 1 say the same."""
-    fails = [i + 1 for i, ok in enumerate(flags) if not ok]
-    if not fails:
-        return 0
-    if len(flags) - fails[-1] < window:
-        return None
-    return fails[-1] + 1
+def _grid_passes(P: np.ndarray, tol: float) -> bool:
+    """The sign test of a power on the grid, relative to its largest entry."""
+    return entrywise_positive(P, tol * float(np.abs(P).max()))
 
 
-def _flag_verdict(notion, flags, horizon, tol) -> PositivityVerdict:
-    n0 = _n0_from_flags(flags, _window(horizon))
-    status = UndeterminedUpToHorizon(horizon) if n0 is None else Confirmed(n0)
-    return PositivityVerdict(notion, status, tol)
-
-
-def _columns(vectors) -> np.ndarray:
-    return np.stack([x.entries for x in vectors], axis=1)
+def _power_failure(B: np.ndarray, n_t: int, tol: float) -> int:
+    """`_last_failure` of the grid test on B^n for n < n_t."""
+    return _last_failure(
+        _grid_passes(P, tol) for P in accumulate(repeat(B, n_t - 1), lambda P, _: P @ B)
+    )
 
 
 def _singular_refutation(T, vectors, notion, tol) -> Optional[PositivityVerdict]:
@@ -228,35 +223,17 @@ def _hat_refutation(T: RankK, tol) -> Optional[PositivityVerdict]:
     )
 
 
-def _individual_verdict(tests: ConeTestSet, dists: np.ndarray, horizon, tol):
-    """dists[n - 1, i] = d+(T^n x_i) for n = 1..horizon. Confirmed from the
-    largest n0 of the vectors; undetermined when some vector is not on the
-    cone over the trailing window."""
-    scales = np.array([max(norm_value(x), 1e-300) for x in tests.vectors])
-    ok = dists <= tol * scales
-    window = _window(horizon)
-    n0s = [_n0_from_flags(ok[:, i], window) for i in range(len(scales))]
-    status = UndeterminedUpToHorizon(horizon) if None in n0s else Confirmed(max(n0s, default=0))
-    return PositivityVerdict(Notion.INDIVIDUAL_EVENTUAL, status, tol)
-
-
 def classify_eventual(
-    T: OperatorModel,
-    horizon: int = HORIZON_EVENTUAL,
-    tol: float = DEFAULT_TOL,
-    limit: Optional[LimitStatus] = None,
+    T: OperatorModel, tol: float = DEFAULT_TOL, limit: Optional[LimitStatus] = None
 ) -> tuple:
-    """(uniform, individual, weak) eventual verdicts: a finite model's by
-    exact rule, a rank-k model's from its function-space test set, whose
-    orbit alone the horizon bounds. `limit` is the limit status that the
-    asymptotic trio of the same classification reads; one is made when it
-    is not given."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    """(uniform, individual, weak) eventual verdicts, none with a horizon: a
+    finite model's by exact rule, a rank-k model's from its function-space
+    test set. `limit` is the limit status that the asymptotic trio of the
+    same classification reads; one is made when it is not given."""
     if limit is None:
         limit = LimitStatus(T, tol)
     if isinstance(T, RankK):
-        return _rank_k_eventual(T, horizon, tol, limit)
+        return _rank_k_eventual(T, tol, limit)
     return _finite_eventual(T, tol, limit)
 
 
@@ -286,7 +263,7 @@ def _dense_status(T: Dense, tol: float, limit: LimitStatus) -> Status:
        nonnegative. (A test within tol is not enough: [[1, -1e-10], [0, 1]]
        and its first ten powers pass it, the 11th power does not.)
     2. At spr = 0, T is nilpotent, so T^dim = 0 and only the powers below
-       it are tested (`_last_failure`).
+       it are tested (`_power_failure`).
     3. A refuted limit status refutes the trio with the same witness, as
        each eventual notion implies its asymptotic one.
     4. A confirmed one decides by `_tail_certificate`, when that applies.
@@ -297,7 +274,7 @@ def _dense_status(T: Dense, tol: float, limit: LimitStatus) -> Status:
     try:
         status = limit.read()
     except NotClassifiableError:
-        return Confirmed(_last_failure(T.matrix, T.dim, tol))
+        return Confirmed(_power_failure(T.matrix, T.dim, tol))
     except spectral.SpectralError:
         return UndeterminedUpToHorizon(0)
     if isinstance(status, RefutedWithWitness):
@@ -309,18 +286,6 @@ def _dense_status(T: Dense, tol: float, limit: LimitStatus) -> Status:
 
 def _exactly_nonnegative(A: np.ndarray) -> bool:
     return bool((A.real >= 0).all()) and not A.imag.any()
-
-
-def _last_failure(B: np.ndarray, n_t: int, tol: float) -> int:
-    """One past the last n < n_t whose power B^n fails the sign test,
-    relative to its largest entry, or 0 when none does."""
-    power, last = B, 0
-    for n in range(1, n_t):
-        if n > 1:
-            power = power @ B
-        if not entrywise_positive(power, tol * float(np.abs(power).max())):
-            last = n
-    return last + 1 if last else 0
 
 
 def _tail_certificate(T: Dense, tol: float) -> Optional[Confirmed]:
@@ -340,7 +305,7 @@ def _tail_certificate(T: Dense, tol: float) -> Optional[Confirmed]:
     Past n_t, the first n where that is below min L_1 - margin (the margin
     MARGIN_ROUNDINGS times the rounding of P), each S^n is positive. The
     powers below n_t are tested directly, as powers of T 2^-e (e the binary
-    exponent of spr, so none overflows) by `_last_failure`. m and n_t are
+    exponent of spr, so none overflows) by `_power_failure`. m and n_t are
     capped at MAX_TAIL."""
     spec = T.spectrum
     periph, spr = spec.peripheral, spec.spectral_radius
@@ -363,7 +328,7 @@ def _tail_certificate(T: Dense, tol: float) -> Optional[Confirmed]:
         n_t, bound = n_t + m, bound * theta
         if n_t > MAX_TAIL:
             return None
-    return Confirmed(_last_failure(A * np.ldexp(1.0, -int(np.frexp(spr)[1])), n_t, tol))
+    return Confirmed(_power_failure(A * np.ldexp(1.0, -int(np.frexp(spr)[1])), n_t, tol))
 
 
 def _diagonal_status(T: Diagonal, tol: float) -> Status:
@@ -399,57 +364,80 @@ def _shift_status(T: WeightedShift, tol: float) -> Status:
     return Confirmed(n0)
 
 
-def _rank_k_eventual(T: RankK, horizon: int, tol: float, limit: LimitStatus) -> tuple:
+def _rank_k_eventual(T: RankK, tol: float, limit: LimitStatus) -> tuple:
     """The analytic refutations first, each decided once: the singular term
     (individual notion, and so the uniform one, which implies it), then the
-    shrinking hat (uniform). Each eventual notion implies its asymptotic one,
-    so a refuted limit status (`_rank_k_limit_status`) refutes every notion
-    that they leave open. The rest is read from one orbit of T, whose blocks
-    hold the powers T^n while the uniform notion is open (the grid test)
-    next to T^n of the test vectors (the individual one), and from the
-    closed-form pairings (the weak one)."""
+    shrinking hat (uniform). Every notion that they leave open is decided by
+    `_rank_k_status` from the factors of what it tests, each of the form
+    U diag(lam^(n-1)) V: the grid entries of T^n (uniform), (T^n x)(a) for the
+    test vectors x (individual) and the pairings <x', T^n x> (weak)."""
     tests = default_test_set(T)
     try:
         status = limit.read()
     except NotClassifiableError:
         status = None
-    refuted = status if isinstance(status, RefutedWithWitness) else None
     individual = _singular_refutation(T, tests.vectors, Notion.INDIVIDUAL_EVENTUAL, tol)
     if individual is not None:
         uniform = replace(individual, notion=Notion.UNIFORM_EVENTUAL)
     else:
         uniform = _hat_refutation(T, tol)
-    if uniform is None and refuted is not None:
-        uniform = PositivityVerdict(Notion.UNIFORM_EVENTUAL, refuted, tol)
-    k = T.dim if uniform is None else 0
-    Y = np.concatenate([np.eye(T.dim)[:, :k], _columns(tests.vectors)], axis=1)
-    pair = _pairings(T, tests)
-    grid_ok, dists, weak_ok = [], [], []
-    for n, Z in enumerate(T.orbit(Y, horizon)):
-        if n == 0:
-            continue
-        dists.append(cone_distances(Z[:, k:], T.norm))
-        if uniform is None:
-            power = Z[:, :k]
-            grid_ok.append(entrywise_positive(power, tol * float(np.abs(power).max())))
-        weak_ok.append(entrywise_positive(pair(n), tol))
-    if uniform is None:
-        uniform = _flag_verdict(Notion.UNIFORM_EVENTUAL, grid_ok, horizon, tol)
-    if individual is None:
-        individual = _individual_verdict(tests, np.array(dists), horizon, tol)
-    weak = _flag_verdict(Notion.WEAK_EVENTUAL, weak_ok, horizon, tol)
-    if refuted is not None:
-        individual, weak = (
-            v if isinstance(v.status, RefutedWithWitness) else replace(v, status=refuted)
-            for v in (individual, weak)
-        )
-    return uniform, individual, weak
+    X = np.stack([x.entries for x in tests.vectors], axis=1)
+    scales = tol * np.array([max(norm_value(x), 1e-300) for x in tests.vectors])
+    factors = (
+        (T.samples, T.rows, lambda P: _grid_passes(P, tol)),
+        (T.samples, T.rows @ X, lambda Z: bool((cone_distances(Z, T.norm) <= scales).all())),
+        (*_pairings(T, tests), lambda P: entrywise_positive(P, tol)),
+    )
+    return tuple(
+        verdict or PositivityVerdict(notion, _rank_k_status(T, status, *parts, tol), tol)
+        for notion, verdict, parts in zip(_EVENTUAL_CHAIN, (uniform, individual, None), factors)
+    )
 
 
-def uniform_eventual(
-    T: OperatorModel, horizon: int = HORIZON_EVENTUAL, tol: float = DEFAULT_TOL
-) -> PositivityVerdict:
-    return classify_eventual(T, horizon, tol)[0]
+def _rank_k_status(T: RankK, status: Optional[Status], U, V, passes, tol: float) -> Status:
+    """The status of a notion whose test `passes` reads
+    u_n = U diag(mu^(n-1)) V / spr, the quantity at S^n = T^n/spr^n, for
+    n >= 1 (mu = lam/spr), in this order and with no horizon:
+    1. At spr = 0 (`status` is None) T^2 = 0, as every
+       <phi_i, f_j> = lam_i delta_ij is 0, so only T itself is tested.
+    2. A refuted limit status refutes, as each eventual notion implies its
+       asymptotic one.
+    3. A confirmed one with mu_i = 1 at every peripheral index i in I
+       (`_peripheral_indices`), and real U, V and lam, decides by a tail
+       certificate: u_n = L + sum over i not in I of
+       mu_i^(n-1) U[:, i] V[i] / spr, with L = U[:, I] V[I] / spr. An entry
+       whose every term is exactly 0 is 0 at every power; over the others,
+       the gap is min L less MARGIN_ROUNDINGS times the rounding of L
+       (`_term_rounding`, as the limit status allows). Past n_t, the first
+       n where sum over i not in I of |mu_i|^(n-1) max|U[:, i]| max|V[i]| / spr
+       is below the gap, every u_n is real and positive, so the notion
+       holds; the powers below n_t take its test directly. n_t is capped at
+       MAX_TAIL.
+    4. Anything else is undetermined, at horizon 0."""
+    if status is None:
+        return Confirmed(_last_failure([passes(U @ V)]))
+    if isinstance(status, RefutedWithWitness):
+        return status
+    mu, periph = _peripheral_indices(T, tol)
+    if (mu[periph] != 1).any() or any(a.imag.any() for a in (U, V, mu)):
+        return UndeterminedUpToHorizon(0)
+    U, V, mu = U.real, V.real / T.spectral_radius(), mu.real
+    live = (U != 0).astype(float) @ (V != 0).astype(float) > 0
+    margin = MARGIN_ROUNDINGS * _term_rounding(U[:, periph], V[periph])
+    gap = float((U[:, periph] @ V[periph])[live].min(initial=np.inf)) - margin
+    rest = np.setdiff1d(np.arange(len(mu)), periph)
+    size = np.abs(U[:, rest]).max(axis=0) * np.abs(V[rest]).max(axis=1)
+    # tail[n - 1] bounds every entry of u_n - L
+    tail = np.abs(mu[rest]) ** np.arange(MAX_TAIL)[:, None] @ size
+    below = np.flatnonzero(tail < gap)
+    if not below.size:
+        return UndeterminedUpToHorizon(0)
+    powers = (U @ (mu[:, None] ** (n - 1) * V) for n in range(1, int(below[0]) + 1))
+    return Confirmed(_last_failure(map(passes, powers)))
+
+
+def uniform_eventual(T: OperatorModel, tol: float = DEFAULT_TOL) -> PositivityVerdict:
+    return classify_eventual(T, tol)[0]
 
 
 def individual_eventual(
@@ -458,26 +446,30 @@ def individual_eventual(
     horizon: int = HORIZON_EVENTUAL,
     tol: float = DEFAULT_TOL,
 ) -> PositivityVerdict:
-    """The individual notion alone, one vector at a time: each orbit is
-    stepped with power_apply, independently of classify_eventual, so the two
-    paths check each other."""
+    """The individual notion alone, by brute force up to a horizon: each
+    test vector is stepped with power_apply, independently of
+    classify_eventual, so the two paths check each other. Confirmed at one
+    past the last power where some T^n x is off the cone beyond tol ||x||;
+    undetermined when that power lies in the last quarter of the horizon."""
     if tests is None:
         tests = default_test_set(T)
     refuted = _singular_refutation(T, tests.vectors, Notion.INDIVIDUAL_EVENTUAL, tol)
     if refuted is not None:
         return refuted
-    dists = np.empty((horizon, len(tests.vectors)))
-    for i, x in enumerate(tests.vectors):
+    ok = np.ones(horizon, dtype=bool)
+    for x in tests.vectors:
+        bound, y = tol * max(norm_value(x), 1e-300), x
         for n in range(horizon):
-            x = power_apply(T, 1, x)
-            dists[n, i] = cone_distance(x)
-    return _individual_verdict(tests, dists, horizon, tol)
+            y = power_apply(T, 1, y)
+            ok[n] &= cone_distance(y) <= bound
+    n0 = _last_failure(ok)
+    settled = n0 == 0 or horizon - n0 + 1 >= max(1, horizon // 4)
+    status = Confirmed(n0) if settled else UndeterminedUpToHorizon(horizon)
+    return PositivityVerdict(Notion.INDIVIDUAL_EVENTUAL, status, tol)
 
 
-def weak_eventual(
-    T: OperatorModel, horizon: int = HORIZON_EVENTUAL, tol: float = DEFAULT_TOL
-) -> PositivityVerdict:
-    return classify_eventual(T, horizon, tol)[2]
+def weak_eventual(T: OperatorModel, tol: float = DEFAULT_TOL) -> PositivityVerdict:
+    return classify_eventual(T, tol)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -677,12 +669,11 @@ def _rank_k_limit_status(T: RankK, tol: float) -> Status:
     norm. As for a `Dense` with m = 1, a peripheral mu_i that is no root of
     unity of order at most their number refutes, and otherwise the limit
     point L_1 = sum_i mu_i P_i over the peripheral i, the operator
-    samples[:, I] rows[I] / spr that the orbit steps (I those indices),
-    decides, beyond tol plus the rounding of its entries. L_1 is read
+    samples[:, I] rows[I] / spr (I those indices), decides, beyond tol plus
+    the rounding of its entries (`_term_rounding`). L_1 is read
     LIMIT_POINT_ROWS rows at a time, so no dim x dim matrix is formed."""
     spr = T.spectral_radius()
-    mu = T.eigen_parameters / spr
-    periph = np.flatnonzero(np.abs(mu) >= 1.0 - tol)
+    mu, periph = _peripheral_indices(T, tol)
     q = [_root_of_unity_order(z, len(periph), tol) for z in mu[periph]]
     if None in q:
         return _not_cyclic(mu[periph], q, len(periph))
@@ -691,20 +682,31 @@ def _rank_k_limit_status(T: RankK, tol: float) -> Status:
         (start, F[start : start + LIMIT_POINT_ROWS] @ Phi)
         for start in range(0, T.dim, LIMIT_POINT_ROWS)
     )
-    # each entry is a sum of len(periph) products f_i(a) phi_i(b) / spr
-    slack = len(periph) * EPS * float(np.abs(F).max(axis=0) @ np.abs(Phi).max(axis=1))
+    slack = _term_rounding(F, Phi)
     return _limit_point_refutation(T, _worst_entry(blocks), 1, tol + slack) or Confirmed(0)
 
 
-def _pairings(T: RankK, tests: ConeTestSet):
-    """pair(n)[i, j] = <x'_j, T^n x_i> for n >= 1, in closed form with the
-    exact pairings <x'_j, f> of the model's functions."""
+def _peripheral_indices(T: RankK, tol: float) -> tuple:
+    """(mu, I): mu = lam/spr, and I the indices with |mu_i| >= 1 - tol."""
+    mu = T.eigen_parameters / T.spectral_radius()
+    return mu, np.flatnonzero(np.abs(mu) >= 1.0 - tol)
+
+
+def _term_rounding(U: np.ndarray, V: np.ndarray) -> float:
+    """The rounding of an entry of U V, a sum of k products U[a, i] V[i, b]:
+    k eps sum over i of max|U[:, i]| max|V[i]|."""
+    return U.shape[1] * EPS * float(np.abs(U).max(axis=0) @ np.abs(V).max(axis=1))
+
+
+def _pairings(T: RankK, tests: ConeTestSet) -> tuple:
+    """(C, D) with <x'_j, T^n x_i> = (C diag(lam^(n-1)) D)[i, j] for n >= 1,
+    in closed form with the exact pairings <x'_j, f> of the model's
+    functions."""
     C = np.stack([T.coefficients(x.entries) for x in tests.vectors])
     D = np.array(
-        [[apply_functional(phi, f, T.space) for f in T.functions] for phi in tests.functionals]
+        [[apply_functional(phi, f, T.space) for phi in tests.functionals] for f in T.functions]
     )
-    lam = T.eigen_parameters
-    return lambda n: (C * lam ** (n - 1)) @ D.T
+    return C, D
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from . import __version__
 from .catalog import build_catalog, get_example
 from .classify import (
     DEFAULT_TOL,
-    HORIZON_EVENTUAL,
     LimitStatus,
     NotClassifiableError,
     classify_asymptotic,
@@ -131,7 +130,6 @@ def run_classify(
     model: OperatorModel,
     operator_id: str,
     seed: int = 0,
-    horizon: int = HORIZON_EVENTUAL,
     tol: float = DEFAULT_TOL,
 ) -> tuple:
     """(AnalysisReport, solver_failure_flag): the eventual trio always, the
@@ -141,7 +139,7 @@ def run_classify(
     checks ends them; what was made before it stays in the report."""
     solver_failure = False
     limit = LimitStatus(model, tol)
-    verdicts = list(classify_eventual(model, horizon=horizon, tol=tol, limit=limit))
+    verdicts = list(classify_eventual(model, tol=tol, limit=limit))
     try:
         verdicts.extend(classify_asymptotic(model, tol=tol, limit=limit))
     except NotClassifiableError:
@@ -263,13 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("model", nargs="?", help="path to a model JSON file")
     src.add_argument("--example", help="built-in example name")
     src.add_argument("--generate", help="generator spec kind:key=value,...")
-    p_classify.add_argument(
-        "--horizon",
-        type=int,
-        default=HORIZON_EVENTUAL,
-        help="powers stepped by the eventual orbit of a rank-k model; every "
-        "other model is decided with no horizon (default %(default)s)",
-    )
     p_classify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_classify.add_argument("--seed", type=int, default=0)
     p_classify.add_argument("--out", default=None, help="write the report JSON here")
@@ -301,14 +292,10 @@ def _resolve_model(args) -> tuple:
 
 
 def _cmd_classify(args) -> int:
-    if args.horizon < 1:
-        raise InputError(f"--horizon must be >= 1, got {args.horizon}")
     if not (args.tol > 0 and math.isfinite(args.tol)):
         raise InputError(f"--tol must be a finite number > 0, got {args.tol}")
     model, operator_id = _resolve_model(args)
-    report, solver_failure = run_classify(
-        model, operator_id, args.seed, args.horizon, args.tol
-    )
+    report, solver_failure = run_classify(model, operator_id, args.seed, args.tol)
     text = report_to_json(report)
     if args.out:
         with open(args.out, "w") as fh:

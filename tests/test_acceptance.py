@@ -96,7 +96,7 @@ def test_criterion_1_grid_slope_model():
             assert isinstance(v.status, Confirmed)
             assert v.status.n0 <= 30
 
-        uni = uniform_eventual(T, horizon=30)
+        uni = uniform_eventual(T)
         assert isinstance(uni.status, RefutedWithWitness)
 
         # exact hat-family arithmetic: with eps = 2^{-(n+1)} the value of
@@ -113,7 +113,7 @@ def test_criterion_1_grid_slope_model():
             assert w.value == pytest.approx(eps / 4.0 - 2.0 ** -(n + 1), abs=1e-15)
 
         _REGISTERED.append(
-            ("ex2.2a", [uni, individual_eventual(T, horizon=30), weak_eventual(T, horizon=30)])
+            ("ex2.2a", [uni, individual_eventual(T, horizon=30), weak_eventual(T)])
         )
 
 
@@ -126,7 +126,7 @@ def test_criterion_2_singular_model():
         assert abs(D[1, 1] - 0.5) <= 1e-10
         assert abs(D[0, 0] - 1.0) <= 1e-10
 
-        weak = weak_eventual(T, horizon=30)
+        weak = weak_eventual(T)
         assert isinstance(weak.status, Confirmed)
 
         # analytic negativity points for the half-line indicator input (the
@@ -145,7 +145,7 @@ def test_criterion_2_singular_model():
         assert cone_distance(power_apply(T, 40, g)) < 1e-6
 
         _REGISTERED.append(
-            ("ex2.2b", [uniform_eventual(T, horizon=30), individual_eventual(T, horizon=30), weak])
+            ("ex2.2b", [uniform_eventual(T), individual_eventual(T, horizon=30), weak])
         )
 
 
@@ -224,7 +224,7 @@ def test_criterion_5_random_suite():
             inst = make_eventually_positive(dim, 0.5, seed=900 + t, norm=Ell1())
             spec = eigenvalues(inst.model.matrix)
 
-            uni = uniform_eventual(inst.model, horizon=max(40, inst.n0_bound + 5))
+            uni = uniform_eventual(inst.model)
             assert isinstance(uni.status, Confirmed)
             assert uni.status.n0 <= inst.n0_bound
 
@@ -254,7 +254,7 @@ def test_criterion_5_random_suite():
                 trio = [
                     uni,
                     individual_eventual(inst.model, horizon=30),
-                    weak_eventual(inst.model, horizon=30),
+                    weak_eventual(inst.model),
                 ]
                 _REGISTERED.append((f"random-{t}", trio))
         assert contradictions == 0

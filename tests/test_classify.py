@@ -47,8 +47,10 @@ from evpos.lattice import (
     GridSup,
     LatticeVector,
     LpQuadrature,
+    cone_distances,
     cone_residual,
     midpoint_rule,
+    norm_value,
 )
 from evpos.operators import (
     Constant,
@@ -58,10 +60,13 @@ from evpos.operators import (
     PointCombination,
     RankK,
     SignedPower,
+    Tabulated,
     WeightedIntegral,
     WeightedShift,
+    apply_functional,
     entrywise_positive,
     pairing,
+    quadrature_row,
     to_dense,
 )
 from evpos.report import verdict_record
@@ -170,45 +175,36 @@ class TestEventualClassification:
 
     def test_nilpotent_shift_confirmed(self):
         T = WeightedShift(tuple(-1.0 for _ in range(9)), Ell1())
-        v = uniform_eventual(T, horizon=15)
+        v = uniform_eventual(T)
         assert isinstance(v.status, Confirmed)
         assert v.status.n0 == 10
 
-    def test_horizon_must_be_positive(self):
-        T = nonreal_diagonal()
-        for horizon in (0, -3):
-            with pytest.raises(ValueError, match="horizon"):
-                classify_eventual(T, horizon=horizon)
-
     @pytest.mark.parametrize(
-        "T",
+        "T, expected",
         [
-            diagonal_drift(50),
-            nonreal_diagonal(),
-            WeightedShift(tuple(-1.0 for _ in range(29)), Ell1()),
-            Dense(-np.eye(3), Ell1()),
+            (diagonal_drift(50), RefutedWithWitness),
+            (nonreal_diagonal(), RefutedWithWitness),
+            (WeightedShift(tuple(-1.0 for _ in range(29)), Ell1()), Confirmed(30)),
+            (Dense(-np.eye(3), Ell1()), RefutedWithWitness),
         ],
         ids=["ex3.5a", "rem3.2b", "ex3.5b", "minus-identity"],
     )
-    def test_verdicts_do_not_move_with_the_horizon(self, T):
+    def test_verdicts_do_not_move_with_the_horizon(self, T, expected):
         # even powers of a negative diagonal are positive, and (1/2)^n falls
-        # below the tolerance: neither may confirm at one horizon only
-        trios = [classify_eventual(T, horizon=h) for h in range(29, 41)]
-        kinds = {tuple(type(v.status) for v in trio) for trio in trios}
-        n0s = {tuple(getattr(v.status, "n0", None) for v in trio) for trio in trios}
-        assert len(kinds) == 1 and len(n0s) == 1, kinds
-
-    def test_nilpotent_shift_confirmed_below_its_dimension(self):
-        T = WeightedShift(tuple(-1.0 for _ in range(29)), Ell1())
-        assert uniform_eventual(T, horizon=29).status == Confirmed(30)
+        # below the tolerance; the shift's powers are negative up to its
+        # dimension 30: each trio is decided by exact rule, with no horizon
+        for v in classify_eventual(T):
+            if expected is RefutedWithWitness:
+                assert isinstance(v.status, RefutedWithWitness), v
+            else:
+                assert v.status == expected
 
     def test_minus_identity_is_refuted_at_every_horizon(self):
         # -I has positive even powers only: its limit point L_1 = -I refutes
-        # the asymptotic trio, and so the eventual one, at any horizon
+        # the asymptotic trio, and so the eventual one, with no horizon
         T = Dense(-np.eye(2), Ell1())
-        for h in (30, 31):
-            for v in classify_eventual(T, horizon=h):
-                assert isinstance(v.status, RefutedWithWitness)
+        for v in classify_eventual(T):
+            assert isinstance(v.status, RefutedWithWitness)
 
 
 ROTATION = np.array([[1.0, -1.0], [1.0, 1.0]])  # sqrt(2) times the 45-degree rotation
@@ -281,10 +277,8 @@ class TestTailCertificate:
     fixes how many powers are tested directly."""
 
     def test_straddling_matrix_does_not_move_with_the_horizon(self):
-        T = Dense(STRADDLING, Ell1())
-        for h in (30, 31, 32, 60):
-            for v in classify_eventual(T, horizon=h):
-                assert v.status == Confirmed(39)
+        for v in classify_eventual(Dense(STRADDLING, Ell1())):
+            assert v.status == Confirmed(39)
 
     @pytest.mark.parametrize("norm", [Ell1, Ell2])
     def test_gaussian_inherits_the_asymptotic_refutation(self, norm):
@@ -830,24 +824,6 @@ class TestRankKLimitRule:
         assert not failed and len(report.classification) == 6
         assert len(calls) == 1
 
-    def test_eventual_orbit_carries_the_identity_only_while_uniform_is_open(self, monkeypatch):
-        widths = []
-        orbit = RankK.orbit
-
-        def recording(self, Y, horizon):
-            widths.append(Y.shape[1])
-            return orbit(self, Y, horizon)
-
-        monkeypatch.setattr(RankK, "orbit", recording)
-        slope = averaging_plus_slope()
-        tests = len(default_test_set(slope).vectors)
-        averaging = RankK((Constant(1.0),), (WeightedIntegral(Constant(1.0), 0.5),), slope.space)
-        # refuted by the shrinking hats (ex2.2a), open (a positive operator),
-        # refuted by the limit-point rule
-        for T in (slope, averaging, _slope_model(0.5j, slope.dim)):
-            classify_eventual(T)
-        assert widths == [tests, slope.dim + tests, tests]
-
 
 class TestAnalyticRefutations:
     """The singular-term and shrinking-hat refutations of a rank-k model are
@@ -959,6 +935,142 @@ class TestAnalyticRefutations:
         assert calls["signed_power_witness"] <= 17, calls
 
 
+POINT_AT_0 = PointCombination((0.0,), (1.0,))
+END_MEAN = PointCombination((1.0, -1.0), (0.5, 0.5))
+
+
+def _point_slope_model(first, c, nodes=41) -> RankK:
+    """g -> first(g) 1 + c (g(1) - g(-1)) x on a sup-norm grid over [-1, 1],
+    first = g(0) or (g(1) + g(-1))/2, with eigen-parameters 1 and 2c."""
+    return RankK(
+        (Constant(1.0), Monomial(1)),
+        (first, PointCombination((1.0, -1.0), (c, -c))),
+        GridSup(tuple(np.linspace(-1.0, 1.0, nodes))),
+    )
+
+
+def _eventual_kinds(T) -> dict:
+    report, failed = run_classify(T, "rank-k", 0)
+    assert not failed and report.contradiction_count == 0
+    return {r["notion"]: r["status"] for r in report.classification if "eventual" in r["notion"]}
+
+
+class TestRankKTailCertificate:
+    """A rank-k eventual trio is decided with no horizon: each notion tests
+    a quantity U diag(mu^(n-1)) V, certified past the power where its
+    non-peripheral terms fall below the gap of its limit, and tested
+    directly below it."""
+
+    @pytest.mark.parametrize("nodes", [41, 201])
+    @pytest.mark.parametrize(
+        "first, open_notions",
+        [
+            (None, ("individual", "weak")),
+            (POINT_AT_0, ("individual", "weak")),
+            (END_MEAN, ("uniform", "individual", "weak")),
+        ],
+        ids=["slope", "point", "end-mean"],
+    )
+    def test_complex_slope_is_not_confirmed(self, first, open_notions, nodes):
+        # lam_2 = 0.2i: for any g with g(1) != g(-1) the powers are non-real
+        # at odd n and of both signs at even n, by 0.2^(n-1) times a
+        # constant, which falls below the tolerance but never vanishes
+        if first is None:
+            T = _slope_model(0.1j, nodes)
+        else:
+            T = _point_slope_model(first, 0.1j, nodes)
+        kinds = _eventual_kinds(T)
+        for notion in open_notions:
+            assert kinds[f"{notion}-eventual"]["kind"] != "confirmed", kinds
+
+    def test_limit_column_of_zeros_is_not_confirmed(self):
+        # g -> g(0) 1 + 0.022 (int sgn g) x: off the node 0 the limit L_1 has
+        # zero columns where the second term is not zero, so T^n of a bump
+        # on (0, 1) is 0.022^n (int g) x, negative on x < 0 at every power
+        T = RankK(
+            (Constant(1.0), Monomial(1)),
+            (POINT_AT_0, WeightedIntegral(SignedPower(0.0), 0.022)),
+            GridSup(tuple(np.linspace(-1.0, 1.0, 41))),
+        )
+        kinds = _eventual_kinds(T)
+        assert kinds["uniform-eventual"]["kind"] != "confirmed", kinds
+        assert kinds["individual-eventual"] == kinds["weak-eventual"] == {"kind": "confirmed", "n0": 0}
+
+    @pytest.mark.parametrize("nodes", [41, 201])
+    @pytest.mark.parametrize("c", [0.05, 0.1, 0.25, 0.4])
+    def test_entries_that_stay_zero_do_not_block_the_certificate(self, c, nodes):
+        # g -> (g(1) + g(-1))/2 + c (g(1) - g(-1)) x is a positive operator:
+        # its grid powers are 0 off the columns at -1 and 1 at every power
+        for status in _eventual_kinds(_point_slope_model(END_MEAN, c, nodes)).values():
+            assert status == {"kind": "confirmed", "n0": 0}
+
+    def test_two_peripheral_projections_are_certified(self):
+        # f_1, f_2 the indicators of x < 0 and x > 0, each paired with its
+        # own integral: T = T^2 is positive, with eigen-parameters 1 and 1
+        nodes = np.linspace(-1.0, 1.0, 40)
+        space = GridSup(tuple(nodes))
+        halves = [Tabulated(tuple((side * nodes > 0).astype(float))) for side in (-1, 1)]
+        scales = [1.0 / apply_functional(WeightedIntegral(h, 1.0), h, space).real for h in halves]
+        T = RankK(tuple(halves), tuple(map(WeightedIntegral, halves, scales)), space)
+        assert (T.eigen_parameters == 1.0).all()
+        for status in _eventual_kinds(T).values():
+            assert status == {"kind": "confirmed", "n0": 0}
+
+    @pytest.mark.parametrize(
+        "c, nodes, individual, weak",
+        [
+            (0.05, 41, 2, 0),
+            (0.1, 41, 2, 0),
+            (0.25, 41, 4, 0),
+            (0.4, 41, 12, 0),
+            (0.05, 201, 2, 0),
+            (0.1, 201, 3, 0),
+            (0.25, 201, 6, 2),
+            (0.4, 201, 18, 4),
+        ],
+    )
+    def test_thresholds_agree_with_brute_force_powers(self, c, nodes, individual, weak):
+        T = _point_slope_model(POINT_AT_0, c, nodes)
+        uniform, *trio = classify_eventual(T)
+        assert isinstance(uniform.status, RefutedWithWitness)
+        assert [v.status for v in trio] == [Confirmed(individual), Confirmed(weak)]
+        tests = default_test_set(T)
+        reference = individual_eventual(T, tests, horizon=individual + 200)
+        assert reference.status == Confirmed(individual)
+        # the dense view's powers, on the test vectors and paired with the
+        # quadrature rows of the test functionals
+        S = to_dense(T).matrix
+        X = np.stack([x.entries for x in tests.vectors], axis=1)
+        W = np.stack([quadrature_row(phi, T.space) for phi in tests.functionals])
+        scales = np.array([norm_value(x) for x in tests.vectors])
+        fails = {"individual": [], "weak": []}
+        Z = X
+        for n in range(1, max(individual, weak) + 201):
+            Z = S @ Z
+            if not (cone_distances(Z, T.norm) <= DEFAULT_TOL * scales).all():
+                fails["individual"].append(n)
+            if not entrywise_positive(W @ Z, DEFAULT_TOL):
+                fails["weak"].append(n)
+        for notion, n0 in (("individual", individual), ("weak", weak)):
+            assert max(fails[notion], default=-1) == n0 - 1, (notion, fails[notion])
+
+    def test_rank_k_classification_steps_no_orbit(self, monkeypatch):
+        def refuse(self, Y, horizon):
+            raise AssertionError("a rank-k orbit was stepped")
+
+        monkeypatch.setattr(RankK, "orbit", refuse)
+        grid = GridSup(tuple(np.linspace(-1.0, 1.0, 41)))
+        averaging = RankK((Constant(1.0),), (WeightedIntegral(Constant(1.0), 0.5),), grid)
+        for T in (
+            get_example("ex2.2a").model,
+            get_example("ex2.2b").model,
+            averaging,
+            _point_slope_model(END_MEAN, 0.25),
+        ):
+            report, failed = run_classify(T, "rank-k", 0)
+            assert not failed and len(report.classification) == 6
+
+
 def _eventually_positive(dim, norm):
     return make_eventually_positive(dim, 0.5, 5, norm=norm).model
 
@@ -1011,10 +1123,11 @@ class TestCoordinatePairings:
     def test_rank_k_pairs_in_closed_form(self):
         T = averaging_plus_slope(41)
         tests = function_space_test_set(T.space)
-        pair = _pairings(T, tests)
+        C, D = _pairings(T, tests)
         for n in (1, 3):
             expected = [[pairing(T, n, x, phi) for phi in tests.functionals] for x in tests.vectors]
-            assert pair(n) == pytest.approx(np.array(expected), rel=1e-12, abs=1e-14)
+            pair = C @ (T.eigen_parameters[:, None] ** (n - 1) * D)
+            assert pair == pytest.approx(np.array(expected), rel=1e-12, abs=1e-14)
 
 
 class TestHierarchy:

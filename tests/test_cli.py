@@ -557,8 +557,6 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "extra",
         [
-            ["--horizon", "0"],
-            ["--horizon", "-3"],
             ["--tol", "-1"],
             ["--tol", "0"],
             ["--tol", "nan"],
@@ -569,6 +567,14 @@ class TestMainEntry:
         assert main(["classify", "--example", "rem3.2b", *extra]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and extra[0] in err
+
+    def test_horizon_option_is_a_usage_error(self, capsys):
+        # no classification reads a horizon, so classify has no such option
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--example", "rem3.2b", "--horizon", "5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: evpos classify") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",

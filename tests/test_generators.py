@@ -36,7 +36,7 @@ class TestMakeEventuallyPositive:
 
     def test_classifier_confirms_within_bound(self):
         inst = make_eventually_positive(6, 0.5, 7)
-        v = uniform_eventual(inst.model, horizon=max(40, inst.n0_bound + 5))
+        v = uniform_eventual(inst.model)
         assert isinstance(v.status, Confirmed)
         assert v.status.n0 <= inst.n0_bound
 

@@ -110,15 +110,16 @@ def _command_lines(tmp):
     ill = Dense(np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 5e8], [0.0, 5e-10, 0.5]]), Ell1())
     lines.append(["classify", write("ill-conditioned.json", model_to_json(ill))])
     for spec in ("eventually_positive:dim=4", "positive_random:dim=3", "cyclic_block:k=3"):
-        lines.append(["classify", "--generate", spec, "--horizon", "20", "--tol", "1e-8"])
+        lines.append(["classify", "--generate", spec, "--tol", "1e-8"])
     lines.append(["classify", "--example", "rem3.2b", "--out", os.path.join(tmp, "out.json")])
     lines.append(["suite", "paper"])
     lines.append(["suite", "random", "--trials", "2"])
     vector = write("vector.json", [[1, 0], [0.5, 0]])
     lines.append(["orbit", "--example", "rem3.2b", "--vector", vector, "--n", "5"])
     lines.append(["orbit", write("orbit-model.json", model_to_json(inf)), "--n", "3"])
-    # the negative shift: classification decides a shift with no orbit
+    # the negative shift and a rank-k model: classification steps no orbit
     lines.append(["orbit", "--example", "ex3.5b"])
+    lines.append(["orbit", "--example", "ex2.2a", "--n", "3"])
     bad = [
         ["classify", write("not-json.json", "{")],
         ["classify", write("bad-model.json", {"variant": "dense", "n": 2})],
@@ -127,7 +128,7 @@ def _command_lines(tmp):
         ["classify", "--generate", "no_such_kind"],
         ["classify", "--generate", "eventually_positive:dim"],
         ["classify", "--generate", "eventually_positive:dim=0"],
-        ["classify", "--example", "rem3.2b", "--horizon", "0"],
+        ["classify", "--example", "rem3.2b", "--horizon", "5"],
         ["classify", "--example", "rem3.2b", "--tol", "nan"],
         ["suite", "random", "--trials", "-1"],
         ["suite", "properties", "--trials", "20"],
@@ -215,8 +216,9 @@ def test_every_function_is_reached_or_allowlisted(reached):
 
 # (module, callable, parameter): each parameter had one value at every call
 # site and is now a module constant, or, for `power_bounds`, is read from the
-# spectrum the check is given, so a caller can no longer pass a value that
-# moves a verdict away from what the reports pin
+# spectrum the check is given, or, for `horizon`, went with the orbit it
+# bounded, so a caller can no longer pass a value that moves a verdict away
+# from what the reports pin
 REMOVED_PARAMETERS = [
     ("spectral", "eigenvalues", "tol"),
     ("spectral", "pole_order", "tol"),
@@ -235,6 +237,10 @@ REMOVED_PARAMETERS = [
     ("classify", "function_space_test_set", "seed"),
     ("classify", "function_space_test_set", "n_random"),
     ("classify", "delta_n", "spr"),
+    ("classify", "classify_eventual", "horizon"),
+    ("classify", "uniform_eventual", "horizon"),
+    ("classify", "weak_eventual", "horizon"),
+    ("cli", "run_classify", "horizon"),
 ]
 
 
