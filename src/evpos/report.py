@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Optional
 
 from . import __version__ as _tool_version
@@ -115,6 +116,72 @@ _REPORT_FIELDS = (
 )
 
 
+# the texts `json` writes for the floats whose repr is not JSON
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_NAMES.get(text, text)
+
+
+# the writer of each exact leaf type; a subclass (np.float64, say) takes the
+# isinstance tests in `_text`, as in `json`
+_LEAVES = {
+    str: _escape,
+    float: _float_text,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _text(value, pad: str) -> str:
+    """The text of value at indentation pad, as `json.dumps(indent=2,
+    sort_keys=True)` writes it. Dict keys must be strings. A value of a type
+    that `json` does not write (np.int64, np.bool_, a set) raises TypeError,
+    as in `json`."""
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = []
+        for key in sorted(value):
+            item = value[key]
+            leaf = _LEAVES.get(type(item))
+            parts.append(_escape(key) + ": " + (leaf(item) if leaf else _text(item, inner)))
+        return "{\n" + inner + sep.join(parts) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(x) is float for x in value):
+            body = sep.join(map(float.__repr__, value))
+            # the repr of a finite float has no "n", of nan and +-inf one
+            if "n" in body:
+                body = sep.join(map(_float_text, value))
+        else:
+            body = sep.join([_text(x, inner) for x in value])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(value, str):
+        return _escape(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def json_text(value) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True) + "\\n"`, byte for byte,
+    written directly: `json` takes its pure-Python encoder whenever it
+    indents."""
+    return _text(value, "") + "\n"
+
+
 def report_to_json(report: AnalysisReport) -> str:
     payload = {
         "operator_id": report.operator_id,
@@ -125,7 +192,7 @@ def report_to_json(report: AnalysisReport) -> str:
         "seed": int(report.seed),
         "versions": report.versions,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)
 
 
 def report_from_json(text: str) -> AnalysisReport:

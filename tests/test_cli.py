@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evpos.cli
 import evpos.spectral
@@ -36,6 +38,7 @@ from evpos.spectral import SpectralError, eigenvalues, peripheral_spectrum
 from evpos.lattice import Ell1, Ell2, EllInf
 from evpos.report import (
     ReportError,
+    json_text,
     report_from_json,
     report_to_json,
     verdict_from_record,
@@ -129,6 +132,12 @@ class TestRunClassify:
         digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
         assert digest == PAPER_REPORT_SHA256[name]
 
+    # the peripheral eigenvalues that meet another one: a power of one lands
+    # on the other. dense-dim7 has spr alone; the even powers of ex3.5a's
+    # -0.98 miss the spectrum and its odd ones land on -0.98 itself; each of
+    # cyclic-block's three meets the other two
+    MEETING = {"dense-dim7": 0, "ex3.5a": 0, "cyclic-block": 3}
+
     @pytest.mark.parametrize("name", ["dense-dim7", "ex3.5a", "cyclic-block"])
     def test_one_spectrum_per_classification(self, name, monkeypatch):
         # the model is built here because a Dense keeps its eigen-solve; every
@@ -173,13 +182,16 @@ class TestRunClassify:
         # and the eigenvector check reuses the one at spr; ex3.5a's rule reads
         # its symbol, and no eigenvector check runs. The peripheral spectrum
         # is found once, and every check reads it from the Spectrum; each
-        # peripheral check decides power boundedness from its pole orders
+        # peripheral check decides power boundedness from its pole orders, and
+        # the monotonicity check computes a geometric multiplicity only for
+        # an eigenvalue that meets another, as one met only by itself is
+        # compared with itself
         assert calls == {
             "peripheral_spectrum": 1,
             "eigenvalues": 1,
             "power_bounded_estimate": 2,
             "pole_order": periph,
-            "geometric_multiplicity": periph,
+            "geometric_multiplicity": self.MEETING[name],
             "resolvent_matrix": 0,
             "laurent_leading_coefficient": periph if eigenvector else 0,
         }
@@ -396,6 +408,53 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(InputError):
             run_suite("mystery")
+
+
+# what `json` writes: strings of any characters (quotes, control characters
+# and non-ASCII ones escaped), ints, floats with -0.0, NaN and +-inf, numpy
+# float64, bools and None, in str-keyed dicts, lists and tuples, empty ones
+# too, and lists of floats such as a spectrum's eigenvalue pairs
+FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]))
+JSON_LEAVES = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\n\t\x00\x1f", "\u00e9\u2028\U0001f600"]),
+    st.integers(),
+    FLOATS,
+    st.floats().map(np.float64),
+    st.lists(FLOATS, min_size=1, max_size=3),
+    st.booleans(),
+    st.none(),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestReportWriter:
+    """`report_to_json` writes its text directly, byte for byte what
+    `json.dumps(indent=2, sort_keys=True)` writes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_text_is_that_of_json_dumps(self, value):
+        assert json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.int64(1), np.bool_(True), {1, 2}, {"a": [0.5, np.int64(2)]}, [{"b": np.bool_(False)}]],
+        ids=["int64", "bool_", "set", "nested-int64", "nested-bool_"],
+    )
+    def test_unsupported_leaf_raises(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            json_text(value)
 
 
 class TestMainEntry:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import evpos.verify
 from evpos.classify import (
     Confirmed,
     Notion,
@@ -13,6 +16,7 @@ from evpos.operators import Diagonal
 from evpos.rng import rng_for
 from evpos.spectral import eigenvalues
 from evpos.verify import (
+    DEFAULT_TOL,
     CheckResult,
     VerificationError,
     EIGENVECTOR_TOL,
@@ -149,6 +153,92 @@ class TestPeripheralChecks:
         result = multiplicity_monotonicity_check(eigenvalues(A), n_list=[3])
         assert not result.pass_
         assert any("missing_power" in r for r in result.payload["rows"])
+
+
+class TestPeripheralTargetArrays:
+    """Both peripheral checks find every power of a peripheral eigenvalue in
+    one broadcast against the spectrum, one eigenvalue at a time, and give
+    the pass and margin of the power-by-power loop."""
+
+    CYCLE = np.roll(np.eye(256), 1, axis=0)
+    # a dim x P x 25 complex broadcast of the 256-cycle would take 26 MB, and
+    # a dim x P x 7 one 7 MB
+    PEAK_BYTES = 4_000_000
+
+    @staticmethod
+    def scalar_checks(spec, mults, K=12, n_list=(-3, -2, -1, 0, 1, 2, 3)):
+        """(cyclicity margin, monotonicity pass), target by target."""
+        spr, periph = spec.spectral_radius, spec.peripheral.eigenvalues
+        worst, ok = 0.0, True
+        for lam in periph:
+            theta = np.angle(lam)
+            for k in range(-K, K + 1):
+                target = spr * np.exp(1j * k * theta)
+                worst = max(worst, float(np.min(np.abs(spec.eigenvalues - target))))
+        for lam, base in zip(periph, mults):
+            theta = np.angle(lam)
+            for n in n_list:
+                target = spr * np.exp(1j * n * theta)
+                if float(np.min(np.abs(spec.eigenvalues - target))) > DEFAULT_TOL * spr:
+                    ok = False
+                elif mults[int(np.argmin(np.abs(periph - target)))] < base:
+                    ok = False
+        return DEFAULT_TOL * spr - worst, ok
+
+    @pytest.mark.parametrize(
+        "A",
+        [np.roll(np.eye(3), 1, axis=0), NONREAL, np.diag([1.0, -1.0, 1j])],
+        ids=["three-cycle", "nonreal", "non-cyclic"],
+    )
+    def test_distances_give_the_margin(self, A):
+        spec = eigenvalues(A)
+        result = peripheral_cyclicity_check(spec)
+        distances = result.payload["distances"]
+        assert distances.shape == (len(spec.peripheral.eigenvalues), 25)
+        assert result.margin == DEFAULT_TOL * spec.spectral_radius - distances.max()
+
+    def test_long_cycle_matches_the_scalar_loop_in_bounded_memory(self, monkeypatch):
+        # a permutation is normal, so each geometric multiplicity is the
+        # algebraic one the spectrum records; that stands in for the 256
+        # SVDs of 256 x 256 matrices
+        monkeypatch.setattr(
+            evpos.verify, "geometric_multiplicity", lambda spec, lam: spec.multiplicity(lam)
+        )
+        spec = eigenvalues(self.CYCLE)
+        periph = spec.peripheral.eigenvalues
+        assert len(periph) == 256
+        margin, ok = self.scalar_checks(spec, [spec.multiplicity(lam) for lam in periph])
+        for check in (peripheral_cyclicity_check, multiplicity_monotonicity_check):
+            tracemalloc.start()
+            try:
+                result = check(spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < self.PEAK_BYTES, (check.__name__, peak)
+            assert result.pass_
+        cyclicity = peripheral_cyclicity_check(spec)
+        assert (cyclicity.pass_, cyclicity.margin) == (margin >= 0.0, margin)
+        assert multiplicity_monotonicity_check(spec).pass_ is ok is True
+
+    def test_an_eigenvalue_met_only_by_itself_takes_no_multiplicity(self, monkeypatch):
+        # the powers of 1 are 1, those of -1 are 1 and -1: only -1 meets
+        # another peripheral eigenvalue, and 1 is met by -1
+        calls = []
+
+        def counting(spec, lam):
+            calls.append(complex(lam))
+            return spec.multiplicity(lam)
+
+        monkeypatch.setattr(evpos.verify, "geometric_multiplicity", counting)
+        assert multiplicity_monotonicity_check(eigenvalues(np.diag([1.0, 0.5]))).pass_
+        assert calls == []
+        result = multiplicity_monotonicity_check(eigenvalues(np.diag([1.0, -1.0])))
+        assert result.pass_
+        assert sorted(calls, key=lambda z: z.real) == [-1.0, 1.0]
+        assert {(r["n"], r["base_multiplicity"]) for r in result.payload["rows"]} == {
+            (n, 1) for n in (-2, 0, 2)
+        }
 
 
 class TestPowerBounds:
