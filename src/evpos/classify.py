@@ -107,7 +107,6 @@ Status = Union[Confirmed, RefutedWithWitness, UndeterminedUpToHorizon]
 class PositivityVerdict:
     notion: Notion
     status: Status
-    tolerance: float = DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -166,19 +165,19 @@ def _last_failure(flags) -> int:
     return last + 1 if last else 0
 
 
-def _grid_passes(P: np.ndarray, tol: float) -> bool:
+def _grid_passes(P: np.ndarray) -> bool:
     """The sign test of a power on the grid, relative to its largest entry."""
-    return entrywise_positive(P, tol * float(np.abs(P).max()))
+    return entrywise_positive(P, DEFAULT_TOL * float(np.abs(P).max()))
 
 
-def _power_failure(B: np.ndarray, n_t: int, tol: float) -> int:
+def _power_failure(B: np.ndarray, n_t: int) -> int:
     """`_last_failure` of the grid test on B^n for n < n_t."""
     return _last_failure(
-        _grid_passes(P, tol) for P in accumulate(repeat(B, n_t - 1), lambda P, _: P @ B)
+        map(_grid_passes, accumulate(repeat(B, n_t - 1), lambda P, _: P @ B))
     )
 
 
-def _singular_refutation(T, vectors, notion, tol) -> Optional[PositivityVerdict]:
+def _singular_refutation(T, vectors, notion) -> Optional[PositivityVerdict]:
     """Refuted by the first vector x whose singular term persists, with no
     horizon: for a rank-2 model T^n x = a + lam_2^(n-1) b f_2, with
     b = <phi_2, x> and f_2 = sgn(t)|t|^alpha, alpha < 0 (`signed_power_witness`
@@ -203,12 +202,11 @@ def _singular_refutation(T, vectors, notion, tol) -> Optional[PositivityVerdict]
                 RefutedWithWitness(
                     witness, "singular-term negativity points persist at every power"
                 ),
-                tol,
             )
     return None
 
 
-def _hat_refutation(T: RankK, tol) -> Optional[PositivityVerdict]:
+def _hat_refutation(T: RankK) -> Optional[PositivityVerdict]:
     """Refuted from the limit of the shrinking-hat family as its width goes
     to 0 (`hat_limit_witnesses`), with no horizon."""
     witnesses = hat_limit_witnesses(T)
@@ -219,44 +217,41 @@ def _hat_refutation(T: RankK, tol) -> Optional[PositivityVerdict]:
         RefutedWithWitness(
             witnesses, "shrinking-hat family keeps a negative value at every power"
         ),
-        tol,
     )
 
 
-def classify_eventual(
-    T: OperatorModel, tol: float = DEFAULT_TOL, limit: Optional[LimitStatus] = None
-) -> tuple:
+def classify_eventual(T: OperatorModel, limit: Optional[LimitStatus] = None) -> tuple:
     """(uniform, individual, weak) eventual verdicts, none with a horizon: a
     finite model's by exact rule, a rank-k model's from its function-space
     test set. `limit` is the limit status that the asymptotic trio of the
     same classification reads; one is made when it is not given."""
     if limit is None:
-        limit = LimitStatus(T, tol)
+        limit = LimitStatus(T)
     if isinstance(T, RankK):
-        return _rank_k_eventual(T, tol, limit)
-    return _finite_eventual(T, tol, limit)
+        return _rank_k_eventual(T, limit)
+    return _finite_eventual(T, limit)
 
 
-def _finite_eventual(T: OperatorModel, tol: float, limit: LimitStatus) -> tuple:
+def _finite_eventual(T: OperatorModel, limit: LimitStatus) -> tuple:
     """The basis vectors generate the positive cone, and <e_i, T^n e_j> is
     the entry (T^n)_ij, so the three notions coincide: one status, decided
     with no horizon. A diagonal and a weighted shift are decided exactly
     from their entries; a dense matrix by `_dense_status`."""
     if isinstance(T, Diagonal):
-        status = _diagonal_status(T, tol)
+        status = _diagonal_status(T)
     elif isinstance(T, WeightedShift):
-        status = _shift_status(T, tol)
+        status = _shift_status(T)
     else:
-        status = _dense_status(T, tol, limit)
-    return _one_status(_EVENTUAL_CHAIN, status, tol)
+        status = _dense_status(T, limit)
+    return _one_status(_EVENTUAL_CHAIN, status)
 
 
-def _one_status(chain, status, tol) -> tuple:
+def _one_status(chain, status) -> tuple:
     """A trio whose notions coincide: one status."""
-    return tuple(PositivityVerdict(n, status, tol) for n in chain)
+    return tuple(PositivityVerdict(n, status) for n in chain)
 
 
-def _dense_status(T: Dense, tol: float, limit: LimitStatus) -> Status:
+def _dense_status(T: Dense, limit: LimitStatus) -> Status:
     """In this order, and with no horizon:
     1. An exactly nonnegative real matrix is confirmed at n0 = 0 with no
        spectrum, as products and sums of nonnegative floats stay
@@ -274,13 +269,13 @@ def _dense_status(T: Dense, tol: float, limit: LimitStatus) -> Status:
     try:
         status = limit.read()
     except NotClassifiableError:
-        return Confirmed(_power_failure(T.matrix, T.dim, tol))
+        return Confirmed(_power_failure(T.matrix, T.dim))
     except spectral.SpectralError:
         return UndeterminedUpToHorizon(0)
     if isinstance(status, RefutedWithWitness):
         return status
     if isinstance(status, Confirmed):
-        return _tail_certificate(T, tol) or UndeterminedUpToHorizon(0)
+        return _tail_certificate(T) or UndeterminedUpToHorizon(0)
     return UndeterminedUpToHorizon(0)
 
 
@@ -288,7 +283,7 @@ def _exactly_nonnegative(A: np.ndarray) -> bool:
     return bool((A.real >= 0).all()) and not A.imag.any()
 
 
-def _tail_certificate(T: Dense, tol: float) -> Optional[Confirmed]:
+def _tail_certificate(T: Dense) -> Optional[Confirmed]:
     """Confirmed(n0) from a bound on the decay of S^n = T^n/spr^n towards
     its limit, or None where the bound does not apply.
 
@@ -311,7 +306,7 @@ def _tail_certificate(T: Dense, tol: float) -> Optional[Confirmed]:
     periph, spr = spec.peripheral, spec.spectral_radius
     if len(periph.eigenvalues) != 1 or periph.order != 1:
         return None
-    L = periph.coefficients[0].real
+    L = periph.coefficient(0).real
     A = T.matrix.real
     gap = float(L.min()) - MARGIN_ROUNDINGS * T.dim * EPS * float(np.linalg.norm(L)) ** 2
     if not gap > 0:
@@ -328,23 +323,26 @@ def _tail_certificate(T: Dense, tol: float) -> Optional[Confirmed]:
         n_t, bound = n_t + m, bound * theta
         if n_t > MAX_TAIL:
             return None
-    return Confirmed(_power_failure(A * np.ldexp(1.0, -int(np.frexp(spr)[1])), n_t, tol))
+    return Confirmed(_power_failure(A * np.ldexp(1.0, -int(np.frexp(spr)[1])), n_t))
 
 
-def _diagonal_status(T: Diagonal, tol: float) -> Status:
+def _diagonal_status(T: Diagonal) -> Status:
     """Exact: T^n = diag(s^n) is positive for every n >= 1 when each symbol
     entry s is a positive real or zero; any other s has s^n off the positive
-    reals for infinitely many n. The test is relative to spr = max |s|."""
-    scale = tol * T.spectral_radius()
+    reals for infinitely many n. An entry of modulus spr = max |s| passes
+    only when it is spr exactly, as spr e^(i phi) turns round to -spr
+    however small phi is; any other entry is tested within DEFAULT_TOL spr."""
+    spr = T.spectral_radius()
+    on_circle = np.abs(T.symbol) == spr
     for k, s in enumerate(T.symbol):
-        if not entrywise_positive(s, scale):
+        if not (s == spr if on_circle[k] else entrywise_positive(s, DEFAULT_TOL * spr)):
             return RefutedWithWitness(
                 (k, s), f"symbol entry {s} at index {k} is not a positive real"
             )
     return Confirmed(0)
 
 
-def _shift_status(T: WeightedShift, tol: float) -> Status:
+def _shift_status(T: WeightedShift) -> Status:
     """Exact: (T^k)_{j+k,j} = w_j ... w_{j+k-1} and T^dim = 0, so T^k is
     positive iff each product of k consecutive weights is a positive real,
     and n0 is one past the last k < dim where one is not. Each product is
@@ -358,13 +356,13 @@ def _shift_status(T: WeightedShift, tol: float) -> Status:
     for k in range(1, T.dim):
         # ph[j], lg[j]: the phase and log-magnitude of w_j ... w_{j+k-1}
         live = ph != 0
-        if live.any() and not entrywise_positive(ph * np.exp(lg - lg[live].max()), tol):
+        if live.any() and not entrywise_positive(ph * np.exp(lg - lg[live].max()), DEFAULT_TOL):
             n0 = k + 1
         ph, lg = ph[:-1] * phase[k:], lg[:-1] + logmag[k:]
     return Confirmed(n0)
 
 
-def _rank_k_eventual(T: RankK, tol: float, limit: LimitStatus) -> tuple:
+def _rank_k_eventual(T: RankK, limit: LimitStatus) -> tuple:
     """The analytic refutations first, each decided once: the singular term
     (individual notion, and so the uniform one, which implies it), then the
     shrinking hat (uniform). Every notion that they leave open is decided by
@@ -376,25 +374,25 @@ def _rank_k_eventual(T: RankK, tol: float, limit: LimitStatus) -> tuple:
         status = limit.read()
     except NotClassifiableError:
         status = None
-    individual = _singular_refutation(T, tests.vectors, Notion.INDIVIDUAL_EVENTUAL, tol)
+    individual = _singular_refutation(T, tests.vectors, Notion.INDIVIDUAL_EVENTUAL)
     if individual is not None:
         uniform = replace(individual, notion=Notion.UNIFORM_EVENTUAL)
     else:
-        uniform = _hat_refutation(T, tol)
+        uniform = _hat_refutation(T)
     X = np.stack([x.entries for x in tests.vectors], axis=1)
-    scales = tol * np.array([max(norm_value(x), 1e-300) for x in tests.vectors])
+    scales = DEFAULT_TOL * np.array([max(norm_value(x), 1e-300) for x in tests.vectors])
     factors = (
-        (T.samples, T.rows, lambda P: _grid_passes(P, tol)),
+        (T.samples, T.rows, _grid_passes),
         (T.samples, T.rows @ X, lambda Z: bool((cone_distances(Z, T.norm) <= scales).all())),
-        (*_pairings(T, tests), lambda P: entrywise_positive(P, tol)),
+        (*_pairings(T, tests), lambda P: entrywise_positive(P, DEFAULT_TOL)),
     )
     return tuple(
-        verdict or PositivityVerdict(notion, _rank_k_status(T, status, *parts, tol), tol)
+        verdict or PositivityVerdict(notion, _rank_k_status(T, status, *parts))
         for notion, verdict, parts in zip(_EVENTUAL_CHAIN, (uniform, individual, None), factors)
     )
 
 
-def _rank_k_status(T: RankK, status: Optional[Status], U, V, passes, tol: float) -> Status:
+def _rank_k_status(T: RankK, status: Optional[Status], U, V, passes) -> Status:
     """The status of a notion whose test `passes` reads
     u_n = U diag(mu^(n-1)) V / spr, the quantity at S^n = T^n/spr^n, for
     n >= 1 (mu = lam/spr), in this order and with no horizon:
@@ -418,7 +416,7 @@ def _rank_k_status(T: RankK, status: Optional[Status], U, V, passes, tol: float)
         return Confirmed(_last_failure([passes(U @ V)]))
     if isinstance(status, RefutedWithWitness):
         return status
-    mu, periph = _peripheral_indices(T, tol)
+    mu, periph = _peripheral_indices(T)
     if (mu[periph] != 1).any() or any(a.imag.any() for a in (U, V, mu)):
         return UndeterminedUpToHorizon(0)
     U, V, mu = U.real, V.real / T.spectral_radius(), mu.real
@@ -436,40 +434,40 @@ def _rank_k_status(T: RankK, status: Optional[Status], U, V, passes, tol: float)
     return Confirmed(_last_failure(map(passes, powers)))
 
 
-def uniform_eventual(T: OperatorModel, tol: float = DEFAULT_TOL) -> PositivityVerdict:
-    return classify_eventual(T, tol)[0]
+def uniform_eventual(T: OperatorModel) -> PositivityVerdict:
+    return classify_eventual(T)[0]
 
 
 def individual_eventual(
     T: OperatorModel,
     tests: Optional[ConeTestSet] = None,
     horizon: int = HORIZON_EVENTUAL,
-    tol: float = DEFAULT_TOL,
 ) -> PositivityVerdict:
     """The individual notion alone, by brute force up to a horizon: each
     test vector is stepped with power_apply, independently of
     classify_eventual, so the two paths check each other. Confirmed at one
-    past the last power where some T^n x is off the cone beyond tol ||x||;
-    undetermined when that power lies in the last quarter of the horizon."""
+    past the last power where some T^n x is off the cone beyond DEFAULT_TOL
+    ||x||; undetermined when that power lies in the last quarter of the
+    horizon."""
     if tests is None:
         tests = default_test_set(T)
-    refuted = _singular_refutation(T, tests.vectors, Notion.INDIVIDUAL_EVENTUAL, tol)
+    refuted = _singular_refutation(T, tests.vectors, Notion.INDIVIDUAL_EVENTUAL)
     if refuted is not None:
         return refuted
     ok = np.ones(horizon, dtype=bool)
     for x in tests.vectors:
-        bound, y = tol * max(norm_value(x), 1e-300), x
+        bound, y = DEFAULT_TOL * max(norm_value(x), 1e-300), x
         for n in range(horizon):
             y = power_apply(T, 1, y)
             ok[n] &= cone_distance(y) <= bound
     n0 = _last_failure(ok)
     settled = n0 == 0 or horizon - n0 + 1 >= max(1, horizon // 4)
     status = Confirmed(n0) if settled else UndeterminedUpToHorizon(horizon)
-    return PositivityVerdict(Notion.INDIVIDUAL_EVENTUAL, status, tol)
+    return PositivityVerdict(Notion.INDIVIDUAL_EVENTUAL, status)
 
 
-def weak_eventual(T: OperatorModel, tol: float = DEFAULT_TOL) -> PositivityVerdict:
-    return classify_eventual(T, tol)[2]
+def weak_eventual(T: OperatorModel) -> PositivityVerdict:
+    return classify_eventual(T)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +491,7 @@ def delta_n(T: OperatorModel, n: int) -> tuple:
     return float(dists[j]), _basis_vector(T, j)
 
 
-def classify_asymptotic(
-    T: OperatorModel, tol: float = DEFAULT_TOL, limit: Optional[LimitStatus] = None
-) -> tuple:
+def classify_asymptotic(T: OperatorModel, limit: Optional[LimitStatus] = None) -> tuple:
     """(uniform, individual, weak) asymptotic verdicts, by exact rule and with
     no orbit. The three notions coincide: S = T/spr is the sum of its
     peripheral part, whose powers cycle through the limit points, and a part
@@ -504,8 +500,8 @@ def classify_asymptotic(
     limit status (`LimitStatus`), which the eventual trio of the same
     classification may have read already."""
     if limit is None:
-        limit = LimitStatus(T, tol)
-    return _one_status(_ASYMPTOTIC_CHAIN, limit.read(), tol)
+        limit = LimitStatus(T)
+    return _one_status(_ASYMPTOTIC_CHAIN, limit.read())
 
 
 class LimitStatus:
@@ -517,8 +513,8 @@ class LimitStatus:
     for a rank-k model. One is shared by the two trios of a classification,
     so it is decided once."""
 
-    def __init__(self, T: OperatorModel, tol: float):
-        self.T, self.tol = T, tol
+    def __init__(self, T: OperatorModel):
+        self.T = T
         self._outcome: Union[Status, Exception, None] = None
 
     def read(self) -> Status:
@@ -532,16 +528,16 @@ class LimitStatus:
         return self._outcome
 
     def _decide(self) -> Status:
-        T, tol = self.T, self.tol
+        T = self.T
         if T.spectral_radius() == 0:
             raise NotClassifiableError("spectral radius is zero; rescaling undefined")
         if isinstance(T, RankK):
-            return _rank_k_limit_status(T, tol)
+            return _rank_k_limit_status(T)
         if isinstance(T, Diagonal):
-            return _diagonal_limit_status(T, tol)
+            return _diagonal_limit_status(T)
         if isinstance(T, Dense) and _exactly_nonnegative(T.matrix):
             return Confirmed(0)
-        return _peripheral_status(T, tol)
+        return _peripheral_status(T)
 
 
 def _basis_vector(T: OperatorModel, j: int) -> LatticeVector:
@@ -550,12 +546,15 @@ def _basis_vector(T: OperatorModel, j: int) -> LatticeVector:
     return LatticeVector(e, T.norm)
 
 
-def _diagonal_limit_status(T: Diagonal, tol: float) -> Status:
+def _diagonal_limit_status(T: Diagonal) -> Status:
     """Exact: S^n = diag(mu^n), mu = s/spr. An entry with |mu| < 1 dies out;
     one with |mu| = 1 and mu != 1 stays at a fixed distance from the
-    positive reals for infinitely many n. Both tests are within tol."""
-    mu = T.symbol / T.spectral_radius()
-    off = np.flatnonzero((np.abs(mu) >= 1.0 - tol) & (np.abs(mu - 1.0) > tol))
+    positive reals for infinitely many n. An entry of modulus spr refutes
+    unless it is spr exactly; any other is tested within DEFAULT_TOL."""
+    spr = T.spectral_radius()
+    mu = T.symbol / spr
+    off = np.where(np.abs(T.symbol) == spr, T.symbol != spr, np.abs(mu - 1.0) > DEFAULT_TOL)
+    off = np.flatnonzero(off & (np.abs(mu) >= 1.0 - DEFAULT_TOL))
     if off.size:
         k = int(off[0])
         return RefutedWithWitness(
@@ -610,7 +609,7 @@ def _limit_point_refutation(T, worst, r: int, threshold: float) -> Optional[Refu
     )
 
 
-def _peripheral_status(T: Dense, tol: float) -> Status:
+def _peripheral_status(T: Dense) -> Status:
     """Exact, from the peripheral decomposition of T: m the top pole order,
     mu_k = lam_k/spr and C_k = (T - lam_k)^(m-1) P_k for each lam_k of
     order m. Asymptotic positivity with m = 1 makes the peripheral spectrum
@@ -627,21 +626,20 @@ def _peripheral_status(T: Dense, tol: float) -> Status:
     refutes, as that part of S^n grows, and other ones leave the lower-order
     terms undecided; r is read upwards from 0, up to the first L_r that
     refutes and below min(p, MAX_PERIOD), since a refutation at any r is
-    sound. Off the cone means beyond tol plus, at
+    sound. Off the cone means beyond DEFAULT_TOL plus, at
     m = 1, the rounding of the computed projections, n eps sum_k ||P_k||_F^2
     to first order, and at m > 1 the error that merging a split eigenvalue
     puts into L_r (`PeripheralDecomposition.coefficient_error`). The rule
     steps no power, so an undetermined status has horizon 0."""
     spec = T.spectrum
     periph, spr = spec.peripheral, spec.spectral_radius
-    m = periph.order
-    top = [k for k, mk in enumerate(periph.pole_orders) if mk == m]
+    m, top = periph.order, periph.top
     mu = periph.eigenvalues[top] / spr
     count = len(periph.eigenvalues)
     q = [_root_of_unity_order(z, count, spectral.DEFAULT_TOL) for z in mu]
     if None in q:
         return UndeterminedUpToHorizon(0) if m > 1 else _not_cyclic(mu, q, count)
-    C = np.stack([periph.coefficients[k] for k in top]) / (periph.scale * spr) ** (m - 1)
+    C = np.stack([periph.coefficient(k) for k in top]) / (periph.scale * spr) ** (m - 1)
 
     def worst(r):
         return _worst_entry([(0, np.tensordot(mu**r, C, axes=1))]), r
@@ -650,9 +648,9 @@ def _peripheral_status(T: Dense, tol: float) -> Status:
         # to first order, rounding moves a computed projection P by its
         # condition number ||P|| times a backward error of n eps ||P||
         slack = T.dim * EPS * float(np.sum(np.linalg.norm(C, axis=(1, 2)) ** 2))
-        refuted = _limit_point_refutation(T, *worst(1), tol + slack)
+        refuted = _limit_point_refutation(T, *worst(1), DEFAULT_TOL + slack)
         return refuted or (UndeterminedUpToHorizon(0) if T.matrix.imag.any() else Confirmed(0))
-    threshold = tol + periph.coefficient_error / (periph.scale * spr) ** (m - 1)
+    threshold = DEFAULT_TOL + periph.coefficient_error / (periph.scale * spr) ** (m - 1)
     for r in range(min(math.lcm(*q), MAX_PERIOD)):
         refuted = _limit_point_refutation(T, *worst(r), threshold)
         if refuted is not None:
@@ -660,21 +658,23 @@ def _peripheral_status(T: Dense, tol: float) -> Status:
     return UndeterminedUpToHorizon(0)
 
 
-def _rank_k_limit_status(T: RankK, tol: float) -> Status:
+def _rank_k_limit_status(T: RankK) -> Status:
     """Exact, from the eigen-parameters: T^n = sum_i lam_i^(n-1) f_i (x) phi_i
     with phi_i(f_j) = lam_i delta_ij, so each lam_i != 0 is semisimple with
     spectral projection P_i = f_i (x) phi_i / lam_i, the P_i are disjoint,
     and with mu = lam/spr, S^n = sum_i mu_i^n P_i. The peripheral indices
-    are those with |mu_i| >= 1 - tol; the other terms tend to 0 in operator
-    norm. As for a `Dense` with m = 1, a peripheral mu_i that is no root of
-    unity of order at most their number refutes, and otherwise the limit
-    point L_1 = sum_i mu_i P_i over the peripheral i, the operator
-    samples[:, I] rows[I] / spr (I those indices), decides, beyond tol plus
-    the rounding of its entries (`_term_rounding`). L_1 is read
-    LIMIT_POINT_ROWS rows at a time, so no dim x dim matrix is formed."""
+    are those with |mu_i| >= 1 - DEFAULT_TOL; the other terms tend to 0 in
+    operator norm. As for a `Dense` with m = 1, a peripheral mu_i that is no
+    root of unity of order q at most their number refutes, and otherwise
+    the limit point L_1 = sum_i mu_i P_i over the peripheral i, the operator
+    samples[:, I] rows[I] / spr (I those indices), refutes beyond
+    DEFAULT_TOL plus the rounding of its entries (`_term_rounding`), and
+    confirms only when each mu_i^q is exactly 1 (as for 1, -1 and +-i): a
+    mu_i = e^(i phi), phi below the tolerance, turns away from L_1. L_1 is
+    read LIMIT_POINT_ROWS rows at a time, so no dim x dim matrix is formed."""
     spr = T.spectral_radius()
-    mu, periph = _peripheral_indices(T, tol)
-    q = [_root_of_unity_order(z, len(periph), tol) for z in mu[periph]]
+    mu, periph = _peripheral_indices(T)
+    q = [_root_of_unity_order(z, len(periph), DEFAULT_TOL) for z in mu[periph]]
     if None in q:
         return _not_cyclic(mu[periph], q, len(periph))
     F, Phi = T.samples[:, periph], T.rows[periph] / spr
@@ -683,13 +683,15 @@ def _rank_k_limit_status(T: RankK, tol: float) -> Status:
         for start in range(0, T.dim, LIMIT_POINT_ROWS)
     )
     slack = _term_rounding(F, Phi)
-    return _limit_point_refutation(T, _worst_entry(blocks), 1, tol + slack) or Confirmed(0)
+    refuted = _limit_point_refutation(T, _worst_entry(blocks), 1, DEFAULT_TOL + slack)
+    exact = all(z**k == 1 for z, k in zip(mu[periph], q))
+    return refuted or (Confirmed(0) if exact else UndeterminedUpToHorizon(0))
 
 
-def _peripheral_indices(T: RankK, tol: float) -> tuple:
-    """(mu, I): mu = lam/spr, and I the indices with |mu_i| >= 1 - tol."""
+def _peripheral_indices(T: RankK) -> tuple:
+    """(mu, I): mu = lam/spr, and I the indices with |mu_i| >= 1 - DEFAULT_TOL."""
     mu = T.eigen_parameters / T.spectral_radius()
-    return mu, np.flatnonzero(np.abs(mu) >= 1.0 - tol)
+    return mu, np.flatnonzero(np.abs(mu) >= 1.0 - DEFAULT_TOL)
 
 
 def _term_rounding(U: np.ndarray, V: np.ndarray) -> float:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -17,7 +16,6 @@ import numpy as np
 from . import __version__
 from .catalog import build_catalog, get_example
 from .classify import (
-    DEFAULT_TOL,
     LimitStatus,
     NotClassifiableError,
     classify_asymptotic,
@@ -126,22 +124,17 @@ def _load_vector(path: str) -> np.ndarray:
     return vec
 
 
-def run_classify(
-    model: OperatorModel,
-    operator_id: str,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> tuple:
+def run_classify(model: OperatorModel, operator_id: str, seed: int = 0) -> tuple:
     """(AnalysisReport, solver_failure_flag): the eventual trio always, the
     asymptotic trio when the rescaling is defined, then the checks. Both
     trios read one limit status (`classify.LimitStatus`). A solver
     failure in the asymptotic trio drops that trio, and one anywhere in the
     checks ends them; what was made before it stays in the report."""
     solver_failure = False
-    limit = LimitStatus(model, tol)
-    verdicts = list(classify_eventual(model, tol=tol, limit=limit))
+    limit = LimitStatus(model)
+    verdicts = list(classify_eventual(model, limit=limit))
     try:
-        verdicts.extend(classify_asymptotic(model, tol=tol, limit=limit))
+        verdicts.extend(classify_asymptotic(model, limit=limit))
     except NotClassifiableError:
         pass
     except SpectralError:
@@ -261,7 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("model", nargs="?", help="path to a model JSON file")
     src.add_argument("--example", help="built-in example name")
     src.add_argument("--generate", help="generator spec kind:key=value,...")
-    p_classify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_classify.add_argument("--seed", type=int, default=0)
     p_classify.add_argument("--out", default=None, help="write the report JSON here")
 
@@ -292,10 +284,8 @@ def _resolve_model(args) -> tuple:
 
 
 def _cmd_classify(args) -> int:
-    if not (args.tol > 0 and math.isfinite(args.tol)):
-        raise InputError(f"--tol must be a finite number > 0, got {args.tol}")
     model, operator_id = _resolve_model(args)
-    report, solver_failure = run_classify(model, operator_id, args.seed, args.tol)
+    report, solver_failure = run_classify(model, operator_id, args.seed)
     text = report_to_json(report)
     if args.out:
         with open(args.out, "w") as fh:

@@ -15,6 +15,7 @@ from typing import Optional
 
 from . import __version__ as _tool_version
 from .classify import (
+    DEFAULT_TOL,
     Confirmed,
     Notion,
     PositivityVerdict,
@@ -46,20 +47,20 @@ def verdict_record(v: PositivityVerdict) -> dict:
     return {
         "notion": v.notion.value,
         "status": st,
-        "tolerance": float(v.tolerance),
+        "tolerance": DEFAULT_TOL,
     }
 
 
 def verdict_from_record(rec: dict) -> PositivityVerdict:
     """The verdict of a classification record; a refutation keeps only its
-    witness's description."""
+    witness's description, and the tolerance (always DEFAULT_TOL) is unread."""
     st = rec["status"]
     status = {
         "confirmed": lambda: Confirmed(st["n0"]),
         "refuted": lambda: RefutedWithWitness(None, st["witness"]),
         "undetermined": lambda: UndeterminedUpToHorizon(st["horizon"]),
     }[st["kind"]]()
-    return PositivityVerdict(Notion(rec["notion"]), status, rec["tolerance"])
+    return PositivityVerdict(Notion(rec["notion"]), status)
 
 
 def check_record(c: CheckResult) -> dict:

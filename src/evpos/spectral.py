@@ -77,13 +77,12 @@ class PeripheralDecomposition:
     """The peripheral eigenvalues lam_k of A, in the order of
     `peripheral_spectrum`, with their resolvent pole orders m_k, their
     algebraic multiplicities (the rank of each P_k below), their spreads d_k
-    (`Spectrum.clusters`; 0 unless lam_k is a merged cluster's mean) and, on
-    first use, the leading Laurent coefficient C_k = (B - c lam_k)^(m-1) P_k
-    of B = c A at c lam_k for each lam_k of the top order m = max m_k, P_k
-    the spectral projection (C_k = P_k when every m_k is 1). c = 2^-e, e the
-    binary exponent of spr, so B is exact and in range at any scale of A,
-    and C_k is (A - lam_k)^(m-1) P_k times c^(m-1). Lower orders add no
-    n^(m-1) term to the powers of A and get no coefficient."""
+    (`Spectrum.clusters`; 0 unless lam_k is a merged cluster's mean) and,
+    computed on first use of each and kept, the leading Laurent coefficient
+    C_k = (B - c lam_k)^(m_k-1) P_k of B = c A at c lam_k, P_k the spectral
+    projection (C_k = P_k when m_k is 1). c = 2^-e, e the binary exponent of
+    spr, so B is exact and in range at any scale of A, and C_k is
+    (A - lam_k)^(m_k-1) P_k times c^(m_k-1)."""
 
     matrix: np.ndarray
     scale: float
@@ -96,16 +95,23 @@ class PeripheralDecomposition:
     def order(self) -> int:
         return max(self.pole_orders)
 
+    @property
+    def top(self) -> list:
+        """The k with m_k = m: only those add an n^(m-1) term to A^n."""
+        return [k for k, mk in enumerate(self.pole_orders) if mk == self.order]
+
     @cached_property
-    def coefficients(self) -> dict:
-        """k -> C_k for each lam_k of the top order."""
-        m, c = self.order, self.scale
-        B = c * self.matrix
-        return {
-            k: laurent_leading_coefficient(B, c * lam, m, self.multiplicities[k])
-            for k, (lam, mk) in enumerate(zip(self.eigenvalues, self.pole_orders))
-            if mk == m
-        }
+    def _coefficients(self) -> dict:
+        return {}
+
+    def coefficient(self, k: int) -> np.ndarray:
+        """C_k, computed on first use and kept."""
+        if k not in self._coefficients:
+            c, lam = self.scale, self.eigenvalues[k]
+            self._coefficients[k] = laurent_leading_coefficient(
+                c * self.matrix, c * lam, self.pole_orders[k], self.multiplicities[k]
+            )
+        return self._coefficients[k]
 
     @cached_property
     def coefficient_error(self) -> float:
@@ -119,7 +125,7 @@ class PeripheralDecomposition:
         B = c * self.matrix
         eye = np.eye(B.shape[0])
         err = 0.0
-        for k in self.coefficients if m > 1 else ():
+        for k in self.top if m > 1 else ():
             lam, d = c * self.eigenvalues[k], c * self.spreads[k]
             if d > 0:
                 a = np.linalg.norm(B - lam * eye)

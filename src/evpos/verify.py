@@ -15,7 +15,7 @@ decides which of them run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -27,11 +27,7 @@ from .lattice import (
     norm_of_moduli,
     norm_value,
 )
-from .spectral import (
-    Spectrum,
-    geometric_multiplicity,
-    laurent_leading_coefficient,
-)
+from .spectral import Spectrum, geometric_multiplicity
 
 DEFAULT_TOL = 1e-8
 # the positive-eigenvector check's bound on each cone distance, and on the
@@ -40,6 +36,10 @@ EIGENVECTOR_TOL = 1e-6
 # a Laurent coefficient annihilates a canonical positive vector whose image
 # has norm at most this
 ANNIHILATED = 1e-9
+# the powers |k| <= CYCLICITY_POWERS of a peripheral eigenvalue that the
+# cyclicity check seeks, and the powers n that monotonicity compares
+CYCLICITY_POWERS = 12
+MONOTONICITY_POWERS = (-3, -2, -1, 0, 1, 2, 3)
 
 
 class VerificationError(RuntimeError):
@@ -144,19 +144,15 @@ def positive_eigenvector(spec: Spectrum, norm: NormKind) -> EigenvectorResult:
     coefficient Q_{-m} = (A - lam0)^{m-1} P of the resolvent, P the spectral
     projection and m the peripheral pole order of lam0: Q_{-m} x0 for a
     canonical positive x0 lies in ker(lam0 - A) and, up to phase, in the
-    positive cone. As lam0 is real, A^H has the coefficient Q_{-m}^H. When
-    m is the top peripheral pole order, a power-of-two multiple of Q_{-m} is
-    the spectrum's peripheral coefficient at lam0, which the asymptotic rule
-    computed already; the positive factor leaves the normalized vectors
-    alone."""
+    positive cone. As lam0 is real, A^H has the coefficient Q_{-m}^H. A
+    power-of-two multiple of Q_{-m} is the spectrum's peripheral coefficient
+    at lam0, which the asymptotic rule may have computed already; the
+    positive factor leaves the normalized vectors alone."""
     A, spr = spec.matrix, spec.spectral_radius
     periph = spec.peripheral
     k = int(np.argmin(np.abs(periph.eigenvalues - spr)))
     m = periph.pole_orders[k]
-    if m == periph.order:
-        Q = periph.coefficients[k]
-    else:
-        Q = laurent_leading_coefficient(A, spr, m, periph.multiplicities[k])
+    Q = periph.coefficient(k)
 
     def size(y: np.ndarray) -> float:
         return float(norm_of_moduli(np.abs(y), norm))
@@ -216,17 +212,16 @@ def _target_distances(spec: Spectrum, lam: complex, ks: np.ndarray) -> tuple:
 def peripheral_cyclicity_check(
     spec: Spectrum,
     asymptotic_verdict: Optional[PositivityVerdict] = None,
-    K: int = 12,
 ) -> CheckResult:
-    """Every power spr*e^{ik theta} (|k| <= K) of a peripheral eigenvalue
-    spr*e^{i theta} (of `Spectrum.peripheral`) must land within
+    """Every power spr*e^{ik theta} (|k| <= CYCLICITY_POWERS) of a peripheral
+    eigenvalue spr*e^{i theta} (of `Spectrum.peripheral`) must land within
     DEFAULT_TOL*spr of an eigenvalue. The payload's `distances` row i holds
-    those distances for the i-th peripheral eigenvalue, k = -K..K."""
+    those distances for the i-th peripheral eigenvalue, in order of k."""
     spr = spec.spectral_radius
     power_bounds = power_bounded_estimate(spec)
     hyp = {"power-bounded": power_bounds["power_bounded"]}
     hyp.update(_verdict_hypothesis("uniform-asymptotic-positive", asymptotic_verdict))
-    ks = np.arange(-K, K + 1)
+    ks = np.arange(-CYCLICITY_POWERS, CYCLICITY_POWERS + 1)
     distances = np.array(
         [_target_distances(spec, lam, ks)[1] for lam in spec.peripheral.eigenvalues]
     )
@@ -244,27 +239,28 @@ def peripheral_cyclicity_check(
 def multiplicity_monotonicity_check(
     spec: Spectrum,
     asymptotic_verdict: Optional[PositivityVerdict] = None,
-    n_list: Sequence[int] = (-3, -2, -1, 0, 1, 2, 3),
 ) -> CheckResult:
     """dim ker(spr e^{i theta} - A) <= dim ker(spr e^{i n theta} - A) for
-    each peripheral eigenvalue (of `Spectrum.peripheral`) and each n; a
-    power that misses the spectrum entirely is recorded as a cyclicity
-    failure. A power within DEFAULT_TOL * spr of an eigenvalue lands on the
-    peripheral eigenvalue nearest to it; one that lands where it came from
-    compares a multiplicity with itself and holds, so a multiplicity (one
-    SVD) is computed only for a peripheral eigenvalue that meets another,
-    and only those pairs and the missing powers make payload rows."""
+    each peripheral eigenvalue (of `Spectrum.peripheral`) and each n in
+    MONOTONICITY_POWERS; a power that misses the spectrum entirely is
+    recorded as a cyclicity failure. A power within DEFAULT_TOL * spr of an
+    eigenvalue lands on the peripheral eigenvalue nearest to it; one that
+    lands where it came from compares a multiplicity with itself and holds,
+    so only those pairs and the missing powers make payload rows. A
+    multiplicity is 1 for an eigenvalue that `Spectrum.clusters` leaves
+    simple, as 1 bounds it, and one SVD for a multiple one."""
     spr = spec.spectral_radius
     power_bounds = power_bounded_estimate(spec)
     hyp = {"power-bounded": power_bounds["power_bounded"]}
     hyp.update(_verdict_hypothesis("weak-asymptotic-positive", asymptotic_verdict))
     periph = spec.peripheral.eigenvalues
-    ns = np.asarray(n_list, dtype=int)
+    ns = np.array(MONOTONICITY_POWERS)
     mults: dict = {}
 
     def mult(i: int) -> int:
         if i not in mults:
-            mults[i] = geometric_multiplicity(spec, periph[i])
+            simple = spec.multiplicity(periph[i]) == 1
+            mults[i] = 1 if simple else geometric_multiplicity(spec, periph[i])
         return mults[i]
 
     rows = []
@@ -272,7 +268,7 @@ def multiplicity_monotonicity_check(
     for i, lam in enumerate(periph):
         targets, dists = _target_distances(spec, lam, ns)
         homes = np.abs(periph[:, None] - targets).argmin(axis=0)
-        for n, target, d, j in zip(n_list, targets, dists, homes):
+        for n, target, d, j in zip(MONOTONICITY_POWERS, targets, dists, homes):
             if d > DEFAULT_TOL * spr:
                 rows.append(
                     {"lambda": complex(lam), "n": n, "missing_power": complex(target)}

@@ -272,8 +272,8 @@ def test_criterion_6_cyclicity_suite():
             assert len(periph) == k
             for r in roots:
                 assert np.min(np.abs(periph - r)) < 1e-8
-            assert peripheral_cyclicity_check(spec, K=12).pass_
-            assert multiplicity_monotonicity_check(spec, n_list=range(-3, 4)).pass_
+            assert peripheral_cyclicity_check(spec).pass_
+            assert multiplicity_monotonicity_check(spec).pass_
 
 
 def test_criterion_7_property_sweeps():

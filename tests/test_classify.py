@@ -509,7 +509,7 @@ class TestPeripheralRule:
         status = trio[0].status
         assert type(status) is kind, status
         # refuted exactly when some power in the window stays off the cone
-        tol = trio[0].tolerance
+        tol = DEFAULT_TOL
         deltas = [delta_n(T, n)[0] for n in range(30_000, 30_000 + p)]
         assert (max(deltas) > tol) == (kind is RefutedWithWitness), deltas
 
@@ -533,7 +533,7 @@ class TestPeripheralRule:
             return tensordot(*args, **kwargs)
 
         monkeypatch.setattr(evpos.classify.np, "tensordot", counting)
-        status = evpos.classify._peripheral_status(T, DEFAULT_TOL)
+        status = evpos.classify._peripheral_status(T)
         assert type(status) is kind, status
         if kind is UndeterminedUpToHorizon:
             assert status == UndeterminedUpToHorizon(0)
@@ -669,7 +669,7 @@ class TestPeripheralRule:
         report, failed = run_classify(T, "jordan", 0)
         assert not failed and report.contradiction_count == 0
         assert all(v.status == Confirmed(0) for v in classify_asymptotic(T))
-        status = evpos.classify._peripheral_status(T, DEFAULT_TOL)
+        status = evpos.classify._peripheral_status(T)
         assert isinstance(status, UndeterminedUpToHorizon)
 
     def test_merge_error_keeps_a_refutation_off(self):
@@ -685,7 +685,7 @@ class TestPeripheralRule:
         assert periph.coefficient_error >= 5e-7 * periph.scale
         report, failed = run_classify(T, "near-double", 0)
         assert not failed and report.contradiction_count == 0
-        status = evpos.classify._peripheral_status(T, DEFAULT_TOL)
+        status = evpos.classify._peripheral_status(T)
         assert isinstance(status, UndeterminedUpToHorizon)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -732,6 +732,52 @@ SLOPES = [0.25, 0.75, 0.5, -0.5, 0.5j]
 SLOPE_IDS = ["c=0.25", "c=0.75", "c=0.5", "c=-0.5", "c=0.5j"]
 
 
+class TestExactPeripheralEntries:
+    """A peripheral entry of an exact input counts as spr only when it is
+    spr exactly: mu = e^(i eps) with eps below the tolerance still turns
+    round to -1 near n = pi/eps, however small eps is."""
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9])
+    def test_tiny_phase_diagonal_is_refuted(self, eps):
+        assert np.exp(1j * eps * round(np.pi / eps)).real < -0.99
+        T = Diagonal(np.array([np.exp(1j * eps), 0.5]), Ell1())
+        assert abs(T.symbol[0]) == T.spectral_radius()
+        report, failed = run_classify(T, "tiny-phase", 0)
+        assert not failed and report.contradiction_count == 0
+        assert {r["status"]["kind"] for r in report.classification} == {"refuted"}
+        for trio in (classify_eventual(T), classify_asymptotic(T)):
+            assert "at index 0" in trio[0].status.description
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9])
+    def test_tiny_phase_rank_k_is_not_confirmed(self, eps):
+        # g -> (1/2) e^(i eps) (int g) 1 has lam = e^(i eps), a root of
+        # unity of order 1 only within the tolerance, and L_1 within it of
+        # the positive reals
+        grid = GridSup(tuple(np.linspace(-1.0, 1.0, 41)))
+        phi = WeightedIntegral(Constant(1.0), 0.5 * np.exp(1j * eps))
+        T = RankK((Constant(1.0),), (phi,), grid)
+        assert T.eigen_parameters[0] != 1
+        assert abs(T.eigen_parameters[0] - np.exp(1j * eps)) < 1e-15
+        for trio in (classify_asymptotic(T), classify_eventual(T)):
+            assert {v.status for v in trio} == {UndeterminedUpToHorizon(0)}
+
+    @pytest.mark.parametrize(
+        "symbol, kind",
+        [
+            ([2.0, 1.0, 0.0], Confirmed),
+            ([2.0, -2.0], RefutedWithWitness),
+            ([2.0, 2j], RefutedWithWitness),
+            ([2.0, 1.0 + 1e-12j], Confirmed),
+        ],
+        ids=["positive", "minus-spr", "i-spr", "tiny-phase-inside"],
+    )
+    def test_only_entries_of_modulus_spr_are_exact(self, symbol, kind):
+        # an entry inside the spectral circle keeps the test within tol
+        T = Diagonal(np.array(symbol, dtype=complex), Ell1())
+        for trio in (classify_eventual(T), classify_asymptotic(T)):
+            assert {type(v.status) for v in trio} == {kind}
+
+
 class TestRankKLimitRule:
     """A rank-k model's asymptotic trio is decided from its eigen-parameters,
     with one status and no orbit, and agrees with brute-force powers of its
@@ -765,7 +811,7 @@ class TestRankKLimitRule:
         for _ in range(p):
             residuals.append(float(cone_residual(S).max()))
             S = S @ A
-        assert (max(residuals) > trio[0].tolerance) == (kind is RefutedWithWitness), residuals
+        assert (max(residuals) > DEFAULT_TOL) == (kind is RefutedWithWitness), residuals
 
     @pytest.mark.parametrize("c", [0.75, 0.5, -0.5])
     def test_limit_point_witness_is_a_basis_vector(self, c):
@@ -814,9 +860,9 @@ class TestRankKLimitRule:
         calls = []
         rule = evpos.classify._rank_k_limit_status
 
-        def counting(T, tol):
+        def counting(T):
             calls.append(T)
-            return rule(T, tol)
+            return rule(T)
 
         monkeypatch.setattr(evpos.classify, "_rank_k_limit_status", counting)
         entry = get_example("ex2.2b")
@@ -853,7 +899,7 @@ class TestAnalyticRefutations:
         entry = get_example("ex2.2b")
         T = entry.model
         ones = LatticeVector(np.ones(T.dim, dtype=complex), T.norm)
-        assert _singular_refutation(T, (ones,), Notion.INDIVIDUAL_EVENTUAL, DEFAULT_TOL) is None
+        assert _singular_refutation(T, (ones,), Notion.INDIVIDUAL_EVENTUAL) is None
         report, failed = run_classify(T, entry.name, 0)
         assert not failed
         kinds = {r["notion"]: r["status"]["kind"] for r in report.classification}
@@ -1143,9 +1189,9 @@ class TestHierarchy:
     def test_detects_inverted_pair(self):
         from evpos.classify import PositivityVerdict
 
-        upper = PositivityVerdict(Notion.UNIFORM_EVENTUAL, Confirmed(0), 1e-9)
+        upper = PositivityVerdict(Notion.UNIFORM_EVENTUAL, Confirmed(0))
         refuted = RefutedWithWitness(None, "synthetic")
-        lower = PositivityVerdict(Notion.WEAK_EVENTUAL, refuted, 1e-9)
+        lower = PositivityVerdict(Notion.WEAK_EVENTUAL, refuted)
         bad = hierarchy_violations([upper, lower])
         assert len(bad) == 1
 

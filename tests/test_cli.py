@@ -132,12 +132,6 @@ class TestRunClassify:
         digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
         assert digest == PAPER_REPORT_SHA256[name]
 
-    # the peripheral eigenvalues that meet another one: a power of one lands
-    # on the other. dense-dim7 has spr alone; the even powers of ex3.5a's
-    # -0.98 miss the spectrum and its odd ones land on -0.98 itself; each of
-    # cyclic-block's three meets the other two
-    MEETING = {"dense-dim7": 0, "ex3.5a": 0, "cyclic-block": 3}
-
     @pytest.mark.parametrize("name", ["dense-dim7", "ex3.5a", "cyclic-block"])
     def test_one_spectrum_per_classification(self, name, monkeypatch):
         # the model is built here because a Dense keeps its eigen-solve; every
@@ -178,23 +172,58 @@ class TestRunClassify:
         assert len(report.checks) >= 3
         eigenvector = any(c["name"] == "positive-eigenvector" for c in report.checks)
         assert eigenvector == (name != "ex3.5a")
-        # a Dense's asymptotic rule computes each peripheral coefficient once,
-        # and the eigenvector check reuses the one at spr; ex3.5a's rule reads
-        # its symbol, and no eigenvector check runs. The peripheral spectrum
-        # is found once, and every check reads it from the Spectrum; each
-        # peripheral check decides power boundedness from its pole orders, and
-        # the monotonicity check computes a geometric multiplicity only for
-        # an eigenvalue that meets another, as one met only by itself is
-        # compared with itself
+        # a peripheral coefficient is computed on first use: dense-dim7's
+        # asymptotic rule computes the one at spr, which the eigenvector check
+        # reuses; cyclic-block is nonnegative, so only the eigenvector check
+        # reads one; ex3.5a's rule reads its symbol, and no eigenvector check
+        # runs. The peripheral spectrum is found once, and every check reads
+        # it from the Spectrum; each peripheral check decides power
+        # boundedness from its pole orders. The monotonicity check computes
+        # a geometric multiplicity only for a multiple eigenvalue that meets
+        # another: dense-dim7 has spr alone, the even powers of ex3.5a's
+        # -0.98 miss the spectrum and its odd ones land on -0.98 itself, and
+        # each of cyclic-block's three meets the other two but is simple
         assert calls == {
             "peripheral_spectrum": 1,
             "eigenvalues": 1,
             "power_bounded_estimate": 2,
             "pole_order": periph,
-            "geometric_multiplicity": self.MEETING[name],
+            "geometric_multiplicity": 0,
             "resolvent_matrix": 0,
-            "laurent_leading_coefficient": periph if eigenvector else 0,
+            "laurent_leading_coefficient": int(eigenvector),
         }
+
+    def test_long_cycle_takes_one_coefficient_and_no_svd(self, monkeypatch):
+        # the 128-cycle has 128 simple peripheral eigenvalues, each meeting
+        # the others; it is nonnegative, so only the eigenvector check reads
+        # a peripheral coefficient, the one at spr
+        originals = {
+            fname: getattr(evpos.spectral, fname)
+            for fname in ("laurent_leading_coefficient", "geometric_multiplicity")
+        }
+        calls = dict.fromkeys(originals, 0)
+
+        def counting(fname):
+            def wrapper(*args):
+                calls[fname] += 1
+                return originals[fname](*args)
+
+            return wrapper
+
+        for fname, original in originals.items():
+            for module in (evpos.spectral, evpos.verify):
+                if getattr(module, fname, None) is original:
+                    monkeypatch.setattr(module, fname, counting(fname))
+        model = Dense(np.roll(np.eye(128), 1, axis=0), Ell1())
+        report, failed = run_classify(model, "cycle-128", 0)
+        assert not failed and report.contradiction_count == 0
+        assert [(c["name"], c["pass"]) for c in report.checks] == [
+            ("spr-in-spectrum", True),
+            ("peripheral-cyclicity", True),
+            ("multiplicity-monotonicity", True),
+            ("positive-eigenvector", True),
+        ]
+        assert calls == {"laurent_leading_coefficient": 1, "geometric_multiplicity": 0}
 
     @pytest.mark.parametrize(
         "matrix",
@@ -616,21 +645,19 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "extra",
         [
+            ["--horizon", "5"],
+            ["--tol", "1e-8"],
             ["--tol", "-1"],
             ["--tol", "0"],
             ["--tol", "nan"],
             ["--tol", "inf"],
         ],
     )
-    def test_bad_classify_argument_is_input_error(self, extra, capsys):
-        assert main(["classify", "--example", "rem3.2b", *extra]) == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and extra[0] in err
-
-    def test_horizon_option_is_a_usage_error(self, capsys):
-        # no classification reads a horizon, so classify has no such option
+    def test_removed_option_is_a_usage_error(self, extra, capsys):
+        # no classification reads a horizon or a caller-set tolerance, so
+        # classify has no such option, whatever its value
         with pytest.raises(SystemExit) as exc:
-            main(["classify", "--example", "rem3.2b", "--horizon", "5"])
+            main(["classify", "--example", "rem3.2b", *extra])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: evpos classify") and "Traceback" not in err

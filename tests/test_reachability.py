@@ -71,9 +71,9 @@ ALLOWLIST = {
 def _command_lines(tmp):
     """Each catalog example and its model file, an l-inf dense file, two
     rank-k files on a 41-node grid, a dense file above the cap on dense
-    views, one with a peripheral Jordan block and one whose spectral projection is
-    ill-conditioned, the generators, the suites, orbits and the bad-input
-    exits."""
+    views, one with a peripheral Jordan block, one whose spectral projection is
+    ill-conditioned and one with a double peripheral eigenvalue, the
+    generators, the suites, orbits and the bad-input exits."""
 
     def write(name, content):
         path = os.path.join(tmp, name)
@@ -109,8 +109,12 @@ def _command_lines(tmp):
     # a double eigenvalue 1 with no well-conditioned spectral projection
     ill = Dense(np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 5e8], [0.0, 5e-10, 0.5]]), Ell1())
     lines.append(["classify", write("ill-conditioned.json", model_to_json(ill))])
+    # a double peripheral eigenvalue 1 that -1 meets: the monotonicity check
+    # takes its geometric multiplicity
+    double = Dense(np.diag([1.0, 1.0, -1.0]), Ell1())
+    lines.append(["classify", write("double-one.json", model_to_json(double))])
     for spec in ("eventually_positive:dim=4", "positive_random:dim=3", "cyclic_block:k=3"):
-        lines.append(["classify", "--generate", spec, "--tol", "1e-8"])
+        lines.append(["classify", "--generate", spec])
     lines.append(["classify", "--example", "rem3.2b", "--out", os.path.join(tmp, "out.json")])
     lines.append(["suite", "paper"])
     lines.append(["suite", "random", "--trials", "2"])
@@ -218,7 +222,8 @@ def test_every_function_is_reached_or_allowlisted(reached):
 # site and is now a module constant, or, for `power_bounds`, is read from the
 # spectrum the check is given, or, for `horizon`, went with the orbit it
 # bounded, so a caller can no longer pass a value that moves a verdict away
-# from what the reports pin
+# from what the reports pin; every verdict's report record states
+# classify.DEFAULT_TOL, so no verdict holds a tolerance
 REMOVED_PARAMETERS = [
     ("spectral", "eigenvalues", "tol"),
     ("spectral", "pole_order", "tol"),
@@ -241,6 +246,32 @@ REMOVED_PARAMETERS = [
     ("classify", "uniform_eventual", "horizon"),
     ("classify", "weak_eventual", "horizon"),
     ("cli", "run_classify", "horizon"),
+    ("classify", "classify_eventual", "tol"),
+    ("classify", "classify_asymptotic", "tol"),
+    ("classify", "uniform_eventual", "tol"),
+    ("classify", "weak_eventual", "tol"),
+    ("classify", "individual_eventual", "tol"),
+    ("classify", "LimitStatus", "tol"),
+    ("classify", "_grid_passes", "tol"),
+    ("classify", "_power_failure", "tol"),
+    ("classify", "_singular_refutation", "tol"),
+    ("classify", "_hat_refutation", "tol"),
+    ("classify", "_finite_eventual", "tol"),
+    ("classify", "_one_status", "tol"),
+    ("classify", "_dense_status", "tol"),
+    ("classify", "_tail_certificate", "tol"),
+    ("classify", "_diagonal_status", "tol"),
+    ("classify", "_shift_status", "tol"),
+    ("classify", "_rank_k_eventual", "tol"),
+    ("classify", "_rank_k_status", "tol"),
+    ("classify", "_diagonal_limit_status", "tol"),
+    ("classify", "_peripheral_status", "tol"),
+    ("classify", "_rank_k_limit_status", "tol"),
+    ("classify", "_peripheral_indices", "tol"),
+    ("classify", "PositivityVerdict", "tolerance"),
+    ("cli", "run_classify", "tol"),
+    ("verify", "peripheral_cyclicity_check", "K"),
+    ("verify", "multiplicity_monotonicity_check", "n_list"),
 ]
 
 
@@ -263,5 +294,8 @@ def test_constants_keep_the_removed_defaults():
 
     assert evpos.spectral.DEFAULT_TOL == 1e-8
     assert evpos.verify.DEFAULT_TOL == 1e-8
+    assert evpos.classify.DEFAULT_TOL == 1e-9
+    assert evpos.verify.CYCLICITY_POWERS == 12
+    assert evpos.verify.MONOTONICITY_POWERS == (-3, -2, -1, 0, 1, 2, 3)
     assert evpos.verify.ANNIHILATED == 1e-9
     assert evpos.classify.FUNCTION_SPACE_RANDOM == 16

@@ -16,7 +16,9 @@ from evpos.operators import Diagonal
 from evpos.rng import rng_for
 from evpos.spectral import eigenvalues
 from evpos.verify import (
+    CYCLICITY_POWERS,
     DEFAULT_TOL,
+    MONOTONICITY_POWERS,
     CheckResult,
     VerificationError,
     EIGENVECTOR_TOL,
@@ -117,7 +119,7 @@ class TestPositiveEigenvector:
 class TestPeripheralChecks:
     def test_three_cycle_cyclic(self):
         C = np.roll(np.eye(3), 1, axis=0)
-        assert peripheral_cyclicity_check(eigenvalues(C), K=6).pass_
+        assert peripheral_cyclicity_check(eigenvalues(C)).pass_
 
     def test_nonreal_diagonal_cyclic(self):
         assert peripheral_cyclicity_check(eigenvalues(NONREAL)).pass_
@@ -150,7 +152,7 @@ class TestPeripheralChecks:
 
     def test_missing_power_recorded(self):
         A = np.diag([1.0, -1.0, 1j])
-        result = multiplicity_monotonicity_check(eigenvalues(A), n_list=[3])
+        result = multiplicity_monotonicity_check(eigenvalues(A))
         assert not result.pass_
         assert any("missing_power" in r for r in result.payload["rows"])
 
@@ -166,18 +168,18 @@ class TestPeripheralTargetArrays:
     PEAK_BYTES = 4_000_000
 
     @staticmethod
-    def scalar_checks(spec, mults, K=12, n_list=(-3, -2, -1, 0, 1, 2, 3)):
+    def scalar_checks(spec, mults):
         """(cyclicity margin, monotonicity pass), target by target."""
         spr, periph = spec.spectral_radius, spec.peripheral.eigenvalues
         worst, ok = 0.0, True
         for lam in periph:
             theta = np.angle(lam)
-            for k in range(-K, K + 1):
+            for k in range(-CYCLICITY_POWERS, CYCLICITY_POWERS + 1):
                 target = spr * np.exp(1j * k * theta)
                 worst = max(worst, float(np.min(np.abs(spec.eigenvalues - target))))
         for lam, base in zip(periph, mults):
             theta = np.angle(lam)
-            for n in n_list:
+            for n in MONOTONICITY_POWERS:
                 target = spr * np.exp(1j * n * theta)
                 if float(np.min(np.abs(spec.eigenvalues - target))) > DEFAULT_TOL * spr:
                     ok = False
@@ -197,13 +199,9 @@ class TestPeripheralTargetArrays:
         assert distances.shape == (len(spec.peripheral.eigenvalues), 25)
         assert result.margin == DEFAULT_TOL * spec.spectral_radius - distances.max()
 
-    def test_long_cycle_matches_the_scalar_loop_in_bounded_memory(self, monkeypatch):
-        # a permutation is normal, so each geometric multiplicity is the
-        # algebraic one the spectrum records; that stands in for the 256
-        # SVDs of 256 x 256 matrices
-        monkeypatch.setattr(
-            evpos.verify, "geometric_multiplicity", lambda spec, lam: spec.multiplicity(lam)
-        )
+    def test_long_cycle_matches_the_scalar_loop_in_bounded_memory(self):
+        # each eigenvalue of the cycle is simple, so its multiplicity is the
+        # algebraic one, 1, and the monotonicity check runs no SVD
         spec = eigenvalues(self.CYCLE)
         periph = spec.peripheral.eigenvalues
         assert len(periph) == 256
@@ -221,23 +219,30 @@ class TestPeripheralTargetArrays:
         assert (cyclicity.pass_, cyclicity.margin) == (margin >= 0.0, margin)
         assert multiplicity_monotonicity_check(spec).pass_ is ok is True
 
-    def test_an_eigenvalue_met_only_by_itself_takes_no_multiplicity(self, monkeypatch):
+    def test_only_a_multiple_eigenvalue_that_meets_another_takes_an_svd(self, monkeypatch):
         # the powers of 1 are 1, those of -1 are 1 and -1: only -1 meets
-        # another peripheral eigenvalue, and 1 is met by -1
+        # another peripheral eigenvalue, and 1 is met by -1. A simple
+        # eigenvalue has multiplicity 1 with no SVD, so of diag(1, -1) none
+        # takes one, and of diag(1, 1, -1) only the double 1
         calls = []
+        original = evpos.verify.geometric_multiplicity
 
         def counting(spec, lam):
             calls.append(complex(lam))
-            return spec.multiplicity(lam)
+            return original(spec, lam)
 
         monkeypatch.setattr(evpos.verify, "geometric_multiplicity", counting)
         assert multiplicity_monotonicity_check(eigenvalues(np.diag([1.0, 0.5]))).pass_
-        assert calls == []
         result = multiplicity_monotonicity_check(eigenvalues(np.diag([1.0, -1.0])))
-        assert result.pass_
-        assert sorted(calls, key=lambda z: z.real) == [-1.0, 1.0]
+        assert result.pass_ and calls == []
         assert {(r["n"], r["base_multiplicity"]) for r in result.payload["rows"]} == {
             (n, 1) for n in (-2, 0, 2)
+        }
+        result = multiplicity_monotonicity_check(eigenvalues(np.diag([1.0, 1.0, -1.0])))
+        assert result.pass_ and calls == [1.0]
+        rows = result.payload["rows"]
+        assert {(r["n"], r["base_multiplicity"], r["power_multiplicity"]) for r in rows} == {
+            (n, 1, 2) for n in (-2, 0, 2)
         }
 
 
