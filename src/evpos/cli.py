@@ -240,6 +240,27 @@ def run_suite(suite_name: str, seed: int = 0, trials: int = 100):
 # argument parsing
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser. It reports an unknown option under its own
+    usage line, and checks that exactly one of its model `sources` is given.
+    The check is made after parsing, not with an argparse exclusive group:
+    there the positional model would take the value of an unknown option
+    and report that clash instead of the unknown option."""
+
+    def __init__(self, *args, sources: tuple = (), **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sources = sources
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        given = [s for s in self.sources if getattr(namespace, s.lstrip("-")) is not None]
+        if self.sources and len(given) != 1:
+            self.error(f"give exactly one of {', '.join(self.sources)}")
+        return namespace, extra
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evpos",
@@ -247,13 +268,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "Perron-Frobenius verification for complex linear operators",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
-    p_classify = sub.add_parser("classify", help="classify one operator model")
-    src = p_classify.add_mutually_exclusive_group(required=True)
-    src.add_argument("model", nargs="?", help="path to a model JSON file")
-    src.add_argument("--example", help="built-in example name")
-    src.add_argument("--generate", help="generator spec kind:key=value,...")
+    p_classify = sub.add_parser(
+        "classify", help="classify one operator model", sources=("model", "--example", "--generate")
+    )
+    p_classify.add_argument("model", nargs="?", help="path to a model JSON file")
+    p_classify.add_argument("--example", help="built-in example name")
+    p_classify.add_argument("--generate", help="generator spec kind:key=value,...")
     p_classify.add_argument("--seed", type=int, default=0)
     p_classify.add_argument("--out", default=None, help="write the report JSON here")
 
@@ -262,10 +284,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--trials", type=int, default=100)
     p_suite.add_argument("--seed", type=int, default=0)
 
-    p_orbit = sub.add_parser("orbit", help="cone-distance decay of one orbit as CSV")
-    src2 = p_orbit.add_mutually_exclusive_group(required=True)
-    src2.add_argument("model", nargs="?", help="path to a model JSON file")
-    src2.add_argument("--example", help="built-in example name")
+    p_orbit = sub.add_parser(
+        "orbit", help="cone-distance decay of one orbit as CSV", sources=("model", "--example")
+    )
+    p_orbit.add_argument("model", nargs="?", help="path to a model JSON file")
+    p_orbit.add_argument("--example", help="built-in example name")
     p_orbit.add_argument("--vector", help="path to a JSON list of [re, im] entries")
     p_orbit.add_argument("--n", type=int, default=30)
     return parser

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -487,6 +490,23 @@ class TestReportWriter:
 
 
 class TestMainEntry:
+    def test_classify_loads_no_scipy(self):
+        # a command's cold start is mostly imports: a fresh interpreter that
+        # classifies an example imports numpy, and no SciPy module
+        code = (
+            "import contextlib, io, sys\n"
+            "from evpos.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['classify', '--example', 'rem3.2b']) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": "src"}
+        out = subprocess.run(
+            [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "[]\n"
+
     def test_classify_model_file(self, tmp_path, capsys):
         model = Dense(np.array([[0.5, 0.2], [0.1, 0.6]], dtype=complex), Ell1())
         path = tmp_path / "model.json"
@@ -661,6 +681,25 @@ class TestMainEntry:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: evpos classify") and "Traceback" not in err
+        # the option is named, not its value taken for the model
+        assert f"unrecognized arguments: {extra[0]}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify"],
+            ["classify", "model.json", "--example", "rem3.2b"],
+            ["classify", "--example", "rem3.2b", "--generate", "cyclic_block:k=3"],
+            ["orbit"],
+            ["orbit", "model.json", "--example", "rem3.2b"],
+        ],
+    )
+    def test_one_model_source_is_required(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: evpos {argv[0]}") and "give exactly one of model" in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -87,6 +87,12 @@ class TestResolvent:
         with pytest.raises(SingularResolventError):
             resolvent_matrix(np.diag([1.0, 2.0]), 2.0)
 
+    def test_near_singular_point_raises(self):
+        # lam - A = diag(1 + 2^-49, 2^-49) is invertible, but its condition
+        # number 2^49 is past 1e14
+        with pytest.raises(SingularResolventError):
+            resolvent_matrix(np.diag([1.0, 2.0]), 2.0 * (1 + 2.0**-50))
+
 
 class TestPoleOrder:
     def test_simple_pole(self):
