@@ -22,6 +22,7 @@ from .lattice import (
     cone_distance,
     cone_distances,
     cone_residual,
+    norm_of_moduli,
     norm_value,
 )
 from .operators import (
@@ -64,6 +65,9 @@ NORM_CEILING = 1e100
 # seeded random positive functions (and as many functionals) in the test set
 # of a function space, after the constant ones
 FUNCTION_SPACE_RANDOM = 16
+# the constant functional of a function-space test set, g -> (1/2) int g,
+# which pairs with a model's functions in closed form
+HALF_INTEGRAL = WeightedIntegral(Constant(1.0), 0.5)
 EPS = float(np.finfo(float).eps)
 
 
@@ -115,40 +119,52 @@ class ConeTestSet:
     functionals: tuple
 
 
+@dataclass(frozen=True)
+class FunctionSpaceTestSet:
+    """The test set of a function space, as arrays: positive grid functions,
+    the rows of `vectors` (complex, each scaled to norm at most 1), with
+    their norms; and positive integral functionals, `HALF_INTEGRAL` and
+    g -> int w g for each row w of `weights`."""
+
+    vectors: np.ndarray
+    norms: np.ndarray
+    weights: np.ndarray
+
+
 # ---------------------------------------------------------------------------
 # test set construction
 
 
-def _normalized_positive(entries: np.ndarray, norm: NormKind) -> LatticeVector:
-    v = LatticeVector(np.asarray(entries, dtype=complex), norm)
-    nv = norm_value(v)
-    if nv > 1.0:
-        v = v.with_entries(v.entries / nv)
-    return v
-
-
-def function_space_test_set(space: NormKind) -> ConeTestSet:
-    """Positive grid functions and positive integral functionals for rank-k
-    models on function spaces, the same for every model on the space."""
-    nodes = np.asarray(space.nodes, dtype=float)
-    dim = len(nodes)
-    vectors = [_normalized_positive(np.ones(dim), space)]
-    rng = rng_for(0, 2)
-    for _ in range(FUNCTION_SPACE_RANDOM):
-        vectors.append(_normalized_positive(rng.uniform(0.0, 1.0, size=dim), space))
-    functionals = [WeightedIntegral(Constant(1.0), 0.5)]
-    for _ in range(FUNCTION_SPACE_RANDOM):
-        functionals.append(
-            WeightedIntegral(Tabulated(tuple(rng.uniform(0.0, 1.0, size=dim))), 1.0)
-        )
-    return ConeTestSet(tuple(vectors), tuple(functionals))
+def function_space_test_set(space: NormKind) -> FunctionSpaceTestSet:
+    """The constant one and FUNCTION_SPACE_RANDOM seeded uniform grid
+    functions, then as many seeded uniform weights, drawn in that order as
+    one array: the same for every model on the space. A function of norm
+    above 1 is divided by it. Each norm is taken of one vector at a time, as
+    a column-wise sum rounds differently."""
+    dim = len(space.nodes)
+    draws = rng_for(0, 2).uniform(0.0, 1.0, size=(2 * FUNCTION_SPACE_RANDOM, dim))
+    vectors = np.vstack([np.ones(dim), draws[:FUNCTION_SPACE_RANDOM]]).astype(complex)
+    norms = np.empty(len(vectors))
+    for k, x in enumerate(vectors):
+        norms[k] = norm_of_moduli(np.abs(x), space)
+        if norms[k] > 1.0:
+            x /= norms[k]
+            norms[k] = norm_of_moduli(np.abs(x), space)
+    return FunctionSpaceTestSet(vectors, norms, draws[FUNCTION_SPACE_RANDOM:])
 
 
 def default_test_set(T: OperatorModel) -> ConeTestSet:
-    """The function-space test set of a rank-k model; for a finite model the
-    basis vectors, which generate its positive cone."""
+    """The test set of the reference `individual_eventual`: a rank-k model's
+    function-space test set as lattice vectors and functional
+    representations; for a finite model the basis vectors, which generate
+    its positive cone."""
     if isinstance(T, RankK):
-        return function_space_test_set(T.space)
+        tests = function_space_test_set(T.space)
+        tabulated = (WeightedIntegral(Tabulated(tuple(w)), 1.0) for w in tests.weights)
+        return ConeTestSet(
+            tuple(LatticeVector(x, T.space) for x in tests.vectors),
+            (HALF_INTEGRAL, *tabulated),
+        )
     basis = tuple(LatticeVector(e, T.norm) for e in np.eye(T.dim))
     return ConeTestSet(basis, basis)
 
@@ -178,10 +194,11 @@ def _power_failure(B: np.ndarray, n_t: int) -> int:
 
 
 def _singular_refutation(T, vectors, notion) -> Optional[PositivityVerdict]:
-    """Refuted by the first vector x whose singular term persists, with no
-    horizon: for a rank-2 model T^n x = a + lam_2^(n-1) b f_2, with
-    b = <phi_2, x> and f_2 = sgn(t)|t|^alpha, alpha < 0 (`signed_power_witness`
-    checks that form, with a and b real). With lam_2 != 0 and b != 0 the
+    """Refuted by the first vector x (given by its entries) whose singular
+    term persists, with no horizon: for a rank-2 model
+    T^n x = a + lam_2^(n-1) b f_2, with b = <phi_2, x> and
+    f_2 = sgn(t)|t|^alpha, alpha < 0 (`signed_power_witness` checks that
+    form, with a and b real). With lam_2 != 0 and b != 0 the
     singular term near 0 is, at every power, non-real or arbitrarily large
     of both signs, which a fixed grid cannot see, so this comes before any
     grid test. b counts only beyond its rounding, dim eps sum_j |row_j| |x_j|:
@@ -191,11 +208,12 @@ def _singular_refutation(T, vectors, notion) -> Optional[PositivityVerdict]:
     if not isinstance(T, RankK) or T.rank != 2 or T.eigen_parameters[1] == 0:
         return None
     row = T.rows[1]
+    size = np.abs(row)
     for x in vectors:
-        rounding = T.dim * EPS * float(np.abs(row) @ np.abs(x.entries))
-        if abs(row @ x.entries) <= rounding:
+        rounding = T.dim * EPS * float(size @ np.abs(x))
+        if abs(row @ x) <= rounding:
             continue
-        witness = signed_power_witness(T, x, 1)
+        witness = signed_power_witness(T, LatticeVector(x, T.norm), 1)
         if witness is not None:
             return PositivityVerdict(
                 notion,
@@ -367,9 +385,11 @@ def _rank_k_eventual(T: RankK, limit: LimitStatus) -> tuple:
     (individual notion, and so the uniform one, which implies it), then the
     shrinking hat (uniform). Every notion that they leave open is decided by
     `_rank_k_status` from the factors of what it tests, each of the form
-    U diag(lam^(n-1)) V: the grid entries of T^n (uniform), (T^n x)(a) for the
-    test vectors x (individual) and the pairings <x', T^n x> (weak)."""
-    tests = default_test_set(T)
+    U diag(lam^(n-1)) V: the grid entries of T^n (uniform, tested in row
+    blocks), (T^n x)(a) for the test vectors x (individual) and the pairings
+    <x', T^n x> (weak). The test set is built once, as arrays, and its norms
+    scale the individual test."""
+    tests = function_space_test_set(T.space)
     try:
         status = limit.read()
     except NotClassifiableError:
@@ -379,12 +399,16 @@ def _rank_k_eventual(T: RankK, limit: LimitStatus) -> tuple:
         uniform = replace(individual, notion=Notion.UNIFORM_EVENTUAL)
     else:
         uniform = _hat_refutation(T)
-    X = np.stack([x.entries for x in tests.vectors], axis=1)
-    scales = DEFAULT_TOL * np.array([max(norm_value(x), 1e-300) for x in tests.vectors])
+    X = np.ascontiguousarray(tests.vectors.T)
+    scales = DEFAULT_TOL * np.maximum(tests.norms, 1e-300)
     factors = (
-        (T.samples, T.rows, _grid_passes),
-        (T.samples, T.rows @ X, lambda Z: bool((cone_distances(Z, T.norm) <= scales).all())),
-        (*_pairings(T, tests), lambda P: entrywise_positive(P, DEFAULT_TOL)),
+        (T.samples, T.rows, _grid_passes_in_blocks),
+        (
+            T.samples,
+            T.rows @ X,
+            lambda U, W: bool((cone_distances(U @ W, T.norm) <= scales).all()),
+        ),
+        (*_pairings(T, tests), lambda U, W: entrywise_positive(U @ W, DEFAULT_TOL)),
     )
     return tuple(
         verdict or PositivityVerdict(notion, _rank_k_status(T, status, *parts))
@@ -393,9 +417,10 @@ def _rank_k_eventual(T: RankK, limit: LimitStatus) -> tuple:
 
 
 def _rank_k_status(T: RankK, status: Optional[Status], U, V, passes) -> Status:
-    """The status of a notion whose test `passes` reads
-    u_n = U diag(mu^(n-1)) V / spr, the quantity at S^n = T^n/spr^n, for
-    n >= 1 (mu = lam/spr), in this order and with no horizon:
+    """The status of a notion whose test `passes(U, W)` reads
+    u_n = U W with W = diag(mu^(n-1)) V / spr, the quantity at
+    S^n = T^n/spr^n, for n >= 1 (mu = lam/spr), in this order and with no
+    horizon:
     1. At spr = 0 (`status` is None) T^2 = 0, as every
        <phi_i, f_j> = lam_i delta_ij is 0, so only T itself is tested.
     2. A refuted limit status refutes, as each eventual notion implies its
@@ -405,24 +430,24 @@ def _rank_k_status(T: RankK, status: Optional[Status], U, V, passes) -> Status:
        certificate: u_n = L + sum over i not in I of
        mu_i^(n-1) U[:, i] V[i] / spr, with L = U[:, I] V[I] / spr. An entry
        whose every term is exactly 0 is 0 at every power; over the others,
-       the gap is min L less MARGIN_ROUNDINGS times the rounding of L
-       (`_term_rounding`, as the limit status allows). Past n_t, the first
-       n where sum over i not in I of |mu_i|^(n-1) max|U[:, i]| max|V[i]| / spr
-       is below the gap, every u_n is real and positive, so the notion
-       holds; the powers below n_t take its test directly. n_t is capped at
-       MAX_TAIL.
+       the gap is min L (`_least_live_entry`) less MARGIN_ROUNDINGS times
+       the rounding of L (`_term_rounding`, as the limit status allows).
+       Past n_t, the first n where sum over i not in I of
+       |mu_i|^(n-1) max|U[:, i]| max|V[i]| / spr is below the gap, every
+       u_n is real and positive, so the notion holds; the powers below n_t
+       take its test directly (the uniform one in row blocks,
+       `_grid_passes_in_blocks`). n_t is capped at MAX_TAIL.
     4. Anything else is undetermined, at horizon 0."""
     if status is None:
-        return Confirmed(_last_failure([passes(U @ V)]))
+        return Confirmed(_last_failure([passes(U, V)]))
     if isinstance(status, RefutedWithWitness):
         return status
     mu, periph = _peripheral_indices(T)
     if (mu[periph] != 1).any() or any(a.imag.any() for a in (U, V, mu)):
         return UndeterminedUpToHorizon(0)
     U, V, mu = U.real, V.real / T.spectral_radius(), mu.real
-    live = (U != 0).astype(float) @ (V != 0).astype(float) > 0
     margin = MARGIN_ROUNDINGS * _term_rounding(U[:, periph], V[periph])
-    gap = float((U[:, periph] @ V[periph])[live].min(initial=np.inf)) - margin
+    gap = _least_live_entry(U, V, periph) - margin
     rest = np.setdiff1d(np.arange(len(mu)), periph)
     size = np.abs(U[:, rest]).max(axis=0) * np.abs(V[rest]).max(axis=1)
     # tail[n - 1] bounds every entry of u_n - L
@@ -430,8 +455,42 @@ def _rank_k_status(T: RankK, status: Optional[Status], U, V, passes) -> Status:
     below = np.flatnonzero(tail < gap)
     if not below.size:
         return UndeterminedUpToHorizon(0)
-    powers = (U @ (mu[:, None] ** (n - 1) * V) for n in range(1, int(below[0]) + 1))
-    return Confirmed(_last_failure(map(passes, powers)))
+    powers = (mu[:, None] ** (n - 1) * V for n in range(1, int(below[0]) + 1))
+    return Confirmed(_last_failure(passes(U, W) for W in powers))
+
+
+def _row_blocks(U: np.ndarray):
+    """(first row, block) for the blocks of LIMIT_POINT_ROWS rows of U, so
+    that a product U W with a row for each grid node is never formed whole."""
+    starts = range(0, len(U), LIMIT_POINT_ROWS)
+    return ((start, U[start : start + LIMIT_POINT_ROWS]) for start in starts)
+
+
+def _least_live_entry(U: np.ndarray, V: np.ndarray, periph: np.ndarray) -> float:
+    """The least entry of L = U[:, I] V[I] (I = periph) over the entries
+    where some term U[a, i] V[i, b] is nonzero, inf where none is; formed in
+    row blocks."""
+    nonzero = (V != 0).astype(float)
+    least = [
+        (B[:, periph] @ V[periph])[(B != 0).astype(float) @ nonzero > 0].min(initial=np.inf)
+        for _, B in _row_blocks(U)
+    ]
+    return float(np.min(least))
+
+
+def _grid_passes_in_blocks(U: np.ndarray, W: np.ndarray) -> bool:
+    """`_grid_passes` of P = U W, formed in row blocks: each block's largest
+    modulus, most negative real part and largest imaginary modulus, then the
+    sign test against DEFAULT_TOL times max|P| over every block."""
+    extremes = np.array(
+        [
+            (np.abs(P).max(), -P.real.min(), np.abs(P.imag).max())
+            for P in (B @ W for _, B in _row_blocks(U))
+        ]
+    )
+    top, fall, side = extremes.max(axis=0)
+    tol = DEFAULT_TOL * top
+    return bool(fall <= tol and side <= tol)
 
 
 def uniform_eventual(T: OperatorModel) -> PositivityVerdict:
@@ -451,7 +510,9 @@ def individual_eventual(
     horizon."""
     if tests is None:
         tests = default_test_set(T)
-    refuted = _singular_refutation(T, tests.vectors, Notion.INDIVIDUAL_EVENTUAL)
+    refuted = _singular_refutation(
+        T, [x.entries for x in tests.vectors], Notion.INDIVIDUAL_EVENTUAL
+    )
     if refuted is not None:
         return refuted
     ok = np.ones(horizon, dtype=bool)
@@ -585,13 +646,20 @@ def _not_cyclic(mu: np.ndarray, orders: list, count: int) -> RefutedWithWitness:
 def _worst_entry(blocks) -> tuple:
     """(residual, i, j): the entry of a matrix, given as (first row, row
     block) pairs, farthest from the positive reals, the first one of a tie;
-    residual 0 when every entry is on them."""
+    residual 0 when every entry is on them. A real block's residual is
+    max(-L, 0) (`cone_residual`), largest at the first least entry."""
     worst = (0.0, 0, 0)
     for start, L in blocks:
-        R = cone_residual(L)
-        i, j = np.unravel_index(int(np.argmax(R)), R.shape)
-        if R[i, j] > worst[0]:
-            worst = (float(R[i, j]), start + int(i), int(j))
+        if L.dtype.kind == "c":
+            R = cone_residual(L)
+            k = int(np.argmax(R))
+            residual = R.flat[k]
+        else:
+            k = int(np.argmin(L))
+            residual = -L.flat[k]
+        i, j = divmod(k, L.shape[1])
+        if residual > worst[0]:
+            worst = (float(residual), start + i, j)
     return worst
 
 
@@ -671,17 +739,17 @@ def _rank_k_limit_status(T: RankK) -> Status:
     DEFAULT_TOL plus the rounding of its entries (`_term_rounding`), and
     confirms only when each mu_i^q is exactly 1 (as for 1, -1 and +-i): a
     mu_i = e^(i phi), phi below the tolerance, turns away from L_1. L_1 is
-    read LIMIT_POINT_ROWS rows at a time, so no dim x dim matrix is formed."""
+    read LIMIT_POINT_ROWS rows at a time, so no dim x dim matrix is formed,
+    and in real arithmetic when its factors have no imaginary part."""
     spr = T.spectral_radius()
     mu, periph = _peripheral_indices(T)
     q = [_root_of_unity_order(z, len(periph), DEFAULT_TOL) for z in mu[periph]]
     if None in q:
         return _not_cyclic(mu[periph], q, len(periph))
     F, Phi = T.samples[:, periph], T.rows[periph] / spr
-    blocks = (
-        (start, F[start : start + LIMIT_POINT_ROWS] @ Phi)
-        for start in range(0, T.dim, LIMIT_POINT_ROWS)
-    )
+    if not (F.imag.any() or Phi.imag.any()):
+        F, Phi = F.real.copy(), Phi.real.copy()
+    blocks = ((start, B @ Phi) for start, B in _row_blocks(F))
     slack = _term_rounding(F, Phi)
     refuted = _limit_point_refutation(T, _worst_entry(blocks), 1, DEFAULT_TOL + slack)
     exact = all(z**k == 1 for z, k in zip(mu[periph], q))
@@ -700,14 +768,19 @@ def _term_rounding(U: np.ndarray, V: np.ndarray) -> float:
     return U.shape[1] * EPS * float(np.abs(U).max(axis=0) @ np.abs(V).max(axis=1))
 
 
-def _pairings(T: RankK, tests: ConeTestSet) -> tuple:
+def _pairings(T: RankK, tests: FunctionSpaceTestSet) -> tuple:
     """(C, D) with <x'_j, T^n x_i> = (C diag(lam^(n-1)) D)[i, j] for n >= 1,
-    in closed form with the exact pairings <x'_j, f> of the model's
-    functions."""
-    C = np.stack([T.coefficients(x.entries) for x in tests.vectors])
-    D = np.array(
-        [[apply_functional(phi, f, T.space) for phi in tests.functionals] for f in T.functions]
-    )
+    where C[i] holds the coefficients <phi, x_i> and D[:, j] the pairings
+    <x'_j, f> of the model's functions: `HALF_INTEGRAL`'s by
+    `apply_functional`, in closed form for an analytic f, and each tabulated
+    functional's as `apply_functional` forms it, but from its quadrature row
+    w * quad (scale 1) built once: one dot with the samples of f."""
+    C = np.stack([T.coefficients(x) for x in tests.vectors])
+    rows = (tests.weights * T.space.weight_array).astype(complex)
+    D = np.empty((T.rank, 1 + len(rows)), dtype=complex)
+    for i, (f, samples) in enumerate(zip(T.functions, T.samples.T)):
+        D[i, 0] = apply_functional(HALF_INTEGRAL, f, T.space)
+        D[i, 1:] = [row @ samples for row in rows]
     return C, D
 
 

@@ -65,6 +65,9 @@ class GridSup:
         nodes = np.asarray(self.nodes, dtype=float)
         if not (np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0)):
             raise LatticeError("grid nodes must be finite and strictly increasing")
+        weights = trapezoid_weights(nodes)
+        weights.setflags(write=False)  # not a field: equality, hash, JSON see the tuple
+        object.__setattr__(self, "weight_array", weights)
 
 
 NormKind = Union[Ell1, Ell2, EllInf, LpQuadrature, GridSup]
@@ -98,9 +101,6 @@ class LatticeVector:
     def __len__(self):
         return len(self.entries)
 
-    def with_entries(self, entries) -> "LatticeVector":
-        return LatticeVector(np.asarray(entries, dtype=complex), self.norm)
-
 
 def norm_value(x: LatticeVector) -> float:
     return float(norm_of_moduli(np.abs(x.entries), x.norm))
@@ -124,9 +124,13 @@ def norm_of_moduli(a: np.ndarray, norm: NormKind):
 
 
 def cone_residual(M: np.ndarray) -> np.ndarray:
-    """Entrywise distance to the positive reals, hypot((re M)^-, im M), in one array."""
+    """Entrywise distance to the positive reals, hypot((re M)^-, im M), in one
+    array; for a real M, max(-M, 0), which is the same bit for bit, as
+    hypot(r, 0) = |r|."""
     R = -M.real
     np.maximum(R, 0.0, out=R)
+    if M.dtype.kind != "c":
+        return R
     return np.hypot(R, M.imag, out=R)
 
 

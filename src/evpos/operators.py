@@ -21,7 +21,6 @@ from .lattice import (
     LpQuadrature,
     NormKind,
     node_count,
-    trapezoid_weights,
 )
 from .spectral import Spectrum, eigenvalues
 
@@ -137,22 +136,18 @@ def domain_of(space: NormKind):
     if isinstance(space, GridSup):
         return float(space.nodes[0]), float(space.nodes[-1])
     if isinstance(space, LpQuadrature):
-        nodes = np.asarray(space.nodes, dtype=float)
-        weights = np.asarray(space.weights, dtype=float)
-        return float(nodes[0] - weights[0] / 2), float(nodes[-1] + weights[-1] / 2)
+        w = space.weight_array
+        return float(space.nodes[0]) - float(w[0]) / 2, float(space.nodes[-1]) + float(w[-1]) / 2
     raise OperatorError("norm kind carries no function domain")
 
 
 def quadrature_row(phi: FunctionalRep, space: NormKind) -> np.ndarray:
-    """Row vector r with <phi, g> = r @ samples(g) for grid vectors g."""
-    if isinstance(space, GridSup):
-        nodes = np.asarray(space.nodes, dtype=float)
-        quad = trapezoid_weights(nodes)
-    elif isinstance(space, LpQuadrature):
-        nodes = np.asarray(space.nodes, dtype=float)
-        quad = np.asarray(space.weights, dtype=float)
-    else:
+    """Row vector r with <phi, g> = r @ samples(g) for grid vectors g: the
+    space's trapezoid or quadrature weights (`weight_array`) times phi."""
+    if not isinstance(space, (GridSup, LpQuadrature)):
         raise OperatorError("functionals require a function-space norm")
+    nodes = np.asarray(space.nodes, dtype=float)
+    quad = space.weight_array
     if isinstance(phi, WeightedIntegral):
         return phi.scale * sample_function(phi.weight, nodes) * quad
     if isinstance(phi, PointCombination):
@@ -431,7 +426,7 @@ def power_apply(T: OperatorModel, n: int, x: LatticeVector) -> LatticeVector:
     if n < 1:
         raise OperatorError("power_apply requires n >= 1")
     _check_vector(T, x)
-    return x.with_entries(T.power(n, x.entries))
+    return LatticeVector(T.power(n, x.entries), x.norm)
 
 
 def pairing(

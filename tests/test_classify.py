@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 
@@ -19,6 +20,7 @@ from evpos.catalog import (
 from evpos.classify import (
     ConeTestSet,
     DEFAULT_TOL,
+    HALF_INTEGRAL,
     MAX_PERIOD,
     MAX_TAIL,
     Confirmed,
@@ -898,7 +900,7 @@ class TestAnalyticRefutations:
         # point, within its rounding; a random positive test vector refutes
         entry = get_example("ex2.2b")
         T = entry.model
-        ones = LatticeVector(np.ones(T.dim, dtype=complex), T.norm)
+        ones = np.ones(T.dim, dtype=complex)
         assert _singular_refutation(T, (ones,), Notion.INDIVIDUAL_EVENTUAL) is None
         report, failed = run_classify(T, entry.name, 0)
         assert not failed
@@ -1168,12 +1170,96 @@ class TestCoordinatePairings:
 
     def test_rank_k_pairs_in_closed_form(self):
         T = averaging_plus_slope(41)
-        tests = function_space_test_set(T.space)
-        C, D = _pairings(T, tests)
+        tests = default_test_set(T)
+        C, D = _pairings(T, function_space_test_set(T.space))
         for n in (1, 3):
             expected = [[pairing(T, n, x, phi) for phi in tests.functionals] for x in tests.vectors]
             pair = C @ (T.eigen_parameters[:, None] ** (n - 1) * D)
             assert pair == pytest.approx(np.array(expected), rel=1e-12, abs=1e-14)
+
+
+    @pytest.mark.parametrize(
+        "T",
+        [
+            averaging_plus_slope(),
+            averaging_plus_singular(),
+            RankK(
+                (Tabulated(tuple((1.0 + 0.5j) * np.exp(midpoint_rule(-1.0, 1.0, 400)[0]))),),
+                (WeightedIntegral(Constant(1.0), 0.5),),
+                LpQuadrature(2.0, *map(tuple, midpoint_rule(-1.0, 1.0, 400))),
+            ),
+        ],
+        ids=["ex2.2a", "ex2.2b", "tabulated"],
+    )
+    def test_pairings_equal_apply_functional_bit_for_bit(self, T):
+        # the prebuilt rows give the pairings that apply_functional gives the
+        # test functionals, also where a tabulated function takes the
+        # quadrature path for the constant functional as well
+        tests = default_test_set(T)
+        C, D = _pairings(T, function_space_test_set(T.space))
+        assert np.array_equal(C, np.stack([T.coefficients(x.entries) for x in tests.vectors]))
+        expected = [
+            [apply_functional(phi, f, T.space) for phi in tests.functionals] for f in T.functions
+        ]
+        assert np.array_equal(D, np.array(expected))
+
+
+def _test_set_digest(tests) -> str:
+    """sha256 of a function-space test set: its vectors as complex128, then
+    each functional's weight values and scale, HALF_INTEGRAL first."""
+    h = hashlib.sha256(np.ascontiguousarray(tests.vectors, dtype="<c16"))
+    h.update(np.array([HALF_INTEGRAL.weight.value, HALF_INTEGRAL.scale], dtype="<c16"))
+    for w in tests.weights:
+        h.update(w.astype("<c16"))
+        h.update(np.array([1.0], dtype="<c16"))
+    return h.hexdigest()
+
+
+class TestFunctionSpaceTestSet:
+    @pytest.mark.parametrize(
+        "space, digest",
+        [
+            (
+                averaging_plus_slope(41).space,
+                "fdcc0fc5cd66c96c6a503ce0d7c4d63c2e798356fa28b2555614421958284538",
+            ),
+            (
+                averaging_plus_singular(400).space,
+                "64a45b464a8254023470eec613abd5aa1ad484117318a3f5d069b8750c801f40",
+            ),
+        ],
+        ids=["grid-41", "quadrature-400"],
+    )
+    def test_entries_are_pinned(self, space, digest):
+        # the digest of the test set that one LatticeVector and one
+        # Tabulated weight were drawn for at a time: the order of the draws
+        # from the seeded stream cannot drift
+        tests = function_space_test_set(space)
+        assert _test_set_digest(tests) == digest
+        # the reference's lattice vectors and functionals are the same ones
+        reference = default_test_set(RankK((Constant(1.0),), (HALF_INTEGRAL,), space))
+        assert np.array_equal(np.stack([x.entries for x in reference.vectors]), tests.vectors)
+        assert np.array_equal(tests.norms, [norm_value(x) for x in reference.vectors])
+        assert reference.functionals[0] == HALF_INTEGRAL
+        assert [phi.weight.values for phi in reference.functionals[1:]] == [
+            tuple(w) for w in tests.weights
+        ]
+
+    def test_uniform_notion_is_formed_in_row_blocks(self):
+        # the nonzero-term mask, the limit point and the tested power of the
+        # uniform notion are formed LIMIT_POINT_ROWS rows at a time: on 2,001
+        # nodes a dim x dim array of floats alone would take 32 MB, and whole
+        # ones took a 70.2 MB peak
+        grid = GridSup(tuple(np.linspace(-1.0, 1.0, 2_001)))
+        T = RankK((Constant(1.0),), (HALF_INTEGRAL,), grid)
+        tracemalloc.start()
+        try:
+            trio = classify_eventual(T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [v.status for v in trio] == [Confirmed(0)] * 3
+        assert peak <= 70.2e6 / 4
 
 
 class TestHierarchy:

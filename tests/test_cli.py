@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evpos.cli
+import evpos.operators
 import evpos.spectral
 import evpos.verify
 from evpos.cli import (
@@ -26,7 +27,7 @@ from evpos.cli import (
     run_suite,
 )
 from evpos.catalog import averaging_plus_slope, get_example
-from evpos.classify import Confirmed, Notion, PositivityVerdict
+from evpos.classify import HALF_INTEGRAL, Confirmed, Notion, PositivityVerdict
 from evpos.generators import make_eventually_positive
 from evpos.operators import (
     Dense,
@@ -195,6 +196,35 @@ class TestRunClassify:
             "resolvent_matrix": 0,
             "laurent_leading_coefficient": int(eigenvector),
         }
+
+    def test_rank_k_pairings_from_prebuilt_rows(self, monkeypatch):
+        # RankK.__post_init__ built rows and samples, and the test set is
+        # drawn as arrays: ex2.2b pairs its functions with the constant
+        # functional in closed form, and with the tabulated ones by their
+        # quadrature rows, built once. Every module binding is counted.
+        model = get_example("ex2.2b").model
+        originals = {
+            fname: getattr(evpos.operators, fname)
+            for fname in ("apply_functional", "quadrature_row", "sample_function")
+        }
+        calls = {fname: [] for fname in originals}
+
+        def counting(fname):
+            def wrapper(*args, **kwargs):
+                calls[fname].append(args[0])
+                return originals[fname](*args, **kwargs)
+
+            return wrapper
+
+        for module in [m for k, m in sys.modules.items() if k.startswith("evpos")]:
+            for fname, original in originals.items():
+                if getattr(module, fname, None) is original:
+                    monkeypatch.setattr(module, fname, counting(fname))
+        report, failed = run_classify(model, "ex2.2b", 0)
+        assert not failed and len(report.classification) == 6
+        assert len(calls["apply_functional"]) <= model.rank
+        assert all(phi == HALF_INTEGRAL for phi in calls["apply_functional"])
+        assert calls["quadrature_row"] == calls["sample_function"] == []
 
     def test_long_cycle_takes_one_coefficient_and_no_svd(self, monkeypatch):
         # the 128-cycle has 128 simple peripheral eigenvalues, each meeting

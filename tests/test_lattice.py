@@ -14,6 +14,7 @@ from evpos.lattice import (
     cone_distance,
     cone_distance_oracle,
     cone_distances,
+    cone_residual,
     midpoint_rule,
     norm_value,
     trapezoid_weights,
@@ -80,8 +81,31 @@ class TestNorms:
         assert np.array_equal(a.weight_array, weights)
         assert not a.weight_array.flags.writeable
 
+    def test_grid_weight_array_is_not_a_field(self):
+        nodes = (-1.0, -0.25, 0.5, 1.0)
+        a, b = GridSup(nodes), GridSup(nodes)
+        assert a == b and hash(a) == hash(b)
+        assert "weight_array" not in repr(a)
+        assert np.array_equal(a.weight_array, trapezoid_weights(nodes))
+        assert not a.weight_array.flags.writeable
+
 
 class TestConeDistance:
+    def test_real_residual_equals_its_complex_cast_bit_for_bit(self):
+        # max(-M, 0) for a real M is hypot((re M)^-, 0) exactly: signed zeros,
+        # infinities and NaNs (of either sign) included
+        M = np.array(
+            [
+                [-0.0, 0.0, 1.5, -2.5, 5e-324],
+                [np.inf, -np.inf, np.nan, -np.nan, -5e-324],
+                [1e308, -1e308, -1e-300, 3.0, -7.25],
+            ]
+        )
+        for A in (M, M[1], M[:, ::2]):
+            real, cast = cone_residual(A), cone_residual(A.astype(complex))
+            assert real.dtype == cast.dtype == np.float64
+            assert np.array_equal(real.view(np.uint64), cast.view(np.uint64))
+
     def test_positive_vector_is_at_distance_zero(self):
         for norm in NORMS:
             assert cone_distance(vec([1, 2, 0], norm)) == 0.0
@@ -125,9 +149,7 @@ class TestConeDistance:
         assert 0.0 <= d <= norm_value(x) + 1e-12
         # distance to the specific cone point (Re x)^+ is an upper bound that
         # the formula must attain
-        ref = norm_value(
-            x.with_entries(z - np.maximum(z.real, 0.0))
-        )
+        ref = norm_value(LatticeVector(z - np.maximum(z.real, 0.0), norm))
         assert d == pytest.approx(ref, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -174,7 +196,7 @@ class TestConeDistance:
 
     def test_scaling_homogeneity(self):
         x = vec([-1 + 2j, 3 - 1j], Ell2())
-        assert cone_distance(x.with_entries(2 * x.entries)) == pytest.approx(
+        assert cone_distance(LatticeVector(2 * x.entries, x.norm)) == pytest.approx(
             2 * cone_distance(x)
         )
 

@@ -64,6 +64,10 @@ ALLOWLIST = {
         "limit is tested against"
     ),
     "lattice.LatticeVector.__len__": "the lengths that power_apply and pairing check",
+    "classify.default_test_set": (
+        "the test set of the reference individual_eventual, as lattice vectors "
+        "and functional representations"
+    ),
     "report.report_from_json": "reads reports back; the round-trip tests use it",
 }
 
@@ -98,8 +102,17 @@ def _command_lines(tmp):
         (WeightedIntegral(Constant(1.0), 0.5), PointCombination((1.0, -1.0), (0.5j, -0.5j))),
         grid,
     )
+    # g -> (1/2) int g + 1.2 (int x g) x has the decaying eigen-parameter 0.8
+    # and no hat peak, so its uniform notion takes the direct tests of its
+    # first powers, which fail up to n = 4
+    decaying = RankK(
+        (Constant(1.0), Monomial(1)),
+        (WeightedIntegral(Constant(1.0), 0.5), WeightedIntegral(Monomial(1), 1.2)),
+        grid,
+    )
     lines.append(["classify", write("rank-k-averaging.json", model_to_json(averaging))])
     lines.append(["classify", write("rank-k-rotating.json", model_to_json(rotating))])
+    lines.append(["classify", write("rank-k-decaying.json", model_to_json(decaying))])
     lines.append(["classify", write("dense129.json", model_to_json(Dense(np.eye(129), EllInf())))])
     # a peripheral Jordan block that the solver splits, whose limit points
     # allow for the merge error; it is not nonnegative, so the eventual trio
