@@ -30,6 +30,7 @@ from .operators import (
     Diagonal,
     OperatorModel,
     RankK,
+    SignedPower,
     WeightedIntegral,
     Constant,
     Tabulated,
@@ -197,15 +198,18 @@ def _singular_refutation(T, vectors, notion) -> Optional[PositivityVerdict]:
     """Refuted by the first vector x (given by its entries) whose singular
     term persists, with no horizon: for a rank-2 model
     T^n x = a + lam_2^(n-1) b f_2, with b = <phi_2, x> and
-    f_2 = sgn(t)|t|^alpha, alpha < 0 (`signed_power_witness` checks that
-    form, with a and b real). With lam_2 != 0 and b != 0 the
-    singular term near 0 is, at every power, non-real or arbitrarily large
-    of both signs, which a fixed grid cannot see, so this comes before any
-    grid test. b counts only beyond its rounding, dim eps sum_j |row_j| |x_j|:
-    the constant-one vector of `ex2.2b` pairs to 0 with phi_2 by symmetry,
-    and to -6.9e-18 in floating point. The witness is the negativity point
-    of T x."""
+    f_2 = sgn(t)|t|^alpha, alpha < 0 (checked first, as no other f_2 has a
+    witness; `signed_power_witness` checks that a and b are real). With
+    lam_2 != 0 and b != 0 the singular term near 0 is, at every power,
+    non-real or arbitrarily large of both signs, which a fixed grid cannot
+    see, so this comes before any grid test. b counts only beyond its
+    rounding, dim eps sum_j |row_j| |x_j|: the constant-one vector of
+    `ex2.2b` pairs to 0 with phi_2 by symmetry, and to -6.9e-18 in floating
+    point. The witness is the negativity point of T x."""
     if not isinstance(T, RankK) or T.rank != 2 or T.eigen_parameters[1] == 0:
+        return None
+    f_2 = T.functions[1]
+    if not (isinstance(f_2, SignedPower) and f_2.exponent < 0):
         return None
     row = T.rows[1]
     size = np.abs(row)

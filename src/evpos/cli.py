@@ -30,8 +30,10 @@ from .generators import (
 from .lattice import LatticeVector, cone_distance, norm_value
 from .operators import (
     Dense,
+    Diagonal,
     OperatorError,
     OperatorModel,
+    WeightedShift,
     model_digest,
     model_from_json,
     norm_to_json,
@@ -53,8 +55,9 @@ EXIT_CONTRADICTION = 1
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
-# the largest model that is not a `Dense` whose dense view the checks form;
-# a `Dense` is its own dense view, solved at any size
+# the largest model that is not a `Dense` that the checks run on, as they
+# form dense dim x dim arrays (peripheral projections, and a rank-k model's
+# dense view); a `Dense` is checked at any size
 DIM_CAP = 128
 
 
@@ -127,9 +130,12 @@ def _load_vector(path: str) -> np.ndarray:
 def run_classify(model: OperatorModel, operator_id: str, seed: int = 0) -> tuple:
     """(AnalysisReport, solver_failure_flag): the eventual trio always, the
     asymptotic trio when the rescaling is defined, then the checks. Both
-    trios read one limit status (`classify.LimitStatus`). A solver
-    failure in the asymptotic trio drops that trio, and one anywhere in the
-    checks ends them; what was made before it stays in the report."""
+    trios read one limit status (`classify.LimitStatus`). The checks read a
+    diagonal's or a weighted shift's spectral data in closed form, built
+    here, and any other model's from its dense view (a `Dense` is its own,
+    whose spectrum it keeps). A solver failure in the asymptotic trio drops
+    that trio, and one anywhere in the checks ends them; what was made
+    before it stays in the report."""
     solver_failure = False
     limit = LimitStatus(model)
     verdicts = list(classify_eventual(model, limit=limit))
@@ -145,7 +151,10 @@ def run_classify(model: OperatorModel, operator_id: str, seed: int = 0) -> tuple
     spec = None
     if isinstance(model, Dense) or model.dim <= DIM_CAP:
         try:
-            spec = to_dense(model).spectrum
+            if isinstance(model, (Diagonal, WeightedShift)):
+                spec = model.spectral_data()
+            else:
+                spec = to_dense(model).spectrum
             for check in perron_frobenius_checks(
                 spec,
                 by_notion.get("uniform-asymptotic"),

@@ -22,7 +22,7 @@ from .lattice import (
     NormKind,
     node_count,
 )
-from .spectral import Spectrum, eigenvalues
+from .spectral import Spectrum, diagonal_spectrum, eigenvalues, nilpotent_spectrum
 
 
 class OperatorError(ValueError):
@@ -185,7 +185,8 @@ def apply_functional(
 # Each model supplies the same methods: power(n, entries) for T^n on an entry
 # array (n >= 1, unchecked), orbit(Y, horizon) that streams Y, TY, ...,
 # T^horizon Y for a dim x m block Y, dense(), spectral_radius() and
-# to_json().
+# to_json(). A diagonal and a weighted shift also give their spectrum in
+# closed form (spectral_data()); a dense matrix keeps the one it solved.
 
 
 def _iterate(step, Y: np.ndarray, horizon: int):
@@ -247,7 +248,7 @@ class Dense:
         return {
             "variant": self.variant,
             "n": self.dim,
-            "entries": [_c2j(z) for z in self.matrix.ravel()],
+            "entries": complex_pairs(self.matrix.ravel()),
             "norm": norm_to_json(self.norm),
         }
 
@@ -277,10 +278,14 @@ class Diagonal:
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(self.symbol)))
 
+    def spectral_data(self) -> Spectrum:
+        """Read off the symbol (`diagonal_spectrum`), built on each call."""
+        return diagonal_spectrum(self.symbol)
+
     def to_json(self) -> dict:
         return {
             "variant": self.variant,
-            "symbol": [_c2j(z) for z in self.symbol],
+            "symbol": complex_pairs(self.symbol),
             "norm": norm_to_json(self.norm),
         }
 
@@ -318,10 +323,16 @@ class WeightedShift:
     def spectral_radius(self) -> float:
         return 0.0  # nilpotent truncation
 
+    def spectral_data(self) -> Spectrum:
+        """dim zeros and spr = 0 (`nilpotent_spectrum`), built on each call;
+        ||T||_2 is the largest weight modulus, as T maps the basis vectors
+        to orthogonal ones."""
+        return nilpotent_spectrum(self.dim, float(np.max(np.abs(self.weights))))
+
     def to_json(self) -> dict:
         return {
             "variant": self.variant,
-            "weights": [_c2j(z) for z in self.weights],
+            "weights": complex_pairs(self.weights),
             "norm": norm_to_json(self.norm),
         }
 
@@ -468,6 +479,12 @@ def _c2j(z: complex):
     return [z.real, z.imag]
 
 
+def complex_pairs(a) -> list:
+    """[[re, im], ...] of a complex array as Python floats: [_c2j(z) for z
+    in a], bit for bit, in one conversion."""
+    return np.ascontiguousarray(a, dtype=complex).view(float).reshape(-1, 2).tolist()
+
+
 def _j2c(v) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
@@ -520,7 +537,7 @@ def _function_to_json(f: FunctionRep) -> dict:
     if isinstance(f, SignedPower):
         return {"kind": "signed_power", "exponent": f.exponent}
     if isinstance(f, Tabulated):
-        return {"kind": "tabulated", "values": [_c2j(v) for v in f.values]}
+        return {"kind": "tabulated", "values": complex_pairs(f.values)}
     raise OperatorError(f"unknown function representation {f!r}")
 
 
@@ -548,7 +565,7 @@ def _functional_to_json(phi: FunctionalRep) -> dict:
         return {
             "kind": "point_combination",
             "points": list(phi.points),
-            "coefficients": [_c2j(c) for c in phi.coefficients],
+            "coefficients": complex_pairs(phi.coefficients),
         }
     raise OperatorError(f"unknown functional representation {phi!r}")
 

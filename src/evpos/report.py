@@ -23,6 +23,7 @@ from .classify import (
     UndeterminedUpToHorizon,
     hierarchy_violations,
 )
+from .operators import complex_pairs
 from .rng import GENERATOR_NAME
 from .spectral import Spectrum
 from .verify import CheckResult
@@ -76,7 +77,7 @@ def check_record(c: CheckResult) -> dict:
 
 def spectrum_record(s: Spectrum) -> dict:
     return {
-        "eigenvalues": [[float(z.real), float(z.imag)] for z in s.eigenvalues],
+        "eigenvalues": complex_pairs(s.eigenvalues),
         "spectral_radius": float(s.spectral_radius),
     }
 

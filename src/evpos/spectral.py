@@ -1,12 +1,15 @@
 """Complex-matrix spectral computations: eigenvalues, resolvents, Laurent
 coefficients at resolvent poles (exact, from the spectral projection),
 multiplicities, and the peripheral decomposition that the asymptotic rule and
-the Perron-Frobenius checks share."""
+the Perron-Frobenius checks share. A diagonal matrix, whose spectrum is its
+entries, and a nilpotent one, whose spectrum is 0, have theirs in closed
+form with no solve (`diagonal_spectrum`, `nilpotent_spectrum`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -38,13 +41,17 @@ class Spectrum:
     each multiple eigenvalue near the spectral circle, the indices of its
     eigenvalues, its pole order and its spread, the distance of the
     farthest eigenvalue merged into it (`_clusters`); every other eigenvalue
-    counts as simple."""
+    counts as simple. `symbol` is the diagonal of A when A is diagonal,
+    which its peripheral coefficients and geometric multiplicities are then
+    read off. A is None for a nilpotent spectrum that is known without it
+    (`nilpotent_spectrum`): at spr = 0 only the vacuous spr check runs."""
 
-    matrix: np.ndarray
+    matrix: Optional[np.ndarray]
     eigenvalues: np.ndarray
     spectral_radius: float
     matrix_norm: float
     clusters: tuple = ()
+    symbol: Optional[np.ndarray] = None
 
     @cached_property
     def peripheral(self) -> PeripheralDecomposition:
@@ -58,6 +65,7 @@ class Spectrum:
             tuple(pole_order(self, lam) for lam in lams),
             tuple(self.multiplicity(lam) for lam in lams),
             tuple(self.cluster(lam)[2] for lam in lams),
+            self.symbol,
         )
 
     def cluster(self, lam: complex) -> tuple:
@@ -81,7 +89,8 @@ class PeripheralDecomposition:
     C_k = (B - c lam_k)^(m_k-1) P_k of B = c A at c lam_k, P_k the spectral
     projection (C_k = P_k when m_k is 1). c = 2^-e, e the binary exponent of
     spr, so B is exact and in range at any scale of A, and C_k is
-    (A - lam_k)^(m_k-1) P_k times c^(m_k-1)."""
+    (A - lam_k)^(m_k-1) P_k times c^(m_k-1). For a diagonal A = diag(symbol)
+    every m_k is 1 and P_k is the indicator diag(symbol == lam_k)."""
 
     matrix: np.ndarray
     scale: float
@@ -89,6 +98,7 @@ class PeripheralDecomposition:
     pole_orders: tuple
     multiplicities: tuple
     spreads: tuple
+    symbol: Optional[np.ndarray] = None
 
     @property
     def order(self) -> int:
@@ -107,8 +117,12 @@ class PeripheralDecomposition:
         """C_k, computed on first use and kept."""
         if k not in self._coefficients:
             c, lam = self.scale, self.eigenvalues[k]
-            self._coefficients[k] = laurent_leading_coefficient(
-                c * self.matrix, c * lam, self.pole_orders[k], self.multiplicities[k]
+            self._coefficients[k] = (
+                np.diag((self.symbol == lam).astype(complex))
+                if self.symbol is not None
+                else laurent_leading_coefficient(
+                    c * self.matrix, c * lam, self.pole_orders[k], self.multiplicities[k]
+                )
             )
         return self._coefficients[k]
 
@@ -161,6 +175,36 @@ def eigenvalues(A) -> Spectrum:
     vals, clusters = _clusters(A, vals, float(scale))
     spr = float(np.max(np.abs(vals)))
     return Spectrum(A, vals, spr, float(scale), clusters)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def diagonal_spectrum(symbol) -> Spectrum:
+    """The spectrum of A = diag(symbol), read off its entries with no solve.
+    The eigenvalues are a read-only copy of the symbol, in its order, which
+    is what `eigenvalues` returns for A; spr and ||A||_2 are the largest
+    modulus. A is semisimple, so its clusters are the groups of exactly
+    equal entries of modulus >= spr - CLUSTER_RADIUS * spr, each of pole
+    order 1 and spread 0."""
+    s = _read_only(np.array(symbol, dtype=complex))
+    spr = float(np.max(np.abs(s)))
+    groups: dict = {}
+    if spr > 0.0:
+        near = np.flatnonzero(np.abs(s) >= spr - CLUSTER_RADIUS * spr).tolist()
+        for i, z in zip(near, s[near].tolist()):
+            groups.setdefault(z, []).append(i)
+    clusters = tuple((tuple(g), 1, 0.0) for g in groups.values() if len(g) > 1)
+    return Spectrum(_read_only(np.diag(s)), s, spr, spr, clusters, s)
+
+
+def nilpotent_spectrum(dim: int, norm: float) -> Spectrum:
+    """The spectrum of a nilpotent dim x dim matrix of 2-norm `norm`, which
+    is dim zeros and spr = 0 whatever its entries; the matrix is not
+    formed."""
+    return Spectrum(None, _read_only(np.zeros(dim, dtype=complex)), 0.0, norm)
 
 
 def _clusters(A: np.ndarray, vals: np.ndarray, norm: float) -> tuple:
@@ -285,10 +329,14 @@ def laurent_leading_coefficient(A, lam0: complex, m: int, multiplicity: int) -> 
 
 def geometric_multiplicity(spec: Spectrum, lam: complex) -> int:
     """dim ker(lam - A), A the spectrum's matrix: the singular values of
-    lam - A below DEFAULT_TOL * max(||A||_2, 1)."""
+    lam - A below DEFAULT_TOL * max(||A||_2, 1). For a diagonal A they are
+    the moduli |lam - s_j| of its symbol, read off with no SVD."""
+    threshold = DEFAULT_TOL * max(spec.matrix_norm, 1.0)
+    if spec.symbol is not None:
+        return int(np.sum(np.abs(lam - spec.symbol) < threshold))
     M = lam * np.eye(spec.matrix.shape[0]) - spec.matrix
     s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s < DEFAULT_TOL * max(spec.matrix_norm, 1.0)))
+    return int(np.sum(s < threshold))
 
 
 def peripheral_spectrum(spec: Spectrum) -> np.ndarray:

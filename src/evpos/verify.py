@@ -1,6 +1,8 @@
-"""Numerical verification of Perron-Frobenius-type conclusions on dense
-complex matrices: spectral radius in the spectrum, positive eigenvectors via
-the exact Laurent coefficient (A - spr)^{m-1} P, P the spectral projection,
+"""Numerical verification of Perron-Frobenius-type conclusions on the
+`Spectrum` of a model: solved from a dense complex matrix, or read off a
+diagonal's symbol or a shift's nilpotency in closed form. The checks are
+spectral radius in the spectrum, positive eigenvectors via the exact Laurent
+coefficient (A - spr)^{m-1} P, P the spectral projection,
 peripheral-spectrum cyclicity, and multiplicity monotonicity.
 
 Theorem checks never assume their own hypotheses. Hypotheses (power

@@ -180,8 +180,9 @@ class TestRunClassify:
         # asymptotic rule computes the one at spr, which the eigenvector check
         # reuses; cyclic-block is nonnegative, so only the eigenvector check
         # reads one; ex3.5a's rule reads its symbol, and no eigenvector check
-        # runs. The peripheral spectrum is found once, and every check reads
-        # it from the Spectrum; each peripheral check decides power
+        # runs. ex3.5a's spectrum is read off its symbol, with no solve; each
+        # Dense solves once. The peripheral spectrum is found once, and every
+        # check reads it from the Spectrum; each peripheral check decides power
         # boundedness from its pole orders. The monotonicity check computes
         # a geometric multiplicity only for a multiple eigenvalue that meets
         # another: dense-dim7 has spr alone, the even powers of ex3.5a's
@@ -189,13 +190,51 @@ class TestRunClassify:
         # each of cyclic-block's three meets the other two but is simple
         assert calls == {
             "peripheral_spectrum": 1,
-            "eigenvalues": 1,
+            "eigenvalues": int(name != "ex3.5a"),
             "power_bounded_estimate": 2,
             "pole_order": periph,
             "geometric_multiplicity": 0,
             "resolvent_matrix": 0,
             "laurent_leading_coefficient": int(eigenvector),
         }
+
+    @pytest.mark.parametrize("name", ["rem3.2b", "ex3.5a", "ex3.5b"])
+    def test_diagonal_and_shift_checks_take_no_solve(self, name, monkeypatch):
+        # their spectral data are read off the symbol or known from
+        # nilpotency: no dense view, eigen-solve, projection or SVD, counted
+        # at every module binding and at numpy's
+        originals = {
+            fname: getattr(module, fname)
+            for module, fname in (
+                (evpos.spectral, "eigenvalues"),
+                (evpos.spectral, "spectral_projection"),
+                (evpos.spectral, "laurent_leading_coefficient"),
+                (evpos.operators, "to_dense"),
+            )
+        }
+        calls = dict.fromkeys([*originals, "svd"], 0)
+
+        def counting(fname, original):
+            def wrapper(*args, **kwargs):
+                calls[fname] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for module in [m for k, m in sys.modules.items() if k.startswith("evpos")]:
+            for fname, original in originals.items():
+                if getattr(module, fname, None) is original:
+                    monkeypatch.setattr(module, fname, counting(fname, original))
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        entry = get_example(name)
+        report, failed = run_classify(entry.model, entry.name, 0)
+        assert not failed
+        assert calls == dict.fromkeys(calls, 0)
+        digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+        assert digest == PAPER_REPORT_SHA256[name]
+        # rem3.2b reaches the positive-eigenvector check, ex3.5a the
+        # peripheral checks, and ex3.5b (spr = 0) the spr check alone
+        assert len(report.checks) == {"rem3.2b": 4, "ex3.5a": 3, "ex3.5b": 1}[name]
 
     def test_rank_k_pairings_from_prebuilt_rows(self, monkeypatch):
         # RankK.__post_init__ built rows and samples, and the test set is

@@ -1,0 +1,140 @@
+"""The closed-form spectral data of diagonal and shift models against the
+eigen-solve of their dense matrices: the spectrum record and every check
+record must come out the same, byte for byte."""
+
+import numpy as np
+import pytest
+
+from evpos.classify import NotClassifiableError, classify_asymptotic
+from evpos.lattice import Ell1, Ell2, EllInf
+from evpos.operators import Diagonal, WeightedShift
+from evpos.report import check_record, json_text, spectrum_record
+from evpos.spectral import SpectralError, eigenvalues, geometric_multiplicity
+from evpos.verify import VerificationError, perron_frobenius_checks
+
+NORMS = (Ell1, Ell2, EllInf)
+
+
+def _symbol(rng) -> np.ndarray:
+    """A symbol of dim 1-128: real or complex entries, some exact zeros,
+    and exact repeats on the spectral circle (a positive real, a root of
+    unity or a random phase) and inside it."""
+    dim = int(rng.integers(1, 129))
+    s = rng.uniform(-1.0, 1.0, dim).astype(complex)
+    if rng.random() < 0.5:
+        s += 1j * rng.uniform(-1.0, 1.0, dim)
+    s[rng.random(dim) < 0.2] = 0.0
+    inside = rng.integers(dim, size=int(rng.integers(0, dim // 4 + 1)))
+    s[inside] = s[rng.integers(dim)]
+    r = float(np.max(np.abs(s))) * rng.choice([1.0, 1.5])
+    top = rng.choice(
+        [r, r * np.exp(2j * np.pi / int(rng.integers(1, 7))), r * np.exp(1j * rng.uniform(0, 7))]
+    )
+    s[rng.integers(dim, size=int(rng.integers(0, 4)))] = top
+    return s
+
+
+def _shift_weights(rng) -> np.ndarray:
+    """Weights of a shift of dim 2-128, real or complex, some zero."""
+    w = rng.normal(size=int(rng.integers(1, 128))) * 10.0 ** rng.integers(-5, 6)
+    if rng.random() < 0.5:
+        w = w + 1j * rng.normal(size=len(w))
+    w[rng.random(len(w)) < 0.2] = 0.0
+    return w
+
+
+FIXED_SYMBOLS = [
+    [1.0, 1.0, -1.0, 0.5],
+    [2.0, 2j, -2.0, -2j, 1.0],
+    [2.0, 2.0, 1.0],
+    [1.0, 0.5j],
+    [1.0, 1.0, 1.0, 0.0, 0.0, 0.25, 0.25],
+    [-1.0 + 1.0 / j for j in range(1, 51)],
+    [0.0],
+    [0.0, 0.0, 0.0],
+    [-3.0],
+    [1j, 1j, -1j, -1j, 1.0, -1.0],
+]
+
+
+def _outcome(spec, verdicts, norm) -> list:
+    """The records of the checks of one spectrum, in report order, and the
+    kind of the error that ended them, if one did."""
+    out = []
+    try:
+        for c in perron_frobenius_checks(spec, verdicts.get("uniform-asymptotic"),
+                                         verdicts.get("weak-asymptotic"), norm):
+            out.append(json_text(check_record(c)))
+    except (SpectralError, VerificationError) as exc:
+        out.append(type(exc).__name__)
+    return out
+
+
+def _assert_same_as_dense(model, matrix):
+    closed = model.spectral_data()
+    dense = eigenvalues(matrix)
+    assert json_text(spectrum_record(closed)) == json_text(spectrum_record(dense))
+    try:
+        verdicts = {v.notion.value: v for v in classify_asymptotic(model)}
+    except NotClassifiableError:
+        verdicts = {}
+    assert _outcome(closed, verdicts, model.norm) == _outcome(dense, verdicts, model.norm)
+
+
+@pytest.mark.parametrize("symbol", FIXED_SYMBOLS, ids=range(len(FIXED_SYMBOLS)))
+@pytest.mark.parametrize("norm", NORMS)
+def test_fixed_diagonals_match_the_eigen_solve(symbol, norm):
+    s = np.array(symbol, dtype=complex)
+    _assert_same_as_dense(Diagonal(s, norm()), np.diag(s))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_seeded_diagonals_match_the_eigen_solve(seed):
+    rng = np.random.default_rng([24, seed])
+    for trial in range(60):
+        s = _symbol(rng)
+        _assert_same_as_dense(Diagonal(s, NORMS[trial % 3]()), np.diag(s))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_seeded_shifts_match_the_eigen_solve(seed):
+    rng = np.random.default_rng([25, seed])
+    for trial in range(60):
+        w = _shift_weights(rng)
+        _assert_same_as_dense(WeightedShift(w, NORMS[trial % 3]()), np.diag(w, -1))
+
+
+def test_diagonal_spectrum_is_read_off_the_symbol():
+    s = np.array([2.0, -1.0, 2.0, 0.5j, -1.0, 2j, 2.0])
+    model = Diagonal(s, Ell1())
+    spec = model.spectral_data()
+    assert np.array_equal(spec.eigenvalues, s) and not spec.eigenvalues.flags.writeable
+    assert spec.spectral_radius == spec.matrix_norm == 2.0
+    # exactly equal entries near the circle: pole order 1, spread 0; -1 is
+    # inside, and 2i stands alone
+    assert sorted(spec.clusters) == [((0, 2, 6), 1, 0.0)]
+    periph = spec.peripheral
+    assert list(periph.eigenvalues) == [2.0, 2j]
+    assert periph.pole_orders == (1, 1) and periph.multiplicities == (3, 1)
+    assert np.array_equal(periph.coefficient(0), np.diag([1, 0, 1, 0, 0, 0, 1]).astype(complex))
+    assert geometric_multiplicity(spec, 2.0) == 3 and geometric_multiplicity(spec, -1.0) == 2
+    # nothing is kept on the model: each call builds the data anew
+    assert model.spectral_data() is not spec
+
+
+def test_shift_spectrum_is_nilpotent():
+    spec = WeightedShift(np.array([3.0, -4j, 0.0]), Ell1()).spectral_data()
+    assert np.array_equal(spec.eigenvalues, np.zeros(4)) and spec.spectral_radius == 0.0
+    assert spec.matrix is None and spec.matrix_norm == 4.0
+
+
+def test_entries_within_rounding_stay_distinct():
+    # 1 and its float successor: the eigen-solve of the dense matrix may merge
+    # them into one semisimple eigenvalue; the closed form keeps two simple
+    # eigenvalues, and the smaller one is not peripheral, as it lies within
+    # DEFAULT_TOL * spr of the larger
+    s = np.array([1.0, np.nextafter(1.0, 2.0), 0.5])
+    spec = Diagonal(s, Ell1()).spectral_data()
+    assert spec.clusters == ()
+    assert list(spec.peripheral.eigenvalues) == [s[1]]
+    assert spec.peripheral.multiplicities == (1,)

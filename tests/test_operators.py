@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ from evpos.operators import (
     Tabulated,
     WeightedIntegral,
     WeightedShift,
+    _c2j,
+    _function_to_json,
+    _functional_to_json,
     apply_functional,
     integrate_product,
     model_digest,
@@ -188,6 +192,50 @@ class TestJsonRoundTrip:
     def test_unknown_variant_rejected(self):
         with pytest.raises(OperatorError):
             model_from_json({"variant": "mystery"})
+
+
+# entries whose JSON text a per-entry conversion and an array conversion
+# could write differently: signed zeros, subnormals, and huge magnitudes
+AWKWARD_ENTRIES = (
+    -0.0,
+    complex(0.0, -0.0),
+    complex(-0.0, -0.0),
+    5e-324,
+    complex(-2.5e-310, 1e-320),
+    1e300,
+    complex(-1e300, 1e300),
+    0.1 + 0.2j,
+    -1.0 / 3.0,
+)
+
+
+class TestArraySerialisation:
+    @pytest.mark.parametrize(
+        "model, field",
+        [
+            (Diagonal(np.array(AWKWARD_ENTRIES), Ell1()), "symbol"),
+            (WeightedShift(np.array(AWKWARD_ENTRIES), Ell1()), "weights"),
+            (Dense(np.array(AWKWARD_ENTRIES).reshape(3, 3), Ell1()), "entries"),
+        ],
+        ids=["diagonal", "shift", "dense"],
+    )
+    def test_models_write_the_per_entry_bytes(self, model, field):
+        data = model_to_json(model)
+        reference = dict(data, **{field: [_c2j(z) for z in AWKWARD_ENTRIES]})
+        assert json.dumps(data, sort_keys=True) == json.dumps(reference, sort_keys=True)
+        if not isinstance(model, Dense):  # a Dense hashes its matrix bytes
+            compact = json.dumps(reference, sort_keys=True, separators=(",", ":")).encode()
+            assert model_digest(model) == hashlib.sha256(compact).hexdigest()
+        back = model_from_json(json.loads(json.dumps(data)))
+        assert model_to_json(back) == data
+
+    def test_functions_and_functionals_write_the_per_entry_bytes(self):
+        values = _function_to_json(Tabulated(AWKWARD_ENTRIES))["values"]
+        points = tuple(np.linspace(-1.0, 1.0, len(AWKWARD_ENTRIES)))
+        coefficients = _functional_to_json(PointCombination(points, AWKWARD_ENTRIES))["coefficients"]
+        reference = json.dumps([_c2j(z) for z in AWKWARD_ENTRIES])
+        assert json.dumps(values) == json.dumps(coefficients) == reference
+        assert "-0.0" in reference and "5e-324" in reference and "1e+300" in reference
 
 
 class TestModelDigest:

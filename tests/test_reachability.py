@@ -50,6 +50,14 @@ ALLOWLIST = {
     "operators.Diagonal.power": "closed-form power that power_apply dispatches to",
     "operators.WeightedShift.power": "closed-form power that power_apply dispatches to",
     "operators.RankK.power": "closed-form power that power_apply dispatches to",
+    "operators.Diagonal.dense": (
+        "the dense view that delta_n and the model-contract tests read; the "
+        "checks read the closed-form spectral_data"
+    ),
+    "operators.WeightedShift.dense": (
+        "the dense view that the model-contract tests read; the checks read "
+        "the closed-form spectral_data"
+    ),
     "operators._check_vector": "the length check of power_apply",
     "operators.Dense.to_json": (
         "writes the dense model-file format that classify reads; the tests "
