@@ -324,11 +324,11 @@ def _tail_certificate(T: Dense) -> Optional[Confirmed]:
     powers below n_t are tested directly, as powers of T 2^-e (e the binary
     exponent of spr, so none overflows) by `_power_failure`. m and n_t are
     capped at MAX_TAIL."""
-    spec = T.spectrum
-    periph, spr = spec.peripheral, spec.spectral_radius
-    if len(periph.eigenvalues) != 1 or periph.order != 1:
+    spec = T.spectral_data()
+    spr = spec.spectral_radius
+    if len(spec.peripheral_indices) != 1 or spec.order != 1:
         return None
-    L = periph.coefficient(0).real
+    L = spec.coefficient(0).real
     A = T.matrix.real
     gap = float(L.min()) - MARGIN_ROUNDINGS * T.dim * EPS * float(np.linalg.norm(L)) ** 2
     if not gap > 0:
@@ -349,11 +349,16 @@ def _tail_certificate(T: Dense) -> Optional[Confirmed]:
 
 
 def _diagonal_status(T: Diagonal) -> Status:
-    """Exact: T^n = diag(s^n) is positive for every n >= 1 when each symbol
-    entry s is a positive real or zero; any other s has s^n off the positive
-    reals for infinitely many n. An entry of modulus spr = max |s| passes
-    only when it is spr exactly, as spr e^(i phi) turns round to -spr
-    however small phi is; any other entry is tested within DEFAULT_TOL spr."""
+    """Exact: T^n = diag(s^n). An entry of modulus spr = max |s| passes only
+    when it is spr exactly, as spr e^(i phi) turns round to -spr however
+    small phi is; any other entry is tested within DEFAULT_TOL spr, and one
+    that fails refutes, as s^n is off the positive reals for infinitely many
+    n. One that passes can still turn off them at a later n: with
+    mu = s/spr = r e^(i phi), dist(mu^n, R+) <= n r^n |phi| at every n >= 1.
+    n r^n rises up to n = -1/ln r and falls after it, so its largest value
+    is at one of the two integers next to that. The trio is confirmed at
+    n0 = 0 when every entry's largest bound is at most DEFAULT_TOL, and
+    otherwise undetermined, with horizon 0 as no power is stepped."""
     spr = T.spectral_radius()
     on_circle = np.abs(T.symbol) == spr
     for k, s in enumerate(T.symbol):
@@ -361,7 +366,14 @@ def _diagonal_status(T: Diagonal) -> Status:
             return RefutedWithWitness(
                 (k, s), f"symbol entry {s} at index {k} is not a positive real"
             )
-    return Confirmed(0)
+    mu = T.symbol / spr
+    r, phi = np.abs(mu), np.abs(np.angle(mu))
+    with np.errstate(divide="ignore"):
+        n = np.maximum(np.floor(-1.0 / np.log(r)), 1.0)
+    # an entry inside the circle whose modulus rounds to spr has no bound
+    peak = np.where(r < 1.0, np.maximum(n * r**n, (n + 1) * r ** (n + 1)), np.inf)
+    drift = peak[phi > 0] * phi[phi > 0]
+    return Confirmed(0) if (drift <= DEFAULT_TOL).all() else UndeterminedUpToHorizon(0)
 
 
 def _shift_status(T: WeightedShift) -> Status:
@@ -682,7 +694,7 @@ def _limit_point_refutation(T, worst, r: int, threshold: float) -> Optional[Refu
 
 
 def _peripheral_status(T: Dense) -> Status:
-    """Exact, from the peripheral decomposition of T: m the top pole order,
+    """Exact, from the peripheral part of T's spectrum: m the top pole order,
     mu_k = lam_k/spr and C_k = (T - lam_k)^(m-1) P_k for each lam_k of
     order m. Asymptotic positivity with m = 1 makes the peripheral spectrum
     cyclic, so a mu_k that is no root of unity of order at most the number
@@ -701,17 +713,16 @@ def _peripheral_status(T: Dense) -> Status:
     sound. Off the cone means beyond DEFAULT_TOL plus, at
     m = 1, the rounding of the computed projections, n eps sum_k ||P_k||_F^2
     to first order, and at m > 1 the error that merging a split eigenvalue
-    puts into L_r (`PeripheralDecomposition.coefficient_error`). The rule
+    puts into L_r (`Spectrum.coefficient_error`). The rule
     steps no power, so an undetermined status has horizon 0."""
-    spec = T.spectrum
-    periph, spr = spec.peripheral, spec.spectral_radius
-    m, top = periph.order, periph.top
-    mu = periph.eigenvalues[top] / spr
-    count = len(periph.eigenvalues)
+    spec = T.spectral_data()
+    spr, m, top = spec.spectral_radius, spec.order, spec.top
+    mu = spec.peripheral_eigenvalues[top] / spr
+    count = len(spec.peripheral_indices)
     q = [_root_of_unity_order(z, count, spectral.DEFAULT_TOL) for z in mu]
     if None in q:
         return UndeterminedUpToHorizon(0) if m > 1 else _not_cyclic(mu, q, count)
-    C = np.stack([periph.coefficient(k) for k in top]) / (periph.scale * spr) ** (m - 1)
+    C = np.stack([spec.coefficient(k) for k in top]) / (spec.scale * spr) ** (m - 1)
 
     def worst(r):
         return _worst_entry([(0, np.tensordot(mu**r, C, axes=1))]), r
@@ -722,7 +733,7 @@ def _peripheral_status(T: Dense) -> Status:
         slack = T.dim * EPS * float(np.sum(np.linalg.norm(C, axis=(1, 2)) ** 2))
         refuted = _limit_point_refutation(T, *worst(1), DEFAULT_TOL + slack)
         return refuted or (UndeterminedUpToHorizon(0) if T.matrix.imag.any() else Confirmed(0))
-    threshold = DEFAULT_TOL + periph.coefficient_error / (periph.scale * spr) ** (m - 1)
+    threshold = DEFAULT_TOL + spec.coefficient_error / (spec.scale * spr) ** (m - 1)
     for r in range(min(math.lcm(*q), MAX_PERIOD)):
         refuted = _limit_point_refutation(T, *worst(r), threshold)
         if refuted is not None:

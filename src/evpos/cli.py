@@ -30,14 +30,11 @@ from .generators import (
 from .lattice import LatticeVector, cone_distance, norm_value
 from .operators import (
     Dense,
-    Diagonal,
     OperatorError,
     OperatorModel,
-    WeightedShift,
     model_digest,
     model_from_json,
     norm_to_json,
-    to_dense,
 )
 from .report import (
     AnalysisReport,
@@ -130,10 +127,9 @@ def _load_vector(path: str) -> np.ndarray:
 def run_classify(model: OperatorModel, operator_id: str, seed: int = 0) -> tuple:
     """(AnalysisReport, solver_failure_flag): the eventual trio always, the
     asymptotic trio when the rescaling is defined, then the checks. Both
-    trios read one limit status (`classify.LimitStatus`). The checks read a
-    diagonal's or a weighted shift's spectral data in closed form, built
-    here, and any other model's from its dense view (a `Dense` is its own,
-    whose spectrum it keeps). A solver failure in the asymptotic trio drops
+    trios read one limit status (`classify.LimitStatus`). The checks read
+    the model's `spectral_data()`, a `Dense` at any size and any other model
+    at dim <= DIM_CAP. A solver failure in the asymptotic trio drops
     that trio, and one anywhere in the checks ends them; what was made
     before it stays in the report."""
     solver_failure = False
@@ -151,10 +147,7 @@ def run_classify(model: OperatorModel, operator_id: str, seed: int = 0) -> tuple
     spec = None
     if isinstance(model, Dense) or model.dim <= DIM_CAP:
         try:
-            if isinstance(model, (Diagonal, WeightedShift)):
-                spec = model.spectral_data()
-            else:
-                spec = to_dense(model).spectrum
+            spec = model.spectral_data()
             for check in perron_frobenius_checks(
                 spec,
                 by_notion.get("uniform-asymptotic"),

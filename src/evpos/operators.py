@@ -182,11 +182,12 @@ def apply_functional(
 # ---------------------------------------------------------------------------
 # operator models
 #
-# Each model supplies the same methods: power(n, entries) for T^n on an entry
-# array (n >= 1, unchecked), orbit(Y, horizon) that streams Y, TY, ...,
-# T^horizon Y for a dim x m block Y, dense(), spectral_radius() and
-# to_json(). A diagonal and a weighted shift also give their spectrum in
-# closed form (spectral_data()); a dense matrix keeps the one it solved.
+# Each model supplies the same methods: orbit(Y, horizon), its one power
+# path, which streams Y, TY, ..., T^horizon Y for a dim x m block Y; dense();
+# spectral_radius(); spectral_data(), its `Spectrum`, which the asymptotic
+# rule and the checks read; and to_json(). A diagonal and a weighted shift
+# give their spectrum in closed form, a dense matrix keeps the one it
+# solved, and a rank-k model takes its dense view's.
 
 
 def _iterate(step, Y: np.ndarray, horizon: int):
@@ -227,9 +228,6 @@ class Dense:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def power(self, n: int, entries: np.ndarray) -> np.ndarray:
-        return np.linalg.matrix_power(self.matrix, n) @ entries
-
     def orbit(self, Y: np.ndarray, horizon: int):
         return _iterate(self.matrix.__matmul__, Y, horizon)
 
@@ -237,12 +235,15 @@ class Dense:
         return self
 
     @cached_property
-    def spectrum(self) -> Spectrum:
-        """Solved on first use and kept, for the rescaling and the checks."""
+    def _spectrum(self) -> Spectrum:
         return eigenvalues(self.matrix)
 
+    def spectral_data(self) -> Spectrum:
+        """Solved on first use and kept, for the rescaling and the checks."""
+        return self._spectrum
+
     def spectral_radius(self) -> float:
-        return self.spectrum.spectral_radius
+        return self.spectral_data().spectral_radius
 
     def to_json(self) -> dict:
         return {
@@ -265,9 +266,6 @@ class Diagonal:
     @property
     def dim(self) -> int:
         return len(self.symbol)
-
-    def power(self, n: int, entries: np.ndarray) -> np.ndarray:
-        return self.symbol**n * entries
 
     def orbit(self, Y: np.ndarray, horizon: int):
         return _iterate(lambda Z: self.symbol[:, None] * Z, Y, horizon)
@@ -308,11 +306,6 @@ class WeightedShift:
     def _step(self, Z: np.ndarray) -> np.ndarray:
         """T applied to a vector, or to each column of a block."""
         return np.concatenate([np.zeros_like(Z[:1]), (self.weights * Z[:-1].T).T])
-
-    def power(self, n: int, entries: np.ndarray) -> np.ndarray:
-        for _ in range(n):
-            entries = self._step(entries)
-        return entries
 
     def orbit(self, Y: np.ndarray, horizon: int):
         return _iterate(self._step, Y, horizon)
@@ -395,9 +388,6 @@ class RankK:
         singular-term witnesses built on these would move in the last bit."""
         return np.array([row @ entries for row in self.rows])
 
-    def power(self, n: int, entries: np.ndarray) -> np.ndarray:
-        return self.samples @ (self.coefficients(entries) * self.eigen_parameters ** (n - 1))
-
     def orbit(self, Y: np.ndarray, horizon: int):
         # T^n = samples diag(lambda^(n-1)) rows for n >= 1
         yield Y
@@ -413,6 +403,11 @@ class RankK:
         # with a diagonal duality matrix the nonzero eigenvalues are exactly
         # the diagonal pairings <phi_i, f_i>
         return float(np.max(np.abs(self.eigen_parameters)))
+
+    def spectral_data(self) -> Spectrum:
+        """Its dense view's, solved on each call: a dim x dim solve, which
+        `run_classify` asks for only at dim <= its DIM_CAP."""
+        return to_dense(self).spectral_data()
 
     def to_json(self) -> dict:
         return {
@@ -434,10 +429,13 @@ def _check_vector(T: OperatorModel, x: LatticeVector):
 
 
 def power_apply(T: OperatorModel, n: int, x: LatticeVector) -> LatticeVector:
+    """T^n x for n >= 1: the n-th block of T's orbit of x."""
     if n < 1:
         raise OperatorError("power_apply requires n >= 1")
     _check_vector(T, x)
-    return LatticeVector(T.power(n, x.entries), x.norm)
+    for Y in T.orbit(x.entries[:, None], n):
+        pass
+    return LatticeVector(Y[:, 0], x.norm)
 
 
 def pairing(

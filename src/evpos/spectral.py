@@ -1,9 +1,10 @@
 """Complex-matrix spectral computations: eigenvalues, resolvents, Laurent
 coefficients at resolvent poles (exact, from the spectral projection),
-multiplicities, and the peripheral decomposition that the asymptotic rule and
-the Perron-Frobenius checks share. A diagonal matrix, whose spectrum is its
-entries, and a nilpotent one, whose spectrum is 0, have theirs in closed
-form with no solve (`diagonal_spectrum`, `nilpotent_spectrum`)."""
+multiplicities, and the peripheral part of a `Spectrum`, which the
+asymptotic rule and the Perron-Frobenius checks share. A diagonal matrix,
+whose spectrum is its entries, and a nilpotent one, whose spectrum is 0,
+have theirs in closed form with no solve (`diagonal_spectrum`,
+`nilpotent_spectrum`)."""
 
 from __future__ import annotations
 
@@ -29,22 +30,31 @@ class SingularResolventError(SpectralError):
         self.lam = lam
 
 
-class NotAnEigenvalueError(SpectralError):
-    pass
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """A matrix A (read-only) with its eigenvalues, its spectral radius and
     ||A||_2, which the solver's trace check takes and the rank thresholds
-    reuse: everything a Perron-Frobenius check reads. `clusters` holds, for
-    each multiple eigenvalue near the spectral circle, the indices of its
-    eigenvalues, its pole order and its spread, the distance of the
-    farthest eigenvalue merged into it (`_clusters`); every other eigenvalue
-    counts as simple. `symbol` is the diagonal of A when A is diagonal,
-    which its peripheral coefficients and geometric multiplicities are then
-    read off. A is None for a nilpotent spectrum that is known without it
-    (`nilpotent_spectrum`): at spr = 0 only the vacuous spr check runs."""
+    reuse, and its peripheral part: everything the asymptotic rule and a
+    Perron-Frobenius check read. `clusters` holds, for each multiple
+    eigenvalue near the spectral circle, the indices of its eigenvalues, its
+    pole order and its spread, the distance of the farthest eigenvalue
+    merged into it (`_clusters`); every other eigenvalue counts as simple.
+    `symbol` is the diagonal of A when A is diagonal, which its peripheral
+    coefficients and geometric multiplicities are then read off. A is None
+    for a nilpotent spectrum that is known without it (`nilpotent_spectrum`):
+    at spr = 0 only the vacuous spr check runs.
+
+    The peripheral part is computed on first use of each member and kept:
+    the peripheral eigenvalues lam_k (`peripheral_indices`), and for each
+    its resolvent pole order m_k, its algebraic multiplicity (the rank of
+    P_k below) and its spread d_k, all read off its cluster (spread 0
+    unless lam_k is a merged cluster's mean); and the leading Laurent
+    coefficient C_k = (B - c lam_k)^(m_k-1) P_k of B = c A at c lam_k, P_k
+    the spectral projection (C_k = P_k when m_k is 1). c = `scale` = 2^-e,
+    e the binary exponent of spr, so B is exact and in range at any scale
+    of A, and C_k is (A - lam_k)^(m_k-1) P_k times c^(m_k-1). For a
+    diagonal A = diag(symbol) every m_k is 1 and P_k is the indicator
+    diag(symbol == lam_k)."""
 
     matrix: Optional[np.ndarray]
     eigenvalues: np.ndarray
@@ -54,57 +64,59 @@ class Spectrum:
     symbol: Optional[np.ndarray] = None
 
     @cached_property
-    def peripheral(self) -> PeripheralDecomposition:
-        """Solved on first use and kept, for the asymptotic rule and the
-        checks."""
-        lams = peripheral_spectrum(self)
-        return PeripheralDecomposition(
-            self.matrix,
-            float(np.ldexp(1.0, -int(np.frexp(self.spectral_radius)[1]))),
-            lams,
-            tuple(pole_order(self, lam) for lam in lams),
-            tuple(self.multiplicity(lam) for lam in lams),
-            tuple(self.cluster(lam)[2] for lam in lams),
-            self.symbol,
+    def peripheral_indices(self) -> np.ndarray:
+        """The indices of the eigenvalues of modulus >= spr (1 - DEFAULT_TOL),
+        one for each cluster (its first), in order, less each whose
+        eigenvalue lies within DEFAULT_TOL * spr of one of larger modulus:
+        of two distinct eigenvalues that close only the larger is
+        peripheral. At spr = 0 it is the first index, of the eigenvalue 0."""
+        vals, spr = self.eigenvalues, self.spectral_radius
+        if spr == 0.0:
+            return np.array([0])
+        mod = np.abs(vals)
+        keep = mod >= spr * (1.0 - DEFAULT_TOL)
+        keep[[i for c in self.clusters for i in c[0][1:]]] = False
+        sel = np.flatnonzero(keep)
+        v, m = vals[sel], mod[sel]
+        close = np.abs(v[:, None] - v[None, :]) <= DEFAULT_TOL * spr
+        # row i is beaten by column j of larger modulus, or of equal modulus and first
+        beaten = (m[None, :] > m[:, None]) | (
+            (m[None, :] == m[:, None]) & (sel[None, :] < sel[:, None])
         )
+        return sel[~np.any(close & beaten, axis=1)]
 
-    def cluster(self, lam: complex) -> tuple:
-        """(indices, pole order, spread) of the eigenvalue nearest lam: its
+    @cached_property
+    def peripheral_eigenvalues(self) -> np.ndarray:
+        return self.eigenvalues[self.peripheral_indices]
+
+    @cached_property
+    def _peripheral_clusters(self) -> list:
+        """(indices, pole order, spread) of each peripheral eigenvalue's
         cluster, or ((i,), 1, 0.0) for a simple eigenvalue i."""
-        i = int(np.argmin(np.abs(self.eigenvalues - lam)))
-        return next((c for c in self.clusters if i in c[0]), ((i,), 1, 0.0))
+        home = {i: c for c in self.clusters for i in c[0]}
+        return [home.get(i, ((i,), 1, 0.0)) for i in self.peripheral_indices.tolist()]
 
-    def multiplicity(self, lam: complex) -> int:
-        """Algebraic multiplicity of the eigenvalue nearest lam."""
-        return len(self.cluster(lam)[0])
+    @cached_property
+    def pole_orders(self) -> tuple:
+        return tuple(c[1] for c in self._peripheral_clusters)
 
+    @cached_property
+    def multiplicities(self) -> tuple:
+        return tuple(len(c[0]) for c in self._peripheral_clusters)
 
-@dataclass(frozen=True)
-class PeripheralDecomposition:
-    """The peripheral eigenvalues lam_k of A, in the order of
-    `peripheral_spectrum`, with their resolvent pole orders m_k, their
-    algebraic multiplicities (the rank of each P_k below), their spreads d_k
-    (`Spectrum.clusters`; 0 unless lam_k is a merged cluster's mean) and,
-    computed on first use of each and kept, the leading Laurent coefficient
-    C_k = (B - c lam_k)^(m_k-1) P_k of B = c A at c lam_k, P_k the spectral
-    projection (C_k = P_k when m_k is 1). c = 2^-e, e the binary exponent of
-    spr, so B is exact and in range at any scale of A, and C_k is
-    (A - lam_k)^(m_k-1) P_k times c^(m_k-1). For a diagonal A = diag(symbol)
-    every m_k is 1 and P_k is the indicator diag(symbol == lam_k)."""
+    @cached_property
+    def spreads(self) -> tuple:
+        return tuple(c[2] for c in self._peripheral_clusters)
 
-    matrix: np.ndarray
-    scale: float
-    eigenvalues: np.ndarray
-    pole_orders: tuple
-    multiplicities: tuple
-    spreads: tuple
-    symbol: Optional[np.ndarray] = None
+    @cached_property
+    def scale(self) -> float:
+        return float(np.ldexp(1.0, -int(np.frexp(self.spectral_radius)[1])))
 
-    @property
+    @cached_property
     def order(self) -> int:
         return max(self.pole_orders)
 
-    @property
+    @cached_property
     def top(self) -> list:
         """The k with m_k = m: only those add an n^(m-1) term to A^n."""
         return [k for k, mk in enumerate(self.pole_orders) if mk == self.order]
@@ -116,7 +128,7 @@ class PeripheralDecomposition:
     def coefficient(self, k: int) -> np.ndarray:
         """C_k, computed on first use and kept."""
         if k not in self._coefficients:
-            c, lam = self.scale, self.eigenvalues[k]
+            c, lam = self.scale, self.peripheral_eigenvalues[k]
             self._coefficients[k] = (
                 np.diag((self.symbol == lam).astype(complex))
                 if self.symbol is not None
@@ -139,7 +151,7 @@ class PeripheralDecomposition:
         eye = np.eye(B.shape[0])
         err = 0.0
         for k in self.top if m > 1 else ():
-            lam, d = c * self.eigenvalues[k], c * self.spreads[k]
+            lam, d = c * self.peripheral_eigenvalues[k], c * self.spreads[k]
             if d > 0:
                 a = np.linalg.norm(B - lam * eye)
                 P = spectral_projection(B, lam, m, self.multiplicities[k])
@@ -283,15 +295,6 @@ def resolvent_matrix(A, lam: complex) -> np.ndarray:
     return R
 
 
-def pole_order(spec: Spectrum, lam0: complex) -> int:
-    """Largest Jordan block size at lam0, as `eigenvalues` found it: the
-    pole order of lam0's cluster, 1 for a simple eigenvalue. lam0 must lie
-    in the spectrum."""
-    if np.min(np.abs(spec.eigenvalues - lam0)) > 1e-6 * max(spec.matrix_norm, 1.0):
-        raise NotAnEigenvalueError(f"{lam0} is not a spectral value")
-    return spec.cluster(lam0)[1]
-
-
 def spectral_projection(A, lam0: complex, m: int, multiplicity: int) -> np.ndarray:
     """Spectral projection P = V (W^H V)^{-1} W^H at an eigenvalue lam0 of
     index m and algebraic multiplicity s: V and W span the right and left
@@ -340,22 +343,6 @@ def geometric_multiplicity(spec: Spectrum, lam: complex) -> int:
 
 
 def peripheral_spectrum(spec: Spectrum) -> np.ndarray:
-    """Eigenvalues of modulus >= spr (1 - DEFAULT_TOL), one for each cluster
-    (its first), in order, less each that lies within DEFAULT_TOL * spr of
-    one of larger modulus: of two distinct eigenvalues that close only the
-    larger is peripheral."""
-    vals = spec.eigenvalues
-    spr = spec.spectral_radius
-    if spr == 0.0:
-        return np.array([0.0 + 0j])
-    later = {i for c in spec.clusters for i in c[0][1:]}
-    sel = np.array(
-        [i for i in np.flatnonzero(np.abs(vals) >= spr * (1.0 - DEFAULT_TOL)) if i not in later]
-    )
-    v, mod = vals[sel], np.abs(vals[sel])
-    close = np.abs(v[:, None] - v[None, :]) <= DEFAULT_TOL * spr
-    # row i is beaten by column j of larger modulus, or of equal modulus and first
-    beaten = (mod[None, :] > mod[:, None]) | (
-        (mod[None, :] == mod[:, None]) & (sel[None, :] < sel[:, None])
-    )
-    return v[~np.any(close & beaten, axis=1)]
+    """The peripheral eigenvalues of a spectrum (`Spectrum.peripheral_indices`),
+    in order; [0] at spr = 0."""
+    return spec.peripheral_eigenvalues

@@ -9,9 +9,9 @@ Theorem checks never assume their own hypotheses. Hypotheses (power
 boundedness, decided by rule from the peripheral pole orders, and
 asymptotic-positivity verdicts) are evaluated and attached to the result, so
 a failed conclusion with failed hypotheses reads as "no contradiction" rather
-than as a bug. Every check is a rule on one `Spectrum` of A: all but the
-spr check read its peripheral decomposition, and `perron_frobenius_checks`
-decides which of them run.
+than as a bug. Every check is a rule on one `Spectrum` of A, the model's
+`spectral_data()`: all but the spr check read its peripheral part, and
+`perron_frobenius_checks` decides which of them run.
 """
 
 from __future__ import annotations
@@ -151,10 +151,9 @@ def positive_eigenvector(spec: Spectrum, norm: NormKind) -> EigenvectorResult:
     at lam0, which the asymptotic rule may have computed already; the
     positive factor leaves the normalized vectors alone."""
     A, spr = spec.matrix, spec.spectral_radius
-    periph = spec.peripheral
-    k = int(np.argmin(np.abs(periph.eigenvalues - spr)))
-    m = periph.pole_orders[k]
-    Q = periph.coefficient(k)
+    k = int(np.argmin(np.abs(spec.peripheral_eigenvalues - spr)))
+    m = spec.pole_orders[k]
+    Q = spec.coefficient(k)
 
     def size(y: np.ndarray) -> float:
         return float(norm_of_moduli(np.abs(y), norm))
@@ -193,13 +192,13 @@ def positive_eigenvector(spec: Spectrum, norm: NormKind) -> EigenvectorResult:
 def power_bounded_estimate(spec: Spectrum) -> dict:
     """Whether A/spr is power bounded, by rule: in finite dimensions it is
     exactly when every peripheral eigenvalue is a pole of the resolvent of
-    order 1 (semisimple). Returns the verdict and the pole orders of the
-    spectrum's peripheral decomposition, in the order of
-    `peripheral_spectrum`. Raises when spr = 0, so no check that
-    reads the result meets a zero spectral radius."""
+    order 1 (semisimple). Returns the verdict and the spectrum's peripheral
+    pole orders (`Spectrum.pole_orders`), in the order of its peripheral
+    eigenvalues. Raises when spr = 0, so no check that reads the result
+    meets a zero spectral radius."""
     if spec.spectral_radius <= 0:
         raise VerificationError("power-boundedness requires spr > 0")
-    orders = list(spec.peripheral.pole_orders)
+    orders = list(spec.pole_orders)
     return {"power_bounded": all(m == 1 for m in orders), "peripheral_pole_orders": orders}
 
 
@@ -216,16 +215,17 @@ def peripheral_cyclicity_check(
     asymptotic_verdict: Optional[PositivityVerdict] = None,
 ) -> CheckResult:
     """Every power spr*e^{ik theta} (|k| <= CYCLICITY_POWERS) of a peripheral
-    eigenvalue spr*e^{i theta} (of `Spectrum.peripheral`) must land within
-    DEFAULT_TOL*spr of an eigenvalue. The payload's `distances` row i holds
-    those distances for the i-th peripheral eigenvalue, in order of k."""
+    eigenvalue spr*e^{i theta} (`Spectrum.peripheral_eigenvalues`) must land
+    within DEFAULT_TOL*spr of an eigenvalue. The payload's `distances` row i
+    holds those distances for the i-th peripheral eigenvalue, in order of
+    k."""
     spr = spec.spectral_radius
     power_bounds = power_bounded_estimate(spec)
     hyp = {"power-bounded": power_bounds["power_bounded"]}
     hyp.update(_verdict_hypothesis("uniform-asymptotic-positive", asymptotic_verdict))
     ks = np.arange(-CYCLICITY_POWERS, CYCLICITY_POWERS + 1)
     distances = np.array(
-        [_target_distances(spec, lam, ks)[1] for lam in spec.peripheral.eigenvalues]
+        [_target_distances(spec, lam, ks)[1] for lam in spec.peripheral_eigenvalues]
     )
     margin = DEFAULT_TOL * spr - float(distances.max())
     return CheckResult(
@@ -243,25 +243,26 @@ def multiplicity_monotonicity_check(
     asymptotic_verdict: Optional[PositivityVerdict] = None,
 ) -> CheckResult:
     """dim ker(spr e^{i theta} - A) <= dim ker(spr e^{i n theta} - A) for
-    each peripheral eigenvalue (of `Spectrum.peripheral`) and each n in
-    MONOTONICITY_POWERS; a power that misses the spectrum entirely is
+    each peripheral eigenvalue (`Spectrum.peripheral_eigenvalues`) and each
+    n in MONOTONICITY_POWERS; a power that misses the spectrum entirely is
     recorded as a cyclicity failure. A power within DEFAULT_TOL * spr of an
     eigenvalue lands on the peripheral eigenvalue nearest to it; one that
     lands where it came from compares a multiplicity with itself and holds,
     so only those pairs and the missing powers make payload rows. A
-    multiplicity is 1 for an eigenvalue that `Spectrum.clusters` leaves
-    simple, as 1 bounds it, and one SVD for a multiple one."""
+    multiplicity is 1 for an eigenvalue whose algebraic multiplicity
+    (`Spectrum.multiplicities`, by index) is 1, as that bounds it, and one
+    SVD for a multiple one."""
     spr = spec.spectral_radius
     power_bounds = power_bounded_estimate(spec)
     hyp = {"power-bounded": power_bounds["power_bounded"]}
     hyp.update(_verdict_hypothesis("weak-asymptotic-positive", asymptotic_verdict))
-    periph = spec.peripheral.eigenvalues
+    periph = spec.peripheral_eigenvalues
     ns = np.array(MONOTONICITY_POWERS)
     mults: dict = {}
 
     def mult(i: int) -> int:
         if i not in mults:
-            simple = spec.multiplicity(periph[i]) == 1
+            simple = spec.multiplicities[i] == 1
             mults[i] = 1 if simple else geometric_multiplicity(spec, periph[i])
         return mults[i]
 
@@ -309,7 +310,7 @@ def perron_frobenius_checks(
 ) -> Iterator[CheckResult]:
     """The Perron-Frobenius checks of one spectrum, in report order, each
     made when the one before it has been taken: the spr check alone at
-    spr = 0, where no peripheral decomposition exists; then cyclicity and
+    spr = 0, where nothing rescales by spr; then cyclicity and
     multiplicity monotonicity; then the positive eigenvector at spr, which
     is sought only once spr lies in the spectrum and weak asymptotic
     positivity is confirmed, the hypotheses it records. Eigenvectors are

@@ -526,7 +526,7 @@ class TestPeripheralRule:
         # as the matrix is nonnegative); with -J, L_0 is negative
         P = scipy.linalg.block_diag(*(np.roll(np.eye(k), 1, axis=0) for k in (5, 7, 8, 9, 11)))
         T = Dense(np.kron(P, sign * np.array([[1.0, 1.0], [0.0, 1.0]])), Ell1())
-        assert T.spectrum.peripheral.order == 2
+        assert T.spectral_data().order == 2
         formed = []
         tensordot = np.tensordot
 
@@ -591,10 +591,10 @@ class TestPeripheralRule:
         # the limit point L_0 is the nilpotent part A - I, with -1 at (0, 0)
         A = np.array([[0.0, 2.0], [-0.5, 2.0]])
         T = Dense(A, Ell1())
-        periph = T.spectrum.peripheral
-        assert len(periph.eigenvalues) == 1
-        assert abs(periph.eigenvalues[0] - 1.0) < 1e-12
-        assert periph.pole_orders == (2,)
+        spec = T.spectral_data()
+        assert len(spec.peripheral_eigenvalues) == 1
+        assert abs(spec.peripheral_eigenvalues[0] - 1.0) < 1e-12
+        assert spec.pole_orders == (2,)
         report, failed = run_classify(T, "split-jordan", 0)
         assert not failed
         cyclicity = next(c for c in report.checks if c["name"] == "peripheral-cyclicity")
@@ -627,9 +627,10 @@ class TestPeripheralRule:
     )
     def test_semisimple_eigenvalues_near_spr_stay_apart(self, matrix, kind):
         T = Dense(matrix, Ell1())
-        assert T.spectrum.peripheral.pole_orders == (1,)
-        assert T.spectrum.peripheral.multiplicities == (1,)
-        assert len(set(T.spectrum.eigenvalues)) == len(matrix)
+        spec = T.spectral_data()
+        assert spec.pole_orders == (1,)
+        assert spec.multiplicities == (1,)
+        assert len(set(spec.eigenvalues)) == len(matrix)
         status = classify_asymptotic(T)[0].status
         assert type(status) is kind
         if kind is RefutedWithWitness:
@@ -647,9 +648,9 @@ class TestPeripheralRule:
         # (lam - A)^2 is (gap/2)^2 I, far above rounding, so no merge: A^n
         # tends to the nonnegative projection [[1, 1e4], [0, 0]] at spr 1
         T = Dense(np.array(matrix), Ell1())
-        assert T.spectrum.clusters == ()
+        assert T.spectral_data().clusters == ()
         assert T.spectral_radius() == 1.0
-        assert T.spectrum.peripheral.pole_orders == (1,)
+        assert T.spectral_data().pole_orders == (1,)
         assert all(isinstance(v.status, Confirmed) for v in classify_asymptotic(T))
         report, failed = run_classify(T, "non-normal", 0)
         assert not failed and report.contradiction_count == 0
@@ -666,8 +667,8 @@ class TestPeripheralRule:
         M /= np.max(np.abs(np.linalg.eigvals(M)))
         p = rng.permutation(6)
         T = Dense(np.kron(M, [[1.0, 1.0], [0.0, 1.0]])[p][:, p], Ell1())
-        assert T.spectrum.peripheral.pole_orders == (2,)
-        assert T.spectrum.peripheral.multiplicities == (2,)
+        assert T.spectral_data().pole_orders == (2,)
+        assert T.spectral_data().multiplicities == (2,)
         report, failed = run_classify(T, "jordan", 0)
         assert not failed and report.contradiction_count == 0
         assert all(v.status == Confirmed(0) for v in classify_asymptotic(T))
@@ -681,10 +682,10 @@ class TestPeripheralRule:
         # leaves it undetermined rather than refuted (the trio is confirmed,
         # as the matrix is nonnegative)
         T = Dense(np.array([[1.0, 100.0], [0.0, 1.0 - 1e-6]]), Ell1())
-        periph = T.spectrum.peripheral
-        assert periph.pole_orders == (2,)
-        assert periph.spreads[0] == pytest.approx(5e-7)
-        assert periph.coefficient_error >= 5e-7 * periph.scale
+        spec = T.spectral_data()
+        assert spec.pole_orders == (2,)
+        assert spec.spreads[0] == pytest.approx(5e-7)
+        assert spec.coefficient_error >= 5e-7 * spec.scale
         report, failed = run_classify(T, "near-double", 0)
         assert not failed and report.contradiction_count == 0
         status = evpos.classify._peripheral_status(T)
@@ -764,20 +765,29 @@ class TestExactPeripheralEntries:
             assert {v.status for v in trio} == {UndeterminedUpToHorizon(0)}
 
     @pytest.mark.parametrize(
-        "symbol, kind",
+        "symbol, eventual, asymptotic",
         [
-            ([2.0, 1.0, 0.0], Confirmed),
-            ([2.0, -2.0], RefutedWithWitness),
-            ([2.0, 2j], RefutedWithWitness),
-            ([2.0, 1.0 + 1e-12j], Confirmed),
+            ([2.0, 1.0, 0.0], Confirmed, Confirmed),
+            ([2.0, -2.0], RefutedWithWitness, RefutedWithWitness),
+            ([2.0, 2j], RefutedWithWitness, RefutedWithWitness),
+            # n r^n |phi| is at most 0.5e-12 over every n
+            ([2.0, 1.0 + 1e-12j], Confirmed, Confirmed),
+            # 0.999 e^(1e-10 i) passes at n = 1, but n r^n |phi| peaks at
+            # 3.7e-8 near n = 999, where mu^n is that far off the reals
+            ([1.0, 0.999 * np.exp(1e-10j)], UndeterminedUpToHorizon, Confirmed),
         ],
-        ids=["positive", "minus-spr", "i-spr", "tiny-phase-inside"],
+        ids=["positive", "minus-spr", "i-spr", "tiny-phase-inside", "slow-turn-inside"],
     )
-    def test_only_entries_of_modulus_spr_are_exact(self, symbol, kind):
-        # an entry inside the spectral circle keeps the test within tol
+    def test_only_entries_of_modulus_spr_are_exact(self, symbol, eventual, asymptotic):
+        # an entry inside the spectral circle keeps the test within tol, and
+        # confirms only when its bound holds at every power
         T = Diagonal(np.array(symbol, dtype=complex), Ell1())
-        for trio in (classify_eventual(T), classify_asymptotic(T)):
-            assert {type(v.status) for v in trio} == {kind}
+        assert {type(v.status) for v in classify_eventual(T)} == {eventual}
+        assert {type(v.status) for v in classify_asymptotic(T)} == {asymptotic}
+        if eventual is UndeterminedUpToHorizon:
+            assert classify_eventual(T)[0].status == UndeterminedUpToHorizon(0)
+            mu = T.symbol[1] / T.spectral_radius()
+            assert abs((mu**999).imag) > DEFAULT_TOL
 
 
 class TestRankKLimitRule:

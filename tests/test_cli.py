@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -36,9 +37,8 @@ from evpos.operators import (
     WeightedShift,
     model_digest,
     model_to_json,
-    to_dense,
 )
-from evpos.spectral import SpectralError, eigenvalues, peripheral_spectrum
+from evpos.spectral import SpectralError, Spectrum
 from evpos.lattice import Ell1, Ell2, EllInf
 from evpos.report import (
     ReportError,
@@ -145,20 +145,26 @@ class TestRunClassify:
             model = make_eventually_positive(7, 0.5, 1003).model
         else:
             model = get_example(name).model
-        periph = len(peripheral_spectrum(eigenvalues(to_dense(model).matrix)))
         originals = {
             fname: getattr(evpos.spectral, fname)
             for fname in (
                 "eigenvalues",
-                "pole_order",
                 "geometric_multiplicity",
                 "resolvent_matrix",
                 "laurent_leading_coefficient",
-                "peripheral_spectrum",
             )
         }
         originals["power_bounded_estimate"] = evpos.verify.power_bounded_estimate
-        calls = dict.fromkeys(originals, 0)
+        calls = dict.fromkeys([*originals, "peripheral_indices"], 0)
+        select = Spectrum.peripheral_indices.func
+
+        def counted_selection(spec):
+            calls["peripheral_indices"] += 1
+            return select(spec)
+
+        selection = functools.cached_property(counted_selection)
+        selection.__set_name__(Spectrum, "peripheral_indices")
+        monkeypatch.setattr(Spectrum, "peripheral_indices", selection)
 
         def counting(fname):
             def wrapper(*args, **kwargs):
@@ -181,18 +187,18 @@ class TestRunClassify:
         # reuses; cyclic-block is nonnegative, so only the eigenvector check
         # reads one; ex3.5a's rule reads its symbol, and no eigenvector check
         # runs. ex3.5a's spectrum is read off its symbol, with no solve; each
-        # Dense solves once. The peripheral spectrum is found once, and every
-        # check reads it from the Spectrum; each peripheral check decides power
-        # boundedness from its pole orders. The monotonicity check computes
-        # a geometric multiplicity only for a multiple eigenvalue that meets
-        # another: dense-dim7 has spr alone, the even powers of ex3.5a's
-        # -0.98 miss the spectrum and its odd ones land on -0.98 itself, and
-        # each of cyclic-block's three meets the other two but is simple
+        # Dense solves once. The peripheral eigenvalues are selected once, and
+        # the rule and every check read them from the Spectrum; each
+        # peripheral check decides power boundedness from its pole orders.
+        # The monotonicity check computes a geometric multiplicity only for a
+        # multiple eigenvalue that meets another: dense-dim7 has spr alone,
+        # the even powers of ex3.5a's -0.98 miss the spectrum and its odd ones
+        # land on -0.98 itself, and each of cyclic-block's three meets the
+        # other two but is simple
         assert calls == {
-            "peripheral_spectrum": 1,
+            "peripheral_indices": 1,
             "eigenvalues": int(name != "ex3.5a"),
             "power_bounded_estimate": 2,
-            "pole_order": periph,
             "geometric_multiplicity": 0,
             "resolvent_matrix": 0,
             "laurent_leading_coefficient": int(eigenvector),
@@ -810,6 +816,37 @@ class TestMainEntry:
         n, d, nv = lines[2].split(",")
         assert n == "1"
         assert float(d) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--example", "ex2.2a", "--n", "3"],
+                "912cd0bab68fb43e6e0aab493c28c49369e24e1a6fe5e26914d7c93233074898",
+            ),
+            (
+                ["--example", "rem3.2b", "--n", "4"],
+                "ae457c90c0d59d48ec6172b31c18719abd46a770cd534ad06135cbd1c019683d",
+            ),
+            (
+                ["--example", "ex3.5b"],
+                "3853fae72457a75417c5ae567999c2e43b75348b2543ac58e9d53f364a679c70",
+            ),
+            (
+                ["ellinf.json", "--n", "12"],
+                "b08c879261e468c86cb3e71fc3f44fc5ee51a806cc643afef4a572aaf8f3022d",
+            ),
+        ],
+        ids=["ex2.2a", "rem3.2b", "ex3.5b", "dense-ellinf"],
+    )
+    def test_orbit_csv_bytes_are_pinned(self, argv, digest, tmp_path, monkeypatch, capsys):
+        # rank-k, diagonal, shift and l-inf dense orbits, each streamed by
+        # its model's one power path
+        A = np.array([[0.5, -0.25, 1.0], [0.75, 0.5, -0.125], [0.25, 1.0, 0.5]])
+        (tmp_path / "ellinf.json").write_text(json.dumps(model_to_json(Dense(A, EllInf()))))
+        monkeypatch.chdir(tmp_path)
+        assert main(["orbit", *argv]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_suite_exit_code(self, capsys):
         assert main(["suite", "random", "--trials", "2"]) == EXIT_OK

@@ -35,6 +35,7 @@ from evpos.operators import (
     model_to_json,
     pairing,
     power_apply,
+    sample_function,
     to_dense,
 )
 
@@ -281,25 +282,33 @@ def _contract_model(kind, n):
     return T
 
 
-def _assert_orbit_matches_powers(T, Y, A=None, horizon=8):
-    """The orbit's n-th block is T.power(n, .) column by column, and
-    matrix_power(A, n) @ Y when a dense matrix A is given."""
-    blocks = 0
-    for k, Z in enumerate(T.orbit(Y, horizon)):
-        blocks += 1
-        for j in range(Y.shape[1]):
-            expected = Y[:, j] if k == 0 else T.power(k, Y[:, j])
-            assert np.allclose(Z[:, j], expected, rtol=1e-10, atol=1e-10 * np.max(np.abs(expected)))
-        if A is not None:
-            expected = np.linalg.matrix_power(A, k) @ Y
-            assert np.allclose(Z, expected, rtol=1e-10, atol=1e-10 * np.max(np.abs(expected)))
-    assert blocks == horizon + 1
+def _assert_orbit_matches_powers(T, Y, power, horizon=8):
+    """The orbit of Y streams horizon + 1 blocks, the n-th equal to power(n)."""
+    blocks = list(T.orbit(Y, horizon))
+    assert len(blocks) == horizon + 1
+    for k, Z in enumerate(blocks):
+        expected = power(k)
+        assert np.allclose(Z, expected, rtol=1e-10, atol=1e-10 * np.max(np.abs(expected)))
+
+
+def _eigen_parameter_power(T, k, Y):
+    """T^k y = sum_i lam_i^(k-1) <phi_i, y> f_i for each column y (k >= 1),
+    term by term, with f_i sampled on the grid."""
+    if k == 0:
+        return Y
+    nodes = np.asarray(T.space.nodes)
+    columns = []
+    for y in Y.T:
+        c = T.coefficients(y) * T.eigen_parameters ** (k - 1)
+        columns.append(sum(ci * sample_function(f, nodes) for ci, f in zip(c, T.functions)))
+    return np.stack(columns, axis=1)
 
 
 def test_singular_model_orbit_matches_its_powers():
     T = averaging_plus_singular(60)
     rng = np.random.default_rng(3)
-    _assert_orbit_matches_powers(T, rng.uniform(0.0, 1.0, size=(60, 3)) + 0j)
+    Y = rng.uniform(0.0, 1.0, size=(60, 3)) + 0j
+    _assert_orbit_matches_powers(T, Y, lambda k: _eigen_parameter_power(T, k, Y))
 
 
 @pytest.mark.parametrize("n", [41, 60])
@@ -314,9 +323,17 @@ def test_models_keep_one_contract(n, kind):
         got = power_apply(T, k, x).entries
         assert np.allclose(got, expected, rtol=1e-10, atol=1e-10 * np.max(np.abs(expected)))
     Y = np.stack([x.entries, rng.uniform(0.0, 1.0, size=n) + 0j], axis=1)
-    _assert_orbit_matches_powers(T, Y, A)
+    _assert_orbit_matches_powers(T, Y, lambda k: np.linalg.matrix_power(A, k) @ Y)
     spr = float(np.max(np.abs(np.linalg.eigvals(A))))
     assert T.spectral_radius() == pytest.approx(spr, rel=1e-8, abs=1e-10)
+    # every kind gives its spectral data through one method; a rank-k
+    # model's comes from its dense view, whose quadrature moves spr in the
+    # last bits, and only a Dense keeps its own
+    spec = T.spectral_data()
+    assert spec.spectral_radius == pytest.approx(T.spectral_radius(), rel=1e-14, abs=1e-300)
+    if kind != "rank_k":
+        assert spec.spectral_radius == T.spectral_radius()
+    assert (T.spectral_data() is spec) == (kind == "dense")
     data = model_to_json(T)
     back = model_from_json(data)
     assert type(back) is type(T)

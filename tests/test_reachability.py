@@ -45,11 +45,15 @@ ALLOWLIST = {
     ),
     "spectral.resolvent_matrix": "benchmark span (perfbench/spans.py)",
     "spectral.SingularResolventError.__init__": "raised by resolvent_matrix",
+    "spectral.peripheral_spectrum": (
+        "public API (evpos.peripheral_spectrum); the rule and the checks read "
+        "Spectrum.peripheral_eigenvalues"
+    ),
     "operators.power_apply": "reference power for individual_eventual and pairing",
-    "operators.Dense.power": "closed-form power that power_apply dispatches to",
-    "operators.Diagonal.power": "closed-form power that power_apply dispatches to",
-    "operators.WeightedShift.power": "closed-form power that power_apply dispatches to",
-    "operators.RankK.power": "closed-form power that power_apply dispatches to",
+    "operators.Dense.dense": (
+        "the contract method that to_dense (a benchmark span) and delta_n read "
+        "of a Dense; the checks read its kept spectral_data"
+    ),
     "operators.Diagonal.dense": (
         "the dense view that delta_n and the model-contract tests read; the "
         "checks read the closed-form spectral_data"
@@ -247,7 +251,6 @@ def test_every_function_is_reached_or_allowlisted(reached):
 # classify.DEFAULT_TOL, so no verdict holds a tolerance
 REMOVED_PARAMETERS = [
     ("spectral", "eigenvalues", "tol"),
-    ("spectral", "pole_order", "tol"),
     ("spectral", "geometric_multiplicity", "tol"),
     ("spectral", "peripheral_spectrum", "tol"),
     ("spectral", "Spectrum", "solver_tolerance"),

@@ -3,14 +3,13 @@ import pytest
 
 from evpos.rng import rng_for
 from evpos.spectral import (
-    NotAnEigenvalueError,
     SingularResolventError,
     SpectralError,
     eigenvalues,
     geometric_multiplicity,
     laurent_leading_coefficient,
+    nilpotent_spectrum,
     peripheral_spectrum,
-    pole_order,
     resolvent_matrix,
 )
 
@@ -52,7 +51,9 @@ class TestEigenvalues:
         # eigenvalue 1 of multiplicity 129
         spec = eigenvalues(np.eye(129))
         assert spec.spectral_radius == 1.0
-        assert spec.cluster(1.0) == (tuple(range(129)), 1, 0.0)
+        assert spec.clusters == ((tuple(range(129)), 1, 0.0),)
+        assert spec.peripheral_indices.tolist() == [0]
+        assert (spec.pole_orders, spec.multiplicities, spec.spreads) == ((1,), (129,), (0.0,))
 
 
 class TestResolvent:
@@ -94,40 +95,101 @@ class TestResolvent:
             resolvent_matrix(np.diag([1.0, 2.0]), 2.0 * (1 + 2.0**-50))
 
 
+def _peripheral(A) -> tuple:
+    spec = eigenvalues(A)
+    return spec, spec.peripheral_eigenvalues, spec.pole_orders, spec.multiplicities
+
+
 class TestPoleOrder:
+    """The peripheral eigenvalues of a spectrum with the pole order,
+    algebraic multiplicity and spread of each, read off its cluster by
+    index."""
+
     def test_simple_pole(self):
-        assert pole_order(eigenvalues(np.diag([1.0, 0.5])), 1.0) == 1
+        _, lams, orders, mults = _peripheral(np.diag([1.0, 0.5]))
+        assert (lams.tolist(), orders, mults) == ([1.0], (1,), (1,))
 
     def test_jordan_block_order_two(self):
-        J = np.array([[1.0, 1.0], [0.0, 1.0]])
-        assert pole_order(eigenvalues(J), 1.0) == 2
+        spec, lams, orders, mults = _peripheral(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert (lams.tolist(), orders, mults, spec.spreads) == ([1.0], (2,), (2,), (0.0,))
 
     def test_jordan_block_plus_simple(self):
         # J_2(1) + separate eigenvalue 1: largest block still 2
         A = np.zeros((3, 3))
         A[:2, :2] = [[1, 1], [0, 1]]
         A[2, 2] = 1.0
-        assert pole_order(eigenvalues(A), 1.0) == 2
+        _, lams, orders, mults = _peripheral(A)
+        assert (lams.tolist(), orders, mults) == ([1.0], (2,), (3,))
 
     def test_split_jordan_chain_is_one_cluster(self):
         # the solver splits the triple eigenvalue of S^-1 J_3(1) S; the
         # rounding-level null count of (lam - A)^k grows 1, 2, 3
         S = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
         J = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
-        spec = eigenvalues(np.linalg.solve(S, J @ S))
+        spec, lams, orders, mults = _peripheral(np.linalg.solve(S, J @ S))
         assert [c[:2] for c in spec.clusters] == [((0, 1, 2), 3)]
         assert len(set(spec.eigenvalues)) == 1
-        assert pole_order(spec, 1.0) == 3
-        assert spec.multiplicity(1.0) == 3
+        assert spec.peripheral_indices.tolist() == [0]
+        assert abs(lams[0] - 1.0) < 1e-12 and orders == (3,) and mults == (3,)
+        assert 0.0 < spec.spreads[0] < 1e-6
+
+    def test_split_jordan_pair(self):
+        # similar to J_2(1); the solver splits it into 1 +- 3e-8, merged at
+        # the mean with that spread
+        spec, lams, orders, mults = _peripheral(np.array([[0.0, 2.0], [-0.5, 2.0]]))
+        assert abs(lams[0] - 1.0) < 1e-12 and orders == (2,) and mults == (2,)
+        assert 1e-9 < spec.spreads[0] < 1e-6
+        assert spec.scale == 1.0 and spec.order == 2 and spec.top == [0]
 
     def test_semisimple_cluster_keeps_its_eigenvalues(self):
-        spec = eigenvalues(np.diag([1.0, 1.0, -1.0, 0.5]))
-        assert spec.clusters == (((0, 1), 1, 0.0),)
-        assert spec.multiplicity(1.0) == 2 and spec.multiplicity(-1.0) == 1
+        # diag(1, 1, -1) with and without an eigenvalue inside the circle
+        for tail in ([], [0.5]):
+            spec, lams, orders, mults = _peripheral(np.diag([1.0, 1.0, -1.0, *tail]))
+            assert spec.clusters == (((0, 1), 1, 0.0),)
+            assert spec.peripheral_indices.tolist() == [0, 2]
+            assert (lams.tolist(), orders, mults) == ([1.0, -1.0], (1, 1), (2, 1))
+            assert spec.spreads == (0.0, 0.0) and spec.scale == 0.5 and spec.top == [0, 1]
 
-    def test_not_an_eigenvalue(self):
-        with pytest.raises(NotAnEigenvalueError):
-            pole_order(eigenvalues(np.diag([1.0, 2.0])), 5.0)
+    def test_long_cycle(self):
+        # every eigenvalue of the 128-cycle is a simple peripheral one
+        spec, lams, orders, mults = _peripheral(np.roll(np.eye(128), 1, axis=0))
+        assert spec.peripheral_indices.tolist() == list(range(128))
+        assert np.array_equal(lams, spec.eigenvalues)
+        assert orders == mults == (1,) * 128 and spec.spreads == (0.0,) * 128
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_index_lookup_matches_the_nearest_eigenvalue_lookup(self, seed):
+        # the reference: each peripheral eigenvalue's cluster found by value,
+        # as the nearest eigenvalue's, over spectra with defective,
+        # semisimple and simple peripheral eigenvalues
+        rng = rng_for(seed, 25)
+        A = np.diag([1.0, 1.0, 1.0, 1.0, -1.0, 0.5, -0.5])
+        A[0, 1] = 1.0
+        S = np.eye(7) + 0.1 * rng.normal(size=(7, 7))
+        p = rng.permutation(7)
+        for M in (A[p][:, p], np.linalg.solve(S, A @ S), np.roll(np.eye(5 + seed), 1, axis=0)):
+            spec = eigenvalues(M)
+            found = [self._nearest_cluster(spec, lam) for lam in spec.peripheral_eigenvalues]
+            assert spec.pole_orders == tuple(c[1] for c in found)
+            assert spec.multiplicities == tuple(len(c[0]) for c in found)
+            assert spec.spreads == tuple(c[2] for c in found)
+
+    @staticmethod
+    def _nearest_cluster(spec, lam) -> tuple:
+        i = int(np.argmin(np.abs(spec.eigenvalues - lam)))
+        return next((c for c in spec.clusters if i in c[0]), ((i,), 1, 0.0))
+
+    def test_each_member_is_kept(self):
+        spec = eigenvalues(np.diag([1.0, 1.0, -1.0]))
+        for name in ("peripheral_indices", "peripheral_eigenvalues", "pole_orders", "top"):
+            assert getattr(spec, name) is getattr(spec, name)
+        assert spec.coefficient(1) is spec.coefficient(1)
+        assert peripheral_spectrum(spec) is spec.peripheral_eigenvalues
+
+    def test_zero_spectral_radius(self):
+        spec = nilpotent_spectrum(3, 2.0)
+        assert peripheral_spectrum(spec).tolist() == [0.0]
+        assert (spec.pole_orders, spec.multiplicities) == ((1,), (1,))
 
 
 class TestLaurent:
