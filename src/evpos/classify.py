@@ -22,7 +22,6 @@ from .lattice import (
     cone_distance,
     cone_distances,
     cone_residual,
-    norm_of_moduli,
     norm_value,
 )
 from .operators import (
@@ -35,7 +34,6 @@ from .operators import (
     Constant,
     Tabulated,
     WeightedShift,
-    apply_functional,
     entrywise_positive,
     power_apply,
     to_dense,
@@ -147,10 +145,10 @@ def function_space_test_set(space: NormKind) -> FunctionSpaceTestSet:
     vectors = np.vstack([np.ones(dim), draws[:FUNCTION_SPACE_RANDOM]]).astype(complex)
     norms = np.empty(len(vectors))
     for k, x in enumerate(vectors):
-        norms[k] = norm_of_moduli(np.abs(x), space)
+        norms[k] = space.of_moduli(np.abs(x))
         if norms[k] > 1.0:
             x /= norms[k]
-            norms[k] = norm_of_moduli(np.abs(x), space)
+            norms[k] = space.of_moduli(np.abs(x))
     return FunctionSpaceTestSet(vectors, norms, draws[FUNCTION_SPACE_RANDOM:])
 
 
@@ -786,15 +784,15 @@ def _term_rounding(U: np.ndarray, V: np.ndarray) -> float:
 def _pairings(T: RankK, tests: FunctionSpaceTestSet) -> tuple:
     """(C, D) with <x'_j, T^n x_i> = (C diag(lam^(n-1)) D)[i, j] for n >= 1,
     where C[i] holds the coefficients <phi, x_i> and D[:, j] the pairings
-    <x'_j, f> of the model's functions: `HALF_INTEGRAL`'s by
-    `apply_functional`, in closed form for an analytic f, and each tabulated
-    functional's as `apply_functional` forms it, but from its quadrature row
-    w * quad (scale 1) built once: one dot with the samples of f."""
+    <x'_j, f> of the model's functions: `HALF_INTEGRAL`'s by its `apply`,
+    in closed form for an analytic f, and each tabulated functional's as its
+    `apply` forms it, but from its quadrature row w * quad (scale 1) built
+    once: one dot with the samples of f."""
     C = np.stack([T.coefficients(x) for x in tests.vectors])
     rows = (tests.weights * T.space.weight_array).astype(complex)
     D = np.empty((T.rank, 1 + len(rows)), dtype=complex)
     for i, (f, samples) in enumerate(zip(T.functions, T.samples.T)):
-        D[i, 0] = apply_functional(HALF_INTEGRAL, f, T.space)
+        D[i, 0] = HALF_INTEGRAL.apply(f, T.space)
         D[i, 1:] = [row @ samples for row in rows]
     return C, D
 

@@ -34,7 +34,6 @@ from .operators import (
     OperatorModel,
     model_digest,
     model_from_json,
-    norm_to_json,
 )
 from .report import (
     AnalysisReport,
@@ -104,7 +103,7 @@ def _load_model(path: str) -> OperatorModel:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     try:
         return model_from_json(data)
-    except (OperatorError, KeyError, TypeError, ValueError) as exc:
+    except (OperatorError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: bad model descriptor: {exc}") from exc
 
 
@@ -163,7 +162,7 @@ def run_classify(model: OperatorModel, operator_id: str, seed: int = 0) -> tuple
         model_descriptor={
             "variant": model.variant,
             "dim": model.dim,
-            "norm": {"kind": norm_to_json(model.norm)["kind"]},
+            "norm": {"kind": model.norm.kind},
             "sha256": model_digest(model),
         },
         classification=tuple(verdict_record(v) for v in verdicts),

@@ -8,7 +8,7 @@ functional used throughout the positivity analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -17,19 +17,41 @@ class LatticeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Ell1:
-    pass
+class _SequenceNorm:
+    """A little-ell-p norm: no nodes, and a descriptor that is its kind alone."""
+
+    node_count: ClassVar[None] = None
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls()
 
 
 @dataclass(frozen=True)
-class Ell2:
-    pass
+class Ell1(_SequenceNorm):
+    kind: ClassVar[str] = "ell1"
+
+    def of_moduli(self, a: np.ndarray):
+        return a.sum(axis=0)
 
 
 @dataclass(frozen=True)
-class EllInf:
-    pass
+class Ell2(_SequenceNorm):
+    kind: ClassVar[str] = "ell2"
+
+    def of_moduli(self, a: np.ndarray):
+        return np.sqrt((a * a).sum(axis=0))
+
+
+@dataclass(frozen=True)
+class EllInf(_SequenceNorm):
+    kind: ClassVar[str] = "ellinf"
+
+    def of_moduli(self, a: np.ndarray):
+        return a.max(axis=0, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -39,6 +61,7 @@ class LpQuadrature:
     p: float
     nodes: tuple
     weights: tuple
+    kind: ClassVar[str] = "lp_quadrature"
 
     def __post_init__(self):
         if not (np.isfinite(self.p) and self.p >= 1):
@@ -51,8 +74,27 @@ class LpQuadrature:
             raise LatticeError("quadrature nodes must be finite and strictly increasing")
         if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
             raise LatticeError("quadrature weights must be strictly positive and finite")
-        weights.setflags(write=False)  # not a field: equality, hash, JSON see the tuple
+        weights.setflags(write=False)  # not fields: equality, hash, JSON see the tuples
         object.__setattr__(self, "weight_array", weights)
+        object.__setattr__(self, "node_count", len(nodes))
+
+    def of_moduli(self, a: np.ndarray):
+        # the root is an array power for a vector too: numpy's scalar power
+        # rounds differently
+        w = self.weight_array.reshape((-1,) + (1,) * (a.ndim - 1))
+        return np.asarray((w * a**self.p).sum(axis=0)) ** (1.0 / self.p)
+
+    def domain(self) -> tuple:
+        """The hull of the quadrature cells."""
+        w = self.weight_array
+        return float(self.nodes[0]) - float(w[0]) / 2, float(self.nodes[-1]) + float(w[-1]) / 2
+
+    def to_json(self) -> dict:
+        return dict(kind=self.kind, p=self.p, nodes=list(self.nodes), weights=list(self.weights))
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(data["p"], tuple(data["nodes"]), tuple(data["weights"]))
 
 
 @dataclass(frozen=True)
@@ -60,26 +102,38 @@ class GridSup:
     """Sup norm sampled on a fixed grid; all statements are grid-relative."""
 
     nodes: tuple
+    kind: ClassVar[str] = "grid_sup"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         if not (np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0)):
             raise LatticeError("grid nodes must be finite and strictly increasing")
         weights = trapezoid_weights(nodes)
-        weights.setflags(write=False)  # not a field: equality, hash, JSON see the tuple
+        weights.setflags(write=False)  # not fields: equality, hash, JSON see the tuples
         object.__setattr__(self, "weight_array", weights)
+        object.__setattr__(self, "node_count", len(nodes))
+
+    def of_moduli(self, a: np.ndarray):
+        return a.max(axis=0, initial=0.0)
+
+    def domain(self) -> tuple:
+        """The grid's end points."""
+        return float(self.nodes[0]), float(self.nodes[-1])
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "nodes": list(self.nodes)}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(tuple(data["nodes"]))
 
 
+# Each norm kind gives its `kind`, its `node_count` (None for ell-p), its
+# descriptor (to_json, from_json) and of_moduli(a): the norm of a vector, or
+# of each column of a matrix, from the moduli a of its entries, reduced along
+# axis 0. A grid kind also gives the interval it covers, domain().
 NormKind = Union[Ell1, Ell2, EllInf, LpQuadrature, GridSup]
-
-
-def node_count(norm: NormKind):
-    """Number of nodes fixed by the norm, or None for the plain ell-p norms."""
-    if isinstance(norm, LpQuadrature):
-        return len(norm.nodes)
-    if isinstance(norm, GridSup):
-        return len(norm.nodes)
-    return None
+NORM_KINDS = {cls.kind: cls for cls in (Ell1, Ell2, EllInf, LpQuadrature, GridSup)}
 
 
 @dataclass(frozen=True)
@@ -92,7 +146,7 @@ class LatticeVector:
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 1:
             raise LatticeError("lattice vectors are one-dimensional")
-        expected = node_count(self.norm)
+        expected = self.norm.node_count
         if expected is not None and len(entries) != expected:
             raise LatticeError(
                 f"vector length {len(entries)} does not match the {expected} nodes of its norm"
@@ -103,24 +157,7 @@ class LatticeVector:
 
 
 def norm_value(x: LatticeVector) -> float:
-    return float(norm_of_moduli(np.abs(x.entries), x.norm))
-
-
-def norm_of_moduli(a: np.ndarray, norm: NormKind):
-    """The norm of a vector, or of each column of a matrix, from the moduli a
-    of its entries: the reduction runs along axis 0."""
-    if isinstance(norm, Ell1):
-        return a.sum(axis=0)
-    if isinstance(norm, Ell2):
-        return np.sqrt((a * a).sum(axis=0))
-    if isinstance(norm, (EllInf, GridSup)):
-        return a.max(axis=0, initial=0.0)
-    if isinstance(norm, LpQuadrature):
-        # the root is an array power for a vector too: numpy's scalar power
-        # rounds differently
-        w = norm.weight_array.reshape((-1,) + (1,) * (a.ndim - 1))
-        return np.asarray((w * a**norm.p).sum(axis=0)) ** (1.0 / norm.p)
-    raise LatticeError(f"unknown norm kind {norm!r}")
+    return float(x.norm.of_moduli(np.abs(x.entries)))
 
 
 def cone_residual(M: np.ndarray) -> np.ndarray:
@@ -137,7 +174,7 @@ def cone_residual(M: np.ndarray) -> np.ndarray:
 def cone_distances(M: np.ndarray, norm: NormKind) -> np.ndarray:
     """Distance to the positive cone of each column of M (of M itself when it
     is a vector): the norm of its entrywise cone residual."""
-    return norm_of_moduli(cone_residual(M), norm)
+    return norm.of_moduli(cone_residual(M))
 
 
 def cone_distance(x: LatticeVector) -> float:
@@ -165,7 +202,7 @@ def cone_distance_oracle(x: LatticeVector, resolution: float) -> float:
     # deviation of entry k from every grid candidate; best candidate per entry
     dev = np.abs(entries[:, None] - grid[None, :])
     best = dev.min(axis=1)
-    return float(norm_of_moduli(best, x.norm))
+    return float(x.norm.of_moduli(best))
 
 
 def midpoint_rule(lo: float, hi: float, n: int):

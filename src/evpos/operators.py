@@ -15,13 +15,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .lattice import (
-    GridSup,
-    LatticeVector,
-    LpQuadrature,
-    NormKind,
-    node_count,
-)
+from .lattice import NORM_KINDS, LatticeVector, NormKind
 from .spectral import Spectrum, diagonal_spectrum, eigenvalues, nilpotent_spectrum
 
 
@@ -34,16 +28,65 @@ DUALITY_TOL = 1e-10
 
 # ---------------------------------------------------------------------------
 # function and functional representations
+#
+# A function kind gives sample(nodes) at a float array of nodes and
+# halfline_powers() (None when tabulated); a functional kind gives row(space),
+# apply(f, space), hat_pairing(peak, width) and the points it evaluates at.
+# Each gives its descriptor (to_json, from_json) and checks its parameters.
+
+
+def _finite_data(data, what: str) -> np.ndarray:
+    """A complex copy of data, rejected when empty or not finite."""
+    a = np.array(data, dtype=complex)
+    if a.size == 0 or not np.isfinite(a).all():
+        raise OperatorError(f"{what} must be nonempty and finite")
+    return a
 
 
 @dataclass(frozen=True)
 class Constant:
     value: complex = 1.0
+    kind: ClassVar[str] = "constant"
+
+    def __post_init__(self):
+        _finite_data(self.value, "constant value")
+
+    def sample(self, nodes: np.ndarray) -> np.ndarray:
+        return np.full(len(nodes), complex(self.value))
+
+    def halfline_powers(self):
+        return (complex(self.value), 0.0, complex(self.value), 0.0)
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "value": _c2j(self.value)}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(_j2c(data["value"]))
 
 
 @dataclass(frozen=True)
 class Monomial:
     degree: int = 1
+    kind: ClassVar[str] = "monomial"
+
+    def __post_init__(self):
+        if not float(self.degree).is_integer():
+            raise OperatorError(f"monomial degree {self.degree!r} is not an integer")
+        object.__setattr__(self, "degree", int(self.degree))
+
+    def sample(self, nodes: np.ndarray) -> np.ndarray:
+        return nodes.astype(complex) ** self.degree
+
+    def halfline_powers(self):
+        return (1.0 + 0j, float(self.degree), (-1.0 + 0j) ** self.degree, float(self.degree))
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "degree": self.degree}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(data["degree"])
 
 
 @dataclass(frozen=True)
@@ -51,69 +94,60 @@ class SignedPower:
     """x -> sgn(x) * |x|**exponent; exponent may be negative (integrable)."""
 
     exponent: float
+    kind: ClassVar[str] = "signed_power"
+
+    def __post_init__(self):
+        _finite_data(self.exponent, "signed-power exponent")
+
+    def sample(self, nodes: np.ndarray) -> np.ndarray:
+        if np.any(nodes == 0.0) and self.exponent < 0:
+            raise OperatorError("signed power with negative exponent sampled at 0")
+        return np.sign(nodes) * np.abs(nodes).astype(complex) ** self.exponent
+
+    def halfline_powers(self):
+        return (1.0 + 0j, self.exponent, -1.0 + 0j, self.exponent)
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "exponent": self.exponent}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(float(data["exponent"]))
 
 
 @dataclass(frozen=True)
 class Tabulated:
     values: tuple
+    kind: ClassVar[str] = "tabulated"
 
+    def __post_init__(self):
+        _finite_data(self.values, "tabulated values")
 
-FunctionRep = Union[Constant, Monomial, SignedPower, Tabulated]
-
-
-@dataclass(frozen=True)
-class WeightedIntegral:
-    """g -> scale * integral of weight(x) * g(x) over the space's interval."""
-
-    weight: FunctionRep
-    scale: complex = 1.0
-
-
-@dataclass(frozen=True)
-class PointCombination:
-    """g -> sum_i coefficients[i] * g(points[i])."""
-
-    points: tuple
-    coefficients: tuple
-
-
-FunctionalRep = Union[WeightedIntegral, PointCombination]
-
-
-def sample_function(f: FunctionRep, nodes: np.ndarray) -> np.ndarray:
-    nodes = np.asarray(nodes, dtype=float)
-    if isinstance(f, Constant):
-        return np.full(len(nodes), complex(f.value))
-    if isinstance(f, Monomial):
-        return nodes.astype(complex) ** f.degree
-    if isinstance(f, SignedPower):
-        if np.any(nodes == 0.0) and f.exponent < 0:
-            raise OperatorError("signed power with negative exponent sampled at 0")
-        return np.sign(nodes) * np.abs(nodes).astype(complex) ** f.exponent
-    if isinstance(f, Tabulated):
-        values = np.asarray(f.values, dtype=complex)
+    def sample(self, nodes: np.ndarray) -> np.ndarray:
+        values = np.asarray(self.values, dtype=complex)
         if len(values) != len(nodes):
             raise OperatorError("tabulated values do not match the node count")
         return values
-    raise OperatorError(f"unknown function representation {f!r}")
+
+    def halfline_powers(self):
+        return None
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "values": complex_pairs(self.values)}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(tuple(_j2c(v) for v in data["values"]))
 
 
-def _halfline_powers(f: FunctionRep):
-    """(coef_pos, exp_pos, coef_neg, exp_neg) so that f(x) = coef_pos*x^exp_pos
-    for x > 0 and f(x) = coef_neg*|x|^exp_neg for x < 0. None for Tabulated."""
-    if isinstance(f, Constant):
-        return (complex(f.value), 0.0, complex(f.value), 0.0)
-    if isinstance(f, Monomial):
-        return (1.0 + 0j, float(f.degree), (-1.0 + 0j) ** f.degree, float(f.degree))
-    if isinstance(f, SignedPower):
-        return (1.0 + 0j, f.exponent, -1.0 + 0j, f.exponent)
-    return None
+FunctionRep = Union[Constant, Monomial, SignedPower, Tabulated]
+FUNCTION_KINDS = {cls.kind: cls for cls in (Constant, Monomial, SignedPower, Tabulated)}
 
 
 def integrate_product(f: FunctionRep, g: FunctionRep, lo: float, hi: float) -> complex:
     """Closed-form integral of f*g over (lo, hi); lo <= 0 <= hi."""
-    pf = _halfline_powers(f)
-    pg = _halfline_powers(g)
+    pf = f.halfline_powers()
+    pg = g.halfline_powers()
     if pf is None or pg is None:
         raise OperatorError("closed-form integration requires analytic factors")
     cp = pf[0] * pg[0]
@@ -130,53 +164,109 @@ def integrate_product(f: FunctionRep, g: FunctionRep, lo: float, hi: float) -> c
     return complex(total)
 
 
-def domain_of(space: NormKind):
-    """Interval covered by a function-space norm; grid endpoints for sup grids,
-    cell hull for quadrature rules."""
-    if isinstance(space, GridSup):
-        return float(space.nodes[0]), float(space.nodes[-1])
-    if isinstance(space, LpQuadrature):
-        w = space.weight_array
-        return float(space.nodes[0]) - float(w[0]) / 2, float(space.nodes[-1]) + float(w[-1]) / 2
-    raise OperatorError("norm kind carries no function domain")
-
-
-def quadrature_row(phi: FunctionalRep, space: NormKind) -> np.ndarray:
-    """Row vector r with <phi, g> = r @ samples(g) for grid vectors g: the
-    space's trapezoid or quadrature weights (`weight_array`) times phi."""
-    if not isinstance(space, (GridSup, LpQuadrature)):
+def _nodes(space: NormKind) -> np.ndarray:
+    """The nodes of a function-space norm, as floats."""
+    if space.node_count is None:
         raise OperatorError("functionals require a function-space norm")
-    nodes = np.asarray(space.nodes, dtype=float)
-    quad = space.weight_array
-    if isinstance(phi, WeightedIntegral):
-        return phi.scale * sample_function(phi.weight, nodes) * quad
-    if isinstance(phi, PointCombination):
+    return np.asarray(space.nodes, dtype=float)
+
+
+@dataclass(frozen=True)
+class WeightedIntegral:
+    """g -> scale * integral of weight(x) * g(x) over the space's interval."""
+
+    weight: FunctionRep
+    scale: complex = 1.0
+    kind: ClassVar[str] = "weighted_integral"
+    points: ClassVar[tuple] = ()  # no point evaluation, so no hat peak
+
+    def __post_init__(self):
+        _finite_data(self.scale, "integral scale")
+
+    def row(self, space: NormKind) -> np.ndarray:
+        """Row vector r with <phi, g> = r @ samples(g) for grid vectors g: the
+        space's trapezoid or quadrature weights (`weight_array`) times phi."""
+        return self.scale * self.weight.sample(_nodes(space)) * space.weight_array
+
+    def apply(self, f: FunctionRep, space: NormKind) -> complex:
+        """<phi, f> in closed form when both factors are analytic, by
+        quadrature otherwise."""
+        if f.halfline_powers() is None or self.weight.halfline_powers() is None:
+            return complex(self.row(space) @ f.sample(_nodes(space)))
+        lo, hi = space.domain()
+        return self.scale * integrate_product(self.weight, f, lo, hi)
+
+    def hat_pairing(self, peak: float, width: float) -> complex:
+        """<phi, hat> for the hat of this width at `peak`, exact for a
+        constant weight."""
+        if not isinstance(self.weight, Constant):
+            raise OperatorError("hat witness requires a constant integral weight")
+        return self.scale * self.weight.value * width / 2.0
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "weight": self.weight.to_json(), "scale": _c2j(self.scale)}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(_decode(data["weight"], FUNCTION_KINDS, "function"), _j2c(data["scale"]))
+
+
+@dataclass(frozen=True)
+class PointCombination:
+    """g -> sum_i coefficients[i] * g(points[i])."""
+
+    points: tuple
+    coefficients: tuple
+    kind: ClassVar[str] = "point_combination"
+
+    def __post_init__(self):
+        _finite_data(self.points, "functional points")
+        _finite_data(self.coefficients, "functional coefficients")
+        if len(self.points) != len(self.coefficients):
+            raise OperatorError("a point combination needs one coefficient per point")
+
+    def row(self, space: NormKind) -> np.ndarray:
+        """Row vector r with <phi, g> = r @ samples(g): each coefficient at
+        its point's node."""
+        nodes = _nodes(space)
         row = np.zeros(len(nodes), dtype=complex)
-        for p, c in zip(phi.points, phi.coefficients):
+        for p, c in zip(self.points, self.coefficients):
             idx = np.argmin(np.abs(nodes - p))
             if abs(nodes[idx] - p) > 1e-9:
                 raise OperatorError(f"point {p} is not a node of the space")
             row[idx] += c
         return row
-    raise OperatorError(f"unknown functional representation {phi!r}")
+
+    def apply(self, f: FunctionRep, space: NormKind) -> complex:
+        """<phi, f> from the values of f at the points."""
+        vals = f.sample(np.asarray(self.points, dtype=float))
+        return complex(np.sum(np.asarray(self.coefficients, dtype=complex) * vals))
+
+    def hat_pairing(self, peak: float, width: float) -> complex:
+        """<phi, hat> for the hat of this width at `peak`, valid while the
+        hat's support stays clear of the other points."""
+        total = 0.0 + 0j
+        for p, c in zip(self.points, self.coefficients):
+            if abs(p - peak) < 1e-12:
+                total += c
+            elif abs(p - peak) < width:
+                raise OperatorError("hat support touches a functional point")
+        return total
+
+    def to_json(self) -> dict:
+        return {
+            "kind": self.kind,
+            "points": list(self.points),
+            "coefficients": complex_pairs(self.coefficients),
+        }
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(tuple(data["points"]), tuple(_j2c(c) for c in data["coefficients"]))
 
 
-def apply_functional(
-    phi: FunctionalRep, f: FunctionRep, space: NormKind
-) -> complex:
-    """<phi, f> in closed form when possible, by quadrature otherwise."""
-    if isinstance(phi, WeightedIntegral):
-        if isinstance(f, Tabulated) or isinstance(phi.weight, Tabulated):
-            nodes = np.asarray(space.nodes, dtype=float)
-            row = quadrature_row(phi, space)
-            return complex(row @ sample_function(f, nodes))
-        lo, hi = domain_of(space)
-        return phi.scale * integrate_product(phi.weight, f, lo, hi)
-    if isinstance(phi, PointCombination):
-        pts = np.asarray(phi.points, dtype=float)
-        vals = sample_function(f, pts)
-        return complex(np.sum(np.asarray(phi.coefficients, dtype=complex) * vals))
-    raise OperatorError(f"unknown functional representation {phi!r}")
+FunctionalRep = Union[WeightedIntegral, PointCombination]
+FUNCTIONAL_KINDS = {cls.kind: cls for cls in (WeightedIntegral, PointCombination)}
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +275,10 @@ def apply_functional(
 # Each model supplies the same methods: orbit(Y, horizon), its one power
 # path, which streams Y, TY, ..., T^horizon Y for a dim x m block Y; dense();
 # spectral_radius(); spectral_data(), its `Spectrum`, which the asymptotic
-# rule and the checks read; and to_json(). A diagonal and a weighted shift
-# give their spectrum in closed form, a dense matrix keeps the one it
-# solved, and a rank-k model takes its dense view's.
+# rule and the checks read; and its descriptor, to_json() and from_json().
+# A diagonal and a weighted shift give their spectrum in closed form, a
+# dense matrix keeps the one it solved, and a rank-k model takes its dense
+# view's. A norm that fixes its nodes must fix one per dimension.
 
 
 def _iterate(step, Y: np.ndarray, horizon: int):
@@ -198,12 +289,11 @@ def _iterate(step, Y: np.ndarray, horizon: int):
         yield Y
 
 
-def _finite_data(data, what: str) -> np.ndarray:
-    """A complex copy of data, rejected when empty or not finite."""
-    a = np.array(data, dtype=complex)
-    if a.size == 0 or not np.isfinite(a).all():
-        raise OperatorError(f"{what} must be nonempty and finite")
-    return a
+def _check_node_count(T) -> None:
+    """A norm that fixes its nodes must fix as many as T has dimensions."""
+    count = T.norm.node_count
+    if count is not None and count != T.dim:
+        raise OperatorError(f"norm has {count} nodes, model has dimension {T.dim}")
 
 
 def entrywise_positive(a: np.ndarray, tol: float) -> bool:
@@ -223,6 +313,7 @@ class Dense:
             raise OperatorError("dense operator requires a square matrix")
         m.setflags(write=False)  # the kept spectrum stays the matrix's
         object.__setattr__(self, "matrix", m)
+        _check_node_count(self)
 
     @property
     def dim(self) -> int:
@@ -250,8 +341,14 @@ class Dense:
             "variant": self.variant,
             "n": self.dim,
             "entries": complex_pairs(self.matrix.ravel()),
-            "norm": norm_to_json(self.norm),
+            "norm": self.norm.to_json(),
         }
+
+    @classmethod
+    def from_json(cls, data: dict):
+        n = int(data["n"])
+        entries = np.array([_j2c(v) for v in data["entries"]]).reshape(n, n)
+        return cls(entries, norm_from_json(data["norm"]))
 
 
 @dataclass(frozen=True)
@@ -262,6 +359,7 @@ class Diagonal:
 
     def __post_init__(self):
         object.__setattr__(self, "symbol", _finite_data(self.symbol, "diagonal symbol"))
+        _check_node_count(self)
 
     @property
     def dim(self) -> int:
@@ -284,8 +382,12 @@ class Diagonal:
         return {
             "variant": self.variant,
             "symbol": complex_pairs(self.symbol),
-            "norm": norm_to_json(self.norm),
+            "norm": self.norm.to_json(),
         }
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(np.array([_j2c(v) for v in data["symbol"]]), norm_from_json(data["norm"]))
 
 
 @dataclass(frozen=True)
@@ -298,6 +400,7 @@ class WeightedShift:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _finite_data(self.weights, "shift weights"))
+        _check_node_count(self)
 
     @property
     def dim(self) -> int:
@@ -326,8 +429,12 @@ class WeightedShift:
         return {
             "variant": self.variant,
             "weights": complex_pairs(self.weights),
-            "norm": norm_to_json(self.norm),
+            "norm": self.norm.to_json(),
         }
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(np.array([_j2c(v) for v in data["weights"]]), norm_from_json(data["norm"]))
 
 
 @dataclass(frozen=True)
@@ -345,13 +452,13 @@ class RankK:
     def __post_init__(self):
         if len(self.functions) != len(self.functionals):
             raise OperatorError("rank-k model needs matching function/functional lists")
-        if node_count(self.space) is None:
+        if self.space.node_count is None:
             raise OperatorError("rank-k model requires a function-space norm")
         k = len(self.functions)
         D = np.zeros((k, k), dtype=complex)
         for i, phi in enumerate(self.functionals):
             for j, f in enumerate(self.functions):
-                D[i, j] = apply_functional(phi, f, self.space)
+                D[i, j] = phi.apply(f, self.space)
         off = D - np.diag(np.diag(D))
         if np.max(np.abs(off), initial=0.0) > DUALITY_TOL:
             raise OperatorError(
@@ -360,8 +467,8 @@ class RankK:
             )
         object.__setattr__(self, "duality", D)
         nodes = np.asarray(self.space.nodes, dtype=float)
-        rows = [quadrature_row(phi, self.space) for phi in self.functionals]
-        samples = [sample_function(f, nodes) for f in self.functions]
+        rows = [phi.row(self.space) for phi in self.functionals]
+        samples = [f.sample(nodes) for f in self.functions]
         object.__setattr__(self, "rows", np.array(rows))
         object.__setattr__(self, "samples", np.array(samples).T)
 
@@ -376,7 +483,7 @@ class RankK:
 
     @property
     def dim(self) -> int:
-        return node_count(self.space)
+        return self.space.node_count
 
     @property
     def eigen_parameters(self) -> np.ndarray:
@@ -412,10 +519,18 @@ class RankK:
     def to_json(self) -> dict:
         return {
             "variant": self.variant,
-            "functions": [_function_to_json(f) for f in self.functions],
-            "functionals": [_functional_to_json(phi) for phi in self.functionals],
-            "space": norm_to_json(self.space),
+            "functions": [f.to_json() for f in self.functions],
+            "functionals": [phi.to_json() for phi in self.functionals],
+            "space": self.space.to_json(),
         }
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(
+            tuple(_decode(f, FUNCTION_KINDS, "function") for f in data["functions"]),
+            tuple(_decode(phi, FUNCTIONAL_KINDS, "functional") for phi in data["functionals"]),
+            norm_from_json(data["space"]),
+        )
 
 
 OperatorModel = Union[Dense, Diagonal, WeightedShift, RankK]
@@ -454,13 +569,11 @@ def pairing(
         return complex(np.sum(xprime.entries * y.entries))
     if not isinstance(T, RankK):
         raise OperatorError("functional pairings require a rank-k model")
-    row = quadrature_row(xprime, T.space)
+    row = xprime.row(T.space)
     if n == 0:
         return complex(row @ x.entries)
     coeffs = T.coefficients(x.entries) * T.eigen_parameters ** (n - 1)
-    dual = np.array(
-        [apply_functional(xprime, f, T.space) for f in T.functions]
-    )
+    dual = np.array([xprime.apply(f, T.space) for f in T.functions])
     return complex(np.sum(coeffs * dual))
 
 
@@ -484,99 +597,27 @@ def complex_pairs(a) -> list:
 
 
 def _j2c(v) -> complex:
+    """A number, or an [re, im] pair of numbers, as a complex."""
     if isinstance(v, (int, float)):
         return complex(v)
+    if len(v) != 2:
+        raise OperatorError(f"complex entry {v!r} is not an [re, im] pair")
     return complex(v[0], v[1])
 
 
-def norm_to_json(norm: NormKind) -> dict:
-    from .lattice import Ell1, Ell2, EllInf
-
-    if isinstance(norm, Ell1):
-        return {"kind": "ell1"}
-    if isinstance(norm, Ell2):
-        return {"kind": "ell2"}
-    if isinstance(norm, EllInf):
-        return {"kind": "ellinf"}
-    if isinstance(norm, LpQuadrature):
-        return {
-            "kind": "lp_quadrature",
-            "p": norm.p,
-            "nodes": list(norm.nodes),
-            "weights": list(norm.weights),
-        }
-    if isinstance(norm, GridSup):
-        return {"kind": "grid_sup", "nodes": list(norm.nodes)}
-    raise OperatorError(f"unknown norm kind {norm!r}")
+def _decode(data, registry: dict, family: str, key: str = "kind"):
+    """The descriptor `data` read by the class that `registry` holds under
+    its name data[key]."""
+    if not isinstance(data, dict):
+        raise OperatorError(f"{family} descriptor must be a JSON object, not {type(data).__name__}")
+    cls = registry.get(data.get(key))
+    if cls is None:
+        raise OperatorError(f"unknown {family} {key} {data.get(key)!r}")
+    return cls.from_json(data)
 
 
 def norm_from_json(data: dict) -> NormKind:
-    from .lattice import Ell1, Ell2, EllInf
-
-    kind = data.get("kind")
-    if kind == "ell1":
-        return Ell1()
-    if kind == "ell2":
-        return Ell2()
-    if kind == "ellinf":
-        return EllInf()
-    if kind == "lp_quadrature":
-        return LpQuadrature(data["p"], tuple(data["nodes"]), tuple(data["weights"]))
-    if kind == "grid_sup":
-        return GridSup(tuple(data["nodes"]))
-    raise OperatorError(f"unknown norm kind {kind!r}")
-
-
-def _function_to_json(f: FunctionRep) -> dict:
-    if isinstance(f, Constant):
-        return {"kind": "constant", "value": _c2j(f.value)}
-    if isinstance(f, Monomial):
-        return {"kind": "monomial", "degree": f.degree}
-    if isinstance(f, SignedPower):
-        return {"kind": "signed_power", "exponent": f.exponent}
-    if isinstance(f, Tabulated):
-        return {"kind": "tabulated", "values": complex_pairs(f.values)}
-    raise OperatorError(f"unknown function representation {f!r}")
-
-
-def _function_from_json(data: dict) -> FunctionRep:
-    kind = data.get("kind")
-    if kind == "constant":
-        return Constant(_j2c(data["value"]))
-    if kind == "monomial":
-        return Monomial(int(data["degree"]))
-    if kind == "signed_power":
-        return SignedPower(float(data["exponent"]))
-    if kind == "tabulated":
-        return Tabulated(tuple(_j2c(v) for v in data["values"]))
-    raise OperatorError(f"unknown function kind {kind!r}")
-
-
-def _functional_to_json(phi: FunctionalRep) -> dict:
-    if isinstance(phi, WeightedIntegral):
-        return {
-            "kind": "weighted_integral",
-            "weight": _function_to_json(phi.weight),
-            "scale": _c2j(phi.scale),
-        }
-    if isinstance(phi, PointCombination):
-        return {
-            "kind": "point_combination",
-            "points": list(phi.points),
-            "coefficients": complex_pairs(phi.coefficients),
-        }
-    raise OperatorError(f"unknown functional representation {phi!r}")
-
-
-def _functional_from_json(data: dict) -> FunctionalRep:
-    kind = data.get("kind")
-    if kind == "weighted_integral":
-        return WeightedIntegral(_function_from_json(data["weight"]), _j2c(data["scale"]))
-    if kind == "point_combination":
-        return PointCombination(
-            tuple(data["points"]), tuple(_j2c(c) for c in data["coefficients"])
-        )
-    raise OperatorError(f"unknown functional kind {kind!r}")
+    return _decode(data, NORM_KINDS, "norm")
 
 
 def model_to_json(T: OperatorModel) -> dict:
@@ -594,31 +635,15 @@ def model_digest(T: OperatorModel) -> str:
     any other model hashes the canonical compact JSON of its (small)
     descriptor. A model read back from its model file has the same digest."""
     if isinstance(T, Dense):
-        header = {"variant": T.variant, "n": T.dim, "norm": norm_to_json(T.norm)}
+        header = {"variant": T.variant, "n": T.dim, "norm": T.norm.to_json()}
         h = hashlib.sha256(_canonical_json(header))
         h.update(np.ascontiguousarray(T.matrix, dtype="<c16"))
         return h.hexdigest()
     return hashlib.sha256(_canonical_json(model_to_json(T))).hexdigest()
 
 
+MODEL_VARIANTS = {cls.variant: cls for cls in (Dense, Diagonal, WeightedShift, RankK)}
+
+
 def model_from_json(data: dict) -> OperatorModel:
-    variant = data.get("variant")
-    if variant == "dense":
-        n = int(data["n"])
-        entries = np.array([_j2c(v) for v in data["entries"]]).reshape(n, n)
-        return Dense(entries, norm_from_json(data["norm"]))
-    if variant == "diagonal":
-        return Diagonal(
-            np.array([_j2c(v) for v in data["symbol"]]), norm_from_json(data["norm"])
-        )
-    if variant == "shift":
-        return WeightedShift(
-            np.array([_j2c(v) for v in data["weights"]]), norm_from_json(data["norm"])
-        )
-    if variant == "rank_k":
-        return RankK(
-            tuple(_function_from_json(f) for f in data["functions"]),
-            tuple(_functional_from_json(phi) for phi in data["functionals"]),
-            norm_from_json(data["space"]),
-        )
-    raise OperatorError(f"unknown model variant {variant!r}")
+    return _decode(data, MODEL_VARIANTS, "model", "variant")

@@ -26,7 +26,6 @@ from .lattice import (
     LatticeVector,
     NormKind,
     cone_distances,
-    norm_of_moduli,
     norm_value,
 )
 from .spectral import Spectrum, geometric_multiplicity
@@ -156,7 +155,7 @@ def positive_eigenvector(spec: Spectrum, norm: NormKind) -> EigenvectorResult:
     Q = spec.coefficient(k)
 
     def size(y: np.ndarray) -> float:
-        return float(norm_of_moduli(np.abs(y), norm))
+        return float(norm.of_moduli(np.abs(y)))
 
     def pick(Qm: np.ndarray) -> LatticeVector:
         # Qm x0 for the first canonical positive x0 that Qm does not

@@ -13,14 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .lattice import GridSup, LatticeVector
-from .operators import (
-    Constant,
-    OperatorError,
-    PointCombination,
-    RankK,
-    SignedPower,
-    WeightedIntegral,
-)
+from .operators import OperatorError, RankK, SignedPower
 
 
 @dataclass(frozen=True)
@@ -34,25 +27,8 @@ class NegativityWitness:
 
 
 def _hat_pairings(T: RankK, peak: float, width: float):
-    """Exact pairings <phi_i, g> for the hat at `peak`, valid while the hat's
-    support stays clear of the other point-evaluation nodes."""
-    coeffs = []
-    for phi in T.functionals:
-        if isinstance(phi, WeightedIntegral):
-            if not isinstance(phi.weight, Constant):
-                raise OperatorError("hat witness requires a constant integral weight")
-            coeffs.append(phi.scale * phi.weight.value * width / 2.0)
-        elif isinstance(phi, PointCombination):
-            total = 0.0 + 0j
-            for p, c in zip(phi.points, phi.coefficients):
-                if abs(p - peak) < 1e-12:
-                    total += c
-                elif abs(p - peak) < width:
-                    raise OperatorError("hat support touches a functional point")
-            coeffs.append(total)
-        else:
-            raise OperatorError(f"unsupported functional {phi!r} for hat witness")
-    return np.asarray(coeffs, dtype=complex)
+    """Exact pairings <phi_i, g> for the hat at `peak` (`hat_pairing`)."""
+    return np.asarray([phi.hat_pairing(peak, width) for phi in T.functionals], dtype=complex)
 
 
 def hat_witness(T: RankK, peak: float, n: int, eps: float) -> Optional[NegativityWitness]:
@@ -82,7 +58,7 @@ def _hat_peaks(T: RankK):
     """The point-functional nodes of a rank-2 model on a sup-norm grid."""
     if not isinstance(T.space, GridSup) or T.rank != 2:
         return []
-    return [float(p) for phi in T.functionals if isinstance(phi, PointCombination) for p in phi.points]
+    return [float(p) for phi in T.functionals for p in phi.points]
 
 
 def hat_family_witness(T: RankK, n: int, eps: float) -> Optional[NegativityWitness]:

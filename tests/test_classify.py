@@ -65,10 +65,8 @@ from evpos.operators import (
     Tabulated,
     WeightedIntegral,
     WeightedShift,
-    apply_functional,
     entrywise_positive,
     pairing,
-    quadrature_row,
     to_dense,
 )
 from evpos.report import verdict_record
@@ -1069,7 +1067,7 @@ class TestRankKTailCertificate:
         nodes = np.linspace(-1.0, 1.0, 40)
         space = GridSup(tuple(nodes))
         halves = [Tabulated(tuple((side * nodes > 0).astype(float))) for side in (-1, 1)]
-        scales = [1.0 / apply_functional(WeightedIntegral(h, 1.0), h, space).real for h in halves]
+        scales = [1.0 / WeightedIntegral(h, 1.0).apply(h, space).real for h in halves]
         T = RankK(tuple(halves), tuple(map(WeightedIntegral, halves, scales)), space)
         assert (T.eigen_parameters == 1.0).all()
         for status in _eventual_kinds(T).values():
@@ -1100,7 +1098,7 @@ class TestRankKTailCertificate:
         # quadrature rows of the test functionals
         S = to_dense(T).matrix
         X = np.stack([x.entries for x in tests.vectors], axis=1)
-        W = np.stack([quadrature_row(phi, T.space) for phi in tests.functionals])
+        W = np.stack([phi.row(T.space) for phi in tests.functionals])
         scales = np.array([norm_value(x) for x in tests.vectors])
         fails = {"individual": [], "weak": []}
         Z = X
@@ -1203,14 +1201,14 @@ class TestCoordinatePairings:
         ids=["ex2.2a", "ex2.2b", "tabulated"],
     )
     def test_pairings_equal_apply_functional_bit_for_bit(self, T):
-        # the prebuilt rows give the pairings that apply_functional gives the
+        # the prebuilt rows give the pairings that `apply` gives the
         # test functionals, also where a tabulated function takes the
         # quadrature path for the constant functional as well
         tests = default_test_set(T)
         C, D = _pairings(T, function_space_test_set(T.space))
         assert np.array_equal(C, np.stack([T.coefficients(x.entries) for x in tests.vectors]))
         expected = [
-            [apply_functional(phi, f, T.space) for phi in tests.functionals] for f in T.functions
+            [phi.apply(f, T.space) for phi in tests.functionals] for f in T.functions
         ]
         assert np.array_equal(D, np.array(expected))
 

@@ -246,30 +246,30 @@ class TestRunClassify:
         # RankK.__post_init__ built rows and samples, and the test set is
         # drawn as arrays: ex2.2b pairs its functions with the constant
         # functional in closed form, and with the tabulated ones by their
-        # quadrature rows, built once. Every module binding is counted.
+        # quadrature rows, built once. Every kind's method is counted.
         model = get_example("ex2.2b").model
-        originals = {
-            fname: getattr(evpos.operators, fname)
-            for fname in ("apply_functional", "quadrature_row", "sample_function")
+        kinds = {
+            "apply": evpos.operators.FUNCTIONAL_KINDS.values(),
+            "row": evpos.operators.FUNCTIONAL_KINDS.values(),
+            "sample": evpos.operators.FUNCTION_KINDS.values(),
         }
-        calls = {fname: [] for fname in originals}
+        calls = {fname: [] for fname in kinds}
 
-        def counting(fname):
-            def wrapper(*args, **kwargs):
-                calls[fname].append(args[0])
-                return originals[fname](*args, **kwargs)
+        def counting(fname, original):
+            def wrapper(self, *args, **kwargs):
+                calls[fname].append(self)
+                return original(self, *args, **kwargs)
 
             return wrapper
 
-        for module in [m for k, m in sys.modules.items() if k.startswith("evpos")]:
-            for fname, original in originals.items():
-                if getattr(module, fname, None) is original:
-                    monkeypatch.setattr(module, fname, counting(fname))
+        for fname, classes in kinds.items():
+            for cls in classes:
+                monkeypatch.setattr(cls, fname, counting(fname, getattr(cls, fname)))
         report, failed = run_classify(model, "ex2.2b", 0)
         assert not failed and len(report.classification) == 6
-        assert len(calls["apply_functional"]) <= model.rank
-        assert all(phi == HALF_INTEGRAL for phi in calls["apply_functional"])
-        assert calls["quadrature_row"] == calls["sample_function"] == []
+        assert len(calls["apply"]) <= model.rank
+        assert all(phi == HALF_INTEGRAL for phi in calls["apply"])
+        assert calls["row"] == calls["sample"] == []
 
     def test_long_cycle_takes_one_coefficient_and_no_svd(self, monkeypatch):
         # the 128-cycle has 128 simple peripheral eigenvalues, each meeting
@@ -564,6 +564,61 @@ class TestReportWriter:
             json_text(value)
 
 
+# model files that break a kind's rules, each read to exit 2: the slope
+# model g -> (1/2) int g + (g(1) - g(-1)) x / 4 on a 5-node grid, or the
+# 1 x 1 identity in l1, with one entry changed
+NAN = float("nan")
+ONE = {"kind": "constant", "value": [1.0, 0.0]}
+X_MONOMIAL = {"kind": "monomial", "degree": 1}
+X_INTEGRAL = {"kind": "weighted_integral", "weight": ONE, "scale": [1.0, 0.0]}
+SLOPE_FILE = {
+    "variant": "rank_k",
+    "functions": [ONE, X_MONOMIAL],
+    "functionals": [
+        {**X_INTEGRAL, "scale": [0.5, 0.0]},
+        {
+            "kind": "point_combination",
+            "points": [1.0, -1.0],
+            "coefficients": [[0.25, 0.0], [-0.25, 0.0]],
+        },
+    ],
+    "space": {"kind": "grid_sup", "nodes": [-1.0, -0.5, 0.0, 0.5, 1.0]},
+}
+IDENTITY_FILE = {"variant": "dense", "n": 1, "entries": [[1.0, 0.0]], "norm": {"kind": "ell1"}}
+
+
+def _edited(base, path, value):
+    """A deep copy of the descriptor base with the entry at path set to value."""
+    data = json.loads(json.dumps(base))
+    *keys, last = path
+    target = functools.reduce(lambda d, k: d[k], keys, data)
+    target[last] = value
+    return data
+
+
+BAD_MODEL_FILES = {
+    "top-level-list": [IDENTITY_FILE],
+    "norm-string": _edited(IDENTITY_FILE, ["norm"], "ell1"),
+    "function-string": _edited(SLOPE_FILE, ["functions", 0], "constant"),
+    "weight-string": _edited(SLOPE_FILE, ["functionals", 0, "weight"], "constant"),
+    "grid-node-count": _edited(IDENTITY_FILE, ["norm"], {"kind": "grid_sup", "nodes": [0.0, 1.0]}),
+    "exponent-nan": _edited(SLOPE_FILE, ["functions", 1], {"kind": "signed_power", "exponent": NAN}),
+    "scale-nan": _edited(SLOPE_FILE, ["functionals", 0, "scale"], [NAN, 0.0]),
+    "value-nan": _edited(SLOPE_FILE, ["functions", 0, "value"], [NAN, 0.0]),
+    # x tabulated with a NaN, paired with the weight x
+    "tabulated-nan": _edited(
+        _edited(SLOPE_FILE, ["functionals", 1], {**X_INTEGRAL, "weight": X_MONOMIAL}),
+        ["functions", 1],
+        {"kind": "tabulated", "values": [[x, 0.0] for x in (-1.0, -0.5, NAN, 0.5, 1.0)]},
+    ),
+    "point-nan": _edited(SLOPE_FILE, ["functionals", 1, "points"], [NAN, -1.0]),
+    "coefficient-nan": _edited(SLOPE_FILE, ["functionals", 1, "coefficients", 0], [NAN, 0.0]),
+    "degree-fraction": _edited(SLOPE_FILE, ["functions", 1, "degree"], 1.5),
+    "pair-of-three": _edited(IDENTITY_FILE, ["entries", 0], [1.0, 0.0, 7.0]),
+    "points-coefficients-mismatch": _edited(SLOPE_FILE, ["functionals", 1, "points"], [1.0]),
+}
+
+
 class TestMainEntry:
     def test_classify_loads_no_scipy(self):
         # a command's cold start is mostly imports: a fresh interpreter that
@@ -733,6 +788,15 @@ class TestMainEntry:
         assert main(["classify", str(path)]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
+
+    @pytest.mark.parametrize("name", sorted(BAD_MODEL_FILES))
+    def test_kind_rule_breach_is_input_error(self, name, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(BAD_MODEL_FILES[name]))  # writes NaN
+        assert main(["classify", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert "Traceback" not in captured.err
 
     def test_unknown_example_is_input_error(self, capsys):
         assert main(["classify", "--example", "nope"]) == EXIT_INPUT

@@ -26,16 +26,12 @@ from evpos.operators import (
     WeightedIntegral,
     WeightedShift,
     _c2j,
-    _function_to_json,
-    _functional_to_json,
-    apply_functional,
     integrate_product,
     model_digest,
     model_from_json,
     model_to_json,
     pairing,
     power_apply,
-    sample_function,
     to_dense,
 )
 
@@ -47,25 +43,23 @@ def grid(n=41):
 class TestFunctionals:
     def test_integral_of_constant(self):
         # (1/2) int_{-1}^{1} 1 dx = 1
-        val = apply_functional(WeightedIntegral(Constant(1.0), 0.5), Constant(1.0), grid())
+        val = WeightedIntegral(Constant(1.0), 0.5).apply(Constant(1.0), grid())
         assert val == pytest.approx(1.0)
 
     def test_integral_of_odd_function_vanishes(self):
-        val = apply_functional(WeightedIntegral(Constant(1.0), 0.5), Monomial(1), grid())
+        val = WeightedIntegral(Constant(1.0), 0.5).apply(Monomial(1), grid())
         assert val == pytest.approx(0.0, abs=1e-14)
 
     def test_signed_weight_against_signed_power(self):
         # c int sgn(x) sgn(x)|x|^{-1/4} dx = c * 2 * (4/3)
         c = 3.0 / 16.0
-        val = apply_functional(
-            WeightedIntegral(SignedPower(0.0), c), SignedPower(-0.25), grid()
-        )
+        val = WeightedIntegral(SignedPower(0.0), c).apply(SignedPower(-0.25), grid())
         assert val == pytest.approx(0.5)
 
     def test_point_combination(self):
         phi = PointCombination((1.0, -1.0), (0.25, -0.25))
-        assert apply_functional(phi, Monomial(1), grid()) == pytest.approx(0.5)
-        assert apply_functional(phi, Constant(1.0), grid()) == pytest.approx(0.0)
+        assert phi.apply(Monomial(1), grid()) == pytest.approx(0.5)
+        assert phi.apply(Constant(1.0), grid()) == pytest.approx(0.0)
 
     def test_integrate_product_closed_form(self):
         # int_{-1}^{1} x * sgn(x)|x|^{1/2} dx = 2 * int_0^1 x^{3/2} = 4/5
@@ -231,9 +225,9 @@ class TestArraySerialisation:
         assert model_to_json(back) == data
 
     def test_functions_and_functionals_write_the_per_entry_bytes(self):
-        values = _function_to_json(Tabulated(AWKWARD_ENTRIES))["values"]
+        values = Tabulated(AWKWARD_ENTRIES).to_json()["values"]
         points = tuple(np.linspace(-1.0, 1.0, len(AWKWARD_ENTRIES)))
-        coefficients = _functional_to_json(PointCombination(points, AWKWARD_ENTRIES))["coefficients"]
+        coefficients = PointCombination(points, AWKWARD_ENTRIES).to_json()["coefficients"]
         reference = json.dumps([_c2j(z) for z in AWKWARD_ENTRIES])
         assert json.dumps(values) == json.dumps(coefficients) == reference
         assert "-0.0" in reference and "5e-324" in reference and "1e+300" in reference
@@ -300,7 +294,7 @@ def _eigen_parameter_power(T, k, Y):
     columns = []
     for y in Y.T:
         c = T.coefficients(y) * T.eigen_parameters ** (k - 1)
-        columns.append(sum(ci * sample_function(f, nodes) for ci, f in zip(c, T.functions)))
+        columns.append(sum(ci * f.sample(nodes) for ci, f in zip(c, T.functions)))
     return np.stack(columns, axis=1)
 
 

@@ -27,6 +27,7 @@ from evpos.operators import (
     Monomial,
     PointCombination,
     RankK,
+    Tabulated,
     WeightedIntegral,
     model_to_json,
 )
@@ -85,7 +86,7 @@ ALLOWLIST = {
 
 
 def _command_lines(tmp):
-    """Each catalog example and its model file, an l-inf dense file, two
+    """Each catalog example and its model file, an l-inf dense file, four
     rank-k files on a 41-node grid, a dense file above the cap on dense
     views, one with a peripheral Jordan block, one whose spectral projection is
     ill-conditioned and one with a double peripheral eigenvalue, the
@@ -125,6 +126,13 @@ def _command_lines(tmp):
     lines.append(["classify", write("rank-k-averaging.json", model_to_json(averaging))])
     lines.append(["classify", write("rank-k-rotating.json", model_to_json(rotating))])
     lines.append(["classify", write("rank-k-decaying.json", model_to_json(decaying))])
+    # g -> (1/2) int g + (int x^3 g) x^3 with x^3 tabulated on the grid, as
+    # a function and as a weight: its pairings take the quadrature path
+    cube = Tabulated(tuple(np.asarray(grid.nodes) ** 3))
+    tabulated = RankK(
+        (Constant(1.0), cube), (WeightedIntegral(Constant(1.0), 0.5), WeightedIntegral(cube, 1.0)), grid
+    )
+    lines.append(["classify", write("rank-k-tabulated.json", model_to_json(tabulated))])
     lines.append(["classify", write("dense129.json", model_to_json(Dense(np.eye(129), EllInf())))])
     # a peripheral Jordan block that the solver splits, whose limit points
     # allow for the merge error; it is not nonnegative, so the eventual trio
