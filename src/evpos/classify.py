@@ -138,17 +138,18 @@ def function_space_test_set(space: NormKind) -> FunctionSpaceTestSet:
     """The constant one and FUNCTION_SPACE_RANDOM seeded uniform grid
     functions, then as many seeded uniform weights, drawn in that order as
     one array: the same for every model on the space. A function of norm
-    above 1 is divided by it. Each norm is taken of one vector at a time, as
-    a column-wise sum rounds differently."""
+    above 1 is divided by it. The norms are taken in one reduction over the
+    transposed moduli, which reduces each vector along its own contiguous
+    axis, so each is the vector's norm (`norm_value`) bit for bit; a
+    column-wise sum over the vectors as columns of a C-order array would
+    round differently."""
     dim = len(space.nodes)
     draws = rng_for(0, 2).uniform(0.0, 1.0, size=(2 * FUNCTION_SPACE_RANDOM, dim))
     vectors = np.vstack([np.ones(dim), draws[:FUNCTION_SPACE_RANDOM]]).astype(complex)
-    norms = np.empty(len(vectors))
-    for k, x in enumerate(vectors):
-        norms[k] = space.of_moduli(np.abs(x))
-        if norms[k] > 1.0:
-            x /= norms[k]
-            norms[k] = space.of_moduli(np.abs(x))
+    norms = space.of_moduli(np.abs(vectors).T)
+    big = norms > 1.0
+    vectors[big] /= norms[big, None]
+    norms[big] = space.of_moduli(np.abs(vectors[big]).T)
     return FunctionSpaceTestSet(vectors, norms, draws[FUNCTION_SPACE_RANDOM:])
 
 
@@ -462,7 +463,8 @@ def _rank_k_status(T: RankK, status: Optional[Status], U, V, passes) -> Status:
     U, V, mu = U.real, V.real / T.spectral_radius(), mu.real
     margin = MARGIN_ROUNDINGS * _term_rounding(U[:, periph], V[periph])
     gap = _least_live_entry(U, V, periph) - margin
-    rest = np.setdiff1d(np.arange(len(mu)), periph)
+    rest = np.ones(len(mu), dtype=bool)
+    rest[periph] = False
     size = np.abs(U[:, rest]).max(axis=0) * np.abs(V[rest]).max(axis=1)
     # tail[n - 1] bounds every entry of u_n - L
     tail = np.abs(mu[rest]) ** np.arange(MAX_TAIL)[:, None] @ size
@@ -751,9 +753,11 @@ def _rank_k_limit_status(T: RankK) -> Status:
     samples[:, I] rows[I] / spr (I those indices), refutes beyond
     DEFAULT_TOL plus the rounding of its entries (`_term_rounding`), and
     confirms only when each mu_i^q is exactly 1 (as for 1, -1 and +-i): a
-    mu_i = e^(i phi), phi below the tolerance, turns away from L_1. L_1 is
-    read LIMIT_POINT_ROWS rows at a time, so no dim x dim matrix is formed,
-    and in real arithmetic when its factors have no imaginary part."""
+    mu_i = e^(i phi), phi below the tolerance, turns away from L_1. No
+    dim x dim matrix is formed: a single real peripheral term is read from
+    its two factors (`_outer_worst_entry`), and any other L_1
+    LIMIT_POINT_ROWS rows at a time, in real arithmetic when its factors
+    have no imaginary part."""
     spr = T.spectral_radius()
     mu, periph = _peripheral_indices(T)
     q = [_root_of_unity_order(z, len(periph), DEFAULT_TOL) for z in mu[periph]]
@@ -762,11 +766,28 @@ def _rank_k_limit_status(T: RankK) -> Status:
     F, Phi = T.samples[:, periph], T.rows[periph] / spr
     if not (F.imag.any() or Phi.imag.any()):
         F, Phi = F.real.copy(), Phi.real.copy()
-    blocks = ((start, B @ Phi) for start, B in _row_blocks(F))
+    if len(periph) == 1 and F.dtype.kind == "f" and np.isfinite(F).all() and np.isfinite(Phi).all():
+        worst = _outer_worst_entry(F[:, 0], Phi[0])
+    else:
+        worst = _worst_entry((start, B @ Phi) for start, B in _row_blocks(F))
     slack = _term_rounding(F, Phi)
-    refuted = _limit_point_refutation(T, _worst_entry(blocks), 1, DEFAULT_TOL + slack)
+    refuted = _limit_point_refutation(T, worst, 1, DEFAULT_TOL + slack)
     exact = all(z**k == 1 for z, k in zip(mu[periph], q))
     return refuted or (Confirmed(0) if exact else UndeterminedUpToHorizon(0))
+
+
+def _outer_worst_entry(f: np.ndarray, phi: np.ndarray) -> tuple:
+    """`_worst_entry` of the real outer product f phi^T of finite factors,
+    read from them. Each entry is one rounded product f_a phi_b, and
+    rounding is monotone, so row a's least entry is f_a min(phi) when
+    f_a >= 0 and f_a max(phi) when f_a < 0. The worst entry is in the first
+    row that holds the least of these, at that row's first least entry."""
+    least = f * np.where(f >= 0, phi.min(), phi.max())
+    a = int(np.argmin(least))
+    residual = -least[a]
+    if not residual > 0:
+        return (0.0, 0, 0)
+    return (float(residual), a, int(np.argmin(f[a] * phi)))
 
 
 def _peripheral_indices(T: RankK) -> tuple:

@@ -225,21 +225,34 @@ class PointCombination:
         if len(self.points) != len(self.coefficients):
             raise OperatorError("a point combination needs one coefficient per point")
 
+    def _node_indices(self, nodes: np.ndarray) -> list:
+        """The index of each point's node; a point that is no node is
+        rejected."""
+        indices = []
+        for p in self.points:
+            idx = int(np.argmin(np.abs(nodes - p)))
+            if abs(nodes[idx] - p) > 1e-9:
+                raise OperatorError(f"point {p} is not a node of the space")
+            indices.append(idx)
+        return indices
+
     def row(self, space: NormKind) -> np.ndarray:
         """Row vector r with <phi, g> = r @ samples(g): each coefficient at
         its point's node."""
         nodes = _nodes(space)
         row = np.zeros(len(nodes), dtype=complex)
-        for p, c in zip(self.points, self.coefficients):
-            idx = np.argmin(np.abs(nodes - p))
-            if abs(nodes[idx] - p) > 1e-9:
-                raise OperatorError(f"point {p} is not a node of the space")
+        for idx, c in zip(self._node_indices(nodes), self.coefficients):
             row[idx] += c
         return row
 
     def apply(self, f: FunctionRep, space: NormKind) -> complex:
-        """<phi, f> from the values of f at the points."""
-        vals = f.sample(np.asarray(self.points, dtype=float))
+        """<phi, f> from the values of f at the points: an analytic f's
+        sampled there, a tabulated f's read at each point's node."""
+        if f.halfline_powers() is None:
+            nodes = _nodes(space)
+            vals = f.sample(nodes)[self._node_indices(nodes)]
+        else:
+            vals = f.sample(np.asarray(self.points, dtype=float))
         return complex(np.sum(np.asarray(self.coefficients, dtype=complex) * vals))
 
     def hat_pairing(self, peak: float, width: float) -> complex:
@@ -346,7 +359,10 @@ class Dense:
 
     @classmethod
     def from_json(cls, data: dict):
-        n = int(data["n"])
+        n = data["n"]
+        if not float(n).is_integer():
+            raise OperatorError(f"dense size n {n!r} is not an integer")
+        n = int(n)
         entries = np.array([_j2c(v) for v in data["entries"]]).reshape(n, n)
         return cls(entries, norm_from_json(data["norm"]))
 

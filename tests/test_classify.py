@@ -21,6 +21,7 @@ from evpos.classify import (
     ConeTestSet,
     DEFAULT_TOL,
     HALF_INTEGRAL,
+    LIMIT_POINT_ROWS,
     MAX_PERIOD,
     MAX_TAIL,
     Confirmed,
@@ -28,8 +29,11 @@ from evpos.classify import (
     Notion,
     RefutedWithWitness,
     UndeterminedUpToHorizon,
+    _outer_worst_entry,
     _pairings,
+    _row_blocks,
     _singular_refutation,
+    _worst_entry,
     function_space_test_set,
     classify_asymptotic,
     classify_eventual,
@@ -865,6 +869,43 @@ class TestRankKLimitRule:
         # one dim x dim array of floats alone would take dim^2 * 8 bytes
         assert peak < T.dim**2 * 8
 
+    def test_single_real_term_is_read_from_its_factors(self):
+        # lam = (1, 0.2): L_1 = 1 (x) (1/2) int is one real outer product,
+        # whose worst entry is found from its two factors; one block of
+        # LIMIT_POINT_ROWS rows of L_1 alone would take 64 x 2,001 x 8 bytes,
+        # and the block scan's peak was 2.08 MB
+        T = _slope_model(0.1, nodes=2_001)
+        tracemalloc.start()
+        try:
+            trio = classify_asymptotic(T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trio[0].status == Confirmed(0)
+        assert peak < LIMIT_POINT_ROWS * T.dim * 8 / 4
+
+    def test_outer_worst_entry_is_the_block_scan(self):
+        # (residual, i, j) of the outer product f phi^T equals the block
+        # scan's bit for bit, types too, over mixed signs, ties at
+        # half-integers, exact and signed zeros, and products that underflow
+        rng = rng_for(0, 27)
+        draws = [
+            lambda n: rng.normal(size=n),
+            lambda n: rng.integers(-3, 4, size=n) / 2.0,
+            lambda n: rng.normal(size=n) * (rng.random(n) < 0.5),
+            lambda n: rng.normal(size=n) * 1e-170,
+            lambda n: np.abs(rng.normal(size=n)),
+            lambda n: rng.choice([0.0, -0.0, 0.5, -0.5, 1e-300, -1e-300, 3.0], size=n),
+        ]
+        for _ in range(1_500):
+            n = int(rng.integers(1, 301))
+            f, phi = (draws[k](n) for k in rng.integers(len(draws), size=2))
+            F, Phi = f[:, None].copy(), phi[None, :].copy()
+            scanned = _worst_entry((start, B @ Phi) for start, B in _row_blocks(F))
+            closed = _outer_worst_entry(f, phi)
+            assert closed == scanned and list(map(type, closed)) == list(map(type, scanned))
+            assert np.signbit(closed[0]) == np.signbit(scanned[0])
+
     def test_one_limit_status_per_classification(self, monkeypatch):
         # both trios of ex2.2b read one decision of the limit-point rule
         calls = []
@@ -1253,6 +1294,18 @@ class TestFunctionSpaceTestSet:
         assert [phi.weight.values for phi in reference.functionals[1:]] == [
             tuple(w) for w in tests.weights
         ]
+
+    @pytest.mark.parametrize("dim", [2, 7, 9, 129, 1_001])
+    @pytest.mark.parametrize("p", [None, 1.0, 1.5, 2.0, 3.0], ids=lambda p: f"p={p}" if p else "sup")
+    def test_norms_are_each_vectors_norm(self, dim, p):
+        # the one reduction over the transposed moduli gives each vector's
+        # own norm bit for bit
+        if p is None:
+            space = GridSup(tuple(np.linspace(-1.0, 1.0, dim)))
+        else:
+            space = LpQuadrature(p, *map(tuple, midpoint_rule(-1.0, 1.0, dim)))
+        tests = function_space_test_set(space)
+        assert tests.norms.tolist() == [norm_value(LatticeVector(x, space)) for x in tests.vectors]
 
     def test_uniform_notion_is_formed_in_row_blocks(self):
         # the nonzero-term mask, the limit point and the tested power of the

@@ -614,6 +614,7 @@ BAD_MODEL_FILES = {
     "point-nan": _edited(SLOPE_FILE, ["functionals", 1, "points"], [NAN, -1.0]),
     "coefficient-nan": _edited(SLOPE_FILE, ["functionals", 1, "coefficients", 0], [NAN, 0.0]),
     "degree-fraction": _edited(SLOPE_FILE, ["functions", 1, "degree"], 1.5),
+    "n-fraction": _edited(IDENTITY_FILE, ["n"], 1.5),
     "pair-of-three": _edited(IDENTITY_FILE, ["entries", 0], [1.0, 0.0, 7.0]),
     "points-coefficients-mismatch": _edited(SLOPE_FILE, ["functionals", 1, "points"], [1.0]),
 }
@@ -797,6 +798,23 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
         assert "Traceback" not in captured.err
+
+    def test_tabulated_function_meets_point_combination(self, tmp_path, capsys):
+        # x tabulated on the slope model's 5 nodes is read at the nodes of
+        # the points 1 and -1, so the model loads and is classified as the
+        # one with the analytic x is
+        values = [[x, 0.0] for x in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+        tabulated = _edited(SLOPE_FILE, ["functions", 1], {"kind": "tabulated", "values": values})
+        verdicts = []
+        for data in (tabulated, SLOPE_FILE):
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(data))
+            assert main(["classify", str(path)]) == EXIT_OK
+            report = json.loads(capsys.readouterr().out)
+            verdicts.append({v["notion"]: v["status"] for v in report["classification"]})
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0]["uniform-eventual"]["kind"] == "refuted"
+        assert verdicts[0]["weak-asymptotic"] == {"kind": "confirmed", "n0": 0}
 
     def test_unknown_example_is_input_error(self, capsys):
         assert main(["classify", "--example", "nope"]) == EXIT_INPUT

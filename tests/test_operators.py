@@ -61,6 +61,17 @@ class TestFunctionals:
         assert phi.apply(Monomial(1), grid()) == pytest.approx(0.5)
         assert phi.apply(Constant(1.0), grid()) == pytest.approx(0.0)
 
+    def test_point_combination_reads_a_tabulated_function_at_its_nodes(self):
+        # a tabulated function has one value per node: each point's value
+        # is the one at that point's node, as in the functional's row
+        phi = PointCombination((1.0, -1.0), (0.25, -0.25))
+        space = grid(5)
+        x = Tabulated(tuple(np.linspace(-1.0, 1.0, 5)))
+        assert phi.apply(x, space) == phi.apply(Monomial(1), space) == 0.5
+        assert phi.apply(x, space) == phi.row(space) @ x.sample(np.asarray(space.nodes))
+        with pytest.raises(OperatorError, match="not a node"):
+            PointCombination((0.1,), (1.0,)).apply(x, space)
+
     def test_integrate_product_closed_form(self):
         # int_{-1}^{1} x * sgn(x)|x|^{1/2} dx = 2 * int_0^1 x^{3/2} = 4/5
         assert integrate_product(Monomial(1), SignedPower(0.5), -1.0, 1.0) == pytest.approx(0.8)
@@ -183,6 +194,13 @@ class TestJsonRoundTrip:
         back = model_from_json(data)
         assert np.allclose(to_dense(back).matrix, to_dense(model).matrix, atol=1e-14)
         assert model_to_json(back) == data
+
+    def test_dense_size_must_be_an_integer(self):
+        # an integral float is read as that integer, as a monomial degree is
+        data = {"variant": "dense", "n": 2.0, "entries": [[1.0, 0.0]] * 4, "norm": {"kind": "ell1"}}
+        assert model_from_json(data).dim == 2
+        with pytest.raises(OperatorError, match="not an integer"):
+            model_from_json({**data, "n": 1.5, "entries": [[2.0, 0.0]]})
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(OperatorError):
