@@ -182,8 +182,14 @@ def _last_failure(flags) -> int:
 
 
 def _grid_passes(P: np.ndarray) -> bool:
-    """The sign test of a power on the grid, relative to its largest entry."""
-    return entrywise_positive(P, DEFAULT_TOL * float(np.abs(P).max()))
+    """The sign test of a power on the grid, relative to its largest entry:
+    `entrywise_positive(P, DEFAULT_TOL max|P|)`. A real P is decided from
+    its least and largest entries alone: max|P| = max(max P, -min P), and
+    where -min P is the larger, min P < -DEFAULT_TOL |min P| fails the test
+    as min P < -DEFAULT_TOL max P does. A NaN propagates, and fails it."""
+    if P.dtype.kind == "c":
+        return entrywise_positive(P, DEFAULT_TOL * float(np.abs(P).max()))
+    return float(P.min()) >= -DEFAULT_TOL * float(P.max())
 
 
 def _power_failure(B: np.ndarray, n_t: int) -> int:
@@ -679,6 +685,16 @@ def _worst_entry(blocks) -> tuple:
     return worst
 
 
+def _residual_bound(L: np.ndarray) -> float:
+    """A bound on every entry's residual in `_worst_entry`, from reductions
+    and no `np.hypot` pass: hypot(a, b) <= a + b, and the factor 2 covers
+    the rounding of hypot and of the sum. It is NaN when L holds one."""
+    bound = max(-float(L.real.min()), 0.0)
+    if L.dtype.kind == "c":
+        bound += max(float(L.imag.max()), -float(L.imag.min()))
+    return 2.0 * bound
+
+
 def _limit_point_refutation(T, worst, r: int, threshold: float) -> Optional[RefutedWithWitness]:
     """Refuted with witness e_j when the worst entry (i, j) of the limit
     point L_r lies farther than threshold from the positive reals: the
@@ -713,8 +729,10 @@ def _peripheral_status(T: Dense) -> Status:
     sound. Off the cone means beyond DEFAULT_TOL plus, at
     m = 1, the rounding of the computed projections, n eps sum_k ||P_k||_F^2
     to first order, and at m > 1 the error that merging a split eigenvalue
-    puts into L_r (`Spectrum.coefficient_error`). The rule
-    steps no power, so an undetermined status has horizon 0."""
+    puts into L_r (`Spectrum.coefficient_error`). At m = 1, L_1's entries
+    are scanned only when `_residual_bound` does not already keep them
+    within that. The rule steps no power, so an undetermined status has
+    horizon 0."""
     spec = T.spectral_data()
     spr, m, top = spec.spectral_radius, spec.order, spec.top
     mu = spec.peripheral_eigenvalues[top] / spr
@@ -722,17 +740,21 @@ def _peripheral_status(T: Dense) -> Status:
     q = [_root_of_unity_order(z, count, spectral.DEFAULT_TOL) for z in mu]
     if None in q:
         return UndeterminedUpToHorizon(0) if m > 1 else _not_cyclic(mu, q, count)
-    C = np.stack([spec.coefficient(k) for k in top]) / (spec.scale * spr) ** (m - 1)
-
-    def worst(r):
-        return _worst_entry([(0, np.tensordot(mu**r, C, axes=1))]), r
-
+    C = np.stack([spec.coefficient(k) for k in top])
     if m == 1:
         # to first order, rounding moves a computed projection P by its
         # condition number ||P|| times a backward error of n eps ||P||
         slack = T.dim * EPS * float(np.sum(np.linalg.norm(C, axis=(1, 2)) ** 2))
-        refuted = _limit_point_refutation(T, *worst(1), DEFAULT_TOL + slack)
+        L, threshold = np.tensordot(mu, C, axes=1), DEFAULT_TOL + slack
+        refuted = None
+        if not _residual_bound(L) <= threshold:
+            refuted = _limit_point_refutation(T, _worst_entry([(0, L)]), 1, threshold)
         return refuted or (UndeterminedUpToHorizon(0) if T.matrix.imag.any() else Confirmed(0))
+    C = C / (spec.scale * spr) ** (m - 1)
+
+    def worst(r):
+        return _worst_entry([(0, np.tensordot(mu**r, C, axes=1))]), r
+
     threshold = DEFAULT_TOL + spec.coefficient_error / (spec.scale * spr) ** (m - 1)
     for r in range(min(math.lcm(*q), MAX_PERIOD)):
         refuted = _limit_point_refutation(T, *worst(r), threshold)

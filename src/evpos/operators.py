@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar, Union
@@ -33,6 +34,14 @@ DUALITY_TOL = 1e-10
 # halfline_powers() (None when tabulated); a functional kind gives row(space),
 # apply(f, space), hat_pairing(peak, width) and the points it evaluates at.
 # Each gives its descriptor (to_json, from_json) and checks its parameters.
+
+
+def _number(value, what: str):
+    """value, when it is a real number: a JSON string or boolean (which
+    Python counts as an int) is rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise OperatorError(f"{what} {value!r} is not a number")
+    return value
 
 
 def _finite_data(data, what: str) -> np.ndarray:
@@ -71,7 +80,7 @@ class Monomial:
     kind: ClassVar[str] = "monomial"
 
     def __post_init__(self):
-        if not float(self.degree).is_integer():
+        if not float(_number(self.degree, "monomial degree")).is_integer():
             raise OperatorError(f"monomial degree {self.degree!r} is not an integer")
         object.__setattr__(self, "degree", int(self.degree))
 
@@ -112,7 +121,7 @@ class SignedPower:
 
     @classmethod
     def from_json(cls, data: dict):
-        return cls(float(data["exponent"]))
+        return cls(float(_number(data["exponent"], "signed-power exponent")))
 
 
 @dataclass(frozen=True)
@@ -359,7 +368,7 @@ class Dense:
 
     @classmethod
     def from_json(cls, data: dict):
-        n = data["n"]
+        n = _number(data["n"], "dense size n")
         if not float(n).is_integer():
             raise OperatorError(f"dense size n {n!r} is not an integer")
         n = int(n)
@@ -614,11 +623,11 @@ def complex_pairs(a) -> list:
 
 def _j2c(v) -> complex:
     """A number, or an [re, im] pair of numbers, as a complex."""
-    if isinstance(v, (int, float)):
-        return complex(v)
+    if not isinstance(v, (list, tuple)):
+        return complex(_number(v, "complex entry"))
     if len(v) != 2:
         raise OperatorError(f"complex entry {v!r} is not an [re, im] pair")
-    return complex(v[0], v[1])
+    return complex(_number(v[0], "real part"), _number(v[1], "imaginary part"))
 
 
 def _decode(data, registry: dict, family: str, key: str = "kind"):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Optional
 
@@ -45,23 +47,16 @@ def verdict_record(v: PositivityVerdict) -> dict:
         st = {"kind": "undetermined", "horizon": int(status.horizon)}
     else:
         raise ReportError(f"unknown verdict status {status!r}")
-    return {
-        "notion": v.notion.value,
-        "status": st,
-        "tolerance": DEFAULT_TOL,
-    }
+    return {"notion": v.notion.value, "status": st, "tolerance": DEFAULT_TOL}
 
 
 def verdict_from_record(rec: dict) -> PositivityVerdict:
     """The verdict of a classification record; a refutation keeps only its
     witness's description, and the tolerance (always DEFAULT_TOL) is unread."""
-    st = rec["status"]
-    status = {
-        "confirmed": lambda: Confirmed(st["n0"]),
-        "refuted": lambda: RefutedWithWitness(None, st["witness"]),
-        "undetermined": lambda: UndeterminedUpToHorizon(st["horizon"]),
-    }[st["kind"]]()
-    return PositivityVerdict(Notion(rec["notion"]), status)
+    kind = rec["status"]["kind"]
+    make = {"confirmed": Confirmed, "refuted": partial(RefutedWithWitness, None),
+            "undetermined": UndeterminedUpToHorizon}[kind]
+    return PositivityVerdict(Notion(rec["notion"]), make(rec["status"][_STATUS[kind][1]]))
 
 
 def check_record(c: CheckResult) -> dict:
@@ -76,10 +71,7 @@ def check_record(c: CheckResult) -> dict:
 
 
 def spectrum_record(s: Spectrum) -> dict:
-    return {
-        "eigenvalues": complex_pairs(s.eigenvalues),
-        "spectral_radius": float(s.spectral_radius),
-    }
+    return {"eigenvalues": complex_pairs(s.eigenvalues), "spectral_radius": float(s.spectral_radius)}
 
 
 @dataclass(frozen=True)
@@ -91,11 +83,7 @@ class AnalysisReport:
     checks: tuple  # of check records
     seed: int
     versions: dict = field(
-        default_factory=lambda: {
-            "tool": _tool_version,
-            "schema": SCHEMA_VERSION,
-            "rng": GENERATOR_NAME,
-        }
+        default_factory=lambda: {"tool": _tool_version, "schema": SCHEMA_VERSION, "rng": GENERATOR_NAME}
     )
 
     @property
@@ -107,16 +95,9 @@ class AnalysisReport:
         return len(broken) + sum(1 for c in self.checks if c["contradiction"])
 
 
-_REPORT_FIELDS = (
-    "operator_id",
-    "model_descriptor",
-    "classification",
-    "spectrum",
-    "checks",
-    "seed",
-    "versions",
-)
-
+_REPORT_FIELDS = ("operator_id", "model_descriptor", "classification", "spectrum", "checks",
+                  "seed", "versions")
+_CHECK_FIELDS = ("name", "pass", "margin", "tolerance", "contradiction", "hypotheses")
 
 # the texts `json` writes for the floats whose repr is not JSON
 _FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -127,8 +108,8 @@ def _float_text(x: float) -> str:
     return _FLOAT_NAMES.get(text, text)
 
 
-# the writer of each exact leaf type; a subclass (np.float64, say) takes the
-# isinstance tests in `_text`, as in `json`
+# the writer of each exact leaf type, in the order of `json`'s isinstance
+# tests, which a subclass (np.float64, say) takes
 _LEAVES = {
     str: _escape,
     float: _float_text,
@@ -138,105 +119,122 @@ _LEAVES = {
 }
 
 
-def _text(value, pad: str) -> str:
-    """The text of value at indentation pad, as `json.dumps(indent=2,
-    sort_keys=True)` writes it. Dict keys must be strings. A value of a type
-    that `json` does not write (np.int64, np.bool_, a set) raises TypeError,
-    as in `json`."""
-    leaf = _LEAVES.get(type(value))
-    if leaf is not None:
-        return leaf(value)
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = []
-        for key in sorted(value):
-            item = value[key]
-            leaf = _LEAVES.get(type(item))
-            parts.append(_escape(key) + ": " + (leaf(item) if leaf else _text(item, inner)))
-        return "{\n" + inner + sep.join(parts) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if all(type(x) is float for x in value):
-            body = sep.join(map(float.__repr__, value))
-            # the repr of a finite float has no "n", of nan and +-inf one
-            if "n" in body:
-                body = sep.join(map(_float_text, value))
-        else:
-            body = sep.join([_text(x, inner) for x in value])
-        return "[\n" + inner + body + "\n" + pad + "]"
-    if isinstance(value, str):
-        return _escape(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+def _leaf(value) -> str:
+    """The text `json` writes for a leaf; a value that it does not write
+    (np.int64, np.bool_, a set), or a container, raises TypeError."""
+    write = _LEAVES.get(type(value)) or next(
+        (w for t, w in _LEAVES.items() if isinstance(value, t)), None)
+    if write is None:
+        raise TypeError(f"Object of type {type(value).__name__} is not a report leaf")
+    return write(value)
 
 
-def json_text(value) -> str:
-    """`json.dumps(value, indent=2, sort_keys=True) + "\\n"`, byte for byte,
-    written directly: `json` takes its pure-Python encoder whenever it
-    indents."""
-    return _text(value, "") + "\n"
+def _block(items: list, depth: int, brackets: str = "[]") -> str:
+    """The text of a list (or, with brackets "{}", a dict) of item texts at
+    this depth, as `json.dumps(indent=2)` writes it."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _template(keys, depth: int) -> str:
+    """The text of a record with these keys at this depth, as `json.dumps(
+    indent=2, sort_keys=True)` writes it, with a %s slot for each value."""
+    return _block([_escape(k) + ": %s" for k in sorted(keys)], depth, "{}")
+
+
+# One template per record kind of schema "3"; each slot takes the `_leaf`
+# text of one value, or the text of a nested record.
+_REPORT = _template(_REPORT_FIELDS, 0) + "\n"
+_DESCRIPTOR = _template(("dim", "norm", "sha256", "variant"), 1).replace(
+    '"norm": %s', '"norm": ' + _template(("kind",), 2))
+_VERSIONS = _template(("rng", "schema", "tool"), 1)
+_SPECTRUM = _template(("eigenvalues", "spectral_radius"), 1)
+_PAIR = _block(["%s", "%s"], 3)
+_CHECK = _template(_CHECK_FIELDS, 2)
+_VERDICT = _template(("notion", "status", "tolerance"), 2)
+# each status kind: its template, with the kind written in, and its other key
+_STATUS = {
+    kind: (_template(("kind", key), 3).replace('"kind": %s', f'"kind": "{kind}"'), key)
+    for kind, key in (("confirmed", "n0"), ("refuted", "witness"), ("undetermined", "horizon"))
+}
+
+
+def _eigenvalues(pairs: list) -> str:
+    """The [re, im] pairs, in one format over the flattened pairs; the repr
+    of a finite float holds no "n", those of NaN and +-inf do."""
+    template = _block([_PAIR] * len(pairs), 2)
+    flat = tuple(chain.from_iterable(pairs))
+    if set(map(type, flat)) == {float}:
+        text = template % tuple(map(float.__repr__, flat))
+        if "n" not in text:
+            return text
+    return template % tuple(map(_leaf, flat))
+
+
+def _check_text(c: dict) -> str:
+    h = c["hypotheses"]
+    return _CHECK % (
+        _leaf(c["contradiction"]), _block([_escape(k) + ": " + _leaf(h[k]) for k in sorted(h)], 3, "{}"),
+        _leaf(c["margin"]), _leaf(c["name"]), _leaf(c["pass"]), _leaf(c["tolerance"]),
+    )
+
+
+def _verdict_text(v: dict) -> str:
+    template, key = _STATUS[v["status"]["kind"]]
+    return _VERDICT % (_leaf(v["notion"]), template % _leaf(v["status"][key]), _leaf(v["tolerance"]))
 
 
 def report_to_json(report: AnalysisReport) -> str:
-    payload = {
-        "operator_id": report.operator_id,
-        "model_descriptor": report.model_descriptor,
-        "classification": list(report.classification),
-        "spectrum": report.spectrum,
-        "checks": list(report.checks),
-        "seed": int(report.seed),
-        "versions": report.versions,
-    }
-    return json_text(payload)
+    """`json.dumps(fields, indent=2, sort_keys=True) + "\\n"` (seed as an int)
+    byte for byte, from the templates of the records, each holding the keys
+    of its kind; `json` takes its pure-Python encoder whenever it indents."""
+    d, s, v = report.model_descriptor, report.spectrum, report.versions
+    return _REPORT % (
+        _block([_check_text(c) for c in report.checks], 1),
+        _block([_verdict_text(r) for r in report.classification], 1),
+        _DESCRIPTOR % tuple(map(_leaf, (d["dim"], d["norm"]["kind"], d["sha256"], d["variant"]))),
+        _leaf(report.operator_id),
+        _leaf(int(report.seed)),
+        "null" if s is None else _SPECTRUM % (_eigenvalues(s["eigenvalues"]), _leaf(s["spectral_radius"])),
+        _VERSIONS % tuple(map(_leaf, (v["rng"], v["schema"], v["tool"]))),
+    )
+
+
+def _require(rec, keys, what: str) -> None:
+    """rec must be a JSON object with exactly these keys."""
+    if not isinstance(rec, dict) or set(rec) != set(keys):
+        got = sorted(rec) if isinstance(rec, dict) else type(rec).__name__
+        raise ReportError(f"{what} must hold exactly {sorted(keys)}, not {got}")
 
 
 def report_from_json(text: str) -> AnalysisReport:
+    """A report read back from its text: each record must hold the keys of
+    its kind in schema "3", as `report_to_json` writes them."""
     data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ReportError("report must be a JSON object")
-    unknown = set(data) - set(_REPORT_FIELDS)
-    if unknown:
-        raise ReportError(f"unknown report fields: {sorted(unknown)}")
-    missing = set(_REPORT_FIELDS) - set(data)
-    if missing:
-        raise ReportError(f"missing report fields: {sorted(missing)}")
+    _require(data, _REPORT_FIELDS, "a report")
     versions = data["versions"]
-    if set(versions) - {"tool", "schema", "rng"}:
-        raise ReportError("unknown version fields")
-    if versions.get("schema") != SCHEMA_VERSION:
-        raise ReportError(
-            f"schema version {versions.get('schema')!r} is not supported "
-            f"(expected {SCHEMA_VERSION!r})"
-        )
-    if set(data["model_descriptor"]) != {"variant", "dim", "norm", "sha256"}:
-        raise ReportError("the model block must hold variant, dim, norm and sha256")
+    _require(versions, ("tool", "schema", "rng"), "the versions block")
+    if versions["schema"] != SCHEMA_VERSION:
+        raise ReportError(f"schema version {versions['schema']!r} is not supported "
+                          f"(expected {SCHEMA_VERSION!r})")
+    _require(data["model_descriptor"], ("variant", "dim", "norm", "sha256"), "the model block")
+    _require(data["model_descriptor"]["norm"], ("kind",), "the model's norm")
     for rec in data["classification"]:
-        if set(rec) - {"notion", "status", "tolerance"}:
-            raise ReportError("unknown fields in a classification record")
+        _require(rec, ("notion", "status", "tolerance"), "a classification record")
+        kind = rec["status"].get("kind") if isinstance(rec["status"], dict) else None
+        if kind not in _STATUS:
+            raise ReportError(f"unknown status kind {kind!r}")
+        _require(rec["status"], ("kind", _STATUS[kind][1]), f"a {kind} status")
     for rec in data["checks"]:
-        allowed = {
-            "name",
-            "pass",
-            "margin",
-            "tolerance",
-            "contradiction",
-            "hypotheses",
-        }
-        if set(rec) - allowed:
-            raise ReportError("unknown fields in a check record")
-    return AnalysisReport(
-        operator_id=data["operator_id"],
-        model_descriptor=data["model_descriptor"],
-        classification=tuple(data["classification"]),
-        spectrum=data["spectrum"],
-        checks=tuple(data["checks"]),
-        seed=int(data["seed"]),
-        versions=versions,
-    )
+        _require(rec, _CHECK_FIELDS, "a check record")
+        if not isinstance(rec["hypotheses"], dict):
+            raise ReportError("the hypotheses of a check must be a JSON object")
+    spectrum = data["spectrum"]
+    if spectrum is not None:
+        _require(spectrum, ("eigenvalues", "spectral_radius"), "the spectrum")
+        if not all(isinstance(p, list) and len(p) == 2 for p in spectrum["eigenvalues"]):
+            raise ReportError("each eigenvalue must be an [re, im] pair")
+    return AnalysisReport(**{**data, "classification": tuple(data["classification"]),
+                             "checks": tuple(data["checks"]), "seed": int(data["seed"])})

@@ -922,6 +922,102 @@ class TestRankKLimitRule:
         assert len(calls) == 1
 
 
+def _peripheral_status_scanned(T: Dense):
+    """`_peripheral_status` as it was before `_residual_bound`: L_1 formed
+    from the coefficients divided by (scale spr)^0, and the whole
+    `_worst_entry` scan on every call."""
+    C_ = evpos.classify
+    spec = T.spectral_data()
+    spr, m, top = spec.spectral_radius, spec.order, spec.top
+    mu = spec.peripheral_eigenvalues[top] / spr
+    count = len(spec.peripheral_indices)
+    q = [C_._root_of_unity_order(z, count, evpos.spectral.DEFAULT_TOL) for z in mu]
+    if None in q:
+        return UndeterminedUpToHorizon(0) if m > 1 else C_._not_cyclic(mu, q, count)
+    C = np.stack([spec.coefficient(k) for k in top]) / (spec.scale * spr) ** (m - 1)
+    assert m == 1, "the rule at m > 1 is unchanged"
+    slack = T.dim * C_.EPS * float(np.sum(np.linalg.norm(C, axis=(1, 2)) ** 2))
+    worst = _worst_entry([(0, np.tensordot(mu**1, C, axes=1))])
+    refuted = C_._limit_point_refutation(T, worst, 1, DEFAULT_TOL + slack)
+    return refuted or (UndeterminedUpToHorizon(0) if T.matrix.imag.any() else Confirmed(0))
+
+
+def _with_projection(v, w, rest) -> np.ndarray:
+    """The matrix v w^T / (w^T v) + (I - P) rest (I - P), whose eigenvalue 1
+    has that projection P, with rest scaled well inside the unit disc."""
+    P = np.outer(v, w) / (w @ v)
+    Q = np.eye(len(v)) - P
+    B = Q @ rest @ Q
+    return P + 0.4 * B / max(np.abs(np.linalg.eigvals(B)).max(), 1e-300)
+
+
+def _same_status(a, b) -> bool:
+    """Equal statuses, a witness basis vector compared entry by entry."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, RefutedWithWitness):
+        wa, wb = (getattr(s.witness, "entries", s.witness) for s in (a, b))
+        return a.description == b.description and np.array_equal(wa, wb)
+    return a == b
+
+
+class TestReductionKernels:
+    """The sign test of a dense power and the m = 1 limit-point rule decide
+    from reductions what the full entrywise passes decided."""
+
+    def test_grid_passes_is_the_entrywise_test(self):
+        rng = rng_for(0, 28)
+        draws = [
+            lambda s: rng.normal(size=s),
+            lambda s: rng.integers(-2, 3, size=s) / 2.0,
+            lambda s: np.abs(rng.normal(size=s)) - 1e-9 * rng.random(s),
+            lambda s: rng.choice([0.0, -0.0], size=s),
+            lambda s: -np.abs(rng.normal(size=s)),
+            lambda s: rng.choice([1.0, -1e-9, -1.0000001e-9, -0.0, 2.0], size=s),
+        ]
+        for k in range(1_200):
+            n = int(rng.integers(1, 20))
+            P = draws[k % len(draws)]((n, n))
+            if k % 7 == 0:
+                P[rng.integers(n), rng.integers(n)] = np.nan
+            for Q in (P, -P, P * 1e-300, P * 1e300):
+                assert evpos.classify._grid_passes(Q) == _passes(Q, DEFAULT_TOL)
+        for Q in (np.zeros((3, 3)), -np.zeros((3, 3)), -np.ones((2, 2)), np.full((2, 2), np.nan)):
+            assert evpos.classify._grid_passes(Q) == _passes(Q, DEFAULT_TOL)
+
+    def test_peripheral_status_is_the_full_scan(self):
+        rng = rng_for(0, 29)
+        models = [make_eventually_positive(d, 0.5, s, norm=Ell1()).model
+                  for d in (3, 8, 17) for s in range(3)]
+        models += [cyclic_block(k, 2, norm=Ell1()) for k in (2, 3)]
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            v, w = np.abs(rng.normal(size=n)) + 0.1, np.abs(rng.normal(size=n)) + 0.1
+            rest = rng.normal(size=(n, n))
+            # a Perron projection with a negative entry at about the
+            # threshold (factor near 1), or far beyond it: a refutation
+            for factor in (0.3, 0.9, 1.0, 1.1, 3.0, 1e6):
+                v2 = v.copy()
+                v2[0] = -factor * DEFAULT_TOL * (w @ v) / w.max()
+                models.append(Dense(_with_projection(v2, w, rest), Ell1()))
+            # a complex projection whose imaginary part is about the
+            # threshold: undetermined or refuted, each side of the bound
+            u = rng.normal(size=n)
+            for factor in (0.2, 0.45, 0.55, 0.9, 1.0, 1.1, 2.0):
+                eps = factor * DEFAULT_TOL / np.abs(np.outer(u, w)).max()
+                models.append(Dense(_with_projection(v + 1j * eps * u, w, rest), Ell1()))
+        decided = set()
+        for T in models:
+            try:
+                expected = _peripheral_status_scanned(T)
+            except evpos.spectral.SpectralError:
+                continue
+            got = evpos.classify._peripheral_status(T)
+            assert _same_status(got, expected), (T.matrix, got, expected)
+            decided.add(type(got))
+        assert decided == {Confirmed, RefutedWithWitness, UndeterminedUpToHorizon}
+
+
 class TestAnalyticRefutations:
     """The singular-term and shrinking-hat refutations of a rank-k model are
     decided once each, from the limit that the witness family tends to, and

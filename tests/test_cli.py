@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -41,8 +42,8 @@ from evpos.operators import (
 from evpos.spectral import SpectralError, Spectrum
 from evpos.lattice import Ell1, Ell2, EllInf
 from evpos.report import (
+    AnalysisReport,
     ReportError,
-    json_text,
     report_from_json,
     report_to_json,
     verdict_from_record,
@@ -334,6 +335,17 @@ class TestRunClassify:
         digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
         assert digest == DENSE_REPORT_SHA256[name]
 
+    def test_undetermined_report_digest(self):
+        # diag(1, -0.1) as a dense matrix: its eventual trio is undetermined,
+        # a status record whose "horizon" sorts before its "kind"
+        name = "alternating-diagonal"
+        report, failed = run_classify(Dense(np.diag([1.0, -0.1]), Ell1()), name, 0)
+        assert not failed
+        kinds = [r["status"]["kind"] for r in report.classification]
+        assert kinds == ["undetermined"] * 3 + ["confirmed"] * 3
+        digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+        assert digest == DENSE_REPORT_SHA256[name]
+
     @pytest.mark.parametrize("norm", [Ell1, Ell2])
     def test_gaussian_report_digest(self, norm):
         # a not-positive complex Gaussian at dim 96, built as perfbench's
@@ -448,9 +460,11 @@ PAPER_REPORT_SHA256 = {
 }
 
 # sha256 of the run_classify report of make_eventually_positive(dim, 0.5, 3,
-# norm=N) under the id ep-N-dim, and of the dim-96 Gaussians under the id
-# gauss-N-96, seed 0
+# norm=N) under the id ep-N-dim, of the dim-96 Gaussians under the id
+# gauss-N-96, and of Dense(diag(1, -0.1)) in l1 under the id
+# alternating-diagonal, seed 0
 DENSE_REPORT_SHA256 = {
+    "alternating-diagonal": "2ef507652a54769f9a2314bd5abae1736580b020043226b58d98f43ddf4efd2f",
     "ep-Ell1-8": "423dd233cf9190559f645c76c2ddd5b4ef0d9d637e9dfe37f505c8061f10a370",
     "ep-Ell1-24": "24d84f6711b31c7ea60c99e37f856cdbbef9654de85510ee4e78e1ba3e590a04",
     "ep-Ell2-8": "578dc6d8ed93773464385be24f7733e673098c62729de6ccf7cfb1d575378f83",
@@ -517,51 +531,114 @@ class TestSuites:
             run_suite("mystery")
 
 
-# what `json` writes: strings of any characters (quotes, control characters
-# and non-ASCII ones escaped), ints, floats with -0.0, NaN and +-inf, numpy
-# float64, bools and None, in str-keyed dicts, lists and tuples, empty ones
-# too, and lists of floats such as a spectrum's eigenvalue pairs
-FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]))
-JSON_LEAVES = st.one_of(
+# the values of report records that `json` writes in its own ways: strings
+# with quotes, backslashes, control and non-ASCII characters, and floats
+# (numpy's too) with -0.0, the least subnormal, a near-overflow, NaN and +-inf
+TEXTS = st.one_of(
     st.text(),
-    st.sampled_from(['"', "\\", "\n\t\x00\x1f", "\u00e9\u2028\U0001f600"]),
-    st.integers(),
-    FLOATS,
+    st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "\u00e9\u2028\U0001f600", 'a "b" \\c %s']),
+)
+FLOATS = st.one_of(
+    st.floats(),
     st.floats().map(np.float64),
-    st.lists(FLOATS, min_size=1, max_size=3),
-    st.booleans(),
-    st.none(),
+    st.sampled_from([-0.0, 5e-324, 1.7e308, float("nan"), float("inf"), float("-inf")]),
 )
-JSON_VALUES = st.recursive(
-    JSON_LEAVES,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(st.text(), inner, max_size=4),
+STATUSES = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("confirmed"), "n0": st.integers(0, 2**40)}),
+    st.fixed_dictionaries({"kind": st.just("refuted"), "witness": TEXTS}),
+    st.fixed_dictionaries({"kind": st.just("undetermined"), "horizon": st.integers(0, 2**40)}),
+)
+VERDICT_RECORDS = st.fixed_dictionaries(
+    {"notion": st.sampled_from([n.value for n in Notion]), "status": STATUSES, "tolerance": FLOATS}
+)
+CHECK_RECORDS = st.fixed_dictionaries(
+    {
+        "name": TEXTS,
+        "pass": st.booleans(),
+        "margin": FLOATS,
+        "tolerance": FLOATS,
+        "contradiction": st.booleans(),
+        "hypotheses": st.dictionaries(TEXTS, st.booleans(), max_size=3),
+    }
+)
+SPECTRA = st.none() | st.fixed_dictionaries(
+    {
+        "eigenvalues": st.lists(st.lists(FLOATS, min_size=2, max_size=2), min_size=1, max_size=100),
+        "spectral_radius": FLOATS,
+    }
+)
+REPORTS = st.builds(
+    AnalysisReport,
+    operator_id=TEXTS,
+    model_descriptor=st.fixed_dictionaries(
+        {
+            "variant": TEXTS,
+            "dim": st.integers(0, 2**40),
+            "norm": st.fixed_dictionaries({"kind": TEXTS}),
+            "sha256": TEXTS,
+        }
     ),
-    max_leaves=20,
+    classification=st.sampled_from([3, 6]).flatmap(
+        lambda n: st.lists(VERDICT_RECORDS, min_size=n, max_size=n).map(tuple)
+    ),
+    spectrum=SPECTRA,
+    checks=st.lists(CHECK_RECORDS, max_size=4).map(tuple),
+    seed=st.integers(0, 2**63),
+    versions=st.fixed_dictionaries({"tool": TEXTS, "schema": st.just("3"), "rng": TEXTS}),
 )
+
+
+def _payload(report: AnalysisReport) -> dict:
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
 
 
 class TestReportWriter:
-    """`report_to_json` writes its text directly, byte for byte what
-    `json.dumps(indent=2, sort_keys=True)` writes."""
+    """`report_to_json` writes each record from its template, byte for byte
+    what `json.dumps(indent=2, sort_keys=True)` writes."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(JSON_VALUES)
-    def test_text_is_that_of_json_dumps(self, value):
-        assert json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    @settings(max_examples=300, deadline=None)
+    @given(REPORTS)
+    def test_text_is_that_of_json_dumps(self, report):
+        expected = json.dumps(_payload(report), indent=2, sort_keys=True) + "\n"
+        assert report_to_json(report) == expected
+
+    def test_every_status_kind_and_an_empty_record(self):
+        # an undetermined status sorts "horizon" before "kind"
+        report, _ = run_classify(get_example("rem3.2b").model, "rem3.2b", 0)
+        statuses = [{"kind": "confirmed", "n0": 3}, {"kind": "refuted", "witness": "w"},
+                    {"kind": "undetermined", "horizon": 0}]
+        classification = tuple({**r, "status": s} for r, s in zip(report.classification, statuses * 2))
+        checks = ({**report.checks[0], "hypotheses": {}},)
+        for r in (dataclasses.replace(report, classification=classification, checks=checks),
+                  dataclasses.replace(report, checks=(), spectrum=None)):
+            assert report_to_json(r) == json.dumps(_payload(r), indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize(
-        "value",
-        [np.int64(1), np.bool_(True), {1, 2}, {"a": [0.5, np.int64(2)]}, [{"b": np.bool_(False)}]],
-        ids=["int64", "bool_", "set", "nested-int64", "nested-bool_"],
+        "path, value",
+        [
+            (("classification", 0, "status", "n0"), np.int64(1)),
+            (("checks", 0, "pass"), np.bool_(True)),
+            (("checks", 0, "hypotheses", "power-bounded"), np.bool_(False)),
+            (("model_descriptor", "dim"), np.int64(2)),
+            (("spectrum", "eigenvalues", 0, 0), np.int64(1)),
+        ],
+        ids=["n0-int64", "pass-bool_", "hypothesis-bool_", "dim-int64", "eigenvalue-int64"],
     )
-    def test_unsupported_leaf_raises(self, value):
+    def test_unsupported_leaf_raises(self, path, value):
+        entry = get_example("cyclic-block")
+        report, _ = run_classify(entry.model, entry.name, 0)
+        payload = json.loads(report_to_json(report))
+        *keys, last = path
+        functools.reduce(lambda d, k: d[k], keys, payload)[last] = value
         with pytest.raises(TypeError):
-            json.dumps(value, indent=2, sort_keys=True)
+            json.dumps(payload, indent=2, sort_keys=True)
+        bad = dataclasses.replace(
+            report,
+            **{k: tuple(payload[k]) if k in ("classification", "checks") else payload[k]
+               for k in ("classification", "checks", "model_descriptor", "spectrum")},
+        )
         with pytest.raises(TypeError):
-            json_text(value)
+            report_to_json(bad)
 
 
 # model files that break a kind's rules, each read to exit 2: the slope
@@ -616,6 +693,13 @@ BAD_MODEL_FILES = {
     "degree-fraction": _edited(SLOPE_FILE, ["functions", 1, "degree"], 1.5),
     "n-fraction": _edited(IDENTITY_FILE, ["n"], 1.5),
     "pair-of-three": _edited(IDENTITY_FILE, ["entries", 0], [1.0, 0.0, 7.0]),
+    # numbers given as JSON strings or booleans, which float() and complex()
+    # would read
+    "n-string": _edited(IDENTITY_FILE, ["n"], "1"),
+    "n-bool": _edited(IDENTITY_FILE, ["n"], True),
+    "degree-string": _edited(SLOPE_FILE, ["functions", 1, "degree"], "1"),
+    "exponent-string": _edited(SLOPE_FILE, ["functions", 1], {"kind": "signed_power", "exponent": "0.5"}),
+    "entry-bool": _edited(IDENTITY_FILE, ["entries", 0], True),
     "points-coefficients-mismatch": _edited(SLOPE_FILE, ["functionals", 1, "points"], [1.0]),
 }
 

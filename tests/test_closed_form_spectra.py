@@ -2,13 +2,15 @@
 eigen-solve of their dense matrices: the spectrum record and every check
 record must come out the same, byte for byte."""
 
+import json
+
 import numpy as np
 import pytest
 
 from evpos.classify import NotClassifiableError, classify_asymptotic
 from evpos.lattice import Ell1, Ell2, EllInf
 from evpos.operators import Diagonal, WeightedShift
-from evpos.report import check_record, json_text, spectrum_record
+from evpos.report import check_record, spectrum_record
 from evpos.spectral import SpectralError, eigenvalues, geometric_multiplicity
 from evpos.verify import VerificationError, perron_frobenius_checks
 
@@ -64,7 +66,7 @@ def _outcome(spec, verdicts, norm) -> list:
     try:
         for c in perron_frobenius_checks(spec, verdicts.get("uniform-asymptotic"),
                                          verdicts.get("weak-asymptotic"), norm):
-            out.append(json_text(check_record(c)))
+            out.append(json.dumps(check_record(c), sort_keys=True))
     except (SpectralError, VerificationError) as exc:
         out.append(type(exc).__name__)
     return out
@@ -73,7 +75,7 @@ def _outcome(spec, verdicts, norm) -> list:
 def _assert_same_as_dense(model, matrix):
     closed = model.spectral_data()
     dense = eigenvalues(matrix)
-    assert json_text(spectrum_record(closed)) == json_text(spectrum_record(dense))
+    assert json.dumps(spectrum_record(closed)) == json.dumps(spectrum_record(dense))
     try:
         verdicts = {v.notion.value: v for v in classify_asymptotic(model)}
     except NotClassifiableError:

@@ -202,6 +202,24 @@ class TestJsonRoundTrip:
         with pytest.raises(OperatorError, match="not an integer"):
             model_from_json({**data, "n": 1.5, "entries": [[2.0, 0.0]]})
 
+    @pytest.mark.parametrize(
+        "n, entry",
+        [("1", [1.0, 0.0]), (True, [1.0, 0.0]), (1, True), (1, [True, 0.0]), (1, [1.0, "0"])],
+        ids=["n-string", "n-bool", "entry-bool", "re-bool", "im-string"],
+    )
+    def test_dense_numbers_must_be_json_numbers(self, n, entry):
+        # float() reads "1" and True as 1, and complex() reads True as 1
+        data = {"variant": "dense", "n": n, "entries": [entry], "norm": {"kind": "ell1"}}
+        with pytest.raises(OperatorError, match="is not a number"):
+            model_from_json(data)
+
+    def test_function_parameters_must_be_json_numbers(self):
+        with pytest.raises(OperatorError, match="is not a number"):
+            Monomial.from_json({"kind": "monomial", "degree": "1"})
+        with pytest.raises(OperatorError, match="is not a number"):
+            SignedPower.from_json({"kind": "signed_power", "exponent": "0.5"})
+        assert Monomial.from_json({"kind": "monomial", "degree": 2.0}).degree == 2
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(OperatorError):
             model_from_json({"variant": "mystery"})
