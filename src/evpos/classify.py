@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import accumulate, repeat
 from typing import Optional, Sequence, Union
 
@@ -50,6 +51,10 @@ LIMIT_POINT_ROWS = 64
 # the most limit points L_r that the rule for a peripheral pole of order
 # m > 1 forms: every period p = lcm(q) of root orders q <= 8 is read in full
 MAX_PERIOD = 840
+# the most (window start, window length) pairs that one tile of the shift
+# rule holds, unless a single length has more starts: its complex phases
+# take 256 KiB
+SHIFT_TILE = 2**14
 # the most powers that the tail certificate of a `Dense` or rank-k eventual
 # trio tests directly, and the largest power m of N = S - L_1 that the
 # `Dense` one forms
@@ -144,7 +149,8 @@ def function_space_test_set(space: NormKind) -> FunctionSpaceTestSet:
     column-wise sum over the vectors as columns of a C-order array would
     round differently."""
     dim = len(space.nodes)
-    draws = rng_for(0, 2).uniform(0.0, 1.0, size=(2 * FUNCTION_SPACE_RANDOM, dim))
+    # `random` draws what uniform(0, 1) draws: 0 + 1 * u is u
+    draws = rng_for(0, 2).random((2 * FUNCTION_SPACE_RANDOM, dim))
     vectors = np.vstack([np.ones(dim), draws[:FUNCTION_SPACE_RANDOM]]).astype(complex)
     norms = space.of_moduli(np.abs(vectors).T)
     big = norms > 1.0
@@ -386,19 +392,57 @@ def _shift_status(T: WeightedShift) -> Status:
     positive iff each product of k consecutive weights is a positive real,
     and n0 is one past the last k < dim where one is not. Each product is
     tested relative to the largest of its length, from unit phases and
-    log-magnitudes, so no product is formed in floating point."""
+    log-magnitudes, so no product is formed in floating point; a product
+    with a zero weight has phase 0 and is not live. The lengths are tested
+    a tile at a time (`_shift_tiles`): a row of a tile holds one length's
+    products, P[t, j] * exp(L[t, j] - max over live j of L[t, j]) is formed
+    in place, and a row fails the test when some entry is off the positive
+    reals beyond DEFAULT_TOL and the row has a live product. A dead window
+    has phase 0, so it passes, unless its exp overflows to 0 * inf."""
     mag = np.abs(T.weights)
     phase = np.divide(T.weights, mag, out=np.zeros_like(T.weights), where=mag > 0)
     logmag = np.log(np.where(mag > 0, mag, 1.0))  # a zero weight has phase 0
     n0 = 0
-    ph, lg = phase, logmag
-    for k in range(1, T.dim):
-        # ph[j], lg[j]: the phase and log-magnitude of w_j ... w_{j+k-1}
-        live = ph != 0
-        if live.any() and not entrywise_positive(ph * np.exp(lg - lg[live].max()), DEFAULT_TOL):
-            n0 = k + 1
-        ph, lg = ph[:-1] * phase[k:], lg[:-1] + logmag[k:]
+    for k, P, L in _shift_tiles(phase, logmag):
+        live = P != 0
+        top = L.max(axis=1, where=live, initial=-np.inf)
+        with np.errstate(invalid="ignore", over="ignore"):
+            L -= top[:, None]
+            P *= np.exp(L, out=L)
+        passes = (P.real.min(axis=1) >= -DEFAULT_TOL) & (np.abs(P.imag).max(axis=1) <= DEFAULT_TOL)
+        failed = np.flatnonzero(live.any(axis=1) & ~passes)
+        if failed.size:
+            n0 = k + int(failed[-1]) + 1
     return Confirmed(n0)
+
+
+def _shift_tiles(phase: np.ndarray, logmag: np.ndarray):
+    """(k, P, L) for tiles of the window lengths k, k + 1, ... < dim, where
+    dim = len(phase) + 1: P[t, j] and L[t, j] are the phase and
+    log-magnitude of w_j ... w_{j+k+t-1}, for every start j < dim - k. A
+    window that runs past the last weight is dead: phase 0 and
+    log-magnitude -inf. A tile holds at most SHIFT_TILE // (dim - k)
+    lengths, and at least one, so it stays cache-sized. Row t + 1 is row t
+    times the next weight's phase, and plus its log-magnitude, formed by the
+    same elementwise multiply and add at every length: a cumulative product
+    (`np.cumprod`) rounds a complex product differently."""
+    dim, k = len(phase) + 1, 1
+    ph, lg = phase, logmag
+    while k < dim:
+        starts = dim - k
+        lengths = min(starts, max(1, SHIFT_TILE // starts))
+        P = np.zeros((lengths, starts), dtype=complex)
+        L = np.full((lengths, starts), -np.inf)
+        P[0], L[0] = ph, lg
+        for t in range(1, lengths):
+            live = starts - t
+            np.multiply(P[t - 1, :live], phase[k + t - 1 :], out=P[t, :live])
+            np.add(L[t - 1, :live], logmag[k + t - 1 :], out=L[t, :live])
+        # the first row of the next tile, before the caller scales this one
+        ph = P[-1, : starts - lengths] * phase[k + lengths - 1 :]
+        lg = L[-1, : starts - lengths] + logmag[k + lengths - 1 :]
+        yield k, P, L
+        k += lengths
 
 
 def _rank_k_eventual(T: RankK, limit: LimitStatus) -> tuple:
@@ -408,7 +452,8 @@ def _rank_k_eventual(T: RankK, limit: LimitStatus) -> tuple:
     `_rank_k_status` from the factors of what it tests, each of the form
     U diag(lam^(n-1)) V: the grid entries of T^n (uniform, tested in row
     blocks), (T^n x)(a) for the test vectors x (individual) and the pairings
-    <x', T^n x> (weak). The test set is built once, as arrays, and its norms
+    <x', T^n x> (weak). A notion's factors are formed only when no witness
+    has refuted it. The test set is built once, as arrays, and its norms
     scale the individual test."""
     tests = function_space_test_set(T.space)
     try:
@@ -420,24 +465,29 @@ def _rank_k_eventual(T: RankK, limit: LimitStatus) -> tuple:
         uniform = replace(individual, notion=Notion.UNIFORM_EVENTUAL)
     else:
         uniform = _hat_refutation(T)
-    X = np.ascontiguousarray(tests.vectors.T)
-    scales = DEFAULT_TOL * np.maximum(tests.norms, 1e-300)
-    factors = (
-        (T.samples, T.rows, _grid_passes_in_blocks),
-        (
+
+    def decide(notion, U, V, passes) -> PositivityVerdict:
+        return PositivityVerdict(notion, _rank_k_status(T, status, limit, U, V, passes))
+
+    if uniform is None:
+        uniform = decide(Notion.UNIFORM_EVENTUAL, T.samples, T.rows, _grid_passes_in_blocks)
+    if individual is None:
+        scales = DEFAULT_TOL * np.maximum(tests.norms, 1e-300)
+        individual = decide(
+            Notion.INDIVIDUAL_EVENTUAL,
             T.samples,
-            T.rows @ X,
+            T.rows @ np.ascontiguousarray(tests.vectors.T),
             lambda U, W: bool((cone_distances(U @ W, T.norm) <= scales).all()),
-        ),
-        (*_pairings(T, tests), lambda U, W: entrywise_positive(U @ W, DEFAULT_TOL)),
+        )
+    weak = decide(
+        Notion.WEAK_EVENTUAL,
+        *_pairings(T, tests),
+        lambda U, W: entrywise_positive(U @ W, DEFAULT_TOL),
     )
-    return tuple(
-        verdict or PositivityVerdict(notion, _rank_k_status(T, status, *parts))
-        for notion, verdict, parts in zip(_EVENTUAL_CHAIN, (uniform, individual, None), factors)
-    )
+    return uniform, individual, weak
 
 
-def _rank_k_status(T: RankK, status: Optional[Status], U, V, passes) -> Status:
+def _rank_k_status(T: RankK, status: Optional[Status], limit: LimitStatus, U, V, passes) -> Status:
     """The status of a notion whose test `passes(U, W)` reads
     u_n = U W with W = diag(mu^(n-1)) V / spr, the quantity at
     S^n = T^n/spr^n, for n >= 1 (mu = lam/spr), in this order and with no
@@ -447,7 +497,7 @@ def _rank_k_status(T: RankK, status: Optional[Status], U, V, passes) -> Status:
     2. A refuted limit status refutes, as each eventual notion implies its
        asymptotic one.
     3. A confirmed one with mu_i = 1 at every peripheral index i in I
-       (`_peripheral_indices`), and real U, V and lam, decides by a tail
+       (`LimitStatus.peripheral`), and real U, V and lam, decides by a tail
        certificate: u_n = L + sum over i not in I of
        mu_i^(n-1) U[:, i] V[i] / spr, with L = U[:, I] V[I] / spr. An entry
        whose every term is exactly 0 is 0 at every power; over the others,
@@ -463,7 +513,7 @@ def _rank_k_status(T: RankK, status: Optional[Status], U, V, passes) -> Status:
         return Confirmed(_last_failure([passes(U, V)]))
     if isinstance(status, RefutedWithWitness):
         return status
-    mu, periph = _peripheral_indices(T)
+    mu, periph = limit.peripheral
     if (mu[periph] != 1).any() or any(a.imag.any() for a in (U, V, mu)):
         return UndeterminedUpToHorizon(0)
     U, V, mu = U.real, V.real / T.spectral_radius(), mu.real
@@ -600,6 +650,12 @@ class LimitStatus:
         self.T = T
         self._outcome: Union[Status, Exception, None] = None
 
+    @cached_property
+    def peripheral(self) -> tuple:
+        """(mu, I) of a rank-k model (`_peripheral_indices`), which the limit
+        status and the eventual trio both read; not read at spr = 0."""
+        return _peripheral_indices(self.T)
+
     def read(self) -> Status:
         if self._outcome is None:
             try:
@@ -615,7 +671,7 @@ class LimitStatus:
         if T.spectral_radius() == 0:
             raise NotClassifiableError("spectral radius is zero; rescaling undefined")
         if isinstance(T, RankK):
-            return _rank_k_limit_status(T)
+            return _rank_k_limit_status(T, *self.peripheral)
         if isinstance(T, Diagonal):
             return _diagonal_limit_status(T)
         if isinstance(T, Dense) and _exactly_nonnegative(T.matrix):
@@ -763,7 +819,7 @@ def _peripheral_status(T: Dense) -> Status:
     return UndeterminedUpToHorizon(0)
 
 
-def _rank_k_limit_status(T: RankK) -> Status:
+def _rank_k_limit_status(T: RankK, mu: np.ndarray, periph: np.ndarray) -> Status:
     """Exact, from the eigen-parameters: T^n = sum_i lam_i^(n-1) f_i (x) phi_i
     with phi_i(f_j) = lam_i delta_ij, so each lam_i != 0 is semisimple with
     spectral projection P_i = f_i (x) phi_i / lam_i, the P_i are disjoint,
@@ -781,7 +837,6 @@ def _rank_k_limit_status(T: RankK) -> Status:
     LIMIT_POINT_ROWS rows at a time, in real arithmetic when its factors
     have no imaginary part."""
     spr = T.spectral_radius()
-    mu, periph = _peripheral_indices(T)
     q = [_root_of_unity_order(z, len(periph), DEFAULT_TOL) for z in mu[periph]]
     if None in q:
         return _not_cyclic(mu[periph], q, len(periph))
@@ -830,8 +885,13 @@ def _pairings(T: RankK, tests: FunctionSpaceTestSet) -> tuple:
     <x'_j, f> of the model's functions: `HALF_INTEGRAL`'s by its `apply`,
     in closed form for an analytic f, and each tabulated functional's as its
     `apply` forms it, but from its quadrature row w * quad (scale 1) built
-    once: one dot with the samples of f."""
-    C = np.stack([T.coefficients(x) for x in tests.vectors])
+    once: one dot with the samples of f. C is filled in place, one dot per
+    (vector, row) as `RankK.coefficients` forms it: a product of the whole
+    arrays rounds differently."""
+    C = np.empty((len(tests.vectors), T.rank), dtype=complex)
+    for i, x in enumerate(tests.vectors):
+        for r, row in enumerate(T.rows):
+            C[i, r] = row @ x
     rows = (tests.weights * T.space.weight_array).astype(complex)
     D = np.empty((T.rank, 1 + len(rows)), dtype=complex)
     for i, (f, samples) in enumerate(zip(T.functions, T.samples.T)):

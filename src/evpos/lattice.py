@@ -7,6 +7,7 @@ functional used throughout the positivity analysis.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar, Union
 
@@ -15,6 +16,19 @@ import numpy as np
 
 class LatticeError(ValueError):
     pass
+
+
+def number(value, what: str, error: type = LatticeError):
+    """value, when it is a real number: a JSON string or boolean (which
+    Python counts as an int) is rejected with `error`, not converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{what} {value!r} is not a number")
+    return value
+
+
+def _numbers(values, what: str) -> tuple:
+    """A model file's list of real numbers, as a tuple (`number`)."""
+    return tuple(number(v, what) for v in values)
 
 
 class _SequenceNorm:
@@ -94,7 +108,11 @@ class LpQuadrature:
 
     @classmethod
     def from_json(cls, data: dict):
-        return cls(data["p"], tuple(data["nodes"]), tuple(data["weights"]))
+        return cls(
+            number(data["p"], "quadrature exponent p"),
+            _numbers(data["nodes"], "quadrature node"),
+            _numbers(data["weights"], "quadrature weight"),
+        )
 
 
 @dataclass(frozen=True)
@@ -125,7 +143,7 @@ class GridSup:
 
     @classmethod
     def from_json(cls, data: dict):
-        return cls(tuple(data["nodes"]))
+        return cls(_numbers(data["nodes"], "grid node"))
 
 
 # Each norm kind gives its `kind`, its `node_count` (None for ell-p), its

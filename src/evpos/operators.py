@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar, Union
 
 import numpy as np
 
-from .lattice import NORM_KINDS, LatticeVector, NormKind
+from .lattice import NORM_KINDS, LatticeVector, NormKind, number
 from .spectral import Spectrum, diagonal_spectrum, eigenvalues, nilpotent_spectrum
 
 
@@ -37,11 +36,8 @@ DUALITY_TOL = 1e-10
 
 
 def _number(value, what: str):
-    """value, when it is a real number: a JSON string or boolean (which
-    Python counts as an int) is rejected, not converted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise OperatorError(f"{what} {value!r} is not a number")
-    return value
+    """`lattice.number`, raising OperatorError."""
+    return number(value, what, OperatorError)
 
 
 def _finite_data(data, what: str) -> np.ndarray:
@@ -284,7 +280,10 @@ class PointCombination:
 
     @classmethod
     def from_json(cls, data: dict):
-        return cls(tuple(data["points"]), tuple(_j2c(c) for c in data["coefficients"]))
+        return cls(
+            tuple(_number(p, "functional point") for p in data["points"]),
+            tuple(_j2c(c) for c in data["coefficients"]),
+        )
 
 
 FunctionalRep = Union[WeightedIntegral, PointCombination]
@@ -467,9 +466,13 @@ class RankK:
     functions: tuple
     functionals: tuple
     space: NormKind
-    # computed once by __post_init__: D[i, j] = <phi_i, f_j>, the quadrature
-    # rows of the phi_i (k x dim) and the f_j sampled on the grid (dim x k)
+    # computed once by __post_init__: D[i, j] = <phi_i, f_j>, its diagonal
+    # lam_i = <phi_i, f_i> (the eigen-parameters) and their largest modulus,
+    # the quadrature rows of the phi_i (k x dim) and the f_j sampled on the
+    # grid (dim x k)
     duality: np.ndarray = field(init=False, repr=False, compare=False)
+    eigen_parameters: np.ndarray = field(init=False, repr=False, compare=False)
+    _radius: float = field(init=False, repr=False, compare=False)
     rows: np.ndarray = field(init=False, repr=False, compare=False)
     samples: np.ndarray = field(init=False, repr=False, compare=False)
     variant: ClassVar[str] = "rank_k"
@@ -491,6 +494,12 @@ class RankK:
                 f"max off-diagonal {np.max(np.abs(off)):.3e} > {DUALITY_TOL}"
             )
         object.__setattr__(self, "duality", D)
+        lam = np.diag(D).copy()
+        lam.setflags(write=False)
+        object.__setattr__(self, "eigen_parameters", lam)
+        # with a diagonal duality matrix the nonzero eigenvalues are exactly
+        # the diagonal pairings <phi_i, f_i>
+        object.__setattr__(self, "_radius", float(np.max(np.abs(lam))))
         nodes = np.asarray(self.space.nodes, dtype=float)
         rows = [phi.row(self.space) for phi in self.functionals]
         samples = [f.sample(nodes) for f in self.functions]
@@ -510,10 +519,6 @@ class RankK:
     def dim(self) -> int:
         return self.space.node_count
 
-    @property
-    def eigen_parameters(self) -> np.ndarray:
-        return np.diag(self.duality)
-
     def coefficients(self, entries: np.ndarray) -> np.ndarray:
         """The pairings <phi_i, x> for a grid vector with these entries, one dot
         product per row: a matrix-vector product rounds differently, and the
@@ -532,9 +537,7 @@ class RankK:
         return Dense(self.samples @ self.rows, self.space)
 
     def spectral_radius(self) -> float:
-        # with a diagonal duality matrix the nonzero eigenvalues are exactly
-        # the diagonal pairings <phi_i, f_i>
-        return float(np.max(np.abs(self.eigen_parameters)))
+        return self._radius
 
     def spectral_data(self) -> Spectrum:
         """Its dense view's, solved on each call: a dim x dim solve, which

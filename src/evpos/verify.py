@@ -32,7 +32,7 @@ from .spectral import Spectrum, geometric_multiplicity
 
 DEFAULT_TOL = 1e-8
 # the positive-eigenvector check's bound on each cone distance, and on the
-# primal residual relative to spr
+# primal and the adjoint residual relative to spr
 EIGENVECTOR_TOL = 1e-6
 # a Laurent coefficient annihilates a canonical positive vector whose image
 # has norm at most this
@@ -313,8 +313,8 @@ def perron_frobenius_checks(
     multiplicity monotonicity; then the positive eigenvector at spr, which
     is sought only once spr lies in the spectrum and weak asymptotic
     positivity is confirmed, the hypotheses it records. Eigenvectors are
-    positive up to phase within EIGENVECTOR_TOL, and the primal residual is
-    relative to spr."""
+    positive up to phase within EIGENVECTOR_TOL, and the primal and the
+    adjoint residual are within it relative to spr."""
     spr_check = verify_spr_in_spectrum(spec, uniform_asymptotic)
     yield spr_check
     if spec.spectral_radius == 0.0:
@@ -326,9 +326,10 @@ def perron_frobenius_checks(
         return
     ev = positive_eigenvector(spec, norm)
     worst = max(ev.primal_cone_distance, ev.adjoint_cone_distance)
+    bound = EIGENVECTOR_TOL * ev.value
     yield CheckResult(
         "positive-eigenvector",
-        worst <= EIGENVECTOR_TOL and ev.primal_residual <= EIGENVECTOR_TOL * ev.value,
+        worst <= EIGENVECTOR_TOL and ev.primal_residual <= bound and ev.adjoint_residual <= bound,
         EIGENVECTOR_TOL - worst,
         EIGENVECTOR_TOL,
         payload={"pole_order": ev.pole_order, "value": ev.value},

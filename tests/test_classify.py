@@ -20,6 +20,7 @@ from evpos.catalog import (
 from evpos.classify import (
     ConeTestSet,
     DEFAULT_TOL,
+    FUNCTION_SPACE_RANDOM,
     HALF_INTEGRAL,
     LIMIT_POINT_ROWS,
     MAX_PERIOD,
@@ -73,7 +74,7 @@ from evpos.operators import (
     pairing,
     to_dense,
 )
-from evpos.report import verdict_record
+from evpos.report import report_to_json, verdict_record
 from evpos.rng import rng_for
 from evpos.witnesses import hat_family_witness, hat_limit_witnesses
 
@@ -261,6 +262,117 @@ class TestScaleFreeEventualTest:
         for v in self._eventual(Diagonal(np.array([1e-12, 1e-12j]), Ell1())):
             assert isinstance(v.status, RefutedWithWitness)
             assert v.status.witness == (1, 1e-12j)
+
+
+def _shift_status_loop(T: WeightedShift) -> Confirmed:
+    """`_shift_status` as a loop over the window lengths: one pass over the
+    products of each length k, formed from those of length k - 1."""
+    mag = np.abs(T.weights)
+    phase = np.divide(T.weights, mag, out=np.zeros_like(T.weights), where=mag > 0)
+    logmag = np.log(np.where(mag > 0, mag, 1.0))  # a zero weight has phase 0
+    n0 = 0
+    ph, lg = phase, logmag
+    for k in range(1, T.dim):
+        # ph[j], lg[j]: the phase and log-magnitude of w_j ... w_{j+k-1}
+        live = ph != 0
+        if live.any() and not entrywise_positive(ph * np.exp(lg - lg[live].max()), DEFAULT_TOL):
+            n0 = k + 1
+        ph, lg = ph[:-1] * phase[k:], lg[:-1] + logmag[k:]
+    return Confirmed(n0)
+
+
+def _seeded_shift_weights(rng, dim: int, family: int) -> np.ndarray:
+    """dim - 1 weights of one of four families: real with a few negative
+    ones, real with zeros, complex with phases of modulus 1e-12 to 1 and
+    some zeros, and +-1e200 or +-1e-200 times a factor in [0.5, 2] with
+    some zeros."""
+    size = dim - 1
+    if family == 0:
+        return rng.choice([-1.0, 1.0], size, p=[0.05, 0.95]) * rng.uniform(0.5, 2.0, size)
+    if family == 1:
+        return rng.choice([-1.0, 0.0, 1.0], size, p=[0.05, 0.1, 0.85]) * rng.uniform(0.5, 2.0, size)
+    if family == 2:
+        angle = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-12.0, 0.0, size)
+        alive = rng.choice([0.0, 1.0], size, p=[0.05, 0.95])
+        return np.exp(1j * angle) * rng.uniform(0.5, 2.0, size) * alive
+    scale = rng.choice([1e200, 1e-200, -1e200, -1e-200, 0.0], size, p=[0.4, 0.4, 0.07, 0.07, 0.06])
+    return scale * rng.uniform(0.5, 2.0, size)
+
+
+class TestShiftTiles:
+    """The shift rule tests its window lengths a tile at a time, and decides
+    each as the loop over the lengths did."""
+
+    def test_tiled_rule_is_the_loop(self, monkeypatch):
+        # 4 x 160 seeded shifts of dims 2 to 300, 160 for each tile size; a
+        # tile of 1 or 7 entries puts a tile edge at nearly every length
+        rng = np.random.default_rng(29)
+        seen = set()
+        with warnings.catch_warnings():
+            # the loop's exp overflows on a dead window of a zero weight
+            # next to huge ones, as the tiles' does, quietly
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for tile in (1, 7, 64, evpos.classify.SHIFT_TILE):
+                monkeypatch.setattr(evpos.classify, "SHIFT_TILE", tile)
+                for trial in range(160):
+                    dim = 300 if trial == 0 else int(rng.integers(2, 301))
+                    T = WeightedShift(_seeded_shift_weights(rng, dim, trial % 4), Ell1())
+                    expected = _shift_status_loop(T)
+                    assert evpos.classify._shift_status(T) == expected, (tile, trial, dim)
+                    seen.add((trial % 4, expected.n0 in (0, dim)))
+        # each family has shifts that are decided at 0 or dim and in between
+        assert len(seen) == 8, seen
+
+    @pytest.mark.parametrize("tile", [1, 7, 64, evpos.classify.SHIFT_TILE])
+    def test_tile_products_are_the_loops(self, monkeypatch, tile):
+        # each row of a tile holds the loop's products of its length bit for
+        # bit, and every window past the last weight is dead
+        monkeypatch.setattr(evpos.classify, "SHIFT_TILE", tile)
+        rng = np.random.default_rng([29, tile])
+        for trial in range(12):
+            dim = int(rng.integers(2, 301))
+            weights = WeightedShift(_seeded_shift_weights(rng, dim, trial % 4), Ell1()).weights
+            mag = np.abs(weights)
+            phase = np.divide(weights, mag, out=np.zeros_like(weights), where=mag > 0)
+            logmag = np.log(np.where(mag > 0, mag, 1.0))
+            ph, lg, length = phase, logmag, 1
+            for k, P, L in evpos.classify._shift_tiles(phase, logmag):
+                for t in range(len(P)):
+                    assert k + t == length
+                    live = len(ph)
+                    assert P[t, :live].tobytes() == ph.tobytes()
+                    assert L[t, :live].tobytes() == lg.tobytes()
+                    assert not P[t, live:].any() and (L[t, live:] == -np.inf).all()
+                    ph, lg = ph[:-1] * phase[length:], lg[:-1] + logmag[length:]
+                    length += 1
+            assert length == len(weights) + 1
+
+    @pytest.mark.parametrize("tile", [1, 3, 7, 64])
+    def test_every_tile_edge(self, monkeypatch, tile):
+        # -1 then +1 weights with a zero at index m - 1: a window of length
+        # k < m from the first weight is negative and every longer one
+        # is dead, so n0 = m wherever m falls in a tile
+        monkeypatch.setattr(evpos.classify, "SHIFT_TILE", tile)
+        for dim in range(3, 25):
+            for m in range(2, dim):
+                weights = np.ones(dim - 1)
+                weights[0], weights[m - 1] = -1.0, 0.0
+                T = WeightedShift(weights, Ell1())
+                assert evpos.classify._shift_status(T) == _shift_status_loop(T) == Confirmed(m)
+
+    def test_peak_memory_at_dim_4000(self):
+        # a tile holds at most SHIFT_TILE (window start, length) pairs, at
+        # 16 bytes a phase: about 1.1 MB in all, where 64 lengths of all
+        # 3,999 starts at a time peaked at 17 MB
+        T = WeightedShift(-np.ones(3_999), Ell1())
+        tracemalloc.start()
+        try:
+            status = evpos.classify._shift_status(T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == Confirmed(4_000)
+        assert peak <= 2e6, peak
 
 
 # a positive rank-1 projection plus a rotation of modulus 0.876 by 0.259 rad,
@@ -911,9 +1023,9 @@ class TestRankKLimitRule:
         calls = []
         rule = evpos.classify._rank_k_limit_status
 
-        def counting(T):
+        def counting(T, *peripheral):
             calls.append(T)
-            return rule(T)
+            return rule(T, *peripheral)
 
         monkeypatch.setattr(evpos.classify, "_rank_k_limit_status", counting)
         entry = get_example("ex2.2b")
@@ -1418,6 +1530,72 @@ class TestFunctionSpaceTestSet:
             tracemalloc.stop()
         assert [v.status for v in trio] == [Confirmed(0)] * 3
         assert peak <= 70.2e6 / 4
+
+
+class _CountingRows(np.ndarray):
+    """The quadrature rows of a rank-k model, counting the products
+    rows @ X with a matrix X, such as the individual notion's factor."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        if np.ndim(other) == 2:
+            _CountingRows.products += 1
+        return np.asarray(self) @ other
+
+
+COMPLEX_SLOPE = RankK(
+    (Constant(1.0), Monomial(1)),
+    (HALF_INTEGRAL, PointCombination((1.0, -1.0), (0.1j, -0.1j))),
+    GridSup(tuple(np.linspace(-1.0, 1.0, 41))),
+)
+
+
+class TestRankKInputs:
+    """The arrays that a rank-k classification reads are formed as before,
+    bit for bit, and only for the notions that no witness refuted."""
+
+    @pytest.mark.parametrize(
+        "T",
+        [get_example("ex2.2a").model, get_example("ex2.2b").model, COMPLEX_SLOPE],
+        ids=["ex2.2a", "ex2.2b", "complex-slope"],
+    )
+    def test_pairings_are_the_coefficients(self, T):
+        tests = function_space_test_set(T.space)
+        C, _ = _pairings(T, tests)
+        expected = np.stack([T.coefficients(x) for x in tests.vectors])
+        assert C.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 41, 201, 400, 2_001])
+    def test_random_draws_are_the_uniform_ones(self, dim):
+        shape = (2 * FUNCTION_SPACE_RANDOM, dim)
+        drawn = rng_for(0, 2).random(shape)
+        assert drawn.tobytes() == rng_for(0, 2).uniform(0.0, 1.0, size=shape).tobytes()
+
+    @pytest.mark.parametrize("name, products", [("ex2.2a", 1), ("ex2.2b", 0)])
+    def test_no_factor_for_a_refuted_notion(self, monkeypatch, name, products):
+        # ex2.2b's individual notion is refuted by its singular term, so its
+        # factor rows @ X is not formed; ex2.2a's is decided from it
+        T = get_example(name).model
+        expected = report_to_json(run_classify(T, name, 0)[0])
+        object.__setattr__(T, "rows", T.rows.view(_CountingRows))
+        monkeypatch.setattr(_CountingRows, "products", 0)
+        report, failed = run_classify(T, name, 0)
+        assert _CountingRows.products == products
+        assert not failed and report_to_json(report) == expected
+
+    @pytest.mark.parametrize("name", ["ex2.2a", "ex2.2b"])
+    def test_peripheral_indices_once_per_classification(self, monkeypatch, name):
+        calls = []
+        rule = evpos.classify._peripheral_indices
+
+        def counting(T):
+            calls.append(T)
+            return rule(T)
+
+        monkeypatch.setattr(evpos.classify, "_peripheral_indices", counting)
+        run_classify(get_example(name).model, name, 0)
+        assert len(calls) == 1
 
 
 class TestHierarchy:

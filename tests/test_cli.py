@@ -662,6 +662,11 @@ SLOPE_FILE = {
     "space": {"kind": "grid_sup", "nodes": [-1.0, -0.5, 0.0, 0.5, 1.0]},
 }
 IDENTITY_FILE = {"variant": "dense", "n": 1, "entries": [[1.0, 0.0]], "norm": {"kind": "ell1"}}
+# the same identity on a one-cell L^2 quadrature
+QUADRATURE_FILE = {
+    **IDENTITY_FILE,
+    "norm": {"kind": "lp_quadrature", "p": 2.0, "nodes": [0.0], "weights": [0.005]},
+}
 
 
 def _edited(base, path, value):
@@ -700,6 +705,11 @@ BAD_MODEL_FILES = {
     "degree-string": _edited(SLOPE_FILE, ["functions", 1, "degree"], "1"),
     "exponent-string": _edited(SLOPE_FILE, ["functions", 1], {"kind": "signed_power", "exponent": "0.5"}),
     "entry-bool": _edited(IDENTITY_FILE, ["entries", 0], True),
+    "point-bool": _edited(SLOPE_FILE, ["functionals", 1, "points"], [True, -1.0]),
+    "node-string": _edited(SLOPE_FILE, ["space", "nodes", 4], "1"),
+    "node-bool": _edited(SLOPE_FILE, ["space", "nodes", 4], True),
+    "quadrature-weight-string": _edited(QUADRATURE_FILE, ["norm", "weights", 0], "0.005"),
+    "p-bool": _edited(QUADRATURE_FILE, ["norm", "p"], True),
     "points-coefficients-mismatch": _edited(SLOPE_FILE, ["functionals", 1, "points"], [1.0]),
 }
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -323,3 +324,23 @@ class TestCheckSequence:
 
     def test_failed_spr_check_skips_the_eigenvector(self):
         assert self.names(DRIFT, self.WEAK)[-1] == "multiplicity-monotonicity"
+
+    @pytest.mark.parametrize(
+        "which, ratio, passes",
+        [
+            ("adjoint_residual", 0.5, True),
+            ("adjoint_residual", 2.0, False),
+            ("adjoint_residual", float("nan"), False),
+            ("primal_residual", 2.0, False),
+        ],
+        ids=["adjoint-within", "adjoint-beyond", "adjoint-nan", "primal-beyond"],
+    )
+    def test_eigenvector_check_reads_both_residuals(self, monkeypatch, which, ratio, passes):
+        # each residual, relative to spr, must be within EIGENVECTOR_TOL;
+        # the cone distances stay as the solver gave them
+        found = positive_eigenvector(eigenvalues(self.PERRON), Ell1())
+        assert max(found.primal_residual, found.adjoint_residual) <= 1e-14 * found.value
+        edited = dataclasses.replace(found, **{which: ratio * EIGENVECTOR_TOL * found.value})
+        monkeypatch.setattr(evpos.verify, "positive_eigenvector", lambda spec, norm: edited)
+        checks = list(perron_frobenius_checks(eigenvalues(self.PERRON), None, self.WEAK, Ell1()))
+        assert checks[-1].name == "positive-eigenvector" and checks[-1].pass_ is passes
