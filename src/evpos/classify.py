@@ -397,8 +397,10 @@ def _shift_status(T: WeightedShift) -> Status:
     a tile at a time (`_shift_tiles`): a row of a tile holds one length's
     products, P[t, j] * exp(L[t, j] - max over live j of L[t, j]) is formed
     in place, and a row fails the test when some entry is off the positive
-    reals beyond DEFAULT_TOL and the row has a live product. A dead window
-    has phase 0, so it passes, unless its exp overflows to 0 * inf."""
+    reals beyond DEFAULT_TOL and the row has a live product. The exponent
+    is clamped at 0: a live one is at most 0 already, and a dead window
+    (phase 0) may lie far above the live maximum, where its exp would
+    overflow and 0 * inf fail the row; clamped, it is 0 and passes."""
     mag = np.abs(T.weights)
     phase = np.divide(T.weights, mag, out=np.zeros_like(T.weights), where=mag > 0)
     logmag = np.log(np.where(mag > 0, mag, 1.0))  # a zero weight has phase 0
@@ -406,8 +408,9 @@ def _shift_status(T: WeightedShift) -> Status:
     for k, P, L in _shift_tiles(phase, logmag):
         live = P != 0
         top = L.max(axis=1, where=live, initial=-np.inf)
-        with np.errstate(invalid="ignore", over="ignore"):
+        with np.errstate(invalid="ignore"):
             L -= top[:, None]
+            np.minimum(L, 0.0, out=L)
             P *= np.exp(L, out=L)
         passes = (P.real.min(axis=1) >= -DEFAULT_TOL) & (np.abs(P.imag).max(axis=1) <= DEFAULT_TOL)
         failed = np.flatnonzero(live.any(axis=1) & ~passes)

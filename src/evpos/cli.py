@@ -32,6 +32,7 @@ from .operators import (
     Dense,
     OperatorError,
     OperatorModel,
+    _j2c,
     model_digest,
     model_from_json,
 )
@@ -61,36 +62,37 @@ class InputError(ValueError):
     pass
 
 
+# each generator kind: its function, and each parameter's default, whose
+# type reads the value a spec gives
+GENERATORS = {
+    "eventually_positive": (
+        lambda **kw: make_eventually_positive(**kw).model,
+        {"dim": 4, "gap": 0.5, "seed": 0},
+    ),
+    "positive_random": (positive_random, {"dim": 4, "seed": 0}),
+    "cyclic_block": (cyclic_block, {"k": 3, "inner_dim": 2, "seed": 0}),
+}
+
+
 def _parse_generator_spec(spec: str):
     """kind:key=value,... e.g. eventually_positive:dim=4,gap=0.5,seed=3"""
     kind, _, rest = spec.partition(":")
+    if kind not in GENERATORS:
+        raise InputError(f"unknown generator kind {kind!r}; known: {', '.join(GENERATORS)}")
+    build, defaults = GENERATORS[kind]
     params = {}
-    if rest:
-        for part in rest.split(","):
-            key, _, value = part.partition("=")
-            if not _:
-                raise InputError(f"malformed generator parameter {part!r}")
-            params[key.strip()] = value.strip()
+    for part in rest.split(",") if rest else ():
+        key, eq, value = (x.strip() for x in part.partition("="))
+        if not eq:
+            raise InputError(f"malformed generator parameter {part!r}")
+        if key in params or key not in defaults:
+            problem = f"key {key!r} given twice" if key in params else f"unknown key {key!r}"
+            raise InputError(f"{kind}: {problem}; accepted keys: {', '.join(defaults)}")
+        params[key] = value
     try:
-        if kind == "eventually_positive":
-            return make_eventually_positive(
-                int(params.get("dim", 4)),
-                float(params.get("gap", 0.5)),
-                int(params.get("seed", 0)),
-            ).model
-        if kind == "positive_random":
-            return positive_random(
-                int(params.get("dim", 4)), int(params.get("seed", 0))
-            )
-        if kind == "cyclic_block":
-            return cyclic_block(
-                int(params.get("k", 3)),
-                int(params.get("inner_dim", 2)),
-                int(params.get("seed", 0)),
-            )
+        return build(**{k: type(d)(params.get(k, d)) for k, d in defaults.items()})
     except (GeneratorError, ValueError) as exc:
         raise InputError(str(exc)) from exc
-    raise InputError(f"unknown generator kind {kind!r}")
 
 
 def _load_model(path: str) -> OperatorModel:
@@ -108,16 +110,17 @@ def _load_model(path: str) -> OperatorModel:
 
 
 def _load_vector(path: str) -> np.ndarray:
-    """Entries of a JSON list of [re, im] pairs of finite numbers."""
+    """Entries of a JSON list of [re, im] pairs of finite numbers, each read
+    as a model file's complex entry is."""
     try:
         with open(path) as fh:
             entries = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read vector: {exc}") from exc
     try:
-        vec = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: vector entries must be [re, im] number pairs") from exc
+        vec = np.array([_j2c([re, im]) for re, im in entries], dtype=complex)
+    except (OperatorError, TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{path}: vector entries must be [re, im] number pairs: {exc}") from exc
     if not np.all(np.isfinite(vec)):
         raise InputError(f"{path}: vector entries must be finite")
     return vec
@@ -177,64 +180,45 @@ def run_classify(model: OperatorModel, operator_id: str, seed: int = 0) -> tuple
 # suites
 
 
-def _suite_paper(seed: int):
+def _paper_cases(seed: int, trials: int):
+    for entry in build_catalog(seed):
+        yield entry.model, entry.name, entry.expected, entry.spr_in_spectrum
+
+
+def _random_cases(seed: int, trials: int):
+    for t in range(trials):
+        dim = int(rng_for(seed, t).integers(2, 13))
+        inst = make_eventually_positive(dim, 0.5, seed=int(seed + 1000 + t))
+        yield inst.model, f"random-{t}", {}, None
+
+
+# each suite: its (model, name, expected verdicts, expected spr check) cases
+# for a seed and a trial count
+SUITES = {"paper": _paper_cases, "random": _random_cases}
+
+
+def run_suite(suite_name: str, seed: int = 0, trials: int = 100):
+    if suite_name not in SUITES:
+        raise InputError(f"unknown suite {suite_name!r}")
     reports = []
     mismatches = []
     contradictions = 0
     failures = 0
-    for entry in build_catalog(seed):
-        if entry.name == "ex5.1":
-            continue  # alias of ex3.5a; keep the catalog list but run once
-        report, failed = run_classify(entry.model, entry.name, seed)
+    for model, name, expected, spr_in_spectrum in SUITES[suite_name](seed, trials):
+        report, failed = run_classify(model, name, seed)
         failures += int(failed)
         contradictions += report.contradiction_count
-        verdicts = {r["notion"]: r["status"]["kind"] for r in report.classification}
-        for notion, expected in entry.expected.items():
-            got = verdicts.get(notion)
-            if got != expected:
-                mismatches.append((entry.name, notion, expected, got))
-        if entry.spr_in_spectrum is not None:
-            got_spr = next(
-                (c["pass"] for c in report.checks if c["name"] == "spr-in-spectrum"),
-                None,
-            )
-            if got_spr != entry.spr_in_spectrum:
-                mismatches.append(
-                    (entry.name, "spr-in-spectrum", entry.spr_in_spectrum, got_spr)
-                )
+        got = {r["notion"]: r["status"]["kind"] for r in report.classification}
+        got.update((c["name"], c["pass"]) for c in report.checks)
+        if spr_in_spectrum is not None:
+            expected = {**expected, "spr-in-spectrum": spr_in_spectrum}
+        mismatches += [(name, k, v, got.get(k)) for k, v in expected.items() if got.get(k) != v]
         reports.append(report)
     return reports, {
         "mismatches": mismatches,
         "contradictions": contradictions,
         "solver_failures": failures,
     }
-
-
-def _suite_random(seed: int, trials: int):
-    reports = []
-    contradictions = 0
-    failures = 0
-    for t in range(trials):
-        rng = rng_for(seed, t)
-        dim = int(rng.integers(2, 13))
-        inst = make_eventually_positive(dim, 0.5, seed=int(seed + 1000 + t))
-        report, failed = run_classify(inst.model, f"random-{t}", seed)
-        failures += int(failed)
-        contradictions += report.contradiction_count
-        reports.append(report)
-    return reports, {
-        "mismatches": [],
-        "contradictions": contradictions,
-        "solver_failures": failures,
-    }
-
-
-def run_suite(suite_name: str, seed: int = 0, trials: int = 100):
-    if suite_name == "paper":
-        return _suite_paper(seed)
-    if suite_name == "random":
-        return _suite_random(seed, trials)
-    raise InputError(f"unknown suite {suite_name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--out", default=None, help="write the report JSON here")
 
     p_suite = sub.add_parser("suite", help="run a verification suite")
-    p_suite.add_argument("name", choices=["paper", "random"])
+    p_suite.add_argument("name", choices=list(SUITES))
     p_suite.add_argument("--trials", type=int, default=100)
     p_suite.add_argument("--seed", type=int, default=0)
 
@@ -311,9 +295,12 @@ def _cmd_classify(args) -> int:
     model, operator_id = _resolve_model(args)
     report, solver_failure = run_classify(model, operator_id, args.seed)
     text = report_to_json(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    if args.out is not None:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     if solver_failure:

@@ -51,7 +51,13 @@ class VerificationError(RuntimeError):
 class CheckResult:
     """One named verification with a signed slack.
 
-    pass_ is True exactly when margin >= -tolerance; payload carries the
+    margin is the signed slack of the check's main bound: its tolerance
+    minus the distance it measured (spr and cyclicity relative to spr), or
+    0 / -1 where the check decides by rows. Each check applies its own rule
+    for pass_: the spr and cyclicity checks pass when margin >= 0,
+    multiplicity monotonicity passes on its rows, and the positive
+    eigenvector passes on three bounds (its cone distance and both
+    residuals), so it can fail with margin >= 0. payload carries the
     diagnostic values that produced the margin.  hypotheses maps hypothesis
     names to booleans (or None when not evaluated); `contradiction` is set
     only when the conclusion fails while every recorded hypothesis holds.

@@ -249,14 +249,23 @@ class TestScaleFreeEventualTest:
 
     @pytest.mark.parametrize(
         "weights, n0",
-        [(np.full(4, 1e200), 0), (np.full(3, -1e-200), 4)],
-        ids=["1e200", "minus-1e-200"],
+        [
+            (np.full(4, 1e200), 0),
+            (np.full(3, -1e-200), 4),
+            (np.array([1e300, 0.0, 1e-300, 1e-300]), 0),
+            (np.array([1e300, 0.0, 1e-300, -1e-300]), 3),
+        ],
+        ids=["1e200", "minus-1e-200", "dead-window-above", "dead-window-above-negative"],
     )
     def test_extreme_shift_weights_decided_exactly(self, weights, n0):
         # the products of consecutive weights overflow (positive) or
-        # underflow (T and T^3 negative) in floating point
-        for v in self._eventual(WeightedShift(weights, Ell1())):
-            assert v.status == Confirmed(n0)
+        # underflow (T and T^3 negative) in floating point; a dead window
+        # (w_0 w_1 = 0) lies about 2,000 in log-magnitude above the live
+        # w_2 w_3, and passes without an overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            statuses = [v.status for v in self._eventual(WeightedShift(weights, Ell1()))]
+        assert statuses == [Confirmed(n0)] * 3
 
     def test_small_diagonal_symbol_off_the_reals_refuted(self):
         for v in self._eventual(Diagonal(np.array([1e-12, 1e-12j]), Ell1())):
@@ -275,8 +284,11 @@ def _shift_status_loop(T: WeightedShift) -> Confirmed:
     for k in range(1, T.dim):
         # ph[j], lg[j]: the phase and log-magnitude of w_j ... w_{j+k-1}
         live = ph != 0
-        if live.any() and not entrywise_positive(ph * np.exp(lg - lg[live].max()), DEFAULT_TOL):
-            n0 = k + 1
+        if live.any():
+            # a dead window far above the live maximum scales by at most 1
+            scale = np.exp(np.minimum(lg - lg[live].max(), 0.0))
+            if not entrywise_positive(ph * scale, DEFAULT_TOL):
+                n0 = k + 1
         ph, lg = ph[:-1] * phase[k:], lg[:-1] + logmag[k:]
     return Confirmed(n0)
 
@@ -309,9 +321,9 @@ class TestShiftTiles:
         rng = np.random.default_rng(29)
         seen = set()
         with warnings.catch_warnings():
-            # the loop's exp overflows on a dead window of a zero weight
-            # next to huge ones, as the tiles' does, quietly
-            warnings.simplefilter("ignore", RuntimeWarning)
+            # neither the loop nor the tiles overflow on a dead window of a
+            # zero weight next to huge ones: its exponent is clamped at 0
+            warnings.simplefilter("error", RuntimeWarning)
             for tile in (1, 7, 64, evpos.classify.SHIFT_TILE):
                 monkeypatch.setattr(evpos.classify, "SHIFT_TILE", tile)
                 for trial in range(160):

@@ -30,7 +30,7 @@ from evpos.cli import (
 )
 from evpos.catalog import averaging_plus_slope, get_example
 from evpos.classify import HALF_INTEGRAL, Confirmed, Notion, PositivityVerdict
-from evpos.generators import make_eventually_positive
+from evpos.generators import cyclic_block, make_eventually_positive, positive_random
 from evpos.operators import (
     Dense,
     Diagonal,
@@ -51,7 +51,52 @@ from evpos.report import (
 )
 
 
+# generator specs whose keys the kind does not take: misspelt, given twice,
+# or a key of another kind
+BAD_GENERATOR_SPECS = [
+    "eventually_positive:dimm=8",
+    "eventually_positive:dim=4,dim=8",
+    "positive_random:dim=3,gap=0.5",
+]
+# orbit vector files that are not a list of pairs of JSON numbers
+BAD_VECTOR_FILES = [
+    "[1, 2]",
+    "[[1, 2, 3], [0, 0]]",
+    '[["1", "2"], [0, 0]]',
+    "[[NaN, 0], [0, 0]]",
+    "5",
+    "[[true, 0], [0, 0]]",
+    "[[0, false], [0, 0]]",
+]
+# classify --out targets that cannot be written, relative to a temporary
+# directory: a file in a missing directory, the directory itself, and an
+# empty path
+BAD_OUT_TARGETS = ["missing/report.json", ".", ""]
+
+
 class TestGeneratorSpecs:
+    @pytest.mark.parametrize(
+        "spec, model",
+        [
+            ("eventually_positive", lambda: make_eventually_positive(4, 0.5, 0).model),
+            ("eventually_positive:seed=3", lambda: make_eventually_positive(4, 0.5, 3).model),
+            ("eventually_positive: gap = 0.25 ", lambda: make_eventually_positive(4, 0.25, 0).model),
+            ("positive_random", lambda: positive_random(4, 0)),
+            ("positive_random:seed=2,dim=6", lambda: positive_random(6, 2)),
+            ("cyclic_block", lambda: cyclic_block(3, 2, 0)),
+            ("cyclic_block:inner_dim=3", lambda: cyclic_block(3, 3, 0)),
+        ],
+    )
+    def test_keys_and_defaults_build_the_generators_model(self, spec, model):
+        assert model_digest(_parse_generator_spec(spec)) == model_digest(model())
+
+    @pytest.mark.parametrize("spec", BAD_GENERATOR_SPECS)
+    def test_key_the_kind_does_not_take(self, spec):
+        kind = spec.partition(":")[0]
+        accepted = "dim, seed" if kind == "positive_random" else "dim, gap, seed"
+        with pytest.raises(InputError, match=f"^{kind}: .*; accepted keys: {accepted}$"):
+            _parse_generator_spec(spec)
+
     def test_eventually_positive_spec(self):
         model = _parse_generator_spec("eventually_positive:dim=3,gap=0.4,seed=2")
         assert model.dim == 3
@@ -459,6 +504,11 @@ PAPER_REPORT_SHA256 = {
     "eventually-positive": "3a7882200192e91dc8f5cb5b934acff388cfc4b9b4ec4abac0911cf4738e96d9",
 }
 
+# sha256 of `evpos classify --example` for each alias of a catalog entry
+ALIAS_REPORT_SHA256 = {
+    "ex5.1": "034f7f4818e5c10b69d7be8ac6aa923701fae03c7a4bc7bc9205159a3aaaab6e",
+}
+
 # sha256 of the run_classify report of make_eventually_positive(dim, 0.5, 3,
 # norm=N) under the id ep-N-dim, of the dim-96 Gaussians under the id
 # gauss-N-96, and of Dense(diag(1, -0.1)) in l1 under the id
@@ -817,13 +867,14 @@ class TestMainEntry:
             "multiplicity-monotonicity",
         ]
 
-    @pytest.mark.parametrize("name", sorted(PAPER_REPORT_SHA256))
+    @pytest.mark.parametrize("name", sorted({**PAPER_REPORT_SHA256, **ALIAS_REPORT_SHA256}))
     def test_classify_example_writes_the_suite_report(self, name, tmp_path):
-        # `evpos classify --example` writes the bytes `evpos suite paper` pins
+        # `evpos classify --example` writes the bytes `evpos suite paper`
+        # pins, and an alias its entry's report under the alias
         out = tmp_path / "report.json"
         assert main(["classify", "--example", name, "--out", str(out)]) == EXIT_OK
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == PAPER_REPORT_SHA256[name]
+        assert digest == {**PAPER_REPORT_SHA256, **ALIAS_REPORT_SHA256}[name]
 
     def test_classify_writes_file(self, tmp_path):
         out = tmp_path / "report.json"
@@ -912,6 +963,16 @@ class TestMainEntry:
 
     def test_unknown_example_is_input_error(self, capsys):
         assert main(["classify", "--example", "nope"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert all(name in err for name in [*PAPER_REPORT_SHA256, *ALIAS_REPORT_SHA256])
+
+    @pytest.mark.parametrize("target", BAD_OUT_TARGETS)
+    def test_unwritable_out_is_input_error(self, target, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["classify", "--example", "rem3.2b", "--out", target]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "extra",
@@ -965,10 +1026,7 @@ class TestMainEntry:
         assert captured.err.startswith("error: ") and argv[-2] in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize(
-        "content",
-        ["[1, 2]", "[[1, 2, 3], [0, 0]]", '[["1", "2"], [0, 0]]', "[[NaN, 0], [0, 0]]", "5"],
-    )
+    @pytest.mark.parametrize("content", BAD_VECTOR_FILES)
     def test_bad_orbit_vector_is_input_error(self, content, tmp_path, capsys):
         path = tmp_path / "v.json"
         path.write_text(content)
