@@ -19,6 +19,7 @@ import numpy as np
 from .lattice import (
     Ell1,
     LatticeVector,
+    LpQuadrature,
     NormKind,
     cone_distance,
     cone_distances,
@@ -28,20 +29,18 @@ from .lattice import (
 from .operators import (
     Dense,
     Diagonal,
+    Monomial,
     OperatorModel,
     RankK,
     SignedPower,
     WeightedIntegral,
-    Constant,
-    Tabulated,
     WeightedShift,
     entrywise_positive,
     power_apply,
     to_dense,
 )
 from . import spectral
-from .rng import rng_for
-from .witnesses import hat_limit_witnesses, signed_power_witness
+from .witnesses import face_witness, hat_limit_witnesses, signed_power_witness
 
 DEFAULT_TOL = 1e-9
 # the powers that the brute-force reference `individual_eventual` steps
@@ -66,12 +65,6 @@ MARGIN_ROUNDINGS = 100
 # a norm of a power of N past which the certificate stops squaring: far
 # inside the float range, so the next square cannot overflow
 NORM_CEILING = 1e100
-# seeded random positive functions (and as many functionals) in the test set
-# of a function space, after the constant ones
-FUNCTION_SPACE_RANDOM = 16
-# the constant functional of a function-space test set, g -> (1/2) int g,
-# which pairs with a model's functions in closed form
-HALF_INTEGRAL = WeightedIntegral(Constant(1.0), 0.5)
 EPS = float(np.finfo(float).eps)
 
 
@@ -123,54 +116,14 @@ class ConeTestSet:
     functionals: tuple
 
 
-@dataclass(frozen=True)
-class FunctionSpaceTestSet:
-    """The test set of a function space, as arrays: positive grid functions,
-    the rows of `vectors` (complex, each scaled to norm at most 1), with
-    their norms; and positive integral functionals, `HALF_INTEGRAL` and
-    g -> int w g for each row w of `weights`."""
-
-    vectors: np.ndarray
-    norms: np.ndarray
-    weights: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # test set construction
 
 
-def function_space_test_set(space: NormKind) -> FunctionSpaceTestSet:
-    """The constant one and FUNCTION_SPACE_RANDOM seeded uniform grid
-    functions, then as many seeded uniform weights, drawn in that order as
-    one array: the same for every model on the space. A function of norm
-    above 1 is divided by it. The norms are taken in one reduction over the
-    transposed moduli, which reduces each vector along its own contiguous
-    axis, so each is the vector's norm (`norm_value`) bit for bit; a
-    column-wise sum over the vectors as columns of a C-order array would
-    round differently."""
-    dim = len(space.nodes)
-    # `random` draws what uniform(0, 1) draws: 0 + 1 * u is u
-    draws = rng_for(0, 2).random((2 * FUNCTION_SPACE_RANDOM, dim))
-    vectors = np.vstack([np.ones(dim), draws[:FUNCTION_SPACE_RANDOM]]).astype(complex)
-    norms = space.of_moduli(np.abs(vectors).T)
-    big = norms > 1.0
-    vectors[big] /= norms[big, None]
-    norms[big] = space.of_moduli(np.abs(vectors[big]).T)
-    return FunctionSpaceTestSet(vectors, norms, draws[FUNCTION_SPACE_RANDOM:])
-
-
 def default_test_set(T: OperatorModel) -> ConeTestSet:
-    """The test set of the reference `individual_eventual`: a rank-k model's
-    function-space test set as lattice vectors and functional
-    representations; for a finite model the basis vectors, which generate
-    its positive cone."""
-    if isinstance(T, RankK):
-        tests = function_space_test_set(T.space)
-        tabulated = (WeightedIntegral(Tabulated(tuple(w)), 1.0) for w in tests.weights)
-        return ConeTestSet(
-            tuple(LatticeVector(x, T.space) for x in tests.vectors),
-            (HALF_INTEGRAL, *tabulated),
-        )
+    """The test set of the reference `individual_eventual`: the basis
+    vectors, which generate the positive cone of a finite model and of a
+    rank-k model's grid."""
     basis = tuple(LatticeVector(e, T.norm) for e in np.eye(T.dim))
     return ConeTestSet(basis, basis)
 
@@ -255,9 +208,10 @@ def _hat_refutation(T: RankK) -> Optional[PositivityVerdict]:
 
 def classify_eventual(T: OperatorModel, limit: Optional[LimitStatus] = None) -> tuple:
     """(uniform, individual, weak) eventual verdicts, none with a horizon: a
-    finite model's by exact rule, a rank-k model's from its function-space
-    test set. `limit` is the limit status that the asymptotic trio of the
-    same classification reads; one is made when it is not given."""
+    finite model's by exact rule, a rank-k model's by witnesses and
+    certificates read from its factors. `limit` is the limit status that
+    the asymptotic trio of the same classification reads; one is made when
+    it is not given."""
     if limit is None:
         limit = LimitStatus(T)
     if isinstance(T, RankK):
@@ -450,44 +404,137 @@ def _shift_tiles(phase: np.ndarray, logmag: np.ndarray):
 
 def _rank_k_eventual(T: RankK, limit: LimitStatus) -> tuple:
     """The analytic refutations first, each decided once: the singular term
-    (individual notion, and so the uniform one, which implies it), then the
-    shrinking hat (uniform). Every notion that they leave open is decided by
-    `_rank_k_status` from the factors of what it tests, each of the form
-    U diag(lam^(n-1)) V: the grid entries of T^n (uniform, tested in row
-    blocks), (T^n x)(a) for the test vectors x (individual) and the pairings
-    <x', T^n x> (weak). A notion's factors are formed only when no witness
-    has refuted it. The test set is built once, as arrays, and its norms
-    scale the individual test."""
-    tests = function_space_test_set(T.space)
+    on the half-line indicators (individual notion, and so the uniform one,
+    which implies it), a face bump (`face_witness`: all three notions), the
+    shrinking hat (uniform). A uniform notion that they leave open is
+    decided by `_rank_k_status` from the grid entries of T^n, tested in row
+    blocks. An individual or weak notion left open is decided in this order,
+    with no test set and no horizon:
+    1. At spr = 0 (no limit status) T^2 = 0, and it takes the uniform
+       notion's status.
+    2. A refuted limit status refutes, as each eventual notion implies its
+       asymptotic one.
+    3. With a confirmed limit status, the Perron certificate
+       (`_perron_certificate`) confirms it at n0 = 0, though each x >= 0
+       has its own threshold, which no single n0 names.
+    4. A confirmed uniform notion confirms it at the same n0, as the
+       uniform notion implies it.
+    5. Anything else is undetermined, at horizon 0."""
     try:
         status = limit.read()
     except NotClassifiableError:
         status = None
-    individual = _singular_refutation(T, tests.vectors, Notion.INDIVIDUAL_EVENTUAL)
-    if individual is not None:
+    individual = _singular_refutation(T, _half_lines(T), Notion.INDIVIDUAL_EVENTUAL)
+    face = None if individual is not None else face_witness(T)
+    if face is not None:
+        individual = _face_refutation(T, face)
+    # the singular term refutes the uniform notion itself; a face bump only
+    # where no shrinking hat does
+    uniform = None if individual is not None and face is None else _hat_refutation(T)
+    if uniform is None and individual is not None:
         uniform = replace(individual, notion=Notion.UNIFORM_EVENTUAL)
-    else:
-        uniform = _hat_refutation(T)
-
-    def decide(notion, U, V, passes) -> PositivityVerdict:
-        return PositivityVerdict(notion, _rank_k_status(T, status, limit, U, V, passes))
-
-    if uniform is None:
-        uniform = decide(Notion.UNIFORM_EVENTUAL, T.samples, T.rows, _grid_passes_in_blocks)
-    if individual is None:
-        scales = DEFAULT_TOL * np.maximum(tests.norms, 1e-300)
-        individual = decide(
-            Notion.INDIVIDUAL_EVENTUAL,
-            T.samples,
-            T.rows @ np.ascontiguousarray(tests.vectors.T),
-            lambda U, W: bool((cone_distances(U @ W, T.norm) <= scales).all()),
+    elif uniform is None:
+        uniform = PositivityVerdict(
+            Notion.UNIFORM_EVENTUAL,
+            _rank_k_status(T, status, limit, T.samples, T.rows, _grid_passes_in_blocks),
         )
-    weak = decide(
-        Notion.WEAK_EVENTUAL,
-        *_pairings(T, tests),
-        lambda U, W: entrywise_positive(U @ W, DEFAULT_TOL),
+    if face is not None:
+        return uniform, individual, replace(individual, notion=Notion.WEAK_EVENTUAL)
+    certified = ()
+    if status is None:
+        otherwise = uniform.status
+    elif isinstance(status, RefutedWithWitness):
+        otherwise = status
+    else:
+        if isinstance(status, Confirmed):
+            certified = _perron_certificate(T)
+        confirmed = isinstance(uniform.status, Confirmed)
+        otherwise = uniform.status if confirmed else UndeterminedUpToHorizon(0)
+
+    def open_verdict(notion: Notion) -> PositivityVerdict:
+        return PositivityVerdict(notion, Confirmed(0) if notion in certified else otherwise)
+
+    return (
+        uniform,
+        individual or open_verdict(Notion.INDIVIDUAL_EVENTUAL),
+        open_verdict(Notion.WEAK_EVENTUAL),
     )
-    return uniform, individual, weak
+
+
+def _half_lines(T: RankK):
+    """The indicators of t > 0 and of t < 0 on the grid, in closed form,
+    each made when it is read."""
+    nodes = np.asarray(T.space.nodes)
+    yield (nodes > 0).astype(float)
+    yield (nodes < 0).astype(float)
+
+
+def _face_refutation(T: RankK, face) -> PositivityVerdict:
+    t = np.asarray(T.space.nodes)[[face.bump, face.node]]
+    every = "every power" if face.period == 1 else "every other power"
+    description = (
+        f"a bump at t = {t[0]:.6g} meets one functional alone; its powers are "
+        f"negative at t = {t[1]:.6g} at {every}"
+    )
+    return PositivityVerdict(Notion.INDIVIDUAL_EVENTUAL, RefutedWithWitness(face, description))
+
+
+def _perron_certificate(T: RankK) -> tuple:
+    """The notions, of individual and weak, that the Perron certificate
+    confirms for a model whose limit status is confirmed. Suppose the
+    eigen-parameters, samples and rows are real; lam_1 > 0, the
+    eigen-parameter of largest modulus, lies strictly above every other
+    |lam_i|; phi_1 is a weighted integral whose scaled weight is positive
+    almost everywhere on the interval (`_positive_almost_everywhere`);
+    and f_1 >= c > 0 there. Then <phi_1, x> > 0 for every x > 0, and
+    T^n x / lam_1^(n-1) = <phi_1, x> f_1 + sum over i != 1 of
+    (lam_i/lam_1)^(n-1) <phi_i, x> f_i, whose sum tends to 0 uniformly when
+    every other f_i is bounded: the individual notion holds. Paired with any
+    x' > 0, <x', f_1> >= c <x', 1> > 0, and the sum tends to 0 when every
+    other f_i pairs boundedly, that is, lies in the space (`_in_space`): the
+    weak notion holds. Each function's extremes are in closed form
+    (`extremes`), a tabulated one's read at its nodes."""
+    lam = T.eigen_parameters
+    if lam.imag.any() or T.samples.imag.any() or T.rows.imag.any():
+        return ()
+    moduli = np.abs(lam.real)
+    top = int(np.argmax(moduli))
+    if not (lam[top].real > 0 and np.count_nonzero(moduli >= moduli[top]) == 1):
+        return ()
+    lo, hi = T.space.domain()
+    ranges = [f.extremes(lo, hi) for f in T.functions]
+    if None in ranges or not (
+        ranges[top][0] > 0 and _positive_almost_everywhere(T.functionals[top], lo, hi)
+    ):
+        return ()
+    others = [(f, r) for i, (f, r) in enumerate(zip(T.functions, ranges)) if i != top]
+    if all(np.isfinite(r).all() for _, r in others):
+        return (Notion.INDIVIDUAL_EVENTUAL, Notion.WEAK_EVENTUAL)
+    return (Notion.WEAK_EVENTUAL,) if all(_in_space(f, r, T.space) for f, r in others) else ()
+
+
+def _positive_almost_everywhere(phi, lo: float, hi: float) -> bool:
+    """phi is a weighted integral with a real scale whose product with the
+    weight is positive almost everywhere on [lo, hi]: a monomial or a signed
+    power vanishes only at 0, so its least value may be 0 there."""
+    if not isinstance(phi, WeightedIntegral):
+        return False
+    scale = complex(phi.scale)
+    weight = phi.weight.extremes(lo, hi)
+    if scale.imag or scale.real == 0 or weight is None:
+        return False
+    low = min(scale.real * weight[0], scale.real * weight[1])
+    return low > 0 or (low == 0 and isinstance(phi.weight, (Monomial, SignedPower)))
+
+
+def _in_space(f, extremes: tuple, space: NormKind) -> bool:
+    """A real f with these extremes lies in the space: it is bounded, or the
+    space is L^p and f is sgn(t)|t|^alpha with alpha p > -1, so p-integrable
+    at 0."""
+    if np.isfinite(extremes).all():
+        return True
+    singular = isinstance(f, SignedPower) and isinstance(space, LpQuadrature)
+    return singular and np.real(f.exponent) * space.p > -1
 
 
 def _rank_k_status(T: RankK, status: Optional[Status], limit: LimitStatus, U, V, passes) -> Status:
@@ -880,27 +927,6 @@ def _term_rounding(U: np.ndarray, V: np.ndarray) -> float:
     """The rounding of an entry of U V, a sum of k products U[a, i] V[i, b]:
     k eps sum over i of max|U[:, i]| max|V[i]|."""
     return U.shape[1] * EPS * float(np.abs(U).max(axis=0) @ np.abs(V).max(axis=1))
-
-
-def _pairings(T: RankK, tests: FunctionSpaceTestSet) -> tuple:
-    """(C, D) with <x'_j, T^n x_i> = (C diag(lam^(n-1)) D)[i, j] for n >= 1,
-    where C[i] holds the coefficients <phi, x_i> and D[:, j] the pairings
-    <x'_j, f> of the model's functions: `HALF_INTEGRAL`'s by its `apply`,
-    in closed form for an analytic f, and each tabulated functional's as its
-    `apply` forms it, but from its quadrature row w * quad (scale 1) built
-    once: one dot with the samples of f. C is filled in place, one dot per
-    (vector, row) as `RankK.coefficients` forms it: a product of the whole
-    arrays rounds differently."""
-    C = np.empty((len(tests.vectors), T.rank), dtype=complex)
-    for i, x in enumerate(tests.vectors):
-        for r, row in enumerate(T.rows):
-            C[i, r] = row @ x
-    rows = (tests.weights * T.space.weight_array).astype(complex)
-    D = np.empty((T.rank, 1 + len(rows)), dtype=complex)
-    for i, (f, samples) in enumerate(zip(T.functions, T.samples.T)):
-        D[i, 0] = HALF_INTEGRAL.apply(f, T.space)
-        D[i, 1:] = [row @ samples for row in rows]
-    return C, D
 
 
 # ---------------------------------------------------------------------------

@@ -89,8 +89,18 @@ def _parse_generator_spec(spec: str):
             problem = f"key {key!r} given twice" if key in params else f"unknown key {key!r}"
             raise InputError(f"{kind}: {problem}; accepted keys: {', '.join(defaults)}")
         params[key] = value
+    kwargs = {}
+    for key, default in defaults.items():
+        cast = type(default)
+        try:
+            kwargs[key] = cast(params.get(key, default))
+        except ValueError:
+            article = "an" if cast is int else "a"
+            raise InputError(
+                f"{kind}: {key}={params[key]!r} is not {article} {cast.__name__}"
+            ) from None
     try:
-        return build(**{k: type(d)(params.get(k, d)) for k, d in defaults.items()})
+        return build(**kwargs)
     except (GeneratorError, ValueError) as exc:
         raise InputError(str(exc)) from exc
 

@@ -29,9 +29,11 @@ DUALITY_TOL = 1e-10
 # ---------------------------------------------------------------------------
 # function and functional representations
 #
-# A function kind gives sample(nodes) at a float array of nodes and
-# halfline_powers() (None when tabulated); a functional kind gives row(space),
-# apply(f, space), hat_pairing(peak, width) and the points it evaluates at.
+# A function kind gives sample(nodes) at a float array of nodes,
+# halfline_powers() (None when tabulated) and extremes(lo, hi), its (inf, sup)
+# over [lo, hi], +-inf where unbounded, or None when it is not real; a
+# functional kind gives row(space), apply(f, space), hat_pairing(peak, width)
+# and the points it evaluates at.
 # Each gives its descriptor (to_json, from_json) and checks its parameters.
 
 
@@ -62,6 +64,10 @@ class Constant:
     def halfline_powers(self):
         return (complex(self.value), 0.0, complex(self.value), 0.0)
 
+    def extremes(self, lo: float, hi: float):
+        value = complex(self.value)
+        return None if value.imag else (value.real, value.real)
+
     def to_json(self) -> dict:
         return {"kind": self.kind, "value": _c2j(self.value)}
 
@@ -85,6 +91,12 @@ class Monomial:
 
     def halfline_powers(self):
         return (1.0 + 0j, float(self.degree), (-1.0 + 0j) ** self.degree, float(self.degree))
+
+    def extremes(self, lo: float, hi: float):
+        if self.degree < 0 and lo <= 0.0 <= hi:
+            return (-np.inf, np.inf)
+        values = [t**self.degree for t in (lo, hi, 0.0) if lo <= t <= hi]
+        return (min(values), max(values))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "degree": self.degree}
@@ -112,6 +124,17 @@ class SignedPower:
     def halfline_powers(self):
         return (1.0 + 0j, self.exponent, -1.0 + 0j, self.exponent)
 
+    def extremes(self, lo: float, hi: float):
+        """Nondecreasing for exponent >= 0; for a negative one, decreasing
+        on each side of 0 and unbounded at it."""
+        alpha = complex(self.exponent)
+        if alpha.imag:
+            return None
+        if alpha.real < 0 and lo <= 0.0 <= hi:
+            return (-np.inf, np.inf)
+        ends = [float(np.sign(t)) * abs(t) ** alpha.real for t in (lo, hi)]
+        return (min(ends), max(ends))
+
     def to_json(self) -> dict:
         return {"kind": self.kind, "exponent": self.exponent}
 
@@ -136,6 +159,11 @@ class Tabulated:
 
     def halfline_powers(self):
         return None
+
+    def extremes(self, lo: float, hi: float):
+        """Read at the nodes: a tabulated function has no other values."""
+        values = np.asarray(self.values, dtype=complex)
+        return None if values.imag.any() else (float(values.real.min()), float(values.real.max()))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "values": complex_pairs(self.values)}

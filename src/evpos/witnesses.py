@@ -1,8 +1,9 @@
-"""Analytic negativity witnesses for rank-2 functional operators.
+"""Analytic negativity witnesses for rank-k functional operators.
 
 Fixed grids eventually miss the shrinking region where a power of a rank-2
 operator goes negative, so refutations are computed from the closed-form
-power sum a*f1 + lambda^(n-1)*b*f2 instead of by grid scanning.
+power sum a*f1 + lambda^(n-1)*b*f2 instead of by grid scanning; a bump that
+meets one functional alone has the single power term lambda^(n-1)*b*f.
 """
 
 from __future__ import annotations
@@ -133,3 +134,64 @@ def signed_power_witness(
         value=float(value),
         input_description="analytic singular point of the signed-power term",
     )
+
+
+@dataclass(frozen=True)
+class FaceWitness:
+    """The bump x = e_bump, on which every functional but phi_i vanishes,
+    so T^n x = lam_i^(n-1) b f_i exactly; its value at node `node`, which
+    is also <delta_node, T^n x>, is `value` < 0 at power n, and negative
+    again every `period` powers."""
+
+    bump: int
+    node: int
+    n: int
+    period: int
+    value: float
+
+
+def face_witness(T: RankK) -> Optional[FaceWitness]:
+    """The first bump, by node, that refutes from a face of the cone, or
+    None. The bump at node j is e_j, the grid vector of the hat at t_j. A
+    functional is dead on it when its row is 0 at j and both neighbours,
+    the hat's support, so it vanishes on the hat of the continuum too. With
+    exactly one live phi_i, and real lam_i != 0, b = row_i[j] and f_i,
+    T^n e_j = lam_i^(n-1) b f_i is negative somewhere at every power when
+    b f_i is negative at a node, and at every other power when lam_i < 0:
+    the individual notion fails, and, paired with a point mass at that
+    node, the weak one."""
+    lam, rows = T.eigen_parameters, T.rows
+    nonzero = rows != 0
+    # a functional live at every node meets every bump, so only it can be
+    # alone on one
+    full = np.flatnonzero(nonzero.all(axis=1))
+    if len(full) > 1:
+        return None
+    alone, best = None, None
+    for i in full if len(full) else range(T.rank):
+        f, b = T.samples[:, i], rows[i]
+        if lam[i] == 0 or lam[i].imag or f.imag.any():
+            continue
+        for sign in (1.0, -1.0):
+            g = sign * f.real
+            if g.min() < 0:
+                node, n = int(np.argmin(g)), 1
+            elif lam[i].real < 0 and g.max() > 0:
+                node, n = int(np.argmax(g)), 2
+            else:
+                continue
+            signed = nonzero[i] & (b.imag == 0) & (sign * b.real > 0)
+            if not signed.any():
+                continue
+            if alone is None:
+                live = nonzero.copy()
+                live[:, 1:] |= nonzero[:, :-1]
+                live[:, :-1] |= nonzero[:, 1:]
+                alone = live.sum(axis=0) == 1
+            bumps = np.flatnonzero(alone & signed)
+            if not bumps.size or (best is not None and bumps[0] >= best.bump):
+                continue
+            period = 1 if lam[i].real > 0 else 2
+            value = float(lam[i].real ** (n - 1) * b[bumps[0]].real * f[node].real)
+            best = FaceWitness(int(bumps[0]), node, n, period, value)
+    return best

@@ -1,0 +1,42 @@
+"""Exact replay of rank-k powers, in rational arithmetic (standard library
+only).
+
+A float is a dyadic rational, so the samples, the quadrature rows and the
+eigen-parameters of a rank-k model with real data are exact rationals, and
+so is T^n x = sum_i lam_i^(n-1) <phi_i, x> f_i for n >= 1 and a rational
+grid vector x. Tests hold a witness to these powers, with no rounding.
+"""
+
+from fractions import Fraction
+
+
+def rational(z) -> Fraction:
+    """A real number, or a complex one whose imaginary part is 0, as the
+    exact rational it is."""
+    z = complex(z)
+    if z.imag != 0:
+        raise ValueError(f"{z} is not real")
+    return Fraction(z.real)
+
+
+class RankKPowers:
+    """The powers of sum_i f_i <phi_i, .> on a grid, from the
+    eigen-parameters lam_i, the rows of the phi_i (one per functional) and
+    the samples of the f_i (one row per node, one column per function)."""
+
+    def __init__(self, eigen_parameters, rows, samples):
+        self.lam = [rational(v) for v in eigen_parameters]
+        self.rows = [[rational(v) for v in row] for row in rows]
+        self.functions = [[rational(v) for v in column] for column in zip(*samples)]
+
+    def powers(self, x, last: int):
+        """T^n x for n = 1, ..., last, each a list of rationals."""
+        x = [rational(v) for v in x]
+        coefficients = [sum(r * v for r, v in zip(row, x)) for row in self.rows]
+        for n in range(1, last + 1):
+            y = [Fraction(0)] * len(x)
+            for lam, c, f in zip(self.lam, coefficients, self.functions):
+                scale = lam ** (n - 1) * c
+                if scale:
+                    y = [a + scale * b for a, b in zip(y, f)]
+            yield y

@@ -1,4 +1,3 @@
-import hashlib
 import tracemalloc
 import warnings
 
@@ -20,8 +19,6 @@ from evpos.catalog import (
 from evpos.classify import (
     ConeTestSet,
     DEFAULT_TOL,
-    FUNCTION_SPACE_RANDOM,
-    HALF_INTEGRAL,
     LIMIT_POINT_ROWS,
     MAX_PERIOD,
     MAX_TAIL,
@@ -31,11 +28,9 @@ from evpos.classify import (
     RefutedWithWitness,
     UndeterminedUpToHorizon,
     _outer_worst_entry,
-    _pairings,
     _row_blocks,
     _singular_refutation,
     _worst_entry,
-    function_space_test_set,
     classify_asymptotic,
     classify_eventual,
     default_test_set,
@@ -54,10 +49,8 @@ from evpos.lattice import (
     GridSup,
     LatticeVector,
     LpQuadrature,
-    cone_distances,
     cone_residual,
     midpoint_rule,
-    norm_value,
 )
 from evpos.operators import (
     Constant,
@@ -71,12 +64,13 @@ from evpos.operators import (
     WeightedIntegral,
     WeightedShift,
     entrywise_positive,
-    pairing,
     to_dense,
 )
 from evpos.report import report_to_json, verdict_record
 from evpos.rng import rng_for
 from evpos.witnesses import hat_family_witness, hat_limit_witnesses
+
+import exact
 
 
 class TestEventualClassification:
@@ -126,6 +120,12 @@ class TestEventualClassification:
         if isinstance(T, Diagonal):  # the exact rule sees past the horizon
             assert isinstance(shared.status, RefutedWithWitness)
             assert isinstance(single.status, UndeterminedUpToHorizon)
+        elif isinstance(T, RankK):
+            # the Perron certificate gives each x >= 0 its own threshold and
+            # names none (n0 = 0); the grid's basis vectors share the largest
+            # of theirs: e_j at t = +-1 has T^n e_j < 0 at the other end for
+            # n < 6
+            assert shared.status == Confirmed(0) and single.status == Confirmed(6)
         else:
             assert shared.status == single.status
 
@@ -1248,7 +1248,7 @@ class TestAnalyticRefutations:
         assert not failed
         # at most two powers of the hat limit; a singular witness only for a
         # second function sgn(t)|t|^alpha with alpha < 0: none for ex2.2a's x,
-        # and for ex2.2b the first test vector that pairs with phi_2 refutes
+        # and for ex2.2b the indicator of t > 0, which pairs with phi_2, refutes
         assert calls["hat_witness"] <= 2, calls
         assert calls["signed_power_witness"] == {"ex2.2a": 0, "ex2.2b": 1}[name], calls
 
@@ -1301,19 +1301,6 @@ class TestRankKTailCertificate:
         for notion in open_notions:
             assert kinds[f"{notion}-eventual"]["kind"] != "confirmed", kinds
 
-    def test_limit_column_of_zeros_is_not_confirmed(self):
-        # g -> g(0) 1 + 0.022 (int sgn g) x: off the node 0 the limit L_1 has
-        # zero columns where the second term is not zero, so T^n of a bump
-        # on (0, 1) is 0.022^n (int g) x, negative on x < 0 at every power
-        T = RankK(
-            (Constant(1.0), Monomial(1)),
-            (POINT_AT_0, WeightedIntegral(SignedPower(0.0), 0.022)),
-            GridSup(tuple(np.linspace(-1.0, 1.0, 41))),
-        )
-        kinds = _eventual_kinds(T)
-        assert kinds["uniform-eventual"]["kind"] != "confirmed", kinds
-        assert kinds["individual-eventual"] == kinds["weak-eventual"] == {"kind": "confirmed", "n0": 0}
-
     @pytest.mark.parametrize("nodes", [41, 201])
     @pytest.mark.parametrize("c", [0.05, 0.1, 0.25, 0.4])
     def test_entries_that_stay_zero_do_not_block_the_certificate(self, c, nodes):
@@ -1334,44 +1321,6 @@ class TestRankKTailCertificate:
         for status in _eventual_kinds(T).values():
             assert status == {"kind": "confirmed", "n0": 0}
 
-    @pytest.mark.parametrize(
-        "c, nodes, individual, weak",
-        [
-            (0.05, 41, 2, 0),
-            (0.1, 41, 2, 0),
-            (0.25, 41, 4, 0),
-            (0.4, 41, 12, 0),
-            (0.05, 201, 2, 0),
-            (0.1, 201, 3, 0),
-            (0.25, 201, 6, 2),
-            (0.4, 201, 18, 4),
-        ],
-    )
-    def test_thresholds_agree_with_brute_force_powers(self, c, nodes, individual, weak):
-        T = _point_slope_model(POINT_AT_0, c, nodes)
-        uniform, *trio = classify_eventual(T)
-        assert isinstance(uniform.status, RefutedWithWitness)
-        assert [v.status for v in trio] == [Confirmed(individual), Confirmed(weak)]
-        tests = default_test_set(T)
-        reference = individual_eventual(T, tests, horizon=individual + 200)
-        assert reference.status == Confirmed(individual)
-        # the dense view's powers, on the test vectors and paired with the
-        # quadrature rows of the test functionals
-        S = to_dense(T).matrix
-        X = np.stack([x.entries for x in tests.vectors], axis=1)
-        W = np.stack([phi.row(T.space) for phi in tests.functionals])
-        scales = np.array([norm_value(x) for x in tests.vectors])
-        fails = {"individual": [], "weak": []}
-        Z = X
-        for n in range(1, max(individual, weak) + 201):
-            Z = S @ Z
-            if not (cone_distances(Z, T.norm) <= DEFAULT_TOL * scales).all():
-                fails["individual"].append(n)
-            if not entrywise_positive(W @ Z, DEFAULT_TOL):
-                fails["weak"].append(n)
-        for notion, n0 in (("individual", individual), ("weak", weak)):
-            assert max(fails[notion], default=-1) == n0 - 1, (notion, fails[notion])
-
     def test_rank_k_classification_steps_no_orbit(self, monkeypatch):
         def refuse(self, Y, horizon):
             raise AssertionError("a rank-k orbit was stepped")
@@ -1388,6 +1337,139 @@ class TestRankKTailCertificate:
             report, failed = run_classify(T, "rank-k", 0)
             assert not failed and len(report.classification) == 6
 
+    def test_uniform_notion_is_formed_in_row_blocks(self):
+        # the nonzero-term mask, the limit point and the tested power of the
+        # uniform notion are formed LIMIT_POINT_ROWS rows at a time: on 2,001
+        # nodes a dim x dim array of floats alone would take 32 MB, and whole
+        # ones took a 70.2 MB peak
+        grid = GridSup(tuple(np.linspace(-1.0, 1.0, 2_001)))
+        T = RankK((Constant(1.0),), (WeightedIntegral(Constant(1.0), 0.5),), grid)
+        tracemalloc.start()
+        try:
+            trio = classify_eventual(T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [v.status for v in trio] == [Confirmed(0)] * 3
+        assert peak <= 70.2e6 / 4
+
+
+def _sign_slope_model(c, nodes=41) -> RankK:
+    """g -> g(0) 1 + c (int sgn g) x on a sup-norm grid over [-1, 1], with
+    eigen-parameters 1 and c."""
+    return RankK(
+        (Constant(1.0), Monomial(1)),
+        (POINT_AT_0, WeightedIntegral(SignedPower(0.0), c)),
+        GridSup(tuple(np.linspace(-1.0, 1.0, nodes))),
+    )
+
+
+class TestFaceWitness:
+    """A bump on which every functional but one vanishes sees a single power
+    term lam^(n-1) b f; where that term is negative somewhere at every power
+    it refutes all three eventual notions, and the witness replays exactly
+    in rational arithmetic (`exact.RankKPowers`)."""
+
+    @pytest.mark.parametrize(
+        "T",
+        [
+            # g -> g(0) 1 + c (int sgn g) x with c = 0.3 and 0.022: the limit point
+            # 1 (x) delta_0 is positive, and every x >= 0 with x(0) = 0 has
+            # T^n x = c^(n-1) <phi_2, x> x, of both signs
+            _sign_slope_model(0.3),
+            _sign_slope_model(0.022),
+            # g -> g(0) 1 + c (g(1) - g(-1)) x: a bump at -1 has
+            # T^n of it = -c (2c)^(n-1) x, negative at 1
+            _point_slope_model(POINT_AT_0, 0.05, 201),
+            _point_slope_model(POINT_AT_0, 0.4, 41),
+        ],
+        ids=["sign-slope-0.3", "sign-slope-0.022", "point-slope-0.05", "point-slope-0.4"],
+    )
+    def test_face_bump_refutes_the_eventual_trio(self, T):
+        eventual, asymptotic = classify_eventual(T), classify_asymptotic(T)
+        assert {v.status for v in asymptotic} == {Confirmed(0)}
+        # the uniform notion keeps a shrinking-hat witness where it has one
+        witness = eventual[1].status.witness
+        assert all(isinstance(v.status, RefutedWithWitness) for v in eventual)
+        assert eventual[2].status.witness == witness
+        assert witness.n == witness.period == 1
+        report, failed = run_classify(T, "face", 0)
+        assert not failed and report.contradiction_count == 0
+        # x = e_bump >= 0; T^n x, and its pairing with the point mass at the
+        # witness node, are negative at every power
+        x = np.eye(T.dim)[witness.bump]
+        oracle = exact.RankKPowers(T.eigen_parameters, T.rows, T.samples)
+        for n, y in enumerate(oracle.powers(x, 60), 1):
+            assert y[witness.node] < 0, n
+        first = next(oracle.powers(x, 1))
+        assert float(first[witness.node]) == witness.value
+
+    def test_bump_meeting_two_functionals_is_no_witness(self):
+        # g -> (1/2) int g + c (g(1) - g(-1)) x: the integral meets every
+        # bump, so no face is open and ex2.2a's certificate stands
+        assert evpos.witnesses.face_witness(_slope_model(0.25)) is None
+
+def _certificate_model(first=None, weight=None, space=None, second=None) -> RankK:
+    """g -> phi_1(g) f_1 + phi_2(g) f_2, by default the slope model with
+    c = 0.1 on 41 nodes."""
+    space = space or GridSup(tuple(np.linspace(-1.0, 1.0, 41)))
+    first = first or Constant(1.0)
+    weight = weight or WeightedIntegral(Constant(1.0), 0.5)
+    f_2, phi_2 = second or (Monomial(1), PointCombination((1.0, -1.0), (0.1, -0.1)))
+    return RankK((first, f_2), (weight, phi_2), space)
+
+
+_L2, _L4 = (
+    LpQuadrature(p, *map(tuple, midpoint_rule(-1.0, 1.0, 40))) for p in (2.0, 4.0)
+)
+_SINGULAR = (SignedPower(-0.3), WeightedIntegral(SignedPower(0.0), 0.1))
+
+
+class TestPerronCertificate:
+    """The individual and weak notions that a shrinking hat or singular
+    term leaves open are confirmed at n0 = 0 by the Perron certificate,
+    read from closed-form extremes, and otherwise left undetermined."""
+
+    @pytest.mark.parametrize(
+        "T, individual, weak",
+        [
+            (_certificate_model(), Confirmed(0), Confirmed(0)),
+            # t^2 vanishes only at 0, and -1 times -1/2 is positive
+            (_certificate_model(weight=WeightedIntegral(Monomial(2), 1.5)), Confirmed(0), Confirmed(0)),
+            (_certificate_model(weight=WeightedIntegral(Constant(-1.0), -0.5)), Confirmed(0), Confirmed(0)),
+            # f_1 = t^2 is not bounded below by a positive constant
+            (
+                _certificate_model(first=Monomial(2), weight=WeightedIntegral(Constant(1.0), 1.5)),
+                UndeterminedUpToHorizon(0),
+                UndeterminedUpToHorizon(0),
+            ),
+            # sgn(t)|t|^-0.3 is in L^2, not in L^4 or bounded
+            (_certificate_model(space=_L2, second=_SINGULAR), RefutedWithWitness, Confirmed(0)),
+            (_certificate_model(space=_L4, second=_SINGULAR), RefutedWithWitness, UndeterminedUpToHorizon(0)),
+            (
+                _certificate_model(space=GridSup(tuple(np.linspace(-1.0, 1.0, 40))), second=_SINGULAR),
+                RefutedWithWitness,
+                UndeterminedUpToHorizon(0),
+            ),
+        ],
+        ids=[
+            "slope",
+            "square-weight",
+            "negative-scale",
+            "vanishing-f1",
+            "singular-L2",
+            "singular-L4",
+            "singular-sup",
+        ],
+    )
+    def test_certificate_conditions(self, T, individual, weak):
+        _, *open_notions = classify_eventual(T)
+        for verdict, expected in zip(open_notions, (individual, weak)):
+            if expected is RefutedWithWitness:
+                assert isinstance(verdict.status, RefutedWithWitness)
+            else:
+                assert verdict.status == expected
+        assert {v.status for v in classify_asymptotic(T)} == {Confirmed(0)}
 
 def _eventually_positive(dim, norm):
     return make_eventually_positive(dim, 0.5, 5, norm=norm).model
@@ -1438,111 +1520,6 @@ class TestCoordinatePairings:
             asymptotic = classify_asymptotic(T)
             assert all(v.status is asymptotic[0].status for v in asymptotic)
 
-    def test_rank_k_pairs_in_closed_form(self):
-        T = averaging_plus_slope(41)
-        tests = default_test_set(T)
-        C, D = _pairings(T, function_space_test_set(T.space))
-        for n in (1, 3):
-            expected = [[pairing(T, n, x, phi) for phi in tests.functionals] for x in tests.vectors]
-            pair = C @ (T.eigen_parameters[:, None] ** (n - 1) * D)
-            assert pair == pytest.approx(np.array(expected), rel=1e-12, abs=1e-14)
-
-
-    @pytest.mark.parametrize(
-        "T",
-        [
-            averaging_plus_slope(),
-            averaging_plus_singular(),
-            RankK(
-                (Tabulated(tuple((1.0 + 0.5j) * np.exp(midpoint_rule(-1.0, 1.0, 400)[0]))),),
-                (WeightedIntegral(Constant(1.0), 0.5),),
-                LpQuadrature(2.0, *map(tuple, midpoint_rule(-1.0, 1.0, 400))),
-            ),
-        ],
-        ids=["ex2.2a", "ex2.2b", "tabulated"],
-    )
-    def test_pairings_equal_apply_functional_bit_for_bit(self, T):
-        # the prebuilt rows give the pairings that `apply` gives the
-        # test functionals, also where a tabulated function takes the
-        # quadrature path for the constant functional as well
-        tests = default_test_set(T)
-        C, D = _pairings(T, function_space_test_set(T.space))
-        assert np.array_equal(C, np.stack([T.coefficients(x.entries) for x in tests.vectors]))
-        expected = [
-            [phi.apply(f, T.space) for phi in tests.functionals] for f in T.functions
-        ]
-        assert np.array_equal(D, np.array(expected))
-
-
-def _test_set_digest(tests) -> str:
-    """sha256 of a function-space test set: its vectors as complex128, then
-    each functional's weight values and scale, HALF_INTEGRAL first."""
-    h = hashlib.sha256(np.ascontiguousarray(tests.vectors, dtype="<c16"))
-    h.update(np.array([HALF_INTEGRAL.weight.value, HALF_INTEGRAL.scale], dtype="<c16"))
-    for w in tests.weights:
-        h.update(w.astype("<c16"))
-        h.update(np.array([1.0], dtype="<c16"))
-    return h.hexdigest()
-
-
-class TestFunctionSpaceTestSet:
-    @pytest.mark.parametrize(
-        "space, digest",
-        [
-            (
-                averaging_plus_slope(41).space,
-                "fdcc0fc5cd66c96c6a503ce0d7c4d63c2e798356fa28b2555614421958284538",
-            ),
-            (
-                averaging_plus_singular(400).space,
-                "64a45b464a8254023470eec613abd5aa1ad484117318a3f5d069b8750c801f40",
-            ),
-        ],
-        ids=["grid-41", "quadrature-400"],
-    )
-    def test_entries_are_pinned(self, space, digest):
-        # the digest of the test set that one LatticeVector and one
-        # Tabulated weight were drawn for at a time: the order of the draws
-        # from the seeded stream cannot drift
-        tests = function_space_test_set(space)
-        assert _test_set_digest(tests) == digest
-        # the reference's lattice vectors and functionals are the same ones
-        reference = default_test_set(RankK((Constant(1.0),), (HALF_INTEGRAL,), space))
-        assert np.array_equal(np.stack([x.entries for x in reference.vectors]), tests.vectors)
-        assert np.array_equal(tests.norms, [norm_value(x) for x in reference.vectors])
-        assert reference.functionals[0] == HALF_INTEGRAL
-        assert [phi.weight.values for phi in reference.functionals[1:]] == [
-            tuple(w) for w in tests.weights
-        ]
-
-    @pytest.mark.parametrize("dim", [2, 7, 9, 129, 1_001])
-    @pytest.mark.parametrize("p", [None, 1.0, 1.5, 2.0, 3.0], ids=lambda p: f"p={p}" if p else "sup")
-    def test_norms_are_each_vectors_norm(self, dim, p):
-        # the one reduction over the transposed moduli gives each vector's
-        # own norm bit for bit
-        if p is None:
-            space = GridSup(tuple(np.linspace(-1.0, 1.0, dim)))
-        else:
-            space = LpQuadrature(p, *map(tuple, midpoint_rule(-1.0, 1.0, dim)))
-        tests = function_space_test_set(space)
-        assert tests.norms.tolist() == [norm_value(LatticeVector(x, space)) for x in tests.vectors]
-
-    def test_uniform_notion_is_formed_in_row_blocks(self):
-        # the nonzero-term mask, the limit point and the tested power of the
-        # uniform notion are formed LIMIT_POINT_ROWS rows at a time: on 2,001
-        # nodes a dim x dim array of floats alone would take 32 MB, and whole
-        # ones took a 70.2 MB peak
-        grid = GridSup(tuple(np.linspace(-1.0, 1.0, 2_001)))
-        T = RankK((Constant(1.0),), (HALF_INTEGRAL,), grid)
-        tracemalloc.start()
-        try:
-            trio = classify_eventual(T)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert [v.status for v in trio] == [Confirmed(0)] * 3
-        assert peak <= 70.2e6 / 4
-
 
 class _CountingRows(np.ndarray):
     """The quadrature rows of a rank-k model, counting the products
@@ -1556,44 +1533,21 @@ class _CountingRows(np.ndarray):
         return np.asarray(self) @ other
 
 
-COMPLEX_SLOPE = RankK(
-    (Constant(1.0), Monomial(1)),
-    (HALF_INTEGRAL, PointCombination((1.0, -1.0), (0.1j, -0.1j))),
-    GridSup(tuple(np.linspace(-1.0, 1.0, 41))),
-)
-
-
 class TestRankKInputs:
-    """The arrays that a rank-k classification reads are formed as before,
-    bit for bit, and only for the notions that no witness refuted."""
+    """A rank-k classification reads the arrays that the model built once,
+    and forms no factor of a test set."""
 
-    @pytest.mark.parametrize(
-        "T",
-        [get_example("ex2.2a").model, get_example("ex2.2b").model, COMPLEX_SLOPE],
-        ids=["ex2.2a", "ex2.2b", "complex-slope"],
-    )
-    def test_pairings_are_the_coefficients(self, T):
-        tests = function_space_test_set(T.space)
-        C, _ = _pairings(T, tests)
-        expected = np.stack([T.coefficients(x) for x in tests.vectors])
-        assert C.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("dim", [1, 2, 41, 201, 400, 2_001])
-    def test_random_draws_are_the_uniform_ones(self, dim):
-        shape = (2 * FUNCTION_SPACE_RANDOM, dim)
-        drawn = rng_for(0, 2).random(shape)
-        assert drawn.tobytes() == rng_for(0, 2).uniform(0.0, 1.0, size=shape).tobytes()
-
-    @pytest.mark.parametrize("name, products", [("ex2.2a", 1), ("ex2.2b", 0)])
-    def test_no_factor_for_a_refuted_notion(self, monkeypatch, name, products):
-        # ex2.2b's individual notion is refuted by its singular term, so its
-        # factor rows @ X is not formed; ex2.2a's is decided from it
+    @pytest.mark.parametrize("name", ["ex2.2a", "ex2.2b"])
+    def test_no_test_set_factor(self, monkeypatch, name):
+        # the individual and weak notions are decided by the closed-form
+        # certificate or refuted by a witness: no product rows @ X with a
+        # matrix of test vectors is formed, and the report is unchanged
         T = get_example(name).model
         expected = report_to_json(run_classify(T, name, 0)[0])
         object.__setattr__(T, "rows", T.rows.view(_CountingRows))
         monkeypatch.setattr(_CountingRows, "products", 0)
         report, failed = run_classify(T, name, 0)
-        assert _CountingRows.products == products
+        assert _CountingRows.products == 0
         assert not failed and report_to_json(report) == expected
 
     @pytest.mark.parametrize("name", ["ex2.2a", "ex2.2b"])

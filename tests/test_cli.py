@@ -29,7 +29,7 @@ from evpos.cli import (
     run_suite,
 )
 from evpos.catalog import averaging_plus_slope, get_example
-from evpos.classify import HALF_INTEGRAL, Confirmed, Notion, PositivityVerdict
+from evpos.classify import Confirmed, Notion, PositivityVerdict
 from evpos.generators import cyclic_block, make_eventually_positive, positive_random
 from evpos.operators import (
     Dense,
@@ -96,6 +96,21 @@ class TestGeneratorSpecs:
         accepted = "dim, seed" if kind == "positive_random" else "dim, gap, seed"
         with pytest.raises(InputError, match=f"^{kind}: .*; accepted keys: {accepted}$"):
             _parse_generator_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("eventually_positive:dim=4.5", "eventually_positive: dim='4.5' is not an int"),
+            ("eventually_positive:gap=abc", "eventually_positive: gap='abc' is not a float"),
+            ("cyclic_block:k=3,seed=x", "cyclic_block: seed='x' is not an int"),
+        ],
+    )
+    def test_value_of_the_wrong_type_names_kind_and_key(self, spec, message, capsys):
+        with pytest.raises(InputError) as info:
+            _parse_generator_spec(spec)
+        assert str(info.value) == message
+        assert main(["classify", "--generate", spec]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_eventually_positive_spec(self):
         model = _parse_generator_spec("eventually_positive:dim=3,gap=0.4,seed=2")
@@ -288,11 +303,10 @@ class TestRunClassify:
         # peripheral checks, and ex3.5b (spr = 0) the spr check alone
         assert len(report.checks) == {"rem3.2b": 4, "ex3.5a": 3, "ex3.5b": 1}[name]
 
-    def test_rank_k_pairings_from_prebuilt_rows(self, monkeypatch):
-        # RankK.__post_init__ built rows and samples, and the test set is
-        # drawn as arrays: ex2.2b pairs its functions with the constant
-        # functional in closed form, and with the tabulated ones by their
-        # quadrature rows, built once. Every kind's method is counted.
+    def test_rank_k_classification_reads_prebuilt_rows(self, monkeypatch):
+        # RankK.__post_init__ built rows and samples, and the individual and
+        # weak notions of ex2.2b are decided from closed-form extremes: no
+        # kind's `apply`, `row` or `sample` runs while it is classified
         model = get_example("ex2.2b").model
         kinds = {
             "apply": evpos.operators.FUNCTIONAL_KINDS.values(),
@@ -313,9 +327,7 @@ class TestRunClassify:
                 monkeypatch.setattr(cls, fname, counting(fname, getattr(cls, fname)))
         report, failed = run_classify(model, "ex2.2b", 0)
         assert not failed and len(report.classification) == 6
-        assert len(calls["apply"]) <= model.rank
-        assert all(phi == HALF_INTEGRAL for phi in calls["apply"])
-        assert calls["row"] == calls["sample"] == []
+        assert calls == {"apply": [], "row": [], "sample": []}
 
     def test_long_cycle_takes_one_coefficient_and_no_svd(self, monkeypatch):
         # the 128-cycle has 128 simple peripheral eigenvalues, each meeting

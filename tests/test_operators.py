@@ -77,6 +77,50 @@ class TestFunctionals:
         assert integrate_product(Monomial(1), SignedPower(0.5), -1.0, 1.0) == pytest.approx(0.8)
 
 
+FUNCTIONS = [
+    Constant(2.5),
+    Constant(-1.0),
+    Monomial(0),
+    Monomial(1),
+    Monomial(2),
+    Monomial(3),
+    Monomial(-1),
+    SignedPower(0.0),
+    SignedPower(0.5),
+    SignedPower(3.0),
+    SignedPower(-0.25),
+]
+INTERVALS = [(-1.0, 1.0), (0.0, 1.0), (-1.0, 0.0), (0.25, 2.0), (-3.0, -0.5)]
+
+
+class TestExtremes:
+    """A function kind's closed-form (inf, sup) over an interval bounds its
+    values there and is approached by them; an unbounded one is +-inf."""
+
+    @pytest.mark.parametrize("f", FUNCTIONS, ids=repr)
+    @pytest.mark.parametrize("lo, hi", INTERVALS)
+    def test_extremes_bound_and_meet_the_samples(self, f, lo, hi):
+        # a negative degree or exponent is singular at 0, where its
+        # extremes are infinite
+        t = np.linspace(lo, hi, 20_001)
+        singular = getattr(f, "degree", getattr(f, "exponent", 0)) < 0
+        values = f.sample(t[t != 0] if singular else t).real
+        low, high = f.extremes(lo, hi)
+        assert low <= values.min() + 1e-12 and values.max() <= high + 1e-12
+        for end, seen in ((low, values.min()), (high, values.max())):
+            if np.isfinite(end):
+                assert seen == pytest.approx(end, abs=1e-3)
+            else:
+                assert singular and lo <= 0.0 <= hi
+
+    def test_complex_functions_have_no_extremes(self):
+        assert Constant(1.0 + 1e-3j).extremes(-1.0, 1.0) is None
+        assert Tabulated((1.0, 2.0j)).extremes(-1.0, 1.0) is None
+
+    def test_tabulated_is_read_at_its_nodes(self):
+        assert Tabulated((0.5, -2.0, 3.0)).extremes(-1.0, 1.0) == (-2.0, 3.0)
+
+
 class TestDualityMatrices:
     def test_slope_model_duality(self):
         T = averaging_plus_slope(201)

@@ -27,6 +27,7 @@ from evpos.operators import (
     Monomial,
     PointCombination,
     RankK,
+    SignedPower,
     Tabulated,
     WeightedIntegral,
     model_to_json,
@@ -78,8 +79,7 @@ ALLOWLIST = {
     ),
     "lattice.LatticeVector.__len__": "the lengths that power_apply and pairing check",
     "classify.default_test_set": (
-        "the test set of the reference individual_eventual, as lattice vectors "
-        "and functional representations"
+        "the test set of the reference individual_eventual: the basis vectors"
     ),
     "report.report_from_json": "reads reports back; the round-trip tests use it",
     "report._require": "the record-key check of report_from_json",
@@ -88,11 +88,11 @@ ALLOWLIST = {
 
 
 def _command_lines(tmp):
-    """Each catalog example and its model file, an l-inf dense file, four
-    rank-k files on a 41-node grid, a dense file above the cap on dense
-    views, one with a peripheral Jordan block, one whose spectral projection is
-    ill-conditioned and one with a double peripheral eigenvalue, the
-    generators, the suites, orbits and the bad-input exits."""
+    """Each catalog example and its model file, an l-inf dense file, five
+    rank-k files on a 41-node grid and one on 5 nodes, a dense file above
+    the cap on dense views, one with a peripheral Jordan block, one whose
+    spectral projection is ill-conditioned and one with a double peripheral
+    eigenvalue, the generators, the suites, orbits and the bad-input exits."""
 
     def write(name, content):
         path = os.path.join(tmp, name)
@@ -135,6 +135,23 @@ def _command_lines(tmp):
         (Constant(1.0), cube), (WeightedIntegral(Constant(1.0), 0.5), WeightedIntegral(cube, 1.0)), grid
     )
     lines.append(["classify", write("rank-k-tabulated.json", model_to_json(tabulated))])
+    # g -> g(0) 1 + 0.3 (int sgn g) x: a bump off 0 meets the integral alone,
+    # and its powers, multiples of x, change sign (a face witness); a
+    # tabulated slope on 5 nodes, whose Perron certificate reads the slope's
+    # extremes at the nodes
+    face = RankK(
+        (Constant(1.0), Monomial(1)),
+        (PointCombination((0.0,), (1.0,)), WeightedIntegral(SignedPower(0.0), 0.3)),
+        grid,
+    )
+    lines.append(["classify", write("rank-k-face.json", model_to_json(face))])
+    coarse = GridSup(tuple(np.linspace(-1.0, 1.0, 5)))
+    tabulated_slope = RankK(
+        (Constant(1.0), Tabulated(coarse.nodes)),
+        (WeightedIntegral(Constant(1.0), 0.5), PointCombination((1.0, -1.0), (0.25, -0.25))),
+        coarse,
+    )
+    lines.append(["classify", write("rank-k-tabulated-slope.json", model_to_json(tabulated_slope))])
     lines.append(["classify", write("dense129.json", model_to_json(Dense(np.eye(129), EllInf())))])
     # a peripheral Jordan block that the solver splits, whose limit points
     # allow for the merge error; it is not nonnegative, so the eventual trio
@@ -159,6 +176,8 @@ def _command_lines(tmp):
     # the negative shift and a rank-k model: classification steps no orbit
     lines.append(["orbit", "--example", "ex3.5b"])
     lines.append(["orbit", "--example", "ex2.2a", "--n", "3"])
+    # the L^p quadrature norm of ex2.2b's orbit
+    lines.append(["orbit", "--example", "ex2.2b", "--n", "2"])
     bad = [
         ["classify", write("not-json.json", "{")],
         ["classify", write("bad-model.json", {"variant": "dense", "n": 2})],
@@ -273,8 +292,6 @@ REMOVED_PARAMETERS = [
     ("verify", "multiplicity_monotonicity_check", "power_bounds"),
     ("verify", "positive_eigenvector", "power_bounds"),
     ("classify", "default_test_set", "seed"),
-    ("classify", "function_space_test_set", "seed"),
-    ("classify", "function_space_test_set", "n_random"),
     ("classify", "delta_n", "spr"),
     ("classify", "classify_eventual", "horizon"),
     ("classify", "uniform_eventual", "horizon"),
@@ -332,4 +349,3 @@ def test_constants_keep_the_removed_defaults():
     assert evpos.verify.CYCLICITY_POWERS == 12
     assert evpos.verify.MONOTONICITY_POWERS == (-3, -2, -1, 0, 1, 2, 3)
     assert evpos.verify.ANNIHILATED == 1e-9
-    assert evpos.classify.FUNCTION_SPACE_RANDOM == 16
