@@ -314,91 +314,64 @@ def _tail_certificate(T: Dense) -> Optional[Confirmed]:
 
 
 def _diagonal_status(T: Diagonal) -> Status:
-    """Exact: T^n = diag(s^n). An entry of modulus spr = max |s| passes only
-    when it is spr exactly, as spr e^(i phi) turns round to -spr however
-    small phi is; any other entry is tested within DEFAULT_TOL spr, and one
-    that fails refutes, as s^n is off the positive reals for infinitely many
-    n. One that passes can still turn off them at a later n: with
-    mu = s/spr = r e^(i phi), dist(mu^n, R+) <= n r^n |phi| at every n >= 1.
-    n r^n rises up to n = -1/ln r and falls after it, so its largest value
-    is at one of the two integers next to that. The trio is confirmed at
-    n0 = 0 when every entry's largest bound is at most DEFAULT_TOL, and
-    otherwise undetermined, with horizon 0 as no power is stepped."""
-    spr = T.spectral_radius()
-    on_circle = np.abs(T.symbol) == spr
+    """Exact: T^n = diag(s^n). An entry s on the nonnegative reals stays on
+    them at every power; any other entry, s = r e^(i phi) with r > 0 and
+    phi not a multiple of 2 pi, has s^n off them for infinitely many n,
+    however small phi or r is. So the trio is confirmed at n0 = 0 when every
+    entry has a zero imaginary part and a nonnegative real part, compared
+    exactly on the given floats, and otherwise refuted by the first entry
+    that has not."""
     for k, s in enumerate(T.symbol):
-        if not (s == spr if on_circle[k] else entrywise_positive(s, DEFAULT_TOL * spr)):
+        if not (s.imag == 0 and s.real >= 0):
             return RefutedWithWitness(
                 (k, s), f"symbol entry {s} at index {k} is not a positive real"
             )
-    mu = T.symbol / spr
-    r, phi = np.abs(mu), np.abs(np.angle(mu))
-    with np.errstate(divide="ignore"):
-        n = np.maximum(np.floor(-1.0 / np.log(r)), 1.0)
-    # an entry inside the circle whose modulus rounds to spr has no bound
-    peak = np.where(r < 1.0, np.maximum(n * r**n, (n + 1) * r ** (n + 1)), np.inf)
-    drift = peak[phi > 0] * phi[phi > 0]
-    return Confirmed(0) if (drift <= DEFAULT_TOL).all() else UndeterminedUpToHorizon(0)
+    return Confirmed(0)
 
 
 def _shift_status(T: WeightedShift) -> Status:
     """Exact: (T^k)_{j+k,j} = w_j ... w_{j+k-1} and T^dim = 0, so T^k is
     positive iff each product of k consecutive weights is a positive real,
-    and n0 is one past the last k < dim where one is not. Each product is
-    tested relative to the largest of its length, from unit phases and
-    log-magnitudes, so no product is formed in floating point; a product
-    with a zero weight has phase 0 and is not live. The lengths are tested
-    a tile at a time (`_shift_tiles`): a row of a tile holds one length's
-    products, P[t, j] * exp(L[t, j] - max over live j of L[t, j]) is formed
-    in place, and a row fails the test when some entry is off the positive
-    reals beyond DEFAULT_TOL and the row has a live product. The exponent
-    is clamped at 0: a live one is at most 0 already, and a dead window
-    (phase 0) may lie far above the live maximum, where its exp would
-    overflow and 0 * inf fail the row; clamped, it is 0 and passes."""
+    and n0 is one past the last k < dim where one is not. A product's sign
+    is the sign of its phase, the product of the unit phases w/|w|, so no
+    magnitude is formed in floating point; a window with a zero weight has
+    phase 0 and passes. A real weight's phase is exactly +-1, so products
+    of real weights are decided exactly; a complex phase product passes
+    within DEFAULT_TOL of the positive reals. The lengths are tested a tile
+    at a time (`_shift_tiles`), a row of a tile holding one length's
+    products."""
     mag = np.abs(T.weights)
     phase = np.divide(T.weights, mag, out=np.zeros_like(T.weights), where=mag > 0)
-    logmag = np.log(np.where(mag > 0, mag, 1.0))  # a zero weight has phase 0
     n0 = 0
-    for k, P, L in _shift_tiles(phase, logmag):
-        live = P != 0
-        top = L.max(axis=1, where=live, initial=-np.inf)
-        with np.errstate(invalid="ignore"):
-            L -= top[:, None]
-            np.minimum(L, 0.0, out=L)
-            P *= np.exp(L, out=L)
+    for k, P in _shift_tiles(phase):
         passes = (P.real.min(axis=1) >= -DEFAULT_TOL) & (np.abs(P.imag).max(axis=1) <= DEFAULT_TOL)
-        failed = np.flatnonzero(live.any(axis=1) & ~passes)
+        failed = np.flatnonzero(~passes)
         if failed.size:
             n0 = k + int(failed[-1]) + 1
     return Confirmed(n0)
 
 
-def _shift_tiles(phase: np.ndarray, logmag: np.ndarray):
-    """(k, P, L) for tiles of the window lengths k, k + 1, ... < dim, where
-    dim = len(phase) + 1: P[t, j] and L[t, j] are the phase and
-    log-magnitude of w_j ... w_{j+k+t-1}, for every start j < dim - k. A
-    window that runs past the last weight is dead: phase 0 and
-    log-magnitude -inf. A tile holds at most SHIFT_TILE // (dim - k)
+def _shift_tiles(phase: np.ndarray):
+    """(k, P) for tiles of the window lengths k, k + 1, ... < dim, where
+    dim = len(phase) + 1: P[t, j] is the phase of w_j ... w_{j+k+t-1}, for
+    every start j < dim - k. A window that runs past the last weight is
+    dead, with phase 0. A tile holds at most SHIFT_TILE // (dim - k)
     lengths, and at least one, so it stays cache-sized. Row t + 1 is row t
-    times the next weight's phase, and plus its log-magnitude, formed by the
-    same elementwise multiply and add at every length: a cumulative product
-    (`np.cumprod`) rounds a complex product differently."""
+    times the next weight's phase, formed by the same elementwise multiply
+    at every length: a cumulative product (`np.cumprod`) rounds a complex
+    product differently."""
     dim, k = len(phase) + 1, 1
-    ph, lg = phase, logmag
+    ph = phase
     while k < dim:
         starts = dim - k
         lengths = min(starts, max(1, SHIFT_TILE // starts))
         P = np.zeros((lengths, starts), dtype=complex)
-        L = np.full((lengths, starts), -np.inf)
-        P[0], L[0] = ph, lg
+        P[0] = ph
         for t in range(1, lengths):
-            live = starts - t
-            np.multiply(P[t - 1, :live], phase[k + t - 1 :], out=P[t, :live])
-            np.add(L[t - 1, :live], logmag[k + t - 1 :], out=L[t, :live])
-        # the first row of the next tile, before the caller scales this one
+            np.multiply(P[t - 1, : starts - t], phase[k + t - 1 :], out=P[t, : starts - t])
+        # the first row of the next tile
         ph = P[-1, : starts - lengths] * phase[k + lengths - 1 :]
-        lg = L[-1, : starts - lengths] + logmag[k + lengths - 1 :]
-        yield k, P, L
+        yield k, P
         k += lengths
 
 
@@ -436,7 +409,7 @@ def _rank_k_eventual(T: RankK, limit: LimitStatus) -> tuple:
     elif uniform is None:
         uniform = PositivityVerdict(
             Notion.UNIFORM_EVENTUAL,
-            _rank_k_status(T, status, limit, T.samples, T.rows, _grid_passes_in_blocks),
+            _rank_k_status(T, status, limit),
         )
     if face is not None:
         return uniform, individual, replace(individual, notion=Notion.WEAK_EVENTUAL)
@@ -537,11 +510,11 @@ def _in_space(f, extremes: tuple, space: NormKind) -> bool:
     return singular and np.real(f.exponent) * space.p > -1
 
 
-def _rank_k_status(T: RankK, status: Optional[Status], limit: LimitStatus, U, V, passes) -> Status:
-    """The status of a notion whose test `passes(U, W)` reads
-    u_n = U W with W = diag(mu^(n-1)) V / spr, the quantity at
-    S^n = T^n/spr^n, for n >= 1 (mu = lam/spr), in this order and with no
-    horizon:
+def _rank_k_status(T: RankK, status: Optional[Status], limit: LimitStatus) -> Status:
+    """The status of the uniform notion, whose test reads the grid entries
+    u_n = U W of S^n = T^n/spr^n, with U the samples, V the rows and
+    W = diag(mu^(n-1)) V / spr for n >= 1 (mu = lam/spr), tested in row
+    blocks (`_grid_passes_in_blocks`), in this order and with no horizon:
     1. At spr = 0 (`status` is None) T^2 = 0, as every
        <phi_i, f_j> = lam_i delta_ij is 0, so only T itself is tested.
     2. A refuted limit status refutes, as each eventual notion implies its
@@ -550,35 +523,40 @@ def _rank_k_status(T: RankK, status: Optional[Status], limit: LimitStatus, U, V,
        (`LimitStatus.peripheral`), and real U, V and lam, decides by a tail
        certificate: u_n = L + sum over i not in I of
        mu_i^(n-1) U[:, i] V[i] / spr, with L = U[:, I] V[I] / spr. An entry
-       whose every term is exactly 0 is 0 at every power; over the others,
-       the gap is min L (`_least_live_entry`) less MARGIN_ROUNDINGS times
-       the rounding of L (`_term_rounding`, as the limit status allows).
-       Past n_t, the first n where sum over i not in I of
-       |mu_i|^(n-1) max|U[:, i]| max|V[i]| / spr is below the gap, every
-       u_n is real and positive, so the notion holds; the powers below n_t
-       take its test directly (the uniform one in row blocks,
-       `_grid_passes_in_blocks`). n_t is capped at MAX_TAIL.
+       where no decaying term (i not in I) is nonzero equals L at every
+       n >= 1; one below L's rounding (MARGIN_ROUNDINGS times
+       `_term_rounding`, as the limit status allows) leaves the notion
+       undetermined, and n = 1 is always tested directly. Over the other
+       entries (`_least_entries`) the gap is min L less that margin. Past
+       n_t, the first n where sum over i not in I of
+       |mu_i|^(n-1) max|U[:, i]| max|V[i]| / spr is below the gap, those
+       entries are real and positive, so the notion holds; the powers below
+       n_t, and n = 1, take its test directly. n_t is capped at MAX_TAIL.
     4. Anything else is undetermined, at horizon 0."""
+    U, V = T.samples, T.rows
     if status is None:
-        return Confirmed(_last_failure([passes(U, V)]))
+        return Confirmed(_last_failure([_grid_passes_in_blocks(U, V)]))
     if isinstance(status, RefutedWithWitness):
         return status
     mu, periph = limit.peripheral
     if (mu[periph] != 1).any() or any(a.imag.any() for a in (U, V, mu)):
         return UndeterminedUpToHorizon(0)
     U, V, mu = U.real, V.real / T.spectral_radius(), mu.real
-    margin = MARGIN_ROUNDINGS * _term_rounding(U[:, periph], V[periph])
-    gap = _least_live_entry(U, V, periph) - margin
     rest = np.ones(len(mu), dtype=bool)
     rest[periph] = False
+    margin = MARGIN_ROUNDINGS * _term_rounding(U[:, periph], V[periph])
+    decaying, constant = _least_entries(U, V, periph, rest)
+    if not constant >= -margin:
+        return UndeterminedUpToHorizon(0)
+    gap = decaying - margin
     size = np.abs(U[:, rest]).max(axis=0) * np.abs(V[rest]).max(axis=1)
     # tail[n - 1] bounds every entry of u_n - L
     tail = np.abs(mu[rest]) ** np.arange(MAX_TAIL)[:, None] @ size
     below = np.flatnonzero(tail < gap)
     if not below.size:
         return UndeterminedUpToHorizon(0)
-    powers = (mu[:, None] ** (n - 1) * V for n in range(1, int(below[0]) + 1))
-    return Confirmed(_last_failure(passes(U, W) for W in powers))
+    powers = (mu[:, None] ** (n - 1) * V for n in range(1, max(int(below[0]), 1) + 1))
+    return Confirmed(_last_failure(_grid_passes_in_blocks(U, W) for W in powers))
 
 
 def _row_blocks(U: np.ndarray):
@@ -588,16 +566,18 @@ def _row_blocks(U: np.ndarray):
     return ((start, U[start : start + LIMIT_POINT_ROWS]) for start in starts)
 
 
-def _least_live_entry(U: np.ndarray, V: np.ndarray, periph: np.ndarray) -> float:
-    """The least entry of L = U[:, I] V[I] (I = periph) over the entries
-    where some term U[a, i] V[i, b] is nonzero, inf where none is; formed in
-    row blocks."""
-    nonzero = (V != 0).astype(float)
-    least = [
-        (B[:, periph] @ V[periph])[(B != 0).astype(float) @ nonzero > 0].min(initial=np.inf)
-        for _, B in _row_blocks(U)
-    ]
-    return float(np.min(least))
+def _least_entries(U: np.ndarray, V: np.ndarray, periph: np.ndarray, rest: np.ndarray) -> tuple:
+    """The least entries of L = U[:, I] V[I] (I = periph): over the entries
+    where some decaying term U[a, i] V[i, b] (i in rest) is nonzero, and
+    over the others, each inf where there is none; formed in row blocks."""
+    nonzero = (V[rest] != 0).astype(float)
+    least = []
+    for _, B in _row_blocks(U):
+        L = B[:, periph] @ V[periph]
+        live = (B[:, rest] != 0).astype(float) @ nonzero > 0
+        least.append((L[live].min(initial=np.inf), L[~live].min(initial=np.inf)))
+    decaying, constant = np.min(least, axis=0)
+    return float(decaying), float(constant)
 
 
 def _grid_passes_in_blocks(U: np.ndarray, W: np.ndarray) -> bool:

@@ -231,10 +231,15 @@ class WeightedIntegral:
 
     def hat_pairing(self, peak: float, width: float) -> complex:
         """<phi, hat> for the hat of this width at `peak`, exact for a
-        constant weight."""
-        if not isinstance(self.weight, Constant):
-            raise OperatorError("hat witness requires a constant integral weight")
-        return self.scale * self.weight.value * width / 2.0
+        constant weight. In the width-0 limit it is 0 for any analytic
+        weight integrable at the peak, one whose half-line exponents are
+        both above -1, as the hat's integral against it vanishes."""
+        if isinstance(self.weight, Constant):
+            return self.scale * self.weight.value * width / 2.0
+        powers = self.weight.halfline_powers()
+        if width == 0.0 and powers is not None and min(powers[1], powers[3]) > -1:
+            return 0j
+        raise OperatorError("hat witness requires a constant or, at width 0, integrable weight")
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "weight": self.weight.to_json(), "scale": _c2j(self.scale)}

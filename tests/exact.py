@@ -1,12 +1,15 @@
-"""Exact replay of rank-k powers, in rational arithmetic (standard library
-only).
+"""Exact replay of powers, in rational arithmetic (standard library only).
 
 A float is a dyadic rational, so the samples, the quadrature rows and the
 eigen-parameters of a rank-k model with real data are exact rationals, and
 so is T^n x = sum_i lam_i^(n-1) <phi_i, x> f_i for n >= 1 and a rational
-grid vector x. Tests hold a witness to these powers, with no rounding.
+grid vector x. A diagonal's entries are Gaussian rationals, and so are
+their powers; the sign of a product of real shift weights is the product
+of their signs. Tests hold a verdict or a witness to these, with no
+rounding.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -40,3 +43,32 @@ class RankKPowers:
                 if scale:
                     y = [a + scale * b for a, b in zip(y, f)]
             yield y
+
+
+def gaussian(z) -> tuple:
+    """A complex number as the exact Gaussian rational (re, im) it is."""
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def nonnegative(z: tuple) -> bool:
+    """A Gaussian rational (re, im) lies on the nonnegative reals."""
+    re, im = z
+    return im == 0 and re >= 0
+
+
+def diagonal_powers(symbol, last: int):
+    """s^n for each entry s of the symbol, for n = 1, ..., last, each a list
+    of Gaussian rationals."""
+    entries = powers = [gaussian(s) for s in symbol]
+    yield powers
+    for _ in range(last - 1):
+        powers = [(a * c - b * d, a * d + b * c) for (a, b), (c, d) in zip(powers, entries)]
+        yield powers
+
+
+def shift_window_signs(weights, k: int) -> list:
+    """The sign, -1, 0 or 1, of each product of k consecutive real weights,
+    w_j ... w_{j+k-1} for j = 0, ..., len(weights) - k."""
+    signs = [(w > 0) - (w < 0) for w in map(rational, weights)]
+    return [math.prod(signs[j : j + k]) for j in range(len(signs) - k + 1)]

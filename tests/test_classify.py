@@ -254,14 +254,22 @@ class TestScaleFreeEventualTest:
             (np.full(3, -1e-200), 4),
             (np.array([1e300, 0.0, 1e-300, 1e-300]), 0),
             (np.array([1e300, 0.0, 1e-300, -1e-300]), 3),
+            (np.array([-1e-10, 0.0, 1e10]), 2),
         ],
-        ids=["1e200", "minus-1e-200", "dead-window-above", "dead-window-above-negative"],
+        ids=[
+            "1e200",
+            "minus-1e-200",
+            "dead-window-above",
+            "dead-window-above-negative",
+            "small-negative-beside-large",
+        ],
     )
     def test_extreme_shift_weights_decided_exactly(self, weights, n0):
         # the products of consecutive weights overflow (positive) or
-        # underflow (T and T^3 negative) in floating point; a dead window
-        # (w_0 w_1 = 0) lies about 2,000 in log-magnitude above the live
-        # w_2 w_3, and passes without an overflow
+        # underflow (T and T^3 negative) in floating point, and a window's
+        # sign is its phase product's, whatever its size beside the others:
+        # T itself holds -1e-10 next to 1e10, and every longer window of the
+        # last shift is dead (w_1 = 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             statuses = [v.status for v in self._eventual(WeightedShift(weights, Ell1()))]
@@ -275,21 +283,16 @@ class TestScaleFreeEventualTest:
 
 def _shift_status_loop(T: WeightedShift) -> Confirmed:
     """`_shift_status` as a loop over the window lengths: one pass over the
-    products of each length k, formed from those of length k - 1."""
+    phase products of each length k, formed from those of length k - 1."""
     mag = np.abs(T.weights)
     phase = np.divide(T.weights, mag, out=np.zeros_like(T.weights), where=mag > 0)
-    logmag = np.log(np.where(mag > 0, mag, 1.0))  # a zero weight has phase 0
     n0 = 0
-    ph, lg = phase, logmag
+    ph = phase
     for k in range(1, T.dim):
-        # ph[j], lg[j]: the phase and log-magnitude of w_j ... w_{j+k-1}
-        live = ph != 0
-        if live.any():
-            # a dead window far above the live maximum scales by at most 1
-            scale = np.exp(np.minimum(lg - lg[live].max(), 0.0))
-            if not entrywise_positive(ph * scale, DEFAULT_TOL):
-                n0 = k + 1
-        ph, lg = ph[:-1] * phase[k:], lg[:-1] + logmag[k:]
+        # ph[j]: the phase of w_j ... w_{j+k-1}, 0 when a weight is 0
+        if not entrywise_positive(ph, DEFAULT_TOL):
+            n0 = k + 1
+        ph = ph[:-1] * phase[k:]
     return Confirmed(n0)
 
 
@@ -321,8 +324,8 @@ class TestShiftTiles:
         rng = np.random.default_rng(29)
         seen = set()
         with warnings.catch_warnings():
-            # neither the loop nor the tiles overflow on a dead window of a
-            # zero weight next to huge ones: its exponent is clamped at 0
+            # neither the loop nor the tiles form a magnitude, so none
+            # overflows next to huge weights
             warnings.simplefilter("error", RuntimeWarning)
             for tile in (1, 7, 64, evpos.classify.SHIFT_TILE):
                 monkeypatch.setattr(evpos.classify, "SHIFT_TILE", tile)
@@ -346,16 +349,14 @@ class TestShiftTiles:
             weights = WeightedShift(_seeded_shift_weights(rng, dim, trial % 4), Ell1()).weights
             mag = np.abs(weights)
             phase = np.divide(weights, mag, out=np.zeros_like(weights), where=mag > 0)
-            logmag = np.log(np.where(mag > 0, mag, 1.0))
-            ph, lg, length = phase, logmag, 1
-            for k, P, L in evpos.classify._shift_tiles(phase, logmag):
+            ph, length = phase, 1
+            for k, P in evpos.classify._shift_tiles(phase):
                 for t in range(len(P)):
                     assert k + t == length
                     live = len(ph)
                     assert P[t, :live].tobytes() == ph.tobytes()
-                    assert L[t, :live].tobytes() == lg.tobytes()
-                    assert not P[t, live:].any() and (L[t, live:] == -np.inf).all()
-                    ph, lg = ph[:-1] * phase[length:], lg[:-1] + logmag[length:]
+                    assert not P[t, live:].any()
+                    ph = ph[:-1] * phase[length:]
                     length += 1
             assert length == len(weights) + 1
 
@@ -385,6 +386,88 @@ class TestShiftTiles:
             tracemalloc.stop()
         assert status == Confirmed(4_000)
         assert peak <= 2e6, peak
+
+
+def _seeded_symbol(rng, family: int) -> np.ndarray:
+    """2 to 6 diagonal entries of one of four families: positive reals and
+    zeros; positive reals, one of them turned off the reals by a phase of
+    1e-15 to 1e-3; reals with a few negative ones; and positive multiples of
+    roots of unity of order at most 6. The moduli range over 1e-5 to 1e5."""
+    dim = int(rng.integers(2, 7))
+    moduli = 10.0 ** rng.uniform(-5.0, 5.0, dim)
+    if family == 0:
+        return moduli * rng.choice([0.0, 1.0], dim, p=[0.2, 0.8])
+    if family == 1:
+        symbol = moduli.astype(complex)
+        k = int(rng.integers(dim))
+        symbol[k] *= np.exp(1j * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15.0, -3.0))
+        return symbol
+    if family == 2:
+        return moduli * rng.choice([-1.0, 1.0], dim, p=[0.3, 0.7])
+    q = rng.integers(1, 7, dim)
+    return moduli * np.exp(2j * np.pi * rng.integers(0, 6, dim) / q)
+
+
+def _seeded_real_weights(rng) -> np.ndarray:
+    """1 to 29 real shift weights of sign -1, 0 or 1 and moduli from
+    1e-300 to 1e300."""
+    size = int(rng.integers(1, 30))
+    signs = rng.choice([-1.0, 0.0, 1.0], size, p=[0.1, 0.1, 0.8])
+    return signs * 10.0 ** rng.uniform(-300.0, 300.0, size)
+
+
+LAST_POWER = 40
+
+
+class TestExactOracle:
+    """The eventual trio of a diagonal and of a real-weight shift agrees
+    with the exact powers (`exact.diagonal_powers`, `exact.shift_window_signs`):
+    a Confirmed(n0) holds at every n from max(n0, 1) to LAST_POWER and fails
+    at n0 - 1, and a refuted diagonal's witness entry is off the nonnegative
+    reals at n = 1."""
+
+    def test_diagonals_agree_with_their_exact_powers(self):
+        rng = np.random.default_rng(32)
+        symbols = [np.array([2.0, 1.0 + 1e-12j])]
+        symbols += [_seeded_symbol(rng, trial % 4) for trial in range(199)]
+        kinds = set()
+        for symbol in symbols:
+            T = Diagonal(symbol, Ell1())
+            status = classify_eventual(T)[0].status
+            assert {v.status for v in classify_eventual(T)} == {status}
+            kinds.add(type(status))
+            powers = list(exact.diagonal_powers(T.symbol, LAST_POWER))
+            if isinstance(status, Confirmed):
+                assert status == Confirmed(0), symbol
+                assert all(exact.nonnegative(z) for p in powers for z in p), symbol
+            else:
+                assert isinstance(status, RefutedWithWitness), (symbol, status)
+                k, s = status.witness
+                assert s == T.symbol[k] and not exact.nonnegative(powers[0][k]), symbol
+        assert kinds == {Confirmed, RefutedWithWitness}
+
+    def test_real_shifts_agree_with_their_exact_window_signs(self):
+        rng = np.random.default_rng(32)
+        weights = [np.array([-1e-10, 0.0, 1e10])]
+        weights += [_seeded_real_weights(rng) for _ in range(199)]
+        thresholds = set()
+        for w in weights:
+            T = WeightedShift(w, Ell1())
+            statuses = {v.status for v in classify_eventual(T)}
+            assert len(statuses) == 1, statuses
+            (status,) = statuses
+            assert isinstance(status, Confirmed), (w, status)
+
+            def holds(n):
+                # T^n = 0 from n = dim on
+                return n >= T.dim or min(exact.shift_window_signs(w, n)) >= 0
+
+            n0 = status.n0
+            assert all(holds(n) for n in range(max(n0, 1), LAST_POWER + 1)), (w, n0)
+            if n0 > 0:
+                assert not holds(n0 - 1), (w, n0)
+            thresholds.add(min(n0, 2))
+        assert thresholds == {0, 2}
 
 
 # a positive rank-1 projection plus a rotation of modulus 0.876 by 0.259 rad,
@@ -896,24 +979,25 @@ class TestExactPeripheralEntries:
             ([2.0, 1.0, 0.0], Confirmed, Confirmed),
             ([2.0, -2.0], RefutedWithWitness, RefutedWithWitness),
             ([2.0, 2j], RefutedWithWitness, RefutedWithWitness),
-            # n r^n |phi| is at most 0.5e-12 over every n
-            ([2.0, 1.0 + 1e-12j], Confirmed, Confirmed),
-            # 0.999 e^(1e-10 i) passes at n = 1, but n r^n |phi| peaks at
-            # 3.7e-8 near n = 999, where mu^n is that far off the reals
-            ([1.0, 0.999 * np.exp(1e-10j)], UndeterminedUpToHorizon, Confirmed),
+            # (1 + 1e-12 i)^n is non-real at every n; relative to spr^n it
+            # dies out, so the limit is positive
+            ([2.0, 1.0 + 1e-12j], RefutedWithWitness, Confirmed),
+            # 0.999 e^(1e-10 i) is non-real at n = 1 already, and its powers
+            # turn round to the negative reals near n = pi 1e10
+            ([1.0, 0.999 * np.exp(1e-10j)], RefutedWithWitness, Confirmed),
         ],
         ids=["positive", "minus-spr", "i-spr", "tiny-phase-inside", "slow-turn-inside"],
     )
     def test_only_entries_of_modulus_spr_are_exact(self, symbol, eventual, asymptotic):
-        # an entry inside the spectral circle keeps the test within tol, and
-        # confirms only when its bound holds at every power
+        # the eventual trio reads every entry's sign exactly, however small
+        # its phase or modulus; the limit keeps only the entries of modulus
+        # spr, which are exact
         T = Diagonal(np.array(symbol, dtype=complex), Ell1())
         assert {type(v.status) for v in classify_eventual(T)} == {eventual}
         assert {type(v.status) for v in classify_asymptotic(T)} == {asymptotic}
-        if eventual is UndeterminedUpToHorizon:
-            assert classify_eventual(T)[0].status == UndeterminedUpToHorizon(0)
-            mu = T.symbol[1] / T.spectral_radius()
-            assert abs((mu**999).imag) > DEFAULT_TOL
+        if eventual is RefutedWithWitness:
+            k, s = classify_eventual(T)[0].status.witness
+            assert s == T.symbol[k] and not (s.imag == 0 and s.real >= 0)
 
 
 class TestRankKLimitRule:
@@ -1192,6 +1276,59 @@ class TestAnalyticRefutations:
         assert [(w.n, w.point) for w in hat_limit_witnesses(T)] == [witness]
         assert isinstance(uniform_eventual(T).status, RefutedWithWitness)
 
+    def test_hat_limit_passes_an_integrable_weight(self):
+        # g -> 1.5 (int t^2 g) 1 + 0.1 (g(1) - g(-1)) t, lam = (1, 0.2): the
+        # integral of t^2 against a hat vanishes as its width goes to 0, so a
+        # hat at 1 meets the point functional alone and T^n of it tends to
+        # 0.1 0.2^(n-1) t, negative at -1 at every power
+        T = RankK(
+            (Constant(1.0), Monomial(1)),
+            (WeightedIntegral(Monomial(2), 1.5), PointCombination((1.0, -1.0), (0.1, -0.1))),
+            GridSup(tuple(np.linspace(-1.0, 1.0, 41))),
+        )
+        assert np.allclose(T.eigen_parameters, [1.0, 0.2])
+        assert [(w.n, w.point) for w in hat_limit_witnesses(T)] == [(1, -1.0)]
+        uniform, individual, weak = classify_eventual(T)
+        assert isinstance(uniform.status, RefutedWithWitness)
+        # the Perron certificate confirms the other two
+        assert individual.status == weak.status == Confirmed(0)
+        report, failed = run_classify(T, "weighted-hat", 0)
+        assert not failed and report.contradiction_count == 0
+
+    @pytest.mark.parametrize(
+        "weight, width, pairing",
+        [
+            (Constant(2.0), 0.1, 0.05),
+            (Constant(2.0), 0.0, 0.0),
+            (Monomial(2), 0.0, 0.0),
+            (SignedPower(-0.5), 0.0, 0.0),
+            (Monomial(2), 0.1, None),
+            (Monomial(-1), 0.0, None),
+            (SignedPower(-1.0), 0.0, None),
+            (Tabulated((1.0, 2.0, 3.0)), 0.0, None),
+        ],
+        ids=[
+            "constant",
+            "constant-limit",
+            "square-limit",
+            "inverse-root-limit",
+            "square-wide",
+            "inverse-limit",
+            "signed-inverse-limit",
+            "tabulated-limit",
+        ],
+    )
+    def test_hat_pairing_of_an_integral(self, weight, width, pairing):
+        # a constant weight pairs in closed form at any width; another
+        # analytic weight only in the width-0 limit, where it pairs to 0 when
+        # it is integrable at the peak; a tabulated weight has no limit
+        phi = WeightedIntegral(weight, 0.5)
+        if pairing is None:
+            with pytest.raises(evpos.operators.OperatorError):
+                phi.hat_pairing(0.0, width)
+        else:
+            assert phi.hat_pairing(0.0, width) == pairing
+
     def test_hat_limit_skips_a_peak_that_meets_two_functionals(self):
         # a hat at 1 meets the functional with eigenvalue 1.2 and the one with
         # 1: T^n of it tends to 0.1 1.2^(n-1) + 0.5 x, negative at -1 only up
@@ -1308,6 +1445,42 @@ class TestRankKTailCertificate:
         # its grid powers are 0 off the columns at -1 and 1 at every power
         for status in _eventual_kinds(_point_slope_model(END_MEAN, c, nodes)).values():
             assert status == {"kind": "confirmed", "n0": 0}
+
+    @pytest.mark.parametrize("nodes", [41, 201])
+    def test_every_term_peripheral_is_tested_at_one_power(self, nodes):
+        # g -> (g(1) + g(-1))/2 + 0.5 (g(1) - g(-1)) x has lam = (1, 1), so
+        # T^n = T; its limit point cancels to an exact 0 at the entry (-1, 1),
+        # which no decaying term moves, and T itself is positive
+        T = _point_slope_model(END_MEAN, 0.5, nodes)
+        assert (T.eigen_parameters == 1.0).all()
+        for status in _eventual_kinds(T).values():
+            assert status == {"kind": "confirmed", "n0": 0}
+
+    def test_negative_entry_that_no_decaying_term_moves_is_not_confirmed(self):
+        # f_1 = (1 - d, 1 + d, 1, 1) and f_2 = (1, 1, -1, -1) at t = -0.5,
+        # -0.25, 0.25, 0.5, paired with 4 int g (1, 1, 1, 1) and
+        # 4 int g (1, 1, -1, -1) on a 33-node grid: lam = (1, 1) exactly, so
+        # T^n = T, whose entry at (-0.5, 0.25) is -d/4 = -7e-10 at every
+        # power. That is within the limit rule's tolerance, but fails the
+        # grid test against max|T| = 0.5 at n = 1 and so at every n, which
+        # no Confirmed(2) may hide
+        nodes = np.linspace(-1.0, 1.0, 33)
+        at = [8, 12, 20, 24]
+        d = 1.5 * 2.0**-29
+        f1, f2, g1, g2 = (np.zeros(33) for _ in range(4))
+        f1[at] = (1 - d, 1 + d, 1, 1)
+        f2[at] = g2[at] = (1, 1, -1, -1)
+        g1[at] = 1
+        T = RankK(
+            (Tabulated(tuple(f1)), Tabulated(tuple(f2))),
+            (WeightedIntegral(Tabulated(tuple(g1)), 4.0), WeightedIntegral(Tabulated(tuple(g2)), 4.0)),
+            GridSup(tuple(nodes)),
+        )
+        assert (T.eigen_parameters == 1.0).all()
+        oracle = exact.RankKPowers(T.eigen_parameters, T.rows, T.samples)
+        assert all(y[8] == -exact.rational(d) / 4 for y in oracle.powers(np.eye(33)[20], 3))
+        assert {v.status for v in classify_asymptotic(T)} == {Confirmed(0)}
+        assert {v.status for v in classify_eventual(T)} == {UndeterminedUpToHorizon(0)}
 
     def test_two_peripheral_projections_are_certified(self):
         # f_1, f_2 the indicators of x < 0 and x > 0, each paired with its

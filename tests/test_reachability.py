@@ -91,8 +91,9 @@ def _command_lines(tmp):
     """Each catalog example and its model file, an l-inf dense file, five
     rank-k files on a 41-node grid and one on 5 nodes, a dense file above
     the cap on dense views, one with a peripheral Jordan block, one whose
-    spectral projection is ill-conditioned and one with a double peripheral
-    eigenvalue, the generators, the suites, orbits and the bad-input exits."""
+    spectral projection is ill-conditioned, one with a double peripheral
+    eigenvalue and a complex nilpotent one, the generators, the suites,
+    orbits and the bad-input exits."""
 
     def write(name, content):
         path = os.path.join(tmp, name)
@@ -165,6 +166,10 @@ def _command_lines(tmp):
     # takes its geometric multiplicity
     double = Dense(np.diag([1.0, 1.0, -1.0]), Ell1())
     lines.append(["classify", write("double-one.json", model_to_json(double))])
+    # a complex nilpotent: its powers below the dimension take the complex
+    # grid test
+    nilpotent = Dense(np.array([[0.0, 1j], [0.0, 0.0]]), Ell1())
+    lines.append(["classify", write("complex-nilpotent.json", model_to_json(nilpotent))])
     for spec in ("eventually_positive:dim=4", "positive_random:dim=3", "cyclic_block:k=3"):
         lines.append(["classify", "--generate", spec])
     lines.append(["classify", "--example", "rem3.2b", "--out", os.path.join(tmp, "out.json")])
@@ -274,8 +279,9 @@ def test_every_function_is_reached_or_allowlisted(reached):
 
 # (module, callable, parameter): each parameter had one value at every call
 # site and is now a module constant, or, for `power_bounds`, is read from the
-# spectrum the check is given, or, for `horizon`, went with the orbit it
-# bounded, so a caller can no longer pass a value that moves a verdict away
+# spectrum the check is given, or, for `_rank_k_status`'s U, V and passes,
+# is the model's samples, its rows and the row-block grid test, or, for
+# `horizon`, went with the orbit it bounded, so a caller can no longer pass a value that moves a verdict away
 # from what the reports pin; every verdict's report record states
 # classify.DEFAULT_TOL, so no verdict holds a tolerance
 REMOVED_PARAMETERS = [
@@ -315,6 +321,9 @@ REMOVED_PARAMETERS = [
     ("classify", "_shift_status", "tol"),
     ("classify", "_rank_k_eventual", "tol"),
     ("classify", "_rank_k_status", "tol"),
+    ("classify", "_rank_k_status", "U"),
+    ("classify", "_rank_k_status", "V"),
+    ("classify", "_rank_k_status", "passes"),
     ("classify", "_diagonal_limit_status", "tol"),
     ("classify", "_peripheral_status", "tol"),
     ("classify", "_rank_k_limit_status", "tol"),
