@@ -11,7 +11,6 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import accumulate, repeat
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -35,7 +34,6 @@ from .operators import (
     SignedPower,
     WeightedIntegral,
     WeightedShift,
-    entrywise_positive,
     power_apply,
     to_dense,
 )
@@ -54,6 +52,9 @@ MAX_PERIOD = 840
 # rule holds, unless a single length has more starts: its complex phases
 # take 256 KiB
 SHIFT_TILE = 2**14
+# the most entries of the powers that one block of `_power_failure` holds,
+# unless a single power has more: a complex block takes 256 KiB
+POWER_TILE = 2**14
 # the most powers that the tail certificate of a `Dense` or rank-k eventual
 # trio tests directly, and the largest power m of N = S - L_1 that the
 # `Dense` one forms
@@ -140,22 +141,45 @@ def _last_failure(flags) -> int:
     return last + 1 if last else 0
 
 
-def _grid_passes(P: np.ndarray) -> bool:
-    """The sign test of a power on the grid, relative to its largest entry:
-    `entrywise_positive(P, DEFAULT_TOL max|P|)`. A real P is decided from
-    its least and largest entries alone: max|P| = max(max P, -min P), and
-    where -min P is the larger, min P < -DEFAULT_TOL |min P| fails the test
-    as min P < -DEFAULT_TOL max P does. A NaN propagates, and fails it."""
-    if P.dtype.kind == "c":
-        return entrywise_positive(P, DEFAULT_TOL * float(np.abs(P).max()))
-    return float(P.min()) >= -DEFAULT_TOL * float(P.max())
-
-
 def _power_failure(B: np.ndarray, n_t: int) -> int:
-    """`_last_failure` of the grid test on B^n for n < n_t."""
-    return _last_failure(
-        map(_grid_passes, accumulate(repeat(B, n_t - 1), lambda P, _: P @ B))
-    )
+    """`_last_failure` of the grid test on B^n for n < n_t: every entry of
+    the power lies within DEFAULT_TOL max|B^n| of the nonnegative reals.
+    Each power is P_n = P_(n-1) @ B, formed into a block of at most
+    POWER_TILE entries, and at least one power, so memory stays O(dim^2);
+    each block is tested with a few reductions over its powers at once
+    (`_block_passes`)."""
+    dim = len(B)
+    per_block = max(1, POWER_TILE // (dim * dim))
+    n0, n, P = 0, 1, None
+    while n < n_t:
+        count = min(per_block, n_t - n)
+        block = np.empty((count, dim, dim), dtype=B.dtype)
+        for t in range(count):
+            if P is None:
+                block[t] = B
+            else:
+                np.matmul(P, B, out=block[t])
+            P = block[t]
+        failed = (~_block_passes(block.reshape(count, -1))).nonzero()[0]
+        if failed.size:
+            n0 = n + int(failed[-1]) + 1
+        n += count
+    return n0
+
+
+def _block_passes(P: np.ndarray) -> np.ndarray:
+    """The grid test of each row of P, a power's entries: a real row is
+    decided from its least and largest entries alone, as
+    max|P| = max(max P, -min P), and where -min P is the larger,
+    min P < -DEFAULT_TOL |min P| fails the test as min P < -DEFAULT_TOL max P
+    does. A complex row passes when its least real part and its largest
+    imaginary modulus are within tol = DEFAULT_TOL max|P|. A NaN
+    propagates, and fails the test."""
+    if P.dtype.kind == "c":
+        tol = DEFAULT_TOL * np.maximum.reduce(np.abs(P), axis=1)
+        low = np.minimum.reduce(P.real, axis=1) >= -tol
+        return low & (np.maximum.reduce(np.abs(P.imag), axis=1) <= tol)
+    return np.minimum.reduce(P, axis=1) >= -DEFAULT_TOL * np.maximum.reduce(P, axis=1)
 
 
 def _singular_refutation(T, vectors, notion) -> Optional[PositivityVerdict]:
@@ -267,7 +291,13 @@ def _dense_status(T: Dense, limit: LimitStatus) -> Status:
 
 
 def _exactly_nonnegative(A: np.ndarray) -> bool:
-    return bool((A.real >= 0).all()) and not A.imag.any()
+    nonnegative = np.logical_and.reduce(A.real >= 0, axis=None)
+    return bool(nonnegative) and not np.logical_or.reduce(A.imag, axis=None, dtype=bool)
+
+
+def _inf_norm(N: np.ndarray) -> float:
+    """||N||_inf, the largest absolute row sum, as `np.linalg.norm` forms it."""
+    return float(np.maximum.reduce(np.add.reduce(np.abs(N), axis=1), initial=0.0))
 
 
 def _tail_certificate(T: Dense) -> Optional[Confirmed]:
@@ -295,16 +325,19 @@ def _tail_certificate(T: Dense) -> Optional[Confirmed]:
         return None
     L = spec.coefficient(0).real
     A = T.matrix.real
-    gap = float(L.min()) - MARGIN_ROUNDINGS * T.dim * EPS * float(np.linalg.norm(L)) ** 2
+    # ||L||_F as `np.linalg.norm` forms it
+    r = L.ravel(order="K")
+    frobenius = float(np.sqrt(r.dot(r)))
+    gap = float(np.minimum.reduce(L, axis=None)) - MARGIN_ROUNDINGS * T.dim * EPS * frobenius**2
     if not gap > 0:
         return None
     N = A / spr - L
-    C, m, theta = 1.0, 1, float(np.linalg.norm(N, np.inf))
+    C, m, theta = 1.0, 1, _inf_norm(N)
     while theta > 0.5:
         if 2 * m > MAX_TAIL or theta > NORM_CEILING:
             return None
         C, m, N = C * max(1.0, theta), 2 * m, N @ N
-        theta = float(np.linalg.norm(N, np.inf))
+        theta = _inf_norm(N)
     n_t, bound = 0, C
     while bound >= gap:
         n_t, bound = n_t + m, bound * theta
@@ -581,9 +614,10 @@ def _least_entries(U: np.ndarray, V: np.ndarray, periph: np.ndarray, rest: np.nd
 
 
 def _grid_passes_in_blocks(U: np.ndarray, W: np.ndarray) -> bool:
-    """`_grid_passes` of P = U W, formed in row blocks: each block's largest
-    modulus, most negative real part and largest imaginary modulus, then the
-    sign test against DEFAULT_TOL times max|P| over every block."""
+    """The grid test of `_power_failure` on P = U W, formed in row blocks:
+    each block's largest modulus, most negative real part and largest
+    imaginary modulus, then the sign test against DEFAULT_TOL times max|P|
+    over every block."""
     extremes = np.array(
         [
             (np.abs(P).max(), -P.real.min(), np.abs(P.imag).max())
@@ -723,7 +757,7 @@ def _diagonal_limit_status(T: Diagonal) -> Status:
     spr = T.spectral_radius()
     mu = T.symbol / spr
     off = np.where(np.abs(T.symbol) == spr, T.symbol != spr, np.abs(mu - 1.0) > DEFAULT_TOL)
-    off = np.flatnonzero(off & (np.abs(mu) >= 1.0 - DEFAULT_TOL))
+    off = (off & (np.abs(mu) >= 1.0 - DEFAULT_TOL)).nonzero()[0]
     if off.size:
         k = int(off[0])
         return RefutedWithWitness(
@@ -760,10 +794,10 @@ def _worst_entry(blocks) -> tuple:
     for start, L in blocks:
         if L.dtype.kind == "c":
             R = cone_residual(L)
-            k = int(np.argmax(R))
+            k = int(R.argmax())
             residual = R.flat[k]
         else:
-            k = int(np.argmin(L))
+            k = int(L.argmin())
             residual = -L.flat[k]
         i, j = divmod(k, L.shape[1])
         if residual > worst[0]:
@@ -775,9 +809,11 @@ def _residual_bound(L: np.ndarray) -> float:
     """A bound on every entry's residual in `_worst_entry`, from reductions
     and no `np.hypot` pass: hypot(a, b) <= a + b, and the factor 2 covers
     the rounding of hypot and of the sum. It is NaN when L holds one."""
-    bound = max(-float(L.real.min()), 0.0)
+    bound = max(-float(np.minimum.reduce(L.real, axis=None)), 0.0)
     if L.dtype.kind == "c":
-        bound += max(float(L.imag.max()), -float(L.imag.min()))
+        imag = L.imag
+        top, low = np.maximum.reduce(imag, axis=None), np.minimum.reduce(imag, axis=None)
+        bound += max(float(top), -float(low))
     return 2.0 * bound
 
 
@@ -826,20 +862,26 @@ def _peripheral_status(T: Dense) -> Status:
     q = [_root_of_unity_order(z, count, spectral.DEFAULT_TOL) for z in mu]
     if None in q:
         return UndeterminedUpToHorizon(0) if m > 1 else _not_cyclic(mu, q, count)
-    C = np.stack([spec.coefficient(k) for k in top])
+    # the coefficients as the rows of the operand that `np.tensordot` passes
+    # to `np.dot`, so each L_r rounds as the contraction does; one is a view
+    rows = [spec.coefficient(k).reshape(1, -1) for k in top]
+    C, shape = rows[0] if len(rows) == 1 else np.concatenate(rows), T.matrix.shape
     if m == 1:
         # to first order, rounding moves a computed projection P by its
-        # condition number ||P|| times a backward error of n eps ||P||
-        slack = T.dim * EPS * float(np.sum(np.linalg.norm(C, axis=(1, 2)) ** 2))
-        L, threshold = np.tensordot(mu, C, axes=1), DEFAULT_TOL + slack
+        # condition number ||P|| times a backward error of n eps ||P||;
+        # ||C_k||_F as `np.linalg.norm` forms it
+        norms = np.sqrt(np.add.reduce((C.conj() * C).real, axis=1))
+        slack = T.dim * EPS * float(np.add.reduce(norms**2))
+        L, threshold = np.dot(mu.reshape(1, -1), C).reshape(shape), DEFAULT_TOL + slack
         refuted = None
         if not _residual_bound(L) <= threshold:
             refuted = _limit_point_refutation(T, _worst_entry([(0, L)]), 1, threshold)
-        return refuted or (UndeterminedUpToHorizon(0) if T.matrix.imag.any() else Confirmed(0))
+        complex_matrix = np.logical_or.reduce(T.matrix.imag, axis=None, dtype=bool)
+        return refuted or (UndeterminedUpToHorizon(0) if complex_matrix else Confirmed(0))
     C = C / (spec.scale * spr) ** (m - 1)
 
     def worst(r):
-        return _worst_entry([(0, np.tensordot(mu**r, C, axes=1))]), r
+        return _worst_entry([(0, np.dot((mu**r).reshape(1, -1), C).reshape(shape))]), r
 
     threshold = DEFAULT_TOL + spec.coefficient_error / (spec.scale * spr) ** (m - 1)
     for r in range(min(math.lcm(*q), MAX_PERIOD)):

@@ -49,7 +49,7 @@ class Ell1(_SequenceNorm):
     kind: ClassVar[str] = "ell1"
 
     def of_moduli(self, a: np.ndarray):
-        return a.sum(axis=0)
+        return np.add.reduce(a, axis=0)
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class Ell2(_SequenceNorm):
     kind: ClassVar[str] = "ell2"
 
     def of_moduli(self, a: np.ndarray):
-        return np.sqrt((a * a).sum(axis=0))
+        return np.sqrt(np.add.reduce(a * a, axis=0))
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class EllInf(_SequenceNorm):
     kind: ClassVar[str] = "ellinf"
 
     def of_moduli(self, a: np.ndarray):
-        return a.max(axis=0, initial=0.0)
+        return np.maximum.reduce(a, axis=0, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class LpQuadrature:
         # the root is an array power for a vector too: numpy's scalar power
         # rounds differently
         w = self.weight_array.reshape((-1,) + (1,) * (a.ndim - 1))
-        return np.asarray((w * a**self.p).sum(axis=0)) ** (1.0 / self.p)
+        return np.asarray(np.add.reduce(w * a**self.p, axis=0)) ** (1.0 / self.p)
 
     def domain(self) -> tuple:
         """The hull of the quadrature cells."""
@@ -132,7 +132,7 @@ class GridSup:
         object.__setattr__(self, "node_count", len(nodes))
 
     def of_moduli(self, a: np.ndarray):
-        return a.max(axis=0, initial=0.0)
+        return np.maximum.reduce(a, axis=0, initial=0.0)
 
     def domain(self) -> tuple:
         """The grid's end points."""
@@ -149,7 +149,8 @@ class GridSup:
 # Each norm kind gives its `kind`, its `node_count` (None for ell-p), its
 # descriptor (to_json, from_json) and of_moduli(a): the norm of a vector, or
 # of each column of a matrix, from the moduli a of its entries, reduced along
-# axis 0. A grid kind also gives the interval it covers, domain().
+# axis 0 by a ufunc's own reduce (the ndarray methods go through numpy's
+# Python wrappers). A grid kind also gives the interval it covers, domain().
 NormKind = Union[Ell1, Ell2, EllInf, LpQuadrature, GridSup]
 NORM_KINDS = {cls.kind: cls for cls in (Ell1, Ell2, EllInf, LpQuadrature, GridSup)}
 

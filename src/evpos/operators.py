@@ -350,11 +350,6 @@ def _check_node_count(T) -> None:
         raise OperatorError(f"norm has {count} nodes, model has dimension {T.dim}")
 
 
-def entrywise_positive(a: np.ndarray, tol: float) -> bool:
-    """Every entry of a lies within tol of the nonnegative reals."""
-    return bool((a.real >= -tol).all() and (np.abs(a.imag) <= tol).all())
-
-
 @dataclass(frozen=True)
 class Dense:
     matrix: np.ndarray
@@ -429,7 +424,7 @@ class Diagonal:
         return Dense(np.diag(self.symbol), self.norm)
 
     def spectral_radius(self) -> float:
-        return float(np.max(np.abs(self.symbol)))
+        return float(np.maximum.reduce(np.abs(self.symbol)))
 
     def spectral_data(self) -> Spectrum:
         """Read off the symbol (`diagonal_spectrum`), built on each call."""

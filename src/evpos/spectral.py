@@ -76,14 +76,14 @@ class Spectrum:
         mod = np.abs(vals)
         keep = mod >= spr * (1.0 - DEFAULT_TOL)
         keep[[i for c in self.clusters for i in c[0][1:]]] = False
-        sel = np.flatnonzero(keep)
+        sel = keep.nonzero()[0]
         v, m = vals[sel], mod[sel]
         close = np.abs(v[:, None] - v[None, :]) <= DEFAULT_TOL * spr
         # row i is beaten by column j of larger modulus, or of equal modulus and first
         beaten = (m[None, :] > m[:, None]) | (
             (m[None, :] == m[:, None]) & (sel[None, :] < sel[:, None])
         )
-        return sel[~np.any(close & beaten, axis=1)]
+        return sel[~np.logical_or.reduce(close & beaten, axis=1)]
 
     @cached_property
     def peripheral_eigenvalues(self) -> np.ndarray:
@@ -202,10 +202,11 @@ def diagonal_spectrum(symbol) -> Spectrum:
     equal entries of modulus >= spr - CLUSTER_RADIUS * spr, each of pole
     order 1 and spread 0."""
     s = _read_only(np.array(symbol, dtype=complex))
-    spr = float(np.max(np.abs(s)))
+    moduli = np.abs(s)
+    spr = float(np.maximum.reduce(moduli))
     groups: dict = {}
     if spr > 0.0:
-        near = np.flatnonzero(np.abs(s) >= spr - CLUSTER_RADIUS * spr).tolist()
+        near = (moduli >= spr - CLUSTER_RADIUS * spr).nonzero()[0].tolist()
         for i, z in zip(near, s[near].tolist()):
             groups.setdefault(z, []).append(i)
     clusters = tuple((tuple(g), 1, 0.0) for g in groups.values() if len(g) > 1)

@@ -17,17 +17,13 @@ than as a bug. Every check is a rule on one `Spectrum` of A, the model's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from itertools import chain
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
 from .classify import Confirmed, PositivityVerdict
-from .lattice import (
-    LatticeVector,
-    NormKind,
-    cone_distances,
-    norm_value,
-)
+from .lattice import LatticeVector, NormKind, cone_distances
 from .spectral import Spectrum, geometric_multiplicity
 
 DEFAULT_TOL = 1e-8
@@ -102,7 +98,7 @@ def verify_spr_in_spectrum(
             hypotheses=hyp,
         )
     dists = np.abs(spec.eigenvalues - spr)
-    k = int(np.argmin(dists))
+    k = int(dists.argmin())
     margin = DEFAULT_TOL * spr - float(dists[k])
     return CheckResult(
         "spr-in-spectrum",
@@ -138,11 +134,13 @@ def phase_aligned_cone_distance(x: LatticeVector) -> float:
     """d_+(e^{i theta} x) / ||x||, with theta the phase that makes the
     largest-modulus entry of x (the first, on a tie) real and positive; an
     eigenvector is only defined up to a scalar, and the entry that dominates
-    the norm fixes that scalar's phase."""
-    scale = norm_value(x)
+    the norm fixes that scalar's phase. The moduli of x give both its norm
+    and its top entry."""
+    moduli = np.abs(x.entries)
+    scale = float(x.norm.of_moduli(moduli))
     if scale == 0.0:
         return 0.0
-    top = x.entries[int(np.argmax(np.abs(x.entries)))]
+    top = x.entries[int(moduli.argmax())]
     return float(cone_distances(x.entries * (abs(top) / top), x.norm) / scale)
 
 
@@ -156,7 +154,7 @@ def positive_eigenvector(spec: Spectrum, norm: NormKind) -> EigenvectorResult:
     at lam0, which the asymptotic rule may have computed already; the
     positive factor leaves the normalized vectors alone."""
     A, spr = spec.matrix, spec.spectral_radius
-    k = int(np.argmin(np.abs(spec.peripheral_eigenvalues - spr)))
+    k = int(np.abs(spec.peripheral_eigenvalues - spr).argmin())
     m = spec.pole_orders[k]
     Q = spec.coefficient(k)
 
@@ -165,8 +163,9 @@ def positive_eigenvector(spec: Spectrum, norm: NormKind) -> EigenvectorResult:
 
     def pick(Qm: np.ndarray) -> LatticeVector:
         # Qm x0 for the first canonical positive x0 that Qm does not
-        # annihilate: the all-ones vector, then each basis vector
-        for y in (Qm @ np.ones(len(Qm)), *Qm.T):
+        # annihilate: the all-ones vector, then each basis vector, each
+        # column read only when the ones before it are annihilated
+        for y in chain([Qm @ np.ones(len(Qm))], Qm.T):
             nv = size(y)
             if nv > ANNIHILATED:
                 return LatticeVector(y / nv, norm)
@@ -207,44 +206,72 @@ def power_bounded_estimate(spec: Spectrum) -> dict:
     return {"power_bounded": all(m == 1 for m in orders), "peripheral_pole_orders": orders}
 
 
-def _target_distances(spec: Spectrum, lam: complex, ks: np.ndarray) -> tuple:
-    """(targets, distances): the powers spr*e^{ik theta} (k in ks) of a
-    peripheral eigenvalue spr*e^{i theta}, and the distance of each to the
-    nearest eigenvalue, in one dim x len(ks) broadcast."""
-    targets = spec.spectral_radius * np.exp(1j * ks * np.angle(lam))
-    return targets, np.abs(spec.eigenvalues[:, None] - targets).min(axis=0)
+@dataclass(frozen=True)
+class PeripheralTable:
+    """What both peripheral checks read of one spectrum (`peripheral_table`):
+    targets[i, c] = spr e^{ik theta}, k = c - CYCLICITY_POWERS, for the i-th
+    peripheral eigenvalue spr e^{i theta}, and distances[i, c] its distance
+    to the nearest eigenvalue; homes[i, j] the peripheral eigenvalue nearest
+    to the target of the j-th n in MONOTONICITY_POWERS (column
+    n + CYCLICITY_POWERS); and `power_bounded_estimate`, which both record."""
+
+    spec: Spectrum
+    power_bounds: dict
+    targets: np.ndarray
+    distances: np.ndarray
+    homes: np.ndarray
+
+
+def peripheral_table(spec: Spectrum) -> PeripheralTable:
+    """The table of one spectrum, one dim x (2 CYCLICITY_POWERS + 1)
+    broadcast per peripheral eigenvalue. Raises where
+    `power_bounded_estimate` does, at spr = 0."""
+    power_bounds = power_bounded_estimate(spec)
+    spr, vals, periph = spec.spectral_radius, spec.eigenvalues, spec.peripheral_eigenvalues
+    ks = np.arange(-CYCLICITY_POWERS, CYCLICITY_POWERS + 1)
+    columns = np.array(MONOTONICITY_POWERS) + CYCLICITY_POWERS
+    targets = np.empty((len(periph), len(ks)), dtype=complex)
+    distances = np.empty(targets.shape)
+    homes = np.empty((len(periph), len(columns)), dtype=np.intp)
+    for i, lam in enumerate(periph):
+        # np.angle(lam), with no Python wrapper
+        targets[i] = spr * np.exp(1j * ks * np.arctan2(lam.imag, lam.real))
+        distances[i] = np.minimum.reduce(np.abs(vals[:, None] - targets[i]), axis=0)
+        homes[i] = np.abs(periph[:, None] - targets[i, columns]).argmin(axis=0)
+    return PeripheralTable(spec, power_bounds, targets, distances, homes)
+
+
+def _table(spec: Union[Spectrum, PeripheralTable]) -> PeripheralTable:
+    return spec if isinstance(spec, PeripheralTable) else peripheral_table(spec)
 
 
 def peripheral_cyclicity_check(
-    spec: Spectrum,
+    spec: Union[Spectrum, PeripheralTable],
     asymptotic_verdict: Optional[PositivityVerdict] = None,
 ) -> CheckResult:
     """Every power spr*e^{ik theta} (|k| <= CYCLICITY_POWERS) of a peripheral
     eigenvalue spr*e^{i theta} (`Spectrum.peripheral_eigenvalues`) must land
     within DEFAULT_TOL*spr of an eigenvalue. The payload's `distances` row i
     holds those distances for the i-th peripheral eigenvalue, in order of
-    k."""
-    spr = spec.spectral_radius
-    power_bounds = power_bounded_estimate(spec)
-    hyp = {"power-bounded": power_bounds["power_bounded"]}
+    k. spec is a spectrum, or the `peripheral_table` of one, which
+    `perron_frobenius_checks` forms once for both peripheral checks."""
+    table = _table(spec)
+    spr = table.spec.spectral_radius
+    hyp = {"power-bounded": table.power_bounds["power_bounded"]}
     hyp.update(_verdict_hypothesis("uniform-asymptotic-positive", asymptotic_verdict))
-    ks = np.arange(-CYCLICITY_POWERS, CYCLICITY_POWERS + 1)
-    distances = np.array(
-        [_target_distances(spec, lam, ks)[1] for lam in spec.peripheral_eigenvalues]
-    )
-    margin = DEFAULT_TOL * spr - float(distances.max())
+    margin = DEFAULT_TOL * spr - float(np.maximum.reduce(table.distances, axis=None))
     return CheckResult(
         "peripheral-cyclicity",
         margin >= 0.0,
         margin,
         DEFAULT_TOL,
-        payload={"distances": distances, "power_bounds": power_bounds},
+        payload={"distances": table.distances, "power_bounds": table.power_bounds},
         hypotheses=hyp,
     )
 
 
 def multiplicity_monotonicity_check(
-    spec: Spectrum,
+    spec: Union[Spectrum, PeripheralTable],
     asymptotic_verdict: Optional[PositivityVerdict] = None,
 ) -> CheckResult:
     """dim ker(spr e^{i theta} - A) <= dim ker(spr e^{i n theta} - A) for
@@ -253,16 +280,18 @@ def multiplicity_monotonicity_check(
     recorded as a cyclicity failure. A power within DEFAULT_TOL * spr of an
     eigenvalue lands on the peripheral eigenvalue nearest to it; one that
     lands where it came from compares a multiplicity with itself and holds,
-    so only those pairs and the missing powers make payload rows. A
-    multiplicity is 1 for an eigenvalue whose algebraic multiplicity
-    (`Spectrum.multiplicities`, by index) is 1, as that bounds it, and one
-    SVD for a multiple one."""
+    so only those pairs and the missing powers make payload rows, and only
+    they are visited. A multiplicity is 1 for an eigenvalue whose algebraic
+    multiplicity (`Spectrum.multiplicities`, by index) is 1, as that bounds
+    it, and one SVD for a multiple one. spec is a spectrum, or its
+    `peripheral_table`, as for the cyclicity check."""
+    table = _table(spec)
+    spec = table.spec
     spr = spec.spectral_radius
-    power_bounds = power_bounded_estimate(spec)
-    hyp = {"power-bounded": power_bounds["power_bounded"]}
+    hyp = {"power-bounded": table.power_bounds["power_bounded"]}
     hyp.update(_verdict_hypothesis("weak-asymptotic-positive", asymptotic_verdict))
     periph = spec.peripheral_eigenvalues
-    ns = np.array(MONOTONICITY_POWERS)
+    columns = np.array(MONOTONICITY_POWERS) + CYCLICITY_POWERS
     mults: dict = {}
 
     def mult(i: int) -> int:
@@ -271,34 +300,29 @@ def multiplicity_monotonicity_check(
             mults[i] = 1 if simple else geometric_multiplicity(spec, periph[i])
         return mults[i]
 
+    missing = table.distances[:, columns] > DEFAULT_TOL * spr
+    moved = table.homes != np.arange(len(periph))[:, None]
     rows = []
     ok = True
-    for i, lam in enumerate(periph):
-        targets, dists = _target_distances(spec, lam, ns)
-        homes = np.abs(periph[:, None] - targets).argmin(axis=0)
-        for n, target, d, j in zip(MONOTONICITY_POWERS, targets, dists, homes):
-            if d > DEFAULT_TOL * spr:
-                rows.append(
-                    {"lambda": complex(lam), "n": n, "missing_power": complex(target)}
-                )
-                ok = False
-            elif j != i:
-                base, power = mult(i), mult(int(j))
-                rows.append(
-                    {
-                        "lambda": complex(lam),
-                        "n": n,
-                        "base_multiplicity": base,
-                        "power_multiplicity": power,
-                    }
-                )
-                ok = ok and power >= base
+    for i, c in zip(*(missing | moved).nonzero()):
+        i, c = int(i), int(c)
+        lam, n = complex(periph[i]), MONOTONICITY_POWERS[c]
+        if missing[i, c]:
+            target = complex(table.targets[i, columns[c]])
+            rows.append({"lambda": lam, "n": n, "missing_power": target})
+            ok = False
+        else:
+            base, power = mult(i), mult(int(table.homes[i, c]))
+            rows.append(
+                {"lambda": lam, "n": n, "base_multiplicity": base, "power_multiplicity": power}
+            )
+            ok = ok and power >= base
     return CheckResult(
         "multiplicity-monotonicity",
         ok,
         0.0 if ok else -1.0,
         DEFAULT_TOL,
-        payload={"rows": rows, "power_bounds": power_bounds},
+        payload={"rows": rows, "power_bounds": table.power_bounds},
         hypotheses=hyp,
     )
 
@@ -316,7 +340,8 @@ def perron_frobenius_checks(
     """The Perron-Frobenius checks of one spectrum, in report order, each
     made when the one before it has been taken: the spr check alone at
     spr = 0, where nothing rescales by spr; then cyclicity and
-    multiplicity monotonicity; then the positive eigenvector at spr, which
+    multiplicity monotonicity, which read one `peripheral_table`, so power
+    boundedness is decided once; then the positive eigenvector at spr, which
     is sought only once spr lies in the spectrum and weak asymptotic
     positivity is confirmed, the hypotheses it records. Eigenvectors are
     positive up to phase within EIGENVECTOR_TOL, and the primal and the
@@ -325,8 +350,9 @@ def perron_frobenius_checks(
     yield spr_check
     if spec.spectral_radius == 0.0:
         return
-    yield peripheral_cyclicity_check(spec, uniform_asymptotic)
-    yield multiplicity_monotonicity_check(spec, weak_asymptotic)
+    table = peripheral_table(spec)
+    yield peripheral_cyclicity_check(table, uniform_asymptotic)
+    yield multiplicity_monotonicity_check(table, weak_asymptotic)
     weak_ok = weak_asymptotic is not None and isinstance(weak_asymptotic.status, Confirmed)
     if not (spr_check.pass_ and weak_ok):
         return

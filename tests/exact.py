@@ -5,8 +5,9 @@ eigen-parameters of a rank-k model with real data are exact rationals, and
 so is T^n x = sum_i lam_i^(n-1) <phi_i, x> f_i for n >= 1 and a rational
 grid vector x. A diagonal's entries are Gaussian rationals, and so are
 their powers; the sign of a product of real shift weights is the product
-of their signs. Tests hold a verdict or a witness to these, with no
-rounding.
+of their signs; a real dense matrix is an integer matrix over a power of
+two, and so are its powers. Tests hold a verdict or a witness to these,
+with no rounding.
 """
 
 import math
@@ -72,3 +73,18 @@ def shift_window_signs(weights, k: int) -> list:
     w_j ... w_{j+k-1} for j = 0, ..., len(weights) - k."""
     signs = [(w > 0) - (w < 0) for w in map(rational, weights)]
     return [math.prod(signs[j : j + k]) for j in range(len(signs) - k + 1)]
+
+
+def dense_powers(matrix, last: int):
+    """A^n for n = 1, ..., last of a real matrix (complex entries with a zero
+    imaginary part are read as real), each a list of rows of rationals.
+    Every entry is dyadic, so A = M / 2^e with M an integer matrix and 2^e
+    the largest denominator, and A^n = M^n / 2^(e n) is formed in integers."""
+    rows = [[rational(v) for v in row] for row in matrix]
+    e = max(f.denominator for row in rows for f in row).bit_length() - 1
+    M = [[int(f * 2**e) for f in row] for row in rows]
+    columns = list(zip(*M))
+    P = M
+    for n in range(1, last + 1):
+        yield [[Fraction(v, 2 ** (e * n)) for v in row] for row in P]
+        P = [[sum(a * b for a, b in zip(row, col)) for col in columns] for row in P]

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from itertools import accumulate, repeat
 
 import numpy as np
 import pytest
@@ -22,12 +23,15 @@ from evpos.classify import (
     LIMIT_POINT_ROWS,
     MAX_PERIOD,
     MAX_TAIL,
+    POWER_TILE,
     Confirmed,
     NotClassifiableError,
     Notion,
     RefutedWithWitness,
     UndeterminedUpToHorizon,
+    _block_passes,
     _outer_worst_entry,
+    _power_failure,
     _row_blocks,
     _singular_refutation,
     _worst_entry,
@@ -63,7 +67,6 @@ from evpos.operators import (
     Tabulated,
     WeightedIntegral,
     WeightedShift,
-    entrywise_positive,
     to_dense,
 )
 from evpos.report import report_to_json, verdict_record
@@ -71,6 +74,13 @@ from evpos.rng import rng_for
 from evpos.witnesses import hat_family_witness, hat_limit_witnesses
 
 import exact
+
+
+def entrywise_positive(a: np.ndarray, tol: float) -> bool:
+    """Every entry of a lies within tol of the nonnegative reals: the
+    entrywise sign test that the reductions of the eventual rules are held
+    to."""
+    return bool((a.real >= -tol).all() and (np.abs(a.imag) <= tol).all())
 
 
 class TestEventualClassification:
@@ -420,11 +430,12 @@ LAST_POWER = 40
 
 
 class TestExactOracle:
-    """The eventual trio of a diagonal and of a real-weight shift agrees
-    with the exact powers (`exact.diagonal_powers`, `exact.shift_window_signs`):
-    a Confirmed(n0) holds at every n from max(n0, 1) to LAST_POWER and fails
-    at n0 - 1, and a refuted diagonal's witness entry is off the nonnegative
-    reals at n = 1."""
+    """The eventual trio of a diagonal, of a real-weight shift and of a
+    real dense matrix agrees with the exact powers (`exact.diagonal_powers`,
+    `exact.shift_window_signs`, `exact.dense_powers`): a Confirmed(n0)
+    holds at every n from max(n0, 1) to LAST_POWER (for a dense matrix, to
+    max(2 n0, n0 + 6)) and fails at n0 - 1, and a refuted diagonal's
+    witness entry is off the nonnegative reals at n = 1."""
 
     def test_diagonals_agree_with_their_exact_powers(self):
         rng = np.random.default_rng(32)
@@ -469,6 +480,32 @@ class TestExactOracle:
             thresholds.add(min(n0, 2))
         assert thresholds == {0, 2}
 
+    def test_dense_thresholds_agree_with_their_exact_powers(self):
+        # generator instances at seeds that no workload uses: each n0 holds
+        # from max(n0, 1) on, over max(n0, 6) more powers, and the power
+        # before it has a negative entry
+        rng = np.random.default_rng(33)
+        thresholds = set()
+        for t in range(40):
+            dim = int(rng.integers(2, 13))
+            T = make_eventually_positive(dim, 0.5, seed=7_000 + t).model
+            statuses = {v.status for v in classify_eventual(T)}
+            assert len(statuses) == 1, statuses
+            (status,) = statuses
+            assert isinstance(status, Confirmed), (t, status)
+            n0 = status.n0
+            last = max(2 * n0, n0 + 6)
+            powers = list(exact.dense_powers(T.matrix, last))
+
+            def holds(n):
+                return all(v >= 0 for row in powers[n - 1] for v in row)
+
+            assert all(holds(n) for n in range(max(n0, 1), last + 1)), (t, n0)
+            if n0 >= 2:
+                assert not holds(n0 - 1), (t, n0)
+            thresholds.add(n0)
+        assert thresholds == {0, 2, 3}
+
 
 # a positive rank-1 projection plus a rotation of modulus 0.876 by 0.259 rad,
 # spr about 1.000006: its powers are negative for n = 34 ... 38 only
@@ -480,6 +517,22 @@ STRADDLING = np.array(
 def _passes(P, tol) -> bool:
     """The sign test of the dense eventual trio on one power."""
     return entrywise_positive(P, tol * float(np.abs(P).max()))
+
+
+def _power_failure_by_power(B: np.ndarray, n_t: int) -> int:
+    """`_power_failure` one power at a time, as it was before the blocks:
+    P_n = P_(n-1) @ B for n < n_t, a complex power tested entrywise and a
+    real one from its least and largest entries; one past the last n that
+    fails, or 0."""
+    n0 = 0
+    for n, P in enumerate(accumulate(repeat(B, n_t - 1), lambda P, _: P @ B), 1):
+        if P.dtype.kind == "c":
+            passes = _passes(P, DEFAULT_TOL)
+        else:
+            passes = float(P.min()) >= -DEFAULT_TOL * float(P.max())
+        if not passes:
+            n0 = n + 1
+    return n0
 
 
 class TestTailCertificate:
@@ -736,14 +789,15 @@ class TestPeripheralRule:
         P = scipy.linalg.block_diag(*(np.roll(np.eye(k), 1, axis=0) for k in (5, 7, 8, 9, 11)))
         T = Dense(np.kron(P, sign * np.array([[1.0, 1.0], [0.0, 1.0]])), Ell1())
         assert T.spectral_data().order == 2
+        # each limit point formed is scanned once by `_worst_entry`
         formed = []
-        tensordot = np.tensordot
+        scan = evpos.classify._worst_entry
 
         def counting(*args, **kwargs):
             formed.append(1)
-            return tensordot(*args, **kwargs)
+            return scan(*args, **kwargs)
 
-        monkeypatch.setattr(evpos.classify.np, "tensordot", counting)
+        monkeypatch.setattr(evpos.classify, "_worst_entry", counting)
         status = evpos.classify._peripheral_status(T)
         assert type(status) is kind, status
         if kind is UndeterminedUpToHorizon:
@@ -1173,7 +1227,10 @@ class TestReductionKernels:
     """The sign test of a dense power and the m = 1 limit-point rule decide
     from reductions what the full entrywise passes decided."""
 
-    def test_grid_passes_is_the_entrywise_test(self):
+    def test_block_test_is_the_entrywise_test(self):
+        # a real power is decided from its least and largest entries, a
+        # complex one from its least real part and largest imaginary
+        # modulus; each row of a block is one power
         rng = rng_for(0, 28)
         draws = [
             lambda s: rng.normal(size=s),
@@ -1188,10 +1245,69 @@ class TestReductionKernels:
             P = draws[k % len(draws)]((n, n))
             if k % 7 == 0:
                 P[rng.integers(n), rng.integers(n)] = np.nan
-            for Q in (P, -P, P * 1e-300, P * 1e300):
-                assert evpos.classify._grid_passes(Q) == _passes(Q, DEFAULT_TOL)
+            if k % 3 == 1:
+                P = P + 1e-9 * draws[(k + 1) % len(draws)]((n, n)) * 1j
+            block = np.stack([P, -P, P * 1e-300, P * 1e300])
+            flags = _block_passes(block.reshape(len(block), -1))
+            assert flags.tolist() == [_passes(Q, DEFAULT_TOL) for Q in block], k
         for Q in (np.zeros((3, 3)), -np.zeros((3, 3)), -np.ones((2, 2)), np.full((2, 2), np.nan)):
-            assert evpos.classify._grid_passes(Q) == _passes(Q, DEFAULT_TOL)
+            assert _block_passes(Q.reshape(1, -1)).tolist() == [_passes(Q, DEFAULT_TOL)]
+
+    @pytest.mark.parametrize("tile", [1, 40, POWER_TILE])
+    def test_block_powers_are_the_per_power_test(self, tile, monkeypatch):
+        # blocks of one power, of a few, and of every power a small matrix
+        # has below MAX_TAIL; the powers are P_n = P_(n-1) @ B either way, so
+        # they are the same bit for bit, and NaN, inf and 0 entries take the
+        # same branch of the test
+        monkeypatch.setattr(evpos.classify, "POWER_TILE", tile)
+        rng = rng_for(0, 28)
+        thresholds = set()
+        for k in range(240):
+            n = int(rng.integers(1, 9))
+            family = k % 4
+            if family == 0:
+                # a positive rank-1 part and a smaller signed one: the powers
+                # turn positive after a few
+                B = np.outer(rng.random(n) + 0.5, rng.random(n) + 0.5) / n
+                B = B + 0.3 * rng.normal(size=(n, n)) / n
+            elif family == 1:
+                B = np.triu(rng.choice([-1.0, 0.0, 2.0], size=(n, n)), 1)
+            elif family == 2:
+                B = rng.normal(size=(n, n))
+            else:
+                B = rng.choice([1.0, -1e-9, -1.0000001e-9, -0.0, 0.0, 2.0], size=(n, n))
+            if k % 3 == 1:
+                B = B + 1e-11j * rng.normal(size=(n, n))
+            elif k % 3 == 2:
+                B = B * np.exp(1j * rng.choice([0.0, 1e-10, 0.3]))
+            if k % 11 == 0:
+                B[rng.integers(n), rng.integers(n)] = np.nan
+            for scale in (1.0, 1e200, 1e-300):
+                n_t = int(rng.integers(0, 40))
+                with np.errstate(all="ignore"):
+                    n0 = _power_failure(B * scale, n_t)
+                    assert n0 == _power_failure_by_power(B * scale, n_t), (k, scale)
+                thresholds.add(min(n0, 3))
+        assert thresholds == {0, 2, 3}
+
+    def test_nilpotent_powers_stay_in_a_few_blocks_of_memory(self):
+        # the -1 shift as a Dense: spr is exactly 0, so every power below
+        # dim is tested, and the odd ones are negative. All 199 powers at
+        # once would take 127 MB; one block, the power it is formed from and
+        # the moduli of one power took 1.3 MB
+        dim = 200
+        T = Dense(np.diag(-np.ones(dim - 1), 1), Ell1())
+        assert T.spectral_radius() == 0.0
+        tracemalloc.start()
+        try:
+            statuses = {v.status for v in classify_eventual(T)}
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000, peak
+        assert statuses == {Confirmed(dim)}
+        shift = WeightedShift(-np.ones(dim - 1), Ell1())
+        assert classify_eventual(shift)[0].status == Confirmed(dim)
 
     def test_peripheral_status_is_the_full_scan(self):
         rng = rng_for(0, 29)

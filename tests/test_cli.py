@@ -249,8 +249,9 @@ class TestRunClassify:
         # reads one; ex3.5a's rule reads its symbol, and no eigenvector check
         # runs. ex3.5a's spectrum is read off its symbol, with no solve; each
         # Dense solves once. The peripheral eigenvalues are selected once, and
-        # the rule and every check read them from the Spectrum; each
-        # peripheral check decides power boundedness from its pole orders.
+        # the rule and every check read them from the Spectrum; the two
+        # peripheral checks read one table (`verify.peripheral_table`), so
+        # power boundedness is decided once from the pole orders.
         # The monotonicity check computes a geometric multiplicity only for a
         # multiple eigenvalue that meets another: dense-dim7 has spr alone,
         # the even powers of ex3.5a's -0.98 miss the spectrum and its odd ones
@@ -259,7 +260,7 @@ class TestRunClassify:
         assert calls == {
             "peripheral_indices": 1,
             "eigenvalues": int(name != "ex3.5a"),
-            "power_bounded_estimate": 2,
+            "power_bounded_estimate": 1,
             "geometric_multiplicity": 0,
             "resolvent_matrix": 0,
             "laurent_leading_coefficient": int(eigenvector),

@@ -1,0 +1,74 @@
+"""A warm classification of a `Dense` or a `Diagonal` calls numpy's ufuncs,
+array methods and BLAS directly: it enters none of numpy's Python wrapper
+layers (`np.linalg.norm`, `np.stack`, the `fromnumeric` functions, the
+`_methods` hop behind `.sum/.min/.max/.all/.any`, `np.tensordot`,
+`np.angle`). Each of those costs a few Python frames on every call, which
+is most of a small model's classification."""
+
+import os
+import sys
+
+import pytest
+
+from evpos.catalog import get_example
+from evpos.cli import run_classify
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+
+import workloads  # noqa: E402
+
+# numpy files whose every function is a Python wrapper layer
+WRAPPER_FILES = (
+    "numpy/linalg/_linalg.py",
+    "numpy/_core/shape_base.py",
+    "numpy/_core/fromnumeric.py",
+    "numpy/_core/_methods.py",
+)
+# numpy functions, elsewhere in numpy, that wrap `np.dot` and `np.arctan2`
+WRAPPER_FUNCTIONS = ("tensordot", "angle")
+
+
+def _models() -> list:
+    """(name, model): the random-small instances at seed 0, two dense-sweep
+    instances, and catalog models that take the nonnegative, the m = 1
+    rule, the tail certificate and the `Diagonal` paths."""
+    models = [(c.name, c.model) for c in workloads.random_small(0)]
+    sweep = {c.name: c.model for c in workloads.dense_sweep(0)}
+    models += [(name, sweep[name]) for name in ("ep-Ell1-16", "gauss-Ell2-96")]
+    for name in ("cyclic-block", "eventually-positive", "rem3.2b", "ex3.5a"):
+        models.append((name, get_example(name).model))
+    return models
+
+
+@pytest.fixture(scope="module")
+def warm_models():
+    models = _models()
+    for name, model in models:
+        run_classify(model, name, 0)
+    return models
+
+
+def test_warm_classification_enters_no_numpy_wrapper(warm_models):
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        path = frame.f_code.co_filename.replace(os.sep, "/")
+        wrapper = path.endswith(WRAPPER_FILES) or (
+            "/numpy/" in path and frame.f_code.co_name in WRAPPER_FUNCTIONS
+        )
+        if wrapper:
+            caller = frame.f_back
+            while caller is not None and "evpos" not in caller.f_code.co_filename:
+                caller = caller.f_back
+            where = "?" if caller is None else f"{caller.f_code.co_name}:{caller.f_lineno}"
+            entered.add(f"{path.split('numpy/')[-1]}:{frame.f_code.co_name} from {where}")
+
+    sys.setprofile(profile)
+    try:
+        for name, model in warm_models:
+            run_classify(model, name, 0)
+    finally:
+        sys.setprofile(None)
+    assert not entered, sorted(entered)

@@ -19,7 +19,6 @@ from evpos.lattice import (
     norm_value,
     trapezoid_weights,
 )
-from evpos.operators import entrywise_positive
 
 NORMS = [Ell1(), Ell2(), EllInf()]
 
@@ -109,7 +108,6 @@ class TestConeDistance:
     def test_positive_vector_is_at_distance_zero(self):
         for norm in NORMS:
             assert cone_distance(vec([1, 2, 0], norm)) == 0.0
-            assert entrywise_positive(vec([1, 2, 0], norm).entries, 0.0)
 
     def test_negative_real_scalar(self):
         # d_+((-1)) = ||-(-1)^- || = 1 in every norm

@@ -309,7 +309,7 @@ REMOVED_PARAMETERS = [
     ("classify", "weak_eventual", "tol"),
     ("classify", "individual_eventual", "tol"),
     ("classify", "LimitStatus", "tol"),
-    ("classify", "_grid_passes", "tol"),
+    ("classify", "_block_passes", "tol"),
     ("classify", "_power_failure", "tol"),
     ("classify", "_singular_refutation", "tol"),
     ("classify", "_hat_refutation", "tol"),

@@ -26,6 +26,7 @@ from evpos.verify import (
     multiplicity_monotonicity_check,
     perron_frobenius_checks,
     peripheral_cyclicity_check,
+    peripheral_table,
     phase_aligned_cone_distance,
     positive_eigenvector,
     power_bounded_estimate,
@@ -199,6 +200,40 @@ class TestPeripheralTargetArrays:
         distances = result.payload["distances"]
         assert distances.shape == (len(spec.peripheral_eigenvalues), 25)
         assert result.margin == DEFAULT_TOL * spec.spectral_radius - distances.max()
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            np.roll(np.eye(3), 1, axis=0),
+            NONREAL,
+            np.diag([1.0, -1.0, 1j]),
+            np.diag([1.0, 1.0, -1.0]),
+            np.kron(np.roll(np.eye(2), 1, axis=0), np.array([[1.0, 1.0], [0.0, 1.0]])),
+        ],
+        ids=["three-cycle", "nonreal", "non-cyclic", "double-one", "jordan-pair"],
+    )
+    def test_checks_read_one_table(self, A, monkeypatch):
+        # a check given the table gives what it gives from the spectrum, and
+        # `perron_frobenius_checks` decides power boundedness once for both
+        spec = eigenvalues(A)
+        table = peripheral_table(spec)
+        for check in (peripheral_cyclicity_check, multiplicity_monotonicity_check):
+            alone, shared = check(spec), check(table)
+            assert (alone.pass_, alone.margin) == (shared.pass_, shared.margin)
+            assert alone.payload.get("rows") == shared.payload.get("rows")
+        assert np.array_equal(
+            peripheral_cyclicity_check(spec).payload["distances"], table.distances
+        )
+        estimate, calls = evpos.verify.power_bounded_estimate, []
+
+        def counting(spec):
+            calls.append(spec)
+            return estimate(spec)
+
+        monkeypatch.setattr(evpos.verify, "power_bounded_estimate", counting)
+        names = [c.name for c in perron_frobenius_checks(spec, None, None, Ell1())]
+        assert names[1:3] == ["peripheral-cyclicity", "multiplicity-monotonicity"]
+        assert len(calls) == 1
 
     def test_long_cycle_matches_the_scalar_loop_in_bounded_memory(self):
         # each eigenvalue of the cycle is simple, so its multiplicity is the
