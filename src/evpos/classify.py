@@ -275,7 +275,7 @@ def _dense_status(T: Dense, limit: LimitStatus) -> Status:
     4. A confirmed one decides by `_tail_certificate`, when that applies.
     5. Anything else, a solver failure included, is undetermined, with
        horizon 0 as no power beyond the certificate's is read."""
-    if _exactly_nonnegative(T.matrix):
+    if limit.nonnegative:
         return Confirmed(0)
     try:
         status = limit.read()
@@ -708,10 +708,11 @@ class LimitStatus:
     implies its asymptotic one; otherwise `_diagonal_limit_status` for a
     `Diagonal`, `_peripheral_status` for a `Dense`, `_rank_k_limit_status`
     for a rank-k model. One is shared by the two trios of a classification,
-    so it is decided once."""
+    so it is decided once, as is `nonnegative`, which both trios read."""
 
     def __init__(self, T: OperatorModel):
         self.T = T
+        self.nonnegative = isinstance(T, Dense) and _exactly_nonnegative(T.matrix)
         self._outcome: Union[Status, Exception, None] = None
 
     @cached_property
@@ -738,7 +739,7 @@ class LimitStatus:
             return _rank_k_limit_status(T, *self.peripheral)
         if isinstance(T, Diagonal):
             return _diagonal_limit_status(T)
-        if isinstance(T, Dense) and _exactly_nonnegative(T.matrix):
+        if self.nonnegative:
             return Confirmed(0)
         return _peripheral_status(T)
 

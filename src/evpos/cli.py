@@ -153,7 +153,7 @@ def run_classify(model: OperatorModel, operator_id: str, seed: int = 0) -> tuple
         pass
     except SpectralError:
         solver_failure = True
-    by_notion = {v.notion.value: v for v in verdicts}
+    by_notion = {v.notion._value_: v for v in verdicts}
 
     checks = []
     spec = None

@@ -7,6 +7,7 @@ functional used throughout the positivity analysis.
 
 from __future__ import annotations
 
+import json
 import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar, Union
@@ -24,6 +25,11 @@ def number(value, what: str, error: type = LatticeError):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{what} {value!r} is not a number")
     return value
+
+
+def canonical_json(data: dict) -> str:
+    """Compact JSON with sorted keys: the descriptor text a digest hashes."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def _numbers(values, what: str) -> tuple:
@@ -47,6 +53,7 @@ class _SequenceNorm:
 @dataclass(frozen=True)
 class Ell1(_SequenceNorm):
     kind: ClassVar[str] = "ell1"
+    canonical_text: ClassVar[str] = '{"kind":"ell1"}'
 
     def of_moduli(self, a: np.ndarray):
         return np.add.reduce(a, axis=0)
@@ -55,6 +62,7 @@ class Ell1(_SequenceNorm):
 @dataclass(frozen=True)
 class Ell2(_SequenceNorm):
     kind: ClassVar[str] = "ell2"
+    canonical_text: ClassVar[str] = '{"kind":"ell2"}'
 
     def of_moduli(self, a: np.ndarray):
         return np.sqrt(np.add.reduce(a * a, axis=0))
@@ -63,6 +71,7 @@ class Ell2(_SequenceNorm):
 @dataclass(frozen=True)
 class EllInf(_SequenceNorm):
     kind: ClassVar[str] = "ellinf"
+    canonical_text: ClassVar[str] = '{"kind":"ellinf"}'
 
     def of_moduli(self, a: np.ndarray):
         return np.maximum.reduce(a, axis=0, initial=0.0)
@@ -106,6 +115,8 @@ class LpQuadrature:
     def to_json(self) -> dict:
         return dict(kind=self.kind, p=self.p, nodes=list(self.nodes), weights=list(self.weights))
 
+    canonical_text = property(lambda self: canonical_json(self.to_json()))
+
     @classmethod
     def from_json(cls, data: dict):
         return cls(
@@ -141,16 +152,20 @@ class GridSup:
     def to_json(self) -> dict:
         return {"kind": self.kind, "nodes": list(self.nodes)}
 
+    canonical_text = property(lambda self: canonical_json(self.to_json()))
+
     @classmethod
     def from_json(cls, data: dict):
         return cls(_numbers(data["nodes"], "grid node"))
 
 
 # Each norm kind gives its `kind`, its `node_count` (None for ell-p), its
-# descriptor (to_json, from_json) and of_moduli(a): the norm of a vector, or
-# of each column of a matrix, from the moduli a of its entries, reduced along
-# axis 0 by a ufunc's own reduce (the ndarray methods go through numpy's
-# Python wrappers). A grid kind also gives the interval it covers, domain().
+# descriptor (to_json, from_json), the descriptor's `canonical_json` text
+# canonical_text (a constant for ell-p), and of_moduli(a): the norm of a
+# vector, or of each column of a matrix, from the moduli a of its entries,
+# reduced along axis 0 by a ufunc's own reduce (the ndarray methods go
+# through numpy's Python wrappers). A grid kind also gives the interval it
+# covers, domain().
 NormKind = Union[Ell1, Ell2, EllInf, LpQuadrature, GridSup]
 NORM_KINDS = {cls.kind: cls for cls in (Ell1, Ell2, EllInf, LpQuadrature, GridSup)}
 

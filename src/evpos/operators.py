@@ -8,14 +8,13 @@ diagonal multiplication operators, and weighted shifts.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar, Union
 
 import numpy as np
 
-from .lattice import NORM_KINDS, LatticeVector, NormKind, number
+from .lattice import NORM_KINDS, LatticeVector, NormKind, canonical_json, number
 from .spectral import Spectrum, diagonal_spectrum, eigenvalues, nilpotent_spectrum
 
 
@@ -680,22 +679,18 @@ def model_to_json(T: OperatorModel) -> dict:
     return T.to_json()
 
 
-def _canonical_json(data: dict) -> bytes:
-    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
-
-
 def model_digest(T: OperatorModel) -> str:
     """sha256 hex digest that names a model in a report. A `Dense` hashes a
-    canonical compact-JSON header (variant, n, norm) followed by its matrix
-    as little-endian complex128 bytes in C order, so no entry is formatted;
-    any other model hashes the canonical compact JSON of its (small)
-    descriptor. A model read back from its model file has the same digest."""
+    canonical compact-JSON header (n, norm's `canonical_text`, variant), one
+    format, then its matrix as little-endian complex128 bytes in C order;
+    any other model hashes the `canonical_json` of its (small) descriptor.
+    A model read back from its model file has the same digest."""
     if isinstance(T, Dense):
-        header = {"variant": T.variant, "n": T.dim, "norm": T.norm.to_json()}
-        h = hashlib.sha256(_canonical_json(header))
+        header = '{"n":%d,"norm":%s,"variant":"%s"}' % (T.dim, T.norm.canonical_text, T.variant)
+        h = hashlib.sha256(header.encode())
         h.update(np.ascontiguousarray(T.matrix, dtype="<c16"))
         return h.hexdigest()
-    return hashlib.sha256(_canonical_json(model_to_json(T))).hexdigest()
+    return hashlib.sha256(canonical_json(model_to_json(T)).encode()).hexdigest()
 
 
 MODEL_VARIANTS = {cls.variant: cls for cls in (Dense, Diagonal, WeightedShift, RankK)}

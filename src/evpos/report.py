@@ -47,7 +47,7 @@ def verdict_record(v: PositivityVerdict) -> dict:
         st = {"kind": "undetermined", "horizon": int(status.horizon)}
     else:
         raise ReportError(f"unknown verdict status {status!r}")
-    return {"notion": v.notion.value, "status": st, "tolerance": DEFAULT_TOL}
+    return {"notion": v.notion._value_, "status": st, "tolerance": DEFAULT_TOL}
 
 
 def verdict_from_record(rec: dict) -> PositivityVerdict:

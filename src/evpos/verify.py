@@ -17,13 +17,12 @@ than as a bug. Every check is a rule on one `Spectrum` of A, the model's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterator, Optional, Union
 
 import numpy as np
 
 from .classify import Confirmed, PositivityVerdict
-from .lattice import LatticeVector, NormKind, cone_distances
+from .lattice import LatticeVector, NormKind, cone_residual
 from .spectral import Spectrum, geometric_multiplicity
 
 DEFAULT_TOL = 1e-8
@@ -37,6 +36,13 @@ ANNIHILATED = 1e-9
 # cyclicity check seeks, and the powers n that monotonicity compares
 CYCLICITY_POWERS = 12
 MONOTONICITY_POWERS = (-3, -2, -1, 0, 1, 2, 3)
+# i k for each of those k, the columns of the (consecutive) n among them, the
+# rows of two vectors, and about the most entries of a peripheral-table block
+_IK = 1j * np.arange(-CYCLICITY_POWERS, CYCLICITY_POWERS + 1)
+_COLUMNS = slice(CYCLICITY_POWERS + MONOTONICITY_POWERS[0],
+                 CYCLICITY_POWERS + MONOTONICITY_POWERS[-1] + 1)
+_ROWS = np.arange(2)
+PERIPHERAL_TILE = 2**16
 
 
 class VerificationError(RuntimeError):
@@ -130,18 +136,19 @@ class EigenvectorResult:
     adjoint_residual: float
 
 
-def phase_aligned_cone_distance(x: LatticeVector) -> float:
-    """d_+(e^{i theta} x) / ||x||, with theta the phase that makes the
+def phase_aligned_cone_distance(V: np.ndarray, norm: NormKind) -> np.ndarray:
+    """d_+(e^{i theta} x) / ||x|| for each row x of V, a C-contiguous block
+    of one or two rows of nonzero norm, with theta the phase that makes the
     largest-modulus entry of x (the first, on a tie) real and positive; an
     eigenvector is only defined up to a scalar, and the entry that dominates
-    the norm fixes that scalar's phase. The moduli of x give both its norm
-    and its top entry."""
-    moduli = np.abs(x.entries)
-    scale = float(x.norm.of_moduli(moduli))
-    if scale == 0.0:
-        return 0.0
-    top = x.entries[int(moduli.argmax())]
-    return float(cone_distances(x.entries * (abs(top) / top), x.norm) / scale)
+    the norm fixes that scalar's phase. Each row gets the value of its own
+    vector bit for bit: each norm is one reduction along each row, and |top|
+    is formed by hypot, as abs() of a scalar forms it (np.abs of a complex
+    array can differ from it in the last bit)."""
+    moduli = np.abs(V)
+    top = V[_ROWS[: len(V)], moduli.argmax(axis=1)]
+    aligned = V * (np.hypot(top.real, top.imag) / top)[:, None]
+    return norm.of_moduli(cone_residual(aligned).T) / norm.of_moduli(moduli.T)
 
 
 def positive_eigenvector(spec: Spectrum, norm: NormKind) -> EigenvectorResult:
@@ -149,43 +156,46 @@ def positive_eigenvector(spec: Spectrum, norm: NormKind) -> EigenvectorResult:
     coefficient Q_{-m} = (A - lam0)^{m-1} P of the resolvent, P the spectral
     projection and m the peripheral pole order of lam0: Q_{-m} x0 for a
     canonical positive x0 lies in ker(lam0 - A) and, up to phase, in the
-    positive cone. As lam0 is real, A^H has the coefficient Q_{-m}^H. A
-    power-of-two multiple of Q_{-m} is the spectrum's peripheral coefficient
-    at lam0, which the asymptotic rule may have computed already; the
-    positive factor leaves the normalized vectors alone."""
+    positive cone. As lam0 is real, A^H has the coefficient Q_{-m}^H; the
+    adjoint is found as its conjugate, from Q_{-m}^T and A^T, which has its
+    moduli, norms and cone distances. A power-of-two multiple of Q_{-m} is
+    the spectrum's peripheral coefficient at lam0, which the asymptotic rule
+    may have computed already; the positive factor leaves the normalized
+    vectors alone."""
     A, spr = spec.matrix, spec.spectral_radius
     k = int(np.abs(spec.peripheral_eigenvalues - spr).argmin())
-    m = spec.pole_orders[k]
     Q = spec.coefficient(k)
-
-    def size(y: np.ndarray) -> float:
-        return float(norm.of_moduli(np.abs(y)))
-
-    def pick(Qm: np.ndarray) -> LatticeVector:
-        # Qm x0 for the first canonical positive x0 that Qm does not
-        # annihilate: the all-ones vector, then each basis vector, each
-        # column read only when the ones before it are annihilated
-        for y in chain([Qm @ np.ones(len(Qm))], Qm.T):
-            nv = size(y)
-            if nv > ANNIHILATED:
-                return LatticeVector(y / nv, norm)
-        raise VerificationError(
-            "every canonical positive vector is annihilated by the Laurent "
-            "coefficient"
-        )
-
-    primal = pick(Q)
-    adjoint = pick(Q.conj().T)
-    x, y = primal.entries, adjoint.entries
+    ones = np.empty(len(Q))
+    ones.fill(1.0)
+    # U's rows: Q x0 and Q^T x0 for the first canonical positive x0 not
+    # annihilated: all ones, then each basis vector, read only when needed
+    U, W = np.empty((2, 2, len(Q)), dtype=complex)
+    np.matmul(Q, ones, out=U[0])
+    np.matmul(ones, Q, out=U[1])
+    sizes = norm.of_moduli(np.abs(U).T)
+    for row, columns in enumerate((Q.T, Q)):
+        columns = iter(columns)
+        while not sizes[row] > ANNIHILATED:
+            column = next(columns, None)
+            if column is None:
+                raise VerificationError(
+                    "every canonical positive vector is annihilated by the Laurent coefficient"
+                )
+            U[row], sizes[row] = column, norm.of_moduli(np.abs(column))
+    U /= sizes[:, None]
+    np.matmul(A, U[0], out=W[0])
+    np.matmul(U[1], A, out=W[1])
+    W -= spr * U
+    distances, residuals = phase_aligned_cone_distance(U, norm), norm.of_moduli(np.abs(W).T)
     return EigenvectorResult(
         value=spr,
-        primal=primal,
-        adjoint=adjoint,
-        pole_order=m,
-        primal_cone_distance=phase_aligned_cone_distance(primal),
-        adjoint_cone_distance=phase_aligned_cone_distance(adjoint),
-        primal_residual=size(spr * x - A @ x),
-        adjoint_residual=size(spr * y - A.conj().T @ y),
+        primal=LatticeVector(U[0], norm),
+        adjoint=LatticeVector(U[1].conj(), norm),
+        pole_order=spec.pole_orders[k],
+        primal_cone_distance=float(distances[0]),
+        adjoint_cone_distance=float(distances[1]),
+        primal_residual=float(residuals[0]),
+        adjoint_residual=float(residuals[1]),
     )
 
 
@@ -223,21 +233,21 @@ class PeripheralTable:
 
 
 def peripheral_table(spec: Spectrum) -> PeripheralTable:
-    """The table of one spectrum, one dim x (2 CYCLICITY_POWERS + 1)
-    broadcast per peripheral eigenvalue. Raises where
+    """The table of one spectrum, formed a block of peripheral eigenvalues
+    at a time, each block's broadcast against the spectrum holding at most
+    about PERIPHERAL_TILE entries (one block for dim <= 51). Raises where
     `power_bounded_estimate` does, at spr = 0."""
     power_bounds = power_bounded_estimate(spec)
     spr, vals, periph = spec.spectral_radius, spec.eigenvalues, spec.peripheral_eigenvalues
-    ks = np.arange(-CYCLICITY_POWERS, CYCLICITY_POWERS + 1)
-    columns = np.array(MONOTONICITY_POWERS) + CYCLICITY_POWERS
-    targets = np.empty((len(periph), len(ks)), dtype=complex)
+    # np.angle of each, with no Python wrapper
+    targets = spr * np.exp(_IK * np.arctan2(periph.imag, periph.real)[:, None])
     distances = np.empty(targets.shape)
-    homes = np.empty((len(periph), len(columns)), dtype=np.intp)
-    for i, lam in enumerate(periph):
-        # np.angle(lam), with no Python wrapper
-        targets[i] = spr * np.exp(1j * ks * np.arctan2(lam.imag, lam.real))
-        distances[i] = np.minimum.reduce(np.abs(vals[:, None] - targets[i]), axis=0)
-        homes[i] = np.abs(periph[:, None] - targets[i, columns]).argmin(axis=0)
+    homes = np.empty((len(periph), len(MONOTONICITY_POWERS)), dtype=np.intp)
+    step = max(1, PERIPHERAL_TILE // (len(vals) * len(_IK)))
+    for i in range(0, len(periph), step):
+        block = targets[i : i + step]
+        distances[i : i + step] = np.minimum.reduce(np.abs(vals[:, None, None] - block), axis=0)
+        homes[i : i + step] = np.abs(periph[:, None, None] - block[:, _COLUMNS]).argmin(axis=0)
     return PeripheralTable(spec, power_bounds, targets, distances, homes)
 
 
@@ -291,7 +301,6 @@ def multiplicity_monotonicity_check(
     hyp = {"power-bounded": table.power_bounds["power_bounded"]}
     hyp.update(_verdict_hypothesis("weak-asymptotic-positive", asymptotic_verdict))
     periph = spec.peripheral_eigenvalues
-    columns = np.array(MONOTONICITY_POWERS) + CYCLICITY_POWERS
     mults: dict = {}
 
     def mult(i: int) -> int:
@@ -300,7 +309,7 @@ def multiplicity_monotonicity_check(
             mults[i] = 1 if simple else geometric_multiplicity(spec, periph[i])
         return mults[i]
 
-    missing = table.distances[:, columns] > DEFAULT_TOL * spr
+    missing = table.distances[:, _COLUMNS] > DEFAULT_TOL * spr
     moved = table.homes != np.arange(len(periph))[:, None]
     rows = []
     ok = True
@@ -308,7 +317,7 @@ def multiplicity_monotonicity_check(
         i, c = int(i), int(c)
         lam, n = complex(periph[i]), MONOTONICITY_POWERS[c]
         if missing[i, c]:
-            target = complex(table.targets[i, columns[c]])
+            target = complex(table.targets[i, _COLUMNS][c])
             rows.append({"lambda": lam, "n": n, "missing_power": target})
             ok = False
         else:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evpos.classify
 import evpos.cli
 import evpos.operators
 import evpos.spectral
@@ -265,6 +266,25 @@ class TestRunClassify:
             "resolvent_matrix": 0,
             "laurent_leading_coefficient": int(eigenvector),
         }
+
+    @pytest.mark.parametrize("name", ["dense-dim7", "cyclic-block"])
+    def test_nonnegativity_is_decided_once(self, name, monkeypatch):
+        # both trios of a Dense read whether it is exactly nonnegative, a
+        # pass over its entries that their shared `LimitStatus` makes once
+        if name == "dense-dim7":
+            model = make_eventually_positive(7, 0.5, 1003).model
+        else:
+            model = get_example(name).model
+        original, calls = evpos.classify._exactly_nonnegative, []
+
+        def counting(A):
+            calls.append(A)
+            return original(A)
+
+        monkeypatch.setattr(evpos.classify, "_exactly_nonnegative", counting)
+        report, failed = run_classify(model, name, 0)
+        assert not failed and len(report.classification) == 6
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("name", ["rem3.2b", "ex3.5a", "ex3.5b"])
     def test_diagonal_and_shift_checks_take_no_solve(self, name, monkeypatch):

@@ -3,8 +3,12 @@ array methods and BLAS directly: it enters none of numpy's Python wrapper
 layers (`np.linalg.norm`, `np.stack`, the `fromnumeric` functions, the
 `_methods` hop behind `.sum/.min/.max/.all/.any`, `np.tensordot`,
 `np.angle`). Each of those costs a few Python frames on every call, which
-is most of a small model's classification."""
+is most of a small model's classification. Nor does it enter `json` (the
+model digest writes a `Dense` header in one format) or `enum` (notion names
+are read off the members)."""
 
+import enum
+import json
 import os
 import sys
 
@@ -12,6 +16,9 @@ import pytest
 
 from evpos.catalog import get_example
 from evpos.cli import run_classify
+from evpos.generators import make_eventually_positive
+from evpos.lattice import Ell1, Ell2, EllInf
+from evpos.report import report_to_json
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
@@ -24,8 +31,11 @@ WRAPPER_FILES = (
     "numpy/_core/fromnumeric.py",
     "numpy/_core/_methods.py",
 )
-# numpy functions, elsewhere in numpy, that wrap `np.dot` and `np.arctan2`
-WRAPPER_FUNCTIONS = ("tensordot", "angle")
+# numpy functions, elsewhere in numpy, that wrap `np.dot`, `np.arctan2` and
+# `np.empty` with `np.copyto`
+WRAPPER_FUNCTIONS = ("tensordot", "angle", "ones")
+# the stdlib files whose Python frames the digest and the notion names avoid
+STDLIB_FILES = (json.__file__, json.encoder.__file__, enum.__file__)
 
 
 def _models() -> list:
@@ -69,6 +79,27 @@ def test_warm_classification_enters_no_numpy_wrapper(warm_models):
     try:
         for name, model in warm_models:
             run_classify(model, name, 0)
+    finally:
+        sys.setprofile(None)
+    assert not entered, sorted(entered)
+
+
+def test_warm_classification_enters_no_json_or_enum_frame():
+    models = [(c.name, c.model) for c in workloads.random_small(0)]
+    for norm in (Ell1(), Ell2(), EllInf()):
+        models.append((norm.kind, make_eventually_positive(5, 0.5, seed=34, norm=norm).model))
+    for name, model in models:
+        report_to_json(run_classify(model, name, 0)[0])
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in STDLIB_FILES:
+            entered.add(f"{frame.f_code.co_filename}:{frame.f_code.co_name}")
+
+    sys.setprofile(profile)
+    try:
+        for name, model in models:
+            report_to_json(run_classify(model, name, 0)[0])
     finally:
         sys.setprofile(None)
     assert not entered, sorted(entered)

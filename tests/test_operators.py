@@ -8,6 +8,7 @@ from evpos.catalog import averaging_plus_singular, averaging_plus_slope, build_c
 from evpos.lattice import (
     Ell1,
     Ell2,
+    EllInf,
     GridSup,
     LatticeVector,
     LpQuadrature,
@@ -316,13 +317,21 @@ class TestArraySerialisation:
 class TestModelDigest:
     def test_dense_digest_is_pinned(self):
         # the documented recipe: sha256 of the compact sorted-key JSON header,
-        # then the matrix as little-endian complex128 bytes in C order
+        # then the matrix as little-endian complex128 bytes in C order; on
+        # each norm kind, the grid ones from the dense views of rank-k models
         A = np.array([[1 + 2j, -0.5], [0.25j, 3.0]])
         recipe = hashlib.sha256(b'{"n":2,"norm":{"kind":"ell2"},"variant":"dense"}')
         recipe.update(A.astype("<c16").tobytes())
         digest = model_digest(Dense(A, Ell2()))
         assert digest == recipe.hexdigest()
         assert digest == "964a54bcd205e2ee3c0e59ca46ddbb8563b6d5a4d8a843639d0c61b309fb1be8"
+        models = [Dense(A, Ell1()), Dense(A, EllInf())]
+        models += [to_dense(averaging_plus_slope(11)), to_dense(averaging_plus_singular(8))]
+        for model in models:
+            header = {"variant": "dense", "n": model.dim, "norm": model.norm.to_json()}
+            recipe = hashlib.sha256(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
+            recipe.update(model.matrix.astype("<c16").tobytes())
+            assert model_digest(model) == recipe.hexdigest(), model.norm.kind
 
     def test_one_ulp_or_the_norm_changes_the_digest(self):
         A = np.array([[1 + 2j, -0.5], [0.25j, 3.0]])

@@ -1,10 +1,14 @@
 import dataclasses
+import os
+import sys
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
 
 import evpos.verify
+from evpos.catalog import averaging_plus_singular, averaging_plus_slope
 from evpos.classify import (
     Confirmed,
     Notion,
@@ -12,11 +16,12 @@ from evpos.classify import (
     UndeterminedUpToHorizon,
     classify_asymptotic,
 )
-from evpos.lattice import Ell1, Ell2, EllInf, LatticeVector
-from evpos.operators import Diagonal
+from evpos.lattice import Ell1, Ell2, EllInf, cone_distances
+from evpos.operators import Dense, Diagonal, to_dense
 from evpos.rng import rng_for
 from evpos.spectral import eigenvalues
 from evpos.verify import (
+    ANNIHILATED,
     CYCLICITY_POWERS,
     DEFAULT_TOL,
     MONOTONICITY_POWERS,
@@ -32,6 +37,10 @@ from evpos.verify import (
     power_bounded_estimate,
     verify_spr_in_spectrum,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+
+import workloads  # noqa: E402
 
 NONREAL = np.diag([1.0, 0.5j])
 DRIFT = np.diag([-1.0 + 1.0 / j for j in range(1, 51)])
@@ -96,8 +105,8 @@ class TestPositiveEigenvector:
         assert result.adjoint_residual <= 1e-6
 
     def test_phase_alignment_handles_rotated_vector(self):
-        x = LatticeVector(np.exp(0.7j) * np.array([1.0, 2.0], dtype=complex), Ell2())
-        assert phase_aligned_cone_distance(x) <= 1e-6
+        x = np.exp(0.7j) * np.array([[1.0, 2.0]], dtype=complex)
+        assert phase_aligned_cone_distance(x, Ell2())[0] <= 1e-6
 
     @pytest.mark.parametrize(
         "phi", [-np.pi, -2.5, -np.pi / 2, 0.0, 0.7, np.pi / 2, 3.0, np.pi]
@@ -108,14 +117,101 @@ class TestPositiveEigenvector:
         # up to rounding, also when the largest modulus is attained twice
         p = rng_for(15, 0).uniform(0.1, 1.0, size=7)
         for q in (p, np.append(p, p.max())):
-            x = LatticeVector(np.exp(1j * phi) * q, norm)
-            assert phase_aligned_cone_distance(x) <= len(q) * np.finfo(float).eps
+            x = np.exp(1j * phi) * q[None]
+            assert phase_aligned_cone_distance(x, norm)[0] <= len(q) * np.finfo(float).eps
 
     def test_phase_is_fixed_by_the_first_largest_entry(self):
         # -1 comes first among the entries of modulus 1, so the vector is
         # turned by pi: 0.5 and 1 land at -0.5 and -1, and d_+ is 1.5 / ||x||_1
-        x = LatticeVector(np.array([0.5, -1.0, 1.0], dtype=complex), Ell1())
-        assert phase_aligned_cone_distance(x) == pytest.approx(1.5 / 2.5)
+        x = np.array([[0.5, -1.0, 1.0]], dtype=complex)
+        assert phase_aligned_cone_distance(x, Ell1())[0] == pytest.approx(1.5 / 2.5)
+
+
+def _positive_eigenvector_loop(spec, norm) -> tuple:
+    """`positive_eigenvector` vector by vector, each from its own matrix
+    products, the adjoint from the conjugate matrices, and each cone
+    distance from its own phase: (primal, adjoint, their cone distances,
+    their residuals)."""
+    A, spr = spec.matrix, spec.spectral_radius
+    Q = spec.coefficient(int(np.abs(spec.peripheral_eigenvalues - spr).argmin()))
+
+    def size(y):
+        return float(norm.of_moduli(np.abs(y)))
+
+    def pick(Qm):
+        for y in chain([Qm @ np.ones(len(Qm))], Qm.T):
+            nv = size(y)
+            if nv > ANNIHILATED:
+                return y / nv
+        raise VerificationError("every canonical positive vector is annihilated")
+
+    def distance(x):
+        moduli = np.abs(x)
+        top = x[int(moduli.argmax())]
+        return float(cone_distances(x * (abs(top) / top), norm) / float(norm.of_moduli(moduli)))
+
+    x, y = pick(Q), pick(Q.conj().T)
+    return x, y, distance(x), distance(y), size(spr * x - A @ x), size(spr * y - A.conj().T @ y)
+
+
+class TestEigenvectorBlock:
+    """`positive_eigenvector` forms the primal and the adjoint as the rows of
+    one block, the adjoint conjugated, from Q^T and A^T: it finds the
+    vectors of the vector-by-vector reference, their cone distances bit for
+    bit, and residuals on the same side of the bound."""
+
+    @staticmethod
+    def assert_as_loop(spec, norm):
+        x, y, dx, dy, rx, ry = _positive_eigenvector_loop(spec, norm)
+        found = positive_eigenvector(spec, norm)
+        assert np.array_equal(found.primal.entries, x)
+        assert np.array_equal(found.adjoint.entries, y)
+        bits = [np.float64(d).tobytes() for d in (dx, dy)]
+        assert [np.float64(found.primal_cone_distance).tobytes(),
+                np.float64(found.adjoint_cone_distance).tobytes()] == bits
+        bound = EIGENVECTOR_TOL * spec.spectral_radius
+        assert (found.primal_residual <= bound) == (rx <= bound)
+        assert (found.adjoint_residual <= bound) == (ry <= bound)
+
+    @pytest.mark.parametrize("seed", [0, 7, 111])
+    def test_every_workload_dense(self, seed):
+        dense = [c.model for make in (workloads.catalog, workloads.dense_sweep, workloads.random_small)
+                 for c in make(seed) if isinstance(c.model, Dense)]
+        assert len(dense) == 47
+        for T in dense:
+            self.assert_as_loop(T.spectral_data(), T.norm)
+
+    @pytest.mark.parametrize("norm", [Ell1(), Ell2(), EllInf()], ids=["l1", "l2", "linf"])
+    def test_complex_matrices(self, norm):
+        rng = rng_for(34, 0)
+        for dim in range(2, 14):
+            A = rng.uniform(0.05, 1.0, (dim, dim)) + 0.2j * rng.normal(size=(dim, dim))
+            self.assert_as_loop(eigenvalues(A), norm)
+            self.assert_as_loop(eigenvalues(np.exp(0.7j) * A), norm)
+
+    @pytest.mark.parametrize("model", [averaging_plus_slope(11), averaging_plus_singular(8)],
+                             ids=["grid-sup", "lp-quadrature"])
+    def test_grid_norms(self, model):
+        T = to_dense(model)
+        self.assert_as_loop(T.spectral_data(), T.norm)
+
+    @pytest.mark.parametrize(
+        "A",
+        [np.array([[0.0, -1.0], [-1.0, 0.0]]), np.array([[1.0, -1.0], [0.0, 2.0]])],
+        ids=["both", "adjoint"],
+    )
+    def test_annihilated_ones_read_the_columns(self, A):
+        # the eigenvector at spr is (1, -1) for both; the first is symmetric,
+        # and the second has the left eigenvector (0, 1), so Q annihilates
+        # the all-ones vector in both rows of the first, and in the adjoint
+        # row alone of the second
+        self.assert_as_loop(eigenvalues(A), Ell2())
+
+    def test_every_vector_annihilated(self, monkeypatch):
+        spec = eigenvalues(np.eye(2))
+        monkeypatch.setattr(type(spec), "coefficient", lambda self, k: np.zeros((2, 2), complex))
+        with pytest.raises(VerificationError):
+            positive_eigenvector(spec, Ell1())
 
 
 class TestPeripheralChecks:
