@@ -4,7 +4,6 @@ classification and spectral behavior are known in closed form."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -22,6 +21,7 @@ from .operators import (
     WeightedIntegral,
     WeightedShift,
 )
+from .record import Record
 
 GRID_NODES = 201
 QUADRATURE_CELLS = 400
@@ -31,15 +31,14 @@ SHIFT_TRUNCATION = 30
 EXAMPLE_ALIASES = {"ex5.1": "ex3.5a"}
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     """A named model plus its expected classification outcomes; `expected`
     maps notion names to 'confirmed' / 'refuted' / None (not asserted)."""
 
     name: str
     description: str
     model: OperatorModel
-    expected: dict = field(default_factory=dict)
+    expected: dict = {}
     spr_in_spectrum: Optional[bool] = None
     notes: str = ""
 
@@ -182,6 +181,6 @@ def get_example(name: str, seed: int = 0) -> CatalogEntry:
     target = EXAMPLE_ALIASES.get(name, name)
     for entry in catalog:
         if entry.name == target:
-            return replace(entry, name=name)
+            return entry.replace(name=name)
     known = ", ".join([e.name for e in catalog] + list(EXAMPLE_ALIASES))
     raise KeyError(f"unknown example {name!r}; known examples: {known}")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
@@ -38,6 +37,7 @@ from .operators import (
     to_dense,
 )
 from . import spectral
+from .record import Record
 from .witnesses import face_witness, hat_limit_witnesses, signed_power_witness
 
 DEFAULT_TOL = 1e-9
@@ -86,33 +86,28 @@ class Notion(enum.Enum):
 _EVENTUAL_CHAIN, _ASYMPTOTIC_CHAIN = tuple(Notion)[:3], tuple(Notion)[3:]
 
 
-@dataclass(frozen=True)
-class Confirmed:
+class Confirmed(Record):
     n0: int = 0
 
 
-@dataclass(frozen=True)
-class RefutedWithWitness:
+class RefutedWithWitness(Record):
     witness: object
     description: str = ""
 
 
-@dataclass(frozen=True)
-class UndeterminedUpToHorizon:
+class UndeterminedUpToHorizon(Record):
     horizon: int
 
 
 Status = Union[Confirmed, RefutedWithWitness, UndeterminedUpToHorizon]
 
 
-@dataclass(frozen=True)
-class PositivityVerdict:
+class PositivityVerdict(Record):
     notion: Notion
     status: Status
 
 
-@dataclass(frozen=True)
-class ConeTestSet:
+class ConeTestSet(Record):
     vectors: tuple
     functionals: tuple
 
@@ -438,14 +433,14 @@ def _rank_k_eventual(T: RankK, limit: LimitStatus) -> tuple:
     # where no shrinking hat does
     uniform = None if individual is not None and face is None else _hat_refutation(T)
     if uniform is None and individual is not None:
-        uniform = replace(individual, notion=Notion.UNIFORM_EVENTUAL)
+        uniform = individual.replace(notion=Notion.UNIFORM_EVENTUAL)
     elif uniform is None:
         uniform = PositivityVerdict(
             Notion.UNIFORM_EVENTUAL,
             _rank_k_status(T, status, limit),
         )
     if face is not None:
-        return uniform, individual, replace(individual, notion=Notion.WEAK_EVENTUAL)
+        return uniform, individual, individual.replace(notion=Notion.WEAK_EVENTUAL)
     certified = ()
     if status is None:
         otherwise = uniform.status
@@ -864,7 +859,8 @@ def _peripheral_status(T: Dense) -> Status:
     if None in q:
         return UndeterminedUpToHorizon(0) if m > 1 else _not_cyclic(mu, q, count)
     # the coefficients as the rows of the operand that `np.tensordot` passes
-    # to `np.dot`, so each L_r rounds as the contraction does; one is a view
+    # to `np.dot` (the array method `.dot`, with no Python dispatcher), so
+    # each L_r rounds as the contraction does; one is a view
     rows = [spec.coefficient(k).reshape(1, -1) for k in top]
     C, shape = rows[0] if len(rows) == 1 else np.concatenate(rows), T.matrix.shape
     if m == 1:
@@ -873,7 +869,7 @@ def _peripheral_status(T: Dense) -> Status:
         # ||C_k||_F as `np.linalg.norm` forms it
         norms = np.sqrt(np.add.reduce((C.conj() * C).real, axis=1))
         slack = T.dim * EPS * float(np.add.reduce(norms**2))
-        L, threshold = np.dot(mu.reshape(1, -1), C).reshape(shape), DEFAULT_TOL + slack
+        L, threshold = mu.reshape(1, -1).dot(C).reshape(shape), DEFAULT_TOL + slack
         refuted = None
         if not _residual_bound(L) <= threshold:
             refuted = _limit_point_refutation(T, _worst_entry([(0, L)]), 1, threshold)
@@ -882,7 +878,7 @@ def _peripheral_status(T: Dense) -> Status:
     C = C / (spec.scale * spr) ** (m - 1)
 
     def worst(r):
-        return _worst_entry([(0, np.dot((mu**r).reshape(1, -1), C).reshape(shape))]), r
+        return _worst_entry([(0, (mu**r).reshape(1, -1).dot(C).reshape(shape))]), r
 
     threshold = DEFAULT_TOL + spec.coefficient_error / (spec.scale * spr) ** (m - 1)
     for r in range(min(math.lcm(*q), MAX_PERIOD)):

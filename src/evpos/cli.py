@@ -115,7 +115,10 @@ def _load_model(path: str) -> OperatorModel:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     try:
         return model_from_json(data)
-    except (OperatorError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its key
+        raise InputError(f"{path}: bad model descriptor: missing key {exc.args[0]!r}") from exc
+    except (OperatorError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: bad model descriptor: {exc}") from exc
 
 
@@ -294,7 +297,7 @@ def _resolve_model(args) -> tuple:
         try:
             entry = get_example(args.example, getattr(args, "seed", 0))
         except KeyError as exc:
-            raise InputError(str(exc)) from exc
+            raise InputError(exc.args[0]) from exc
         return entry.model, entry.name
     if getattr(args, "generate", None):
         return _parse_generator_spec(args.generate), args.generate

@@ -4,13 +4,13 @@ matrices with prescribed peripheral spectrum."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .lattice import Ell2, NormKind
 from .operators import Dense
+from .record import Record
 from .rng import rng_for
 
 DIM_CAP = 64
@@ -20,8 +20,7 @@ class GeneratorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EventuallyPositiveInstance:
+class EventuallyPositiveInstance(Record):
     model: Dense
     projection: np.ndarray  # the strictly positive rank-1 limit of the powers
     perron_vector: np.ndarray

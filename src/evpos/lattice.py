@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
 from typing import ClassVar, Union
 
 import numpy as np
+
+from .record import Record
 
 
 class LatticeError(ValueError):
@@ -37,7 +38,7 @@ def _numbers(values, what: str) -> tuple:
     return tuple(number(v, what) for v in values)
 
 
-class _SequenceNorm:
+class _SequenceNorm(Record):
     """A little-ell-p norm: no nodes, and a descriptor that is its kind alone."""
 
     node_count: ClassVar[None] = None
@@ -50,7 +51,6 @@ class _SequenceNorm:
         return cls()
 
 
-@dataclass(frozen=True)
 class Ell1(_SequenceNorm):
     kind: ClassVar[str] = "ell1"
     canonical_text: ClassVar[str] = '{"kind":"ell1"}'
@@ -59,7 +59,6 @@ class Ell1(_SequenceNorm):
         return np.add.reduce(a, axis=0)
 
 
-@dataclass(frozen=True)
 class Ell2(_SequenceNorm):
     kind: ClassVar[str] = "ell2"
     canonical_text: ClassVar[str] = '{"kind":"ell2"}'
@@ -68,7 +67,6 @@ class Ell2(_SequenceNorm):
         return np.sqrt(np.add.reduce(a * a, axis=0))
 
 
-@dataclass(frozen=True)
 class EllInf(_SequenceNorm):
     kind: ClassVar[str] = "ellinf"
     canonical_text: ClassVar[str] = '{"kind":"ellinf"}'
@@ -77,8 +75,7 @@ class EllInf(_SequenceNorm):
         return np.maximum.reduce(a, axis=0, initial=0.0)
 
 
-@dataclass(frozen=True)
-class LpQuadrature:
+class LpQuadrature(Record):
     """L^p norm on an interval, discretized by a quadrature rule."""
 
     p: float
@@ -126,8 +123,7 @@ class LpQuadrature:
         )
 
 
-@dataclass(frozen=True)
-class GridSup:
+class GridSup(Record):
     """Sup norm sampled on a fixed grid; all statements are grid-relative."""
 
     nodes: tuple
@@ -170,10 +166,9 @@ NormKind = Union[Ell1, Ell2, EllInf, LpQuadrature, GridSup]
 NORM_KINDS = {cls.kind: cls for cls in (Ell1, Ell2, EllInf, LpQuadrature, GridSup)}
 
 
-@dataclass(frozen=True)
-class LatticeVector:
-    entries: np.ndarray = field()
-    norm: NormKind = field(default_factory=Ell2)
+class LatticeVector(Record):
+    entries: np.ndarray
+    norm: NormKind = Ell2()
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=complex)

@@ -8,13 +8,13 @@ diagonal multiplication operators, and weighted shifts.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar, Union
 
 import numpy as np
 
 from .lattice import NORM_KINDS, LatticeVector, NormKind, canonical_json, number
+from .record import Record
 from .spectral import Spectrum, diagonal_spectrum, eigenvalues, nilpotent_spectrum
 
 
@@ -49,8 +49,7 @@ def _finite_data(data, what: str) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(Record):
     value: complex = 1.0
     kind: ClassVar[str] = "constant"
 
@@ -75,8 +74,7 @@ class Constant:
         return cls(_j2c(data["value"]))
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     degree: int = 1
     kind: ClassVar[str] = "monomial"
 
@@ -105,8 +103,7 @@ class Monomial:
         return cls(data["degree"])
 
 
-@dataclass(frozen=True)
-class SignedPower:
+class SignedPower(Record):
     """x -> sgn(x) * |x|**exponent; exponent may be negative (integrable)."""
 
     exponent: float
@@ -142,8 +139,7 @@ class SignedPower:
         return cls(float(_number(data["exponent"], "signed-power exponent")))
 
 
-@dataclass(frozen=True)
-class Tabulated:
+class Tabulated(Record):
     values: tuple
     kind: ClassVar[str] = "tabulated"
 
@@ -203,8 +199,7 @@ def _nodes(space: NormKind) -> np.ndarray:
     return np.asarray(space.nodes, dtype=float)
 
 
-@dataclass(frozen=True)
-class WeightedIntegral:
+class WeightedIntegral(Record):
     """g -> scale * integral of weight(x) * g(x) over the space's interval."""
 
     weight: FunctionRep
@@ -248,8 +243,7 @@ class WeightedIntegral:
         return cls(_decode(data["weight"], FUNCTION_KINDS, "function"), _j2c(data["scale"]))
 
 
-@dataclass(frozen=True)
-class PointCombination:
+class PointCombination(Record):
     """g -> sum_i coefficients[i] * g(points[i])."""
 
     points: tuple
@@ -349,8 +343,7 @@ def _check_node_count(T) -> None:
         raise OperatorError(f"norm has {count} nodes, model has dimension {T.dim}")
 
 
-@dataclass(frozen=True)
-class Dense:
+class Dense(Record):
     matrix: np.ndarray
     norm: NormKind
     variant: ClassVar[str] = "dense"
@@ -402,8 +395,7 @@ class Dense:
         return cls(entries, norm_from_json(data["norm"]))
 
 
-@dataclass(frozen=True)
-class Diagonal:
+class Diagonal(Record):
     symbol: np.ndarray
     norm: NormKind
     variant: ClassVar[str] = "diagonal"
@@ -441,8 +433,7 @@ class Diagonal:
         return cls(np.array([_j2c(v) for v in data["symbol"]]), norm_from_json(data["norm"]))
 
 
-@dataclass(frozen=True)
-class WeightedShift:
+class WeightedShift(Record):
     """(Tx)_{k+1} = w_k x_k and (Tx)_1 = 0; dimension = len(weights) + 1."""
 
     weights: np.ndarray
@@ -488,23 +479,18 @@ class WeightedShift:
         return cls(np.array([_j2c(v) for v in data["weights"]]), norm_from_json(data["norm"]))
 
 
-@dataclass(frozen=True)
-class RankK:
+class RankK(Record):
     functions: tuple
     functionals: tuple
     space: NormKind
-    # computed once by __post_init__: D[i, j] = <phi_i, f_j>, its diagonal
-    # lam_i = <phi_i, f_i> (the eigen-parameters) and their largest modulus,
-    # the quadrature rows of the phi_i (k x dim) and the f_j sampled on the
-    # grid (dim x k)
-    duality: np.ndarray = field(init=False, repr=False, compare=False)
-    eigen_parameters: np.ndarray = field(init=False, repr=False, compare=False)
-    _radius: float = field(init=False, repr=False, compare=False)
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
-    samples: np.ndarray = field(init=False, repr=False, compare=False)
     variant: ClassVar[str] = "rank_k"
 
     def __post_init__(self):
+        # not fields, so equality, hash and repr skip them: D[i, j] =
+        # <phi_i, f_j> (`duality`), its diagonal lam_i = <phi_i, f_i> (the
+        # `eigen_parameters`) and their largest modulus (`_radius`), the
+        # quadrature `rows` of the phi_i (k x dim) and the f_j sampled on the
+        # grid (`samples`, dim x k)
         if len(self.functions) != len(self.functionals):
             raise OperatorError("rank-k model needs matching function/functional lists")
         if self.space.node_count is None:

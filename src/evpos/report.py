@@ -9,7 +9,6 @@ no timestamps: identical inputs must produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
@@ -26,6 +25,7 @@ from .classify import (
     hierarchy_violations,
 )
 from .operators import complex_pairs
+from .record import Record
 from .rng import GENERATOR_NAME
 from .spectral import Spectrum
 from .verify import CheckResult
@@ -74,17 +74,14 @@ def spectrum_record(s: Spectrum) -> dict:
     return {"eigenvalues": complex_pairs(s.eigenvalues), "spectral_radius": float(s.spectral_radius)}
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     operator_id: str
     model_descriptor: dict
     classification: tuple  # of verdict records
     spectrum: Optional[dict]
     checks: tuple  # of check records
     seed: int
-    versions: dict = field(
-        default_factory=lambda: {"tool": _tool_version, "schema": SCHEMA_VERSION, "rng": GENERATOR_NAME}
-    )
+    versions: dict = {"tool": _tool_version, "schema": SCHEMA_VERSION, "rng": GENERATOR_NAME}
 
     @property
     def contradiction_count(self) -> int:

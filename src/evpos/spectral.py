@@ -8,11 +8,12 @@ have theirs in closed form with no solve (`diagonal_spectrum`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
+
+from .record import Record
 
 DEFAULT_TOL = 1e-8
 # eigenvalues near the spectral circle and within this multiple of spr of
@@ -30,8 +31,7 @@ class SingularResolventError(SpectralError):
         self.lam = lam
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """A matrix A (read-only) with its eigenvalues, its spectral radius and
     ||A||_2, which the solver's trace check takes and the rank thresholds
     reuse, and its peripheral part: everything the asymptotic rule and a

@@ -16,13 +16,13 @@ than as a bug. Every check is a rule on one `Spectrum` of A, the model's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 import numpy as np
 
 from .classify import Confirmed, PositivityVerdict
 from .lattice import LatticeVector, NormKind, cone_residual
+from .record import Record
 from .spectral import Spectrum, geometric_multiplicity
 
 DEFAULT_TOL = 1e-8
@@ -49,8 +49,7 @@ class VerificationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """One named verification with a signed slack.
 
     margin is the signed slack of the check's main bound: its tolerance
@@ -69,8 +68,8 @@ class CheckResult:
     pass_: bool
     margin: float
     tolerance: float
-    payload: dict = field(default_factory=dict)
-    hypotheses: dict = field(default_factory=dict)
+    payload: dict = {}
+    hypotheses: dict = {}
 
     @property
     def contradiction(self) -> bool:
@@ -124,8 +123,7 @@ def verify_spr_in_spectrum(
 # positive eigenvectors via the Laurent leading coefficient
 
 
-@dataclass(frozen=True)
-class EigenvectorResult:
+class EigenvectorResult(Record):
     value: float
     primal: LatticeVector
     adjoint: LatticeVector
@@ -216,8 +214,7 @@ def power_bounded_estimate(spec: Spectrum) -> dict:
     return {"power_bounded": all(m == 1 for m in orders), "peripheral_pole_orders": orders}
 
 
-@dataclass(frozen=True)
-class PeripheralTable:
+class PeripheralTable(Record):
     """What both peripheral checks read of one spectrum (`peripheral_table`):
     targets[i, c] = spr e^{ik theta}, k = c - CYCLICITY_POWERS, for the i-th
     peripheral eigenvalue spr e^{i theta}, and distances[i, c] its distance

@@ -8,17 +8,16 @@ meets one functional alone has the single power term lambda^(n-1)*b*f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .lattice import GridSup, LatticeVector
 from .operators import OperatorError, RankK, SignedPower
+from .record import Record
 
 
-@dataclass(frozen=True)
-class NegativityWitness:
+class NegativityWitness(Record):
     """A concrete violation: a positive input, a point, and the attained value."""
 
     n: int
@@ -136,8 +135,7 @@ def signed_power_witness(
     )
 
 
-@dataclass(frozen=True)
-class FaceWitness:
+class FaceWitness(Record):
     """The bump x = e_bump, on which every functional but phi_i vanishes,
     so T^n x = lam_i^(n-1) b f_i exactly; its value at node `node`, which
     is also <delta_node, T^n x>, is `value` < 0 at power n, and negative

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import json
@@ -672,7 +671,7 @@ REPORTS = st.builds(
 
 
 def _payload(report: AnalysisReport) -> dict:
-    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    return {name: getattr(report, name) for name in report.fields}
 
 
 class TestReportWriter:
@@ -692,8 +691,8 @@ class TestReportWriter:
                     {"kind": "undetermined", "horizon": 0}]
         classification = tuple({**r, "status": s} for r, s in zip(report.classification, statuses * 2))
         checks = ({**report.checks[0], "hypotheses": {}},)
-        for r in (dataclasses.replace(report, classification=classification, checks=checks),
-                  dataclasses.replace(report, checks=(), spectrum=None)):
+        for r in (report.replace(classification=classification, checks=checks),
+                  report.replace(checks=(), spectrum=None)):
             assert report_to_json(r) == json.dumps(_payload(r), indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize(
@@ -715,8 +714,7 @@ class TestReportWriter:
         functools.reduce(lambda d, k: d[k], keys, payload)[last] = value
         with pytest.raises(TypeError):
             json.dumps(payload, indent=2, sort_keys=True)
-        bad = dataclasses.replace(
-            report,
+        bad = report.replace(
             **{k: tuple(payload[k]) if k in ("classification", "checks") else payload[k]
                for k in ("classification", "checks", "model_descriptor", "spectrum")},
         )
@@ -994,10 +992,21 @@ class TestMainEntry:
         assert verdicts[0]["uniform-eventual"]["kind"] == "refuted"
         assert verdicts[0]["weak-asymptotic"] == {"kind": "confirmed", "n0": 0}
 
-    def test_unknown_example_is_input_error(self, capsys):
-        assert main(["classify", "--example", "nope"]) == EXIT_INPUT
+    @pytest.mark.parametrize("command", ["classify", "orbit"])
+    def test_unknown_example_is_input_error(self, command, capsys):
+        assert main([command, "--example", "nope"]) == EXIT_INPUT
         err = capsys.readouterr().err
+        assert err == (
+            "error: unknown example 'nope'; known examples: ex2.2a, ex2.2b, ex3.5a, "
+            "ex3.5b, rem3.2b, cyclic-block, eventually-positive, ex5.1\n"
+        )
         assert all(name in err for name in [*PAPER_REPORT_SHA256, *ALIAS_REPORT_SHA256])
+
+    def test_missing_model_key_is_named(self, tmp_path, capsys):
+        path = tmp_path / "no-entries.json"
+        path.write_text(json.dumps({"variant": "dense", "n": 2, "norm": {"kind": "ell1"}}))
+        assert main(["classify", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {path}: bad model descriptor: missing key 'entries'\n"
 
     @pytest.mark.parametrize("target", BAD_OUT_TARGETS)
     def test_unwritable_out_is_input_error(self, target, tmp_path, monkeypatch, capsys):

@@ -32,8 +32,8 @@ WRAPPER_FILES = (
     "numpy/_core/_methods.py",
 )
 # numpy functions, elsewhere in numpy, that wrap `np.dot`, `np.arctan2` and
-# `np.empty` with `np.copyto`
-WRAPPER_FUNCTIONS = ("tensordot", "angle", "ones")
+# `np.empty` with `np.copyto`, and the Python dispatcher of `np.dot` itself
+WRAPPER_FUNCTIONS = ("tensordot", "angle", "ones", "dot")
 # the stdlib files whose Python frames the digest and the notion names avoid
 STDLIB_FILES = (json.__file__, json.encoder.__file__, enum.__file__)
 

@@ -84,6 +84,19 @@ ALLOWLIST = {
     "report.report_from_json": "reads reports back; the round-trip tests use it",
     "report._require": "the record-key check of report_from_json",
     "report._template": "builds the record templates when the module is imported, before any command",
+    "record.Record.__init_subclass__": (
+        "reads each record class's fields when the module is imported, before any command"
+    ),
+    "record.Record.__eq__": "record value equality, which the tests compare verdicts and models with",
+    "record.Record.__hash__": "record value hash, the frozen-dataclass contract that test_record pins",
+    "record._initializer": "builds each record class's __init__ when its module is imported",
+    "record._reader": (
+        "builds each record class's field-tuple reader, for __eq__ and __hash__, "
+        "when its module is imported"
+    ),
+    "record.Record.__repr__": "record text in test failures and debugging; no report prints one",
+    "record.Record.__setattr__": "refuses assignment, which would break a record's immutability",
+    "record.Record.__delattr__": "refuses deletion, which would break a record's immutability",
 }
 
 

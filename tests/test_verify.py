@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import sys
 import tracemalloc
@@ -471,7 +470,7 @@ class TestCheckSequence:
         # the cone distances stay as the solver gave them
         found = positive_eigenvector(eigenvalues(self.PERRON), Ell1())
         assert max(found.primal_residual, found.adjoint_residual) <= 1e-14 * found.value
-        edited = dataclasses.replace(found, **{which: ratio * EIGENVECTOR_TOL * found.value})
+        edited = found.replace(**{which: ratio * EIGENVECTOR_TOL * found.value})
         monkeypatch.setattr(evpos.verify, "positive_eigenvector", lambda spec, norm: edited)
         checks = list(perron_frobenius_checks(eigenvalues(self.PERRON), None, self.WEAK, Ell1()))
         assert checks[-1].name == "positive-eigenvector" and checks[-1].pass_ is passes
