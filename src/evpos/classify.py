@@ -107,23 +107,6 @@ class PositivityVerdict(Record):
     status: Status
 
 
-class ConeTestSet(Record):
-    vectors: tuple
-    functionals: tuple
-
-
-# ---------------------------------------------------------------------------
-# test set construction
-
-
-def default_test_set(T: OperatorModel) -> ConeTestSet:
-    """The test set of the reference `individual_eventual`: the basis
-    vectors, which generate the positive cone of a finite model and of a
-    rank-k model's grid."""
-    basis = tuple(LatticeVector(e, T.norm) for e in np.eye(T.dim))
-    return ConeTestSet(basis, basis)
-
-
 # ---------------------------------------------------------------------------
 # eventual notions
 
@@ -177,7 +160,7 @@ def _block_passes(P: np.ndarray) -> np.ndarray:
     return np.minimum.reduce(P, axis=1) >= -DEFAULT_TOL * np.maximum.reduce(P, axis=1)
 
 
-def _singular_refutation(T, vectors, notion) -> Optional[PositivityVerdict]:
+def _singular_refutation(T, vectors) -> Optional[PositivityVerdict]:
     """Refuted by the first vector x (given by its entries) whose singular
     term persists, with no horizon: for a rank-2 model
     T^n x = a + lam_2^(n-1) b f_2, with b = <phi_2, x> and
@@ -203,7 +186,7 @@ def _singular_refutation(T, vectors, notion) -> Optional[PositivityVerdict]:
         witness = signed_power_witness(T, LatticeVector(x, T.norm), 1)
         if witness is not None:
             return PositivityVerdict(
-                notion,
+                Notion.INDIVIDUAL_EVENTUAL,
                 RefutedWithWitness(
                     witness, "singular-term negativity points persist at every power"
                 ),
@@ -227,22 +210,15 @@ def _hat_refutation(T: RankK) -> Optional[PositivityVerdict]:
 
 def classify_eventual(T: OperatorModel, limit: Optional[LimitStatus] = None) -> tuple:
     """(uniform, individual, weak) eventual verdicts, none with a horizon: a
-    finite model's by exact rule, a rank-k model's by witnesses and
-    certificates read from its factors. `limit` is the limit status that
-    the asymptotic trio of the same classification reads; one is made when
-    it is not given."""
+    rank-k model's by witnesses and certificates read from its factors. A
+    finite model's basis vectors generate the positive cone, and
+    <e_i, T^n e_j> is the entry (T^n)_ij, so its notions coincide: one
+    status, by exact rule. `limit` is the limit status that the asymptotic
+    trio of the same classification reads; one is made when not given."""
     if limit is None:
         limit = LimitStatus(T)
     if isinstance(T, RankK):
         return _rank_k_eventual(T, limit)
-    return _finite_eventual(T, limit)
-
-
-def _finite_eventual(T: OperatorModel, limit: LimitStatus) -> tuple:
-    """The basis vectors generate the positive cone, and <e_i, T^n e_j> is
-    the entry (T^n)_ij, so the three notions coincide: one status, decided
-    with no horizon. A diagonal and a weighted shift are decided exactly
-    from their entries; a dense matrix by `_dense_status`."""
     if isinstance(T, Diagonal):
         status = _diagonal_status(T)
     elif isinstance(T, WeightedShift):
@@ -404,47 +380,40 @@ def _shift_tiles(phase: np.ndarray):
 
 
 def _rank_k_eventual(T: RankK, limit: LimitStatus) -> tuple:
-    """The analytic refutations first, each decided once: the singular term
+    """At spr = 0 every <phi_i, f_j> = lam_i delta_ij is 0, so T^2 = 0 and no
+    witness applies: the trio takes the grid test of T itself. Otherwise the
+    analytic refutations come first, each decided once: the singular term
     on the half-line indicators (individual notion, and so the uniform one,
     which implies it), a face bump (`face_witness`: all three notions), the
     shrinking hat (uniform). A uniform notion that they leave open is
     decided by `_rank_k_status` from the grid entries of T^n, tested in row
     blocks. An individual or weak notion left open is decided in this order,
     with no test set and no horizon:
-    1. At spr = 0 (no limit status) T^2 = 0, and it takes the uniform
-       notion's status.
-    2. A refuted limit status refutes, as each eventual notion implies its
+    1. A refuted limit status refutes, as each eventual notion implies its
        asymptotic one.
-    3. With a confirmed limit status, the Perron certificate
+    2. With a confirmed limit status, the Perron certificate
        (`_perron_certificate`) confirms it at n0 = 0, though each x >= 0
        has its own threshold, which no single n0 names.
-    4. A confirmed uniform notion confirms it at the same n0, as the
+    3. A confirmed uniform notion confirms it at the same n0, as the
        uniform notion implies it.
-    5. Anything else is undetermined, at horizon 0."""
-    try:
-        status = limit.read()
-    except NotClassifiableError:
-        status = None
-    individual = _singular_refutation(T, _half_lines(T), Notion.INDIVIDUAL_EVENTUAL)
-    face = None if individual is not None else face_witness(T)
-    if face is not None:
-        individual = _face_refutation(T, face)
+    4. Anything else is undetermined, at horizon 0."""
+    if T.spectral_radius() == 0:
+        passes = _grid_passes_in_blocks(T.samples, T.rows)
+        return _one_status(_EVENTUAL_CHAIN, Confirmed(_last_failure([passes])))
+    status = limit.read()
+    individual = _singular_refutation(T, _half_lines(T))
+    face = hat = None
+    if individual is None:
+        face, hat = face_witness(T), _hat_refutation(T)
+        individual = None if face is None else _face_refutation(T, face)
     # the singular term refutes the uniform notion itself; a face bump only
     # where no shrinking hat does
-    uniform = None if individual is not None and face is None else _hat_refutation(T)
-    if uniform is None and individual is not None:
-        uniform = individual.replace(notion=Notion.UNIFORM_EVENTUAL)
-    elif uniform is None:
-        uniform = PositivityVerdict(
-            Notion.UNIFORM_EVENTUAL,
-            _rank_k_status(T, status, limit),
-        )
+    renamed = individual and individual.replace(notion=Notion.UNIFORM_EVENTUAL)
+    uniform = hat or renamed or PositivityVerdict(Notion.UNIFORM_EVENTUAL, _rank_k_status(T, limit))
     if face is not None:
         return uniform, individual, individual.replace(notion=Notion.WEAK_EVENTUAL)
     certified = ()
-    if status is None:
-        otherwise = uniform.status
-    elif isinstance(status, RefutedWithWitness):
+    if isinstance(status, RefutedWithWitness):
         otherwise = status
     else:
         if isinstance(status, Confirmed):
@@ -538,16 +507,15 @@ def _in_space(f, extremes: tuple, space: NormKind) -> bool:
     return singular and np.real(f.exponent) * space.p > -1
 
 
-def _rank_k_status(T: RankK, status: Optional[Status], limit: LimitStatus) -> Status:
+def _rank_k_status(T: RankK, limit: LimitStatus) -> Status:
     """The status of the uniform notion, whose test reads the grid entries
     u_n = U W of S^n = T^n/spr^n, with U the samples, V the rows and
-    W = diag(mu^(n-1)) V / spr for n >= 1 (mu = lam/spr), tested in row
-    blocks (`_grid_passes_in_blocks`), in this order and with no horizon:
-    1. At spr = 0 (`status` is None) T^2 = 0, as every
-       <phi_i, f_j> = lam_i delta_ij is 0, so only T itself is tested.
-    2. A refuted limit status refutes, as each eventual notion implies its
+    W = diag(mu^(n-1)) V / spr for n >= 1 (mu = lam/spr, spr > 0), tested
+    in row blocks (`_grid_passes_in_blocks`), in this order and with no
+    horizon:
+    1. A refuted limit status refutes, as each eventual notion implies its
        asymptotic one.
-    3. A confirmed one with mu_i = 1 at every peripheral index i in I
+    2. A confirmed one with mu_i = 1 at every peripheral index i in I
        (`LimitStatus.peripheral`), and real U, V and lam, decides by a tail
        certificate: u_n = L + sum over i not in I of
        mu_i^(n-1) U[:, i] V[i] / spr, with L = U[:, I] V[I] / spr. An entry
@@ -560,10 +528,9 @@ def _rank_k_status(T: RankK, status: Optional[Status], limit: LimitStatus) -> St
        |mu_i|^(n-1) max|U[:, i]| max|V[i]| / spr is below the gap, those
        entries are real and positive, so the notion holds; the powers below
        n_t, and n = 1, take its test directly. n_t is capped at MAX_TAIL.
-    4. Anything else is undetermined, at horizon 0."""
+    3. Anything else is undetermined, at horizon 0."""
     U, V = T.samples, T.rows
-    if status is None:
-        return Confirmed(_last_failure([_grid_passes_in_blocks(U, V)]))
+    status = limit.read()
     if isinstance(status, RefutedWithWitness):
         return status
     mu, periph = limit.peripheral
@@ -630,24 +597,22 @@ def uniform_eventual(T: OperatorModel) -> PositivityVerdict:
 
 def individual_eventual(
     T: OperatorModel,
-    tests: Optional[ConeTestSet] = None,
+    vectors: Optional[tuple] = None,
     horizon: int = HORIZON_EVENTUAL,
 ) -> PositivityVerdict:
     """The individual notion alone, by brute force up to a horizon: each
-    test vector is stepped with power_apply, independently of
-    classify_eventual, so the two paths check each other. Confirmed at one
-    past the last power where some T^n x is off the cone beyond DEFAULT_TOL
-    ||x||; undetermined when that power lies in the last quarter of the
-    horizon."""
-    if tests is None:
-        tests = default_test_set(T)
-    refuted = _singular_refutation(
-        T, [x.entries for x in tests.vectors], Notion.INDIVIDUAL_EVENTUAL
-    )
+    `LatticeVector` x of `vectors`, by default the basis vectors, is stepped
+    with power_apply, independently of classify_eventual, so the two paths
+    check each other. Confirmed at one past the last power where some T^n x
+    is off the cone beyond DEFAULT_TOL ||x||; undetermined when that power
+    lies in the last quarter of the horizon."""
+    if vectors is None:
+        vectors = tuple(_basis_vector(T, j) for j in range(T.dim))
+    refuted = _singular_refutation(T, [x.entries for x in vectors])
     if refuted is not None:
         return refuted
     ok = np.ones(horizon, dtype=bool)
-    for x in tests.vectors:
+    for x in vectors:
         bound, y = DEFAULT_TOL * max(norm_value(x), 1e-300), x
         for n in range(horizon):
             y = power_apply(T, 1, y)

@@ -554,7 +554,10 @@ class RankK(Record):
 
     def spectral_data(self) -> Spectrum:
         """Its dense view's, solved on each call: a dim x dim solve, which
-        `run_classify` asks for only at dim <= its DIM_CAP."""
+        `run_classify` asks for only at dim <= its DIM_CAP. At spr = 0 it is
+        dim zeros (`nilpotent_spectrum`), with the dense view's 2-norm."""
+        if self._radius == 0:
+            return nilpotent_spectrum(self.dim, float(np.linalg.norm(to_dense(self).matrix, 2)))
         return to_dense(self).spectral_data()
 
     def to_json(self) -> dict:

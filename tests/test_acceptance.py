@@ -14,7 +14,6 @@ from evpos.catalog import (
 )
 from evpos.classify import (
     Confirmed,
-    ConeTestSet,
     RefutedWithWitness,
     classify_asymptotic,
     delta_n,
@@ -92,7 +91,7 @@ def test_criterion_1_grid_slope_model():
         # individual-eventual Confirmed with a finite threshold for each of
         # 20 seeded positive grid functions
         for g in _seeded_positive_vectors(T.space, 20, 1):
-            v = individual_eventual(T, tests=ConeTestSet((g,), ()), horizon=30)
+            v = individual_eventual(T, vectors=(g,), horizon=30)
             assert isinstance(v.status, Confirmed)
             assert v.status.n0 <= 30
 
@@ -140,7 +139,7 @@ def test_criterion_2_singular_model():
 
         # while the pointwise negativity persists, the quadrature cone
         # distance dies: the asymptotic/eventual split
-        ind = individual_eventual(T, tests=ConeTestSet((g,), ()), horizon=30)
+        ind = individual_eventual(T, vectors=(g,), horizon=30)
         assert isinstance(ind.status, RefutedWithWitness)
         assert cone_distance(power_apply(T, 40, g)) < 1e-6
 

@@ -18,7 +18,6 @@ from evpos.catalog import (
     nonreal_diagonal,
 )
 from evpos.classify import (
-    ConeTestSet,
     DEFAULT_TOL,
     LIMIT_POINT_ROWS,
     MAX_PERIOD,
@@ -29,6 +28,7 @@ from evpos.classify import (
     Notion,
     RefutedWithWitness,
     UndeterminedUpToHorizon,
+    _basis_vector,
     _block_passes,
     _outer_worst_entry,
     _power_failure,
@@ -37,7 +37,6 @@ from evpos.classify import (
     _worst_entry,
     classify_asymptotic,
     classify_eventual,
-    default_test_set,
     delta_n,
     hierarchy_violations,
     individual_eventual,
@@ -107,7 +106,7 @@ class TestEventualClassification:
         # cyclic: the trio inherits the asymptotic refutation
         T = Dense(np.diag([1.0, 1j, 2j]), Ell1())
         basis = tuple(LatticeVector(e, Ell1()) for e in np.eye(3))
-        v = individual_eventual(T, ConeTestSet(basis, basis))
+        v = individual_eventual(T, basis)
         assert isinstance(v.status, UndeterminedUpToHorizon)
         refuted = classify_asymptotic(T)[0].status
         assert isinstance(refuted, RefutedWithWitness)
@@ -1370,7 +1369,7 @@ class TestAnalyticRefutations:
         entry = get_example("ex2.2b")
         T = entry.model
         ones = np.ones(T.dim, dtype=complex)
-        assert _singular_refutation(T, (ones,), Notion.INDIVIDUAL_EVENTUAL) is None
+        assert _singular_refutation(T, (ones,)) is None
         report, failed = run_classify(T, entry.name, 0)
         assert not failed
         kinds = {r["notion"]: r["status"]["kind"] for r in report.classification}
@@ -1481,8 +1480,7 @@ class TestAnalyticRefutations:
         assert lam2.real == 0 and np.isclose(lam2, 0.5j)
         x = np.ones(8, dtype=complex)
         x[np.isin(nodes, (t, -t))] = 2.0
-        tests = ConeTestSet((LatticeVector(x, T.norm),), (WeightedIntegral(Constant(1.0), 0.5),))
-        v = individual_eventual(T, tests)
+        v = individual_eventual(T, (LatticeVector(x, T.norm),))
         assert isinstance(v.status, RefutedWithWitness) and v.status.witness.n == 1
 
     @pytest.mark.parametrize("name", ["ex2.2a", "ex2.2b"])
@@ -1609,6 +1607,43 @@ class TestRankKTailCertificate:
         assert (T.eigen_parameters == 1.0).all()
         for status in _eventual_kinds(T).values():
             assert status == {"kind": "confirmed", "n0": 0}
+
+    def test_nilpotent_trio_takes_the_test_of_t_itself(self):
+        # g -> (int g) x has lam = int x = 0, so T^2 = 0: T is negative at
+        # x < 0, so each notion holds from n0 = 2, and with no rescaling
+        # there is no asymptotic trio
+        grid = GridSup(tuple(np.linspace(-1.0, 1.0, 41)))
+        T = RankK((Monomial(1),), (WeightedIntegral(Constant(1.0), 1.0),), grid)
+        assert T.spectral_radius() == 0
+        assert [v.status for v in classify_eventual(T)] == [Confirmed(2)] * 3
+        with pytest.raises(NotClassifiableError):
+            classify_asymptotic(T)
+        report, failed = run_classify(T, "nilpotent", 0)
+        assert not failed
+        assert [r["notion"] for r in report.classification] == [
+            "uniform-eventual",
+            "individual-eventual",
+            "weak-eventual",
+        ]
+        for r in report.classification:
+            assert r["status"] == {"kind": "confirmed", "n0": 2}
+
+    def test_refuted_limit_status_refutes_the_uniform_notion(self):
+        # g -> (1/2)(int g) 1 - 1.5 (int x g) x on an L^1 midpoint grid has
+        # lam = (1, -1), so L_1 = P_1 - P_2 is negative at the ends of its
+        # diagonal; no witness refutes, and the uniform notion takes the
+        # refuted limit status, as the other five notions do
+        T = RankK(
+            (Constant(1.0), Monomial(1)),
+            (WeightedIntegral(Constant(1.0), 0.5), WeightedIntegral(Monomial(1), -1.5)),
+            LpQuadrature(1, *midpoint_rule(-1, 1, 40)),
+        )
+        assert T.eigen_parameters.tolist() == [1, -1]
+        report, failed = run_classify(T, "alternating", 0)
+        assert not failed and len(report.classification) == 6
+        witness = "limit point L_1 has entry (39, 39) at 0.0462969 from the positive reals"
+        for r in report.classification:
+            assert r["status"] == {"kind": "refuted", "witness": witness}, r["notion"]
 
     def test_rank_k_classification_steps_no_orbit(self, monkeypatch):
         def refuse(self, Y, horizon):
@@ -1799,9 +1834,9 @@ class TestCoordinatePairings:
         seeded = tuple(
             LatticeVector(rng.uniform(0.0, 1.0, size=T.dim), T.norm) for _ in range(8)
         )
-        basis = default_test_set(T).vectors
+        basis = tuple(_basis_vector(T, j) for j in range(T.dim))
         assert np.array_equal(np.stack([x.entries for x in basis], axis=1), np.eye(T.dim))
-        single = individual_eventual(T, ConeTestSet(basis + seeded, ()))
+        single = individual_eventual(T, basis + seeded)
         trio = classify_eventual(T)
         assert all(v.status is trio[0].status for v in trio)
         assert not _contradicts(trio[0].status, single.status)

@@ -1,6 +1,7 @@
 """The closed-form spectral data of diagonal and shift models against the
 eigen-solve of their dense matrices: the spectrum record and every check
-record must come out the same, byte for byte."""
+record must come out the same, byte for byte. A nilpotent rank-k model's
+spectrum is closed-form too."""
 
 import json
 
@@ -8,8 +9,17 @@ import numpy as np
 import pytest
 
 from evpos.classify import NotClassifiableError, classify_asymptotic
-from evpos.lattice import Ell1, Ell2, EllInf
-from evpos.operators import Diagonal, WeightedShift
+from evpos.cli import run_classify
+from evpos.lattice import Ell1, Ell2, EllInf, GridSup
+from evpos.operators import (
+    Constant,
+    Diagonal,
+    Monomial,
+    RankK,
+    WeightedIntegral,
+    WeightedShift,
+    to_dense,
+)
 from evpos.report import check_record, spectrum_record
 from evpos.spectral import SpectralError, eigenvalues, geometric_multiplicity
 from evpos.verify import VerificationError, perron_frobenius_checks
@@ -128,6 +138,29 @@ def test_shift_spectrum_is_nilpotent():
     spec = WeightedShift(np.array([3.0, -4j, 0.0]), Ell1()).spectral_data()
     assert np.array_equal(spec.eigenvalues, np.zeros(4)) and spec.spectral_radius == 0.0
     assert spec.matrix is None and spec.matrix_norm == 4.0
+
+
+@pytest.mark.parametrize(
+    "function, weight, scale",
+    [(Monomial(1), Constant(1.0), 1.0), (Constant(1.0), Monomial(1), 0.5)],
+    ids=["integral-times-t", "t-moment-times-one"],
+)
+def test_nilpotent_rank_k_spectrum_is_closed_form(function, weight, scale):
+    # g -> (int g) x and g -> 0.5 (int x g) 1 have lam = 0, so T^2 = 0: the
+    # report's spectrum is dim zeros, where the dense views solve to spectral
+    # radii of 3.6e-9 and 1.7e-10, and only the vacuous spr check runs, as
+    # the classification reads spr = 0; on the dense view's radius the second
+    # model's spr check failed, and its two peripheral checks contradicted
+    grid = GridSup(tuple(np.linspace(-1.0, 1.0, 41)))
+    T = RankK((function,), (WeightedIntegral(weight, scale),), grid)
+    spec = T.spectral_data()
+    assert np.array_equal(spec.eigenvalues, np.zeros(41)) and spec.spectral_radius == 0.0
+    assert spec.matrix is None
+    assert spec.matrix_norm == np.linalg.norm(to_dense(T).matrix, 2)
+    report, failed = run_classify(T, "nilpotent", 0)
+    assert not failed and report.spectrum == spectrum_record(spec)
+    assert [c["name"] for c in report.checks] == ["spr-in-spectrum"]
+    assert report.checks[0]["pass"] and report.contradiction_count == 0
 
 
 def test_entries_within_rounding_stay_distinct():

@@ -78,9 +78,6 @@ ALLOWLIST = {
         "limit is tested against"
     ),
     "lattice.LatticeVector.__len__": "the lengths that power_apply and pairing check",
-    "classify.default_test_set": (
-        "the test set of the reference individual_eventual: the basis vectors"
-    ),
     "report.report_from_json": "reads reports back; the round-trip tests use it",
     "report._require": "the record-key check of report_from_json",
     "report._template": "builds the record templates when the module is imported, before any command",
@@ -293,8 +290,10 @@ def test_every_function_is_reached_or_allowlisted(reached):
 # (module, callable, parameter): each parameter had one value at every call
 # site and is now a module constant, or, for `power_bounds`, is read from the
 # spectrum the check is given, or, for `_rank_k_status`'s U, V and passes,
-# is the model's samples, its rows and the row-block grid test, or, for
-# `horizon`, went with the orbit it bounded, so a caller can no longer pass a value that moves a verdict away
+# is the model's samples, its rows and the row-block grid test, and its
+# `status` the limit status it reads itself, or, for `_singular_refutation`'s
+# `notion`, is the individual notion, or, for `horizon`, went with the orbit
+# it bounded, so a caller can no longer pass a value that moves a verdict away
 # from what the reports pin; every verdict's report record states
 # classify.DEFAULT_TOL, so no verdict holds a tolerance
 REMOVED_PARAMETERS = [
@@ -310,7 +309,6 @@ REMOVED_PARAMETERS = [
     ("verify", "peripheral_cyclicity_check", "power_bounds"),
     ("verify", "multiplicity_monotonicity_check", "power_bounds"),
     ("verify", "positive_eigenvector", "power_bounds"),
-    ("classify", "default_test_set", "seed"),
     ("classify", "delta_n", "spr"),
     ("classify", "classify_eventual", "horizon"),
     ("classify", "uniform_eventual", "horizon"),
@@ -325,8 +323,8 @@ REMOVED_PARAMETERS = [
     ("classify", "_block_passes", "tol"),
     ("classify", "_power_failure", "tol"),
     ("classify", "_singular_refutation", "tol"),
+    ("classify", "_singular_refutation", "notion"),
     ("classify", "_hat_refutation", "tol"),
-    ("classify", "_finite_eventual", "tol"),
     ("classify", "_one_status", "tol"),
     ("classify", "_dense_status", "tol"),
     ("classify", "_tail_certificate", "tol"),
@@ -337,6 +335,7 @@ REMOVED_PARAMETERS = [
     ("classify", "_rank_k_status", "U"),
     ("classify", "_rank_k_status", "V"),
     ("classify", "_rank_k_status", "passes"),
+    ("classify", "_rank_k_status", "status"),
     ("classify", "_diagonal_limit_status", "tol"),
     ("classify", "_peripheral_status", "tol"),
     ("classify", "_rank_k_limit_status", "tol"),

@@ -19,7 +19,6 @@ import evpos
 import evpos.operators
 from evpos.catalog import averaging_plus_slope, get_example
 from evpos.classify import (
-    ConeTestSet,
     Confirmed,
     Notion,
     PositivityVerdict,
@@ -97,7 +96,6 @@ SAMPLES = {
     PositivityVerdict: (
         lambda: PositivityVerdict(Notion.UNIFORM_EVENTUAL, Confirmed(0)), "notion", Notion.WEAK_EVENTUAL
     ),
-    ConeTestSet: (lambda: ConeTestSet((_vector(),), ()), "functionals", (_vector(),)),
     CheckResult: (lambda: CheckResult("spr-in-spectrum", True, 0.0, 1e-8), "pass_", False),
     evpos.verify.EigenvectorResult: (
         lambda: positive_eigenvector(_dense().spectral_data(), Ell1()), "pole_order", 2
