@@ -262,8 +262,14 @@ def _dense_status(T: Dense, limit: LimitStatus) -> Status:
 
 
 def _exactly_nonnegative(A: np.ndarray) -> bool:
-    nonnegative = np.logical_and.reduce(A.real >= 0, axis=None)
-    return bool(nonnegative) and not np.logical_or.reduce(A.imag, axis=None, dtype=bool)
+    return bool(np.minimum.reduce(A.real, axis=None) >= 0) and _exactly_real(A)
+
+
+def _exactly_real(A: np.ndarray) -> bool:
+    """Every imaginary part of A is 0 (-0.0 too), read off the least and the
+    largest, by reductions that the rules run anyway; entries are finite."""
+    imag = A.imag
+    return bool(np.minimum.reduce(imag, axis=None) == 0 == np.maximum.reduce(imag, axis=None))
 
 
 def _inf_norm(N: np.ndarray) -> float:
@@ -314,7 +320,8 @@ def _tail_certificate(T: Dense) -> Optional[Confirmed]:
         n_t, bound = n_t + m, bound * theta
         if n_t > MAX_TAIL:
             return None
-    return Confirmed(_power_failure(A * np.ldexp(1.0, -int(np.frexp(spr)[1])), n_t))
+    # scalar first, as `_block_passes` multiplies
+    return Confirmed(_power_failure(math.ldexp(1.0, -math.frexp(spr)[1]) * A, n_t))
 
 
 def _diagonal_status(T: Diagonal) -> Status:
@@ -833,13 +840,12 @@ def _peripheral_status(T: Dense) -> Status:
         # condition number ||P|| times a backward error of n eps ||P||;
         # ||C_k||_F as `np.linalg.norm` forms it
         norms = np.sqrt(np.add.reduce((C.conj() * C).real, axis=1))
-        slack = T.dim * EPS * float(np.add.reduce(norms**2))
+        slack = T.dim * EPS * float(np.add.reduce(norms * norms))
         L, threshold = mu.reshape(1, -1).dot(C).reshape(shape), DEFAULT_TOL + slack
         refuted = None
         if not _residual_bound(L) <= threshold:
             refuted = _limit_point_refutation(T, _worst_entry([(0, L)]), 1, threshold)
-        complex_matrix = np.logical_or.reduce(T.matrix.imag, axis=None, dtype=bool)
-        return refuted or (UndeterminedUpToHorizon(0) if complex_matrix else Confirmed(0))
+        return refuted or (Confirmed(0) if _exactly_real(T.matrix) else UndeterminedUpToHorizon(0))
     C = C / (spec.scale * spr) ** (m - 1)
 
     def worst(r):

@@ -28,7 +28,7 @@ from .operators import complex_pairs
 from .record import Record
 from .rng import GENERATOR_NAME
 from .spectral import Spectrum
-from .verify import CheckResult
+from .verify import DEFAULT_TOL as CHECK_TOL, EIGENVECTOR_TOL, CheckResult
 
 SCHEMA_VERSION = "3"
 
@@ -105,6 +105,10 @@ def _float_text(x: float) -> str:
     return _FLOAT_NAMES.get(text, text)
 
 
+# the texts of the constant tolerances, written once; any other tolerance
+# takes its `_leaf` text (an unhashable one raises TypeError, as there)
+_TOLERANCES = {t: _float_text(t) for t in (DEFAULT_TOL, CHECK_TOL, EIGENVECTOR_TOL)}
+
 # the writer of each exact leaf type, in the order of `json`'s isinstance
 # tests, which a subclass (np.float64, say) takes
 _LEAVES = {
@@ -174,13 +178,15 @@ def _check_text(c: dict) -> str:
     h = c["hypotheses"]
     return _CHECK % (
         _leaf(c["contradiction"]), _block([_escape(k) + ": " + _leaf(h[k]) for k in sorted(h)], 3, "{}"),
-        _leaf(c["margin"]), _leaf(c["name"]), _leaf(c["pass"]), _leaf(c["tolerance"]),
+        _leaf(c["margin"]), _leaf(c["name"]), _leaf(c["pass"]),
+        _TOLERANCES.get(c["tolerance"]) or _leaf(c["tolerance"]),
     )
 
 
 def _verdict_text(v: dict) -> str:
     template, key = _STATUS[v["status"]["kind"]]
-    return _VERDICT % (_leaf(v["notion"]), template % _leaf(v["status"][key]), _leaf(v["tolerance"]))
+    tolerance = _TOLERANCES.get(v["tolerance"]) or _leaf(v["tolerance"])
+    return _VERDICT % (_leaf(v["notion"]), template % _leaf(v["status"][key]), tolerance)
 
 
 def report_to_json(report: AnalysisReport) -> str:

@@ -10,8 +10,10 @@ boundedness, decided by rule from the peripheral pole orders, and
 asymptotic-positivity verdicts) are evaluated and attached to the result, so
 a failed conclusion with failed hypotheses reads as "no contradiction" rather
 than as a bug. Every check is a rule on one `Spectrum` of A, the model's
-`spectral_data()`: all but the spr check read its peripheral part, and
-`perron_frobenius_checks` decides which of them run.
+`spectral_data()`: at spr > 0 the spr check and both peripheral checks read
+one `peripheral_table`, the spr check its k = 0 column, and the eigenvector
+reads the peripheral part; `perron_frobenius_checks` decides which of them
+run.
 """
 
 from __future__ import annotations
@@ -86,37 +88,23 @@ def _verdict_hypothesis(name: str, verdict: Optional[PositivityVerdict]) -> dict
 
 
 def verify_spr_in_spectrum(
-    spec: Spectrum,
+    spec: Union[Spectrum, PeripheralTable],
     asymptotic_verdict: Optional[PositivityVerdict] = None,
 ) -> CheckResult:
     """Pass iff some eigenvalue lies within DEFAULT_TOL*spr of the positive
-    real number spr(A)."""
-    spr = spec.spectral_radius
+    real number spr(A), vacuously at spr = 0. At spr > 0 the distance is the
+    k = 0 column of the spectrum's `peripheral_table`: that target is
+    spr + 0j, so each distance is |lam - spr| bit for bit. spec is a
+    spectrum, or its table, as for the peripheral checks."""
+    spr = (spec.spec if isinstance(spec, PeripheralTable) else spec).spectral_radius
     hyp = _verdict_hypothesis("uniform-asymptotic-positive", asymptotic_verdict)
     if spr == 0.0:
-        return CheckResult(
-            "spr-in-spectrum",
-            True,
-            0.0,
-            DEFAULT_TOL,
-            payload={"note": "zero spectral radius; vacuous"},
-            hypotheses=hyp,
-        )
-    dists = np.abs(spec.eigenvalues - spr)
-    k = int(dists.argmin())
-    margin = DEFAULT_TOL * spr - float(dists[k])
-    return CheckResult(
-        "spr-in-spectrum",
-        margin >= 0.0,
-        margin,
-        DEFAULT_TOL,
-        payload={
-            "spectral_radius": spr,
-            "nearest_eigenvalue": complex(spec.eigenvalues[k]),
-            "distance": float(dists[k]),
-        },
-        hypotheses=hyp,
-    )
+        payload = {"note": "zero spectral radius; vacuous"}
+        return CheckResult("spr-in-spectrum", True, 0.0, DEFAULT_TOL, payload, hyp)
+    distance = float(_table(spec).distances[0, CYCLICITY_POWERS])
+    margin = DEFAULT_TOL * spr - distance
+    payload = {"spectral_radius": spr, "distance": distance}
+    return CheckResult("spr-in-spectrum", margin >= 0.0, margin, DEFAULT_TOL, payload, hyp)
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +148,11 @@ def positive_eigenvector(spec: Spectrum, norm: NormKind) -> EigenvectorResult:
     the spectrum's peripheral coefficient at lam0, which the asymptotic rule
     may have computed already; the positive factor leaves the normalized
     vectors alone."""
-    A, spr = spec.matrix, spec.spectral_radius
-    k = int(np.abs(spec.peripheral_eigenvalues - spr).argmin())
+    A, spr, periph = spec.matrix, spec.spectral_radius, spec.peripheral_eigenvalues
+    k = int(np.abs(periph - spr).argmin()) if len(periph) > 1 else 0
     Q = spec.coefficient(k)
-    ones = np.empty(len(Q))
+    # complex, so Q x0 and Q^T x0 are the complex products that A U is
+    ones = np.empty(len(Q), dtype=complex)
     ones.fill(1.0)
     # U's rows: Q x0 and Q^T x0 for the first canonical positive x0 not
     # annihilated: all ones, then each basis vector, read only when needed
@@ -239,12 +228,14 @@ def peripheral_table(spec: Spectrum) -> PeripheralTable:
     # np.angle of each, with no Python wrapper
     targets = spr * np.exp(_IK * np.arctan2(periph.imag, periph.real)[:, None])
     distances = np.empty(targets.shape)
-    homes = np.empty((len(periph), len(MONOTONICITY_POWERS)), dtype=np.intp)
+    # one peripheral eigenvalue is the home of each of its powers
+    homes = np.zeros((len(periph), len(MONOTONICITY_POWERS)), dtype=np.intp)
     step = max(1, PERIPHERAL_TILE // (len(vals) * len(_IK)))
     for i in range(0, len(periph), step):
         block = targets[i : i + step]
         distances[i : i + step] = np.minimum.reduce(np.abs(vals[:, None, None] - block), axis=0)
-        homes[i : i + step] = np.abs(periph[:, None, None] - block[:, _COLUMNS]).argmin(axis=0)
+        if len(periph) > 1:
+            homes[i : i + step] = np.abs(periph[:, None, None] - block[:, _COLUMNS]).argmin(axis=0)
     return PeripheralTable(spec, power_bounds, targets, distances, homes)
 
 
@@ -267,14 +258,8 @@ def peripheral_cyclicity_check(
     hyp = {"power-bounded": table.power_bounds["power_bounded"]}
     hyp.update(_verdict_hypothesis("uniform-asymptotic-positive", asymptotic_verdict))
     margin = DEFAULT_TOL * spr - float(np.maximum.reduce(table.distances, axis=None))
-    return CheckResult(
-        "peripheral-cyclicity",
-        margin >= 0.0,
-        margin,
-        DEFAULT_TOL,
-        payload={"distances": table.distances, "power_bounds": table.power_bounds},
-        hypotheses=hyp,
-    )
+    payload = {"distances": table.distances, "power_bounds": table.power_bounds}
+    return CheckResult("peripheral-cyclicity", margin >= 0.0, margin, DEFAULT_TOL, payload, hyp)
 
 
 def multiplicity_monotonicity_check(
@@ -307,10 +292,12 @@ def multiplicity_monotonicity_check(
         return mults[i]
 
     missing = table.distances[:, _COLUMNS] > DEFAULT_TOL * spr
-    moved = table.homes != np.arange(len(periph))[:, None]
+    visit = missing
+    if len(periph) > 1:
+        visit = missing | (table.homes != np.arange(len(periph))[:, None])
     rows = []
     ok = True
-    for i, c in zip(*(missing | moved).nonzero()):
+    for i, c in zip(*visit.nonzero()):
         i, c = int(i), int(c)
         lam, n = complex(periph[i]), MONOTONICITY_POWERS[c]
         if missing[i, c]:
@@ -323,13 +310,9 @@ def multiplicity_monotonicity_check(
                 {"lambda": lam, "n": n, "base_multiplicity": base, "power_multiplicity": power}
             )
             ok = ok and power >= base
+    payload = {"rows": rows, "power_bounds": table.power_bounds}
     return CheckResult(
-        "multiplicity-monotonicity",
-        ok,
-        0.0 if ok else -1.0,
-        DEFAULT_TOL,
-        payload={"rows": rows, "power_bounds": table.power_bounds},
-        hypotheses=hyp,
+        "multiplicity-monotonicity", ok, 0.0 if ok else -1.0, DEFAULT_TOL, payload, hyp
     )
 
 
@@ -343,20 +326,21 @@ def perron_frobenius_checks(
     weak_asymptotic: Optional[PositivityVerdict],
     norm: NormKind,
 ) -> Iterator[CheckResult]:
-    """The Perron-Frobenius checks of one spectrum, in report order, each
-    made when the one before it has been taken: the spr check alone at
-    spr = 0, where nothing rescales by spr; then cyclicity and
-    multiplicity monotonicity, which read one `peripheral_table`, so power
-    boundedness is decided once; then the positive eigenvector at spr, which
+    """The Perron-Frobenius checks of one spectrum, in report order: the
+    spr check alone at spr = 0, where nothing rescales by spr; otherwise
+    the spr check, cyclicity and multiplicity monotonicity, which read one
+    `peripheral_table`, formed first, so power boundedness is decided once;
+    then, once those have been taken, the positive eigenvector at spr, which
     is sought only once spr lies in the spectrum and weak asymptotic
     positivity is confirmed, the hypotheses it records. Eigenvectors are
     positive up to phase within EIGENVECTOR_TOL, and the primal and the
     adjoint residual are within it relative to spr."""
-    spr_check = verify_spr_in_spectrum(spec, uniform_asymptotic)
-    yield spr_check
     if spec.spectral_radius == 0.0:
+        yield verify_spr_in_spectrum(spec, uniform_asymptotic)
         return
     table = peripheral_table(spec)
+    spr_check = verify_spr_in_spectrum(table, uniform_asymptotic)
+    yield spr_check
     yield peripheral_cyclicity_check(table, uniform_asymptotic)
     yield multiplicity_monotonicity_check(table, weak_asymptotic)
     weak_ok = weak_asymptotic is not None and isinstance(weak_asymptotic.status, Confirmed)
@@ -370,6 +354,6 @@ def perron_frobenius_checks(
         worst <= EIGENVECTOR_TOL and ev.primal_residual <= bound and ev.adjoint_residual <= bound,
         EIGENVECTOR_TOL - worst,
         EIGENVECTOR_TOL,
-        payload={"pole_order": ev.pole_order, "value": ev.value},
-        hypotheses={"weak-asymptotic-positive": weak_ok, "spr-in-spectrum": spr_check.pass_},
+        {"pole_order": ev.pole_order, "value": ev.value},
+        {"weak-asymptotic-positive": weak_ok, "spr-in-spectrum": spr_check.pass_},
     )

@@ -1340,6 +1340,33 @@ class TestReductionKernels:
             decided.add(type(got))
         assert decided == {Confirmed, RefutedWithWitness, UndeterminedUpToHorizon}
 
+    @pytest.mark.parametrize(
+        "imag, eventual, asymptotic",
+        [
+            (-0.0, Confirmed(2), Confirmed(0)),
+            (5e-324, UndeterminedUpToHorizon(0), UndeterminedUpToHorizon(0)),
+            (-5e-324, UndeterminedUpToHorizon(0), UndeterminedUpToHorizon(0)),
+        ],
+    )
+    def test_exact_realness_reads_signed_zeros_and_subnormals(self, imag, eventual, asymptotic):
+        # the real matrix's verdicts stand with an imaginary part of -0.0,
+        # which is 0; the least subnormal one makes the matrix complex, and
+        # a complex matrix with a positive limit point is undetermined
+        model = make_eventually_positive(3, 0.5, seed=1).model
+        A = model.matrix.copy()
+        A[0, 0] = complex(A[0, 0].real, imag)
+        T = Dense(A, model.norm)
+        limit = evpos.classify.LimitStatus(T)
+        assert {v.status for v in classify_eventual(T, limit=limit)} == {eventual}
+        assert {v.status for v in classify_asymptotic(T, limit=limit)} == {asymptotic}
+
+    def test_exact_nonnegativity_reads_signed_zeros_and_subnormals(self):
+        nonnegative = evpos.classify._exactly_nonnegative
+        for rows in ([[-0.0, 1], [1, 0.5]], [[complex(1, -0.0), 1], [1, 0.5]]):
+            assert nonnegative(np.array(rows)) and nonnegative(np.array(rows, dtype=complex))
+        for rows in ([[1 + 5e-324j, 1], [1, 0.5]], [[-5e-324, 1], [1, 0.5]]):
+            assert not nonnegative(np.array(rows, dtype=complex))
+
 
 class TestAnalyticRefutations:
     """The singular-term and shrinking-hat refutations of a rank-k model are

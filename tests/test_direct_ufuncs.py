@@ -12,6 +12,7 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from evpos.catalog import get_example
@@ -103,3 +104,71 @@ def test_warm_classification_enters_no_json_or_enum_frame():
     finally:
         sys.setprofile(None)
     assert not entered, sorted(entered)
+
+
+class _Logged(np.ndarray):
+    """An array that records each ufunc kernel entered on it, as (ufunc,
+    method, operand dtypes), a Python scalar by its type name, and whose
+    results are again `_Logged`."""
+
+    kernels = None
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if _Logged.kernels is not None:
+            _Logged.kernels.add((ufunc.__name__, method, tuple(
+                x.dtype.str if isinstance(x, (np.ndarray, np.generic)) else type(x).__name__
+                for x in inputs)))
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, _Logged) else x for x in inputs)
+        if out is not None:
+            kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, _Logged) else x for x in out)
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(_Logged) if isinstance(result, np.ndarray) else result
+
+
+def _logged(a):
+    return a.view(_Logged) if type(a) is np.ndarray else a
+
+
+# the distinct ufunc kernels that the warm random-small classifications at
+# seed 0 enter, in `_Logged`'s view, together
+DISTINCT_KERNELS = 29
+
+
+def test_warm_dense_classification_enters_few_distinct_kernels(monkeypatch):
+    """After a flush of the CPU caches, the first call of a kernel costs
+    several times a repeat, so a one-off kernel gives way to an equal one
+    the path already runs. Seen: every ufunc call, operator or reduction on
+    the model's matrix, on the arrays of its kept `Spectrum` (its
+    eigenvalues, peripheral indices and eigenvalues, and coefficients), on
+    every `np.empty`, `np.zeros` and `np.arange` result, and on whatever is
+    formed from those. Not seen: ufuncs on module constants or Python
+    scalars alone (`verify._IK` is seen only once it meets a logged array),
+    and every kernel that is not a ufunc: `argmin`/`argmax`, `nonzero`,
+    indexing, copies and casts, `.dot`, and LAPACK."""
+    cases = workloads.random_small(0)
+    for case in cases:
+        report_to_json(run_classify(case.model, case.name, 0)[0])
+    for name in ("empty", "zeros", "arange"):
+        make = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, make=make, **k: make(*a, **k).view(_Logged))
+    for case in cases:
+        T = case.model
+        object.__setattr__(T, "matrix", _logged(T.matrix))
+        spec = T.spectral_data()
+        for key, value in list(vars(spec).items()):
+            if isinstance(value, dict):
+                value.update({k: _logged(v) for k, v in value.items()})
+            else:
+                object.__setattr__(spec, key, _logged(value))
+    _Logged.kernels = set()
+    try:
+        for case in cases:
+            report_to_json(run_classify(case.model, case.name, 0)[0])
+        kernels = _Logged.kernels
+    finally:
+        _Logged.kernels = None
+    # the checks' moduli are seen, so the view is not empty
+    assert ("absolute", "__call__", ("<c16",)) in kernels
+    assert len(kernels) <= DISTINCT_KERNELS, sorted(kernels)
