@@ -294,8 +294,8 @@ def _tail_certificate(T: Dense) -> Optional[Confirmed]:
     Past n_t, the first n where that is below min L_1 - margin (the margin
     MARGIN_ROUNDINGS times the rounding of P), each S^n is positive. The
     powers below n_t are tested directly, as powers of T 2^-e (e the binary
-    exponent of spr, so none overflows) by `_power_failure`. m and n_t are
-    capped at MAX_TAIL."""
+    exponent of spr, so none overflows; `Spectrum.scaled`) by
+    `_power_failure`. m and n_t are capped at MAX_TAIL."""
     spec = T.spectral_data()
     spr = spec.spectral_radius
     if len(spec.peripheral_indices) != 1 or spec.order != 1:
@@ -321,7 +321,7 @@ def _tail_certificate(T: Dense) -> Optional[Confirmed]:
         if n_t > MAX_TAIL:
             return None
     # scalar first, as `_block_passes` multiplies
-    return Confirmed(_power_failure(math.ldexp(1.0, -math.frexp(spr)[1]) * A, n_t))
+    return Confirmed(_power_failure(spec.scaled(A), n_t))
 
 
 def _diagonal_status(T: Diagonal) -> Status:
@@ -723,7 +723,7 @@ def _diagonal_limit_status(T: Diagonal) -> Status:
     positive reals for infinitely many n. An entry of modulus spr refutes
     unless it is spr exactly; any other is tested within DEFAULT_TOL."""
     spr = T.spectral_radius()
-    mu = T.symbol / spr
+    mu = _over_spr(T.symbol, spr)
     off = np.where(np.abs(T.symbol) == spr, T.symbol != spr, np.abs(mu - 1.0) > DEFAULT_TOL)
     off = (off & (np.abs(mu) >= 1.0 - DEFAULT_TOL)).nonzero()[0]
     if off.size:
@@ -825,7 +825,7 @@ def _peripheral_status(T: Dense) -> Status:
     horizon 0."""
     spec = T.spectral_data()
     spr, m, top = spec.spectral_radius, spec.order, spec.top
-    mu = spec.peripheral_eigenvalues[top] / spr
+    mu = _over_spr(spec.peripheral_eigenvalues[top], spr)
     count = len(spec.peripheral_indices)
     q = [_root_of_unity_order(z, count, spectral.DEFAULT_TOL) for z in mu]
     if None in q:
@@ -846,12 +846,12 @@ def _peripheral_status(T: Dense) -> Status:
         if not _residual_bound(L) <= threshold:
             refuted = _limit_point_refutation(T, _worst_entry([(0, L)]), 1, threshold)
         return refuted or (Confirmed(0) if _exactly_real(T.matrix) else UndeterminedUpToHorizon(0))
-    C = C / (spec.scale * spr) ** (m - 1)
+    C = C / spec.scaled(spr) ** (m - 1)
 
     def worst(r):
         return _worst_entry([(0, (mu**r).reshape(1, -1).dot(C).reshape(shape))]), r
 
-    threshold = DEFAULT_TOL + spec.coefficient_error / (spec.scale * spr) ** (m - 1)
+    threshold = DEFAULT_TOL + spec.coefficient_error / spec.scaled(spr) ** (m - 1)
     for r in range(min(math.lcm(*q), MAX_PERIOD)):
         refuted = _limit_point_refutation(T, *worst(r), threshold)
         if refuted is not None:
@@ -880,7 +880,7 @@ def _rank_k_limit_status(T: RankK, mu: np.ndarray, periph: np.ndarray) -> Status
     q = [_root_of_unity_order(z, len(periph), DEFAULT_TOL) for z in mu[periph]]
     if None in q:
         return _not_cyclic(mu[periph], q, len(periph))
-    F, Phi = T.samples[:, periph], T.rows[periph] / spr
+    F, Phi = T.samples[:, periph], _over_spr(T.rows[periph], spr)
     if not (F.imag.any() or Phi.imag.any()):
         F, Phi = F.real.copy(), Phi.real.copy()
     if len(periph) == 1 and F.dtype.kind == "f" and np.isfinite(F).all() and np.isfinite(Phi).all():
@@ -909,8 +909,16 @@ def _outer_worst_entry(f: np.ndarray, phi: np.ndarray) -> tuple:
 
 def _peripheral_indices(T: RankK) -> tuple:
     """(mu, I): mu = lam/spr, and I the indices with |mu_i| >= 1 - DEFAULT_TOL."""
-    mu = T.eigen_parameters / T.spectral_radius()
+    mu = _over_spr(T.eigen_parameters, T.spectral_radius())
     return mu, np.flatnonzero(np.abs(mu) >= 1.0 - DEFAULT_TOL)
+
+
+def _over_spr(values: np.ndarray, spr: float) -> np.ndarray:
+    """values / spr, as numpy divides (by 1/spr); where 1/spr overflows
+    (spr <= 2^-1024), of values and spr scaled by 2^1000 first, exactly."""
+    if spr <= 2.0**-1024:
+        values, spr = values * 2.0**1000, spr * 2.0**1000
+    return values / spr
 
 
 def _term_rounding(U: np.ndarray, V: np.ndarray) -> float:

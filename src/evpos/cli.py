@@ -173,19 +173,11 @@ def run_classify(model: OperatorModel, operator_id: str, seed: int = 0) -> tuple
         except (SpectralError, VerificationError):
             solver_failure = True
 
-    report = AnalysisReport(
-        operator_id=operator_id,
-        model_descriptor={
-            "variant": model.variant,
-            "dim": model.dim,
-            "norm": {"kind": model.norm.kind},
-            "sha256": model_digest(model),
-        },
-        classification=tuple(verdict_record(v) for v in verdicts),
-        spectrum=None if spec is None else spectrum_record(spec),
-        checks=tuple(check_record(c) for c in checks),
-        seed=seed,
-    )
+    descriptor = {"variant": model.variant, "dim": model.dim, "norm": {"kind": model.norm.kind},
+                  "sha256": model_digest(model)}
+    report = AnalysisReport(operator_id, descriptor, tuple(verdict_record(v) for v in verdicts),
+                            None if spec is None else spectrum_record(spec),
+                            tuple(check_record(c) for c in checks), seed)
     return report, solver_failure
 
 

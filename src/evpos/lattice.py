@@ -7,7 +7,6 @@ functional used throughout the positivity analysis.
 
 from __future__ import annotations
 
-import json
 import numbers
 from typing import ClassVar, Union
 
@@ -26,11 +25,6 @@ def number(value, what: str, error: type = LatticeError):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{what} {value!r} is not a number")
     return value
-
-
-def canonical_json(data: dict) -> str:
-    """Compact JSON with sorted keys: the descriptor text a digest hashes."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def _numbers(values, what: str) -> tuple:
@@ -64,7 +58,15 @@ class Ell2(_SequenceNorm):
     canonical_text: ClassVar[str] = '{"kind":"ell2"}'
 
     def of_moduli(self, a: np.ndarray):
-        return np.sqrt(np.add.reduce(a * a, axis=0))
+        """sqrt(sum a^2), bit for bit, or where that sum overflows from finite
+        moduli, the scaled form max a ||a / max a||_2."""
+        total = np.add.reduce(a * a, axis=0)
+        if not np.maximum.reduce(total, axis=None) == np.inf:
+            return np.sqrt(total)
+        top = np.maximum.reduce(a, axis=0)
+        with np.errstate(invalid="ignore"):
+            scaled = top * np.sqrt(np.add.reduce(np.square(a / top), axis=0))
+        return np.where((total == np.inf) & (top < np.inf), scaled, np.sqrt(total))
 
 
 class EllInf(_SequenceNorm):
@@ -112,8 +114,6 @@ class LpQuadrature(Record):
     def to_json(self) -> dict:
         return dict(kind=self.kind, p=self.p, nodes=list(self.nodes), weights=list(self.weights))
 
-    canonical_text = property(lambda self: canonical_json(self.to_json()))
-
     @classmethod
     def from_json(cls, data: dict):
         return cls(
@@ -148,19 +148,17 @@ class GridSup(Record):
     def to_json(self) -> dict:
         return {"kind": self.kind, "nodes": list(self.nodes)}
 
-    canonical_text = property(lambda self: canonical_json(self.to_json()))
-
     @classmethod
     def from_json(cls, data: dict):
         return cls(_numbers(data["nodes"], "grid node"))
 
 
 # Each norm kind gives its `kind`, its `node_count` (None for ell-p), its
-# descriptor (to_json, from_json), the descriptor's `canonical_json` text
-# canonical_text (a constant for ell-p), and of_moduli(a): the norm of a
+# descriptor (to_json, from_json), and of_moduli(a): the norm of a
 # vector, or of each column of a matrix, from the moduli a of its entries,
 # reduced along axis 0 by a ufunc's own reduce (the ndarray methods go
-# through numpy's Python wrappers). A grid kind also gives the interval it
+# through numpy's Python wrappers). An ell-p kind also gives its
+# descriptor's compact JSON, canonical_text, and a grid kind the interval it
 # covers, domain().
 NormKind = Union[Ell1, Ell2, EllInf, LpQuadrature, GridSup]
 NORM_KINDS = {cls.kind: cls for cls in (Ell1, Ell2, EllInf, LpQuadrature, GridSup)}

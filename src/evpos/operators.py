@@ -8,12 +8,13 @@ diagonal multiplication operators, and weighted shifts.
 from __future__ import annotations
 
 import hashlib
+import json
 from functools import cached_property
 from typing import ClassVar, Union
 
 import numpy as np
 
-from .lattice import NORM_KINDS, LatticeVector, NormKind, canonical_json, number
+from .lattice import NORM_KINDS, LatticeVector, NormKind, number
 from .record import Record
 from .spectral import Spectrum, diagonal_spectrum, eigenvalues, nilpotent_spectrum
 
@@ -668,18 +669,43 @@ def model_to_json(T: OperatorModel) -> dict:
     return T.to_json()
 
 
+# the descriptor keys whose lists grow with a model, hashed as bytes
+_ARRAY_KEYS = frozenset(("symbol", "weights", "nodes", "values", "points", "coefficients"))
+
+
+def _digest_header(data, arrays: list, key: str = "") -> str:
+    """The compact sorted-key JSON text of a descriptor, with the list under
+    each of _ARRAY_KEYS written as its length and appended to `arrays` as
+    little-endian float64 ([re, im] pairs as two)."""
+    if key in _ARRAY_KEYS:
+        arrays.append(np.array(data, dtype="<f8"))
+        return "%d" % len(data)
+    if isinstance(data, dict):
+        items = ['"%s":%s' % (k, _digest_header(data[k], arrays, k)) for k in sorted(data)]
+        return "{%s}" % ",".join(items)
+    if isinstance(data, list):  # of records, or an [re, im] pair
+        return "[%s]" % ",".join([_digest_header(d, arrays) for d in data])
+    if isinstance(data, str):
+        return '"%s"' % data
+    return float.__repr__(data) if isinstance(data, float) else "%d" % data
+
+
 def model_digest(T: OperatorModel) -> str:
-    """sha256 hex digest that names a model in a report. A `Dense` hashes a
-    canonical compact-JSON header (n, norm's `canonical_text`, variant), one
-    format, then its matrix as little-endian complex128 bytes in C order;
-    any other model hashes the `canonical_json` of its (small) descriptor.
-    A model read back from its model file has the same digest."""
+    """sha256 hex digest that names a model in a report (and its model file):
+    a `Dense`'s one-format header (n, norm's compact JSON, variant) and
+    matrix as complex128 in C order, or any other model's `_digest_header`
+    and arrays; only a grid norm's nodes in a `Dense`'s header are formatted."""
     if isinstance(T, Dense):
-        header = '{"n":%d,"norm":%s,"variant":"%s"}' % (T.dim, T.norm.canonical_text, T.variant)
-        h = hashlib.sha256(header.encode())
+        norm = T.norm.canonical_text if T.norm.node_count is None else json.dumps(
+            T.norm.to_json(), sort_keys=True, separators=(",", ":"))
+        h = hashlib.sha256(('{"n":%d,"norm":%s,"variant":"%s"}' % (T.dim, norm, T.variant)).encode())
         h.update(np.ascontiguousarray(T.matrix, dtype="<c16"))
         return h.hexdigest()
-    return hashlib.sha256(canonical_json(model_to_json(T)).encode()).hexdigest()
+    arrays: list = []
+    h = hashlib.sha256(_digest_header(model_to_json(T), arrays).encode())
+    for a in arrays:
+        h.update(a)
+    return h.hexdigest()
 
 
 MODEL_VARIANTS = {cls.variant: cls for cls in (Dense, Diagonal, WeightedShift, RankK)}

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from functools import partial
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Optional
 
@@ -30,7 +29,7 @@ from .rng import GENERATOR_NAME
 from .spectral import Spectrum
 from .verify import DEFAULT_TOL as CHECK_TOL, EIGENVECTOR_TOL, CheckResult
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 
 class ReportError(ValueError):
@@ -71,7 +70,13 @@ def check_record(c: CheckResult) -> dict:
 
 
 def spectrum_record(s: Spectrum) -> dict:
-    return {"eigenvalues": complex_pairs(s.eigenvalues), "spectral_radius": float(s.spectral_radius)}
+    """spr and each peripheral eigenvalue (`Spectrum.peripheral_indices`)
+    with its algebraic multiplicity, pole order and spread; none at spr = 0."""
+    spr = float(s.spectral_radius)
+    peripheral = [] if spr == 0.0 else [
+        {"multiplicity": m, "pole_order": p, "spread": d, "value": v} for m, p, d, v in zip(
+            s.multiplicities, s.pole_orders, s.spreads, complex_pairs(s.peripheral_eigenvalues))]
+    return {"peripheral": peripheral, "spectral_radius": spr}
 
 
 class AnalysisReport(Record):
@@ -145,14 +150,16 @@ def _template(keys, depth: int) -> str:
     return _block([_escape(k) + ": %s" for k in sorted(keys)], depth, "{}")
 
 
-# One template per record kind of schema "3"; each slot takes the `_leaf`
+# One template per record kind of schema "4"; each slot takes the `_leaf`
 # text of one value, or the text of a nested record.
 _REPORT = _template(_REPORT_FIELDS, 0) + "\n"
 _DESCRIPTOR = _template(("dim", "norm", "sha256", "variant"), 1).replace(
     '"norm": %s', '"norm": ' + _template(("kind",), 2))
 _VERSIONS = _template(("rng", "schema", "tool"), 1)
-_SPECTRUM = _template(("eigenvalues", "spectral_radius"), 1)
-_PAIR = _block(["%s", "%s"], 3)
+_SPECTRUM = _template(("peripheral", "spectral_radius"), 1)
+_PERIPHERAL_FIELDS = ("multiplicity", "pole_order", "spread", "value")
+_PERIPHERAL = _template(_PERIPHERAL_FIELDS, 3).replace(
+    '"value": %s', '"value": ' + _block(["%s", "%s"], 4))
 _CHECK = _template(_CHECK_FIELDS, 2)
 _VERDICT = _template(("notion", "status", "tolerance"), 2)
 # each status kind: its template, with the kind written in, and its other key
@@ -160,18 +167,6 @@ _STATUS = {
     kind: (_template(("kind", key), 3).replace('"kind": %s', f'"kind": "{kind}"'), key)
     for kind, key in (("confirmed", "n0"), ("refuted", "witness"), ("undetermined", "horizon"))
 }
-
-
-def _eigenvalues(pairs: list) -> str:
-    """The [re, im] pairs, in one format over the flattened pairs; the repr
-    of a finite float holds no "n", those of NaN and +-inf do."""
-    template = _block([_PAIR] * len(pairs), 2)
-    flat = tuple(chain.from_iterable(pairs))
-    if set(map(type, flat)) == {float}:
-        text = template % tuple(map(float.__repr__, flat))
-        if "n" not in text:
-            return text
-    return template % tuple(map(_leaf, flat))
 
 
 def _check_text(c: dict) -> str:
@@ -189,6 +184,12 @@ def _verdict_text(v: dict) -> str:
     return _VERDICT % (_leaf(v["notion"]), template % _leaf(v["status"][key]), tolerance)
 
 
+def _spectrum_text(s: dict) -> str:
+    peripheral = [_PERIPHERAL % tuple(map(_leaf, (p["multiplicity"], p["pole_order"], p["spread"],
+                                                   *p["value"]))) for p in s["peripheral"]]
+    return _SPECTRUM % (_block(peripheral, 2), _leaf(s["spectral_radius"]))
+
+
 def report_to_json(report: AnalysisReport) -> str:
     """`json.dumps(fields, indent=2, sort_keys=True) + "\\n"` (seed as an int)
     byte for byte, from the templates of the records, each holding the keys
@@ -200,7 +201,7 @@ def report_to_json(report: AnalysisReport) -> str:
         _DESCRIPTOR % tuple(map(_leaf, (d["dim"], d["norm"]["kind"], d["sha256"], d["variant"]))),
         _leaf(report.operator_id),
         _leaf(int(report.seed)),
-        "null" if s is None else _SPECTRUM % (_eigenvalues(s["eigenvalues"]), _leaf(s["spectral_radius"])),
+        "null" if s is None else _spectrum_text(s),
         _VERSIONS % tuple(map(_leaf, (v["rng"], v["schema"], v["tool"]))),
     )
 
@@ -214,7 +215,7 @@ def _require(rec, keys, what: str) -> None:
 
 def report_from_json(text: str) -> AnalysisReport:
     """A report read back from its text: each record must hold the keys of
-    its kind in schema "3", as `report_to_json` writes them."""
+    its kind in schema "4", as `report_to_json` writes them."""
     data = json.loads(text)
     _require(data, _REPORT_FIELDS, "a report")
     versions = data["versions"]
@@ -236,8 +237,10 @@ def report_from_json(text: str) -> AnalysisReport:
             raise ReportError("the hypotheses of a check must be a JSON object")
     spectrum = data["spectrum"]
     if spectrum is not None:
-        _require(spectrum, ("eigenvalues", "spectral_radius"), "the spectrum")
-        if not all(isinstance(p, list) and len(p) == 2 for p in spectrum["eigenvalues"]):
-            raise ReportError("each eigenvalue must be an [re, im] pair")
+        _require(spectrum, ("peripheral", "spectral_radius"), "the spectrum")
+        for rec in spectrum["peripheral"]:
+            _require(rec, _PERIPHERAL_FIELDS, "a peripheral eigenvalue")
+            if not (isinstance(rec["value"], list) and len(rec["value"]) == 2):
+                raise ReportError("a peripheral value must be an [re, im] pair")
     return AnalysisReport(**{**data, "classification": tuple(data["classification"]),
                              "checks": tuple(data["checks"]), "seed": int(data["seed"])})

@@ -50,10 +50,10 @@ class Spectrum(Record):
     P_k below) and its spread d_k, all read off its cluster (spread 0
     unless lam_k is a merged cluster's mean); and the leading Laurent
     coefficient C_k = (B - c lam_k)^(m_k-1) P_k of B = c A at c lam_k, P_k
-    the spectral projection (C_k = P_k when m_k is 1). c = `scale` = 2^-e,
-    e the binary exponent of spr, so B is exact and in range at any scale
-    of A, and C_k is (A - lam_k)^(m_k-1) P_k times c^(m_k-1). For a
-    diagonal A = diag(symbol) every m_k is 1 and P_k is the indicator
+    the spectral projection (C_k = P_k when m_k is 1). c = 2^-e, e the
+    binary exponent of spr, applied by `scaled`, so B is exact and in range
+    at any scale of A, and C_k is (A - lam_k)^(m_k-1) P_k times c^(m_k-1).
+    For a diagonal A = diag(symbol) every m_k is 1 and P_k is the indicator
     diag(symbol == lam_k)."""
 
     matrix: Optional[np.ndarray]
@@ -110,7 +110,16 @@ class Spectrum(Record):
 
     @cached_property
     def scale(self) -> float:
-        return float(np.ldexp(1.0, -int(np.frexp(self.spectral_radius)[1])))
+        """c = 2^-e; inf where it overflows a float (spr < 2^-1024)."""
+        e = -int(np.frexp(self.spectral_radius)[1])
+        return float(np.ldexp(1.0, e)) if e < 1024 else np.inf
+
+    def scaled(self, x):
+        """c x, exact while in range: where c overflows, c 2^-1000 (2^1000 x)."""
+        if self.scale < np.inf:
+            return self.scale * x
+        e = -int(np.frexp(self.spectral_radius)[1])
+        return float(np.ldexp(1.0, e - 1000)) * (2.0**1000 * x)
 
     @cached_property
     def order(self) -> int:
@@ -128,12 +137,13 @@ class Spectrum(Record):
     def coefficient(self, k: int) -> np.ndarray:
         """C_k, computed on first use and kept."""
         if k not in self._coefficients:
-            c, lam = self.scale, self.peripheral_eigenvalues[k]
+            lam = self.peripheral_eigenvalues[k]
             self._coefficients[k] = (
                 np.diag((self.symbol == lam).astype(complex))
                 if self.symbol is not None
                 else laurent_leading_coefficient(
-                    c * self.matrix, c * lam, self.pole_orders[k], self.multiplicities[k]
+                    self.scaled(self.matrix), self.scaled(lam), self.pole_orders[k],
+                    self.multiplicities[k]
                 )
             )
         return self._coefficients[k]
@@ -146,12 +156,11 @@ class Spectrum(Record):
         ||P_k||_F, a = ||B - c lam_k||_F, summed over k. It is 0 when m = 1
         or no such lam_k was merged, and otherwise costs one projection per
         merged lam_k."""
-        m, c = self.order, self.scale
-        B = c * self.matrix
+        m, B = self.order, self.scaled(self.matrix)
         eye = np.eye(B.shape[0])
         err = 0.0
         for k in self.top if m > 1 else ():
-            lam, d = c * self.peripheral_eigenvalues[k], c * self.spreads[k]
+            lam, d = self.scaled(self.peripheral_eigenvalues[k]), self.scaled(self.spreads[k])
             if d > 0:
                 a = np.linalg.norm(B - lam * eye)
                 P = spectral_projection(B, lam, m, self.multiplicities[k])

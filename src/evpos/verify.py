@@ -174,16 +174,9 @@ def positive_eigenvector(spec: Spectrum, norm: NormKind) -> EigenvectorResult:
     np.matmul(U[1], A, out=W[1])
     W -= spr * U
     distances, residuals = phase_aligned_cone_distance(U, norm), norm.of_moduli(np.abs(W).T)
-    return EigenvectorResult(
-        value=spr,
-        primal=LatticeVector(U[0], norm),
-        adjoint=LatticeVector(U[1].conj(), norm),
-        pole_order=spec.pole_orders[k],
-        primal_cone_distance=float(distances[0]),
-        adjoint_cone_distance=float(distances[1]),
-        primal_residual=float(residuals[0]),
-        adjoint_residual=float(residuals[1]),
-    )
+    return EigenvectorResult(spr, LatticeVector(U[0], norm), LatticeVector(U[1].conj(), norm),
+                             spec.pole_orders[k], float(distances[0]), float(distances[1]),
+                             float(residuals[0]), float(residuals[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,43 @@ class TestScaleFreeEventualTest:
         for v in self._eventual(Dense(matrix, Ell1())):
             assert v.status == Confirmed(0)
 
+    @pytest.mark.parametrize(
+        "spr", [1e300, 1.0, 3e-300, 2.0**-1023, 1.5 * 2.0**-1024, 2.0**-1024, 1e-310, 5e-324]
+    )
+    def test_division_by_spr_is_numpys_or_exact(self, spr):
+        # numpy divides by 1/spr: where that is finite, the plain quotient
+        # bit for bit; where it overflows (spr <= 2^-1024), the quotient of
+        # the values and spr both scaled by 2^1000, finite and within two
+        # roundings
+        rng = np.random.default_rng(102)
+        values = (rng.normal(size=8) + 1j * rng.normal(size=8)) * spr
+        values[:2] = [spr, complex(-0.0, spr)]
+        mu = evpos.classify._over_spr(values, spr)
+        if spr > 2.0**-1024:
+            assert mu.tobytes() == (values / spr).tobytes()
+        else:
+            assert np.isfinite(mu).all() and mu[0] == 1.0 and mu[1] == 1j
+            # each part divided alone, a correctly rounded real quotient
+            exact = np.array([complex(z.real / spr, z.imag / spr) for z in values.tolist()])
+            assert np.all(np.abs(mu - exact) <= 4 * np.finfo(float).eps * np.abs(exact))
+
+    @pytest.mark.parametrize("factor", [1e-310, 5e-322])
+    def test_subnormal_spectra_keep_the_limit_status(self, factor):
+        # 1/spr overflows: no (inf+nanj) reaches a root-of-unity test, and
+        # the coefficients and the tail certificate rescale in two exact steps
+        symbol = np.array([4.0, 2.0, -1.0])
+        diagonal = classify_asymptotic(Diagonal(symbol * factor, Ell1()))
+        assert diagonal == classify_asymptotic(Diagonal(symbol, Ell1()))
+        T = make_eventually_positive(3, 0.5, seed=1).model
+        A = T.matrix * 1e-310
+        spec = Dense(A, T.norm).spectral_data()
+        assert spec.scale == np.inf and 0.5 <= spec.scaled(spec.spectral_radius) < 1.0
+        exponent = -int(np.frexp(spec.spectral_radius)[1])
+        scaled = spec.scaled(A)
+        assert np.array_equal(scaled.real, np.ldexp(A.real, exponent))
+        assert np.array_equal(scaled.imag, np.ldexp(A.imag, exponent))
+        assert self._eventual(Dense(A, T.norm)) == self._eventual(T)
+
     def test_power_of_two_scaling_keeps_statuses(self):
         T = make_eventually_positive(6, 0.5, seed=3, norm=Ell1()).model
         base = self._eventual(T)

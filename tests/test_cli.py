@@ -436,6 +436,28 @@ class TestRunClassify:
         digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
         assert digest == DENSE_REPORT_SHA256[name]
 
+    @pytest.mark.parametrize("factor", [1e-310, 1e-318, 1e300])
+    def test_far_scales_refute_nothing(self, factor, tmp_path, capsys):
+        # positivity is invariant under positive scaling: a subnormal spr
+        # (whose 1/spr overflows) and moduli whose squares overflow must not
+        # refute, contradict or raise. At 1e-310 and 1e300 every verdict is
+        # the unscaled one's; at 1e-318 the spectrum keeps too few bits for a
+        # projection, a solver failure.
+        base = make_eventually_positive(3, 0.5, seed=1).model
+        model = Dense(base.matrix * factor, base.norm)
+        report, failed = run_classify(model, "scaled", 0)
+        assert failed == (factor == 1e-318)
+        kinds = {r["status"]["kind"] for r in report.classification}
+        assert "refuted" not in kinds and report.contradiction_count == 0
+        if not failed:
+            assert report.classification == run_classify(base, "scaled", 0)[0].classification
+            check = [c for c in report.checks if c["name"] == "positive-eigenvector"][0]
+            assert check["pass"] and not check["contradiction"]
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(model_to_json(model)))
+        assert main(["classify", str(path)]) == (EXIT_SOLVER if failed else EXIT_OK)
+        capsys.readouterr()
+
     @pytest.mark.parametrize("norm", [Ell1, Ell2, EllInf])
     def test_asymptotic_solver_failure_keeps_the_eventual_trio(self, norm):
         # the eigenvalue 1 of the block [[0.5, 5e8], [5e-10, 0.5]] has no
@@ -486,7 +508,7 @@ class TestRunClassify:
             "sha256": model_digest(model),
         }
 
-    @pytest.mark.parametrize("schema", ["1", "2"])
+    @pytest.mark.parametrize("schema", ["1", "2", "3"])
     def test_schema_one_report_rejected(self, schema):
         entry = get_example("rem3.2b")
         report, _ = run_classify(entry.model, entry.name, 0)
@@ -506,6 +528,25 @@ class TestRunClassify:
             report_from_json(json.dumps(data))
 
     @pytest.mark.parametrize(
+        "change",
+        [
+            lambda p: p.pop("spread"),
+            lambda p: p.update(eigenvalues=[]),
+            lambda p: p.update(value=[2.0]),
+            lambda p: p.update(value=2.0),
+        ],
+        ids=["missing-spread", "extra-key", "short-value", "scalar-value"],
+    )
+    def test_malformed_peripheral_record_rejected(self, change):
+        entry = get_example("rem3.2b")
+        report, _ = run_classify(entry.model, entry.name, 0)
+        data = json.loads(report_to_json(report))
+        assert report_from_json(json.dumps(data)) == report
+        change(data["spectrum"]["peripheral"][0])
+        with pytest.raises(ReportError):
+            report_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize(
         "model",
         [Dense(np.diag([-1e200, 1.0]), Ell1()), WeightedShift(np.full(4, -1e200), Ell1())],
         ids=["dense-diag-minus-1e200", "shift-minus-1e200"],
@@ -521,24 +562,24 @@ class TestRunClassify:
             report, failed = run_classify(model, "huge", 0)
             text = report_to_json(report)
         assert not failed
-        assert json.loads(text, parse_constant=refuse)["versions"]["schema"] == "3"
+        assert json.loads(text, parse_constant=refuse)["versions"]["schema"] == "4"
 
 
 # sha256 of report_to_json for each `run_suite("paper", 0)` report; any change
 # to the catalog report bytes must be deliberate and update these.
 PAPER_REPORT_SHA256 = {
-    "ex2.2a": "21de557ee3298fed3f39093cbf9cb90b715eebbb2f189c20e20b51480c5a0047",
-    "ex2.2b": "a8c4c491f616742c8cc6a4873a451bb0505d814d0a15e80147701f0984a12504",
-    "ex3.5a": "20fa4d2ca64fbf0e4df99ec1eff043ef409d2b974a14469eb6f2a6cb5cbd945e",
-    "ex3.5b": "017443757021737400ae949d9e9f520fb4902372dda29e094ab5eebd58ee3ed5",
-    "rem3.2b": "b0431b909b1f207a48c866feea528a1819e4a9b73b88ba15c9843f9c45f31d8e",
-    "cyclic-block": "9dc23256ae60699b749303857c2dd83e459f50431fcb1fedd3c2f509eae34267",
-    "eventually-positive": "3a7882200192e91dc8f5cb5b934acff388cfc4b9b4ec4abac0911cf4738e96d9",
+    "ex2.2a": "24be4e749a7c72ce0d54916970b5a1994855f96d3f2c39571f6d33d5246a2a7f",
+    "ex2.2b": "4b7793692902d8b34651da5205a21967587e3638d952f07f432aeace71968dac",
+    "ex3.5a": "018d59dc63b9a14627166724a804bf88022c2079a120f5491725ddbd35ae0c56",
+    "ex3.5b": "d08dd354347f6932e955598f84cd4eb287317c28ae877fe4023d06f676fdb08a",
+    "rem3.2b": "f9785214be0f183ed1881f9c33625d8924f053253394129f9284f5839690fe8f",
+    "cyclic-block": "8aae878229f3ec0e3c6baefb6780dc84731139a632d3c505416ca08ca9eb968f",
+    "eventually-positive": "894a21211263a0783566aca2eacde9d8a4696f55e80a90ee10c7a6cede4361f1",
 }
 
 # sha256 of `evpos classify --example` for each alias of a catalog entry
 ALIAS_REPORT_SHA256 = {
-    "ex5.1": "034f7f4818e5c10b69d7be8ac6aa923701fae03c7a4bc7bc9205159a3aaaab6e",
+    "ex5.1": "a16d54b85386f93b70dc69c48718c4c8400b384575d3b64f19d6c2ad61f12ad7",
 }
 
 # sha256 of the run_classify report of make_eventually_positive(dim, 0.5, 3,
@@ -546,20 +587,20 @@ ALIAS_REPORT_SHA256 = {
 # gauss-N-96, and of Dense(diag(1, -0.1)) in l1 under the id
 # alternating-diagonal, seed 0
 DENSE_REPORT_SHA256 = {
-    "alternating-diagonal": "2ef507652a54769f9a2314bd5abae1736580b020043226b58d98f43ddf4efd2f",
-    "ep-Ell1-8": "423dd233cf9190559f645c76c2ddd5b4ef0d9d637e9dfe37f505c8061f10a370",
-    "ep-Ell1-24": "24d84f6711b31c7ea60c99e37f856cdbbef9654de85510ee4e78e1ba3e590a04",
-    "ep-Ell2-8": "578dc6d8ed93773464385be24f7733e673098c62729de6ccf7cfb1d575378f83",
-    "ep-Ell2-24": "e27d13427206b7f228a24eae71cf57ee56c3521891c30625cb55b7004329b9f5",
-    "ep-EllInf-8": "ffd035be7ebf3d3872d21e913166e041a564f540636c5c1e572f98e9c77dc3e9",
-    "ep-EllInf-24": "cfdee67a5ea9c58375782b6ebf090a31d0828802c9491b3b92586ee7bf4ef1dd",
-    "gauss-Ell1-96": "1268107f98ade9e2ff7fdcb84fcd72ba5bbcecf9816e5b5fea4cf67c8e06af82",
-    "gauss-Ell2-96": "5ff238ab12192a9826b5c56069f84ce2846004deb41e716e5db48b8d92714db3",
+    "alternating-diagonal": "783d1481720f527202592299760b5c47d78c1e7d8427bf0f9b21a719f365b3bb",
+    "ep-Ell1-8": "55ebbcf6a94ade1028da6739b72c2f617852af16d35c3998d1abe432b0a73796",
+    "ep-Ell1-24": "5f50ec20b1ac0ec5ba60cf5d58a57771a1d48ff2ddc8469a7f079442cde95e3f",
+    "ep-Ell2-8": "548945edf2f27b4c1fd16072e4ce3be4a7349b72eeb03de8f79a16676e431f2f",
+    "ep-Ell2-24": "b4385b7376a8a11413325fb62eb0a473dcdddc7dd572f976fb3e43bc572e938e",
+    "ep-EllInf-8": "e6779533b8540440a22a4eff2d64c6f63dd302c0f6d282dcbeaca9cf68e13048",
+    "ep-EllInf-24": "9d970f3b7562a8df2640f6cd440ee622639e48926409039e472b118114f486cc",
+    "gauss-Ell1-96": "49e05d3217a9cd3ba60887e7ababe7a73473a32779f60ff53572da970274ba99",
+    "gauss-Ell2-96": "5a4d51e969986b587ba00a6e71fd14014d085d919fc4d6c158afa16c390e7ba3",
 }
 
 
 # sha256 of the concatenated report_to_json of `run_suite("random", 3, 100)`
-RANDOM_SUITE_SHA256 = "4096d33363f8bd3bc3224e7e10302b6fc19a8a0f9224a3153240813bc7644b7d"
+RANDOM_SUITE_SHA256 = "6770a31a187b12f0037d4a90b6e42b5157450422a9d177f9572b144b047ac10a"
 
 
 class TestSuites:
@@ -643,11 +684,16 @@ CHECK_RECORDS = st.fixed_dictionaries(
         "hypotheses": st.dictionaries(TEXTS, st.booleans(), max_size=3),
     }
 )
-SPECTRA = st.none() | st.fixed_dictionaries(
+PERIPHERAL_RECORDS = st.fixed_dictionaries(
     {
-        "eigenvalues": st.lists(st.lists(FLOATS, min_size=2, max_size=2), min_size=1, max_size=100),
-        "spectral_radius": FLOATS,
+        "multiplicity": st.integers(1, 2**40),
+        "pole_order": st.integers(1, 2**40),
+        "spread": FLOATS,
+        "value": st.lists(FLOATS, min_size=2, max_size=2),
     }
+)
+SPECTRA = st.none() | st.fixed_dictionaries(
+    {"peripheral": st.lists(PERIPHERAL_RECORDS, max_size=20), "spectral_radius": FLOATS}
 )
 REPORTS = st.builds(
     AnalysisReport,
@@ -666,7 +712,7 @@ REPORTS = st.builds(
     spectrum=SPECTRA,
     checks=st.lists(CHECK_RECORDS, max_size=4).map(tuple),
     seed=st.integers(0, 2**63),
-    versions=st.fixed_dictionaries({"tool": TEXTS, "schema": st.just("3"), "rng": TEXTS}),
+    versions=st.fixed_dictionaries({"tool": TEXTS, "schema": st.just("4"), "rng": TEXTS}),
 )
 
 
@@ -702,7 +748,7 @@ class TestReportWriter:
             (("checks", 0, "pass"), np.bool_(True)),
             (("checks", 0, "hypotheses", "power-bounded"), np.bool_(False)),
             (("model_descriptor", "dim"), np.int64(2)),
-            (("spectrum", "eigenvalues", 0, 0), np.int64(1)),
+            (("spectrum", "peripheral", 0, "value", 0), np.int64(1)),
         ],
         ids=["n0-int64", "pass-bool_", "hypothesis-bool_", "dim-int64", "eigenvalue-int64"],
     )

@@ -4,8 +4,8 @@ layers (`np.linalg.norm`, `np.stack`, the `fromnumeric` functions, the
 `_methods` hop behind `.sum/.min/.max/.all/.any`, `np.tensordot`,
 `np.angle`). Each of those costs a few Python frames on every call, which
 is most of a small model's classification. Nor does it enter `json` (the
-model digest writes a `Dense` header in one format) or `enum` (notion names
-are read off the members)."""
+model digest writes a `Dense` header in one format, and any other model's
+header itself) or `enum` (notion names are read off the members)."""
 
 import enum
 import json
@@ -15,10 +15,11 @@ import sys
 import numpy as np
 import pytest
 
-from evpos.catalog import get_example
+from evpos.catalog import build_catalog, get_example
 from evpos.cli import run_classify
 from evpos.generators import make_eventually_positive
 from evpos.lattice import Ell1, Ell2, EllInf
+from evpos.operators import model_digest
 from evpos.report import report_to_json
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
@@ -103,6 +104,27 @@ def test_warm_classification_enters_no_json_or_enum_frame():
             report_to_json(run_classify(model, name, 0)[0])
     finally:
         sys.setprofile(None)
+    assert not entered, sorted(entered)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_no_catalog_digest_enters_a_json_frame(seed):
+    """A digest hashes each array of a model as bytes, after a header that
+    it writes itself, so it formats no float per entry."""
+    models = [(e.name, e.model) for e in build_catalog(seed)]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in STDLIB_FILES[:2]:
+            entered.add(f"{frame.f_code.co_name} in {name}")
+
+    sys.setprofile(profile)
+    try:
+        for name, model in models:
+            model_digest(model)
+    finally:
+        sys.setprofile(None)
+    assert {type(m).__name__ for _, m in models} == {"Dense", "Diagonal", "WeightedShift", "RankK"}
     assert not entered, sorted(entered)
 
 

@@ -80,6 +80,20 @@ class TestNorms:
         assert np.array_equal(a.weight_array, weights)
         assert not a.weight_array.flags.writeable
 
+    def test_ell2_takes_a_scaled_form_only_where_the_sum_overflows(self):
+        rng = np.random.default_rng(103)
+        for scale in (1.0, 1e-300, 1e-160, 1e150, 1e153):
+            a = np.abs(rng.normal(size=(9, 4))) * scale
+            plain = np.sqrt(np.add.reduce(a * a, axis=0))
+            assert Ell2().of_moduli(a).tobytes() == plain.tobytes()
+            assert Ell2().of_moduli(a[:, 0]).tobytes() == plain[0].tobytes()
+        # an overflowing column, a zero one, an infinite one, an in-range one
+        a = np.array([[3e300, 0.0, np.inf, 3.0], [4e300, 0.0, 1.0, 4.0]])
+        with np.errstate(over="ignore"):
+            norms = Ell2().of_moduli(a)
+            single = Ell2().of_moduli(a[:, 0])
+        assert norms.tolist() == [5e300, 0.0, np.inf, 5.0] and float(single) == 5e300
+
     def test_grid_weight_array_is_not_a_field(self):
         nodes = (-1.0, -0.25, 0.5, 1.0)
         a, b = GridSup(nodes), GridSup(nodes)

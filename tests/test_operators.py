@@ -299,9 +299,11 @@ class TestArraySerialisation:
         data = model_to_json(model)
         reference = dict(data, **{field: [_c2j(z) for z in AWKWARD_ENTRIES]})
         assert json.dumps(data, sort_keys=True) == json.dumps(reference, sort_keys=True)
-        if not isinstance(model, Dense):  # a Dense hashes its matrix bytes
-            compact = json.dumps(reference, sort_keys=True, separators=(",", ":")).encode()
-            assert model_digest(model) == hashlib.sha256(compact).hexdigest()
+        if not isinstance(model, Dense):  # a Dense's recipe is pinned below
+            header = json.dumps(dict(reference, **{field: len(AWKWARD_ENTRIES)}),
+                                sort_keys=True, separators=(",", ":")).encode()
+            recipe = hashlib.sha256(header + np.array(AWKWARD_ENTRIES, dtype="<c16").tobytes())
+            assert model_digest(model) == recipe.hexdigest()
         back = model_from_json(json.loads(json.dumps(data)))
         assert model_to_json(back) == data
 
@@ -343,6 +345,60 @@ class TestModelDigest:
             model_digest(Dense(A, Ell1())),
         }
         assert len(digests) == 3
+
+    def test_digest_recipe_of_every_other_model(self):
+        # the documented recipe: sha256 of the compact sorted-key JSON
+        # descriptor with each array written as its length, then the arrays
+        # in header order as little-endian float64 ([re, im] as two)
+        symbol = np.array([2.0, -1j, 0.5])
+        slope, singular = averaging_plus_slope(5), averaging_plus_singular(4)
+        c16 = lambda values: np.array(values, dtype=complex).astype("<c16").tobytes()
+        f8 = lambda values: np.array(values, dtype=float).astype("<f8").tobytes()
+        unit = '{"kind":"weighted_integral","scale":[0.5,0.0],"weight":{"kind":"constant","value":[1.0,0.0]}}'
+        cases = [
+            (Diagonal(symbol, Ell1()),
+             '{"norm":{"kind":"ell1"},"symbol":3,"variant":"diagonal"}', [c16(symbol)]),
+            (WeightedShift(symbol, EllInf()),
+             '{"norm":{"kind":"ellinf"},"variant":"shift","weights":3}', [c16(symbol)]),
+            (slope,
+             '{"functionals":[%s,{"coefficients":2,"kind":"point_combination","points":2}],'
+             '"functions":[{"kind":"constant","value":[1.0,0.0]},{"degree":1,"kind":"monomial"}],'
+             '"space":{"kind":"grid_sup","nodes":5},"variant":"rank_k"}' % unit,
+             [c16([0.25, -0.25]), f8([1.0, -1.0]), f8(np.linspace(-1.0, 1.0, 5))]),
+            (singular,
+             '{"functionals":[%s,{"kind":"weighted_integral","scale":[0.1875,0.0],'
+             '"weight":{"exponent":0.0,"kind":"signed_power"}}],'
+             '"functions":[{"kind":"constant","value":[1.0,0.0]},{"exponent":-0.25,"kind":"signed_power"}],'
+             '"space":{"kind":"lp_quadrature","nodes":4,"p":2.0,"weights":4},"variant":"rank_k"}' % unit,
+             [f8([-0.75, -0.25, 0.25, 0.75]), f8([0.5] * 4)]),
+        ]
+        assert singular.space.nodes == (-0.75, -0.25, 0.25, 0.75)
+        for model, header, arrays in cases:
+            recipe = hashlib.sha256(header.encode())
+            for a in arrays:
+                recipe.update(a)
+            assert model_digest(model) == recipe.hexdigest(), model.variant
+
+    @pytest.mark.parametrize("kind", ["diagonal", "shift", "grid", "quadrature", "tabulated"])
+    def test_a_signed_zero_or_one_ulp_changes_the_digest(self, kind):
+        def model(x):
+            grid = GridSup((-1.0, x, 1.0))
+            return {
+                "diagonal": lambda: Diagonal(np.array([1.0, complex(x, 1.0)]), Ell1()),
+                "shift": lambda: WeightedShift(np.array([complex(1.0, x)]), Ell1()),
+                "grid": lambda: RankK((Constant(1.0),), (WeightedIntegral(Constant(1.0)),), grid),
+                "quadrature": lambda: RankK(
+                    (Constant(1.0),), (WeightedIntegral(Constant(1.0)),),
+                    LpQuadrature(2.0, (-0.5, x, 0.5), (0.5, 0.5, 0.5)),
+                ),
+                "tabulated": lambda: RankK(
+                    (Tabulated((1.0, x, 1.0)),), (WeightedIntegral(Constant(1.0)),),
+                    GridSup((-1.0, 0.0, 1.0)),
+                ),
+            }[kind]()
+
+        values = [0.0, -0.0, np.nextafter(0.0, 1.0)]
+        assert len({model_digest(model(x)) for x in values}) == 3
 
     @pytest.mark.parametrize("entry", build_catalog(0), ids=lambda e: e.name)
     def test_model_file_round_trip_keeps_the_digest(self, entry):

@@ -14,15 +14,15 @@ import workloads  # noqa: E402
 
 # sha256 of the concatenated report_to_json of every case of the workload
 WORKLOAD_REPORT_SHA256 = {
-    ("catalog", 0): "5cf723c971fed1cb1df2f74d291d4f173a161acf43fc34d1af93522a8f9aca3d",
-    ("catalog", 7): "3669c461c9a81c688812122dff34f446e519d7e8e702af589c345f1f2509f51e",
-    ("catalog", 111): "44699e6f2ebf1f6da0c3d22f082797cccfeab5ba6101a19f425242ad4a2288a0",
-    ("dense-sweep", 0): "df4029b0825b6d67c8972a0e3300ee788ddda9bd0a5a71efb916a998872cca8f",
-    ("dense-sweep", 7): "1330083346322c22b8837848f22b8750fdde52d6660a0669deb18bc28e0f96f7",
-    ("dense-sweep", 111): "145d9253268788330027861f72d2a26cbddbd8356f40c32dbbe2455a88af4304",
-    ("random-small", 0): "b0e4b39965c09485bbb16d6484681fcba554485936b8b8230211b20b5698d314",
-    ("random-small", 7): "a146cc5831c4dafe24424847f7c54f4f02a78e4e1ea932bfd85deba0b57b5acc",
-    ("random-small", 111): "5e1cce0478edc9cb0b8ff16ccae1f4a56560a00c1a5d2caf2588602d6e2791a3",
+    ("catalog", 0): "f090dda08626e8d273153463eb4db818795566cf35da4c2ace4878f07fadcba9",
+    ("catalog", 7): "595f48b9d819bc1ffeeeeb7edeb9a02878be4ee4c62756b7c14e72d1b53c8c1d",
+    ("catalog", 111): "70e0aeb717d6f139d434f431cf7a5755d2169e9ff551e625a3b06c80fa91313b",
+    ("dense-sweep", 0): "baf466ab518bc33e8e14574c6cdfd301d23227c89f72f16d62c5f20a33d45338",
+    ("dense-sweep", 7): "fccd1cb9fb2d74a5d02efa184edb2af230d1a4a2e0f92418ccb9a31a0e915dee",
+    ("dense-sweep", 111): "f1a989c3943394b7db7743b5b2d42c35cc86d2fcf5ed9c2a6b0e8492c0a40431",
+    ("random-small", 0): "4ea1833da0e50248760ec58c202a2730918aa949624982f191c29eedfebd4721",
+    ("random-small", 7): "6eba9f066905b6b5b751ad3a222c031c6c7ea5505eef9b550ece87d92b8ff085",
+    ("random-small", 111): "a211b898326c72280979cb6a07326f341d0a1d9ed1fecbfda98be22d6a9c9adc",
 }
 
 
