@@ -28,7 +28,7 @@ from .lattice import (
     cone_distance,
 )
 from .operators import Dense, Diagonal, RankK, WeightedShift
-from .spectral import Spectrum, eigenvalues, peripheral_spectrum
+from .spectral import Spectrum, eigenvalues
 from .verify import (
     CheckResult,
     multiplicity_monotonicity_check,
@@ -65,7 +65,6 @@ __all__ = [
     "individual_eventual",
     "multiplicity_monotonicity_check",
     "peripheral_cyclicity_check",
-    "peripheral_spectrum",
     "positive_eigenvector",
     "uniform_eventual",
     "verify_spr_in_spectrum",

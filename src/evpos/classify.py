@@ -602,17 +602,15 @@ def uniform_eventual(T: OperatorModel) -> PositivityVerdict:
     return classify_eventual(T)[0]
 
 
-def individual_eventual(
-    T: OperatorModel,
-    vectors: Optional[tuple] = None,
-    horizon: int = HORIZON_EVENTUAL,
-) -> PositivityVerdict:
-    """The individual notion alone, by brute force up to a horizon: each
-    `LatticeVector` x of `vectors`, by default the basis vectors, is stepped
-    with power_apply, independently of classify_eventual, so the two paths
-    check each other. Confirmed at one past the last power where some T^n x
-    is off the cone beyond DEFAULT_TOL ||x||; undetermined when that power
-    lies in the last quarter of the horizon."""
+def individual_eventual(T: OperatorModel, vectors: Optional[tuple] = None) -> PositivityVerdict:
+    """The individual notion alone, by brute force up to HORIZON_EVENTUAL
+    powers: each `LatticeVector` x of `vectors`, by default the basis
+    vectors, is stepped with power_apply, independently of
+    classify_eventual, so the two paths check each other. Confirmed at one
+    past the last power where some T^n x is off the cone beyond
+    DEFAULT_TOL ||x||; undetermined when that power lies in the last
+    quarter of the horizon."""
+    horizon = HORIZON_EVENTUAL
     if vectors is None:
         vectors = tuple(_basis_vector(T, j) for j in range(T.dim))
     refuted = _singular_refutation(T, [x.entries for x in vectors])

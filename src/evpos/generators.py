@@ -61,11 +61,10 @@ def make_eventually_positive(
             continue
         Q = Q * ((1.0 - gap) / qn)
         A = P + Q
-        min_p = float(np.min(P))
-        if min_p <= 0:
-            continue
+        # v and w lie in [0.5, 1.5), so P is positive in every entry, and
         # entries of Q^n are bounded by ||Q^n||_2 <= (1-gap)^n, so every
         # power beyond log(min P)/log(1-gap) is entrywise nonnegative
+        min_p = float(np.min(P))
         n0 = max(int(np.ceil(np.log(min_p) / np.log(1.0 - gap))), 1)
         return EventuallyPositiveInstance(
             model=Dense(A.astype(complex), norm),

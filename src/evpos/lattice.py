@@ -209,29 +209,6 @@ def cone_distance(x: LatticeVector) -> float:
     return float(cone_distances(x.entries, x.norm))
 
 
-def cone_distance_oracle(x: LatticeVector, resolution: float) -> float:
-    """Brute-force cone distance: minimize ||x - y|| over a nonnegative grid.
-
-    All supported norms are monotone in the per-coordinate deviations
-    |x_k - y_k|, so the joint grid minimum is attained by minimizing each
-    coordinate's deviation independently over the same grid, at a cost
-    linear in the dimension.
-    """
-    if resolution <= 0:
-        raise LatticeError("resolution must be positive")
-    entries = x.entries
-    if len(entries) == 0:
-        return 0.0
-    bound = 2.0 * float(np.max(np.abs(entries)))
-    grid = np.arange(0.0, bound + resolution, resolution)
-    if len(grid) == 0:
-        grid = np.array([0.0])
-    # deviation of entry k from every grid candidate; best candidate per entry
-    dev = np.abs(entries[:, None] - grid[None, :])
-    best = dev.min(axis=1)
-    return float(x.norm.of_moduli(best))
-
-
 def midpoint_rule(lo: float, hi: float, n: int):
     """Composite midpoint nodes/weights on (lo, hi); never places a node at 0
     when n is even and the interval is symmetric."""

@@ -313,7 +313,6 @@ class PointCombination(Record):
         )
 
 
-FunctionalRep = Union[WeightedIntegral, PointCombination]
 FUNCTIONAL_KINDS = {cls.kind: cls for cls in (WeightedIntegral, PointCombination)}
 
 
@@ -463,10 +462,8 @@ class WeightedShift(Record):
         return 0.0  # nilpotent truncation
 
     def spectral_data(self) -> Spectrum:
-        """dim zeros and spr = 0 (`nilpotent_spectrum`), built on each call;
-        ||T||_2 is the largest weight modulus, as T maps the basis vectors
-        to orthogonal ones."""
-        return nilpotent_spectrum(self.dim, float(np.max(np.abs(self.weights))))
+        """dim zeros and spr = 0 (`nilpotent_spectrum`), built on each call."""
+        return nilpotent_spectrum(self.dim)
 
     def to_json(self) -> dict:
         return {
@@ -556,9 +553,9 @@ class RankK(Record):
     def spectral_data(self) -> Spectrum:
         """Its dense view's, solved on each call: a dim x dim solve, which
         `run_classify` asks for only at dim <= its DIM_CAP. At spr = 0 it is
-        dim zeros (`nilpotent_spectrum`), with the dense view's 2-norm."""
+        dim zeros (`nilpotent_spectrum`), with no dense view formed."""
         if self._radius == 0:
-            return nilpotent_spectrum(self.dim, float(np.linalg.norm(to_dense(self).matrix, 2)))
+            return nilpotent_spectrum(self.dim)
         return to_dense(self).spectral_data()
 
     def to_json(self) -> dict:
@@ -596,30 +593,6 @@ def power_apply(T: OperatorModel, n: int, x: LatticeVector) -> LatticeVector:
     for Y in T.orbit(x.entries[:, None], n):
         pass
     return LatticeVector(Y[:, 0], x.norm)
-
-
-def pairing(
-    T: OperatorModel,
-    n: int,
-    x: LatticeVector,
-    xprime: Union[FunctionalRep, LatticeVector],
-) -> complex:
-    """<x', T^n x>; n = 0 returns the plain pairing <x', x>."""
-    if n < 0:
-        raise OperatorError("pairing requires n >= 0")
-    if isinstance(xprime, LatticeVector):
-        if len(xprime) != len(x):
-            raise OperatorError("pairing dimension mismatch")
-        y = x if n == 0 else power_apply(T, n, x)
-        return complex(np.sum(xprime.entries * y.entries))
-    if not isinstance(T, RankK):
-        raise OperatorError("functional pairings require a rank-k model")
-    row = xprime.row(T.space)
-    if n == 0:
-        return complex(row @ x.entries)
-    coeffs = T.coefficients(x.entries) * T.eigen_parameters ** (n - 1)
-    dual = np.array([xprime.apply(f, T.space) for f in T.functions])
-    return complex(np.sum(coeffs * dual))
 
 
 def to_dense(T: OperatorModel) -> Dense:

@@ -8,7 +8,6 @@ no timestamps: identical inputs must produce byte-identical files.
 
 from __future__ import annotations
 
-import json
 from functools import partial
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Optional
@@ -204,43 +203,3 @@ def report_to_json(report: AnalysisReport) -> str:
         "null" if s is None else _spectrum_text(s),
         _VERSIONS % tuple(map(_leaf, (v["rng"], v["schema"], v["tool"]))),
     )
-
-
-def _require(rec, keys, what: str) -> None:
-    """rec must be a JSON object with exactly these keys."""
-    if not isinstance(rec, dict) or set(rec) != set(keys):
-        got = sorted(rec) if isinstance(rec, dict) else type(rec).__name__
-        raise ReportError(f"{what} must hold exactly {sorted(keys)}, not {got}")
-
-
-def report_from_json(text: str) -> AnalysisReport:
-    """A report read back from its text: each record must hold the keys of
-    its kind in schema "4", as `report_to_json` writes them."""
-    data = json.loads(text)
-    _require(data, _REPORT_FIELDS, "a report")
-    versions = data["versions"]
-    _require(versions, ("tool", "schema", "rng"), "the versions block")
-    if versions["schema"] != SCHEMA_VERSION:
-        raise ReportError(f"schema version {versions['schema']!r} is not supported "
-                          f"(expected {SCHEMA_VERSION!r})")
-    _require(data["model_descriptor"], ("variant", "dim", "norm", "sha256"), "the model block")
-    _require(data["model_descriptor"]["norm"], ("kind",), "the model's norm")
-    for rec in data["classification"]:
-        _require(rec, ("notion", "status", "tolerance"), "a classification record")
-        kind = rec["status"].get("kind") if isinstance(rec["status"], dict) else None
-        if kind not in _STATUS:
-            raise ReportError(f"unknown status kind {kind!r}")
-        _require(rec["status"], ("kind", _STATUS[kind][1]), f"a {kind} status")
-    for rec in data["checks"]:
-        _require(rec, _CHECK_FIELDS, "a check record")
-        if not isinstance(rec["hypotheses"], dict):
-            raise ReportError("the hypotheses of a check must be a JSON object")
-    spectrum = data["spectrum"]
-    if spectrum is not None:
-        _require(spectrum, ("peripheral", "spectral_radius"), "the spectrum")
-        for rec in spectrum["peripheral"]:
-            _require(rec, _PERIPHERAL_FIELDS, "a peripheral eigenvalue")
-            if not (isinstance(rec["value"], list) and len(rec["value"]) == 2):
-                raise ReportError("a peripheral value must be an [re, im] pair")
-    return AnalysisReport(**{**data, "classification": tuple(data["classification"]),
-                             "checks": tuple(data["checks"]), "seed": int(data["seed"])})

@@ -40,9 +40,9 @@ class Spectrum(Record):
     pole order and its spread, the distance of the farthest eigenvalue
     merged into it (`_clusters`); every other eigenvalue counts as simple.
     `symbol` is the diagonal of A when A is diagonal, which its peripheral
-    coefficients and geometric multiplicities are then read off. A is None
-    for a nilpotent spectrum that is known without it (`nilpotent_spectrum`):
-    at spr = 0 only the vacuous spr check runs.
+    coefficients and geometric multiplicities are then read off. A and
+    ||A||_2 are None for a nilpotent spectrum that is known without them
+    (`nilpotent_spectrum`): at spr = 0 only the vacuous spr check runs.
 
     The peripheral part is computed on first use of each member and kept:
     the peripheral eigenvalues lam_k (`peripheral_indices`), and for each
@@ -59,7 +59,7 @@ class Spectrum(Record):
     matrix: Optional[np.ndarray]
     eigenvalues: np.ndarray
     spectral_radius: float
-    matrix_norm: float
+    matrix_norm: Optional[float]
     clusters: tuple = ()
     symbol: Optional[np.ndarray] = None
 
@@ -222,11 +222,11 @@ def diagonal_spectrum(symbol) -> Spectrum:
     return Spectrum(_read_only(np.diag(s)), s, spr, spr, clusters, s)
 
 
-def nilpotent_spectrum(dim: int, norm: float) -> Spectrum:
-    """The spectrum of a nilpotent dim x dim matrix of 2-norm `norm`, which
-    is dim zeros and spr = 0 whatever its entries; the matrix is not
-    formed."""
-    return Spectrum(None, _read_only(np.zeros(dim, dtype=complex)), 0.0, norm)
+def nilpotent_spectrum(dim: int) -> Spectrum:
+    """The spectrum of a nilpotent dim x dim matrix, which is dim zeros and
+    spr = 0 whatever its entries; neither the matrix nor its norm is formed,
+    as only a geometric multiplicity at spr > 0 reads the norm."""
+    return Spectrum(None, _read_only(np.zeros(dim, dtype=complex)), 0.0, None)
 
 
 def _clusters(A: np.ndarray, vals: np.ndarray, norm: float) -> tuple:
@@ -350,9 +350,3 @@ def geometric_multiplicity(spec: Spectrum, lam: complex) -> int:
     M = lam * np.eye(spec.matrix.shape[0]) - spec.matrix
     s = np.linalg.svd(M, compute_uv=False)
     return int(np.sum(s < threshold))
-
-
-def peripheral_spectrum(spec: Spectrum) -> np.ndarray:
-    """The peripheral eigenvalues of a spectrum (`Spectrum.peripheral_indices`),
-    in order; [0] at spr = 0."""
-    return spec.peripheral_eigenvalues

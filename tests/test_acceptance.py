@@ -30,12 +30,11 @@ from evpos.lattice import (
     EllInf,
     LatticeVector,
     cone_distance,
-    cone_distance_oracle,
 )
 from evpos.operators import power_apply
 from evpos.report import verdict_from_record
 from evpos.rng import rng_for
-from evpos.spectral import eigenvalues, peripheral_spectrum
+from evpos.spectral import eigenvalues
 from evpos.verify import (
     multiplicity_monotonicity_check,
     peripheral_cyclicity_check,
@@ -44,6 +43,8 @@ from evpos.verify import (
     CheckResult,
 )
 from evpos.witnesses import hat_family_witness, signed_power_witness
+
+from references import cone_distance_oracle
 
 # verdict sets registered by criteria 1-7; criterion 8 checks the hierarchy
 # invariant across all of them
@@ -91,7 +92,7 @@ def test_criterion_1_grid_slope_model():
         # individual-eventual Confirmed with a finite threshold for each of
         # 20 seeded positive grid functions
         for g in _seeded_positive_vectors(T.space, 20, 1):
-            v = individual_eventual(T, vectors=(g,), horizon=30)
+            v = individual_eventual(T, vectors=(g,))
             assert isinstance(v.status, Confirmed)
             assert v.status.n0 <= 30
 
@@ -112,7 +113,7 @@ def test_criterion_1_grid_slope_model():
             assert w.value == pytest.approx(eps / 4.0 - 2.0 ** -(n + 1), abs=1e-15)
 
         _REGISTERED.append(
-            ("ex2.2a", [uni, individual_eventual(T, horizon=30), weak_eventual(T)])
+            ("ex2.2a", [uni, individual_eventual(T), weak_eventual(T)])
         )
 
 
@@ -139,12 +140,12 @@ def test_criterion_2_singular_model():
 
         # while the pointwise negativity persists, the quadrature cone
         # distance dies: the asymptotic/eventual split
-        ind = individual_eventual(T, vectors=(g,), horizon=30)
+        ind = individual_eventual(T, vectors=(g,))
         assert isinstance(ind.status, RefutedWithWitness)
         assert cone_distance(power_apply(T, 40, g)) < 1e-6
 
         _REGISTERED.append(
-            ("ex2.2b", [uniform_eventual(T), individual_eventual(T, horizon=30), weak])
+            ("ex2.2b", [uniform_eventual(T), individual_eventual(T), weak])
         )
 
 
@@ -236,7 +237,7 @@ def test_criterion_5_random_suite():
 
             cyc = peripheral_cyclicity_check(spec)
             assert cyc.pass_
-            periph = peripheral_spectrum(spec)
+            periph = spec.peripheral_eigenvalues
             assert len(periph) == 1
 
             gated = CheckResult(
@@ -252,7 +253,7 @@ def test_criterion_5_random_suite():
             if t % 10 == 0:
                 trio = [
                     uni,
-                    individual_eventual(inst.model, horizon=30),
+                    individual_eventual(inst.model),
                     weak_eventual(inst.model),
                 ]
                 _REGISTERED.append((f"random-{t}", trio))
@@ -266,7 +267,7 @@ def test_criterion_6_cyclicity_suite():
             A = T.matrix
             assert A.shape[0] <= 24
             spec = eigenvalues(A)
-            periph = peripheral_spectrum(spec)
+            periph = spec.peripheral_eigenvalues
             roots = spec.spectral_radius * np.exp(2j * np.pi * np.arange(k) / k)
             assert len(periph) == k
             for r in roots:

@@ -685,6 +685,32 @@ class TestTailCertificate:
         for v in classify_eventual(T):
             assert v.status == UndeterminedUpToHorizon(0)
 
+    def test_two_peripheral_eigenvalues_take_no_certificate(self):
+        # a 2-cycle beside -0.5: the limit status is confirmed, as the limit
+        # points are the two permutations, but the peripheral eigenvalues
+        # are 1 and -1, so the tail certificate does not apply; (-0.5)^n is
+        # negative at every odd power, so the eventual trio is not confirmed
+        T = Dense(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -0.5]]), Ell1())
+        assert [v.status for v in classify_asymptotic(T)] == [Confirmed(0)] * 3
+        for v in classify_eventual(T):
+            assert not isinstance(v.status, Confirmed), v
+
+    def test_tail_needing_more_than_the_cap_is_not_confirmed(self):
+        # L - 0.998 (I - L), L the projection onto v = (1, 0.2): S^n = L +
+        # (-0.998)^n (I - L), whose (2, 2) entry is negative at every odd n
+        # up to 1,607 and whose powers from 1,608 on are nonnegative; the
+        # tail bound passes below the gap only past MAX_TAIL powers, so the
+        # certificate does not apply
+        v = np.array([1.0, 0.2])
+        L = np.outer(v, v) / (v @ v)
+        T = Dense(L - 0.998 * (np.eye(2) - L), Ell1())
+        assert not _passes(np.linalg.matrix_power(T.matrix, 1607), DEFAULT_TOL)
+        assert _passes(np.linalg.matrix_power(T.matrix, 1608), DEFAULT_TOL)
+        assert _passes(np.linalg.matrix_power(T.matrix, 1609), DEFAULT_TOL)
+        assert [v.status for v in classify_asymptotic(T)] == [Confirmed(0)] * 3
+        for v in classify_eventual(T):
+            assert not isinstance(v.status, Confirmed), v
+
 
 class TestDeltaN:
     def test_ell1_extreme_points_exact(self):
@@ -1740,6 +1766,27 @@ class TestRankKTailCertificate:
             tracemalloc.stop()
         assert [v.status for v in trio] == [Confirmed(0)] * 3
         assert peak <= 70.2e6 / 4
+
+    def test_gap_that_no_power_below_the_cap_clears_is_undetermined(self):
+        # g -> (1/2)(int g) 1 + 1.4985 (int t g) t on a 40-node midpoint rule
+        # has lam = (1, 0.999): the entries of T^n are multiples of 1/2 +
+        # 1.4985 0.999^(n-1) t_i t_j, negative where t_i t_j < 0 up to n =
+        # 1,047, and no power below MAX_TAIL brings the decaying term under
+        # the limit point's gap, so the uniform notion is undetermined; on
+        # a positive vector the limit (1/2)(int g) 1 is positive, and the
+        # individual and weak notions are confirmed
+        T = RankK(
+            (Constant(1.0), Monomial(1)),
+            (WeightedIntegral(Constant(1.0), 0.5), WeightedIntegral(Monomial(1), 1.4985)),
+            LpQuadrature(1, *midpoint_rule(-1.0, 1.0, 40)),
+        )
+        assert np.allclose(T.eigen_parameters, [1.0, 0.999], rtol=0, atol=1e-15)
+        assert _eventual_kinds(T) == {
+            "uniform-eventual": {"kind": "undetermined", "horizon": 0},
+            "individual-eventual": {"kind": "confirmed", "n0": 0},
+            "weak-eventual": {"kind": "confirmed", "n0": 0},
+        }
+        assert [v.status for v in classify_asymptotic(T)] == [Confirmed(0)] * 3
 
 
 def _sign_slope_model(c, nodes=41) -> RankK:

@@ -12,7 +12,7 @@ from evpos.generators import (
 )
 from evpos.lattice import Ell2
 from evpos.rng import rng_for
-from evpos.spectral import eigenvalues, peripheral_spectrum
+from evpos.spectral import eigenvalues
 from evpos.verify import positive_eigenvector
 
 
@@ -73,7 +73,7 @@ class TestCyclicBlock:
     def test_peripheral_spectrum_is_roots_of_unity(self, k):
         T = cyclic_block(k, 2, seed=1)
         spec = eigenvalues(T.matrix)
-        periph = peripheral_spectrum(spec)
+        periph = spec.peripheral_eigenvalues
         assert len(periph) == k
         roots = spec.spectral_radius * np.exp(2j * np.pi * np.arange(k) / k)
         for r in roots:

@@ -12,13 +12,14 @@ from evpos.lattice import (
     LatticeVector,
     LpQuadrature,
     cone_distance,
-    cone_distance_oracle,
     cone_distances,
     cone_residual,
     midpoint_rule,
     norm_value,
     trapezoid_weights,
 )
+
+from references import cone_distance_oracle
 
 NORMS = [Ell1(), Ell2(), EllInf()]
 

@@ -31,7 +31,6 @@ from evpos.operators import (
     model_digest,
     model_from_json,
     model_to_json,
-    pairing,
     power_apply,
     to_dense,
 )
@@ -155,8 +154,7 @@ class TestPowers:
         nodes = np.asarray(T.space.nodes)
         g = LatticeVector((nodes**2).astype(complex), T.space)
         direct = power_apply(T, 4, g)
-        a = pairing(T, 0, g, T.functionals[0])
-        b = pairing(T, 0, g, T.functionals[1])
+        a, b = T.coefficients(g.entries)
         expected = a * np.ones_like(nodes) + 0.5**3 * b * nodes
         assert np.allclose(direct.entries, expected, atol=1e-12)
 
@@ -191,24 +189,6 @@ class TestPowers:
         with pytest.raises(OperatorError):
             power_apply(Diagonal(np.array([1.0]), Ell1()), 0,
                         LatticeVector(np.ones(1, dtype=complex), Ell1()))
-
-
-class TestPairings:
-    def test_vector_pairing_at_n_zero(self):
-        D = Diagonal(np.array([2.0, 3.0]), Ell1())
-        x = LatticeVector(np.array([1.0, 1.0], dtype=complex), Ell1())
-        xp = LatticeVector(np.array([1.0, 2.0], dtype=complex), Ell1())
-        assert pairing(D, 0, x, xp) == pytest.approx(3.0)
-        assert pairing(D, 1, x, xp) == pytest.approx(2.0 + 6.0)
-
-    def test_functional_pairing_consistent_with_quadrature(self):
-        T = averaging_plus_singular(200)
-        x = LatticeVector(np.ones(200, dtype=complex), T.space)
-        phi = T.functionals[0]
-        via_closed = pairing(T, 3, x, phi)
-        y = power_apply(T, 3, x)
-        via_grid = pairing(T, 0, y, phi)
-        assert via_closed == pytest.approx(via_grid, abs=1e-10)
 
 
 class TestAdjointAndDense:

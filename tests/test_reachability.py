@@ -1,15 +1,15 @@
 """Reachability guard: every function defined in `src/evpos` must be reached
-by `evpos.cli.main` over the command lines below, or stand on ALLOWLIST with
+by a fresh `python` that profiles from `import evpos.cli` onward and runs
+`evpos.cli.main` over the command lines below, or stand on ALLOWLIST with
 the reason it stays, so code that no report or exit reaches does not
-accumulate."""
+accumulate. Code that runs when a module is imported counts as reached."""
 
-import contextlib
 import importlib
 import inspect
-import io
 import json
 import os
 import pkgutil
+import subprocess
 import sys
 import types
 
@@ -18,7 +18,6 @@ import pytest
 
 import evpos
 from evpos.catalog import build_catalog
-from evpos.cli import main
 from evpos.generators import make_eventually_positive
 from evpos.lattice import Ell1, EllInf, GridSup
 from evpos.operators import (
@@ -47,11 +46,7 @@ ALLOWLIST = {
     ),
     "spectral.resolvent_matrix": "benchmark span (perfbench/spans.py)",
     "spectral.SingularResolventError.__init__": "raised by resolvent_matrix",
-    "spectral.peripheral_spectrum": (
-        "public API (evpos.peripheral_spectrum); the rule and the checks read "
-        "Spectrum.peripheral_eigenvalues"
-    ),
-    "operators.power_apply": "reference power for individual_eventual and pairing",
+    "operators.power_apply": "reference power for individual_eventual (benchmark span)",
     "operators.Dense.dense": (
         "the contract method that to_dense (a benchmark span) and delta_n read "
         "of a Dense; the checks read its kept spectral_data"
@@ -69,28 +64,13 @@ ALLOWLIST = {
         "writes the dense model-file format that classify reads; the tests "
         "write their inputs with it"
     ),
-    "operators.pairing": (
-        "reference for the closed-form pairings of the rank-k weak eventual notion"
-    ),
-    "lattice.cone_distance_oracle": "brute-force reference for the cone-distance formula",
     "witnesses.hat_family_witness": (
         "benchmark span, and the finite-width reference that the shrinking-hat "
         "limit is tested against"
     ),
-    "lattice.LatticeVector.__len__": "the lengths that power_apply and pairing check",
-    "report.report_from_json": "reads reports back; the round-trip tests use it",
-    "report._require": "the record-key check of report_from_json",
-    "report._template": "builds the record templates when the module is imported, before any command",
-    "record.Record.__init_subclass__": (
-        "reads each record class's fields when the module is imported, before any command"
-    ),
+    "lattice.LatticeVector.__len__": "the length that power_apply checks",
     "record.Record.__eq__": "record value equality, which the tests compare verdicts and models with",
     "record.Record.__hash__": "record value hash, the frozen-dataclass contract that test_record pins",
-    "record._initializer": "builds each record class's __init__ when its module is imported",
-    "record._reader": (
-        "builds each record class's field-tuple reader, for __eq__ and __hash__, "
-        "when its module is imported"
-    ),
     "record.Record.__repr__": "record text in test failures and debugging; no report prints one",
     "record.Record.__setattr__": "refuses assignment, which would break a record's immutability",
     "record.Record.__delattr__": "refuses deletion, which would break a record's immutability",
@@ -236,34 +216,65 @@ def _defined_functions():
     return found
 
 
-def _exit_code(argv) -> int:
-    """What `evpos` exits with: main's return value, or the code of the
-    SystemExit that argparse raises on a bad argument."""
+# run by a fresh interpreter: the profile is on before evpos is first
+# imported, so module-level calls count; argv[1] holds the command lines as
+# JSON, and argv[2] receives the exit codes and the reached code objects
+_CHILD = """
+import contextlib, io, json, os, sys
+
+seen = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        seen.add(frame.f_code)
+
+
+sys.setprofile(profile)
+from evpos.cli import main
+
+
+def exit_code(argv):
+    # main's return value, or the code of the SystemExit that argparse
+    # raises on a bad argument
     try:
         return main(argv)
     except SystemExit as exc:
         return exc.code
 
 
+with open(sys.argv[1]) as fh:
+    lines = json.load(fh)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [exit_code(argv) for argv in lines]
+sys.setprofile(None)
+keys = sorted({(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in seen})
+with open(sys.argv[2], "w") as fh:
+    json.dump({"codes": codes, "keys": keys}, fh)
+"""
+
+
+def _run_profiled(lines, tmp) -> tuple:
+    """(exit codes, reached (file, first line, name) keys) of `evpos.cli.main`
+    over these command lines, in a child `python` that imports this evpos."""
+    lines_path, out_path = os.path.join(tmp, "lines.json"), os.path.join(tmp, "reached.json")
+    with open(lines_path, "w") as fh:
+        json.dump(lines, fh)
+    src = os.path.dirname(os.path.dirname(os.path.realpath(evpos.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    subprocess.run([sys.executable, "-c", _CHILD, lines_path, out_path], env=env, check=True)
+    with open(out_path) as fh:
+        out = json.load(fh)
+    return out["codes"], {tuple(key) for key in out["keys"]}
+
+
 @pytest.fixture(scope="module")
 def reached(tmp_path_factory):
-    lines, bad = _command_lines(str(tmp_path_factory.mktemp("reach")))
-    seen = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            seen.add(frame.f_code)
-
-    codes = []
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        sys.setprofile(profile)
-        try:
-            for argv in lines + bad:
-                codes.append((argv, _exit_code(argv)))
-        finally:
-            sys.setprofile(None)
-    keys = {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in seen}
-    return codes, keys, len(lines)
+    tmp = str(tmp_path_factory.mktemp("reach"))
+    lines, bad = _command_lines(tmp)
+    codes, keys = _run_profiled(lines + bad, tmp)
+    return list(zip(lines + bad, codes)), keys, len(lines)
 
 
 def test_command_lines_exit_as_expected(reached):
@@ -293,13 +304,14 @@ def test_every_function_is_reached_or_allowlisted(reached):
 # is the model's samples, its rows and the row-block grid test, and its
 # `status` the limit status it reads itself, or, for `_singular_refutation`'s
 # `notion`, is the individual notion, or, for `horizon`, went with the orbit
-# it bounded, so a caller can no longer pass a value that moves a verdict away
+# it bounded, or, for `nilpotent_spectrum`'s `norm`, was read by nothing at
+# spr = 0, so a caller can no longer pass a value that moves a verdict away
 # from what the reports pin; every verdict's report record states
 # classify.DEFAULT_TOL, so no verdict holds a tolerance
 REMOVED_PARAMETERS = [
     ("spectral", "eigenvalues", "tol"),
     ("spectral", "geometric_multiplicity", "tol"),
-    ("spectral", "peripheral_spectrum", "tol"),
+    ("spectral", "nilpotent_spectrum", "norm"),
     ("spectral", "Spectrum", "solver_tolerance"),
     ("verify", "verify_spr_in_spectrum", "tol"),
     ("verify", "peripheral_cyclicity_check", "tol"),
@@ -319,6 +331,7 @@ REMOVED_PARAMETERS = [
     ("classify", "uniform_eventual", "tol"),
     ("classify", "weak_eventual", "tol"),
     ("classify", "individual_eventual", "tol"),
+    ("classify", "individual_eventual", "horizon"),
     ("classify", "LimitStatus", "tol"),
     ("classify", "_block_passes", "tol"),
     ("classify", "_power_failure", "tol"),

@@ -9,7 +9,6 @@ from evpos.spectral import (
     geometric_multiplicity,
     laurent_leading_coefficient,
     nilpotent_spectrum,
-    peripheral_spectrum,
     resolvent_matrix,
 )
 
@@ -184,11 +183,10 @@ class TestPoleOrder:
         for name in ("peripheral_indices", "peripheral_eigenvalues", "pole_orders", "top"):
             assert getattr(spec, name) is getattr(spec, name)
         assert spec.coefficient(1) is spec.coefficient(1)
-        assert peripheral_spectrum(spec) is spec.peripheral_eigenvalues
 
     def test_zero_spectral_radius(self):
-        spec = nilpotent_spectrum(3, 2.0)
-        assert peripheral_spectrum(spec).tolist() == [0.0]
+        spec = nilpotent_spectrum(3)
+        assert spec.peripheral_eigenvalues.tolist() == [0.0]
         assert (spec.pole_orders, spec.multiplicities) == ((1,), (1,))
 
 
@@ -245,10 +243,10 @@ class TestMultiplicityAndPeriphery:
 
     def test_peripheral_spectrum_deduplicates(self):
         spec = eigenvalues(np.diag([1.0, 1.0, -1.0, 0.5]))
-        periph = np.sort_complex(peripheral_spectrum(spec))
+        periph = np.sort_complex(spec.peripheral_eigenvalues)
         assert len(periph) == 2
         assert np.allclose(periph, [-1.0, 1.0], atol=1e-10)
 
     def test_zero_matrix(self):
         spec = eigenvalues(np.zeros((2, 2)))
-        assert list(peripheral_spectrum(spec)) == [0.0]
+        assert list(spec.peripheral_eigenvalues) == [0.0]
