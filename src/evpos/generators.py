@@ -45,36 +45,32 @@ def make_eventually_positive(
         raise GeneratorError("gap must lie in (0, 1)")
     if norm is None:
         norm = Ell2()
-    for attempt in range(8):
-        rng = rng_for(seed, attempt)
-        v = rng.uniform(0.5, 1.5, size=dim)
-        w = rng.uniform(0.5, 1.5, size=dim)
-        P = np.outer(v, w) / float(w @ v)
-        # a basis of the complement of span{v} that is also inside ker(w^T .)
-        # would over-constrain; instead build Q inside ker(P) ∩ range(I - P):
-        # any Q = (I-P) B (I-P) commutes with P to zero on both sides.
-        proj = np.eye(dim) - P
-        B = rng.normal(size=(dim, dim))
-        Q = proj @ B @ proj
-        qn = np.linalg.norm(Q, 2)
-        if qn < 1e-12:
-            continue
-        Q = Q * ((1.0 - gap) / qn)
-        A = P + Q
-        # v and w lie in [0.5, 1.5), so P is positive in every entry, and
-        # entries of Q^n are bounded by ||Q^n||_2 <= (1-gap)^n, so every
-        # power beyond log(min P)/log(1-gap) is entrywise nonnegative
-        min_p = float(np.min(P))
-        n0 = max(int(np.ceil(np.log(min_p) / np.log(1.0 - gap))), 1)
-        return EventuallyPositiveInstance(
-            model=Dense(A.astype(complex), norm),
-            projection=P,
-            perron_vector=v / np.linalg.norm(v),
-            n0_bound=n0,
-            gap=gap,
-            seed=seed,
-        )
-    raise GeneratorError("degenerate draws on 8 consecutive attempts")
+    rng = rng_for(seed, 0)
+    v = rng.uniform(0.5, 1.5, size=dim)
+    w = rng.uniform(0.5, 1.5, size=dim)
+    P = np.outer(v, w) / float(w @ v)
+    # a basis of the complement of span{v} that is also inside ker(w^T .)
+    # would over-constrain; instead build Q inside ker(P) ∩ range(I - P):
+    # any Q = (I-P) B (I-P) commutes with P to zero on both sides. With a
+    # Gaussian B, Q = 0 has probability 0; its NaN scaling would fail Dense.
+    proj = np.eye(dim) - P
+    B = rng.normal(size=(dim, dim))
+    Q = proj @ B @ proj
+    Q = Q * ((1.0 - gap) / np.linalg.norm(Q, 2))
+    A = P + Q
+    # v and w lie in [0.5, 1.5), so P is positive in every entry, and
+    # entries of Q^n are bounded by ||Q^n||_2 <= (1-gap)^n, so every
+    # power beyond log(min P)/log(1-gap) is entrywise nonnegative
+    min_p = float(np.min(P))
+    n0 = max(int(np.ceil(np.log(min_p) / np.log(1.0 - gap))), 1)
+    return EventuallyPositiveInstance(
+        model=Dense(A.astype(complex), norm),
+        projection=P,
+        perron_vector=v / np.linalg.norm(v),
+        n0_bound=n0,
+        gap=gap,
+        seed=seed,
+    )
 
 
 def positive_random(dim: int, seed: int = 0, norm: Optional[NormKind] = None) -> Dense:

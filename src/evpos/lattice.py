@@ -32,22 +32,44 @@ def _numbers(values, what: str) -> tuple:
     return tuple(number(v, what) for v in values)
 
 
-class _SequenceNorm(Record):
+def _same(value):
+    """A descriptor value written as it is held."""
+    return value
+
+
+class Described(Record):
+    """A record with a JSON descriptor: its `tag` key, which names its class
+    by that class attribute ("kind", or a model's "variant"), then one key
+    per field. Its `codec` maps each key, in field order, to a (write,
+    read) pair: to_json writes write(field), and from_json builds the
+    record from read(data[key]), key by key in that order."""
+
+    tag: ClassVar[str] = "kind"
+    codec: ClassVar[dict] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._writers = tuple((key, write) for key, (write, _) in cls.codec.items())
+
+    def to_json(self) -> dict:
+        data = {self.tag: getattr(self, self.tag)}
+        for key, write in self._writers:
+            data[key] = write(getattr(self, key))
+        return data
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(*[read(data[key]) for key, (_, read) in cls.codec.items()])
+
+
+class _SequenceNorm(Described):
     """A little-ell-p norm: no nodes, and a descriptor that is its kind alone."""
 
     node_count: ClassVar[None] = None
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind}
-
-    @classmethod
-    def from_json(cls, data: dict):
-        return cls()
-
 
 class Ell1(_SequenceNorm):
     kind: ClassVar[str] = "ell1"
-    canonical_text: ClassVar[str] = '{"kind":"ell1"}'
 
     def of_moduli(self, a: np.ndarray):
         return np.add.reduce(a, axis=0)
@@ -55,7 +77,6 @@ class Ell1(_SequenceNorm):
 
 class Ell2(_SequenceNorm):
     kind: ClassVar[str] = "ell2"
-    canonical_text: ClassVar[str] = '{"kind":"ell2"}'
 
     def of_moduli(self, a: np.ndarray):
         """sqrt(sum a^2), bit for bit, or where that sum overflows from finite
@@ -71,19 +92,21 @@ class Ell2(_SequenceNorm):
 
 class EllInf(_SequenceNorm):
     kind: ClassVar[str] = "ellinf"
-    canonical_text: ClassVar[str] = '{"kind":"ellinf"}'
 
     def of_moduli(self, a: np.ndarray):
         return np.maximum.reduce(a, axis=0, initial=0.0)
 
 
-class LpQuadrature(Record):
+class LpQuadrature(Described):
     """L^p norm on an interval, discretized by a quadrature rule."""
 
     p: float
     nodes: tuple
     weights: tuple
     kind: ClassVar[str] = "lp_quadrature"
+    codec = {"p": (_same, lambda v: number(v, "quadrature exponent p")),
+             "nodes": (list, lambda v: _numbers(v, "quadrature node")),
+             "weights": (list, lambda v: _numbers(v, "quadrature weight"))}
 
     def __post_init__(self):
         if not (np.isfinite(self.p) and self.p >= 1):
@@ -111,23 +134,13 @@ class LpQuadrature(Record):
         w = self.weight_array
         return float(self.nodes[0]) - float(w[0]) / 2, float(self.nodes[-1]) + float(w[-1]) / 2
 
-    def to_json(self) -> dict:
-        return dict(kind=self.kind, p=self.p, nodes=list(self.nodes), weights=list(self.weights))
 
-    @classmethod
-    def from_json(cls, data: dict):
-        return cls(
-            number(data["p"], "quadrature exponent p"),
-            _numbers(data["nodes"], "quadrature node"),
-            _numbers(data["weights"], "quadrature weight"),
-        )
-
-
-class GridSup(Record):
+class GridSup(Described):
     """Sup norm sampled on a fixed grid; all statements are grid-relative."""
 
     nodes: tuple
     kind: ClassVar[str] = "grid_sup"
+    codec = {"nodes": (list, lambda v: _numbers(v, "grid node"))}
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -145,20 +158,12 @@ class GridSup(Record):
         """The grid's end points."""
         return float(self.nodes[0]), float(self.nodes[-1])
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "nodes": list(self.nodes)}
-
-    @classmethod
-    def from_json(cls, data: dict):
-        return cls(_numbers(data["nodes"], "grid node"))
-
 
 # Each norm kind gives its `kind`, its `node_count` (None for ell-p), its
-# descriptor (to_json, from_json), and of_moduli(a): the norm of a
+# descriptor's `codec` (empty for ell-p), and of_moduli(a): the norm of a
 # vector, or of each column of a matrix, from the moduli a of its entries,
 # reduced along axis 0 by a ufunc's own reduce (the ndarray methods go
-# through numpy's Python wrappers). An ell-p kind also gives its
-# descriptor's compact JSON, canonical_text, and a grid kind the interval it
+# through numpy's Python wrappers). A grid kind also gives the interval it
 # covers, domain().
 NormKind = Union[Ell1, Ell2, EllInf, LpQuadrature, GridSup]
 NORM_KINDS = {cls.kind: cls for cls in (Ell1, Ell2, EllInf, LpQuadrature, GridSup)}

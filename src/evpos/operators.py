@@ -14,7 +14,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .lattice import NORM_KINDS, LatticeVector, NormKind, number
+from .lattice import NORM_KINDS, Described, LatticeVector, NormKind, _same, number
 from .record import Record
 from .spectral import Spectrum, diagonal_spectrum, eigenvalues, nilpotent_spectrum
 
@@ -34,7 +34,8 @@ DUALITY_TOL = 1e-10
 # over [lo, hi], +-inf where unbounded, or None when it is not real; a
 # functional kind gives row(space), apply(f, space), hat_pairing(peak, width)
 # and the points it evaluates at.
-# Each gives its descriptor (to_json, from_json) and checks its parameters.
+# Each declares its descriptor (`codec`, see `lattice.Described`) and checks
+# its parameters.
 
 
 def _number(value, what: str):
@@ -50,9 +51,59 @@ def _finite_data(data, what: str) -> np.ndarray:
     return a
 
 
-class Constant(Record):
+def _c2j(z: complex):
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def complex_pairs(a) -> list:
+    """[[re, im], ...] of a complex array as Python floats: [_c2j(z) for z
+    in a], bit for bit, in one conversion."""
+    return np.ascontiguousarray(a, dtype=complex).view(float).reshape(-1, 2).tolist()
+
+
+def _j2c(v) -> complex:
+    """A number, or an [re, im] pair of numbers, as a complex."""
+    if not isinstance(v, (list, tuple)):
+        return complex(_number(v, "complex entry"))
+    if len(v) != 2:
+        raise OperatorError(f"complex entry {v!r} is not an [re, im] pair")
+    return complex(_number(v[0], "real part"), _number(v[1], "imaginary part"))
+
+
+def _decode(data, registry: dict, family: str, key: str = "kind"):
+    """The descriptor `data` read by the class that `registry` holds under
+    its name data[key], which must be a string."""
+    if not isinstance(data, dict):
+        raise OperatorError(f"{family} descriptor must be a JSON object, not {type(data).__name__}")
+    name = data.get(key)
+    cls = registry.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise OperatorError(f"unknown {family} {key} {name!r}")
+    return cls.from_json(data)
+
+
+def norm_from_json(data: dict) -> NormKind:
+    return _decode(data, NORM_KINDS, "norm")
+
+
+def _descriptor_list(registry: dict, family: str) -> tuple:
+    """The codec pair of a list of descriptors that `registry` reads."""
+    return (lambda xs: [x.to_json() for x in xs],
+            lambda v: tuple(_decode(d, registry, family) for d in v))
+
+
+# the codec pairs that several kinds share
+_COMPLEX = (_c2j, _j2c)
+_COMPLEX_TUPLE = (complex_pairs, lambda v: tuple(_j2c(z) for z in v))
+_COMPLEX_ARRAY = (complex_pairs, lambda v: np.array([_j2c(z) for z in v]))
+_NORM = (Described.to_json, norm_from_json)
+
+
+class Constant(Described):
     value: complex = 1.0
     kind: ClassVar[str] = "constant"
+    codec = {"value": _COMPLEX}
 
     def __post_init__(self):
         _finite_data(self.value, "constant value")
@@ -67,17 +118,11 @@ class Constant(Record):
         value = complex(self.value)
         return None if value.imag else (value.real, value.real)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "value": _c2j(self.value)}
 
-    @classmethod
-    def from_json(cls, data: dict):
-        return cls(_j2c(data["value"]))
-
-
-class Monomial(Record):
+class Monomial(Described):
     degree: int = 1
     kind: ClassVar[str] = "monomial"
+    codec = {"degree": (_same, _same)}
 
     def __post_init__(self):
         if not float(_number(self.degree, "monomial degree")).is_integer():
@@ -96,19 +141,13 @@ class Monomial(Record):
         values = [t**self.degree for t in (lo, hi, 0.0) if lo <= t <= hi]
         return (min(values), max(values))
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "degree": self.degree}
 
-    @classmethod
-    def from_json(cls, data: dict):
-        return cls(data["degree"])
-
-
-class SignedPower(Record):
+class SignedPower(Described):
     """x -> sgn(x) * |x|**exponent; exponent may be negative (integrable)."""
 
     exponent: float
     kind: ClassVar[str] = "signed_power"
+    codec = {"exponent": (_same, lambda v: float(_number(v, "signed-power exponent")))}
 
     def __post_init__(self):
         _finite_data(self.exponent, "signed-power exponent")
@@ -132,17 +171,11 @@ class SignedPower(Record):
         ends = [float(np.sign(t)) * abs(t) ** alpha.real for t in (lo, hi)]
         return (min(ends), max(ends))
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "exponent": self.exponent}
 
-    @classmethod
-    def from_json(cls, data: dict):
-        return cls(float(_number(data["exponent"], "signed-power exponent")))
-
-
-class Tabulated(Record):
+class Tabulated(Described):
     values: tuple
     kind: ClassVar[str] = "tabulated"
+    codec = {"values": _COMPLEX_TUPLE}
 
     def __post_init__(self):
         _finite_data(self.values, "tabulated values")
@@ -160,13 +193,6 @@ class Tabulated(Record):
         """Read at the nodes: a tabulated function has no other values."""
         values = np.asarray(self.values, dtype=complex)
         return None if values.imag.any() else (float(values.real.min()), float(values.real.max()))
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "values": complex_pairs(self.values)}
-
-    @classmethod
-    def from_json(cls, data: dict):
-        return cls(tuple(_j2c(v) for v in data["values"]))
 
 
 FunctionRep = Union[Constant, Monomial, SignedPower, Tabulated]
@@ -200,12 +226,14 @@ def _nodes(space: NormKind) -> np.ndarray:
     return np.asarray(space.nodes, dtype=float)
 
 
-class WeightedIntegral(Record):
+class WeightedIntegral(Described):
     """g -> scale * integral of weight(x) * g(x) over the space's interval."""
 
     weight: FunctionRep
     scale: complex = 1.0
     kind: ClassVar[str] = "weighted_integral"
+    codec = {"weight": (Described.to_json, lambda v: _decode(v, FUNCTION_KINDS, "function")),
+             "scale": _COMPLEX}
     points: ClassVar[tuple] = ()  # no point evaluation, so no hat peak
 
     def __post_init__(self):
@@ -236,20 +264,15 @@ class WeightedIntegral(Record):
             return 0j
         raise OperatorError("hat witness requires a constant or, at width 0, integrable weight")
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "weight": self.weight.to_json(), "scale": _c2j(self.scale)}
 
-    @classmethod
-    def from_json(cls, data: dict):
-        return cls(_decode(data["weight"], FUNCTION_KINDS, "function"), _j2c(data["scale"]))
-
-
-class PointCombination(Record):
+class PointCombination(Described):
     """g -> sum_i coefficients[i] * g(points[i])."""
 
     points: tuple
     coefficients: tuple
     kind: ClassVar[str] = "point_combination"
+    codec = {"points": (list, lambda v: tuple(_number(p, "functional point") for p in v)),
+             "coefficients": _COMPLEX_TUPLE}
 
     def __post_init__(self):
         _finite_data(self.points, "functional points")
@@ -298,20 +321,6 @@ class PointCombination(Record):
                 raise OperatorError("hat support touches a functional point")
         return total
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "points": list(self.points),
-            "coefficients": complex_pairs(self.coefficients),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict):
-        return cls(
-            tuple(_number(p, "functional point") for p in data["points"]),
-            tuple(_j2c(c) for c in data["coefficients"]),
-        )
-
 
 FUNCTIONAL_KINDS = {cls.kind: cls for cls in (WeightedIntegral, PointCombination)}
 
@@ -322,7 +331,8 @@ FUNCTIONAL_KINDS = {cls.kind: cls for cls in (WeightedIntegral, PointCombination
 # Each model supplies the same methods: orbit(Y, horizon), its one power
 # path, which streams Y, TY, ..., T^horizon Y for a dim x m block Y; dense();
 # spectral_radius(); spectral_data(), its `Spectrum`, which the asymptotic
-# rule and the checks read; and its descriptor, to_json() and from_json().
+# rule and the checks read; and its descriptor: a `codec`, or for a dense
+# matrix, which writes n and one flat entry list, to_json() and from_json().
 # A diagonal and a weighted shift give their spectrum in closed form, a
 # dense matrix keeps the one it solved, and a rank-k model takes its dense
 # view's. A norm that fixes its nodes must fix one per dimension.
@@ -395,10 +405,12 @@ class Dense(Record):
         return cls(entries, norm_from_json(data["norm"]))
 
 
-class Diagonal(Record):
+class Diagonal(Described):
     symbol: np.ndarray
     norm: NormKind
     variant: ClassVar[str] = "diagonal"
+    tag = "variant"
+    codec = {"symbol": _COMPLEX_ARRAY, "norm": _NORM}
 
     def __post_init__(self):
         object.__setattr__(self, "symbol", _finite_data(self.symbol, "diagonal symbol"))
@@ -421,24 +433,15 @@ class Diagonal(Record):
         """Read off the symbol (`diagonal_spectrum`), built on each call."""
         return diagonal_spectrum(self.symbol)
 
-    def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "symbol": complex_pairs(self.symbol),
-            "norm": self.norm.to_json(),
-        }
 
-    @classmethod
-    def from_json(cls, data: dict):
-        return cls(np.array([_j2c(v) for v in data["symbol"]]), norm_from_json(data["norm"]))
-
-
-class WeightedShift(Record):
+class WeightedShift(Described):
     """(Tx)_{k+1} = w_k x_k and (Tx)_1 = 0; dimension = len(weights) + 1."""
 
     weights: np.ndarray
     norm: NormKind
     variant: ClassVar[str] = "shift"
+    tag = "variant"
+    codec = {"weights": _COMPLEX_ARRAY, "norm": _NORM}
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _finite_data(self.weights, "shift weights"))
@@ -465,23 +468,15 @@ class WeightedShift(Record):
         """dim zeros and spr = 0 (`nilpotent_spectrum`), built on each call."""
         return nilpotent_spectrum(self.dim)
 
-    def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "weights": complex_pairs(self.weights),
-            "norm": self.norm.to_json(),
-        }
 
-    @classmethod
-    def from_json(cls, data: dict):
-        return cls(np.array([_j2c(v) for v in data["weights"]]), norm_from_json(data["norm"]))
-
-
-class RankK(Record):
+class RankK(Described):
     functions: tuple
     functionals: tuple
     space: NormKind
     variant: ClassVar[str] = "rank_k"
+    tag = "variant"
+    codec = {"functions": _descriptor_list(FUNCTION_KINDS, "function"),
+             "functionals": _descriptor_list(FUNCTIONAL_KINDS, "functional"), "space": _NORM}
 
     def __post_init__(self):
         # not fields, so equality, hash and repr skip them: D[i, j] =
@@ -494,6 +489,8 @@ class RankK(Record):
         if self.space.node_count is None:
             raise OperatorError("rank-k model requires a function-space norm")
         k = len(self.functions)
+        if k == 0:
+            raise OperatorError("rank-k model needs at least one function")
         D = np.zeros((k, k), dtype=complex)
         for i, phi in enumerate(self.functionals):
             for j, f in enumerate(self.functions):
@@ -558,22 +555,6 @@ class RankK(Record):
             return nilpotent_spectrum(self.dim)
         return to_dense(self).spectral_data()
 
-    def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "functions": [f.to_json() for f in self.functions],
-            "functionals": [phi.to_json() for phi in self.functionals],
-            "space": self.space.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict):
-        return cls(
-            tuple(_decode(f, FUNCTION_KINDS, "function") for f in data["functions"]),
-            tuple(_decode(phi, FUNCTIONAL_KINDS, "functional") for phi in data["functionals"]),
-            norm_from_json(data["space"]),
-        )
-
 
 OperatorModel = Union[Dense, Diagonal, WeightedShift, RankK]
 
@@ -600,42 +581,7 @@ def to_dense(T: OperatorModel) -> Dense:
 
 
 # ---------------------------------------------------------------------------
-# JSON descriptors
-
-
-def _c2j(z: complex):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def complex_pairs(a) -> list:
-    """[[re, im], ...] of a complex array as Python floats: [_c2j(z) for z
-    in a], bit for bit, in one conversion."""
-    return np.ascontiguousarray(a, dtype=complex).view(float).reshape(-1, 2).tolist()
-
-
-def _j2c(v) -> complex:
-    """A number, or an [re, im] pair of numbers, as a complex."""
-    if not isinstance(v, (list, tuple)):
-        return complex(_number(v, "complex entry"))
-    if len(v) != 2:
-        raise OperatorError(f"complex entry {v!r} is not an [re, im] pair")
-    return complex(_number(v[0], "real part"), _number(v[1], "imaginary part"))
-
-
-def _decode(data, registry: dict, family: str, key: str = "kind"):
-    """The descriptor `data` read by the class that `registry` holds under
-    its name data[key]."""
-    if not isinstance(data, dict):
-        raise OperatorError(f"{family} descriptor must be a JSON object, not {type(data).__name__}")
-    cls = registry.get(data.get(key))
-    if cls is None:
-        raise OperatorError(f"unknown {family} {key} {data.get(key)!r}")
-    return cls.from_json(data)
-
-
-def norm_from_json(data: dict) -> NormKind:
-    return _decode(data, NORM_KINDS, "norm")
+# model files
 
 
 def model_to_json(T: OperatorModel) -> dict:
@@ -669,7 +615,7 @@ def model_digest(T: OperatorModel) -> str:
     matrix as complex128 in C order, or any other model's `_digest_header`
     and arrays; only a grid norm's nodes in a `Dense`'s header are formatted."""
     if isinstance(T, Dense):
-        norm = T.norm.canonical_text if T.norm.node_count is None else json.dumps(
+        norm = '{"kind":"%s"}' % T.norm.kind if T.norm.node_count is None else json.dumps(
             T.norm.to_json(), sort_keys=True, separators=(",", ":"))
         h = hashlib.sha256(('{"n":%d,"norm":%s,"variant":"%s"}' % (T.dim, norm, T.variant)).encode())
         h.update(np.ascontiguousarray(T.matrix, dtype="<c16"))

@@ -864,6 +864,38 @@ BAD_MODEL_FILES = {
     "quadrature-weight-string": _edited(QUADRATURE_FILE, ["norm", "weights", 0], "0.005"),
     "p-bool": _edited(QUADRATURE_FILE, ["norm", "p"], True),
     "points-coefficients-mismatch": _edited(SLOPE_FILE, ["functionals", 1, "points"], [1.0]),
+    "variant-list": _edited(IDENTITY_FILE, ["variant"], ["rank_k"]),
+    "rank-k-empty": {**SLOPE_FILE, "functions": [], "functionals": []},
+}
+# what each of BAD_MODEL_FILES prints after "error: <path>: bad model descriptor: "
+BAD_MODEL_MESSAGES = {
+    "top-level-list": "model descriptor must be a JSON object, not list",
+    "norm-string": "norm descriptor must be a JSON object, not str",
+    "function-string": "function descriptor must be a JSON object, not str",
+    "weight-string": "function descriptor must be a JSON object, not str",
+    "grid-node-count": "norm has 2 nodes, model has dimension 1",
+    "exponent-nan": "signed-power exponent must be nonempty and finite",
+    "scale-nan": "integral scale must be nonempty and finite",
+    "value-nan": "constant value must be nonempty and finite",
+    "tabulated-nan": "tabulated values must be nonempty and finite",
+    "point-nan": "functional points must be nonempty and finite",
+    "coefficient-nan": "functional coefficients must be nonempty and finite",
+    "degree-fraction": "monomial degree 1.5 is not an integer",
+    "n-fraction": "dense size n 1.5 is not an integer",
+    "pair-of-three": "complex entry [1.0, 0.0, 7.0] is not an [re, im] pair",
+    "n-string": "dense size n '1' is not a number",
+    "n-bool": "dense size n True is not a number",
+    "degree-string": "monomial degree '1' is not a number",
+    "exponent-string": "signed-power exponent '0.5' is not a number",
+    "entry-bool": "complex entry True is not a number",
+    "point-bool": "functional point True is not a number",
+    "node-string": "grid node '1' is not a number",
+    "node-bool": "grid node True is not a number",
+    "quadrature-weight-string": "quadrature weight '0.005' is not a number",
+    "p-bool": "quadrature exponent p True is not a number",
+    "points-coefficients-mismatch": "a point combination needs one coefficient per point",
+    "variant-list": "unknown model variant ['rank_k']",
+    "rank-k-empty": "rank-k model needs at least one function",
 }
 
 
@@ -1056,6 +1088,14 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("name", sorted(BAD_MODEL_FILES))
+    def test_bad_model_file_message_is_pinned(self, name, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(BAD_MODEL_FILES[name]))
+        assert main(["classify", str(path)]) == EXIT_INPUT
+        message = BAD_MODEL_MESSAGES[name]
+        assert capsys.readouterr().err == f"error: {path}: bad model descriptor: {message}\n"
 
     def test_tabulated_function_meets_point_combination(self, tmp_path, capsys):
         # x tabulated on the slope model's 5 nodes is read at the nodes of

@@ -6,6 +6,7 @@ import pytest
 
 from evpos.catalog import averaging_plus_singular, averaging_plus_slope, build_catalog
 from evpos.lattice import (
+    NORM_KINDS,
     Ell1,
     Ell2,
     EllInf,
@@ -15,6 +16,10 @@ from evpos.lattice import (
     midpoint_rule,
 )
 from evpos.operators import (
+    _ARRAY_KEYS,
+    FUNCTION_KINDS,
+    FUNCTIONAL_KINDS,
+    MODEL_VARIANTS,
     Constant,
     Dense,
     Diagonal,
@@ -203,7 +208,131 @@ class TestAdjointAndDense:
         assert np.allclose(power_apply(T, 1, g).entries, expected, atol=1e-12)
 
 
+_ONE = {"kind": "constant", "value": [1.0, 0.0]}
+_X = {"kind": "monomial", "degree": 1}
+_NODES = {"kind": "grid_sup", "nodes": [-1.0, 0.0, 1.0]}
+# one record of each kind with its descriptor, written out: an int stays an
+# int, a float a float, and every list a list
+DESCRIPTORS = [
+    (Ell1(), {"kind": "ell1"}),
+    (Ell2(), {"kind": "ell2"}),
+    (EllInf(), {"kind": "ellinf"}),
+    (
+        LpQuadrature(2, (-0.5, 0.5), (1.0, 1.0)),
+        {"kind": "lp_quadrature", "p": 2, "nodes": [-0.5, 0.5], "weights": [1.0, 1.0]},
+    ),
+    (GridSup((-1.0, 0.0, 1.0)), _NODES),
+    (Constant(0.5 - 1j), {"kind": "constant", "value": [0.5, -1.0]}),
+    (Monomial(3), {"kind": "monomial", "degree": 3}),
+    (SignedPower(0.5), {"kind": "signed_power", "exponent": 0.5}),
+    (Tabulated((1 + 0j, 2j)), {"kind": "tabulated", "values": [[1.0, 0.0], [0.0, 2.0]]}),
+    (
+        WeightedIntegral(Monomial(1), 0.5j),
+        {"kind": "weighted_integral", "weight": _X, "scale": [0.0, 0.5]},
+    ),
+    (
+        PointCombination((-1.0, 1.0), (1 + 0j, -0.5 + 0j)),
+        {
+            "kind": "point_combination",
+            "points": [-1.0, 1.0],
+            "coefficients": [[1.0, 0.0], [-0.5, 0.0]],
+        },
+    ),
+    (
+        Dense(np.array([[1.0, 2j], [0.0, -1.0]]), Ell2()),
+        {
+            "variant": "dense",
+            "n": 2,
+            "entries": [[1.0, 0.0], [0.0, 2.0], [0.0, 0.0], [-1.0, 0.0]],
+            "norm": {"kind": "ell2"},
+        },
+    ),
+    (
+        Diagonal(np.array([1.0, 0.5j]), Ell1()),
+        {"variant": "diagonal", "symbol": [[1.0, 0.0], [0.0, 0.5]], "norm": {"kind": "ell1"}},
+    ),
+    (
+        WeightedShift(np.array([-1.0, 2.0]), EllInf()),
+        {"variant": "shift", "weights": [[-1.0, 0.0], [2.0, 0.0]], "norm": {"kind": "ellinf"}},
+    ),
+    (
+        RankK(
+            (Constant(1 + 0j), Monomial(1)),
+            (
+                WeightedIntegral(Constant(1 + 0j), 0.5 + 0j),
+                PointCombination((-1.0, 1.0), (-0.5 + 0j, 0.5 + 0j)),
+            ),
+            GridSup((-1.0, 0.0, 1.0)),
+        ),
+        {
+            "variant": "rank_k",
+            "functions": [_ONE, _X],
+            "functionals": [
+                {"kind": "weighted_integral", "weight": _ONE, "scale": [0.5, 0.0]},
+                {
+                    "kind": "point_combination",
+                    "points": [-1.0, 1.0],
+                    "coefficients": [[-0.5, 0.0], [0.5, 0.0]],
+                },
+            ],
+            "space": _NODES,
+        },
+    ),
+]
+
+
+def _typed(value):
+    """value with each container and leaf paired with its type, and each
+    dict as its items in order, so that == tells 1 from 1.0, a list from a
+    tuple and one key order from another."""
+    if isinstance(value, dict):
+        return dict, [(k, _typed(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return type(value), [_typed(v) for v in value]
+    return type(value), value
+
+
+def _fields(record) -> list:
+    """A record's field values, each array as its dtype and its entries."""
+    values = [getattr(record, name) for name in record.fields]
+    return [(v.dtype, v.tolist()) if isinstance(v, np.ndarray) else v for v in values]
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 class TestJsonRoundTrip:
+    @pytest.mark.parametrize(
+        "record, descriptor", DESCRIPTORS, ids=[type(r).__name__ for r, _ in DESCRIPTORS]
+    )
+    def test_descriptor_is_pinned(self, record, descriptor):
+        # the writer against a literal, not against itself, and the reader
+        # back to the record
+        assert _typed(record.to_json()) == _typed(descriptor)
+        back = type(record).from_json(json.loads(json.dumps(descriptor)))
+        assert type(back) is type(record) and _fields(back) == _fields(record)
+
+    def test_every_kind_is_pinned(self):
+        kinds = {**NORM_KINDS, **FUNCTION_KINDS, **FUNCTIONAL_KINDS, **MODEL_VARIANTS}.values()
+        assert set(kinds) == {type(record) for record, _ in DESCRIPTORS}
+
+    def test_array_keys_are_the_codec_keys_of_number_lists(self):
+        # the digest hashes the lists under _ARRAY_KEYS as bytes: exactly the
+        # fields that hold a sequence and write it as a list of numbers or
+        # of [re, im] pairs
+        keys = set()
+        for record, _ in DESCRIPTORS:
+            for key, (write, _) in getattr(record, "codec", {}).items():
+                value = getattr(record, key)
+                out = write(value)
+                if isinstance(value, (tuple, np.ndarray)) and all(
+                    _is_real(v) or (isinstance(v, list) and len(v) == 2 and all(map(_is_real, v)))
+                    for v in out
+                ):
+                    keys.add(key)
+        assert keys == _ARRAY_KEYS
+
     @pytest.mark.parametrize(
         "model",
         [

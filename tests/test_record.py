@@ -27,7 +27,16 @@ from evpos.classify import (
 )
 from evpos.cli import run_classify
 from evpos.generators import make_eventually_positive
-from evpos.lattice import Ell1, Ell2, EllInf, GridSup, LatticeVector, LpQuadrature, _SequenceNorm
+from evpos.lattice import (
+    Described,
+    Ell1,
+    Ell2,
+    EllInf,
+    GridSup,
+    LatticeVector,
+    LpQuadrature,
+    _SequenceNorm,
+)
 from evpos.operators import (
     Constant,
     Dense,
@@ -70,6 +79,7 @@ def _vector() -> LatticeVector:
 # a record of each class, and a field to change and its new value (None
 # for a record with no fields)
 SAMPLES = {
+    Described: (Described, None, None),
     _SequenceNorm: (_SequenceNorm, None, None),
     Ell1: (Ell1, None, None),
     Ell2: (Ell2, None, None),
