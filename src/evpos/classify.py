@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import math
-from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -100,6 +99,7 @@ class UndeterminedUpToHorizon(Record):
 
 
 Status = Union[Confirmed, RefutedWithWitness, UndeterminedUpToHorizon]
+Limit = Union[Status, NotClassifiableError, spectral.SpectralError]
 
 
 class PositivityVerdict(Record):
@@ -208,24 +208,16 @@ def _hat_refutation(T: RankK) -> Optional[PositivityVerdict]:
     )
 
 
-def classify_eventual(T: OperatorModel, limit: Optional[LimitStatus] = None) -> tuple:
-    """(uniform, individual, weak) eventual verdicts, none with a horizon: a
-    rank-k model's by witnesses and certificates read from its factors. A
-    finite model's basis vectors generate the positive cone, and
-    <e_i, T^n e_j> is the entry (T^n)_ij, so its notions coincide: one
-    status, by exact rule. `limit` is the limit status that the asymptotic
-    trio of the same classification reads; one is made when not given."""
-    if limit is None:
-        limit = LimitStatus(T)
-    if isinstance(T, RankK):
-        return _rank_k_eventual(T, limit)
-    if isinstance(T, Diagonal):
-        status = _diagonal_status(T)
-    elif isinstance(T, WeightedShift):
-        status = _shift_status(T)
-    else:
-        status = _dense_status(T, limit)
-    return _one_status(_EVENTUAL_CHAIN, status)
+def classify_eventual(T: OperatorModel, limit: Optional[Limit] = None) -> tuple:
+    """(uniform, individual, weak) eventual verdicts by T's eventual rule
+    (`_RULES`), none with a horizon: a rank-k model's by witnesses and
+    certificates read from its factors. A finite model's basis vectors
+    generate the positive cone, and <e_i, T^n e_j> is the entry (T^n)_ij, so
+    its notions coincide: its rule gives one status, by exact rule, as a
+    rank-k one does at spr = 0. A rule that reads `limit_status` makes it
+    when `limit` is None."""
+    trio = _RULES[T.variant][0](T, limit)
+    return trio if isinstance(trio, tuple) else _one_status(_EVENTUAL_CHAIN, trio)
 
 
 def _one_status(chain, status) -> tuple:
@@ -233,7 +225,7 @@ def _one_status(chain, status) -> tuple:
     return tuple(PositivityVerdict(n, status) for n in chain)
 
 
-def _dense_status(T: Dense, limit: LimitStatus) -> Status:
+def _dense_status(T: Dense, limit: Optional[Limit]) -> Status:
     """In this order, and with no horizon:
     1. An exactly nonnegative real matrix is confirmed at n0 = 0 with no
        spectrum, as products and sums of nonnegative floats stay
@@ -246,30 +238,16 @@ def _dense_status(T: Dense, limit: LimitStatus) -> Status:
     4. A confirmed one decides by `_tail_certificate`, when that applies.
     5. Anything else, a solver failure included, is undetermined, with
        horizon 0 as no power beyond the certificate's is read."""
-    if limit.nonnegative:
+    if T.exactly_nonnegative:
         return Confirmed(0)
-    try:
-        status = limit.read()
-    except NotClassifiableError:
+    status = limit_status(T) if limit is None else limit
+    if isinstance(status, NotClassifiableError):
         return Confirmed(_power_failure(T.matrix, T.dim))
-    except spectral.SpectralError:
-        return UndeterminedUpToHorizon(0)
     if isinstance(status, RefutedWithWitness):
         return status
     if isinstance(status, Confirmed):
         return _tail_certificate(T) or UndeterminedUpToHorizon(0)
     return UndeterminedUpToHorizon(0)
-
-
-def _exactly_nonnegative(A: np.ndarray) -> bool:
-    return bool(np.minimum.reduce(A.real, axis=None) >= 0) and _exactly_real(A)
-
-
-def _exactly_real(A: np.ndarray) -> bool:
-    """Every imaginary part of A is 0 (-0.0 too), read off the least and the
-    largest, by reductions that the rules run anyway; entries are finite."""
-    imag = A.imag
-    return bool(np.minimum.reduce(imag, axis=None) == 0 == np.maximum.reduce(imag, axis=None))
 
 
 def _inf_norm(N: np.ndarray) -> float:
@@ -386,13 +364,13 @@ def _shift_tiles(phase: np.ndarray):
         k += lengths
 
 
-def _rank_k_eventual(T: RankK, limit: LimitStatus) -> tuple:
+def _rank_k_eventual(T: RankK, limit: Optional[Limit]) -> Union[tuple, Status]:
     """At spr = 0 every <phi_i, f_j> = lam_i delta_ij is 0, so T^2 = 0 and no
-    witness applies: the trio takes the grid test of T itself. Otherwise the
-    analytic refutations come first, each decided once: the singular term
-    on the half-line indicators (individual notion, and so the uniform one,
-    which implies it), a face bump (`face_witness`: all three notions), the
-    shrinking hat (uniform). A uniform notion that they leave open is
+    witness applies: the trio takes one status, the grid test of T.
+    Otherwise the analytic refutations come first, each decided once: the
+    singular term on the half-line indicators (individual notion, and so
+    the uniform one, which implies it), a face bump (`face_witness`: all
+    three notions), the shrinking hat (uniform). A uniform notion left open is
     decided by `_rank_k_status` from the grid entries of T^n, tested in row
     blocks. An individual or weak notion left open is decided in this order,
     with no test set and no horizon:
@@ -404,10 +382,9 @@ def _rank_k_eventual(T: RankK, limit: LimitStatus) -> tuple:
     3. A confirmed uniform notion confirms it at the same n0, as the
        uniform notion implies it.
     4. Anything else is undetermined, at horizon 0."""
-    if T.spectral_radius() == 0:
-        passes = _grid_passes_in_blocks(T.samples, T.rows)
-        return _one_status(_EVENTUAL_CHAIN, Confirmed(_last_failure([passes])))
-    status = limit.read()
+    limit = limit_status(T) if limit is None else limit
+    if isinstance(limit, NotClassifiableError):
+        return Confirmed(_last_failure([_grid_passes_in_blocks(T.samples, T.rows)]))
     individual = _singular_refutation(T, _half_lines(T))
     face = hat = None
     if individual is None:
@@ -420,10 +397,10 @@ def _rank_k_eventual(T: RankK, limit: LimitStatus) -> tuple:
     if face is not None:
         return uniform, individual, individual.replace(notion=Notion.WEAK_EVENTUAL)
     certified = ()
-    if isinstance(status, RefutedWithWitness):
-        otherwise = status
+    if isinstance(limit, RefutedWithWitness):
+        otherwise = limit
     else:
-        if isinstance(status, Confirmed):
+        if isinstance(limit, Confirmed):
             certified = _perron_certificate(T)
         confirmed = isinstance(uniform.status, Confirmed)
         otherwise = uniform.status if confirmed else UndeterminedUpToHorizon(0)
@@ -514,7 +491,7 @@ def _in_space(f, extremes: tuple, space: NormKind) -> bool:
     return singular and np.real(f.exponent) * space.p > -1
 
 
-def _rank_k_status(T: RankK, limit: LimitStatus) -> Status:
+def _rank_k_status(T: RankK, limit: Status) -> Status:
     """The status of the uniform notion, whose test reads the grid entries
     u_n = U W of S^n = T^n/spr^n, with U the samples, V the rows and
     W = diag(mu^(n-1)) V / spr for n >= 1 (mu = lam/spr, spr > 0), tested
@@ -523,7 +500,7 @@ def _rank_k_status(T: RankK, limit: LimitStatus) -> Status:
     1. A refuted limit status refutes, as each eventual notion implies its
        asymptotic one.
     2. A confirmed one with mu_i = 1 at every peripheral index i in I
-       (`LimitStatus.peripheral`), and real U, V and lam, decides by a tail
+       (`_peripheral_indices`), and real U, V and lam, decides by a tail
        certificate: u_n = L + sum over i not in I of
        mu_i^(n-1) U[:, i] V[i] / spr, with L = U[:, I] V[I] / spr. An entry
        where no decaying term (i not in I) is nonzero equals L at every
@@ -537,10 +514,9 @@ def _rank_k_status(T: RankK, limit: LimitStatus) -> Status:
        n_t, and n = 1, take its test directly. n_t is capped at MAX_TAIL.
     3. Anything else is undetermined, at horizon 0."""
     U, V = T.samples, T.rows
-    status = limit.read()
-    if isinstance(status, RefutedWithWitness):
-        return status
-    mu, periph = limit.peripheral
+    if isinstance(limit, RefutedWithWitness):
+        return limit
+    mu, periph = _peripheral_indices(T)
     if (mu[periph] != 1).any() or any(a.imag.any() for a in (U, V, mu)):
         return UndeterminedUpToHorizon(0)
     U, V, mu = U.real, V.real / T.spectral_radius(), mu.real
@@ -644,69 +620,51 @@ def delta_n(T: OperatorModel, n: int) -> tuple:
         raise ValueError(f"delta_n needs n >= 0, got {n}")
     if not isinstance(T.norm, Ell1):
         raise ValueError(f"no exact delta_n for norm {T.norm!r}: it needs l1")
-    spr = T.spectral_radius()
-    if spr <= 0:
-        raise NotClassifiableError("spectral radius is zero; rescaling undefined")
+    spr = _rescaling(T)
     power = np.linalg.matrix_power(to_dense(T).matrix * (1.0 / spr), n)
     dists = cone_distances(power, T.norm)
     j = int(np.argmax(dists))
     return float(dists[j]), _basis_vector(T, j)
 
 
-def classify_asymptotic(T: OperatorModel, limit: Optional[LimitStatus] = None) -> tuple:
+def classify_asymptotic(T: OperatorModel, limit: Optional[Limit] = None) -> tuple:
     """(uniform, individual, weak) asymptotic verdicts, by exact rule and with
     no orbit. The three notions coincide: S = T/spr is the sum of its
     peripheral part, whose powers cycle through the limit points, and a part
     whose powers tend to 0 in operator norm. So each notion holds exactly
     when every limit point is positive, and the trio gets one status, the
-    limit status (`LimitStatus`), which the eventual trio of the same
-    classification may have read already."""
-    if limit is None:
-        limit = LimitStatus(T)
-    return _one_status(_ASYMPTOTIC_CHAIN, limit.read())
+    limit status (`limit_status`), made when `limit` is None; an exception
+    that it holds is raised."""
+    status = limit_status(T) if limit is None else limit
+    if isinstance(status, Exception):
+        raise status
+    return _one_status(_ASYMPTOTIC_CHAIN, status)
 
 
-class LimitStatus:
-    """The limit status of T, decided on first read and kept, a failure
-    too: NotClassifiableError at spr = 0, where the rescaling is undefined;
-    Confirmed(0) for an exactly nonnegative `Dense`, as each eventual notion
-    implies its asymptotic one; otherwise `_diagonal_limit_status` for a
-    `Diagonal`, `_peripheral_status` for a `Dense`, `_rank_k_limit_status`
-    for a rank-k model. One is shared by the two trios of a classification,
-    so it is decided once, as is `nonnegative`, which both trios read."""
+def limit_status(T: OperatorModel) -> Limit:
+    """The limit status of T by its variant's limit rule (`_RULES`), or the
+    NotClassifiableError or SpectralError that stopped it; the two trios of
+    a classification share one."""
+    try:
+        return _RULES[T.variant][1](T)
+    except (NotClassifiableError, spectral.SpectralError) as exc:
+        return exc
 
-    def __init__(self, T: OperatorModel):
-        self.T = T
-        self.nonnegative = isinstance(T, Dense) and _exactly_nonnegative(T.matrix)
-        self._outcome: Union[Status, Exception, None] = None
 
-    @cached_property
-    def peripheral(self) -> tuple:
-        """(mu, I) of a rank-k model (`_peripheral_indices`), which the limit
-        status and the eventual trio both read; not read at spr = 0."""
-        return _peripheral_indices(self.T)
+def _rescaling(T: OperatorModel) -> float:
+    """spr(T), read first by each limit rule: NotClassifiableError at 0, so
+    it is the whole limit rule of a shift, which is nilpotent."""
+    spr = T.spectral_radius()
+    if spr == 0:
+        raise NotClassifiableError("spectral radius is zero; rescaling undefined")
+    return spr
 
-    def read(self) -> Status:
-        if self._outcome is None:
-            try:
-                self._outcome = self._decide()
-            except (NotClassifiableError, spectral.SpectralError) as exc:
-                self._outcome = exc
-        if isinstance(self._outcome, Exception):
-            raise self._outcome
-        return self._outcome
 
-    def _decide(self) -> Status:
-        T = self.T
-        if T.spectral_radius() == 0:
-            raise NotClassifiableError("spectral radius is zero; rescaling undefined")
-        if isinstance(T, RankK):
-            return _rank_k_limit_status(T, *self.peripheral)
-        if isinstance(T, Diagonal):
-            return _diagonal_limit_status(T)
-        if self.nonnegative:
-            return Confirmed(0)
-        return _peripheral_status(T)
+def _dense_limit_status(T: Dense) -> Status:
+    """Confirmed(0) where the eventual trio is by nonnegativity
+    (`_dense_status`), as it implies this one; else `_peripheral_status`."""
+    _rescaling(T)
+    return Confirmed(0) if T.exactly_nonnegative else _peripheral_status(T)
 
 
 def _basis_vector(T: OperatorModel, j: int) -> LatticeVector:
@@ -720,7 +678,7 @@ def _diagonal_limit_status(T: Diagonal) -> Status:
     one with |mu| = 1 and mu != 1 stays at a fixed distance from the
     positive reals for infinitely many n. An entry of modulus spr refutes
     unless it is spr exactly; any other is tested within DEFAULT_TOL."""
-    spr = T.spectral_radius()
+    spr = _rescaling(T)
     mu = _over_spr(T.symbol, spr)
     off = np.where(np.abs(T.symbol) == spr, T.symbol != spr, np.abs(mu - 1.0) > DEFAULT_TOL)
     off = (off & (np.abs(mu) >= 1.0 - DEFAULT_TOL)).nonzero()[0]
@@ -843,7 +801,7 @@ def _peripheral_status(T: Dense) -> Status:
         refuted = None
         if not _residual_bound(L) <= threshold:
             refuted = _limit_point_refutation(T, _worst_entry([(0, L)]), 1, threshold)
-        return refuted or (Confirmed(0) if _exactly_real(T.matrix) else UndeterminedUpToHorizon(0))
+        return refuted or (Confirmed(0) if T.exactly_real else UndeterminedUpToHorizon(0))
     C = C / spec.scaled(spr) ** (m - 1)
 
     def worst(r):
@@ -857,7 +815,7 @@ def _peripheral_status(T: Dense) -> Status:
     return UndeterminedUpToHorizon(0)
 
 
-def _rank_k_limit_status(T: RankK, mu: np.ndarray, periph: np.ndarray) -> Status:
+def _rank_k_limit_status(T: RankK) -> Status:
     """Exact, from the eigen-parameters: T^n = sum_i lam_i^(n-1) f_i (x) phi_i
     with phi_i(f_j) = lam_i delta_ij, so each lam_i != 0 is semisimple with
     spectral projection P_i = f_i (x) phi_i / lam_i, the P_i are disjoint,
@@ -874,7 +832,8 @@ def _rank_k_limit_status(T: RankK, mu: np.ndarray, periph: np.ndarray) -> Status
     its two factors (`_outer_worst_entry`), and any other L_1
     LIMIT_POINT_ROWS rows at a time, in real arithmetic when its factors
     have no imaginary part."""
-    spr = T.spectral_radius()
+    spr = _rescaling(T)
+    mu, periph = _peripheral_indices(T)
     q = [_root_of_unity_order(z, len(periph), DEFAULT_TOL) for z in mu[periph]]
     if None in q:
         return _not_cyclic(mu[periph], q, len(periph))
@@ -923,6 +882,17 @@ def _term_rounding(U: np.ndarray, V: np.ndarray) -> float:
     """The rounding of an entry of U V, a sum of k products U[a, i] V[i, b]:
     k eps sum over i of max|U[:, i]| max|V[i]|."""
     return U.shape[1] * EPS * float(np.abs(U).max(axis=0) @ np.abs(V).max(axis=1))
+
+
+# each variant's (eventual rule, limit rule): the eventual rule reads T and
+# its limit status, or None (`classify_eventual`); the limit rule decides
+# that status (`limit_status`)
+_RULES = {
+    Dense.variant: (_dense_status, _dense_limit_status),
+    Diagonal.variant: (lambda T, limit: _diagonal_status(T), _diagonal_limit_status),
+    WeightedShift.variant: (lambda T, limit: _shift_status(T), _rescaling),
+    RankK.variant: (_rank_k_eventual, _rank_k_limit_status),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ import numpy as np
 from . import __version__
 from .catalog import build_catalog, get_example
 from .classify import (
-    LimitStatus,
     NotClassifiableError,
     classify_asymptotic,
     classify_eventual,
+    limit_status,
 )
 from .generators import (
     GeneratorError,
@@ -142,13 +142,13 @@ def _load_vector(path: str) -> np.ndarray:
 def run_classify(model: OperatorModel, operator_id: str, seed: int = 0) -> tuple:
     """(AnalysisReport, solver_failure_flag): the eventual trio always, the
     asymptotic trio when the rescaling is defined, then the checks. Both
-    trios read one limit status (`classify.LimitStatus`). The checks read
+    trios read one limit status (`classify.limit_status`). The checks read
     the model's `spectral_data()`, a `Dense` at any size and any other model
     at dim <= DIM_CAP. A solver failure in the asymptotic trio drops
     that trio, and one anywhere in the checks ends them; what was made
     before it stays in the report."""
     solver_failure = False
-    limit = LimitStatus(model)
+    limit = limit_status(model)
     verdicts = list(classify_eventual(model, limit=limit))
     try:
         verdicts.extend(classify_asymptotic(model, limit=limit))

@@ -27,9 +27,14 @@ def number(value, what: str, error: type = LatticeError):
     return value
 
 
-def _numbers(values, what: str) -> tuple:
-    """A model file's list of real numbers, as a tuple (`number`)."""
-    return tuple(number(v, what) for v in values)
+def listed(read, what: str, error: type = LatticeError):
+    """The codec reader of a model file's list `what`, as a tuple of each
+    read(item); any other value, a string too, is rejected with `error`."""
+    def read_list(values):
+        if not isinstance(values, list):
+            raise error(f"{what} {values!r} is not a list")
+        return tuple([read(v) for v in values])
+    return read_list
 
 
 def _same(value):
@@ -105,8 +110,9 @@ class LpQuadrature(Described):
     weights: tuple
     kind: ClassVar[str] = "lp_quadrature"
     codec = {"p": (_same, lambda v: number(v, "quadrature exponent p")),
-             "nodes": (list, lambda v: _numbers(v, "quadrature node")),
-             "weights": (list, lambda v: _numbers(v, "quadrature weight"))}
+             "nodes": (list, listed(lambda v: number(v, "quadrature node"), "quadrature nodes")),
+             "weights": (list, listed(lambda v: number(v, "quadrature weight"),
+                                      "quadrature weights"))}
 
     def __post_init__(self):
         if not (np.isfinite(self.p) and self.p >= 1):
@@ -140,7 +146,7 @@ class GridSup(Described):
 
     nodes: tuple
     kind: ClassVar[str] = "grid_sup"
-    codec = {"nodes": (list, lambda v: _numbers(v, "grid node"))}
+    codec = {"nodes": (list, listed(lambda v: number(v, "grid node"), "grid nodes"))}
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)

@@ -14,7 +14,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .lattice import NORM_KINDS, Described, LatticeVector, NormKind, _same, number
+from .lattice import NORM_KINDS, Described, LatticeVector, NormKind, _same, listed, number
 from .record import Record
 from .spectral import Spectrum, diagonal_spectrum, eigenvalues, nilpotent_spectrum
 
@@ -90,13 +90,16 @@ def norm_from_json(data: dict) -> NormKind:
 def _descriptor_list(registry: dict, family: str) -> tuple:
     """The codec pair of a list of descriptors that `registry` reads."""
     return (lambda xs: [x.to_json() for x in xs],
-            lambda v: tuple(_decode(d, registry, family) for d in v))
+            listed(lambda d: _decode(d, registry, family), family + "s", OperatorError))
+
+
+def _complex_list(what: str) -> tuple:
+    """The codec pair of a list of complex entries (`_j2c`), called `what`."""
+    return complex_pairs, listed(_j2c, what, OperatorError)
 
 
 # the codec pairs that several kinds share
 _COMPLEX = (_c2j, _j2c)
-_COMPLEX_TUPLE = (complex_pairs, lambda v: tuple(_j2c(z) for z in v))
-_COMPLEX_ARRAY = (complex_pairs, lambda v: np.array([_j2c(z) for z in v]))
 _NORM = (Described.to_json, norm_from_json)
 
 
@@ -175,7 +178,7 @@ class SignedPower(Described):
 class Tabulated(Described):
     values: tuple
     kind: ClassVar[str] = "tabulated"
-    codec = {"values": _COMPLEX_TUPLE}
+    codec = {"values": _complex_list("tabulated values")}
 
     def __post_init__(self):
         _finite_data(self.values, "tabulated values")
@@ -271,8 +274,9 @@ class PointCombination(Described):
     points: tuple
     coefficients: tuple
     kind: ClassVar[str] = "point_combination"
-    codec = {"points": (list, lambda v: tuple(_number(p, "functional point") for p in v)),
-             "coefficients": _COMPLEX_TUPLE}
+    codec = {"points": (list, listed(lambda p: _number(p, "functional point"), "functional points",
+                                     OperatorError)),
+             "coefficients": _complex_list("functional coefficients")}
 
     def __post_init__(self):
         _finite_data(self.points, "functional points")
@@ -387,6 +391,17 @@ class Dense(Record):
     def spectral_radius(self) -> float:
         return self.spectral_data().spectral_radius
 
+    @cached_property
+    def exactly_real(self) -> bool:
+        """Every imaginary part is 0 (-0.0 too), read off the least and the
+        largest; kept, as is `exactly_nonnegative`, which both trios read."""
+        imag = self.matrix.imag
+        return bool(np.minimum.reduce(imag, axis=None) == 0 == np.maximum.reduce(imag, axis=None))
+
+    @cached_property
+    def exactly_nonnegative(self) -> bool:
+        return bool(np.minimum.reduce(self.matrix.real, axis=None) >= 0) and self.exactly_real
+
     def to_json(self) -> dict:
         return {
             "variant": self.variant,
@@ -401,8 +416,10 @@ class Dense(Record):
         if not float(n).is_integer():
             raise OperatorError(f"dense size n {n!r} is not an integer")
         n = int(n)
-        entries = np.array([_j2c(v) for v in data["entries"]]).reshape(n, n)
-        return cls(entries, norm_from_json(data["norm"]))
+        entries = listed(_j2c, "dense entries", OperatorError)(data["entries"])
+        if len(entries) != n * n:
+            raise OperatorError(f"dense size n {n} needs {n * n} entries, not {len(entries)}")
+        return cls(np.array(entries).reshape(n, n), norm_from_json(data["norm"]))
 
 
 class Diagonal(Described):
@@ -410,7 +427,7 @@ class Diagonal(Described):
     norm: NormKind
     variant: ClassVar[str] = "diagonal"
     tag = "variant"
-    codec = {"symbol": _COMPLEX_ARRAY, "norm": _NORM}
+    codec = {"symbol": _complex_list("diagonal symbol"), "norm": _NORM}
 
     def __post_init__(self):
         object.__setattr__(self, "symbol", _finite_data(self.symbol, "diagonal symbol"))
@@ -441,7 +458,7 @@ class WeightedShift(Described):
     norm: NormKind
     variant: ClassVar[str] = "shift"
     tag = "variant"
-    codec = {"weights": _COMPLEX_ARRAY, "norm": _NORM}
+    codec = {"weights": _complex_list("shift weights"), "norm": _NORM}
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _finite_data(self.weights, "shift weights"))

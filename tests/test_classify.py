@@ -1,3 +1,5 @@
+import os
+import sys
 import tracemalloc
 import warnings
 from itertools import accumulate, repeat
@@ -13,6 +15,7 @@ import evpos.witnesses
 from evpos.catalog import (
     averaging_plus_singular,
     averaging_plus_slope,
+    build_catalog,
     diagonal_drift,
     get_example,
     nonreal_diagonal,
@@ -73,6 +76,10 @@ from evpos.rng import rng_for
 from evpos.witnesses import hat_family_witness, hat_limit_witnesses
 
 import exact
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def entrywise_positive(a: np.ndarray, tol: float) -> bool:
@@ -1230,21 +1237,6 @@ class TestRankKLimitRule:
             assert closed == scanned and list(map(type, closed)) == list(map(type, scanned))
             assert np.signbit(closed[0]) == np.signbit(scanned[0])
 
-    def test_one_limit_status_per_classification(self, monkeypatch):
-        # both trios of ex2.2b read one decision of the limit-point rule
-        calls = []
-        rule = evpos.classify._rank_k_limit_status
-
-        def counting(T, *peripheral):
-            calls.append(T)
-            return rule(T, *peripheral)
-
-        monkeypatch.setattr(evpos.classify, "_rank_k_limit_status", counting)
-        entry = get_example("ex2.2b")
-        report, failed = run_classify(entry.model, entry.name, 0)
-        assert not failed and len(report.classification) == 6
-        assert len(calls) == 1
-
 
 def _peripheral_status_scanned(T: Dense):
     """`_peripheral_status` as it was before `_residual_bound`: L_1 formed
@@ -1419,16 +1411,18 @@ class TestReductionKernels:
         A = model.matrix.copy()
         A[0, 0] = complex(A[0, 0].real, imag)
         T = Dense(A, model.norm)
-        limit = evpos.classify.LimitStatus(T)
+        limit = evpos.classify.limit_status(T)
         assert {v.status for v in classify_eventual(T, limit=limit)} == {eventual}
         assert {v.status for v in classify_asymptotic(T, limit=limit)} == {asymptotic}
 
     def test_exact_nonnegativity_reads_signed_zeros_and_subnormals(self):
-        nonnegative = evpos.classify._exactly_nonnegative
+        def nonnegative(rows, dtype=None):
+            return Dense(np.array(rows, dtype=dtype), Ell1()).exactly_nonnegative
+
         for rows in ([[-0.0, 1], [1, 0.5]], [[complex(1, -0.0), 1], [1, 0.5]]):
-            assert nonnegative(np.array(rows)) and nonnegative(np.array(rows, dtype=complex))
+            assert nonnegative(rows) and nonnegative(rows, complex)
         for rows in ([[1 + 5e-324j, 1], [1, 0.5]], [[-5e-324, 1], [1, 0.5]]):
-            assert not nonnegative(np.array(rows, dtype=complex))
+            assert not nonnegative(rows, complex)
 
 
 class TestAnalyticRefutations:
@@ -1997,6 +1991,57 @@ class TestRankKInputs:
         monkeypatch.setattr(evpos.classify, "_peripheral_indices", counting)
         run_classify(get_example(name).model, name, 0)
         assert len(calls) == 1
+
+
+class TestRuleTable:
+    """Each model variant is classified by its row of `_RULES`: an eventual
+    rule and a limit rule."""
+
+    def test_every_variant_has_rules(self):
+        assert set(evpos.classify._RULES) == set(evpos.operators.MODEL_VARIANTS)
+
+    @pytest.mark.parametrize("name", ["eventually-positive", "rem3.2b", "ex3.5b", "ex2.2b"])
+    def test_one_limit_status_per_classification(self, monkeypatch, name):
+        # both trios read one decision of the variant's limit rule; a
+        # shift's raises, as its spr is 0, and leaves no asymptotic trio
+        model = get_example(name).model
+        eventual, rule = evpos.classify._RULES[model.variant]
+        calls = []
+
+        def counting(T):
+            calls.append(T)
+            return rule(T)
+
+        monkeypatch.setitem(evpos.classify._RULES, model.variant, (eventual, counting))
+        report, failed = run_classify(model, name, 0)
+        assert not failed and len(report.classification) == (3 if model.variant == "shift" else 6)
+        assert len(calls) == 1
+
+
+class TestHorizonFree:
+    """No cap decides a verdict kind: MAX_TAIL and MAX_PERIOD each moved by
+    one move none, over the catalog, random-small at seed 0 and
+    L - 0.998 (I - L), whose true n0 of 1,608 lies beyond MAX_TAIL."""
+
+    @pytest.mark.parametrize("step", [-1, 1])
+    @pytest.mark.parametrize("cap", ["MAX_TAIL", "MAX_PERIOD"])
+    def test_cap_moved_by_one_moves_no_verdict_kind(self, monkeypatch, cap, step):
+        v = np.array([1.0, 0.2])
+        L = np.outer(v, v) / (v @ v)
+        models = [(e.name, e.model) for e in build_catalog(0)]
+        models += [(c.name, c.model) for c in workloads.random_small(0)]
+        models.append(("slow-tail", Dense(L - 0.998 * (np.eye(2) - L), Ell1())))
+
+        def kinds() -> list:
+            return [
+                [r["status"]["kind"] for r in run_classify(T, name, 0)[0].classification]
+                for name, T in models
+            ]
+
+        expected = kinds()
+        assert ["undetermined"] * 3 + ["confirmed"] * 3 == expected[-1]
+        monkeypatch.setattr(evpos.classify, cap, getattr(evpos.classify, cap) + step)
+        assert kinds() == expected
 
 
 class TestHierarchy:

@@ -269,22 +269,22 @@ class TestRunClassify:
 
     @pytest.mark.parametrize("name", ["dense-dim7", "cyclic-block"])
     def test_nonnegativity_is_decided_once(self, name, monkeypatch):
-        # both trios of a Dense read whether it is exactly nonnegative, a
-        # pass over its entries that their shared `LimitStatus` makes once
+        # both trios of a Dense read whether it is exactly nonnegative and
+        # real, passes over its entries that the model makes once and keeps
         if name == "dense-dim7":
             model = make_eventually_positive(7, 0.5, 1003).model
         else:
             model = get_example(name).model
-        original, calls = evpos.classify._exactly_nonnegative, []
-
-        def counting(A):
-            calls.append(A)
-            return original(A)
-
-        monkeypatch.setattr(evpos.classify, "_exactly_nonnegative", counting)
-        report, failed = run_classify(model, name, 0)
+        calls = []
+        for fact in ("exactly_nonnegative", "exactly_real"):
+            decide = getattr(Dense, fact).func
+            kept = functools.cached_property(
+                lambda self, fact=fact, decide=decide: calls.append(fact) or decide(self))
+            kept.__set_name__(Dense, fact)
+            monkeypatch.setattr(Dense, fact, kept)
+        report, failed = run_classify(Dense(model.matrix, model.norm), name, 0)
         assert not failed and len(report.classification) == 6
-        assert len(calls) == 1
+        assert sorted(calls) == ["exactly_nonnegative", "exactly_real"]
 
     @pytest.mark.parametrize("name", ["rem3.2b", "ex3.5a", "ex3.5b"])
     def test_diagonal_and_shift_checks_take_no_solve(self, name, monkeypatch):
@@ -866,6 +866,20 @@ BAD_MODEL_FILES = {
     "points-coefficients-mismatch": _edited(SLOPE_FILE, ["functionals", 1, "points"], [1.0]),
     "variant-list": _edited(IDENTITY_FILE, ["variant"], ["rank_k"]),
     "rank-k-empty": {**SLOPE_FILE, "functions": [], "functionals": []},
+    # a list field given a number, a string or an object, which would be
+    # iterated, or a string read character by character
+    "symbol-number": {"variant": "diagonal", "symbol": 5, "norm": {"kind": "ell1"}},
+    "weights-string": {"variant": "shift", "weights": "12", "norm": {"kind": "ell1"}},
+    "entries-number": _edited(IDENTITY_FILE, ["entries"], 5),
+    "functions-number": _edited(SLOPE_FILE, ["functions"], 5),
+    "functionals-object": _edited(SLOPE_FILE, ["functionals"], X_INTEGRAL),
+    "values-number": _edited(SLOPE_FILE, ["functions", 1], {"kind": "tabulated", "values": 5}),
+    "points-string": _edited(SLOPE_FILE, ["functionals", 1, "points"], "1"),
+    "coefficients-number": _edited(SLOPE_FILE, ["functionals", 1, "coefficients"], 0.25),
+    "nodes-string": _edited(SLOPE_FILE, ["space", "nodes"], "12"),
+    "quadrature-weights-number": _edited(QUADRATURE_FILE, ["norm", "weights"], 0.005),
+    # n = 2 with the identity's one entry
+    "entries-count": _edited(IDENTITY_FILE, ["n"], 2),
 }
 # what each of BAD_MODEL_FILES prints after "error: <path>: bad model descriptor: "
 BAD_MODEL_MESSAGES = {
@@ -896,6 +910,20 @@ BAD_MODEL_MESSAGES = {
     "points-coefficients-mismatch": "a point combination needs one coefficient per point",
     "variant-list": "unknown model variant ['rank_k']",
     "rank-k-empty": "rank-k model needs at least one function",
+    "symbol-number": "diagonal symbol 5 is not a list",
+    "weights-string": "shift weights '12' is not a list",
+    "entries-number": "dense entries 5 is not a list",
+    "functions-number": "functions 5 is not a list",
+    "functionals-object": (
+        "functionals {'kind': 'weighted_integral', 'weight': {'kind': 'constant', "
+        "'value': [1.0, 0.0]}, 'scale': [1.0, 0.0]} is not a list"
+    ),
+    "values-number": "tabulated values 5 is not a list",
+    "points-string": "functional points '1' is not a list",
+    "coefficients-number": "functional coefficients 0.25 is not a list",
+    "nodes-string": "grid nodes '12' is not a list",
+    "quadrature-weights-number": "quadrature weights 0.005 is not a list",
+    "entries-count": "dense size n 2 needs 4 entries, not 1",
 }
 
 

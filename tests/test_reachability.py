@@ -332,7 +332,7 @@ REMOVED_PARAMETERS = [
     ("classify", "weak_eventual", "tol"),
     ("classify", "individual_eventual", "tol"),
     ("classify", "individual_eventual", "horizon"),
-    ("classify", "LimitStatus", "tol"),
+    ("classify", "limit_status", "tol"),
     ("classify", "_block_passes", "tol"),
     ("classify", "_power_failure", "tol"),
     ("classify", "_singular_refutation", "tol"),
